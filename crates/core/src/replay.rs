@@ -6,14 +6,22 @@
 //! tool for the closed-loop probe-cohort evaluation, and a single-engine
 //! bottleneck at a million windows. This module is the scale tier: the
 //! replay cohort's devices are partitioned into the [`ShardPlan`]'s
-//! contiguous slices (device id → shard, the PR-6 scheme), every shard
-//! advances in parallel on the `HEC_THREADS` workers, and the scheme
+//! contiguous slices (device id → shard, the PR-6 scheme), the shards
+//! advance in parallel on the `HEC_THREADS` workers when the trace is
+//! long enough to pay for them (see [`crate::sharded`]; the adaptation
+//! loop's 50-window chunks run on the calling thread), and the scheme
 //! routes each window through a precomputed
 //! [`scheme_action_table`] — a stateless `Fn + Sync` lookup, which is
 //! exactly what the parallel driver requires. Outcomes merge in the
 //! deterministic `(time, shard-id)` order, so the replayed
-//! [`FleetStreamResult`] is byte-identical across reruns, shard counts
-//! and thread counts.
+//! [`FleetStreamResult`] is byte-identical across reruns and thread
+//! counts.
+//!
+//! A replay keeps **no queue trace**: [`replay_scenario`] turns the
+//! preset's queue-depth sampler off, so `FleetStreamResult::fleet.trace`
+//! is empty and `fleet.events` counts no sample events. Nothing read the
+//! trace of a replay, and at the preset's 2 048 samples a shard it was
+//! 8 192 of the ≈ 8 300 events of a 50-window, 4-shard chunk replay.
 //!
 //! Scheme-routed windows map to oracle windows round-robin in emission
 //! order (`seq % corpus len`) — the same mapping
@@ -41,9 +49,9 @@ pub const WINDOWS_PER_DEVICE: u32 = 10;
 /// Builds the replay fleet for an `n_windows` trace: one cohort of
 /// `ceil(n / WINDOWS_PER_DEVICE)` devices, each emitting
 /// `WINDOWS_PER_DEVICE` windows a minute apart, on the `light_load`
-/// queue/link parameters with the dataset's payload. Device ids are
-/// contiguous, so [`ShardPlan::new`] splits the cohort into per-shard
-/// device slices. When `WINDOWS_PER_DEVICE` does not divide `n_windows`
+/// queue/link parameters with the dataset's payload and without its
+/// queue-depth sampler (module docs). Device ids are contiguous, so
+/// [`ShardPlan::new`] splits the cohort into per-shard device slices. When `WINDOWS_PER_DEVICE` does not divide `n_windows`
 /// the fleet emits up to one device's extra windows; the oracle mapping
 /// wraps round-robin, keeping every emitted window scored.
 ///
@@ -56,6 +64,7 @@ pub fn replay_scenario(kind: DatasetKind, payload_bytes: usize, n_windows: u64) 
     sc.name = "trace_replay".into();
     sc.kind = kind;
     sc.payload_bytes = payload_bytes;
+    sc.max_trace_samples = 0;
     let devices = n_windows.div_ceil(WINDOWS_PER_DEVICE as u64).min(u32::MAX as u64) as u32;
     let windows_per_device = n_windows.div_ceil(devices as u64) as u32;
     sc.cohorts =
@@ -104,7 +113,7 @@ pub fn replay_trace_sharded(
     let mut reward_sum = 0.0f64;
     let mut routed = 0u64;
     let mut routed_latency = LatencyHist::new();
-    let mut drop_counts = vec![[0u64; 2]; scenario.topology().num_layers()];
+    let mut drop_counts = vec![[0u64; 2]; plan.num_layers()];
 
     let router = |ctx: &RouteCtx| actions[(ctx.seq % n) as usize];
     let run = run_plan(&plan, &router, &mut |ev| match *ev {
@@ -223,6 +232,31 @@ mod tests {
                 assert_eq!(base, run, "shards={shards} threads={threads}");
             }
             assert_eq!(base.fleet.served + base.fleet.dropped, base.fleet.emitted);
+        }
+    }
+
+    /// Dropping the queue-depth sampler removes the samples and nothing
+    /// else: against the same fleet with the `light_load` preset's
+    /// sampler restored (2 048 samples a shard over this horizon), the
+    /// result differs only in `fleet.trace` and, by exactly the sample
+    /// events, in `fleet.events`.
+    #[test]
+    fn replay_without_the_sampler_differs_only_in_the_samples() {
+        let o = oracle(120);
+        let lean = replay_scenario(DatasetKind::Univariate, 384, o.len() as u64);
+        let mut sampled = lean.clone();
+        sampled.max_trace_samples = FleetScenario::light_load(FleetScale::Quick).max_trace_samples;
+        for shards in [1, 4] {
+            let replay = |sc| {
+                replay_trace_sharded(sc, &o, SchemeKind::Successive, None, None, &rm(), shards)
+            };
+            let (lean, mut sampled) = (replay(&lean), replay(&sampled));
+            assert!(lean.fleet.trace.is_empty());
+            assert_eq!(sampled.fleet.trace.len(), 2048);
+            assert_eq!(sampled.fleet.events - lean.fleet.events, shards as u64 * 2048);
+            sampled.fleet.trace.clear();
+            sampled.fleet.events = lean.fleet.events;
+            assert_eq!(lean, sampled, "shards={shards}");
         }
     }
 

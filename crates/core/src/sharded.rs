@@ -1,28 +1,53 @@
 //! Parallel driver for the sharded fleet engine.
 //!
 //! `hec_sim::fleet::shard` owns the partitioning and the deterministic
-//! merge; this module supplies the threads. Each lookahead window, every
-//! shard is advanced to the same conservative barrier by
-//! [`parallel_for_each_mut`] (one contiguous chunk of shards per worker,
-//! worker count from `HEC_THREADS`), then the coordinator merges the
-//! buffered outcomes in stable `(time, shard-id)` order and the observer
-//! sees them serially. Because shards are independent and the merge order
-//! is fixed, the outcome stream, the observer calls and the final report
-//! are byte-identical whatever the thread count — the same invariant CI
-//! enforces for the serial engine.
+//! merge; this module supplies the threads. [`run_plan`] pays for them
+//! **once per run**: inside one `thread::scope` the calling thread — the
+//! coordinator — keeps the first contiguous chunk of shards and spawns
+//! `workers − 1` threads that each own one chunk until the plan has
+//! drained. Per lookahead window the coordinator publishes the barrier,
+//! every thread advances its chunk to it and leaves the buffered outcomes
+//! at the rendezvous, and the coordinator merges them in stable
+//! `(time, shard-id)` order and calls the observer serially. Because
+//! shards are independent and the merge order is fixed, the outcome
+//! stream, the observer calls, the final report, the registry snapshot
+//! and the virtual-clock trace are byte-identical whatever the thread
+//! count — the same invariant CI enforces for the serial engine. A thread
+//! that panics (a router returning a layer outside the topology) aborts
+//! the rendezvous instead of leaving the others waiting, and the panic
+//! propagates out of `run_plan`.
+//!
+//! Threads are only worth their spawn and one rendezvous per window when
+//! each has enough to do, so `run_plan` uses `min(HEC_THREADS, shards,
+//! windows / WINDOWS_PER_WORKER)` workers and, at one, takes the serial
+//! [`ShardedFleetEngine::step`] loop — the same barriers and the same
+//! merge on one thread. The adaptation loop's 50-window chunk replays are
+//! far below the grain; spawning for them cost more than the simulation.
+//! The grain comes from a sweep on the two-core build machine (the
+//! ignored `grain_sweep` test; table in EXPERIMENTS.md): serial against
+//! 2 workers at 4 shards, the window loop wins from about 4 000 windows
+//! per worker on the replay fleet (ten emission rounds, so about eleven
+//! barriers however large it is) and from about 33 000 per worker on
+//! `flash_crowd` (about 120 barriers at every size). 16 384 sits
+//! between: at worst a third is lost to the wrong choice on either shape.
 //!
 //! The router must be `Fn + Sync` (shared across workers); routing tables
 //! and scenario route plans qualify. Stateful `FnMut` routers — e.g. a
 //! policy mid-training — cannot be shared across threads and instead go
-//! through [`ShardedFleetEngine::step`], which advances shards serially
-//! in stable order (still through the same coordinator, so the contract
-//! and the outputs are unchanged).
+//! through [`ShardedFleetEngine::step`] themselves.
+
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use hec_sim::fleet::{
-    FleetReport, FleetScenario, JobEvent, RouteCtx, ShardPlan, ShardedFleetEngine,
+    earliest_event_ms, merge_window, FleetReport, FleetScenario, JobEvent, RouteCtx, ShardEngine,
+    ShardPlan, ShardedFleetEngine,
 };
 
-use crate::parallel::parallel_for_each_mut;
+use crate::parallel::thread_count;
+
+/// Windows of the plan each worker must have before [`run_plan`] spawns
+/// any (see the module docs for the sweep behind the value).
+const WINDOWS_PER_WORKER: u64 = 16_384;
 
 /// Result of one sharded fleet run: the merged report plus per-shard
 /// event counts (for per-shard throughput reporting in `repro_fleet`).
@@ -34,42 +59,214 @@ pub struct ShardedFleetRun {
     pub shard_events: Vec<u64>,
 }
 
-/// Runs a shard plan to completion, advancing shards **in parallel**
-/// (up to `HEC_THREADS` workers) and delivering every merged outcome to
-/// `observer` in the deterministic `(time, shard-id)` order.
-///
-/// With a one-shard plan this is exactly the serial step loop (and its
-/// byte-identical report).
+/// Runs a shard plan to completion and delivers every merged outcome to
+/// `observer` in the deterministic `(time, shard-id)` order. Shards
+/// advance **in parallel** — up to `HEC_THREADS` workers, spawned once
+/// for the whole run — when the plan has at least [`WINDOWS_PER_WORKER`]
+/// windows per worker, and through the serial step loop otherwise; the
+/// outcome stream and the report are the same either way.
 ///
 /// # Panics
 ///
-/// Panics if the router returns a layer outside the topology.
+/// Panics if the router returns a layer outside the topology (on
+/// whichever thread it was called; the run stops and the panic
+/// propagates).
 pub fn run_plan(
     plan: &ShardPlan,
     router: &(dyn Fn(&RouteCtx) -> usize + Sync),
     observer: &mut dyn FnMut(&JobEvent),
 ) -> ShardedFleetRun {
     let _span = hec_telemetry::WallSpan::new("core.fleet_run");
+    let by_grain = (plan.scenario().total_windows() / WINDOWS_PER_WORKER) as usize;
+    drive(plan, thread_count().min(plan.num_shards()).min(by_grain), router, observer)
+}
+
+/// [`run_plan`] at a given worker count.
+fn drive(
+    plan: &ShardPlan,
+    workers: usize,
+    router: &(dyn Fn(&RouteCtx) -> usize + Sync),
+    observer: &mut dyn FnMut(&JobEvent),
+) -> ShardedFleetRun {
     let mut engine = ShardedFleetEngine::new(plan);
-    if engine.num_shards() == 1 {
+    if workers <= 1 {
         let mut serial = |ctx: &RouteCtx| router(ctx);
         while let Some(ev) = engine.step(&mut serial) {
             observer(&ev);
         }
     } else {
-        while let Some(barrier) = engine.next_barrier() {
-            parallel_for_each_mut(engine.shards_mut(), |_s, shard| {
-                let mut shim = |ctx: &RouteCtx| router(ctx);
-                shard.advance_to(barrier, &mut shim);
-            });
-            engine.merge_window();
-            while let Some(ev) = engine.pop_ready() {
-                observer(&ev);
-            }
+        drive_windows(plan, engine.shards_mut(), workers, router, observer);
+    }
+    let shard_events = engine.shards_mut().iter().map(|shard| shard.events()).collect();
+    ShardedFleetRun { report: engine.report(), shard_events }
+}
+
+/// What the threads of one run share: the barrier the coordinator
+/// published and what each thread left behind on reaching it.
+struct Window {
+    /// Bumped with every published barrier.
+    epoch: u64,
+    /// The barrier of this epoch; `None` ends the run.
+    barrier_ms: Option<f64>,
+    /// Threads that have advanced their chunk to the barrier.
+    arrived: usize,
+    /// A thread panicked; nobody waits any longer.
+    aborted: bool,
+    /// Earliest pending event among the chunks that have arrived.
+    earliest_ms: f64,
+    /// Every shard's outcomes of this epoch, by shard id.
+    outboxes: Vec<Vec<(f64, JobEvent)>>,
+}
+
+/// The per-window meeting point of a run's threads. Unlike
+/// `std::sync::Barrier` it can be aborted: a thread that unwinds wakes
+/// everyone waiting for it.
+struct Rendezvous {
+    window: Mutex<Window>,
+    published: Condvar,
+    arrived: Condvar,
+}
+
+impl Rendezvous {
+    /// The lock, poisoned or not: `Window` is only ever updated whole.
+    fn lock(&self) -> MutexGuard<'_, Window> {
+        self.window.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Starts an epoch (`None`: the last one, which only releases the
+    /// workers).
+    fn publish(&self, barrier_ms: Option<f64>) {
+        let mut win = self.lock();
+        win.epoch += 1;
+        win.barrier_ms = barrier_ms;
+        win.arrived = 0;
+        win.earliest_ms = f64::INFINITY;
+        drop(win);
+        self.published.notify_all();
+    }
+
+    /// Advances `chunk` (shards `base..`) to the barrier into the
+    /// thread's own `outboxes`, then hands them over — swapped for the
+    /// emptied buffers of the epoch before — and counts the thread in.
+    fn advance(
+        &self,
+        barrier_ms: f64,
+        base: usize,
+        chunk: &mut [ShardEngine<'_>],
+        outboxes: &mut [Vec<(f64, JobEvent)>],
+        router: &(dyn Fn(&RouteCtx) -> usize + Sync),
+    ) {
+        let mut shim = |ctx: &RouteCtx| router(ctx);
+        for (shard, outbox) in chunk.iter_mut().zip(outboxes.iter_mut()) {
+            shard.advance_to(barrier_ms, &mut shim, outbox);
+        }
+        let mut win = self.lock();
+        for (outbox, slot) in outboxes.iter_mut().zip(&mut win.outboxes[base..]) {
+            std::mem::swap(outbox, slot);
+        }
+        win.earliest_ms = win.earliest_ms.min(earliest_event_ms(chunk));
+        win.arrived += 1;
+        drop(win);
+        self.arrived.notify_one();
+    }
+
+    /// A worker's whole run: every published barrier, until the last.
+    fn work(
+        &self,
+        base: usize,
+        chunk: &mut [ShardEngine<'_>],
+        router: &(dyn Fn(&RouteCtx) -> usize + Sync),
+    ) {
+        let _abort = AbortOnPanic(self);
+        let mut outboxes = vec![Vec::new(); chunk.len()];
+        let mut seen = 0;
+        loop {
+            let win = self
+                .published
+                .wait_while(self.lock(), |win| win.epoch == seen && !win.aborted)
+                .unwrap_or_else(PoisonError::into_inner);
+            let (Some(barrier_ms), false) = (win.barrier_ms, win.aborted) else { return };
+            seen = win.epoch;
+            drop(win);
+            self.advance(barrier_ms, base, chunk, &mut outboxes, router);
         }
     }
-    let shard_events = (0..engine.num_shards()).map(|s| engine.shards_mut()[s].events()).collect();
-    ShardedFleetRun { report: engine.report(), shard_events }
+}
+
+/// Held by every thread of a run; aborts the rendezvous if the thread
+/// unwinds, so the others stop waiting for it.
+struct AbortOnPanic<'a>(&'a Rendezvous);
+
+impl Drop for AbortOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().aborted = true;
+            self.0.published.notify_all();
+            self.0.arrived.notify_all();
+        }
+    }
+}
+
+/// The parallel window loop: `shards` in one contiguous chunk per
+/// thread, the first on the calling thread — the coordinator, which also
+/// publishes the barriers, merges and calls the observer.
+fn drive_windows(
+    plan: &ShardPlan,
+    shards: &mut [ShardEngine<'_>],
+    workers: usize,
+    router: &(dyn Fn(&RouteCtx) -> usize + Sync),
+    observer: &mut dyn FnMut(&JobEvent),
+) {
+    let mut earliest_ms = earliest_event_ms(shards);
+    let chunk_len = shards.len().div_ceil(workers);
+    let rendezvous = Rendezvous {
+        window: Mutex::new(Window {
+            epoch: 0,
+            barrier_ms: None,
+            arrived: 0,
+            aborted: false,
+            earliest_ms: f64::INFINITY,
+            outboxes: vec![Vec::new(); shards.len()],
+        }),
+        published: Condvar::new(),
+        arrived: Condvar::new(),
+    };
+    let mut chunks = shards.chunks_mut(chunk_len);
+    let own = chunks.next().expect("a plan has at least one shard");
+    std::thread::scope(|scope| {
+        let rendezvous = &rendezvous;
+        let _abort = AbortOnPanic(rendezvous);
+        let handles: Vec<_> = chunks
+            .enumerate()
+            .map(|(w, chunk)| {
+                scope.spawn(move || rendezvous.work((w + 1) * chunk_len, chunk, router))
+            })
+            .collect();
+        let threads = handles.len() + 1;
+        let mut outboxes = vec![Vec::new(); own.len()];
+        let mut cursors = Vec::new();
+        while let Some(barrier_ms) = plan.barrier_after(earliest_ms) {
+            rendezvous.publish(Some(barrier_ms));
+            rendezvous.advance(barrier_ms, 0, own, &mut outboxes, router);
+            let mut win = rendezvous
+                .arrived
+                .wait_while(rendezvous.lock(), |win| win.arrived < threads && !win.aborted)
+                .unwrap_or_else(PoisonError::into_inner);
+            if win.aborted {
+                break;
+            }
+            earliest_ms = win.earliest_ms;
+            // The workers stay parked until the next `publish`, so keeping
+            // the lock through the merge holds nobody up.
+            merge_window(&mut win.outboxes, &mut cursors, &mut |ev| observer(&ev));
+        }
+        rendezvous.publish(None);
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
 }
 
 /// Runs `scenario` under its own routing plans, partitioned into
@@ -88,11 +285,12 @@ pub fn run_scenario_sharded(scenario: &FleetScenario, shards: usize) -> ShardedF
 mod tests {
     use super::*;
     use crate::parallel::with_thread_count;
+    use crate::replay::replay_scenario;
     use hec_sim::fleet::{FleetScale, FleetSim};
+    use hec_sim::DatasetKind;
 
-    /// The serial step driver and the parallel window driver must produce
-    /// the same outcome stream and byte-identical reports.
-    fn step_driven(sc: &FleetScenario, shards: usize) -> (Vec<JobEvent>, FleetReport) {
+    /// The reference: the engine's own serial `step` loop.
+    fn step_driven(sc: &FleetScenario, shards: usize) -> (Vec<JobEvent>, ShardedFleetRun) {
         let plan = ShardPlan::new(sc, shards);
         let mut engine = ShardedFleetEngine::new(&plan);
         let mut router = |ctx: &RouteCtx| sc.planned_layer(ctx.cohort, ctx.seq);
@@ -100,10 +298,11 @@ mod tests {
         while let Some(ev) = engine.step(&mut router) {
             outcomes.push(ev);
         }
-        (outcomes, engine.report())
+        let shard_events = engine.shards_mut().iter().map(|shard| shard.events()).collect();
+        (outcomes, ShardedFleetRun { report: engine.report(), shard_events })
     }
 
-    fn window_driven(
+    fn run_plan_driven(
         sc: &FleetScenario,
         shards: usize,
         threads: usize,
@@ -118,14 +317,27 @@ mod tests {
         (outcomes, run)
     }
 
+    /// A named scenario grown until four workers clear the grain (the
+    /// Quick presets, ~20 k windows, sit below it for two).
+    fn above_grain(name: &str) -> FleetScenario {
+        let mut sc = FleetScenario::by_name(name, FleetScale::Quick).unwrap();
+        sc.scale_fleet((4 * WINDOWS_PER_WORKER + 1000) as f64 / sc.total_windows() as f64);
+        assert!(sc.total_windows() >= 4 * WINDOWS_PER_WORKER);
+        sc
+    }
+
+    /// Four workers on every named scenario. The shards × threads matrix
+    /// on both sides of the grain, with the registry snapshot and the
+    /// Chrome trace, is `tests/sharded_driver.rs` — a binary of its own,
+    /// because the recorder is global.
     #[test]
     fn parallel_driver_matches_serial_step_driver() {
         for name in FleetScenario::NAMES {
-            let sc = FleetScenario::by_name(name, FleetScale::Quick).unwrap();
-            let (step_ev, step_rep) = step_driven(&sc, 4);
-            let (win_ev, win_run) = window_driven(&sc, 4, 4);
+            let sc = above_grain(name);
+            let (step_ev, step_run) = step_driven(&sc, 4);
+            let (win_ev, win_run) = run_plan_driven(&sc, 4, 4);
             assert_eq!(step_ev, win_ev, "{name}: outcome streams diverged");
-            assert_eq!(step_rep, win_run.report, "{name}: reports diverged");
+            assert_eq!(step_run, win_run, "{name}: runs diverged");
             assert_eq!(win_run.shard_events.len(), 4, "{name}");
             assert_eq!(win_run.shard_events.iter().sum::<u64>(), win_run.report.events, "{name}");
         }
@@ -133,14 +345,38 @@ mod tests {
 
     #[test]
     fn sharded_run_is_thread_count_invariant() {
-        let sc = FleetScenario::flash_crowd(FleetScale::Quick);
-        let (ev_1, run_1) = window_driven(&sc, 4, 1);
-        let (ev_4, run_4) = window_driven(&sc, 4, 4);
+        let sc = above_grain("flash_crowd");
+        let (ev_1, run_1) = run_plan_driven(&sc, 4, 1);
+        let (ev_4, run_4) = run_plan_driven(&sc, 4, 4);
         assert_eq!(ev_1, ev_4, "outcome stream depends on HEC_THREADS");
         assert_eq!(run_1, run_4, "report depends on HEC_THREADS");
         assert_eq!(run_1.report.to_text(), run_4.report.to_text());
         assert_eq!(run_1.report.layers_csv(), run_4.report.layers_csv());
         assert_eq!(run_1.report.trace_csv(), run_4.report.trace_csv());
+    }
+
+    /// A router that panics on a worker's shard (2 workers × 4 shards:
+    /// the spawned thread owns shards 2 and 3) must bring `run_plan`
+    /// down, not leave the coordinator at the rendezvous.
+    #[test]
+    #[should_panic(expected = "router chose layer 99")]
+    fn a_panicking_worker_propagates() {
+        let sc = above_grain("light_load");
+        let plan = ShardPlan::new(&sc, 4);
+        let worker_seq = sc.total_windows() * 3 / 4;
+        let router = |ctx: &RouteCtx| if ctx.seq >= worker_seq { 99 } else { 0 };
+        with_thread_count(2, || run_plan(&plan, &router, &mut |_| {}));
+    }
+
+    /// The same on the coordinator's own chunk: the workers must be
+    /// released for the scope to join them.
+    #[test]
+    #[should_panic(expected = "router chose layer 99")]
+    fn a_panicking_coordinator_releases_the_workers() {
+        let sc = above_grain("light_load");
+        let plan = ShardPlan::new(&sc, 4);
+        let router = |ctx: &RouteCtx| if ctx.seq < 100 { 99 } else { 0 };
+        with_thread_count(2, || run_plan(&plan, &router, &mut |_| {}));
     }
 
     #[test]
@@ -151,6 +387,44 @@ mod tests {
             let run = run_scenario_sharded(&sc, 1);
             assert_eq!(serial, run.report, "{name}");
             assert_eq!(serial.to_text(), run.report.to_text(), "{name}");
+        }
+    }
+
+    /// The sweep behind `WINDOWS_PER_WORKER` (module docs): the serial
+    /// step loop against the window loop at 2 workers, 4 shards, runs
+    /// alternating, on the replay fleet (ten emission rounds whatever its
+    /// size, a third of the windows to each layer) and on `flash_crowd`
+    /// (about 120 barriers) from tens to 256 k windows. Largest first:
+    /// started on the small ones, the host keeps both threads on one core
+    /// and nothing runs in parallel at any size. Prints
+    /// `scenario windows serial_us parallel_us`, medians of 25 runs:
+    /// `cargo test --release -p hec-core --lib grain_sweep -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing sweep, prints a table"]
+    fn grain_sweep() {
+        println!("nproc {:?}", std::thread::available_parallelism());
+        let sweep = |sc: &FleetScenario, router: &(dyn Fn(&RouteCtx) -> usize + Sync)| {
+            let plan = ShardPlan::new(sc, 4);
+            let mut us = [Vec::new(), Vec::new()];
+            for run in 0..50 {
+                let t0 = std::time::Instant::now();
+                std::hint::black_box(drive(&plan, 1 + run % 2, router, &mut |_| {}));
+                us[run % 2].push(t0.elapsed().as_secs_f64() * 1e6);
+            }
+            let [serial, parallel] = us.map(|mut v| {
+                v.sort_by(f64::total_cmp);
+                v[v.len() / 2]
+            });
+            println!("{:<12} {:>7} {serial:>9.0} {parallel:>9.0}", sc.name, sc.total_windows());
+        };
+        for windows in [256_000, 64_000, 32_000, 16_000, 8_000, 4_000, 2_000, 500, 50] {
+            let sc = replay_scenario(DatasetKind::Univariate, 384, windows);
+            sweep(&sc, &|ctx| (ctx.seq % 3) as usize);
+        }
+        for factor in [12.0, 3.0, 1.5, 0.8, 0.4, 0.1, 0.01] {
+            let mut sc = FleetScenario::flash_crowd(FleetScale::Quick);
+            sc.scale_fleet(factor);
+            sweep(&sc, &|ctx| sc.planned_layer(ctx.cohort, ctx.seq));
         }
     }
 

@@ -47,4 +47,6 @@ pub use des::{FleetEngine, FleetSim, JobEvent, RouteCtx};
 pub use metrics::{DropReason, FleetReport, LatencyHist, LayerSummary, TraceSample};
 pub use queueing::{FifoQueue, JobRec, PsResource};
 pub use scenario::{CohortSpec, Discipline, FleetScale, FleetScenario, RoutePlan};
-pub use shard::{DeviceSlice, ShardEngine, ShardPlan, ShardedFleetEngine};
+pub use shard::{
+    earliest_event_ms, merge_window, DeviceSlice, ShardEngine, ShardPlan, ShardedFleetEngine,
+};

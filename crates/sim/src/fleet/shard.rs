@@ -19,15 +19,23 @@
 //! caller (routers may mutate between outcomes). Both come from a
 //! conservative lookahead-window scheme:
 //!
-//! 1. the barrier is `min` over shards of the next pending event time,
-//!    plus the plan's lookahead (the shortest cohort emission period);
-//! 2. every shard advances independently — in parallel, when driven by
-//!    `hec-core` — through all events at or before the barrier, buffering
-//!    its per-window outcomes tagged with their virtual times;
-//! 3. the coordinator merges the buffers in `(time, shard-id)` order —
-//!    a deterministic k-way merge, so the merged stream and the merged
-//!    metrics are byte-identical across reruns *and* across however many
-//!    OS threads stepped the shards.
+//! 1. the barrier is `min` over shards of the next pending event time
+//!    ([`earliest_event_ms`]), plus the plan's lookahead (the shortest
+//!    cohort emission period; [`ShardPlan::barrier_after`]);
+//! 2. every shard advances independently through all events at or before
+//!    the barrier ([`ShardEngine::advance_to`]), buffering its per-window
+//!    outcomes tagged with their virtual times;
+//! 3. the coordinator merges the buffers in `(time, shard-id)` order
+//!    ([`merge_window`]) — a deterministic k-way merge, so the merged
+//!    stream and the merged metrics are byte-identical across reruns
+//!    *and* across however many OS threads stepped the shards.
+//!
+//! This crate spawns no threads. [`ShardedFleetEngine::step`] runs the
+//! three steps on the calling thread; `hec_core::sharded::run_plan` runs
+//! the same three over worker threads that live for one whole run — each
+//! holding a contiguous chunk of [`ShardedFleetEngine::shards_mut`] —
+//! when the plan is large enough to pay for them, and calls `step`
+//! otherwise.
 //!
 //! `shards = 1` is the serial engine: the single shard's scenario,
 //! topology and resource bounds are exactly the original's, and
@@ -229,6 +237,24 @@ impl ShardPlan {
     pub fn lookahead_ms(&self) -> f64 {
         self.lookahead_ms
     }
+
+    /// The next conservative barrier: the earliest pending event time
+    /// across shards plus the lookahead, marked on the coordinator's
+    /// virtual-trace track. `None` when every shard has drained
+    /// (`earliest_ms` infinite).
+    pub fn barrier_after(&self, earliest_ms: f64) -> Option<f64> {
+        let barrier = earliest_ms.is_finite().then_some(earliest_ms + self.lookahead_ms)?;
+        if hec_telemetry::trace_capture_enabled() {
+            let track = format!("{}/coordinator", self.scenario.name);
+            hec_telemetry::vinstant(&track, "barrier", barrier);
+        }
+        Some(barrier)
+    }
+
+    /// Layers of the partitioned topology.
+    pub fn num_layers(&self) -> usize {
+        self.topology.num_layers()
+    }
 }
 
 /// Maps a shard-local device id to its fleet-global id via the shard's
@@ -277,9 +303,6 @@ pub struct ShardEngine<'a> {
     engine: FleetEngine<'a>,
     slices: &'a [DeviceSlice],
     seq_base: u64,
-    /// Outcomes of the current window, time-tagged and already
-    /// globalized; drained by the coordinator's merge.
-    outbox: Vec<(f64, JobEvent)>,
     /// Shard index within the plan (trace-track and metric labelling).
     shard_id: usize,
     /// Virtual-trace track name, `<scenario>/shard<id>` (empty when
@@ -321,22 +344,28 @@ impl ShardEngine<'_> {
     }
 
     /// Advances this shard through every event at or before `barrier_ms`,
-    /// buffering the produced outcomes. The router receives fleet-global
+    /// appending the produced outcomes — time-tagged and already
+    /// globalized — to `outbox`, this shard's buffer for the window
+    /// (drained by [`merge_window`]). The router receives fleet-global
     /// contexts; safe to call from any thread (each shard is advanced by
     /// at most one thread at a time — `&mut self` enforces it).
     ///
     /// # Panics
     ///
     /// Panics if the router returns a layer outside the topology.
-    pub fn advance_to(&mut self, barrier_ms: f64, router: &mut dyn FnMut(&RouteCtx) -> usize) {
+    pub fn advance_to(
+        &mut self,
+        barrier_ms: f64,
+        router: &mut dyn FnMut(&RouteCtx) -> usize,
+        outbox: &mut Vec<(f64, JobEvent)>,
+    ) {
         let capture = hec_telemetry::trace_capture_enabled();
         let window_start = if capture { self.engine.next_event_time_ms() } else { None };
         let events_before = if hec_telemetry::ENABLED { self.engine.events_processed() } else { 0 };
-        let from;
+        let from = outbox.len();
         {
-            let Self { engine, slices, seq_base, outbox, .. } = self;
+            let Self { engine, slices, seq_base, .. } = self;
             let (slices, sb): (&[DeviceSlice], u64) = (slices, *seq_base);
-            from = outbox.len();
             let mut wrapped = |ctx: &RouteCtx| router(&globalize_ctx(slices, sb, ctx));
             engine.advance_until(barrier_ms, &mut wrapped, outbox);
             for (_t, ev) in &mut outbox[from..] {
@@ -353,7 +382,7 @@ impl ShardEngine<'_> {
                     let start = start.min(barrier_ms);
                     hec_telemetry::vspan(&self.track, "advance", start, barrier_ms - start);
                 }
-                self.trace_outcomes(&self.outbox[from..]);
+                self.trace_outcomes(&outbox[from..]);
             }
         }
     }
@@ -399,27 +428,69 @@ impl ShardEngine<'_> {
     }
 }
 
+/// Earliest pending event time across `shards`, ms; `f64::INFINITY` when
+/// all of them have drained. The next barrier is this plus the lookahead
+/// ([`ShardPlan::barrier_after`]).
+pub fn earliest_event_ms(shards: &[ShardEngine<'_>]) -> f64 {
+    shards.iter().filter_map(ShardEngine::next_event_time_ms).fold(f64::INFINITY, f64::min)
+}
+
+/// Merges one window's per-shard outcome buffers (indexed by shard id)
+/// into `sink` in `(virtual time, shard id)` order and clears them — a
+/// deterministic k-way merge of already time-sorted buffers, so the
+/// merged stream is independent of how many threads filled them.
+/// `cursors` is scratch the caller keeps between windows.
+pub fn merge_window(
+    outboxes: &mut [Vec<(f64, JobEvent)>],
+    cursors: &mut Vec<usize>,
+    sink: &mut dyn FnMut(JobEvent),
+) {
+    cursors.clear();
+    cursors.resize(outboxes.len(), 0);
+    loop {
+        let mut best: Option<(f64, usize)> = None;
+        for (s, outbox) in outboxes.iter().enumerate() {
+            if let Some(&(t, _)) = outbox.get(cursors[s]) {
+                // Strict `<`: ties go to the lowest shard id.
+                if best.is_none_or(|(bt, _)| t < bt) {
+                    best = Some((t, s));
+                }
+            }
+        }
+        let Some((_, s)) = best else { break };
+        sink(outboxes[s][cursors[s]].1);
+        cursors[s] += 1;
+    }
+    for outbox in outboxes {
+        outbox.clear();
+    }
+}
+
 /// The sharded fleet engine: shard sub-engines behind the serial
 /// [`FleetEngine`]'s resumable pull contract.
 ///
 /// [`ShardedFleetEngine::step`] yields per-window outcomes in the
-/// deterministic merged order; callers that can provide a `Sync` router
-/// may instead drive the shards in parallel through the window primitives
-/// ([`ShardedFleetEngine::next_barrier`] /
-/// [`ShardedFleetEngine::shards_mut`] /
-/// [`ShardedFleetEngine::merge_window`]), which is what
-/// `hec_core::sharded` does — both drivers produce identical streams and
-/// byte-identical reports.
+/// deterministic merged order, advancing the shards serially. A caller
+/// with a `Sync` router may instead spread [`ShardedFleetEngine::
+/// shards_mut`] over threads and run the same windows itself —
+/// [`earliest_event_ms`], [`ShardPlan::barrier_after`],
+/// [`ShardEngine::advance_to`], [`merge_window`] — which is what
+/// `hec_core::sharded` does above its work grain; both drivers produce
+/// identical streams and byte-identical reports.
 pub struct ShardedFleetEngine<'a> {
     plan: &'a ShardPlan,
     shards: Vec<ShardEngine<'a>>,
+    /// The current window's outcome buffer of each shard.
+    outboxes: Vec<Vec<(f64, JobEvent)>>,
+    /// [`merge_window`]'s scratch.
+    cursors: Vec<usize>,
     ready: VecDeque<JobEvent>,
 }
 
 impl<'a> ShardedFleetEngine<'a> {
     /// Builds one engine per shard of the plan.
     pub fn new(plan: &'a ShardPlan) -> Self {
-        let shards = plan
+        let shards: Vec<_> = plan
             .shards
             .iter()
             .enumerate()
@@ -427,7 +498,6 @@ impl<'a> ShardedFleetEngine<'a> {
                 engine: FleetEngine::with_topology(&spec.scenario, spec.topology.clone()),
                 slices: &spec.slices,
                 seq_base: spec.seq_base,
-                outbox: Vec::new(),
                 shard_id: s,
                 track: if hec_telemetry::ENABLED {
                     format!("{}/shard{}", plan.scenario.name, s)
@@ -438,7 +508,8 @@ impl<'a> ShardedFleetEngine<'a> {
                 stall_windows: 0,
             })
             .collect();
-        Self { plan, shards, ready: VecDeque::new() }
+        let outboxes = vec![Vec::new(); shards.len()];
+        Self { plan, shards, outboxes, cursors: Vec::new(), ready: VecDeque::new() }
     }
 
     /// Number of shards.
@@ -475,71 +546,19 @@ impl<'a> ShardedFleetEngine<'a> {
             if let Some(ev) = self.ready.pop_front() {
                 return Some(ev);
             }
-            let barrier = self.next_barrier()?;
-            for shard in &mut self.shards {
-                shard.advance_to(barrier, router);
+            let barrier = self.plan.barrier_after(earliest_event_ms(&self.shards))?;
+            for (shard, outbox) in self.shards.iter_mut().zip(&mut self.outboxes) {
+                shard.advance_to(barrier, router, outbox);
             }
-            self.merge_window();
+            let ready = &mut self.ready;
+            merge_window(&mut self.outboxes, &mut self.cursors, &mut |ev| ready.push_back(ev));
         }
     }
 
-    /// The next conservative barrier: the minimum pending event time
-    /// across shards plus the plan's lookahead. `None` when every shard
-    /// has drained.
-    pub fn next_barrier(&self) -> Option<f64> {
-        let mut t = f64::INFINITY;
-        for sh in &self.shards {
-            if let Some(next) = sh.next_event_time_ms() {
-                t = t.min(next);
-            }
-        }
-        let barrier = t.is_finite().then_some(t + self.plan.lookahead_ms);
-        if let Some(b) = barrier {
-            if hec_telemetry::trace_capture_enabled() {
-                let track = format!("{}/coordinator", self.plan.scenario.name);
-                hec_telemetry::vinstant(&track, "barrier", b);
-            }
-        }
-        barrier
-    }
-
-    /// Mutable access to the shard engines, for parallel window
-    /// advancement (each shard to the same barrier, any thread
-    /// assignment).
+    /// Mutable access to the shard engines, for a parallel window driver
+    /// (each shard to the same barrier, any thread assignment).
     pub fn shards_mut(&mut self) -> &mut [ShardEngine<'a>] {
         &mut self.shards
-    }
-
-    /// Merges every shard's buffered outcomes into the ready queue in
-    /// `(virtual time, shard id)` order — a deterministic k-way merge of
-    /// already time-sorted buffers, so the merged stream is independent
-    /// of how many threads advanced the shards.
-    pub fn merge_window(&mut self) {
-        let mut cursors = vec![0usize; self.shards.len()];
-        loop {
-            let mut best: Option<(f64, usize)> = None;
-            for (s, sh) in self.shards.iter().enumerate() {
-                if let Some(&(t, _)) = sh.outbox.get(cursors[s]) {
-                    // Strict `<`: ties go to the lowest shard id.
-                    if best.is_none_or(|(bt, _)| t < bt) {
-                        best = Some((t, s));
-                    }
-                }
-            }
-            let Some((_, s)) = best else { break };
-            let (_, ev) = self.shards[s].outbox[cursors[s]];
-            self.ready.push_back(ev);
-            cursors[s] += 1;
-        }
-        for sh in &mut self.shards {
-            sh.outbox.clear();
-        }
-    }
-
-    /// Pops the next merged outcome, if any (the parallel driver's
-    /// observer loop between windows).
-    pub fn pop_ready(&mut self) -> Option<JobEvent> {
-        self.ready.pop_front()
     }
 
     /// Renders the fleet-wide report. With one shard this is byte-for-

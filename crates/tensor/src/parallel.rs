@@ -147,58 +147,6 @@ where
     })
 }
 
-/// Applies `f` to every item of `items` in place (with the item's index)
-/// using scoped threads.
-///
-/// This is the mutable counterpart of [`parallel_map`], built for workers
-/// that *own* heavyweight state — e.g. the sharded fleet engine's shard
-/// sub-engines, each advanced to a barrier independently. Items are split
-/// into one contiguous `chunks_mut` slice per worker; since `f` only
-/// observes `&mut` one item at a time, the result is identical to the
-/// serial `for` loop whatever the thread count — determinism is the
-/// caller's property to keep (`f` must not touch shared mutable state,
-/// which `Sync` on `F` and `Send` on `T` enforce at compile time).
-///
-/// Calls from inside another parallel worker run serially, like
-/// [`parallel_map_grained`].
-///
-/// # Panics
-///
-/// Propagates panics from `f`.
-pub fn parallel_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let len = items.len();
-    let threads = thread_count().min(len).max(1);
-    if threads <= 1 || IN_WORKER.with(Cell::get) {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let chunk_len = len.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks_mut(chunk_len)
-            .enumerate()
-            .map(|(ci, chunk)| {
-                scope.spawn(move || {
-                    IN_WORKER.with(|c| c.set(true));
-                    for (j, item) in chunk.iter_mut().enumerate() {
-                        f(ci * chunk_len + j, item);
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().expect("parallel_for_each_mut worker panicked");
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,19 +198,6 @@ mod tests {
             })
         });
         assert_eq!(out, outer.iter().map(|x| x + 50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn for_each_mut_matches_serial_loop() {
-        let mut serial: Vec<usize> = (0..103).collect();
-        for (i, x) in serial.iter_mut().enumerate() {
-            *x = *x * 3 + i;
-        }
-        let mut parallel: Vec<usize> = (0..103).collect();
-        with_thread_count(4, || parallel_for_each_mut(&mut parallel, |i, x| *x = *x * 3 + i));
-        assert_eq!(parallel, serial);
-        let mut empty: Vec<u8> = Vec::new();
-        parallel_for_each_mut(&mut empty, |_, _| unreachable!());
     }
 
     #[test]
