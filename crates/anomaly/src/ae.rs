@@ -5,18 +5,77 @@
 //! different capabilities of learning features for data representation."*
 //! Layer counts follow the paper's convention of counting neuron layers
 //! (input + hidden(s) + output).
+//!
+//! # Inference
+//!
+//! Every scoring entry point — [`AnomalyDetector::detect`],
+//! [`AnomalyDetector::detect_batch`], calibration inside `fit`,
+//! [`AutoencoderDetector::requantize`] and `recalibrate` — runs one
+//! routine: gather a block of windows into reused scratch, push the block
+//! through the layers in two ping/pong activation buffers (`affine_into` +
+//! in-place activation; the f32 net and its int8 twin are two bodies of
+//! that step), subtract in place, score each row. The weights are only
+//! read, the scratch is per thread, so a warmed call allocates nothing and
+//! blocks are independent: dense rows are, per-row activation quantisation
+//! is, and the gemm kernels fix each element's accumulation order.
+//! `detect_batch` therefore walks its corpus in `BLOCK_ROWS`-window blocks
+//! and, once every worker would get `PAR_GRAIN_ROWS` windows, gives each
+//! [`hec_tensor::parallel`] worker a contiguous span of the corpus to walk
+//! — with results equal to per-window `detect` bit for bit at any worker
+//! count. The single-window entry points are one-row blocks.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use std::cell::RefCell;
+
 use hec_data::LabeledWindow;
-use hec_nn::{Activation, Dense, Layer, Mse, QuantMode, QuantizedDense, RmsProp, Sequential};
-use hec_tensor::Matrix;
+use hec_nn::{
+    Activation, Dense, Layer, Mse, PingPong, QuantMode, QuantizedDense, RmsProp, Sequential,
+};
+use hec_tensor::parallel::parallel_map_spans;
+use hec_tensor::{Matrix, QuantizedMatrix};
 
 use crate::detector::{validate_training_set, AnomalyDetector, Detection, FitError, FitReport};
 use crate::scorer::{ConfidenceRule, LogPdScorer, ThresholdRule};
+
+/// Windows gathered per inference block: four of the f32 kernel's 4-row
+/// register tiles. At the paper's 96-sample window the gathered rows and
+/// both activation buffers are 3 × 6 KB, so a block goes through every
+/// layer, the subtraction and the scoring without leaving L1d. Swept 4–1024
+/// at one and two workers (EXPERIMENTS.md, PR 13): 8 and 16 tie for
+/// fastest, 32 and up cost 4–10 % more.
+const BLOCK_ROWS: usize = 16;
+
+/// Fewest windows per worker before `detect_batch` fans out. A worker's
+/// spawn and cold scratch cost about what a hundred windows do: at 128
+/// windows per worker fanning out loses, at 256–512 it is a wash, from
+/// 1024 it wins clearly (EXPERIMENTS.md, PR 13). So a call below 2048
+/// windows runs inline on the caller's warm scratch — 50-window adaptation
+/// chunks and the offline splits never spawn — and an 18 000-window replay
+/// segment uses every worker.
+const PAR_GRAIN_ROWS: usize = 1024;
+
+/// Per-thread inference scratch: grows once to the largest block the
+/// thread has seen, then serves every detector on it.
+struct Scratch {
+    /// The block's gathered windows, then — in place — their per-point
+    /// reconstruction errors.
+    rows: Matrix,
+    acts: PingPong,
+    /// Activation codes of the full-int8 layers.
+    codes: QuantizedMatrix,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
+        rows: Matrix::zeros(1, 1),
+        acts: PingPong::new(),
+        codes: QuantizedMatrix::empty(),
+    });
+}
 
 /// Neuron-layer sizes of an autoencoder, including input and output
 /// (`[96, 64, 96]` is the paper's "three layers").
@@ -128,62 +187,34 @@ pub struct AutoencoderDetector {
     batch_size: usize,
     learning_rate: f32,
     quantization_bits: Option<u8>,
-    /// When set, inference runs through [`QuantNet`] instead of the f32 net.
+    /// When set, inference runs through `qnet` instead of the f32 net.
     quant_mode: Option<QuantMode>,
-    qnet: Option<QuantNet>,
-    /// Reused `1 × input` row vector and per-point scalar error buffer: the
-    /// per-window detection path allocates nothing once these are warm
-    /// (the f32 net's own forward excepted — the quantised path is fully
-    /// allocation-free).
-    x_buf: Matrix,
-    err_buf: Vec<f32>,
+    /// The int8 inference twin of the trained f32 net: one
+    /// [`QuantizedDense`] per layer, weights quantised once post-training.
+    qnet: Option<Vec<QuantizedDense>>,
     rng: StdRng,
 }
 
-/// The int8 inference twin of the trained f32 [`Sequential`]: one
-/// [`QuantizedDense`] per layer (weights quantised once post-training) plus
-/// a pair of ping/pong activation buffers, so a warmed forward pass performs
-/// no allocating matmul calls — the same guarantee as the f32 hot path.
-struct QuantNet {
-    layers: Vec<QuantizedDense>,
-    ping: Matrix,
-    pong: Matrix,
-}
-
-impl QuantNet {
-    /// Snapshots the trained parameters of `net` (visited in layer order:
-    /// weight, bias per [`Dense`]) and quantises them under `mode`.
-    /// Activations follow the autoencoder convention: Tanh on hidden layers,
-    /// Linear on the last.
-    fn from_sequential(net: &mut Sequential, n_layers: usize, mode: QuantMode) -> Self {
-        let mut pairs: Vec<(Matrix, Matrix)> = Vec::new();
-        let mut pending: Option<Matrix> = None;
-        net.visit_params(&mut |param, _| match pending.take() {
-            Some(w) => pairs.push((w, param.clone())),
-            None => pending = Some(param.clone()),
-        });
-        assert_eq!(pairs.len(), n_layers, "autoencoder must be Dense-only");
-        let layers = pairs
-            .iter()
-            .enumerate()
-            .map(|(i, (w, b))| {
-                let act = if i == n_layers - 1 { Activation::Linear } else { Activation::Tanh };
-                QuantizedDense::from_weights(w, b, act, mode)
-            })
-            .collect();
-        QuantNet { layers, ping: Matrix::zeros(1, 1), pong: Matrix::zeros(1, 1) }
-    }
-
-    /// Inference forward pass; the returned reconstruction borrows an
-    /// internal buffer (reused across calls — allocation-free once warm).
-    fn forward(&mut self, x: &Matrix) -> &Matrix {
-        self.layers[0].forward_into(x, &mut self.ping);
-        for layer in &mut self.layers[1..] {
-            layer.forward_into(&self.ping, &mut self.pong);
-            std::mem::swap(&mut self.ping, &mut self.pong);
-        }
-        &self.ping
-    }
+/// Snapshots the trained parameters of `net` (visited in layer order:
+/// weight, bias per [`Dense`]) and quantises them under `mode`. Activations
+/// follow the autoencoder convention: Tanh on hidden layers, Linear on the
+/// last.
+fn quantize_layers(net: &mut Sequential, n_layers: usize, mode: QuantMode) -> Vec<QuantizedDense> {
+    let mut pairs: Vec<(Matrix, Matrix)> = Vec::new();
+    let mut pending: Option<Matrix> = None;
+    net.visit_params(&mut |param, _| match pending.take() {
+        Some(w) => pairs.push((w, param.clone())),
+        None => pending = Some(param.clone()),
+    });
+    assert_eq!(pairs.len(), n_layers, "autoencoder must be Dense-only");
+    pairs
+        .iter()
+        .enumerate()
+        .map(|(i, (w, b))| {
+            let act = if i == n_layers - 1 { Activation::Linear } else { Activation::Tanh };
+            QuantizedDense::from_weights(w, b, act, mode)
+        })
+        .collect()
 }
 
 impl AutoencoderDetector {
@@ -214,8 +245,6 @@ impl AutoencoderDetector {
             quantization_bits: None,
             quant_mode: None,
             qnet: None,
-            x_buf: Matrix::zeros(1, 1),
-            err_buf: Vec::new(),
             rng,
         }
     }
@@ -272,8 +301,7 @@ impl AutoencoderDetector {
 
     fn rebuild_quantized_net(&mut self) {
         let n_layers = self.architecture.layer_sizes.len() - 1;
-        self.qnet =
-            self.quant_mode.map(|mode| QuantNet::from_sequential(&mut self.net, n_layers, mode));
+        self.qnet = self.quant_mode.map(|mode| quantize_layers(&mut self.net, n_layers, mode));
     }
 
     /// Sets the window-flagging fraction (see field docs).
@@ -301,8 +329,8 @@ impl AutoencoderDetector {
     }
 
     /// Scores the per-point scalar errors in `errors` through the calibrated
-    /// scorer.
-    fn detection_from_scalar_errors(&self, errors: &[f32]) -> Detection {
+    /// scorer (which leaves their logPDs there).
+    fn detection_from_scalar_errors(&self, errors: &mut [f32]) -> Detection {
         let scorer = self.scorer.as_ref().expect("detect called before fit");
         let (min_log_pd, anomalous_fraction) = scorer.score_window_scalar(errors);
         let anomalous = anomalous_fraction > self.flag_fraction;
@@ -315,43 +343,58 @@ impl AutoencoderDetector {
         Detection { anomalous, confident, min_log_pd, anomalous_fraction }
     }
 
-    /// Fills `self.err_buf` with the window's per-point scalar reconstruction
-    /// errors. This is the per-window hot path: the input copies into the
-    /// reused `self.x_buf` row vector and the errors land in the reused
-    /// buffer, so no allocation survives warm-up (on the quantised path; the
-    /// f32 `Sequential::predict` still allocates internally).
-    fn scalar_errors_into(&mut self, window: &LabeledWindow) {
-        let flat = window.data.as_slice();
-        assert_eq!(
-            flat.len(),
-            self.input_dim(),
-            "window length {} does not match model input {}",
-            flat.len(),
-            self.input_dim()
-        );
-        self.x_buf.resize(1, flat.len());
-        self.x_buf.as_mut_slice().copy_from_slice(flat);
-        self.err_buf.clear();
-        match self.qnet.as_mut() {
-            Some(q) => {
-                let y = q.forward(&self.x_buf);
-                self.err_buf.extend(flat.iter().zip(y.as_slice().iter()).map(|(a, b)| a - b));
+    /// The one inference routine: hands `read` the per-point reconstruction
+    /// errors of a block of windows, one row per window, computed in this
+    /// thread's scratch. `first` is the block's offset in the caller's
+    /// corpus, for the panic message only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a window's length differs from the model input.
+    fn with_block_errors<R>(
+        &self,
+        block: &[LabeledWindow],
+        first: usize,
+        read: impl FnOnce(&mut Matrix) -> R,
+    ) -> R {
+        let dim = self.input_dim();
+        SCRATCH.with(|scratch| {
+            let Scratch { rows, acts, codes } = &mut *scratch.borrow_mut();
+            rows.resize(block.len(), dim);
+            for (r, w) in block.iter().enumerate() {
+                let flat = w.data.as_slice();
+                assert_eq!(
+                    flat.len(),
+                    dim,
+                    "window {} length {} does not match model input {dim}",
+                    first + r,
+                    flat.len()
+                );
+                rows.row_mut(r).copy_from_slice(flat);
             }
-            None => {
-                let y = self.net.predict(&self.x_buf);
-                self.err_buf.extend(flat.iter().zip(y.as_slice().iter()).map(|(a, b)| a - b));
+            let reconstruction = match &self.qnet {
+                Some(layers) => {
+                    acts.run(layers, rows, |layer, src, dst| layer.forward_into(src, codes, dst))
+                }
+                None => self.net.infer(rows, acts),
+            };
+            for (x, y) in rows.as_mut_slice().iter_mut().zip(reconstruction.as_slice()) {
+                *x -= y;
             }
-        }
+            read(rows)
+        })
     }
 
     /// Calibrates the scorer on the current forward path's per-point errors
     /// over `calibration` (all-normal windows).
     fn calibrate(&mut self, calibration: &[LabeledWindow]) -> Result<f32, FitError> {
-        let mut per_window: Vec<Vec<f32>> = Vec::with_capacity(calibration.len());
-        for w in calibration {
-            self.scalar_errors_into(w);
-            per_window.push(self.err_buf.clone());
-        }
+        let per_window: Vec<Vec<f32>> = calibration
+            .iter()
+            .enumerate()
+            .map(|(i, w)| {
+                self.with_block_errors(std::slice::from_ref(w), i, |errors| errors.row(0).to_vec())
+            })
+            .collect();
         // The scorer fits on 1-D error vectors; materialise them only here,
         // on the cold calibration path.
         let all_errors: Vec<Vec<f32>> =
@@ -438,47 +481,38 @@ impl AnomalyDetector for AutoencoderDetector {
     // window path is proven allocation-free in tests/quant_alloc.rs.
     // `detect_batch` (below) carries the span and alloc phase instead.
     fn detect(&mut self, window: &LabeledWindow) -> Detection {
-        self.scalar_errors_into(window);
-        self.detection_from_scalar_errors(&self.err_buf)
+        self.with_block_errors(std::slice::from_ref(window), 0, |errors| {
+            self.detection_from_scalar_errors(errors.row_mut(0))
+        })
     }
 
-    /// Batched scoring: the whole corpus becomes one `windows × input` matrix
-    /// and runs through a single forward pass per layer, so the dense kernels
-    /// see real batch dimensions instead of `1 × input` row vectors. Row
-    /// independence of the dense ops makes the results identical to the
-    /// per-window path.
+    /// Batched scoring, block by block (see the module docs): the dense
+    /// kernels see `BLOCK_ROWS`-row operands instead of `1 × input` row
+    /// vectors, and a corpus of at least two `PAR_GRAIN_ROWS` is split
+    /// between the parallel workers. Results are identical to the
+    /// per-window path at any worker count.
     fn detect_batch(&mut self, windows: &[LabeledWindow]) -> Vec<Detection> {
         if windows.is_empty() {
             return Vec::new();
         }
         let _span = hec_telemetry::WallSpan::new("anomaly.detect_batch");
         let _allocs = hec_telemetry::AllocPhase::new("anomaly.detect_batch");
-        let dim = self.input_dim();
-        let mut data = Vec::with_capacity(windows.len() * dim);
-        for (i, w) in windows.iter().enumerate() {
-            let flat = w.flattened();
-            assert_eq!(
-                flat.len(),
-                dim,
-                "window {i} length {} does not match model input {dim}",
-                flat.len()
-            );
-            data.extend_from_slice(&flat);
-        }
-        let x = Matrix::from_vec(windows.len(), dim, data);
-        // One clone of the batched reconstruction releases the forward
-        // buffers before per-row scoring (which reuses `self.err_buf`).
-        let y: Matrix = match self.qnet.as_mut() {
-            Some(q) => q.forward(&x).clone(),
-            None => self.net.predict(&x),
-        };
-        let mut detections = Vec::with_capacity(windows.len());
-        for r in 0..windows.len() {
-            self.err_buf.clear();
-            self.err_buf.extend(x.row(r).iter().zip(y.row(r).iter()).map(|(a, b)| a - b));
-            detections.push(self.detection_from_scalar_errors(&self.err_buf));
-        }
-        detections
+        let det = &*self;
+        parallel_map_spans(windows.len(), PAR_GRAIN_ROWS, |span| {
+            let mut detections = Vec::with_capacity(span.len());
+            for first in span.clone().step_by(BLOCK_ROWS) {
+                let block = &windows[first..span.end.min(first + BLOCK_ROWS)];
+                det.with_block_errors(block, first, |errors| {
+                    detections.extend(
+                        errors
+                            .as_mut_slice()
+                            .chunks_exact_mut(det.input_dim())
+                            .map(|row| det.detection_from_scalar_errors(row)),
+                    );
+                });
+            }
+            detections
+        })
     }
 
     fn threshold(&self) -> Option<f32> {

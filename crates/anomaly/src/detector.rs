@@ -102,9 +102,10 @@ pub trait AnomalyDetector {
     ///
     /// The default is a per-window loop (which already reuses the model's
     /// scratch workspaces); implementations override it to batch the model
-    /// forward passes — [`crate::AutoencoderDetector`] stacks the corpus
-    /// into one matrix and runs a single batched forward per layer. Results
-    /// are guaranteed identical to calling [`detect`] per window.
+    /// forward passes — [`crate::AutoencoderDetector`] walks the corpus in
+    /// cache-sized blocks of rows and splits a large one between the
+    /// parallel workers. Results are guaranteed identical to calling
+    /// [`detect`] per window.
     ///
     /// # Panics
     ///

@@ -287,17 +287,19 @@ impl LogPdScorer {
 
     /// Scalar-error variant of [`LogPdScorer::score_window`] for univariate
     /// models — the autoencoders' per-window hot path. No per-point vectors,
-    /// no allocation, same result to the bit.
+    /// no allocation, same result to the bit. `errors` is scratch: it comes
+    /// back holding each point's logPD (one vectorisable pass writes them,
+    /// a second takes the minimum and the count).
     ///
     /// # Panics
     ///
     /// Panics if `errors` is empty or the scorer is not 1-dimensional.
-    pub fn score_window_scalar(&self, errors: &[f32]) -> (f32, f32) {
+    pub fn score_window_scalar(&self, errors: &mut [f32]) -> (f32, f32) {
         assert!(!errors.is_empty(), "empty window");
+        self.gaussian.log_pdf_scalars(errors).expect("scorer is not 1-dimensional");
         let mut min_lp = f32::INFINITY;
         let mut below = 0usize;
-        for &e in errors {
-            let lp = self.log_pd_scalar(e);
+        for &lp in errors.iter() {
             min_lp = min_lp.min(lp);
             if lp < self.threshold {
                 below += 1;
@@ -344,11 +346,13 @@ mod tests {
         let window: Vec<Vec<f32>> = vec![vec![0.01], vec![-0.07], vec![3.0], vec![0.0]];
         let scalars: Vec<f32> = window.iter().map(|e| e[0]).collect();
         let (min_v, frac_v) = scorer.score_window(&window);
-        let (min_s, frac_s) = scorer.score_window_scalar(&scalars);
+        let mut log_pds = scalars.clone();
+        let (min_s, frac_s) = scorer.score_window_scalar(&mut log_pds);
         assert_eq!(min_v.to_bits(), min_s.to_bits());
         assert_eq!(frac_v.to_bits(), frac_s.to_bits());
-        for &e in &scalars {
+        for (&e, &lp) in scalars.iter().zip(&log_pds) {
             assert_eq!(scorer.log_pd(&[e]).to_bits(), scorer.log_pd_scalar(e).to_bits());
+            assert_eq!(scorer.log_pd(&[e]).to_bits(), lp.to_bits());
         }
     }
 

@@ -1,13 +1,16 @@
-//! Allocation accounting for the quantised detector hot path:
+//! Allocation accounting for the detector hot path, on the int8 path and
+//! on the f32 path alike:
 //!
-//! * a warmed `AutoencoderDetector::detect` on the int8 path performs
-//!   **zero** heap allocations per window (counting global allocator) —
-//!   the input copies into a reused row vector, the integer kernels run in
-//!   thread-local scratch, and scoring walks a reused scalar error buffer;
+//! * a warmed `AutoencoderDetector::detect` performs **zero** heap
+//!   allocations per window (counting global allocator) — the input copies
+//!   into the thread's reused block, the layers run in its two activation
+//!   buffers (and the integer kernels in their thread-local scratch), and
+//!   scoring overwrites the block in place;
 //! * batched detection makes **zero allocating matmul calls** — every
 //!   product routes through the `_into` kernels
 //!   (`hec_tensor::kernel::matmul_allocations` counts the allocating
-//!   wrapper calls).
+//!   wrapper calls) — and, below the fan-out grain, allocates the same few
+//!   times whatever the batch size (the results vector, not the windows).
 //!
 //! Everything lives in one `#[test]` so no concurrent test can disturb the
 //! global counters.
@@ -27,11 +30,18 @@ fn ramp_window(jitter: f32, n: usize) -> LabeledWindow {
 }
 
 #[test]
-fn quantised_detection_is_allocation_free_once_warm() {
+fn detection_is_allocation_free_once_warm() {
+    for mode in [Some(QuantMode::int8(QuantScheme::PerRow)), None] {
+        detection_is_allocation_free(mode);
+    }
+}
+
+fn detection_is_allocation_free(mode: Option<QuantMode>) {
+    let path = mode.map_or("f32".to_owned(), |m| m.label());
     let train: Vec<LabeledWindow> =
         (0..40).map(|i| ramp_window(0.002 * (i % 7) as f32, 16)).collect();
-    let mut det = AutoencoderDetector::new("ae-q", AeArchitecture::iot(16), 1);
-    det.set_quant_mode(Some(QuantMode::int8(QuantScheme::PerRow)));
+    let mut det = AutoencoderDetector::new("ae", AeArchitecture::iot(16), 1);
+    det.set_quant_mode(mode);
     det.fit(&train, 30).unwrap();
 
     // --- Per-window detection: zero total allocations once warm. ---
@@ -50,18 +60,30 @@ fn quantised_detection_is_allocation_free_once_warm() {
     }
     assert_eq!(
         last_delta, 0,
-        "warmed quantised detect performed {last_delta} heap allocations per window batch"
+        "{path}: warmed detect performed {last_delta} heap allocations per window batch"
     );
 
-    // --- Batched detection: zero allocating matmul wrapper calls (the
-    // batch matrix and results vector are the only fresh memory). ---
-    let windows: Vec<LabeledWindow> = (0..8).map(|i| ramp_window(0.001 * i as f32, 16)).collect();
+    // --- Batched detection below the fan-out grain: zero allocating
+    // matmul wrapper calls, and heap allocations that do not grow with
+    // the batch (the results vector is the only fresh memory). ---
+    let windows: Vec<LabeledWindow> = (0..800).map(|i| ramp_window(0.001 * i as f32, 16)).collect();
     let _ = det.detect_batch(&windows); // warmup
     let wrapper_before = hec_tensor::kernel::matmul_allocations();
-    let _ = det.detect_batch(&windows);
+    let mut deltas = [usize::MAX; 2];
+    for _attempt in 0..5 {
+        for (delta, batch) in deltas.iter_mut().zip([&windows[..8], &windows[..]]) {
+            let before = allocations();
+            let _ = det.detect_batch(batch);
+            *delta = allocations() - before;
+        }
+        if deltas[0] == deltas[1] {
+            break;
+        }
+    }
     assert_eq!(
         hec_tensor::kernel::matmul_allocations(),
         wrapper_before,
-        "quantised detect_batch performed allocating matmul calls"
+        "{path}: detect_batch performed allocating matmul calls"
     );
+    assert_eq!(deltas[0], deltas[1], "{path}: detect_batch allocations grew from 8 to 800 windows");
 }

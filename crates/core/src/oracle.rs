@@ -67,12 +67,13 @@ impl Oracle {
         let contexts = extract_contexts(catalog, windows);
         let outcomes = windows
             .iter()
+            .zip(contexts)
             .enumerate()
-            .map(|(i, w)| WindowOutcome {
+            .map(|(i, (w, context))| WindowOutcome {
                 truth: w.anomalous,
                 min_log_pd: [per_layer[0][i].0, per_layer[1][i].0, per_layer[2][i].0],
                 anomalous_fraction: [per_layer[0][i].1, per_layer[1][i].1, per_layer[2][i].1],
-                context: contexts[i].clone(),
+                context,
             })
             .collect();
 
@@ -145,7 +146,7 @@ fn extract_contexts(catalog: &mut ModelCatalog, windows: &[LabeledWindow]) -> Ve
         .iter()
         .map(|w| {
             iot.context_features(w)
-                .unwrap_or_else(|| vecops::summary_features(&w.flattened()).to_vec())
+                .unwrap_or_else(|| vecops::summary_features(w.data.as_slice()).to_vec())
         })
         .collect()
 }

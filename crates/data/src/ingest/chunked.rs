@@ -1,42 +1,52 @@
-//! Chunked parallel parsing: the serial readers, fanned out over byte
-//! ranges, stitched back in input order.
+//! Chunked parallel parsing: byte ranges scanned in place on every
+//! worker, stitched back in input order, with the serial readers as the
+//! one place an error is worded.
 //!
 //! The byte stream is split into per-worker ranges whose boundaries are
-//! **snapped forward past the next `\n`**, so no record ever straddles a
+//! **snapped forward past the next `\n`**, so no line ever straddles a
 //! chunk (CRLF-safe: `\r` immediately precedes its `\n`, so a boundary
-//! placed *after* a newline can never split a CRLF pair; comment and
-//! blank lines need no special casing because whole lines land in
-//! exactly one chunk). Parsing then runs in two phases:
+//! placed *after* a newline can never split a CRLF pair, nor a multi-byte
+//! UTF-8 character, which never contains the byte `\n`).
 //!
-//! 1. **Line numbering** — newline counts per range in parallel, prefix
-//!    summed, give each chunk the global 1-based number of its first
-//!    line; each worker's reader starts there
-//!    ([`CsvReader::with_start_line`]), so per-chunk errors carry
-//!    file-global line numbers with no post-hoc fixup.
-//! 2. **Extract + stitch** — workers run the *stateless* half of the
-//!    schema adapters ([`PowerRow::extract`](super::schema) /
-//!    `MhealthRow::extract`) over their ranges concurrently on the
-//!    [`hec_tensor::parallel`] scoped-thread substrate; the stitch phase
-//!    replays every extracted row, chunk by chunk in input order,
-//!    through the same *stateful* builder the serial path uses
-//!    (imputation, day labels, session windows). Output is therefore
-//!    **byte-identical to the serial readers by construction**, whatever
-//!    `HEC_THREADS` or the chunk size.
+//! **Power CSV** — the hot path of every trace replay:
 //!
-//! Error fidelity: within a chunk, workers stop at the first
-//! record-level error, exactly where the serial reader would; the stitch
-//! phase replays each chunk's rows *before* surfacing its error, so the
-//! first error in input order wins — same variant, same message, same
-//! 1-based line number as serial. The one stateful wrinkle (the power
-//! reader resolves a value through the imputer *before* parsing the
-//! label field) is handled by deferring the label parse into the row —
-//! see [`PowerRow`](super::schema::PowerRow).
+//! 1. **Scan.** A worker validates its range as UTF-8 once (a range is
+//!    whole lines, so an invalid line fails the file exactly as it fails
+//!    the serial reader's `read_line`; pure ASCII validates at memory
+//!    speed), then walks borrowed sub-slices of that text — no per-line
+//!    copy — through the dialect rules of [`super::csv`] and the schema's
+//!    own `PowerRow::extract`. What it keeps is columnar: the finite `f32`
+//!    values, labels as runs (a day's readings share one), and a gap
+//!    marker where a value is missing or non-finite — four bytes per
+//!    record plus a few per label change. It keeps **no line numbers and
+//!    builds no errors**: at the first line the serial reader would
+//!    reject, it stops and marks the chunk incomplete.
+//! 2. **Stitch.** Chunks replay in input order through the one stateful
+//!    `PowerBuilder` the serial path uses, a run at a time: a run of finite
+//!    readings slice-extends the day buffer, a gap goes through the
+//!    builder's imputer. The builder refuses what `push` would reject
+//!    (policy says reject, nothing to impute from, label disagrees with
+//!    the open day's).
+//! 3. **Failure.** An incomplete chunk or a refusal means the input does
+//!    not parse. Errors are terminal, so the chunked path then runs the
+//!    serial reader over the same bytes and returns *its* result: variant,
+//!    message and 1-based line are the serial reader's by construction,
+//!    and nothing on the success path pays for line bookkeeping (no
+//!    newline-count pre-pass, no per-record line number).
+//!
+//! On success the corpus is **byte-identical to the serial reader's**,
+//! whatever `HEC_THREADS` or the chunk size: the scanner applies the same
+//! dialect functions and the same extraction, the builder is the same.
+//!
+//! **MHEALTH NDJSON** keeps its record reader per range (its records are
+//! 18-channel objects; the line copy is not what it spends its time on)
+//! and follows the same failure rule.
 
 use std::io::Cursor;
 
 use hec_tensor::parallel::parallel_map;
 
-use crate::ingest::csv::CsvReader;
+use crate::ingest::csv::{is_skipped, split_fields, strip_eol, CsvRecord, Delimiter, BOM};
 use crate::ingest::ndjson::NdjsonReader;
 use crate::ingest::schema::{
     MhealthBuilder, MhealthNdjsonSource, MhealthRow, PowerBuilder, PowerCsvSource, PowerRow,
@@ -69,22 +79,6 @@ pub fn chunk_ranges(bytes: &[u8], chunk_bytes: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// Global 1-based first-line number of each range: one plus the number
-/// of newlines before the range's start (counted in parallel, prefix
-/// summed — phase 1 of the chunked parse).
-fn start_lines(bytes: &[u8], ranges: &[(usize, usize)]) -> Vec<u64> {
-    let counts = parallel_map(ranges, |_, &(start, end)| {
-        bytes[start..end].iter().filter(|&&b| b == b'\n').count() as u64
-    });
-    let mut lines = Vec::with_capacity(ranges.len());
-    let mut first = 1u64;
-    for count in counts {
-        lines.push(first);
-        first += count;
-    }
-    lines
-}
-
 /// Picks a chunk size for `len` bytes across `threads` workers: one
 /// chunk per worker, floored so tiny inputs stay in one chunk (spawning
 /// a thread per handful of lines costs more than it saves).
@@ -93,19 +87,162 @@ pub(crate) fn default_chunk_bytes(len: usize, threads: usize) -> usize {
     len.div_ceil(threads.max(1)).max(MIN_CHUNK)
 }
 
-/// One chunk's extraction output for the power schema. The first record
-/// is carried separately with its header-shape flag: only the stitch
-/// phase knows whether a chunk's first record is the *file's* first
-/// record (the only one the serial reader would header-skip) — a chunk
-/// whose range starts with comment lines may well contribute the file's
-/// first record even when it is not chunk 0.
+/// Consecutive records of a chunk that the builder takes in one call.
+enum Run {
+    /// `len` finite readings under one label: the next `len` entries of
+    /// the chunk's `values`.
+    Readings { len: usize, label: usize },
+    /// One reading whose value is missing or non-finite — the imputer's.
+    Gap { label: usize },
+}
+
+/// One chunk's scan of the power schema, in columns.
 struct PowerChunk {
-    /// The chunk's first record: (looks-like-header, deferred extract).
-    first: Option<(bool, Result<PowerRow, IngestError>)>,
-    /// Records after the first; extraction stopped at the first error.
-    rows: Vec<PowerRow>,
-    /// Reader or extraction error that stopped this chunk, if any.
-    err: Option<IngestError>,
+    /// The chunk's first record is header-shaped and was set aside. Only
+    /// the stitch knows whether it is the *file's* first record (the one
+    /// the serial reader skips): a range that follows nothing but comment
+    /// lines contributes the file's first record without being chunk 0.
+    header: bool,
+    /// Every finite reading, in record order.
+    values: Vec<f32>,
+    runs: Vec<Run>,
+    /// The scan reached the end of the range; otherwise it stopped at a
+    /// line the serial reader rejects.
+    complete: bool,
+}
+
+/// What one pass over a line's bytes learns.
+struct LineScan {
+    /// Offset of the line's `\n`, or of the end of the text.
+    end: usize,
+    commas: usize,
+    first_comma: usize,
+    /// Bytes that are not printable ASCII: whitespace, controls, and every
+    /// byte of a multi-byte character.
+    odd: usize,
+}
+
+fn scan_line(bytes: &[u8], start: usize) -> LineScan {
+    let mut scan = LineScan { end: start, commas: 0, first_comma: 0, odd: 0 };
+    while scan.end < bytes.len() && bytes[scan.end] != b'\n' {
+        match bytes[scan.end] {
+            b',' => {
+                if scan.commas == 0 {
+                    scan.first_comma = scan.end;
+                }
+                scan.commas += 1;
+            }
+            0x21..=0x7f => {}
+            _ => scan.odd += 1,
+        }
+        scan.end += 1;
+    }
+    scan
+}
+
+/// Scans one newline-snapped range. `file_start`: the range begins the
+/// file, so a BOM there is a byte-order mark and not data.
+fn scan_power_chunk(range: &[u8], file_start: bool) -> PowerChunk {
+    let mut chunk = PowerChunk {
+        header: false,
+        // Shortest record line is two bytes; typical ones run to a dozen.
+        values: Vec::with_capacity(range.len() / 8),
+        runs: Vec::new(),
+        complete: false,
+    };
+    let Ok(text) = std::str::from_utf8(range) else { return chunk };
+    let text = if file_start { text.strip_prefix(BOM).unwrap_or(text) } else { text };
+    let bytes = text.as_bytes();
+    let mut bounds = Vec::new();
+    let mut first_record = true;
+    let mut next = 0usize;
+    while next < bytes.len() {
+        let start = next;
+        let LineScan { end, commas, first_comma, odd } = scan_line(bytes, start);
+        next = end + 1;
+        // The common line is printable ASCII up to its `\n` or `\r\n`:
+        // nothing to trim anywhere, so the dialect rules reduce to "blank
+        // if empty, comment on `#`, fields between the commas". Every
+        // other line, and the first record (a header may have any arity),
+        // goes through the dialect functions themselves.
+        let content_end = if end > start && bytes[end - 1] == b'\r' { end - 1 } else { end };
+        let line = if odd == end - content_end && !first_record {
+            let line = &text[start..content_end];
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            bounds.clear();
+            match commas {
+                0 => bounds.push((0, line.len())),
+                1 => {
+                    bounds.extend([(0, first_comma - start), (first_comma + 1 - start, line.len())])
+                }
+                _ => return chunk,
+            }
+            line
+        } else {
+            let line = strip_eol(&text[start..next.min(bytes.len())]);
+            if is_skipped(line) {
+                continue;
+            }
+            split_fields(line, Delimiter::Byte(b','), &mut bounds);
+            line
+        };
+        let record = CsvRecord::new(0, line, &bounds);
+        if std::mem::take(&mut first_record) && record.looks_like_header() {
+            chunk.header = true;
+            continue;
+        }
+        // Bad arity, value or label: each fails the file, in an order only
+        // the builder's state decides.
+        let Ok(PowerRow { raw, label: Ok(label), .. }) = PowerRow::extract(&record) else {
+            return chunk;
+        };
+        match raw {
+            Some(value) if value.is_finite() => {
+                chunk.values.push(value);
+                match chunk.runs.last_mut() {
+                    Some(Run::Readings { len, label: open }) if *open == label => *len += 1,
+                    _ => chunk.runs.push(Run::Readings { len: 1, label }),
+                }
+            }
+            _ => chunk.runs.push(Run::Gap { label }),
+        }
+    }
+    chunk.complete = true;
+    chunk
+}
+
+/// Replays scanned chunks through `builder` in input order; `None` as
+/// soon as the input is known not to parse.
+fn stitch_power(chunks: Vec<PowerChunk>, mut builder: PowerBuilder) -> Option<LabeledCorpus> {
+    let mut seen_record = false;
+    for chunk in chunks {
+        // Header-shaped anywhere but at the file's first record is a
+        // malformed reading.
+        if chunk.header && seen_record {
+            return None;
+        }
+        seen_record |= chunk.header || !chunk.runs.is_empty();
+        let mut values = chunk.values.as_slice();
+        for run in &chunk.runs {
+            let taken = match *run {
+                Run::Readings { len, label } => {
+                    let (readings, later) = values.split_at(len);
+                    values = later;
+                    builder.extend_run(readings, label)
+                }
+                Run::Gap { label } => builder.fill_gap(label),
+            };
+            if !taken {
+                return None;
+            }
+        }
+        if !chunk.complete {
+            return None;
+        }
+    }
+    Some(builder.finish())
 }
 
 impl PowerCsvSource {
@@ -119,69 +256,14 @@ impl PowerCsvSource {
         bytes: &[u8],
         chunk_bytes: usize,
     ) -> Result<LabeledCorpus, IngestError> {
-        let name = crate::ingest::schema::trace_name(&self.path);
         let ranges = chunk_ranges(bytes, chunk_bytes);
-        let starts = start_lines(bytes, &ranges);
-        let chunks: Vec<PowerChunk> = parallel_map(&ranges, |i, &(start, end)| {
-            let mut reader = CsvReader::new(Cursor::new(&bytes[start..end]), name.clone())
-                .with_start_line(starts[i]);
-            let mut chunk = PowerChunk { first: None, rows: Vec::new(), err: None };
-            loop {
-                match reader.next_record() {
-                    Ok(Some(rec)) => {
-                        if chunk.first.is_none() {
-                            let headerish = rec.looks_like_header();
-                            let extracted = PowerRow::extract(&rec);
-                            // A failed non-header first record stops the
-                            // chunk like any other error; a header-shaped
-                            // one keeps parsing — the stitch phase may
-                            // drop it as the file's header.
-                            let stop = !headerish && extracted.is_err();
-                            chunk.first = Some((headerish, extracted));
-                            if stop {
-                                return chunk;
-                            }
-                        } else {
-                            match PowerRow::extract(&rec) {
-                                Ok(row) => chunk.rows.push(row),
-                                Err(e) => {
-                                    chunk.err = Some(e);
-                                    return chunk;
-                                }
-                            }
-                        }
-                    }
-                    Ok(None) => return chunk,
-                    Err(e) => {
-                        chunk.err = Some(e);
-                        return chunk;
-                    }
-                }
-            }
+        let chunks = parallel_map(&ranges, |_, &(start, end)| {
+            scan_power_chunk(&bytes[start..end], start == 0)
         });
-
-        // Stitch: replay rows chunk by chunk in input order through the
-        // same stateful builder the serial path uses; first error in
-        // input order wins.
-        let mut builder = PowerBuilder::new(self.policy, self.samples_per_day);
-        let mut file_first_record = true;
-        for chunk in chunks {
-            if let Some((headerish, extracted)) = chunk.first {
-                if std::mem::take(&mut file_first_record) && headerish {
-                    // The file's first record is header-shaped: the
-                    // serial reader skips it, so drop it here too.
-                } else {
-                    builder.push(extracted?)?;
-                }
-            }
-            for row in chunk.rows {
-                builder.push(row)?;
-            }
-            if let Some(e) = chunk.err {
-                return Err(e);
-            }
+        match stitch_power(chunks, PowerBuilder::new(self.policy, self.samples_per_day)) {
+            Some(corpus) => Ok(corpus),
+            None => self.parse(Cursor::new(bytes)),
         }
-        Ok(builder.finish())
     }
 }
 
@@ -191,7 +273,6 @@ impl PowerCsvSource {
 struct MhealthChunk {
     rows: Vec<MhealthRow>,
     samples: Vec<f32>,
-    err: Option<IngestError>,
 }
 
 impl MhealthNdjsonSource {
@@ -205,48 +286,45 @@ impl MhealthNdjsonSource {
     ) -> Result<LabeledCorpus, IngestError> {
         let name = crate::ingest::schema::trace_name(&self.path);
         let ranges = chunk_ranges(bytes, chunk_bytes);
-        let starts = start_lines(bytes, &ranges);
-        let chunks: Vec<MhealthChunk> = parallel_map(&ranges, |i, &(start, end)| {
-            let mut reader = NdjsonReader::new(Cursor::new(&bytes[start..end]), name.clone())
-                .with_start_line(starts[i]);
-            let mut chunk = MhealthChunk { rows: Vec::new(), samples: Vec::new(), err: None };
-            loop {
-                match reader.next_record() {
-                    Ok(Some(rec)) => match MhealthRow::extract(&rec) {
-                        Ok((row, ch)) => {
-                            chunk.rows.push(row);
-                            chunk.samples.extend_from_slice(ch);
-                        }
-                        Err(e) => {
-                            chunk.err = Some(e);
-                            return chunk;
-                        }
-                    },
-                    Ok(None) => return chunk,
-                    Err(e) => {
-                        chunk.err = Some(e);
-                        return chunk;
-                    }
-                }
+        // `None`: the range holds a record the serial reader rejects. Line
+        // numbers are range-relative and never surface.
+        let chunks: Vec<Option<MhealthChunk>> = parallel_map(&ranges, |_, &(start, end)| {
+            let range = &bytes[start..end];
+            // The reader strips a BOM off the first line it sees; past the
+            // file's first line a BOM is data, and malformed data at that.
+            if start > 0 && range.starts_with(BOM.as_bytes()) {
+                return None;
             }
+            let mut reader = NdjsonReader::new(Cursor::new(range), name.clone());
+            let mut chunk = MhealthChunk { rows: Vec::new(), samples: Vec::new() };
+            while let Some(rec) = reader.next_record().ok()? {
+                let (row, ch) = MhealthRow::extract(&rec).ok()?;
+                chunk.rows.push(row);
+                chunk.samples.extend_from_slice(ch);
+            }
+            Some(chunk)
         });
 
         let mut builder = MhealthBuilder::new(self.policy, self.window, self.stride);
-        for chunk in chunks {
-            for (i, row) in chunk.rows.into_iter().enumerate() {
-                builder.push(row, &chunk.samples[i * CHANNELS..(i + 1) * CHANNELS])?;
-            }
-            if let Some(e) = chunk.err {
-                return Err(e);
-            }
+        let stitched = chunks.into_iter().try_for_each(|chunk| {
+            let chunk = chunk?;
+            chunk
+                .rows
+                .into_iter()
+                .zip(chunk.samples.chunks_exact(CHANNELS))
+                .try_for_each(|(row, ch)| builder.push(row, ch).ok())
+        });
+        match stitched {
+            Some(()) => Ok(builder.finish()),
+            None => self.parse(Cursor::new(bytes)),
         }
-        Ok(builder.finish())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::csv::CsvReader;
     use crate::ingest::MissingValuePolicy;
 
     fn power(spd: usize, policy: MissingValuePolicy) -> PowerCsvSource {
@@ -258,10 +336,11 @@ mod tests {
     }
 
     /// Asserts chunked == serial (corpus or error) at every chunk size.
-    fn assert_power_matches(src: &PowerCsvSource, text: &str) {
+    fn assert_power_matches(src: &PowerCsvSource, text: impl AsRef<[u8]>) {
+        let text = text.as_ref();
         let serial = src.parse(Cursor::new(text));
         for chunk_bytes in 1..=text.len().max(1) {
-            let chunked = src.parse_chunked(text.as_bytes(), chunk_bytes);
+            let chunked = src.parse_chunked(text, chunk_bytes);
             match (&serial, &chunked) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(a.classes, b.classes, "chunk_bytes={chunk_bytes}");
@@ -308,13 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn start_lines_are_global_and_one_based() {
-        let text = b"a\nb\nc\nd\ne\n";
-        let ranges = chunk_ranges(text, 4); // "a\nb\n", "c\nd\n", "e\n"
-        assert_eq!(start_lines(text, &ranges), vec![1, 3, 5]);
-    }
-
-    #[test]
     fn power_chunked_matches_serial_on_clean_input() {
         let text = "# trace\ndemand,label\n1,0\n2,0\n3,1\n4,1\n5,0\n6,0\n7,0\n";
         assert_power_matches(&power(2, MissingValuePolicy::Reject), text);
@@ -351,6 +423,141 @@ mod tests {
         let text = "demand\r\n1\r\n\r\n# gap\r\n?\r\n3\r\n4\r\n";
         assert_power_matches(&power(2, MissingValuePolicy::ImputePrevious), text);
         assert_power_matches(&power(2, MissingValuePolicy::Reject), text);
+    }
+
+    #[test]
+    fn power_scanner_takes_what_a_string_reader_gets_for_free() {
+        for policy in [MissingValuePolicy::Reject, MissingValuePolicy::ImputePrevious] {
+            let src = power(2, policy);
+            // A byte-order mark: a mark on the first line (header or data)...
+            assert_power_matches(&src, "\u{feff}demand,label\n1,0\n2,0\n");
+            assert_power_matches(&src, "\u{feff}1,0\n2,0\n3,1\n4,1\n");
+            // ...and data anywhere else, also where a chunk begins with it.
+            assert_power_matches(&src, "1,0\n2,0\n\u{feff}3,0\n4,0\n");
+            assert_power_matches(&src, "# c\n\u{feff}# not a comment\n1,0\n");
+            // Unicode whitespace before `#` and on blank lines is skipped;
+            // inside a field it is not trimmed.
+            assert_power_matches(
+                &src,
+                "\u{a0}# c\n1,0\n\u{2003}\n\x0b\n2,0\n\u{3000}\t#\n3,0\n4,0\n",
+            );
+            assert_power_matches(&src, "1,0\n2\u{a0},0\n");
+            assert_power_matches(&src, "1,0\n\u{2003}2,0\n");
+            // ASCII padding around both fields, tabs included.
+            assert_power_matches(&src, " 1 , 0 \n\t2\t,\t0\t\r\n  3,1\n4 ,1\n");
+            // `\r\r\n` is one ending; a `\r` inside a line is data.
+            assert_power_matches(&src, "1,0\r\r\n2,0\r\r\r\n3,1\n4,1\r\r\n");
+            assert_power_matches(&src, "1,0\n2,0\r3,0\n");
+            // A last line without newline: a record, a comment, a `\r`.
+            assert_power_matches(&src, "1,0\n2,0\n3,1\n4,1");
+            assert_power_matches(&src, "1,0\n2,0\n# end");
+            assert_power_matches(&src, "1,0\n2,0\r");
+            // Multi-byte characters under every chunk boundary.
+            assert_power_matches(&src, "# température 温度 ∆\n1,0\n# —\n2,0\n");
+            // Invalid UTF-8: in a comment, in a record, on the last line,
+            // before and after an error of another kind.
+            assert_power_matches(&src, b"1,0\n# \xff\xfe\n2,0\n");
+            assert_power_matches(&src, b"1,0\n2,0\n\xc3\n3,0\n");
+            assert_power_matches(&src, b"1,0\n2,0\n3,0\n\xe6\xb8");
+            assert_power_matches(&src, b"1,0\nbogus,0\n\xff,0\n");
+            assert_power_matches(&src, b"1,0\n\xff,0\nbogus,0\n");
+            assert_power_matches(&src, b"\xff\n");
+        }
+    }
+
+    #[test]
+    fn serial_reader_runs_only_when_the_input_fails() {
+        // The serial re-read words errors; well-formed input, however
+        // oddly dressed, must come out of scan + stitch alone.
+        let stitches = |policy, text: &[u8], chunk_bytes| {
+            let chunks = chunk_ranges(text, chunk_bytes)
+                .into_iter()
+                .map(|(start, end)| scan_power_chunk(&text[start..end], start == 0))
+                .collect();
+            stitch_power(chunks, PowerBuilder::new(policy, 2)).is_some()
+        };
+        let dressed =
+            "\u{feff}# c\n\u{a0}# c\nv,l\n 1\t, 0 \r\r\n\u{2003}\n2,\n# 温度\n3,1\r\n?,1\n5\n6,0";
+        let plain = "1,0\n2,0\n3,1\n4,1\n";
+        for chunk_bytes in 1..=dressed.len() {
+            assert!(stitches(MissingValuePolicy::ImputePrevious, dressed.as_bytes(), chunk_bytes));
+            assert!(!stitches(MissingValuePolicy::Reject, dressed.as_bytes(), chunk_bytes));
+            assert!(stitches(MissingValuePolicy::Reject, plain.as_bytes(), chunk_bytes));
+        }
+        for broken in ["1,0\n2,1\n", "1,0\nx,0\n", "1,0\n2,0,0\n", "1,0\n2,-1\n", "1,0\nv,l\n"] {
+            for chunk_bytes in 1..=broken.len() {
+                assert!(!stitches(
+                    MissingValuePolicy::ImputePrevious,
+                    broken.as_bytes(),
+                    chunk_bytes
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn power_runs_and_gaps_cross_chunk_boundaries() {
+        // Day length 3 against runs of other lengths: days close mid-run,
+        // runs end mid-day, and the imputer's memory crosses chunks.
+        let text = "1,0\n2,0\n3,0\n4,2\n5,2\n6,2\n7,0\n?,0\n9,0\n10,0\n,0\nnan,0\n13,1\n";
+        for policy in [MissingValuePolicy::Reject, MissingValuePolicy::ImputePrevious] {
+            assert_power_matches(&power(3, policy), text);
+            assert_power_matches(&power(2, policy), text);
+        }
+        // A gap with nothing before it, a gap whose label breaks the day.
+        assert_power_matches(&power(2, MissingValuePolicy::ImputePrevious), "?,0\n1,0\n");
+        assert_power_matches(&power(2, MissingValuePolicy::ImputePrevious), "1,0\n?,1\n");
+    }
+
+    #[test]
+    fn power_failure_lines_are_the_readers_line_numbers() {
+        // The chunked path keeps no line numbers; whatever it reports must
+        // still be the line `CsvReader` counts, runs of comment and blank
+        // lines included. Break each record in turn and compare.
+        let lines =
+            ["# a", "", "v,l", "  ", "# b", "# c", "1,0", "", "", "2,0", "# d", "3,0", "4,0", ""];
+        let src = power(2, MissingValuePolicy::Reject);
+        for (broken, &line) in lines.iter().enumerate() {
+            if !line.starts_with(|c: char| c.is_ascii_digit()) {
+                continue;
+            }
+            let mut text = String::new();
+            for (i, l) in lines.iter().enumerate() {
+                text.push_str(if i == broken { "oops,0" } else { l });
+                text.push_str("\r\n");
+            }
+            let mut reader = CsvReader::new(Cursor::new(&text), "power.csv");
+            let expected = loop {
+                let rec = reader.next_record().unwrap().expect("the broken record is in the text");
+                if rec.field(0) == "oops" {
+                    break rec.line_number();
+                }
+            };
+            assert_eq!(expected, broken as u64 + 1);
+            for chunk_bytes in 1..=text.len() {
+                let err = src.parse_chunked(text.as_bytes(), chunk_bytes).unwrap_err();
+                assert_eq!(err.line(), expected, "chunk_bytes={chunk_bytes}: {err}");
+                assert!(matches!(err, IngestError::Parse { .. }), "{err:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn mhealth_mid_file_bom_fails_like_serial() {
+        let line = "{\"ch\": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18], \
+                    \"activity\": 3}\n";
+        let text = format!("{line}\u{feff}{line}");
+        let src = mhealth(1, 1);
+        let serial = src.parse(Cursor::new(&text)).unwrap_err();
+        assert_eq!(serial.line(), 2);
+        for chunk_bytes in [1, line.len(), text.len()] {
+            let chunked = src.parse_chunked(text.as_bytes(), chunk_bytes).unwrap_err();
+            assert_eq!(serial.line(), chunked.line());
+            assert_eq!(serial.to_string(), chunked.to_string());
+        }
+        // At the file start it is a mark, chunked or not.
+        let text = format!("\u{feff}{line}{line}");
+        assert_eq!(src.parse_chunked(text.as_bytes(), 1).unwrap().len(), 2);
     }
 
     #[test]

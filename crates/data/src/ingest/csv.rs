@@ -1,14 +1,24 @@
 //! Hand-rolled, allocation-lean CSV record reader.
 //!
-//! One reusable line buffer and one reusable field-bounds vector serve
-//! the whole stream: steady-state reading allocates only when a line is
-//! longer than every line before it. Records are borrowed views into the
-//! buffer ([`CsvRecord`]), valid until the next
-//! [`CsvReader::next_record`] call.
+//! [`CsvReader`] is the streaming reader over any [`BufRead`]: one
+//! reusable line buffer and one reusable field-bounds vector serve the
+//! whole stream, so steady-state reading allocates only when a line is
+//! longer than every line before it. Records are borrowed views
+//! ([`CsvRecord`]), valid until the next [`CsvReader::next_record`] call.
+//! It is also the reference every other path is tested against, and the
+//! only code that renders a line-numbered error.
+//!
+//! The dialect itself — what ends a line, which lines are skipped, where
+//! fields split, what counts as missing, how a field parses — lives in
+//! the free functions and [`CsvRecord`] methods below, so the in-place
+//! scanner of [`super::chunked`] applies exactly the same rules to
+//! sub-slices of one in-memory text, without the per-line copy.
 //!
 //! Dialect: configurable single-byte delimiter (default `,`) or
-//! whitespace splitting; fields are trimmed; blank lines and lines
-//! starting with `#` are skipped; CRLF line endings are tolerated.
+//! whitespace splitting; fields are trimmed of ASCII whitespace; lines
+//! that are blank or start with `#` after trimming leading *Unicode*
+//! whitespace are skipped; CRLF (and `\r\r\n`) line endings are
+//! tolerated; a UTF-8 BOM is stripped off the file's first line only.
 //! Quoting is **not** supported — the sensor traces this reads are
 //! numeric, and a stray quote fails loudly with its line number instead
 //! of being guessed at.
@@ -29,12 +39,63 @@ pub enum Delimiter {
 
 /// Field spellings treated as a missing value (case-insensitive):
 /// the empty field, `?`, `nan`, `na`, and `null`.
+#[inline]
 fn is_missing_marker(field: &str) -> bool {
     field.is_empty()
         || field == "?"
         || field.eq_ignore_ascii_case("nan")
         || field.eq_ignore_ascii_case("na")
         || field.eq_ignore_ascii_case("null")
+}
+
+/// The UTF-8 byte-order mark some exporters prepend to a file.
+pub(crate) const BOM: &str = "\u{feff}";
+
+/// `line` without its line ending: a trailing `\n` and every `\r` before
+/// it (so `\r\r\n` is one ending, and a final line may have none).
+pub(crate) fn strip_eol(line: &str) -> &str {
+    line.trim_end_matches(['\n', '\r'])
+}
+
+/// Whether a line (ending already stripped) holds no record: blank, or a
+/// `#` comment, after leading whitespace in the Unicode sense.
+pub(crate) fn is_skipped(line: &str) -> bool {
+    let trimmed = line.trim_start();
+    trimmed.is_empty() || trimmed.starts_with('#')
+}
+
+/// Splits a record line into trimmed field bounds (byte ranges of `line`),
+/// replacing the contents of `bounds`.
+pub(crate) fn split_fields(line: &str, delimiter: Delimiter, bounds: &mut Vec<(usize, usize)>) {
+    bounds.clear();
+    let bytes = line.as_bytes();
+    match delimiter {
+        Delimiter::Byte(delim) => {
+            let mut start = 0usize;
+            for (i, &b) in bytes.iter().enumerate() {
+                if b == delim {
+                    bounds.push(trim_bounds(line, start, i));
+                    start = i + 1;
+                }
+            }
+            bounds.push(trim_bounds(line, start, bytes.len()));
+        }
+        Delimiter::Whitespace => {
+            let mut start: Option<usize> = None;
+            for (i, &b) in bytes.iter().enumerate() {
+                if b.is_ascii_whitespace() {
+                    if let Some(s) = start.take() {
+                        bounds.push((s, i));
+                    }
+                } else if start.is_none() {
+                    start = Some(i);
+                }
+            }
+            if let Some(s) = start {
+                bounds.push((s, bytes.len()));
+            }
+        }
+    }
 }
 
 /// A streaming CSV reader over any [`BufRead`].
@@ -79,22 +140,6 @@ impl<R: BufRead> CsvReader<R> {
         self
     }
 
-    /// Numbers lines from `first_line` instead of 1 — the chunked parser
-    /// hands each worker a mid-file byte range plus the global number of
-    /// its first line, so per-chunk errors carry file-global line numbers
-    /// with no post-hoc fixup. A reader whose first line is not line 1 is
-    /// by definition not at the physical start of the file, so it also
-    /// skips the UTF-8 BOM strip.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `first_line` is zero (line numbers are 1-based).
-    pub fn with_start_line(mut self, first_line: u64) -> Self {
-        assert!(first_line >= 1, "line numbers are 1-based");
-        self.line_no = first_line - 1;
-        self
-    }
-
     /// The 1-based number of the most recently read line (0 before the
     /// first record).
     pub fn line_number(&self) -> u64 {
@@ -120,50 +165,18 @@ impl<R: BufRead> CsvReader<R> {
                 // Strip a UTF-8 BOM off the very first line of the file
                 // (spreadsheet exports prepend one; it would otherwise
                 // read as field bytes and raise a spurious parse error).
-                if self.line.starts_with('\u{feff}') {
-                    self.line.drain(..'\u{feff}'.len_utf8());
+                if self.line.starts_with(BOM) {
+                    self.line.drain(..BOM.len());
                 }
             }
-            while self.line.ends_with('\n') || self.line.ends_with('\r') {
-                self.line.pop();
-            }
-            let trimmed = self.line.trim_start();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            break;
-        }
-        self.bounds.clear();
-        match self.delimiter {
-            Delimiter::Byte(delim) => {
-                let bytes = self.line.as_bytes();
-                let mut start = 0usize;
-                for (i, &b) in bytes.iter().enumerate() {
-                    if b == delim {
-                        self.bounds.push(trim_bounds(&self.line, start, i));
-                        start = i + 1;
-                    }
-                }
-                self.bounds.push(trim_bounds(&self.line, start, bytes.len()));
-            }
-            Delimiter::Whitespace => {
-                let bytes = self.line.as_bytes();
-                let mut start: Option<usize> = None;
-                for (i, &b) in bytes.iter().enumerate() {
-                    if b.is_ascii_whitespace() {
-                        if let Some(s) = start.take() {
-                            self.bounds.push((s, i));
-                        }
-                    } else if start.is_none() {
-                        start = Some(i);
-                    }
-                }
-                if let Some(s) = start {
-                    self.bounds.push((s, bytes.len()));
-                }
+            let content = strip_eol(&self.line).len();
+            self.line.truncate(content);
+            if !is_skipped(&self.line) {
+                break;
             }
         }
-        Ok(Some(CsvRecord { line_no: self.line_no, line: &self.line, bounds: &self.bounds }))
+        split_fields(&self.line, self.delimiter, &mut self.bounds);
+        Ok(Some(CsvRecord::new(self.line_no, &self.line, &self.bounds)))
     }
 }
 
@@ -187,13 +200,19 @@ pub struct CsvRecord<'a> {
     bounds: &'a [(usize, usize)],
 }
 
-impl CsvRecord<'_> {
+impl<'a> CsvRecord<'a> {
+    /// A record over `line` and the field bounds [`split_fields`] gave it.
+    pub(crate) fn new(line_no: u64, line: &'a str, bounds: &'a [(usize, usize)]) -> Self {
+        Self { line_no, line, bounds }
+    }
+
     /// 1-based line number this record came from.
     pub fn line_number(&self) -> u64 {
         self.line_no
     }
 
     /// Number of fields.
+    #[inline]
     pub fn len(&self) -> usize {
         self.bounds.len()
     }
@@ -209,12 +228,14 @@ impl CsvRecord<'_> {
     /// # Panics
     ///
     /// Panics if `i >= len()`.
+    #[inline]
     pub fn field(&self, i: usize) -> &str {
         let (start, end) = self.bounds[i];
         &self.line[start..end]
     }
 
     /// Fails unless the record has between `min` and `max` fields.
+    #[inline]
     pub fn expect_fields(&self, min: usize, max: usize) -> Result<(), IngestError> {
         if self.len() < min || self.len() > max {
             let expected = if min == max { format!("{min}") } else { format!("{min}..={max}") };
@@ -228,6 +249,7 @@ impl CsvRecord<'_> {
 
     /// Parses field `i` as `f32`; `Ok(None)` when the field is a missing
     /// marker (empty, `?`, `nan`, `na`, `null` — see module docs).
+    #[inline]
     pub fn parse_f32(&self, i: usize) -> Result<Option<f32>, IngestError> {
         let field = self.field(i);
         if is_missing_marker(field) {
@@ -240,6 +262,7 @@ impl CsvRecord<'_> {
     }
 
     /// Parses field `i` as a non-negative integer.
+    #[inline]
     pub fn parse_usize(&self, i: usize) -> Result<usize, IngestError> {
         let field = self.field(i);
         field.parse::<usize>().map_err(|_| IngestError::Parse {
@@ -385,16 +408,31 @@ mod tests {
     }
 
     #[test]
-    fn start_line_offsets_numbering_and_disables_bom_strip() {
-        let mut r = reader("7.5\n8.5\n").with_start_line(41);
-        assert_eq!(r.next_record().unwrap().unwrap().line_number(), 41);
-        assert_eq!(r.next_record().unwrap().unwrap().line_number(), 42);
-        // A mid-file chunk beginning with BOM bytes is corrupt data, not
-        // a byte-order mark — it must surface as a parse failure.
-        let mut r = reader("\u{feff}1.5\n").with_start_line(10);
-        let rec = r.next_record().unwrap().unwrap();
-        let err = rec.parse_f32(0).unwrap_err();
-        assert_eq!(err.line(), 10);
+    fn mid_file_bom_is_data_not_a_mark() {
+        let mut r = reader("7.5\n\u{feff}1.5\n");
+        let _ = r.next_record().unwrap().unwrap();
+        let err = r.next_record().unwrap().unwrap().parse_f32(0).unwrap_err();
+        assert_eq!(err.line(), 2);
+    }
+
+    #[test]
+    fn line_rules_treat_unicode_and_ascii_whitespace_differently() {
+        // Leading whitespace is skipped in the Unicode sense when deciding
+        // whether a line is blank or a comment...
+        assert!(is_skipped("\u{a0}# note"));
+        assert!(is_skipped("\u{2003}\t"));
+        assert!(is_skipped("\x0b"));
+        assert!(!is_skipped("\u{feff}# a BOM is not whitespace"));
+        // ...but fields are trimmed of ASCII whitespace only.
+        let mut bounds = Vec::new();
+        let line = " 1.5\u{a0}\t, 2 ";
+        split_fields(line, Delimiter::Byte(b','), &mut bounds);
+        let fields: Vec<&str> = bounds.iter().map(|&(a, b)| &line[a..b]).collect();
+        assert_eq!(fields, ["1.5\u{a0}", "2"]);
+        // One ending may hold several carriage returns; an inner one is data.
+        assert_eq!(strip_eol("1,0\r\r\n"), "1,0");
+        assert_eq!(strip_eol("1,0\r2"), "1,0\r2");
+        assert_eq!(strip_eol("1,0"), "1,0");
     }
 
     #[test]

@@ -19,12 +19,12 @@
 //! [`DatasetSource`](crate::source::DatasetSource) trait.
 //!
 //! [`chunked`] is the high-throughput variant of the same contract: the
-//! byte stream splits into newline-snapped per-worker ranges, the
-//! stateless half of each schema adapter runs over the ranges
-//! concurrently, and a stitch phase replays the results through the
-//! serial builders — byte-identical corpus *and errors* at any thread
-//! count or chunk size (`PowerCsvSource::load_chunked` /
-//! `MhealthNdjsonSource::load_chunked`).
+//! byte stream splits into newline-snapped per-worker ranges, each worker
+//! scans its range in place into compact columns, and a stitch phase
+//! replays them through the serial builders a run at a time. Input that
+//! fails is handed to the serial reader, which words the error —
+//! byte-identical corpus *and errors* at any thread count or chunk size
+//! (`PowerCsvSource::load_chunked` / `MhealthNdjsonSource::load_chunked`).
 //!
 //! **Missing values are an explicit policy, never a silent NaN.** Real
 //! traces have gaps (dropped samples, sensor faults, `null` / empty

@@ -15,6 +15,7 @@
 
 use std::io::BufRead;
 
+use crate::ingest::csv::BOM;
 use crate::source::IngestError;
 
 /// A value in a parsed NDJSON record.
@@ -71,19 +72,6 @@ impl<R: BufRead> NdjsonReader<R> {
         }
     }
 
-    /// Numbers lines from `first_line` instead of 1 — see
-    /// [`super::csv::CsvReader::with_start_line`]; a reader not starting
-    /// at line 1 is mid-file, so the BOM strip is skipped too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `first_line` is zero (line numbers are 1-based).
-    pub fn with_start_line(mut self, first_line: u64) -> Self {
-        assert!(first_line >= 1, "line numbers are 1-based");
-        self.line_no = first_line - 1;
-        self
-    }
-
     /// The 1-based number of the most recently read line (0 before the
     /// first record).
     pub fn line_number(&self) -> u64 {
@@ -109,8 +97,8 @@ impl<R: BufRead> NdjsonReader<R> {
                 // Strip a UTF-8 BOM off the very first line of the file
                 // (tool exports prepend one; it would otherwise be read
                 // as object bytes and fail `expect('{')`).
-                if self.line.starts_with('\u{feff}') {
-                    self.line.drain(..'\u{feff}'.len_utf8());
+                if self.line.starts_with(BOM) {
+                    self.line.drain(..BOM.len());
                 }
             }
             while self.line.ends_with('\n') || self.line.ends_with('\r') {
@@ -486,17 +474,12 @@ mod tests {
         let mut r = reader("\u{feff}{\"a\": 1}\n");
         let rec = r.next_record().unwrap().unwrap();
         assert_eq!(rec.opt_number("a").unwrap(), Some(1.0));
-        // Mid-file chunks must not strip: BOM bytes there are corruption.
-        let err = reader("\u{feff}{\"a\": 1}\n").with_start_line(5).next_record().unwrap_err();
-        assert_eq!(err.line(), 5);
+        // Past the first line BOM bytes are corruption, not a mark.
+        let mut r = reader("{\"a\": 1}\n\u{feff}{\"a\": 1}\n");
+        let _ = r.next_record().unwrap().unwrap();
+        let err = r.next_record().unwrap_err();
+        assert_eq!(err.line(), 2);
         assert!(err.to_string().contains("expected '{'"), "{err}");
-    }
-
-    #[test]
-    fn start_line_offsets_numbering() {
-        let mut r = reader("{\"a\": 1}\n{\"a\": 2}\n").with_start_line(100);
-        assert_eq!(r.next_record().unwrap().unwrap().line_number(), 100);
-        assert_eq!(r.next_record().unwrap().unwrap().line_number(), 101);
     }
 
     #[test]

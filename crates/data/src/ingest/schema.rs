@@ -45,28 +45,26 @@ pub(crate) fn trace_name(path: &Path) -> String {
 }
 
 /// The stateless per-record part of a power-demand reading, extracted by
-/// [`PowerRow::extract`] and replayed through [`PowerBuilder::push`].
-///
-/// The split is what makes chunked parsing byte-identical to serial: a
-/// chunk worker extracts rows **without** touching the stateful imputer /
-/// day-label machinery, and the stitch phase replays every row through
-/// one [`PowerBuilder`] in input order — the exact code path the serial
-/// reader takes. The label parse is *deferred* (stored as a `Result`)
-/// because the serial reader resolves the value through the imputer
-/// before parsing the label; eagerly failing on a bad label in a worker
-/// would report the wrong error for a line like `,bogus`.
+/// [`PowerRow::extract`]: the serial reader's one-row hand-off to
+/// [`PowerBuilder::push`], and what a chunk worker reads a record through
+/// before filing it into its columns — one extraction, so both paths agree
+/// on every field rule. The label parse is *deferred* (stored as a
+/// `Result`) because the builder resolves the value through the imputer
+/// before looking at the label: a line like `,bogus` reports the missing
+/// value, not the label.
 #[derive(Debug)]
 pub(crate) struct PowerRow {
     line: u64,
     /// Raw first field: `None` = missing marker, for the imputer.
-    raw: Option<f32>,
+    pub(crate) raw: Option<f32>,
     /// Deferred label parse (serial order: imputer first, label second).
-    label: Result<usize, IngestError>,
+    pub(crate) label: Result<usize, IngestError>,
 }
 
 impl PowerRow {
     /// Extracts the stateless parts of one CSV record, in the serial
     /// reader's error order (arity, then value, label deferred).
+    #[inline]
     pub(crate) fn extract(rec: &CsvRecord<'_>) -> Result<Self, IngestError> {
         rec.expect_fields(1, 2)?;
         let raw = rec.parse_f32(0)?;
@@ -79,9 +77,11 @@ impl PowerRow {
 }
 
 /// The stateful half of power-demand ingestion: imputation, day-label
-/// consistency, and fixed-length day windowing. Both the serial and the
-/// chunked path feed rows through this one type, so their outputs agree
-/// by construction.
+/// consistency, and fixed-length day windowing. The serial reader feeds it
+/// row by row ([`Self::push`]); the chunked stitch feeds it whole runs
+/// ([`Self::extend_run`], [`Self::fill_gap`]) and hands the input back to
+/// the serial reader the moment either refuses — so this one type decides
+/// every window, and only `push` ever words an error.
 #[derive(Debug)]
 pub(crate) struct PowerBuilder {
     samples_per_day: usize,
@@ -124,14 +124,54 @@ impl PowerBuilder {
             Some(_) => {}
         }
         self.day.push(value);
+        self.close_full_day();
+        Ok(())
+    }
+
+    /// Emits the day window once the day buffer holds a full day.
+    fn close_full_day(&mut self) {
         if self.day.len() == self.samples_per_day {
             let (label, _) = self.day_label.take().expect("label set with the day's first reading");
-            let data = Matrix::from_vec(self.samples_per_day, 1, std::mem::take(&mut self.day));
+            let day = std::mem::replace(&mut self.day, Vec::with_capacity(self.samples_per_day));
+            let data = Matrix::from_vec(self.samples_per_day, 1, day);
             self.windows.push(LabeledWindow::new(data, label > 0));
             self.classes.push((label > 0).then(|| label - 1));
-            self.day = Vec::with_capacity(self.samples_per_day);
         }
-        Ok(())
+    }
+
+    /// Appends a run of consecutive readings — every value finite, all
+    /// under one `label` — exactly as [`Self::push`] would one by one,
+    /// slice-extending the day buffer. Returns `false`, at the reading
+    /// where `push` would fail, when the run's label disagrees with the
+    /// open day's; the caller must then give up on the builder (the line
+    /// numbers an error needs were never recorded for these readings).
+    pub(crate) fn extend_run(&mut self, mut values: &[f32], label: usize) -> bool {
+        let Some(&last) = values.last() else { return true };
+        while !values.is_empty() {
+            match self.day_label {
+                None => self.day_label = Some((label, 0)),
+                Some((open, _)) if open != label => return false,
+                Some(_) => {}
+            }
+            let (head, rest) =
+                values.split_at(values.len().min(self.samples_per_day - self.day.len()));
+            self.day.extend_from_slice(head);
+            values = rest;
+            self.close_full_day();
+        }
+        // Only the latest finite value matters to the imputer.
+        self.imputer.resolve(0, Some(last), 0).is_ok()
+    }
+
+    /// Appends one reading whose value is missing or non-finite, as
+    /// [`Self::push`] would; `false` where `push` would fail (the policy
+    /// rejects the gap, there is nothing to impute from, or the label
+    /// disagrees with the open day's).
+    pub(crate) fn fill_gap(&mut self, label: usize) -> bool {
+        match self.imputer.resolve(0, None, 0) {
+            Ok(value) => self.extend_run(&[value], label),
+            Err(_) => false,
+        }
     }
 
     /// Finishes the corpus. A trailing partial day is dropped, matching

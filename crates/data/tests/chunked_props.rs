@@ -1,9 +1,13 @@
 //! Property tests for the chunked parallel parsers (feature
 //! `real-data`): over randomly generated CSV/NDJSON inputs — CRLF line
 //! endings, comments, blank lines, headers, missing-value markers,
-//! malformed fields, day-label disagreements, arity errors — the chunked
-//! path must match the serial readers **exactly**, for every chunk size
-//! from one byte to past the whole file and at several thread counts:
+//! malformed fields, day-label disagreements, arity errors, and what a
+//! byte scanner can get wrong where a `String` reader gets it for free
+//! (byte-order marks, Unicode whitespace, padded fields, `\r\r\n`, a
+//! last line without newline, multi-byte characters at chunk boundaries,
+//! invalid UTF-8) — the chunked path must match the serial readers
+//! **exactly**, for every chunk size from one byte to past the whole file
+//! and at several thread counts:
 //!
 //! * on success: same windows (bitwise sample values), same labels, same
 //!   anomaly classes;
@@ -29,7 +33,7 @@ const SPD: usize = 4;
 fn power_line(kind: u8, v: u32, out: &mut String) {
     let x = (v % 997) as f32 / 100.0;
     let label = v % 4;
-    match kind % 16 {
+    match kind {
         0 => out.push_str("# a comment line\n"),
         1 => out.push('\n'),
         2 => out.push_str("   \n"),
@@ -65,10 +69,59 @@ fn power_line(kind: u8, v: u32, out: &mut String) {
             // Arity slip: three fields.
             out.push_str(&format!("{x:.3},{label},9\n"));
         }
+        // Leading whitespace is skipped in the Unicode sense before the
+        // blank/comment test...
+        16 => out.push_str("\u{a0}# a comment behind a no-break space\n"),
+        17 => out.push_str("\u{2003}\x0b \n"),
+        // ...but fields are trimmed of ASCII whitespace only.
+        18 => out.push_str(&format!(" \t{x:.3} \t,\t {label}\t\n")),
+        19 if v.is_multiple_of(19) => out.push_str(&format!("{x:.3}\u{a0},{label}\n")),
+        // One line ending may hold several carriage returns.
+        20 => out.push_str(&format!("{x:.3},{label}\r\r\n")),
+        // Multi-byte characters: every chunk size in the sweep aims a
+        // boundary inside one of them.
+        21 => out.push_str("# température 温度 ∆ — mesurée\n"),
+        // A byte-order mark past the first line is data.
+        22 if v.is_multiple_of(23) => out.push_str(&format!("\u{feff}{x:.3},{label}\n")),
+        // Stands for a line of invalid UTF-8; `power_bytes` swaps the
+        // bytes in.
+        23 if v.is_multiple_of(29) => out.push_str(&format!("{INVALID_UTF8_MARK},{label}\n")),
         _ => {
             out.push_str(&format!("{x:.3},{label}\n"));
         }
     }
+}
+
+/// Placeholder a generated text carries where `power_bytes` puts two bytes
+/// that are not UTF-8 (a `String` cannot hold them).
+const INVALID_UTF8_MARK: &str = "<invalid-utf8>";
+
+/// A generated power CSV as the bytes under test: optionally behind a
+/// byte-order mark, optionally without its final newline, and with every
+/// [`INVALID_UTF8_MARK`] replaced by invalid bytes.
+fn power_bytes(header: bool, bom: bool, cut_final_newline: bool, tokens: &[(u8, u32)]) -> Vec<u8> {
+    let mut text = String::new();
+    if bom {
+        text.push('\u{feff}');
+    }
+    if header {
+        text.push_str("demand,label\n");
+    }
+    for &(kind, v) in tokens {
+        power_line(kind, v, &mut text);
+    }
+    if cut_final_newline && text.ends_with('\n') {
+        text.pop();
+    }
+    let mut bytes = Vec::with_capacity(text.len());
+    let mut rest = text.as_str();
+    while let Some(at) = rest.find(INVALID_UTF8_MARK) {
+        bytes.extend_from_slice(&rest.as_bytes()[..at]);
+        bytes.extend_from_slice(b"\xff\xfe");
+        rest = &rest[at + INVALID_UTF8_MARK.len()..];
+    }
+    bytes.extend_from_slice(rest.as_bytes());
+    bytes
 }
 
 /// Renders one pseudo-random MHEALTH NDJSON line. 18 channels; error
@@ -141,11 +194,11 @@ fn assert_corpora_eq(serial: &LabeledCorpus, chunked: &LabeledCorpus, ctx: &str)
 }
 
 /// Serial vs chunked over every chunk size, success or failure.
-fn assert_power_equivalence(text: &str, policy: MissingValuePolicy) {
+fn assert_power_equivalence(text: &[u8], policy: MissingValuePolicy) {
     let source = PowerCsvSource::new("unused.csv", SPD, policy);
-    let serial = source.parse(std::io::Cursor::new(text.as_bytes()));
+    let serial = source.parse(std::io::Cursor::new(text));
     for chunk in chunk_sizes(text.len()) {
-        let chunked = source.parse_chunked(text.as_bytes(), chunk);
+        let chunked = source.parse_chunked(text, chunk);
         let ctx = format!("power[{policy}] chunk={chunk}");
         match (&serial, &chunked) {
             (Ok(s), Ok(c)) => assert_corpora_eq(s, c, &ctx),
@@ -179,19 +232,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Power CSV: chunked == serial on arbitrary record mixes, with and
-    /// without a leading header, under both missing-value policies.
+    /// without a leading header, a byte-order mark and a final newline,
+    /// under both missing-value policies.
     #[test]
     fn power_chunked_equals_serial(
         tokens in proptest::collection::vec((0u8..32, 0u32..100_000), 0..80),
         header in 0u8..2,
+        bom in 0u8..2,
+        cut_final_newline in 0u8..2,
     ) {
-        let mut text = String::new();
-        if header == 1 {
-            text.push_str("demand,label\n");
-        }
-        for &(kind, v) in &tokens {
-            power_line(kind, v, &mut text);
-        }
+        let text = power_bytes(header == 1, bom == 1, cut_final_newline == 1, &tokens);
         assert_power_equivalence(&text, MissingValuePolicy::Reject);
         assert_power_equivalence(&text, MissingValuePolicy::ImputePrevious);
     }
@@ -217,18 +267,15 @@ proptest! {
     fn power_chunked_is_thread_invariant(
         tokens in proptest::collection::vec((0u8..32, 0u32..100_000), 0..60),
     ) {
-        let mut text = String::new();
-        for &(kind, v) in &tokens {
-            power_line(kind, v, &mut text);
-        }
+        let text = power_bytes(false, false, false, &tokens);
         let source = PowerCsvSource::new("unused.csv", SPD, MissingValuePolicy::ImputePrevious);
         let chunk = (text.len() / 4).max(1);
         let base = hec_tensor::parallel::with_thread_count(1, || {
-            source.parse_chunked(text.as_bytes(), chunk)
+            source.parse_chunked(&text, chunk)
         });
         for threads in [2, 5] {
             let run = hec_tensor::parallel::with_thread_count(threads, || {
-                source.parse_chunked(text.as_bytes(), chunk)
+                source.parse_chunked(&text, chunk)
             });
             match (&base, &run) {
                 (Ok(a), Ok(b)) => assert_corpora_eq(a, b, &format!("threads={threads}")),

@@ -142,6 +142,11 @@ impl Layer for Dense {
         y
     }
 
+    fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
+        self.affine_into(input, out);
+        self.activation.apply_inplace(out);
+    }
+
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
         let input =
             self.cached_input.take().expect("Dense::backward called without training-mode forward");

@@ -52,6 +52,10 @@ impl Layer for Dropout {
         out
     }
 
+    fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
+        out.copy_from(input);
+    }
+
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
         match self.mask.take() {
             Some(mask) => grad_output.hadamard(&mask),

@@ -68,4 +68,4 @@ pub use optim::{Adam, Optimizer, RmsProp, Sgd};
 pub use qdense::{QuantMode, QuantScheme, QuantizedDense};
 pub use seq2seq::{Seq2Seq, Seq2SeqConfig};
 pub use sequential::{Layer, Sequential};
-pub use workspace::Buf;
+pub use workspace::{Buf, PingPong};

@@ -2,9 +2,12 @@
 //!
 //! Weights are quantised **once** post-training (stored transposed,
 //! `out_dim × in_dim`, so per-row parameters are per-output-channel);
-//! activations are optionally quantised **per batch** into a reused buffer.
-//! Both paths route through `_into` kernels and allocate nothing per call
-//! once warm, matching the f32 hot-path guarantee.
+//! activations are optionally quantised **per batch** into the caller's
+//! code buffer. The layer itself is immutable at inference (`&self`): the
+//! weights are shared and every caller brings its own scratch, so blocks of
+//! rows can run on several workers at once. Both paths route through
+//! `_into` kernels and allocate nothing per call once warm, matching the
+//! f32 hot-path guarantee.
 //!
 //! Two execution modes per [`QuantMode`]:
 //!
@@ -66,8 +69,6 @@ pub struct QuantizedDense {
     bias: Matrix,
     activation: Activation,
     mode: QuantMode,
-    /// Per-batch activation codes, reused across calls.
-    xq: QuantizedMatrix,
 }
 
 impl QuantizedDense {
@@ -91,14 +92,7 @@ impl QuantizedDense {
         // the integer kernel reads for this shape, so wide-output layers
         // (the AE decoder) skip the per-call repack. Bit-identical result.
         wq.pack_for_inference();
-        QuantizedDense {
-            wq,
-            w_deq,
-            bias: bias.clone(),
-            activation,
-            mode,
-            xq: QuantizedMatrix::empty(),
-        }
+        QuantizedDense { wq, w_deq, bias: bias.clone(), activation, mode }
     }
 
     /// Input dimensionality.
@@ -127,16 +121,17 @@ impl QuantizedDense {
     }
 
     /// Pre-activation `x·W̃ + b` into a caller-owned buffer (resized in
-    /// place). Allocation-free once `out`, the activation-code buffer and
-    /// the kernel scratch have grown to the workload's shape.
-    pub fn affine_into(&mut self, input: &Matrix, out: &mut Matrix) {
+    /// place). `codes` is the caller's per-batch activation-code scratch
+    /// (untouched in weight-only mode). Allocation-free once `out`, `codes`
+    /// and the kernel scratch have grown to the workload's shape.
+    pub fn affine_into(&self, input: &Matrix, codes: &mut QuantizedMatrix, out: &mut Matrix) {
         if self.mode.quantize_activations {
             // Per-row (= per-sample) activation parameters keep each batch
             // row's result independent of the other rows, so a batched
             // forward is bit-identical to the same windows run one at a
             // time — the invariant `detect_batch` promises.
-            self.xq.quantize_from(input, QuantScheme::PerRow);
-            self.xq.matmul_t_into(&self.wq, out);
+            codes.quantize_from(input, QuantScheme::PerRow);
+            codes.matmul_t_into(&self.wq, out);
         } else {
             input.matmul_into(&self.w_deq, out);
         }
@@ -145,8 +140,8 @@ impl QuantizedDense {
 
     /// Full layer forward `f(x·W̃ + b)` into `out` (activation applied in
     /// place — no allocation).
-    pub fn forward_into(&mut self, input: &Matrix, out: &mut Matrix) {
-        self.affine_into(input, out);
+    pub fn forward_into(&self, input: &Matrix, codes: &mut QuantizedMatrix, out: &mut Matrix) {
+        self.affine_into(input, codes, out);
         self.activation.apply_inplace(out);
     }
 }
@@ -182,7 +177,7 @@ mod tests {
     #[test]
     fn weight_only_equals_f32_gemm_on_fake_quantised_weights() {
         let (w, b) = trained_like(16, 8);
-        let mut q = QuantizedDense::from_weights(
+        let q = QuantizedDense::from_weights(
             &w,
             &b,
             Activation::Linear,
@@ -190,7 +185,7 @@ mod tests {
         );
         let x = Matrix::from_vec(3, 16, (0..48).map(|i| ((i as f32) * 0.19).cos()).collect());
         let mut got = Matrix::zeros(1, 1);
-        q.affine_into(&x, &mut got);
+        q.affine_into(&x, &mut QuantizedMatrix::empty(), &mut got);
         // Reference: f32 affine against the dequantised kernel.
         let mut expect = x.matmul(&q.w_deq);
         expect.add_row_broadcast_assign(&b);
@@ -204,10 +199,10 @@ mod tests {
         let mut exact = x.matmul(&w);
         exact.add_row_broadcast_assign(&b);
         for scheme in [QuantScheme::PerTensor, QuantScheme::PerRow] {
-            let mut q =
+            let q =
                 QuantizedDense::from_weights(&w, &b, Activation::Linear, QuantMode::int8(scheme));
             let mut got = Matrix::zeros(1, 1);
-            q.affine_into(&x, &mut got);
+            q.affine_into(&x, &mut QuantizedMatrix::empty(), &mut got);
             let err = (&got - &exact).frobenius_norm() / exact.frobenius_norm().max(1e-12);
             assert!(err < 0.03, "relative error {err} [{scheme:?}]");
         }
@@ -216,18 +211,19 @@ mod tests {
     #[test]
     fn int8_forward_is_deterministic_across_calls() {
         let (w, b) = trained_like(24, 6);
-        let mut q = QuantizedDense::from_weights(
+        let q = QuantizedDense::from_weights(
             &w,
             &b,
             Activation::Tanh,
             QuantMode::int8(QuantScheme::PerRow),
         );
         let x = Matrix::from_vec(2, 24, (0..48).map(|i| ((i as f32) * 0.29).sin()).collect());
+        let mut codes = QuantizedMatrix::empty();
         let mut first = Matrix::zeros(1, 1);
-        q.forward_into(&x, &mut first);
+        q.forward_into(&x, &mut codes, &mut first);
         for _ in 0..3 {
             let mut again = Matrix::zeros(1, 1);
-            q.forward_into(&x, &mut again);
+            q.forward_into(&x, &mut codes, &mut again);
             assert_eq!(first.as_slice(), again.as_slice());
         }
     }
@@ -235,7 +231,7 @@ mod tests {
     #[test]
     fn activation_applies_in_place() {
         let (w, b) = trained_like(4, 4);
-        let mut q = QuantizedDense::from_weights(
+        let q = QuantizedDense::from_weights(
             &w,
             &b,
             Activation::Relu,
@@ -243,7 +239,7 @@ mod tests {
         );
         let x = Matrix::from_vec(1, 4, vec![-5.0, -5.0, -5.0, -5.0]);
         let mut out = Matrix::zeros(1, 1);
-        q.forward_into(&x, &mut out);
+        q.forward_into(&x, &mut QuantizedMatrix::empty(), &mut out);
         assert!(out.as_slice().iter().all(|&v| v >= 0.0), "ReLU must clamp: {:?}", out.as_slice());
     }
 

@@ -4,6 +4,7 @@ use hec_tensor::Matrix;
 
 use crate::loss::Loss;
 use crate::optim::Optimizer;
+use crate::workspace::PingPong;
 
 /// A differentiable layer with cached forward state.
 ///
@@ -14,10 +15,19 @@ use crate::optim::Optimizer;
 ///    gradients internally, and returns the gradient w.r.t. its input;
 /// 3. [`Layer::visit_params`] walks `(parameter, gradient)` pairs in a stable
 ///    order so an [`Optimizer`] can update them and zero the gradients.
-pub trait Layer {
+///
+/// Layers are `Send + Sync`: [`Layer::infer_into`] reads the weights through
+/// `&self`, so a trained stack can serve several inference workers at once.
+pub trait Layer: Send + Sync {
     /// Forward pass over a batch (`rows = batch`, `cols = features`).
     /// `training` enables dropout and gradient caching.
     fn forward(&mut self, input: &Matrix, training: bool) -> Matrix;
+
+    /// Inference forward pass into a caller-owned buffer (resized in
+    /// place): the same values as `forward(input, false)`, but through
+    /// `&self` and with nothing cached, so one set of weights serves any
+    /// number of callers at once, each with its own `out`.
+    fn infer_into(&self, input: &Matrix, out: &mut Matrix);
 
     /// Backward pass: receives `∂L/∂output`, accumulates parameter gradients,
     /// returns `∂L/∂input`.
@@ -81,6 +91,14 @@ impl Sequential {
             x = layer.forward(&x, false);
         }
         x
+    }
+
+    /// Inference-mode forward pass through `&self`: activations alternate
+    /// between the caller's two buffers, so a warmed call allocates nothing
+    /// and concurrent callers share the weights. Bit-identical to
+    /// [`Sequential::predict`]; the result borrows `acts`.
+    pub fn infer<'a>(&self, input: &Matrix, acts: &'a mut PingPong) -> &'a Matrix {
+        acts.run(&self.layers, input, |layer, src, dst| layer.infer_into(src, dst))
     }
 
     /// Training-mode forward pass (dropout enabled, caches kept).
@@ -211,6 +229,23 @@ mod tests {
         let a = net.predict(&x);
         let b = net.predict(&x);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn infer_matches_predict_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut net = Sequential::new(vec![
+            Box::new(Dense::new(&mut rng, 5, 7, Activation::Tanh)),
+            Box::new(crate::Dropout::new(0.3, 1)),
+            Box::new(Dense::new(&mut rng, 7, 3, Activation::Sigmoid)),
+            Box::new(Dense::new(&mut rng, 3, 5, Activation::Linear)),
+        ]);
+        let mut acts = PingPong::new();
+        for rows in [1, 4, 9] {
+            let x = hec_tensor::init::uniform(&mut rng, rows, 5, -1.0, 1.0);
+            let expect = net.predict(&x);
+            assert_eq!(net.infer(&x, &mut acts), &expect, "rows={rows}");
+        }
     }
 
     #[test]

@@ -75,6 +75,51 @@ impl Buf {
     }
 }
 
+/// The two activation buffers a layer stack alternates between on an
+/// inference pass: each layer reads the previous layer's output from one
+/// and writes its own into the other, so a stack of any depth runs in two
+/// buffers that grow once to the widest activation.
+#[derive(Debug)]
+pub struct PingPong {
+    bufs: [Matrix; 2],
+}
+
+impl PingPong {
+    /// Two minimal buffers; they grow on first use.
+    pub fn new() -> Self {
+        Self { bufs: [Matrix::zeros(1, 1), Matrix::zeros(1, 1)] }
+    }
+
+    /// Feeds `input` through `layers` in order — `step(layer, src, dst)`
+    /// writes one layer's output — and returns the last layer's output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layers` is empty.
+    pub fn run<L>(
+        &mut self,
+        layers: &[L],
+        input: &Matrix,
+        mut step: impl FnMut(&L, &Matrix, &mut Matrix),
+    ) -> &Matrix {
+        let (first, rest) = layers.split_first().expect("a layer stack has at least one layer");
+        let [src, dst] = &mut self.bufs;
+        let (mut src, mut dst) = (src, dst);
+        step(first, input, dst);
+        for layer in rest {
+            std::mem::swap(&mut src, &mut dst);
+            step(layer, src, dst);
+        }
+        dst
+    }
+}
+
+impl Default for PingPong {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,7 +16,7 @@ use hec_nn::{
     Activation, Lstm, LstmState, QuantMode, QuantizedDense, RmsProp, Seq2Seq, Seq2SeqConfig,
 };
 use hec_telemetry::{allocations, CountingAlloc};
-use hec_tensor::{Matrix, QuantScheme};
+use hec_tensor::{Matrix, QuantScheme, QuantizedMatrix};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -66,19 +66,20 @@ fn hot_paths_are_matmul_allocation_free() {
     let dec_w = hec_tensor::init::uniform(&mut rng, 3, 96, -1.0, 1.0);
     let dec_b = Matrix::zeros(1, 96);
     let mode = QuantMode::int8(QuantScheme::PerRow);
-    let mut enc = QuantizedDense::from_weights(&enc_w, &enc_b, Activation::Tanh, mode);
-    let mut dec = QuantizedDense::from_weights(&dec_w, &dec_b, Activation::Linear, mode);
+    let enc = QuantizedDense::from_weights(&enc_w, &enc_b, Activation::Tanh, mode);
+    let dec = QuantizedDense::from_weights(&dec_w, &dec_b, Activation::Linear, mode);
+    let mut codes = QuantizedMatrix::empty();
     let x = hec_tensor::init::uniform(&mut rng, 1, 96, -1.0, 1.0);
     let mut h = Matrix::zeros(1, 3);
     let mut y = Matrix::zeros(1, 96);
-    enc.forward_into(&x, &mut h); // warmup: activation codes + scratch grow
-    dec.forward_into(&h, &mut y);
+    enc.forward_into(&x, &mut codes, &mut h); // warmup: activation codes + scratch grow
+    dec.forward_into(&h, &mut codes, &mut y);
     let mut last_delta = usize::MAX;
     for _attempt in 0..5 {
         let before = allocations();
         for _ in 0..32 {
-            enc.forward_into(&x, &mut h);
-            dec.forward_into(&h, &mut y);
+            enc.forward_into(&x, &mut codes, &mut h);
+            dec.forward_into(&h, &mut codes, &mut y);
         }
         last_delta = allocations() - before;
         if last_delta == 0 {

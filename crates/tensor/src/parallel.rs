@@ -15,6 +15,7 @@
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 
 thread_local! {
     /// Per-thread override installed by [`with_thread_count`]; takes
@@ -79,7 +80,10 @@ pub fn with_thread_count<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 ///
 /// # Panics
 ///
-/// Propagates panics from `f` (the whole map panics if any worker panics).
+/// Propagates panics from `f` with their payload: the whole map panics
+/// with the message of the first failed worker in spawn order, which for
+/// a panic that depends only on the index is the one the serial map
+/// raises.
 ///
 /// # Example
 ///
@@ -122,26 +126,51 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    parallel_map_spans(len, grain, |span| span.map(&f).collect())
+}
+
+/// Hands each worker one contiguous span of `0..len` and concatenates the
+/// vectors `f` returns **in span order** — the form under every map in
+/// this module, for callers that set something up once per worker (scratch
+/// buffers, one output vector) and then walk their span themselves. With
+/// one worker — fewer than two `grain`s of indices, one thread configured,
+/// or a call from inside another worker — `f(0..len)` runs on the calling
+/// thread and its vector is returned as is. `f` must not let the result
+/// for an index depend on where its span starts.
+///
+/// # Panics
+///
+/// Propagates panics from `f` with their payload: the first failed worker
+/// in span order re-raises its own, so an assertion inside `f` reads the
+/// same at one worker and at many.
+pub fn parallel_map_spans<R, F>(len: usize, grain: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(Range<usize>) -> Vec<R> + Sync,
+{
     let threads = thread_count().min(len / grain.max(1)).max(1);
     if threads <= 1 || IN_WORKER.with(Cell::get) {
-        return (0..len).map(f).collect();
+        return f(0..len);
     }
-    let chunk_len = len.div_ceil(threads);
+    let span_len = len.div_ceil(threads);
     std::thread::scope(|scope| {
         let f = &f;
         let handles: Vec<_> = (0..len)
-            .step_by(chunk_len)
+            .step_by(span_len)
             .map(|start| {
-                let end = (start + chunk_len).min(len);
+                let end = (start + span_len).min(len);
                 scope.spawn(move || {
                     IN_WORKER.with(|c| c.set(true));
-                    (start..end).map(f).collect::<Vec<R>>()
+                    f(start..end)
                 })
             })
             .collect();
         let mut out = Vec::with_capacity(len);
         for handle in handles {
-            out.extend(handle.join().expect("parallel_map worker panicked"));
+            match handle.join() {
+                Ok(span) => out.extend(span),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
         out
     })
@@ -185,6 +214,45 @@ mod tests {
         let out = with_thread_count(4, || parallel_map_range_grained(101, 1, |i| i * 3));
         assert_eq!(out, (0..101).map(|i| i * 3).collect::<Vec<_>>());
         assert!(parallel_map_range_grained(0, 1, |i| i).is_empty());
+    }
+
+    /// A panic inside `f` reaches the caller with its own message, whether
+    /// the map ran inline or on workers (index 70 sits in the last of three
+    /// chunks; index 40 in the second, so the earlier chunk's payload wins).
+    fn panic_at_40_and_70(threads: usize) {
+        with_thread_count(threads, || {
+            parallel_map_range_grained(90, 1, |i| {
+                assert!(i != 40 && i != 70, "index {i} is not allowed");
+                i
+            })
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "index 40 is not allowed")]
+    fn worker_panic_keeps_its_message_serial() {
+        panic_at_40_and_70(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "index 40 is not allowed")]
+    fn worker_panic_keeps_its_message_three_workers() {
+        panic_at_40_and_70(3);
+    }
+
+    #[test]
+    fn spans_tile_the_range_in_order() {
+        for (threads, len) in [(1, 10), (3, 10), (4, 103), (8, 5)] {
+            let spans = with_thread_count(threads, || parallel_map_spans(len, 1, |s| vec![s]));
+            assert!(spans.len() <= threads, "threads={threads} len={len}");
+            assert_eq!(spans.len() > 1, threads > 1, "threads={threads} len={len}");
+            assert_eq!(spans.first().map(|s| s.start), Some(0));
+            assert_eq!(spans.last().map(|s| s.end), Some(len));
+            assert!(spans.windows(2).all(|pair| pair[0].end == pair[1].start));
+        }
+        // Below two grains the caller's thread gets the whole range.
+        let spans = with_thread_count(4, || parallel_map_spans(19, 10, |s| vec![s]));
+        assert_eq!(spans, vec![0..19]);
     }
 
     #[test]

@@ -189,12 +189,31 @@ impl Gaussian {
     ///
     /// [`GaussianError::DimensionMismatch`] if the Gaussian is not 1-D.
     pub fn log_pdf_scalar(&self, x: f32) -> Result<f32, GaussianError> {
+        let mut sample = [x];
+        self.log_pdf_scalars(&mut sample)?;
+        Ok(sample[0])
+    }
+
+    /// Replaces every 1-dimensional sample in `xs` by its log probability
+    /// density — [`Gaussian::log_pdf_scalar`] over a slice, with the
+    /// Gaussian's constants read once, so the loop is plain element-wise
+    /// arithmetic the compiler can vectorise. Same operations in the same
+    /// order per element, hence the same bits.
+    ///
+    /// # Errors
+    ///
+    /// [`GaussianError::DimensionMismatch`] if the Gaussian is not 1-D.
+    pub fn log_pdf_scalars(&self, xs: &mut [f32]) -> Result<(), GaussianError> {
         if self.dim != 1 {
             return Err(GaussianError::DimensionMismatch { expected: self.dim, got: 1 });
         }
-        let y = (x - self.mean[0]) / self.chol[(0, 0)];
-        let maha_sq = y * y;
-        Ok(-0.5 * ((2.0 * std::f32::consts::PI).ln() + self.log_det + maha_sq))
+        let (mean, scale) = (self.mean[0], self.chol[(0, 0)]);
+        let constant = (2.0 * std::f32::consts::PI).ln() + self.log_det;
+        for x in xs {
+            let y = (*x - mean) / scale;
+            *x = -0.5 * (constant + y * y);
+        }
+        Ok(())
     }
 
     /// Squared Mahalanobis distance `(x-µ)ᵀ Σ⁻¹ (x-µ)`.
