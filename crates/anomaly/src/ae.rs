@@ -435,27 +435,26 @@ impl AnomalyDetector for AutoencoderDetector {
         validate_training_set(train)?;
         let dim = self.input_dim();
         for (i, w) in train.iter().enumerate() {
-            if w.flattened().len() != dim {
+            if w.data.len() != dim {
                 return Err(FitError::InvalidTrainingSet {
-                    reason: format!(
-                        "window {i} has {} points, model expects {dim}",
-                        w.flattened().len()
-                    ),
+                    reason: format!("window {i} has {} points, model expects {dim}", w.data.len()),
                 });
             }
         }
 
         let mut opt = RmsProp::new(self.learning_rate);
         let mut order: Vec<usize> = (0..train.len()).collect();
+        let mut batch = Matrix::zeros(1, dim);
         let mut final_loss = 0.0f32;
         for _ in 0..epochs {
             order.shuffle(&mut self.rng);
             let mut epoch_loss = 0.0f32;
             let mut batches = 0usize;
             for chunk in order.chunks(self.batch_size) {
-                let rows: Vec<Vec<f32>> = chunk.iter().map(|&i| train[i].flattened()).collect();
-                let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
-                let batch = Matrix::from_rows(&refs);
+                batch.resize(chunk.len(), dim);
+                for (r, &i) in chunk.iter().enumerate() {
+                    batch.row_mut(r).copy_from_slice(train[i].data.as_slice());
+                }
                 epoch_loss += self.net.train_batch(&batch, &batch, &Mse, &mut opt, 0.0);
                 batches += 1;
             }

@@ -125,6 +125,16 @@ pub trait AnomalyDetector {
         None
     }
 
+    /// [`context_features`] of a whole corpus, in order — `None` unless the
+    /// model provides them for every window. The default is a per-window
+    /// loop; [`crate::Seq2SeqDetector`] overrides it to encode a block of
+    /// windows per pass, with identical results.
+    ///
+    /// [`context_features`]: AnomalyDetector::context_features
+    fn context_features_batch(&mut self, windows: &[LabeledWindow]) -> Option<Vec<Vec<f32>>> {
+        windows.iter().map(|w| self.context_features(w)).collect()
+    }
+
     /// The calibrated logPD detection threshold, if fitted.
     fn threshold(&self) -> Option<f32> {
         None

@@ -219,11 +219,26 @@ impl LogPdScorer {
             assert_eq!(e.len(), dim, "inconsistent error-vector dimensionality");
             flat.extend_from_slice(e);
         }
-        let samples = Matrix::from_vec(errors.len(), dim, flat);
-        let gaussian = Gaussian::fit(&samples, ridge)?;
+        Ok(Self::fit_rows(&Matrix::from_vec(errors.len(), dim, flat), ridge, rule)?)
+    }
+
+    /// [`LogPdScorer::fit_with_rule`] on error vectors already laid out as
+    /// the rows of one matrix — no per-vector allocation on either side.
+    ///
+    /// # Errors
+    ///
+    /// The [`GaussianError`] if the fit fails (a matrix always has a row, so
+    /// there is no empty calibration set to report).
+    pub fn fit_rows(
+        errors: &Matrix,
+        ridge: f32,
+        rule: ThresholdRule,
+    ) -> Result<Self, GaussianError> {
+        let gaussian = Gaussian::fit(errors, ridge)?;
+        let mut scratch = vec![0.0; errors.cols()];
         let log_pds: Vec<f32> = errors
-            .iter()
-            .map(|e| gaussian.log_pdf(e).expect("dimension validated above"))
+            .iter_rows()
+            .map(|e| gaussian.log_pdf_with(e, &mut scratch).expect("rows have the fitted width"))
             .collect();
         let threshold = rule.threshold(&log_pds);
         Ok(Self { gaussian, threshold })
@@ -264,25 +279,47 @@ impl LogPdScorer {
         self.gaussian.log_pdf_scalar(error).expect("scorer is not 1-dimensional")
     }
 
-    /// Scores a window's per-point error vectors; returns
-    /// `(min_log_pd, anomalous_fraction)` where a point is anomalous when its
-    /// logPD is below the threshold.
+    /// logPD of a single error vector, with the working vector supplied by
+    /// the caller (`scratch.len() == self.dim()`) — allocation-free and
+    /// bit-identical to [`LogPdScorer::log_pd`].
     ///
     /// # Panics
     ///
-    /// Panics if `errors` is empty or dimensionality differs.
-    pub fn score_window(&self, errors: &[Vec<f32>]) -> (f32, f32) {
-        assert!(!errors.is_empty(), "empty window");
+    /// Panics if either length differs from the calibration's dimension.
+    pub fn log_pd_with(&self, error: &[f32], scratch: &mut [f32]) -> f32 {
+        self.gaussian.log_pdf_with(error, scratch).expect("error-vector dimension mismatch")
+    }
+
+    /// Scores a window whose per-point error vectors are the given `rows`
+    /// of `errors` (a window of a time-major block is every `batch`-th
+    /// row); returns `(min_log_pd, anomalous_fraction)` where a point is
+    /// anomalous when its logPD is below the threshold. `scratch` is
+    /// resized to the error dimension; once it has that capacity the call
+    /// allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty or the matrix width differs from the
+    /// calibration's dimension.
+    pub fn score_window(
+        &self,
+        errors: &Matrix,
+        rows: impl Iterator<Item = usize>,
+        scratch: &mut Vec<f32>,
+    ) -> (f32, f32) {
+        scratch.resize(self.dim(), 0.0);
         let mut min_lp = f32::INFINITY;
-        let mut below = 0usize;
-        for e in errors {
-            let lp = self.log_pd(e);
+        let (mut below, mut points) = (0usize, 0usize);
+        for r in rows {
+            let lp = self.log_pd_with(errors.row(r), scratch);
             min_lp = min_lp.min(lp);
             if lp < self.threshold {
                 below += 1;
             }
+            points += 1;
         }
-        (min_lp, below as f32 / errors.len() as f32)
+        assert!(points > 0, "empty window");
+        (min_lp, below as f32 / points as f32)
     }
 
     /// Scalar-error variant of [`LogPdScorer::score_window`] for univariate
@@ -327,7 +364,8 @@ mod tests {
     #[test]
     fn training_points_never_below_threshold() {
         let scorer = LogPdScorer::fit(&calib(), 1e-4).unwrap();
-        let (_, frac) = scorer.score_window(&calib());
+        let errors = Matrix::from_vec(100, 1, calib().concat());
+        let (_, frac) = scorer.score_window(&errors, 0..100, &mut Vec::new());
         assert_eq!(frac, 0.0);
     }
 
@@ -335,7 +373,8 @@ mod tests {
     fn large_error_scores_below_threshold() {
         let scorer = LogPdScorer::fit(&calib(), 1e-4).unwrap();
         assert!(scorer.log_pd(&[3.0]) < scorer.threshold());
-        let (min_lp, frac) = scorer.score_window(&[vec![3.0], vec![0.0]]);
+        let errors = Matrix::from_vec(2, 1, vec![3.0, 0.0]);
+        let (min_lp, frac) = scorer.score_window(&errors, 0..2, &mut Vec::new());
         assert!(min_lp < scorer.threshold());
         assert!((frac - 0.5).abs() < 1e-6);
     }
@@ -343,9 +382,9 @@ mod tests {
     #[test]
     fn scalar_scoring_is_bit_identical_to_vector_scoring() {
         let scorer = LogPdScorer::fit(&calib(), 1e-4).unwrap();
-        let window: Vec<Vec<f32>> = vec![vec![0.01], vec![-0.07], vec![3.0], vec![0.0]];
-        let scalars: Vec<f32> = window.iter().map(|e| e[0]).collect();
-        let (min_v, frac_v) = scorer.score_window(&window);
+        let scalars = vec![0.01f32, -0.07, 3.0, 0.0];
+        let window = Matrix::from_vec(4, 1, scalars.clone());
+        let (min_v, frac_v) = scorer.score_window(&window, 0..4, &mut Vec::new());
         let mut log_pds = scalars.clone();
         let (min_s, frac_s) = scorer.score_window_scalar(&mut log_pds);
         assert_eq!(min_v.to_bits(), min_s.to_bits());
@@ -363,6 +402,15 @@ mod tests {
         let scorer = LogPdScorer::fit(&errors, 1e-4).unwrap();
         assert_eq!(scorer.dim(), 2);
         assert!(scorer.log_pd(&[1.0, 1.0]) < scorer.threshold());
+
+        // A window interleaved into a time-major block of two: its points
+        // are every second row, scored as if they stood alone.
+        let block = Matrix::from_rows(&[&[1.0, 1.0], &[9.0, 9.0], &[0.01, -0.01], &[9.0, 9.0]]);
+        let mut scratch = Vec::new();
+        let (min_lp, frac) = scorer.score_window(&block, (0..4).step_by(2), &mut scratch);
+        assert_eq!(min_lp.to_bits(), scorer.log_pd(&[1.0, 1.0]).to_bits());
+        assert_eq!(frac, 0.5);
+        assert_eq!(scorer.log_pd_with(&[0.01, -0.01], &mut scratch), scorer.log_pd(&[0.01, -0.01]));
     }
 
     #[test]

@@ -5,6 +5,22 @@
 //! *double the number of LSTM units*; the cloud model uses a *bidirectional*
 //! encoder. Scoring follows §II-A3: per-timestep reconstruction-error vectors
 //! are modelled with a Gaussian `N(µ, Σ)` and scored by logPD.
+//!
+//! # Blocks
+//!
+//! Every entry point — `fit`'s training windows, calibration,
+//! [`AnomalyDetector::detect`] / `detect_batch`, the policy context — goes
+//! through one routine: gather up to [`BLOCK_WINDOWS`] equally long windows
+//! into this thread's scratch as one **time-major** block (deployment
+//! truncation and input quantisation applied on the way), hand the block to
+//! the model's batch axis, read the result row by row. Rows of the model's
+//! products are independent, so a window's errors, scores and context are
+//! the same bits alone or in any block (`tests/seq2seq_blocks.rs`);
+//! windows of another length simply start the next block. Blocks run
+//! inline on the caller: the scratch is bounded by one block and shared by
+//! every detector on the thread, and no entry point spawns a thread.
+
+use std::cell::RefCell;
 
 use hec_data::LabeledWindow;
 use hec_nn::{RmsProp, Seq2Seq, Seq2SeqConfig};
@@ -12,6 +28,37 @@ use hec_tensor::Matrix;
 
 use crate::detector::{validate_training_set, AnomalyDetector, Detection, FitError, FitReport};
 use crate::scorer::{ConfidenceRule, LogPdScorer, ThresholdRule};
+
+/// Windows per inference block: the row count the autoencoders settled on
+/// (four of the f32 kernel's 4-row register tiles). The LSTM's own state
+/// for a block is one step deep whatever the window length, and the
+/// gathered block of the paper's 128 × 18 windows is 144 KB.
+const BLOCK_WINDOWS: usize = 16;
+
+/// Per-thread inference scratch, grown once to the largest block seen.
+struct Scratch {
+    /// The gathered time-major block; then, in place, its errors.
+    rows: Matrix,
+    /// Working vector of the logPD's triangular solve.
+    y: Vec<f32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> =
+        RefCell::new(Scratch { rows: Matrix::zeros(1, 1), y: Vec::new() });
+}
+
+/// Splits a corpus into the blocks the model can batch: runs of up to
+/// [`BLOCK_WINDOWS`] equally long windows, in corpus order.
+fn blocks(mut windows: &[LabeledWindow]) -> impl Iterator<Item = &[LabeledWindow]> {
+    std::iter::from_fn(move || {
+        let len = windows.first()?.len();
+        let n = windows.iter().take(BLOCK_WINDOWS).take_while(|w| w.len() == len).count();
+        let (block, rest) = windows.split_at(n);
+        windows = rest;
+        Some(block)
+    })
+}
 
 /// A seq2seq anomaly detector over multichannel windows.
 ///
@@ -168,25 +215,72 @@ impl Seq2SeqDetector {
         self.input_bits = bits;
     }
 
-    /// Applies the deployment truncation and input quantization to a
-    /// window's timesteps.
-    fn deployed_steps(&self, window: &LabeledWindow) -> Vec<Matrix> {
-        let mut steps = window.timesteps();
-        if let Some(f) = self.truncation_fraction {
-            let keep = ((steps.len() as f32 * f).round() as usize).max(2).min(steps.len());
-            steps.truncate(keep);
+    /// Steps of a `len`-step window the deployed model reads.
+    fn deployed_len(&self, len: usize) -> usize {
+        match self.truncation_fraction {
+            Some(f) => ((len as f32 * f).round() as usize).max(2).min(len),
+            None => len,
         }
-        if let Some(bits) = self.input_bits {
-            let levels = ((1u32 << bits) - 1) as f32;
-            let delta = 8.0 / levels;
-            for m in &mut steps {
-                m.map_inplace(|x| {
+    }
+
+    /// The one way into the model: gathers `block` (equally long windows)
+    /// time-major into this thread's scratch — the deployment truncation
+    /// and input quantization applied — and hands `run` the detector, the
+    /// block and the logPD working vector. `run` must not re-enter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the windows differ in length or a channel count differs
+    /// from the model's.
+    fn with_block<R>(
+        &mut self,
+        block: &[LabeledWindow],
+        run: impl FnOnce(&mut Self, &mut Matrix, &mut Vec<f32>) -> R,
+    ) -> R {
+        let (batch, dim) = (block.len(), self.model.config().input_dim);
+        let steps = self.deployed_len(block[0].len());
+        SCRATCH.with(|scratch| {
+            let Scratch { rows, y } = &mut *scratch.borrow_mut();
+            rows.resize(steps * batch, dim);
+            for (b, w) in block.iter().enumerate() {
+                assert_eq!(w.channels(), dim, "window channels do not match the model input");
+                assert_eq!(w.len(), block[0].len(), "a block's windows must be equally long");
+                for t in 0..steps {
+                    rows.row_mut(t * batch + b).copy_from_slice(w.data.row(t));
+                }
+            }
+            if let Some(bits) = self.input_bits {
+                let levels = ((1u32 << bits) - 1) as f32;
+                let delta = 8.0 / levels;
+                rows.map_inplace(|x| {
                     let clamped = x.clamp(-4.0, 4.0);
                     ((clamped + 4.0) / delta).round() * delta - 4.0
                 });
             }
-        }
-        steps
+            run(self, rows, y)
+        })
+    }
+
+    /// Scores a block of equally long windows, handing `emit` each
+    /// window's detection in order.
+    fn detect_block(&mut self, block: &[LabeledWindow], mut emit: impl FnMut(Detection)) {
+        self.with_block(block, |det, errors, y| {
+            let batch = block.len();
+            det.model.reconstruction_errors(errors, batch);
+            let scorer = det.scorer.as_ref().expect("detect called before fit");
+            for b in 0..batch {
+                let window_rows = (b..errors.rows()).step_by(batch);
+                let (min_log_pd, anomalous_fraction) = scorer.score_window(errors, window_rows, y);
+                let anomalous = anomalous_fraction > det.flag_fraction;
+                let confident = det.confidence.is_confident(
+                    min_log_pd,
+                    anomalous_fraction,
+                    scorer.threshold(),
+                    anomalous,
+                );
+                emit(Detection { anomalous, confident, min_log_pd, anomalous_fraction });
+            }
+        });
     }
 
     /// Sets the window-flagging fraction.
@@ -207,34 +301,47 @@ impl Seq2SeqDetector {
     /// Encoded state of a window — the policy network's multivariate context
     /// (§III-B: "we use the encoded states of the LSTM-encoder").
     pub fn encode_context(&mut self, window: &LabeledWindow) -> Vec<f32> {
-        let steps = self.deployed_steps(window);
-        let state = self.model.encode(&steps);
-        state.h.as_slice().to_vec()
-    }
-
-    fn window_errors(&mut self, window: &LabeledWindow) -> Vec<Vec<f32>> {
-        let steps = self.deployed_steps(window);
-        self.model.reconstruction_errors(&steps)
+        self.with_block(std::slice::from_ref(window), |det, rows, _| {
+            det.model.encode(rows, 1).h.as_slice().to_vec()
+        })
     }
 
     /// Fits the logPD scorer (and threshold) on `calibration`'s
     /// reconstruction errors through the current weights — shared by
     /// `fit` and `recalibrate`.
     fn calibrate_scorer(&mut self, calibration: &[LabeledWindow]) -> Result<f32, FitError> {
-        let per_window: Vec<Vec<Vec<f32>>> =
-            calibration.iter().map(|w| self.window_errors(w)).collect();
-        let all_errors: Vec<Vec<f32>> = per_window.iter().flatten().cloned().collect();
-        let mut scorer = LogPdScorer::fit_with_rule(&all_errors, 1e-4, self.threshold_rule)
-            .map_err(|e| match e {
-                crate::scorer::ScorerError::Gaussian(g) => FitError::Scoring(g),
-                crate::scorer::ScorerError::EmptyCalibrationSet => {
-                    FitError::InvalidTrainingSet { reason: "no calibration errors produced".into() }
+        // Every window's error vectors, window after window — the order the
+        // Gaussian's sums run in — and where each window's rows end.
+        let total = calibration.iter().map(|w| self.deployed_len(w.len())).sum();
+        let mut errors = Matrix::zeros(total, self.model.config().input_dim);
+        let mut ends = Vec::with_capacity(calibration.len());
+        let mut at = 0;
+        for block in blocks(calibration) {
+            self.with_block(block, |det, rows, _| {
+                let batch = block.len();
+                det.model.reconstruction_errors(rows, batch);
+                for b in 0..batch {
+                    for r in (b..rows.rows()).step_by(batch) {
+                        errors.row_mut(at).copy_from_slice(rows.row(r));
+                        at += 1;
+                    }
+                    ends.push(at);
                 }
-            })?;
+            });
+        }
+
+        let mut scorer = LogPdScorer::fit_rows(&errors, 1e-4, self.threshold_rule)?;
         if let ThresholdRule::WindowFpr(_) = self.threshold_rule {
-            let minima: Vec<f32> = per_window
+            let mut y = vec![0.0; scorer.dim()];
+            let mut start = 0;
+            let minima: Vec<f32> = ends
                 .iter()
-                .map(|errs| errs.iter().map(|e| scorer.log_pd(e)).fold(f32::INFINITY, f32::min))
+                .map(|&end| {
+                    let rows = start..end;
+                    start = end;
+                    rows.map(|r| scorer.log_pd_with(errors.row(r), &mut y))
+                        .fold(f32::INFINITY, f32::min)
+                })
                 .collect();
             scorer.set_threshold(self.threshold_rule.threshold(&minima));
         }
@@ -272,8 +379,9 @@ impl AnomalyDetector for Seq2SeqDetector {
         for _ in 0..epochs {
             let mut epoch_loss = 0.0f32;
             for w in train {
-                let steps: Vec<Matrix> = self.deployed_steps(w);
-                epoch_loss += self.model.train_batch(&steps, &mut opt);
+                epoch_loss += self.with_block(std::slice::from_ref(w), |det, steps, _| {
+                    det.model.train_batch(steps, 1, &mut opt)
+                });
             }
             final_loss = epoch_loss / train.len() as f32;
         }
@@ -289,35 +397,53 @@ impl AnomalyDetector for Seq2SeqDetector {
     }
 
     fn detect(&mut self, window: &LabeledWindow) -> Detection {
-        let errors = self.window_errors(window);
-        let scorer = self.scorer.as_ref().expect("detect called before fit");
-        let (min_log_pd, anomalous_fraction) = scorer.score_window(&errors);
-        let anomalous = anomalous_fraction > self.flag_fraction;
-        let confident = self.confidence.is_confident(
-            min_log_pd,
-            anomalous_fraction,
-            scorer.threshold(),
-            anomalous,
-        );
-        Detection { anomalous, confident, min_log_pd, anomalous_fraction }
+        let mut detection = None;
+        self.detect_block(std::slice::from_ref(window), |d| detection = Some(d));
+        detection.expect("a one-window block yields one detection")
+    }
+
+    /// Batched scoring, block by block (see the module docs): results are
+    /// identical to the per-window path.
+    fn detect_batch(&mut self, windows: &[LabeledWindow]) -> Vec<Detection> {
+        let mut detections = Vec::with_capacity(windows.len());
+        for block in blocks(windows) {
+            self.detect_block(block, |d| detections.push(d));
+        }
+        detections
     }
 
     fn context_features(&mut self, window: &LabeledWindow) -> Option<Vec<f32>> {
+        self.context_features_batch(std::slice::from_ref(window))?.pop()
+    }
+
+    fn context_features_batch(&mut self, windows: &[LabeledWindow]) -> Option<Vec<Vec<f32>>> {
         // Encoder state (paper §III-B) augmented with per-channel mean/std —
         // both computable on the IoT device in one pass; the summary stats
         // compensate for the reduced fidelity of the on-device encoder input
         // (see DESIGN.md §2).
-        let mut ctx = self.encode_context(window);
-        let n = window.data.rows() as f32;
-        for c in 0..window.channels() {
-            // Strided column iteration (no per-channel Vec); same summation
-            // order as `vecops::{mean, std_dev}` over a copied column.
-            let mean = window.data.col_iter(c).sum::<f32>() / n;
-            let var = window.data.col_iter(c).map(|x| (x - mean) * (x - mean)).sum::<f32>() / n;
-            ctx.push(mean);
-            ctx.push(var.sqrt());
+        let mut contexts = Vec::with_capacity(windows.len());
+        for block in blocks(windows) {
+            self.with_block(block, |det, rows, _| {
+                let encoded = &det.model.encode(rows, block.len()).h;
+                for (b, window) in block.iter().enumerate() {
+                    let mut ctx = Vec::with_capacity(encoded.cols() + 2 * window.channels());
+                    ctx.extend_from_slice(encoded.row(b));
+                    let n = window.data.rows() as f32;
+                    for c in 0..window.channels() {
+                        // Strided column iteration (no per-channel Vec); same
+                        // summation order as `vecops::{mean, std_dev}` over a
+                        // copied column.
+                        let col = || window.data.col_iter(c);
+                        let mean = col().sum::<f32>() / n;
+                        let var = col().map(|x| (x - mean) * (x - mean)).sum::<f32>() / n;
+                        ctx.push(mean);
+                        ctx.push(var.sqrt());
+                    }
+                    contexts.push(ctx);
+                }
+            });
         }
-        Some(ctx)
+        Some(contexts)
     }
 
     fn threshold(&self) -> Option<f32> {

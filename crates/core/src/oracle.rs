@@ -142,13 +142,9 @@ impl Oracle {
 /// univariate summary features.
 fn extract_contexts(catalog: &mut ModelCatalog, windows: &[LabeledWindow]) -> Vec<Vec<f32>> {
     let iot = catalog.detector_mut(hec_anomaly::HecLayer::IoT);
-    windows
-        .iter()
-        .map(|w| {
-            iot.context_features(w)
-                .unwrap_or_else(|| vecops::summary_features(w.data.as_slice()).to_vec())
-        })
-        .collect()
+    iot.context_features_batch(windows).unwrap_or_else(|| {
+        windows.iter().map(|w| vecops::summary_features(w.data.as_slice()).to_vec()).collect()
+    })
 }
 
 #[cfg(test)]

@@ -52,12 +52,6 @@ impl LabeledWindow {
     pub fn flattened(&self) -> Vec<f32> {
         self.data.as_slice().to_vec()
     }
-
-    /// Per-timestep rows as 1×channels matrices, as consumed by the seq2seq
-    /// models.
-    pub fn timesteps(&self) -> Vec<Matrix> {
-        self.data.iter_rows().map(Matrix::row_vector).collect()
-    }
 }
 
 /// Extracts sliding windows of `size` timesteps every `stride` steps from a
@@ -114,15 +108,6 @@ mod tests {
         let big = LabeledWindow::new(Matrix::ones(128, 18), true);
         assert!(!big.is_empty());
         assert_eq!(big.len(), 128);
-    }
-
-    #[test]
-    fn timesteps_shapes() {
-        let w = LabeledWindow::new(Matrix::ones(5, 3), true);
-        let ts = w.timesteps();
-        assert_eq!(ts.len(), 5);
-        assert_eq!(ts[0].shape(), (1, 3));
-        assert!(w.anomalous);
     }
 
     #[test]

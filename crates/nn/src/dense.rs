@@ -2,6 +2,7 @@
 
 use rand::Rng;
 
+use hec_tensor::kernel::gemm_nn;
 use hec_tensor::{init, Matrix};
 
 use crate::activation::Activation;
@@ -123,9 +124,35 @@ impl Dense {
 
     /// Computes the pre-activation `x·W + b` into a caller-owned buffer
     /// (resized in place) — the allocation-free inference path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` is not `in_dim` wide.
     pub fn affine_into(&self, input: &Matrix, out: &mut Matrix) {
-        input.matmul_into(&self.weight, out);
-        out.add_row_broadcast_assign(&self.bias);
+        assert_eq!(input.cols(), self.weight.rows(), "dense input width mismatch");
+        out.resize(input.rows(), self.weight.cols());
+        self.affine_rows(input.as_slice(), out.as_mut_slice());
+    }
+
+    /// [`Dense::affine_into`] between row-major slices — for callers whose
+    /// rows are a block of a larger arena rather than a [`Matrix`] of their
+    /// own (the seq2seq decoder's per-step feedback).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `input` holds whole rows of `in_dim` values and `out`
+    /// as many rows of `out_dim`.
+    pub fn affine_rows(&self, input: &[f32], out: &mut [f32]) {
+        let (in_dim, out_dim) = self.weight.shape();
+        let rows = input.len() / in_dim;
+        assert_eq!(input.len(), rows * in_dim, "dense input is not whole rows");
+        assert_eq!(out.len(), rows * out_dim, "dense output row count mismatch");
+        gemm_nn(rows, in_dim, out_dim, input, self.weight.as_slice(), out);
+        for row in out.chunks_exact_mut(out_dim) {
+            for (x, &b) in row.iter_mut().zip(self.bias.as_slice()) {
+                *x += b;
+            }
+        }
     }
 }
 

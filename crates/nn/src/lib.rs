@@ -19,8 +19,11 @@
 //! Every model owns a preallocated scratch workspace (see [`workspace`]) and
 //! routes its matrix products through `hec-tensor`'s `_into` kernels, so
 //! steady-state forward and training steps allocate no matmul temporaries
-//! (every product lands in a reused buffer or a caller-visible output), and
-//! the inference [`Lstm::step_into`] performs zero heap allocations.
+//! (every product lands in a reused buffer or a caller-visible output). The
+//! LSTMs work a sequence at a time on time-major arenas (see [`lstm`]): a
+//! warmed inference pass — [`Lstm::step_seq`], or a whole block of windows
+//! through [`Seq2Seq`] — performs zero heap allocations, and a training
+//! step a small constant, none of them per timestep.
 //!
 //! # Example
 //!

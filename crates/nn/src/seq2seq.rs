@@ -16,6 +16,27 @@
 //! Gradient through the autoregressive feedback connection (output at `t`
 //! feeding input at `t+1`) is truncated (stop-gradient), matching the common
 //! TensorFlow `feed_previous` implementation the paper's stack builds on.
+//! So no layer here ever asks [`Lstm::backward_seq`] for `dx`, and it is
+//! not computed.
+//!
+//! # Windows and blocks
+//!
+//! Every entry point takes a **time-major** sequence matrix and its batch
+//! size: `T·B` rows of `input_dim` channels, row `t·B + b` is step `t` of
+//! window `b` (see [`crate::lstm`]). One window's `T × channels` matrix is
+//! the batch-1 case as it stands; a block of equal-length windows is
+//! interleaved by the caller. Rows of every product are independent, so a
+//! window's reconstruction, encoded state and errors are the same bits at
+//! any `B` — `hec-anomaly` scores corpora sixteen windows at a time on
+//! that.
+//!
+//! The model owns three buffers beside the layers' own arenas, each grown
+//! once and reused: the encoder's final state (the decoder's initial one),
+//! the decoder's fed-back outputs `ŷ_t` (`T·B × input_dim`) and, in
+//! training, its stacked hidden states for dropout and the output layer.
+//! In inference dropout is the identity, so the fed-back `ŷ_t = h_t·W + b`
+//! *is* the reconstruction: the output layer runs once per step, not a
+//! second time over the stacked states.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -78,14 +99,14 @@ enum Encoder {
 ///
 /// let config = Seq2SeqConfig { input_dim: 2, encoder_hidden: 8, ..Default::default() };
 /// let mut model = Seq2Seq::new(config);
-/// // One batch (size 1) of a 4-step, 2-channel window.
-/// let window: Vec<Matrix> = (0..4)
-///     .map(|t| Matrix::row_vector(&[(t as f32 * 0.5).sin(), (t as f32 * 0.5).cos()]))
-///     .collect();
+/// // One window (batch 1) of 4 steps × 2 channels.
+/// let steps: Vec<f32> =
+///     (0..4).flat_map(|t| [(t as f32 * 0.5).sin(), (t as f32 * 0.5).cos()]).collect();
+/// let window = Matrix::from_vec(4, 2, steps);
 /// let mut opt = RmsProp::new(1e-3);
-/// let first = model.train_batch(&window, &mut opt);
-/// for _ in 0..30 { model.train_batch(&window, &mut opt); }
-/// let last = model.train_batch(&window, &mut opt);
+/// let first = model.train_batch(&window, 1, &mut opt);
+/// for _ in 0..30 { model.train_batch(&window, 1, &mut opt); }
+/// let last = model.train_batch(&window, 1, &mut opt);
 /// assert!(last < first);
 /// ```
 pub struct Seq2Seq {
@@ -94,9 +115,12 @@ pub struct Seq2Seq {
     dropout: Dropout,
     output: Dense,
     config: Seq2SeqConfig,
-    /// Reused buffer for the autoregressive decoder feedback `x̂_{t}` — the
-    /// only per-step matmul target the layers don't already own.
-    feedback: Buf,
+    /// The encoder's final state — the decoder's initial one.
+    encoded: LstmState,
+    /// The decoder's fed-back outputs `ŷ_t`, time-major.
+    fed_back: Buf,
+    /// Training: the decoder's hidden states, stacked for the output layer.
+    stacked_h: Buf,
 }
 
 impl Seq2Seq {
@@ -119,7 +143,16 @@ impl Seq2Seq {
         let decoder = Lstm::new(&mut rng, config.input_dim, dec_hidden);
         let output = Dense::new(&mut rng, dec_hidden, config.input_dim, Activation::Linear);
         let dropout = Dropout::new(config.dropout, config.seed.wrapping_add(0x9E37));
-        Self { encoder, decoder, dropout, output, config, feedback: Buf::new() }
+        Self {
+            encoder,
+            decoder,
+            dropout,
+            output,
+            config,
+            encoded: LstmState::zeros(1, 1),
+            fed_back: Buf::new(),
+            stacked_h: Buf::new(),
+        }
     }
 
     /// The configuration this model was built with.
@@ -136,118 +169,106 @@ impl Seq2Seq {
         enc + self.decoder.param_count() + self.output.param_count()
     }
 
-    /// Encodes a window into the final encoder state — this is the contextual
-    /// feature the paper feeds to the policy network for multivariate data
-    /// (§III-B: "we use the encoded states of the LSTM-encoder").
+    /// Encodes a block of windows into the final encoder state, one row per
+    /// window — this is the contextual feature the paper feeds to the
+    /// policy network for multivariate data (§III-B: "we use the encoded
+    /// states of the LSTM-encoder").
     ///
     /// # Panics
     ///
-    /// Panics if `xs` is empty or channel counts disagree with the config.
-    pub fn encode(&mut self, xs: &[Matrix]) -> LstmState {
-        self.encode_mode(xs, false)
+    /// Panics if `xs` is not a whole number of `batch`-row steps of
+    /// `input_dim` channels.
+    pub fn encode(&mut self, xs: &Matrix, batch: usize) -> &LstmState {
+        self.encode_mode(xs, batch, false);
+        &self.encoded
     }
 
-    fn encode_mode(&mut self, xs: &[Matrix], training: bool) -> LstmState {
-        assert!(!xs.is_empty(), "empty sequence");
+    fn encode_mode(&mut self, xs: &Matrix, batch: usize, training: bool) {
         match &mut self.encoder {
             Encoder::Uni(l) => {
-                let states = l.forward_seq(xs, training);
-                states.last().expect("non-empty").clone()
+                l.forward_seq(xs, batch, None, training);
+                l.state_into(&mut self.encoded);
             }
-            Encoder::Bi(b) => b.encode(xs, training),
+            Encoder::Bi(b) => b.encode(xs, batch, training, &mut self.encoded),
         }
     }
 
-    /// Reconstructs the window (inference mode: dropout disabled).
-    ///
-    /// Returns one matrix per timestep, same shapes as the input.
+    /// Reconstructs a block of windows (inference mode: dropout disabled);
+    /// time-major like the input, same shape.
     ///
     /// # Panics
     ///
-    /// Panics if `xs` is empty or channel counts disagree with the config.
-    pub fn reconstruct(&mut self, xs: &[Matrix]) -> Vec<Matrix> {
-        let (ys, _) = self.decode_sequence(xs, false);
-        ys
+    /// Same contract as [`Seq2Seq::encode`].
+    pub fn reconstruct(&mut self, xs: &Matrix, batch: usize) -> &Matrix {
+        self.decode(xs, batch, false);
+        self.fed_back.get()
     }
 
-    /// Forward pass; returns per-step outputs and the stacked decoder hidden
-    /// states (training mode keeps caches for [`Seq2Seq::train_batch`]).
-    fn decode_sequence(&mut self, xs: &[Matrix], training: bool) -> (Vec<Matrix>, Matrix) {
-        let enc_state = self.encode_mode(xs, training);
-        let batch = xs[0].rows();
-        let t_len = xs.len();
+    /// Encoder pass, then the decoder's autoregressive loop: leaves every
+    /// step's fed-back output in `fed_back` and, in training mode, the
+    /// hidden states behind them in `stacked_h` (and the layers' caches
+    /// ready for [`Seq2Seq::train_batch`]).
+    fn decode(&mut self, xs: &Matrix, batch: usize, training: bool) {
+        self.encode_mode(xs, batch, training);
+        let t_len = xs.rows() / batch;
+        let step_len = batch * self.config.input_dim;
+        let ys = self.fed_back.shaped(xs.rows(), self.config.input_dim).as_mut_slice();
 
+        self.decoder.begin_seq(batch, Some(&self.encoded), training);
+        for t in 0..t_len {
+            // The input is the previous step's clean (no-dropout) linear
+            // output — at the first step the zero vector ("special token",
+            // §II-A2), for which the block about to be written stands in.
+            // Gradient through this path is truncated.
+            let (done, rest) = ys.split_at_mut(t * step_len);
+            let y_t = &mut rest[..step_len];
+            let x_t: &[f32] = match t {
+                0 => {
+                    y_t.fill(0.0);
+                    y_t
+                }
+                _ => &done[(t - 1) * step_len..],
+            };
+            let h_t = self.decoder.step_seq(x_t);
+            self.output.affine_rows(h_t, y_t);
+        }
         if training {
-            self.decoder.clear_cache();
+            let hs = self.decoder.hidden_states();
+            self.stacked_h
+                .shaped(xs.rows(), self.decoder.hidden())
+                .as_mut_slice()
+                .copy_from_slice(hs);
         }
-        let mut state = enc_state;
-        // First decoder input is the zero vector ("special token", §II-A2).
-        let y_prev = self.feedback.zeroed(batch, self.config.input_dim);
-        let mut hs: Vec<Matrix> = Vec::with_capacity(t_len);
-        for _ in 0..t_len {
-            state = self.decoder.step(y_prev, &state, training);
-            hs.push(state.h.clone());
-            // Feedback uses the clean (no-dropout) linear output; gradient
-            // through this path is truncated. Written back into the reused
-            // buffer — no per-step matmul allocation.
-            self.output.affine_into(&state.h, y_prev);
-        }
-        let mut stacked = hs[0].clone();
-        for h in &hs[1..] {
-            stacked = stacked.vconcat(h);
-        }
-        let dropped = self.dropout.forward(&stacked, training);
-        let ys_stacked = self.output.forward(&dropped, training);
-        let ys: Vec<Matrix> =
-            (0..t_len).map(|t| ys_stacked.slice_rows(t * batch, (t + 1) * batch)).collect();
-        (ys, stacked)
     }
 
-    /// One training step on a single window (or batch of aligned windows):
-    /// forward, MSE against the input itself, BPTT, L2, optimizer update.
-    /// Returns the reconstruction MSE before the update.
+    /// One training step on a single window (or a time-major block of
+    /// aligned windows): forward, MSE against the input itself, BPTT, L2,
+    /// optimizer update. Returns the reconstruction MSE before the update.
     ///
     /// # Panics
     ///
-    /// Panics if `xs` is empty or channel counts disagree with the config.
-    pub fn train_batch(&mut self, xs: &[Matrix], optimizer: &mut dyn Optimizer) -> f32 {
+    /// Same contract as [`Seq2Seq::encode`].
+    pub fn train_batch(&mut self, xs: &Matrix, batch: usize, optimizer: &mut dyn Optimizer) -> f32 {
         let _span = hec_telemetry::WallSpan::new("nn.train_batch");
-        let batch = xs[0].rows();
-        let t_len = xs.len();
-        let (ys, _stacked_h) = self.decode_sequence(xs, true);
+        self.decode(xs, batch, true);
+        let dropped = self.dropout.forward(self.stacked_h.get(), true);
+        let prediction = self.output.forward(&dropped, true);
 
-        // Stack targets the same way the outputs were stacked.
-        let mut target = xs[0].clone();
-        for x in &xs[1..] {
-            target = target.vconcat(x);
-        }
-        let mut prediction = ys[0].clone();
-        for y in &ys[1..] {
-            prediction = prediction.vconcat(y);
-        }
+        let loss = Mse.value(&prediction, xs);
+        let d_ys = Mse.gradient(&prediction, xs);
 
-        let loss = Mse.value(&prediction, &target);
-        let d_ys = Mse.gradient(&prediction, &target);
-
-        // Back through dense and dropout (both cached on the stacked matrix).
+        // Back through dense and dropout (both cached on the stacked matrix),
+        // then BPTT through the decoder.
         let d_dropped = self.output.backward(&d_ys);
         let d_stacked_h = self.dropout.backward(&d_dropped);
-
-        // Split per-step hidden gradients and BPTT through the decoder.
-        let dhs: Vec<Matrix> =
-            (0..t_len).map(|t| d_stacked_h.slice_rows(t * batch, (t + 1) * batch)).collect();
-        let (_dxs, d_state0) = self.decoder.backward_seq(&dhs, None);
+        let d_state0 = self.decoder.backward_seq(Some(&d_stacked_h), None, None);
 
         // The decoder's initial state is the encoder's final state.
         match &mut self.encoder {
             Encoder::Uni(l) => {
-                let zeros: Vec<Matrix> =
-                    (0..t_len).map(|_| Matrix::zeros(batch, l.hidden())).collect();
-                let _ = l.backward_seq(&zeros, Some(&d_state0));
+                l.backward_seq(None, Some(&d_state0), None);
             }
-            Encoder::Bi(b) => {
-                let _ = b.backward_from_state(&d_state0);
-            }
+            Encoder::Bi(b) => b.backward_from_state(&d_state0, None),
         }
 
         if self.config.l2_lambda > 0.0 {
@@ -264,23 +285,18 @@ impl Seq2Seq {
         loss
     }
 
-    /// Per-timestep reconstruction error vectors `x_t − x̂_t` (inference).
-    ///
-    /// These are the raw errors the Gaussian anomaly scorer is fitted on.
+    /// Replaces every row `x_t` of a block of windows by its reconstruction
+    /// error `x_t − x̂_t` (inference) — the raw errors the Gaussian anomaly
+    /// scorer is fitted on and scores.
     ///
     /// # Panics
     ///
-    /// Panics if `xs` is empty. Only supports batch size 1 (one window).
-    pub fn reconstruction_errors(&mut self, xs: &[Matrix]) -> Vec<Vec<f32>> {
-        assert!(!xs.is_empty(), "empty sequence");
-        assert_eq!(xs[0].rows(), 1, "reconstruction_errors expects a single window (batch 1)");
-        let ys = self.reconstruct(xs);
-        xs.iter()
-            .zip(ys.iter())
-            .map(|(x, y)| {
-                x.as_slice().iter().zip(y.as_slice().iter()).map(|(a, b)| a - b).collect()
-            })
-            .collect()
+    /// Same contract as [`Seq2Seq::encode`].
+    pub fn reconstruction_errors(&mut self, xs: &mut Matrix, batch: usize) {
+        self.decode(xs, batch, false);
+        for (x, y) in xs.as_mut_slice().iter_mut().zip(self.fed_back.get().as_slice()) {
+            *x -= y;
+        }
     }
 
     /// Visits every `(parameter, gradient)` pair (encoder, decoder, output
@@ -297,17 +313,11 @@ impl Seq2Seq {
     /// Applies the optimizer to all accumulated gradients and zeroes them.
     fn apply_gradients(&mut self, optimizer: &mut dyn Optimizer) {
         let mut slot = 0usize;
-        let mut step = |param: &mut Matrix, grad: &mut Matrix| {
+        self.visit_params(&mut |param, grad| {
             optimizer.step(slot, param, grad);
             grad.map_inplace(|_| 0.0);
             slot += 1;
-        };
-        match &mut self.encoder {
-            Encoder::Uni(l) => l.visit_params(&mut step),
-            Encoder::Bi(b) => b.visit_params(&mut step),
-        }
-        self.decoder.visit_params(&mut step);
-        self.output.visit_params(&mut step);
+        });
     }
 }
 
@@ -331,14 +341,11 @@ mod tests {
     use super::*;
     use crate::optim::RmsProp;
 
-    fn sine_window(t_len: usize, dim: usize, phase: f32) -> Vec<Matrix> {
-        (0..t_len)
-            .map(|t| {
-                let row: Vec<f32> =
-                    (0..dim).map(|d| ((t as f32) * 0.4 + phase + d as f32).sin()).collect();
-                Matrix::row_vector(&row)
-            })
-            .collect()
+    fn sine_window(t_len: usize, dim: usize, phase: f32) -> Matrix {
+        let steps: Vec<f32> = (0..t_len)
+            .flat_map(|t| (0..dim).map(move |d| ((t as f32) * 0.4 + phase + d as f32).sin()))
+            .collect();
+        Matrix::from_vec(t_len, dim, steps)
     }
 
     fn small_config(bidirectional: bool) -> Seq2SeqConfig {
@@ -353,14 +360,10 @@ mod tests {
     }
 
     #[test]
-    fn output_shapes_match_input() {
+    fn output_shape_matches_input() {
         let mut model = Seq2Seq::new(small_config(false));
         let xs = sine_window(6, 2, 0.0);
-        let ys = model.reconstruct(&xs);
-        assert_eq!(ys.len(), 6);
-        for (x, y) in xs.iter().zip(ys.iter()) {
-            assert_eq!(x.shape(), y.shape());
-        }
+        assert_eq!(model.reconstruct(&xs, 1).shape(), xs.shape());
     }
 
     #[test]
@@ -368,10 +371,10 @@ mod tests {
         let mut model = Seq2Seq::new(small_config(false));
         let xs = sine_window(8, 2, 0.3);
         let mut opt = RmsProp::new(2e-3);
-        let first = model.train_batch(&xs, &mut opt);
+        let first = model.train_batch(&xs, 1, &mut opt);
         let mut last = first;
         for _ in 0..150 {
-            last = model.train_batch(&xs, &mut opt);
+            last = model.train_batch(&xs, 1, &mut opt);
         }
         assert!(last < first * 0.5, "training failed to reduce loss: first {first}, last {last}");
     }
@@ -381,10 +384,10 @@ mod tests {
         let mut model = Seq2Seq::new(small_config(true));
         let xs = sine_window(8, 2, 0.0);
         let mut opt = RmsProp::new(2e-3);
-        let first = model.train_batch(&xs, &mut opt);
+        let first = model.train_batch(&xs, 1, &mut opt);
         let mut last = first;
         for _ in 0..150 {
-            last = model.train_batch(&xs, &mut opt);
+            last = model.train_batch(&xs, 1, &mut opt);
         }
         assert!(last < first * 0.5, "bi model failed to train: {first} -> {last}");
     }
@@ -399,11 +402,44 @@ mod tests {
     #[test]
     fn encode_gives_context_vector() {
         let mut model = Seq2Seq::new(small_config(false));
-        let a = model.encode(&sine_window(6, 2, 0.0));
-        let b = model.encode(&sine_window(6, 2, 1.5));
+        let a = model.encode(&sine_window(6, 2, 0.0), 1).clone();
+        let b = model.encode(&sine_window(6, 2, 1.5), 1);
         assert_eq!(a.h.shape(), (1, 10));
         // Different windows produce different contexts.
         assert!((&a.h - &b.h).frobenius_norm() > 1e-6);
+    }
+
+    /// A window reconstructs, encodes and errs to the same bits alone and as
+    /// any member of a time-major block — what block scoring rests on.
+    #[test]
+    fn a_window_reads_the_same_alone_and_in_a_block() {
+        for bidirectional in [false, true] {
+            let mut model = Seq2Seq::new(small_config(bidirectional));
+            let mut opt = RmsProp::new(2e-3);
+            for epoch in 0..5 {
+                model.train_batch(&sine_window(8, 2, epoch as f32 * 0.1), 1, &mut opt);
+            }
+            let windows: Vec<Matrix> = (0..3).map(|i| sine_window(8, 2, i as f32 * 0.7)).collect();
+            let mut block = Matrix::zeros(8 * 3, 2);
+            for (b, w) in windows.iter().enumerate() {
+                for t in 0..8 {
+                    block.row_mut(t * 3 + b).copy_from_slice(w.row(t));
+                }
+            }
+            let ys = model.reconstruct(&block, 3).clone();
+            let hs = model.encode(&block, 3).clone();
+            model.reconstruction_errors(&mut block, 3);
+            for (b, w) in windows.iter().enumerate() {
+                let alone = model.reconstruct(w, 1).clone();
+                for t in 0..8 {
+                    assert_eq!(ys.row(t * 3 + b), alone.row(t), "window {b} step {t}");
+                    let err: Vec<f32> =
+                        w.row(t).iter().zip(alone.row(t)).map(|(x, y)| x - y).collect();
+                    assert_eq!(block.row(t * 3 + b), &err[..], "window {b} step {t} errors");
+                }
+                assert_eq!(hs.h.row(b), model.encode(w, 1).h.row(0), "window {b} context");
+            }
+        }
     }
 
     #[test]
@@ -414,16 +450,15 @@ mod tests {
         let mut opt = RmsProp::new(2e-3);
         for epoch in 0..120 {
             let xs = sine_window(8, 2, (epoch % 4) as f32 * 0.1);
-            model.train_batch(&xs, &mut opt);
+            model.train_batch(&xs, 1, &mut opt);
         }
-        let normal = sine_window(8, 2, 0.05);
-        let weird: Vec<Matrix> = (0..8)
-            .map(|t| Matrix::row_vector(&[if t % 2 == 0 { 2.0 } else { -2.0 }, 0.0]))
-            .collect();
-        let err_n: f32 =
-            model.reconstruction_errors(&normal).iter().flat_map(|e| e.iter().map(|v| v * v)).sum();
-        let err_w: f32 =
-            model.reconstruction_errors(&weird).iter().flat_map(|e| e.iter().map(|v| v * v)).sum();
+        let mut normal = sine_window(8, 2, 0.05);
+        let weird: Vec<f32> =
+            (0..8).flat_map(|t| [if t % 2 == 0 { 2.0 } else { -2.0 }, 0.0]).collect();
+        let mut weird = Matrix::from_vec(8, 2, weird);
+        model.reconstruction_errors(&mut normal, 1);
+        model.reconstruction_errors(&mut weird, 1);
+        let (err_n, err_w) = (normal.frobenius_norm_sq(), weird.frobenius_norm_sq());
         assert!(err_w > err_n, "anomalous window not separated: normal {err_n}, weird {err_w}");
     }
 
@@ -443,9 +478,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty sequence")]
-    fn empty_window_panics() {
+    #[should_panic(expected = "not whole steps")]
+    fn ragged_block_panics() {
         let mut model = Seq2Seq::new(small_config(false));
-        let _ = model.reconstruct(&[]);
+        let _ = model.reconstruct(&sine_window(7, 2, 0.0), 2);
     }
 }

@@ -6,7 +6,10 @@
 //! matmul temporaries**: each buffer is allocated once at its workload's
 //! peak shape and reused for every subsequent call, and the only matmul
 //! results that still allocate are caller-visible outputs (returned
-//! gradients and states).
+//! gradients and states). The LSTMs add two things of their own on top (see
+//! [`crate::lstm`]): flat time-major arenas for what a sequence leaves
+//! behind, and one per-thread set of BPTT buffers shared by every layer,
+//! since a backward pass needs them only while it runs.
 //!
 //! The convention is deliberately minimal — a `Buf` is just a lazily-created
 //! [`Matrix`] that [`Buf::shaped`] reshapes in place, reusing the existing

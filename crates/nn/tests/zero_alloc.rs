@@ -1,13 +1,17 @@
 //! Allocation accounting for the model hot paths:
 //!
-//! * a warmed inference [`Lstm::step_into`] performs **zero** heap
-//!   allocations (proved with a counting global allocator);
+//! * a warmed inference [`Lstm::step_seq`] performs **zero** heap
+//!   allocations (proved with a counting global allocator), and so does a
+//!   warmed seq2seq pass over a sixteen-window block — reconstruction,
+//!   errors, encoded state — whatever the window length;
 //! * a full LSTM / seq2seq **training step** makes **zero allocating matmul
 //!   calls** — every product routes through the `_into` kernels into reused
 //!   workspaces or caller-visible outputs (proved with
 //!   `hec_tensor::kernel::matmul_allocations`, which counts the allocating
-//!   wrapper calls; the preallocated `dxs` output vector and returned state
-//!   are the only matmul results that still own fresh memory).
+//!   wrapper calls);
+//! * a warmed [`Seq2Seq::train_batch`] allocates a small **constant** —
+//!   the matrices the dropout, output and loss layers return and the
+//!   initial-state gradients, the same count at 16 steps as at 64.
 //!
 //! Everything lives in one `#[test]` so no concurrent test can disturb the
 //! global counters.
@@ -34,8 +38,9 @@ fn hot_paths_are_matmul_allocation_free() {
         h: hec_tensor::init::uniform(&mut rng, 1, 64, -1.0, 1.0),
         c: hec_tensor::init::uniform(&mut rng, 1, 64, -1.0, 1.0),
     };
-    let mut next = LstmState::zeros(1, 64);
-    lstm.step_into(&x, &state, &mut next); // warmup: scratch buffers grow here
+    lstm.begin_seq(1, Some(&state), false);
+    lstm.step_seq(x.as_slice()); // warmup: scratch buffers grow here
+    lstm.step_seq(x.as_slice());
 
     // The counter is process-wide and the test harness occasionally
     // allocates from another thread mid-window; a step that really
@@ -44,8 +49,9 @@ fn hot_paths_are_matmul_allocation_free() {
     let mut last_delta = usize::MAX;
     for _attempt in 0..5 {
         let before = allocations();
+        lstm.begin_seq(1, Some(&state), false);
         for _ in 0..32 {
-            lstm.step_into(&x, &state, &mut next);
+            lstm.step_seq(x.as_slice());
         }
         last_delta = allocations() - before;
         if last_delta == 0 {
@@ -54,7 +60,7 @@ fn hot_paths_are_matmul_allocation_free() {
     }
     assert_eq!(
         last_delta, 0,
-        "warmed Lstm::step_into performed {last_delta} heap allocations in every window"
+        "warmed Lstm::step_seq performed {last_delta} heap allocations in every window"
     );
 
     // --- Quantised dense forward (int8 weights *and* activations): zero
@@ -93,13 +99,11 @@ fn hot_paths_are_matmul_allocation_free() {
 
     // --- LSTM training step (forward_seq + backward_seq): zero allocating
     // matmul wrapper calls — all products go through `_into` kernels. ---
-    let xs: Vec<Matrix> =
-        (0..16).map(|_| hec_tensor::init::uniform(&mut rng, 1, 18, -1.0, 1.0)).collect();
+    let xs = hec_tensor::init::uniform(&mut rng, 16, 18, -1.0, 1.0);
+    let dhs = Matrix::ones(16, 64);
     let train_step = |lstm: &mut Lstm| {
-        let states = lstm.forward_seq(&xs, true);
-        let dhs: Vec<Matrix> =
-            states.iter().map(|s| Matrix::ones(s.h.rows(), s.h.cols())).collect();
-        let _ = lstm.backward_seq(&dhs, None);
+        lstm.forward_seq(&xs, 1, None, true);
+        lstm.backward_seq(Some(&dhs), None, None)
     };
     train_step(&mut lstm); // warmup
     let wrapper_before = hec_tensor::kernel::matmul_allocations();
@@ -111,26 +115,83 @@ fn hot_paths_are_matmul_allocation_free() {
     );
 
     // --- Full seq2seq training step (encoder, decoder, dense output,
-    // dropout, optimizer): still zero allocating matmul calls. ---
-    let config = Seq2SeqConfig { input_dim: 4, encoder_hidden: 12, ..Default::default() };
-    let mut model = Seq2Seq::new(config);
-    let window: Vec<Matrix> = (0..8)
-        .map(|t| {
-            Matrix::row_vector(&[
-                (t as f32 * 0.3).sin(),
-                (t as f32 * 0.3).cos(),
-                (t as f32 * 0.7).sin(),
-                (t as f32 * 0.7).cos(),
-            ])
-        })
-        .collect();
-    let mut opt = RmsProp::new(1e-3);
-    let _ = model.train_batch(&window, &mut opt); // warmup
-    let wrapper_before = hec_tensor::kernel::matmul_allocations();
-    let _ = model.train_batch(&window, &mut opt);
-    assert_eq!(
-        hec_tensor::kernel::matmul_allocations(),
-        wrapper_before,
-        "Seq2Seq training step performed allocating matmul calls"
-    );
+    // dropout, optimizer) on the paper's 18 channels, uni- and
+    // bidirectional: zero allocating matmul calls, and a heap allocation
+    // count that does not grow with the window (nothing is allocated per
+    // step). ---
+    let window = |steps: usize| {
+        let data: Vec<f32> =
+            (0..steps * 18).map(|i| ((i / 18) as f32 * 0.3 + (i % 18) as f32).sin()).collect();
+        Matrix::from_vec(steps, 18, data)
+    };
+    for bidirectional in [false, true] {
+        let config = Seq2SeqConfig {
+            input_dim: 18,
+            encoder_hidden: 32,
+            bidirectional,
+            ..Default::default()
+        };
+        let mut model = Seq2Seq::new(config);
+        let mut opt = RmsProp::new(1e-3);
+        let mut per_window = [0usize; 2];
+        for (slot, steps) in [64usize, 16].into_iter().enumerate() {
+            let xs = window(steps);
+            let _ = model.train_batch(&xs, 1, &mut opt); // warmup: arenas grow here
+            let wrapper_before = hec_tensor::kernel::matmul_allocations();
+            per_window[slot] = usize::MAX;
+            for _attempt in 0..5 {
+                let before = allocations();
+                let _ = model.train_batch(&xs, 1, &mut opt);
+                per_window[slot] = per_window[slot].min(allocations() - before);
+            }
+            assert_eq!(
+                hec_tensor::kernel::matmul_allocations(),
+                wrapper_before,
+                "Seq2Seq training step performed allocating matmul calls"
+            );
+        }
+        assert_eq!(
+            per_window[0], per_window[1],
+            "Seq2Seq::train_batch allocations depend on the window length (bi {bidirectional})"
+        );
+        assert!(
+            per_window[0] <= TRAIN_BATCH_ALLOCS,
+            "warmed Seq2Seq::train_batch performed {} heap allocations (bi {bidirectional})",
+            per_window[0]
+        );
+
+        // --- A warmed sixteen-window block through the same model:
+        // reconstruction errors and encoded state, zero allocations. ---
+        let mut block = Matrix::zeros(64 * 16, 18);
+        let fill = |block: &mut Matrix| {
+            for (i, v) in block.as_mut_slice().iter_mut().enumerate() {
+                *v = (i as f32 * 0.01).sin();
+            }
+        };
+        fill(&mut block);
+        model.reconstruction_errors(&mut block, 16); // warmup
+        let _ = model.encode(&block, 16);
+        let mut last_delta = usize::MAX;
+        for _attempt in 0..5 {
+            fill(&mut block);
+            let before = allocations();
+            model.reconstruction_errors(&mut block, 16);
+            let _ = model.encode(&block, 16);
+            last_delta = allocations() - before;
+            if last_delta == 0 {
+                break;
+            }
+        }
+        assert_eq!(
+            last_delta, 0,
+            "warmed 16-window seq2seq block performed {last_delta} heap allocations"
+        );
+    }
 }
+
+/// Heap allocations of one warmed [`Seq2Seq::train_batch`], at most — 15
+/// with a unidirectional encoder and 21 with a bidirectional one when this
+/// was written: the matrices the dropout, output and loss layers return or
+/// cache, the initial-state gradient each LSTM hands back, and the halves a
+/// bidirectional encoder splits one into.
+const TRAIN_BATCH_ALLOCS: usize = 24;

@@ -162,17 +162,28 @@ impl Gaussian {
     /// Log probability density of `x`:
     /// `-½ [ d·ln(2π) + ln|Σ| + (x-µ)ᵀ Σ⁻¹ (x-µ) ]`.
     ///
+    /// Allocates its working vector; per-point hot paths should prefer
+    /// [`Gaussian::log_pdf_with`].
+    ///
     /// # Errors
     ///
     /// [`GaussianError::DimensionMismatch`] if `x.len() != self.dim()`.
     pub fn log_pdf(&self, x: &[f32]) -> Result<f32, GaussianError> {
-        if x.len() != self.dim {
-            return Err(GaussianError::DimensionMismatch { expected: self.dim, got: x.len() });
-        }
-        let diff: Vec<f32> = x.iter().zip(self.mean.iter()).map(|(a, b)| a - b).collect();
-        // Solve L y = diff; then (x-µ)ᵀ Σ⁻¹ (x-µ) = ‖y‖².
-        let y = forward_substitute(&self.chol, &diff);
-        let maha_sq: f32 = y.iter().map(|v| v * v).sum();
+        self.log_pdf_with(x, &mut vec![0.0; x.len()])
+    }
+
+    /// [`Gaussian::log_pdf`] with the working vector supplied by the caller
+    /// (`scratch.len() == x.len()`, contents unspecified on return) — the
+    /// allocation-free form for `d > 1`, the twin of
+    /// [`Gaussian::log_pdf_scalars`]. Same operations per element in the
+    /// same order, hence the same bits.
+    ///
+    /// # Errors
+    ///
+    /// [`GaussianError::DimensionMismatch`] if `x.len() != self.dim()` or
+    /// `scratch.len() != self.dim()`.
+    pub fn log_pdf_with(&self, x: &[f32], scratch: &mut [f32]) -> Result<f32, GaussianError> {
+        let maha_sq = self.mahalanobis_sq_with(x, scratch)?;
         let d = self.dim as f32;
         Ok(-0.5 * (d * (2.0 * std::f32::consts::PI).ln() + self.log_det + maha_sq))
     }
@@ -222,11 +233,24 @@ impl Gaussian {
     ///
     /// [`GaussianError::DimensionMismatch`] if `x.len() != self.dim()`.
     pub fn mahalanobis_sq(&self, x: &[f32]) -> Result<f32, GaussianError> {
-        if x.len() != self.dim {
-            return Err(GaussianError::DimensionMismatch { expected: self.dim, got: x.len() });
+        self.mahalanobis_sq_with(x, &mut vec![0.0; x.len()])
+    }
+
+    /// Solves `L y = x − µ` into `y` by forward substitution; then
+    /// `(x-µ)ᵀ Σ⁻¹ (x-µ) = ‖y‖²`.
+    fn mahalanobis_sq_with(&self, x: &[f32], y: &mut [f32]) -> Result<f32, GaussianError> {
+        for got in [x.len(), y.len()] {
+            if got != self.dim {
+                return Err(GaussianError::DimensionMismatch { expected: self.dim, got });
+            }
         }
-        let diff: Vec<f32> = x.iter().zip(self.mean.iter()).map(|(a, b)| a - b).collect();
-        let y = forward_substitute(&self.chol, &diff);
+        for i in 0..self.dim {
+            let mut sum = x[i] - self.mean[i];
+            for (j, &yj) in y.iter().enumerate().take(i) {
+                sum -= self.chol[(i, j)] * yj;
+            }
+            y[i] = sum / self.chol[(i, i)];
+        }
         Ok(y.iter().map(|v| v * v).sum())
     }
 }
@@ -257,20 +281,6 @@ pub fn cholesky(a: &Matrix) -> Option<Matrix> {
         }
     }
     Some(l)
-}
-
-/// Solves `L y = b` for lower-triangular `L` (forward substitution).
-fn forward_substitute(l: &Matrix, b: &[f32]) -> Vec<f32> {
-    let n = b.len();
-    let mut y = vec![0.0f32; n];
-    for i in 0..n {
-        let mut sum = b[i];
-        for (j, &yj) in y.iter().enumerate().take(i) {
-            sum -= l[(i, j)] * yj;
-        }
-        y[i] = sum / l[(i, i)];
-    }
-    y
 }
 
 #[cfg(test)]
@@ -381,6 +391,43 @@ mod tests {
         assert_eq!(
             g2.log_pdf_scalar(1.0).unwrap_err(),
             GaussianError::DimensionMismatch { expected: 2, got: 1 }
+        );
+    }
+
+    #[test]
+    fn caller_scratch_log_pdf_is_bit_identical_whatever_the_scratch_held() {
+        let samples = Matrix::from_rows(&[
+            &[0.1, -0.1, 0.3],
+            &[-0.2, 0.1, 0.0],
+            &[0.0, 0.2, -0.1],
+            &[0.15, 0.0, 0.2],
+            &[-0.05, 0.05, 0.1],
+        ]);
+        let g = Gaussian::fit(&samples, 1e-3).unwrap();
+        // The allocating form this replaced: difference vector first, then
+        // forward substitution into a fresh `y`.
+        let two_vectors = |x: &[f32]| {
+            let diff: Vec<f32> = x.iter().zip(&g.mean).map(|(a, b)| a - b).collect();
+            let mut y = [0.0f32; 3];
+            for i in 0..3 {
+                let mut sum = diff[i];
+                for (j, &yj) in y.iter().enumerate().take(i) {
+                    sum -= g.chol[(i, j)] * yj;
+                }
+                y[i] = sum / g.chol[(i, i)];
+            }
+            let maha_sq: f32 = y.iter().map(|v| v * v).sum();
+            -0.5 * (3.0 * (2.0 * std::f32::consts::PI).ln() + g.log_det + maha_sq)
+        };
+        let mut scratch = [f32::NAN, 7.0, -3.0];
+        for x in [[0.0f32, 0.0, 0.0], [0.4, -1.0, 2.5], [-3.0, 0.2, 0.1]] {
+            let with = g.log_pdf_with(&x, &mut scratch).unwrap();
+            assert_eq!(with.to_bits(), two_vectors(&x).to_bits(), "diverged at {x:?}");
+            assert_eq!(with.to_bits(), g.log_pdf(&x).unwrap().to_bits());
+        }
+        assert_eq!(
+            g.log_pdf_with(&[0.0; 3], &mut [0.0; 2]).unwrap_err(),
+            GaussianError::DimensionMismatch { expected: 3, got: 2 }
         );
     }
 
