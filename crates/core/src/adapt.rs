@@ -18,9 +18,9 @@
 //! 2. **Detect drift.** Each window's layer-0 anomalous-point fraction (a
 //!    bounded statistic the IoT-tier detector already computes) feeds a
 //!    Page–Hinkley mean-shift detector — O(1) per window, deterministic.
-//! 3. **Refresh in-fleet.** On an alarm (rate-limited by
-//!    [`AdaptConfig::min_refresh_gap`]): refit the standardizer from a
-//!    sliding reservoir of recent **raw** windows
+//! 3. **Refresh in-fleet.** On an alarm (at most one refresh every two
+//!    chunks): refit the standardizer from a sliding reservoir of recent
+//!    **raw** windows
 //!    (`hec_data::OnlineStandardizer`, Welford moments, no second pass
 //!    over history), re-standardise the reservoir, keep the windows the
 //!    cloud-tier model still deems normal (self-labelling — ground truth
@@ -47,41 +47,35 @@
 //! calibration is pushed between reporting rounds.
 
 use hec_anomaly::{PageHinkley, PageHinkleyConfig, SlidingReservoir};
-use hec_bandit::{ContextScaler, DelaySource, PolicyTrainer, RewardModel, TrainConfig};
+use hec_bandit::{ContextScaler, DelaySource, PolicyTrainer, RewardModel};
 use hec_data::{LabeledWindow, OnlineStandardizer};
 
 use crate::experiment::Experiment;
 use crate::replay::{replay_scenario, replay_trace_sharded};
 use crate::scheme::SchemeKind;
 
+/// Minimum chunks between two refreshes (the alarm rate limiter).
+const MIN_REFRESH_GAP: usize = 2;
+
 /// Configuration of one adaptive (or deliberately frozen) streaming run.
 #[derive(Debug, Clone)]
 pub struct AdaptConfig {
     /// Windows per chunk (refresh granularity; the routing table is
-    /// fixed within a chunk).
+    /// fixed within a chunk). Also the capacity of the raw-window
+    /// reservoir feeding refreshes — one chunk: at detection time (the
+    /// chunk after a step onset) the reservoir then holds only post-shift
+    /// windows, so the refit lands on the new regime instead of halfway
+    /// between the old and new ones.
     pub chunk: usize,
     /// Fleet shards for the chunk replay (part of the simulated physics,
     /// see [`crate::replay::replay_trace_sharded`]).
     pub shards: usize,
     /// Page–Hinkley parameters for the layer-0 score stream.
     pub drift: PageHinkleyConfig,
-    /// Capacity of the raw-window reservoir feeding refreshes.
-    pub reservoir: usize,
-    /// Minimum chunks between two refreshes (alarm rate limiter).
-    pub min_refresh_gap: usize,
-    /// Refit the standardizer from the reservoir on alarm.
-    pub refresh_standardizer: bool,
-    /// Recalibrate detector scorers/thresholds on alarm.
-    pub recalibrate_detectors: bool,
-    /// Apply buffered policy updates at every chunk boundary.
-    pub refresh_policy: bool,
-    /// Hyper-parameters of the continual policy trainer (learning rate,
-    /// entropy regularisation, sampling seed). Ignored when
-    /// [`AdaptConfig::refresh_policy`] is `false`.
-    pub policy_train: TrainConfig,
-    /// Telemetry label distinguishing runs (e.g. `"frozen"` /
-    /// `"adaptive"`).
-    pub label: String,
+    /// Whether the run refreshes at all: adaptive = standardizer refit +
+    /// detector recalibration on alarm and buffered policy updates at
+    /// every chunk boundary; frozen = none of them.
+    adaptive: bool,
 }
 
 impl AdaptConfig {
@@ -90,45 +84,27 @@ impl AdaptConfig {
     /// any kind — the paper's offline regime, used as the comparison
     /// baseline.
     pub fn frozen(chunk: usize, shards: usize) -> Self {
-        Self {
-            chunk,
-            shards,
-            drift: PageHinkleyConfig::default(),
-            // One chunk: at detection time (the chunk after a step
-            // onset) the reservoir then holds only post-shift windows,
-            // so the refit lands on the new regime instead of halfway
-            // between the old and new ones.
-            reservoir: chunk,
-            min_refresh_gap: 2,
-            refresh_standardizer: false,
-            recalibrate_detectors: false,
-            refresh_policy: false,
-            policy_train: TrainConfig::default(),
-            label: "frozen".into(),
-        }
+        Self { chunk, shards, drift: PageHinkleyConfig::default(), adaptive: false }
     }
 
     /// The full adaptive pipeline: standardizer refit + detector
     /// recalibration on alarm, continual policy refresh every chunk.
     pub fn adaptive(chunk: usize, shards: usize) -> Self {
-        Self {
-            refresh_standardizer: true,
-            recalibrate_detectors: true,
-            refresh_policy: true,
-            policy_train: TrainConfig {
-                learning_rate: 5e-3,
-                entropy_beta: 0.02,
-                ..TrainConfig::default()
-            },
-            label: "adaptive".into(),
-            ..Self::frozen(chunk, shards)
+        Self { adaptive: true, ..Self::frozen(chunk, shards) }
+    }
+
+    /// The run's telemetry label and [`AdaptReport::label`].
+    fn label(&self) -> &'static str {
+        if self.adaptive {
+            "adaptive"
+        } else {
+            "frozen"
         }
     }
 
     fn validate(&self) {
         assert!(self.chunk > 0, "chunk size must be positive");
         assert!(self.shards > 0, "need at least one fleet shard");
-        assert!(self.reservoir > 0, "reservoir capacity must be positive");
     }
 }
 
@@ -163,7 +139,8 @@ pub struct ChunkStats {
 /// Result of one [`run_adaptive_stream`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptReport {
-    /// The run's telemetry label (from [`AdaptConfig::label`]).
+    /// The run's telemetry label: `"frozen"` or `"adaptive"`, by the
+    /// [`AdaptConfig`] preset.
     pub label: String,
     /// Per-chunk statistics, in stream order.
     pub chunks: Vec<ChunkStats>,
@@ -273,7 +250,7 @@ pub fn run_adaptive_stream(
     let delays = exp.static_delays();
 
     let mut ph = PageHinkley::new(config.drift);
-    let mut reservoir: SlidingReservoir<LabeledWindow> = SlidingReservoir::new(config.reservoir);
+    let mut reservoir: SlidingReservoir<LabeledWindow> = SlidingReservoir::new(config.chunk);
     let mut chunks = Vec::with_capacity(stream.len().div_ceil(config.chunk));
     let mut detections = Vec::new();
     let mut refreshes = Vec::new();
@@ -311,46 +288,41 @@ pub fn run_adaptive_stream(
         }
 
         // Two-stage refresh on alarm, rate-limited.
-        let gap_ok = last_refresh.is_none_or(|c| index - c >= config.min_refresh_gap);
-        let want_refresh = config.refresh_standardizer || config.recalibrate_detectors;
-        let mut refreshed = false;
-        if drift_alarm && gap_ok && want_refresh {
-            if config.refresh_standardizer {
-                let mut online = OnlineStandardizer::new(exp.standardizer().channels());
-                for w in reservoir.iter() {
-                    online.update(&w.data);
-                }
-                exp.set_standardizer(online.freeze());
-                refreshed = true;
+        let gap_ok = last_refresh.is_none_or(|c| index - c >= MIN_REFRESH_GAP);
+        let refreshed = drift_alarm && gap_ok && config.adaptive;
+        if refreshed {
+            let mut online = OnlineStandardizer::new(exp.standardizer().channels());
+            for w in reservoir.iter() {
+                online.update(&w.data);
             }
-            if config.recalibrate_detectors {
-                // Self-label the reservoir under the *new* standardizer:
-                // keep what the cloud-tier model still deems normal
-                // (ground truth is unavailable in deployment).
-                let raw_reservoir: Vec<LabeledWindow> = reservoir.iter().cloned().collect();
-                let std_reservoir = exp.standardize_windows(&raw_reservoir);
-                let reservoir_oracle = exp.oracle_over(&std_reservoir);
-                let normals: Vec<LabeledWindow> = std_reservoir
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| !reservoir_oracle.verdict(*i, 2))
-                    .map(|(_, w)| LabeledWindow::new(w.data.clone(), false))
-                    .collect();
-                if !normals.is_empty() && exp.recalibrate_detectors(&normals).is_ok() {
-                    refreshed = true;
-                }
+            exp.set_standardizer(online.freeze());
+            // Self-label the reservoir under the *new* standardizer:
+            // keep what the cloud-tier model still deems normal
+            // (ground truth is unavailable in deployment). With nothing
+            // left to recalibrate on, or a refit that fails, the
+            // detectors stay as they were and the standardizer refit
+            // alone is the refresh.
+            let raw_reservoir: Vec<LabeledWindow> = reservoir.iter().cloned().collect();
+            let std_reservoir = exp.standardize_windows(&raw_reservoir);
+            let reservoir_oracle = exp.oracle_over(&std_reservoir);
+            let normals: Vec<LabeledWindow> = std_reservoir
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !reservoir_oracle.verdict(*i, 2))
+                .map(|(_, w)| LabeledWindow::new(w.data.clone(), false))
+                .collect();
+            if !normals.is_empty() {
+                let _ = exp.recalibrate_detectors(&normals);
             }
-            if refreshed {
-                ph.reset();
-                last_refresh = Some(index);
-                refreshes.push(index);
-            }
+            ph.reset();
+            last_refresh = Some(index);
+            refreshes.push(index);
         }
 
         // Continual policy tracking: shadow the chunk with sampled
         // actions against the static delay ladder, apply between chunks.
         let mut policy_updates = 0;
-        if config.refresh_policy {
+        if config.adaptive {
             for (i, outcome) in oracle.outcomes.iter().enumerate() {
                 let context = scaler.transform(&outcome.context);
                 let action = trainer.sample_action(&context);
@@ -376,7 +348,7 @@ pub fn run_adaptive_stream(
     }
 
     if hec_telemetry::ENABLED {
-        let labels: &[(&'static str, &str)] = &[("pipeline", &config.label)];
+        let labels: &[(&'static str, &str)] = &[("pipeline", config.label())];
         hec_telemetry::counter_add("drift.detections", labels, detections.len() as u64);
         hec_telemetry::counter_add("adapt.refreshes", labels, refreshes.len() as u64);
         hec_telemetry::counter_add(
@@ -388,7 +360,7 @@ pub fn run_adaptive_stream(
     }
 
     AdaptReport {
-        label: config.label.clone(),
+        label: config.label().into(),
         chunks,
         detections,
         refreshes,

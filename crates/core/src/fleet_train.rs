@@ -4,18 +4,24 @@
 //! table, so the learned trade-off is blind to load: offloading into a
 //! saturated edge looks exactly as cheap as offloading into an idle one.
 //! This module closes the loop instead: the policy trains **inside** the
-//! discrete-event fleet simulator, on the step-wise
-//! [`FleetEngine`](hec_sim::fleet::FleetEngine) API, interleaving
+//! discrete-event fleet simulator. An epoch is one run of the crate's
+//! closed loop (`closed_loop.rs`; README, "The closed loop") with the
+//! trainer on both sides of it:
 //!
 //! 1. *route* — sample an action from the policy on the window's scaled
 //!    base context **plus the live normalised load gauges** (queue depths
 //!    and link occupancy at the emitting moment);
-//! 2. *observe* — when the window's simulated completion (or drop)
-//!    arrives, score it with the [`RewardModel`] at the **observed
-//!    load-dependent delay** (drops pay the explicit drop penalty);
+//! 2. *hear* — when the window's simulated completion (or drop) arrives,
+//!    the loop has priced it with the [`RewardModel`] at the **observed
+//!    load-dependent delay** (drops pay the explicit drop penalty), the
+//!    same pricing the evaluation drivers score with;
 //! 3. *update* — apply the deferred REINFORCE update
 //!    ([`PolicyTrainer::observe`]) with the reinforcement-comparison
 //!    baseline.
+//!
+//! A trainer mid-update is stateful, so the loop steps the one-shard
+//! engine and the update for outcome *n* lands before window *n + 1* is
+//! routed.
 //!
 //! Because actions shape queueing, the policy's own exploration changes
 //! the delays it learns from — exactly the closed loop a deployed
@@ -31,10 +37,12 @@ use hec_bandit::{
     ContextScaler, LoadNormalizer, PolicyNetwork, PolicyTrainer, RewardModel, TrainConfig,
     TrainingCurve,
 };
-use hec_sim::fleet::{FleetScenario, JobEvent, ShardPlan, ShardedFleetEngine};
+use hec_sim::fleet::{FleetScenario, JobEvent, RouteCtx, ShardPlan};
 
+use crate::closed_loop::{load_features, routed_windows, run_closed_loop, ClosedLoop};
 use crate::oracle::Oracle;
-use crate::stream::{scenario_load_normalizer, ProbeMap};
+use crate::scheme::scaled_contexts;
+use crate::stream::scenario_load_normalizer;
 
 /// Result of training a policy inside the fleet.
 #[derive(Debug)]
@@ -81,116 +89,86 @@ pub fn train_policy_in_fleet(
     probe_cohort: Option<u32>,
 ) -> FleetTrainOutcome {
     assert!(!oracle.is_empty(), "cannot train on an empty oracle corpus");
-    let total_windows = scenario.total_windows();
-    assert!(total_windows > 0, "scenario emits no windows");
-    let trained_windows = match probe_cohort {
-        None => total_windows,
-        Some(pc) => {
-            let cohort = scenario
-                .cohorts
-                .get(pc as usize)
-                .unwrap_or_else(|| panic!("probe cohort {pc} out of range"));
-            assert!(cohort.total_windows() > 0, "probe cohort {pc} emits no windows");
-            cohort.total_windows()
-        }
-    };
-    let n = oracle.len();
-    let k = scenario.topology().num_layers();
+    let trained = routed_windows(scenario, probe_cohort);
+    assert!(trained > 0, "nothing to train on: the scenario or its probe cohort emits no windows");
 
-    let scaled: Vec<Vec<f32>> =
-        oracle.outcomes.iter().map(|o| scaler.transform(&o.context)).collect();
-    let norm: LoadNormalizer = scenario_load_normalizer(scenario);
+    let norm = scenario_load_normalizer(scenario);
     let input_dim = scaler.dim() + norm.dims();
+    let policy =
+        PolicyNetwork::new(input_dim, hidden, scenario.topology().num_layers(), config.seed);
+    let mut lp = Training {
+        trainer: PolicyTrainer::new(policy, config),
+        base: scaled_contexts(oracle, scaler),
+        norm,
+        pending: vec![None; scenario.total_windows() as usize],
+        total: 0.0,
+        outcomes: 0,
+        drops: 0,
+    };
 
-    let policy = PolicyNetwork::new(input_dim, hidden, k, config.seed);
-    let mut trainer = PolicyTrainer::new(policy, config);
-
-    let mut curve = Vec::with_capacity(config.epochs);
-    let mut drops_per_epoch = Vec::with_capacity(config.epochs);
-    // Routed-but-unresolved trainable windows: (oracle index, augmented
-    // context, sampled action), indexed by the window's global sequence
-    // number. Background windows under a probe cohort never get an entry.
-    let mut pending: Vec<Option<(u32, Vec<f32>, usize)>> = vec![None; total_windows as usize];
-    // The same window → oracle mapping the evaluation driver uses.
-    let mut probe_map = ProbeMap::new(probe_cohort, n);
-
-    // One-shard plan: training goes through the sharded coordinator's
-    // serial fast path (`FleetEngine::step` exactly), keeping the mutating
-    // sample→observe→update interleaving and its byte-identical weights.
+    // One shard: exactly the serial engine, whose `step` hands over
+    // outcome n before it routes window n + 1 — the sample → observe →
+    // update interleaving the byte-identical weights depend on.
     let plan = ShardPlan::new(scenario, 1);
-    for _epoch in 0..config.epochs {
-        let _span = hec_telemetry::WallSpan::new("core.train_epoch");
-        let mut engine = ShardedFleetEngine::new(&plan);
-        let mut total = 0.0f32;
-        let mut outcomes = 0u64;
-        let mut drops = 0u64;
-        probe_map.reset();
-        loop {
-            // The router borrows the trainer mutably only for the duration
-            // of this step; the deferred update below re-borrows it.
-            let ev = {
-                let trainer = &mut trainer;
-                let pending = &mut pending;
-                let probe_map = &mut probe_map;
-                let scaled = &scaled;
-                let norm = &norm;
-                engine.step(&mut |ctx| {
-                    let Some(i) = probe_map.oracle_index(ctx) else {
-                        // Background load: replay the scenario plan.
-                        return scenario.planned_layer(ctx.cohort, ctx.seq);
-                    };
-                    let mut feat = Vec::with_capacity(input_dim);
-                    feat.extend_from_slice(&scaled[i]);
-                    norm.append_features(ctx.queue_depth, ctx.link_inflight, &mut feat);
-                    let action = trainer.sample_action(&feat);
-                    pending[ctx.seq as usize] = Some((i as u32, feat, action));
-                    action
-                })
-            };
-            let Some(ev) = ev else { break };
-            let seq = match ev {
-                JobEvent::Served { seq, .. } | JobEvent::Dropped { seq, .. } => seq,
-            };
-            let Some((i, feat, action)) = pending[seq as usize].take() else {
-                continue; // background window: load only, no update
-            };
-            let r = match ev {
-                JobEvent::Served { layer, latency_ms, .. } => reward
-                    .reward_outcome(oracle.correct(i as usize, layer), Some(latency_ms))
-                    as f32,
-                JobEvent::Dropped { .. } => {
-                    drops += 1;
-                    reward.reward_dropped() as f32
-                }
-            };
-            trainer.observe(&feat, action, r);
-            total += r;
-            outcomes += 1;
-        }
-        debug_assert_eq!(outcomes, trained_windows, "fleet leaked windows during training");
-        curve.push(total / outcomes.max(1) as f32);
-        drops_per_epoch.push(drops);
-        pending.iter_mut().for_each(|slot| *slot = None);
-        // Deterministic training-progress counts (per-epoch updates and
-        // drops are seed-fixed, so these belong in the registry).
-        if hec_telemetry::ENABLED {
-            hec_telemetry::counter_add(
-                "train.updates",
-                &[("scenario", scenario.name.as_str())],
-                outcomes,
-            );
-            hec_telemetry::counter_add(
-                "train.drops",
-                &[("scenario", scenario.name.as_str())],
-                drops,
-            );
-        }
-    }
+    let (curve, drops_per_epoch) = (0..config.epochs)
+        .map(|_epoch| {
+            let _span = hec_telemetry::WallSpan::new("core.train_epoch");
+            (lp.total, lp.outcomes, lp.drops) = (0.0, 0, 0);
+            // The fleet report stays unrendered.
+            let _ = run_closed_loop(&plan, probe_cohort, oracle, reward, &mut lp);
+            // Deterministic training-progress counts (per-epoch updates
+            // and drops are seed-fixed, so these belong in the registry).
+            if hec_telemetry::ENABLED {
+                let labels = [("scenario", scenario.name.as_str())];
+                hec_telemetry::counter_add("train.updates", &labels, lp.outcomes);
+                hec_telemetry::counter_add("train.drops", &labels, lp.drops);
+            }
+            (lp.total / lp.outcomes.max(1) as f32, lp.drops)
+        })
+        .unzip();
 
     FleetTrainOutcome {
-        policy: trainer.into_policy(),
+        policy: lp.trainer.into_policy(),
         curve: TrainingCurve { mean_reward_per_epoch: curve },
         drops_per_epoch,
+    }
+}
+
+/// Training as a closed loop: route = sample an action on the window's
+/// load features, hear = score the outcome and apply the deferred
+/// REINFORCE update.
+struct Training {
+    trainer: PolicyTrainer,
+    base: Vec<Vec<f32>>,
+    norm: LoadNormalizer,
+    /// Routed-but-unresolved trained windows: (augmented context, sampled
+    /// action) by the window's global sequence number.
+    pending: Vec<Option<(Vec<f32>, usize)>>,
+    /// This epoch's reward sum over the trained windows, an `f32`
+    /// accumulation in event order (the curve is byte-compared).
+    total: f32,
+    outcomes: u64,
+    drops: u64,
+}
+
+impl<'t> ClosedLoop<'t> for Training {
+    fn route(&mut self, ctx: &RouteCtx<'_>, i: usize) -> usize {
+        let mut feat = Vec::with_capacity(self.trainer.policy().input_dim());
+        load_features(&self.base[i], &self.norm, ctx, &mut feat);
+        let action = self.trainer.sample_action(&feat);
+        self.pending[ctx.seq as usize] = Some((feat, action));
+        action
+    }
+
+    fn hear(&mut self, ev: &JobEvent, scored: Option<(usize, f64)>) {
+        let Some((_, r)) = scored else { return }; // background window: load only, no update
+        let (JobEvent::Served { seq, .. } | JobEvent::Dropped { seq, .. }) = *ev;
+        let (feat, action) =
+            self.pending[seq as usize].take().expect("heard a window never routed");
+        self.trainer.observe(&feat, action, r as f32);
+        self.total += r as f32;
+        self.outcomes += 1;
+        self.drops += u64::from(matches!(ev, JobEvent::Dropped { .. }));
     }
 }
 

@@ -22,6 +22,11 @@
 //! * [`fleet_train`] — fleet-in-the-loop bandit training: the policy
 //!   trains *inside* the discrete-event simulator on observed
 //!   load-dependent delays and live queue-state context features;
+//! * [`replay`] — the same closed loop at shard scale: an (amplified)
+//!   trace corpus streamed through the sharded fleet engine (streaming,
+//!   replay and training are three compositions of one private loop:
+//!   a scheme's action, a window's score and the engine's step loop are
+//!   each written once);
 //! * [`ablation`] — α sweeps, baseline ablation, bandit-solver comparison
 //!   and confidence-rule sweeps (DESIGN.md §5);
 //! * [`parallel`] — scoped-thread helpers (`HEC_THREADS` override) behind
@@ -42,6 +47,7 @@
 
 pub mod ablation;
 pub mod adapt;
+mod closed_loop;
 pub mod experiment;
 pub mod fleet_train;
 pub mod oracle;

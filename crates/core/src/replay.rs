@@ -1,21 +1,20 @@
 //! Sharded trace replay: an (amplified) real-trace corpus streamed
 //! through the **sharded** fleet engine at engine rate.
 //!
-//! [`crate::stream::stream_through_fleet`] replays a corpus through a
-//! one-shard engine so stateful (`FnMut`) routers stay legal — the right
-//! tool for the closed-loop probe-cohort evaluation, and a single-engine
-//! bottleneck at a million windows. This module is the scale tier: the
-//! replay cohort's devices are partitioned into the [`ShardPlan`]'s
-//! contiguous slices (device id → shard, the PR-6 scheme), the shards
+//! The scale tier of the crate's closed loop (`closed_loop.rs`; README,
+//! "The closed loop"), composed of: [`replay_scenario`]'s one-cohort
+//! fleet, partitioned into a [`ShardPlan`]'s contiguous device slices;
+//! the scheme's precomputed [`scheme_action_table`] as the router; and no
+//! probe cohort. A table with nothing in the background is stateless, so
+//! the loop hands the plan to [`crate::sharded::run_plan`]: the shards
 //! advance in parallel on the `HEC_THREADS` workers when the trace is
-//! long enough to pay for them (see [`crate::sharded`]; the adaptation
-//! loop's 50-window chunks run on the calling thread), and the scheme
-//! routes each window through a precomputed
-//! [`scheme_action_table`] — a stateless `Fn + Sync` lookup, which is
-//! exactly what the parallel driver requires. Outcomes merge in the
-//! deterministic `(time, shard-id)` order, so the replayed
-//! [`FleetStreamResult`] is byte-identical across reruns and thread
-//! counts.
+//! long enough to pay for them (the adaptation loop's 50-window chunks
+//! run on the calling thread), and outcomes merge in the deterministic
+//! `(time, shard-id)` order — the replayed [`FleetStreamResult`] is
+//! byte-identical across reruns and thread counts. Scoring and the
+//! conservation checks are the loop's, the same as
+//! [`crate::stream::stream_through_fleet`]'s; this module adds the
+//! `core.replay` span and the `replay.*` counters.
 //!
 //! A replay keeps **no queue trace**: [`replay_scenario`] turns the
 //! preset's queue-depth sampler off, so `FleetStreamResult::fleet.trace`
@@ -29,17 +28,13 @@
 //! replay reproduces its results exactly (asserted in tests).
 
 use hec_bandit::{ContextScaler, PolicyNetwork, RewardModel};
-use hec_data::BinaryConfusion;
-use hec_sim::fleet::{
-    CohortSpec, DropReason, FleetScale, FleetScenario, JobEvent, LatencyHist, RouteCtx, RoutePlan,
-    ShardPlan,
-};
+use hec_sim::fleet::{CohortSpec, FleetScale, FleetScenario, RoutePlan, ShardPlan};
 use hec_sim::DatasetKind;
 
+use crate::closed_loop::{evaluate_in_fleet, SchemeRouter};
 use crate::oracle::Oracle;
 use crate::scheme::SchemeKind;
-use crate::sharded::run_plan;
-use crate::stream::{scheme_action_table, DropBreakdown, FleetStreamResult};
+use crate::stream::{scheme_action_table, FleetStreamResult};
 
 /// Windows each replay device emits: the corpus spreads over
 /// `n / 10` devices, so a million-window trace exercises a
@@ -51,9 +46,10 @@ pub const WINDOWS_PER_DEVICE: u32 = 10;
 /// `WINDOWS_PER_DEVICE` windows a minute apart, on the `light_load`
 /// queue/link parameters with the dataset's payload and without its
 /// queue-depth sampler (module docs). Device ids are contiguous, so
-/// [`ShardPlan::new`] splits the cohort into per-shard device slices. When `WINDOWS_PER_DEVICE` does not divide `n_windows`
-/// the fleet emits up to one device's extra windows; the oracle mapping
-/// wraps round-robin, keeping every emitted window scored.
+/// [`ShardPlan::new`] splits the cohort into per-shard device slices.
+/// When `WINDOWS_PER_DEVICE` does not divide `n_windows` the fleet emits
+/// up to one device's extra windows; the oracle mapping wraps
+/// round-robin, keeping every emitted window scored.
 ///
 /// # Panics
 ///
@@ -76,9 +72,9 @@ pub fn replay_scenario(kind: DatasetKind, payload_bytes: usize, n_windows: u64) 
 /// every emitted window maps to an oracle window (round-robin in
 /// emission order), the precomputed action table chooses its layer, the
 /// sharded engine charges the load-dependent delay, and the serving
-/// layer's frozen verdict is scored against ground truth — the same
-/// accounting as [`crate::stream::stream_through_fleet`], at shard
-/// scale.
+/// layer's frozen verdict is scored against ground truth — the
+/// accounting of [`crate::stream::stream_through_fleet`] (it is the same
+/// code), at shard scale.
 ///
 /// `policy`/`scaler` are required only for [`SchemeKind::Adaptive`],
 /// which must be a **static** policy (see [`scheme_action_table`]).
@@ -104,63 +100,16 @@ pub fn replay_trace_sharded(
 ) -> FleetStreamResult {
     assert!(!oracle.is_empty(), "cannot replay an empty oracle corpus");
     let _span = hec_telemetry::WallSpan::new("core.replay");
-    let n = oracle.len() as u64;
     let actions = scheme_action_table(scenario, oracle, kind, policy, scaler);
     let plan = ShardPlan::new(scenario, shards);
-
-    let mut confusion = BinaryConfusion::new();
-    let mut missed = 0u64;
-    let mut reward_sum = 0.0f64;
-    let mut routed = 0u64;
-    let mut routed_latency = LatencyHist::new();
-    let mut drop_counts = vec![[0u64; 2]; plan.num_layers()];
-
-    let router = |ctx: &RouteCtx| actions[(ctx.seq % n) as usize];
-    let run = run_plan(&plan, &router, &mut |ev| match *ev {
-        JobEvent::Served { seq, layer, latency_ms, .. } => {
-            let i = (seq % n) as usize;
-            confusion.record(oracle.verdict(i, layer), oracle.outcomes[i].truth);
-            reward_sum += reward.reward_outcome(oracle.correct(i, layer), Some(latency_ms));
-            routed_latency.record(latency_ms);
-            routed += 1;
-        }
-        JobEvent::Dropped { layer, reason, .. } => {
-            let cause = match reason {
-                DropReason::QueueFull => 0,
-                DropReason::LinkSaturated => 1,
-            };
-            drop_counts[layer][cause] += 1;
-            missed += 1;
-            reward_sum += reward.reward_dropped();
-            routed += 1;
-        }
-    });
-
-    let fleet = run.report;
-    let drops: Vec<DropBreakdown> = drop_counts
-        .iter()
-        .enumerate()
-        .map(|(layer, c)| DropBreakdown { layer, queue: c[0], link: c[1] })
-        .collect();
-    let total_drops: u64 = drops.iter().map(|d| d.queue + d.link).sum();
-    debug_assert_eq!(total_drops, fleet.dropped, "drop breakdown diverged from the fleet report");
-    debug_assert_eq!(fleet.served + fleet.dropped, fleet.emitted, "window conservation violated");
+    let router = SchemeRouter::Table(&actions);
+    let result = evaluate_in_fleet(&plan, oracle, kind, router, reward, None);
     if hec_telemetry::ENABLED {
         let scheme = kind.to_string();
-        hec_telemetry::counter_add("replay.windows", &[("scheme", &scheme)], fleet.emitted);
-        hec_telemetry::counter_add("replay.missed", &[("scheme", &scheme)], missed);
+        hec_telemetry::counter_add("replay.windows", &[("scheme", &scheme)], result.fleet.emitted);
+        hec_telemetry::counter_add("replay.missed", &[("scheme", &scheme)], result.missed);
     }
-    let mean_reward_x100 = 100.0 * reward_sum / routed.max(1) as f64;
-    FleetStreamResult {
-        scheme: kind,
-        fleet,
-        confusion,
-        missed,
-        drops,
-        mean_reward_x100,
-        routed_mean_ms: routed_latency.mean(),
-        routed_p99_ms: routed_latency.quantile(0.99),
-    }
+    result
 }
 
 #[cfg(test)]
@@ -272,6 +221,15 @@ mod tests {
             let streamed = stream_through_fleet(&sc, &o, kind, None, None, &rm(), None);
             assert_eq!(replayed, streamed, "{kind}");
         }
+        // And the bandit scheme, under a static policy.
+        let kind = SchemeKind::Adaptive;
+        let scaler = hec_bandit::ContextScaler::fit(&o.contexts());
+        let mut policy = PolicyNetwork::new(scaler.dim(), 8, 3, 0);
+        let replayed =
+            replay_trace_sharded(&sc, &o, kind, Some(&mut policy), Some(&scaler), &rm(), 1);
+        let streamed =
+            stream_through_fleet(&sc, &o, kind, Some(&mut policy), Some(&scaler), &rm(), None);
+        assert_eq!(replayed, streamed, "{kind}");
     }
 
     #[test]

@@ -86,6 +86,63 @@ pub struct SchemeResult {
     pub action_histogram: [usize; 3],
 }
 
+/// Every oracle context through the policy's scaler, in corpus order — the
+/// base input of both the static and the load-aware policy.
+pub(crate) fn scaled_contexts(oracle: &Oracle, scaler: &ContextScaler) -> Vec<Vec<f32>> {
+    // Transform straight from the stored outcomes — no intermediate clone
+    // of every context Vec.
+    oracle.outcomes.iter().map(|o| scaler.transform(&o.context)).collect()
+}
+
+/// Where the Successive escalation stops for window `i`: the first layer
+/// with a confident output, or `top`.
+fn escalation_stop(oracle: &Oracle, i: usize, top: usize) -> usize {
+    (0..top).find(|&layer| oracle.confident(i, layer)).unwrap_or(top)
+}
+
+/// The layer each oracle window ends at under a scheme, on a hierarchy of
+/// `num_layers` layers — the one place a scheme picks a layer. Every
+/// reader ([`SchemeEvaluator::evaluate`], the Fig. 3b series, the fleet
+/// drivers through [`crate::stream::scheme_action_table`]) looks its
+/// windows up here, so they cannot disagree on what a scheme does. The
+/// Adaptive actions are the policy's greedy choices from one batched
+/// forward pass over the scaled contexts.
+///
+/// # Panics
+///
+/// Panics if `Adaptive` is requested without a policy and scaler, or with
+/// a policy whose input dimension is not the scaler's.
+pub(crate) fn action_table(
+    num_layers: usize,
+    oracle: &Oracle,
+    kind: SchemeKind,
+    policy: Option<&mut PolicyNetwork>,
+    scaler: Option<&ContextScaler>,
+) -> Vec<usize> {
+    let n = oracle.len();
+    match kind {
+        SchemeKind::IoTDevice => vec![0; n],
+        SchemeKind::Edge => vec![1; n],
+        SchemeKind::Cloud => vec![2; n],
+        SchemeKind::Successive => {
+            (0..n).map(|i| escalation_stop(oracle, i, num_layers - 1)).collect()
+        }
+        SchemeKind::Adaptive => {
+            let p = policy.expect("Adaptive needs a trained policy");
+            let s = scaler.expect("Adaptive needs a context scaler");
+            // A load-aware policy (base context + load features) acts on
+            // live queue state and has no table: the fleet streaming
+            // driver routes it per window before it asks for one.
+            assert_eq!(
+                p.input_dim(),
+                s.dim(),
+                "Adaptive policy input dim matches neither the base context nor base + load features"
+            );
+            p.greedy_batch(&scaled_contexts(oracle, s))
+        }
+    }
+}
+
 /// Evaluates schemes against a frozen [`Oracle`] on a topology.
 pub struct SchemeEvaluator<'a> {
     topology: &'a HecTopology,
@@ -112,11 +169,7 @@ impl<'a> SchemeEvaluator<'a> {
     /// until a confident detection or the top layer; delay accumulates every
     /// visited hop (§III-C scheme 4).
     pub fn successive(&self, oracle: &Oracle, i: usize) -> SchemeOutcome {
-        let top = self.topology.num_layers() - 1;
-        let mut layer = 0usize;
-        while layer < top && !oracle.confident(i, layer) {
-            layer += 1;
-        }
+        let layer = escalation_stop(oracle, i, self.topology.num_layers() - 1);
         SchemeOutcome {
             verdict: oracle.verdict(i, layer),
             delay_ms: self.topology.successive_ms(layer + 1, self.payload_bytes),
@@ -124,29 +177,42 @@ impl<'a> SchemeEvaluator<'a> {
         }
     }
 
-    /// The per-window outcome of the Adaptive scheme: the policy network
-    /// greedily selects the layer from the (scaled) context.
-    pub fn adaptive(
+    /// Every window's outcome under a scheme, in corpus order: the layer
+    /// comes from the scheme's [`action_table`] (for Adaptive, one batched
+    /// forward pass), the verdict and delay are that layer's. Computed in
+    /// parallel with scoped threads (worker count from `HEC_THREADS`, see
+    /// [`crate::parallel`]) and returned in order, so every reader sees
+    /// what a serial pass would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `Adaptive` is requested without a policy and scaler.
+    pub(crate) fn outcomes(
         &self,
+        kind: SchemeKind,
         oracle: &Oracle,
-        i: usize,
-        policy: &mut PolicyNetwork,
-        scaler: &ContextScaler,
-    ) -> SchemeOutcome {
-        let context = scaler.transform(&oracle.outcomes[i].context);
-        let layer = policy.greedy(&context);
-        self.fixed(oracle, i, layer)
+        policy: Option<&mut PolicyNetwork>,
+        scaler: Option<&ContextScaler>,
+    ) -> Vec<SchemeOutcome> {
+        let layers = action_table(self.topology.num_layers(), oracle, kind, policy, scaler);
+        parallel_map_range_grained(oracle.len(), WINDOWS_PER_WORKER, |i| {
+            let mut outcome = self.fixed(oracle, i, layers[i]);
+            if kind == SchemeKind::Successive {
+                // Escalation pays every hop up to the layer it stops at.
+                outcome.delay_ms = self.topology.successive_ms(layers[i] + 1, self.payload_bytes);
+            }
+            outcome
+        })
     }
 
     /// Runs a scheme over the whole oracle corpus.
     ///
     /// `policy`/`scaler` are required only for [`SchemeKind::Adaptive`].
     ///
-    /// Per-window outcomes are computed in parallel with scoped threads
-    /// (worker count from `HEC_THREADS`, see [`crate::parallel`]); for the
-    /// Adaptive scheme the policy's greedy actions are precomputed first in
-    /// one batched forward pass. Aggregation runs serially in corpus order,
-    /// so results are identical to a fully serial evaluation.
+    /// Aggregates the per-window outcomes (layers from the scheme's one
+    /// action table, computed on the `HEC_THREADS` workers, returned in
+    /// order) serially in corpus order, so results are identical to a
+    /// fully serial evaluation.
     ///
     /// # Panics
     ///
@@ -155,34 +221,10 @@ impl<'a> SchemeEvaluator<'a> {
         &self,
         kind: SchemeKind,
         oracle: &Oracle,
-        mut policy: Option<&mut PolicyNetwork>,
+        policy: Option<&mut PolicyNetwork>,
         scaler: Option<&ContextScaler>,
     ) -> SchemeResult {
-        let adaptive_layers: Option<Vec<usize>> = match kind {
-            SchemeKind::Adaptive => {
-                let p = policy.take().expect("Adaptive needs a trained policy");
-                let s = scaler.expect("Adaptive needs a context scaler");
-                // Transform straight from the stored outcomes — no
-                // intermediate clone of every context Vec.
-                let scaled: Vec<Vec<f32>> =
-                    oracle.outcomes.iter().map(|o| s.transform(&o.context)).collect();
-                Some(p.greedy_batch(&scaled))
-            }
-            _ => None,
-        };
-
-        let outcomes =
-            parallel_map_range_grained(oracle.len(), WINDOWS_PER_WORKER, |i| match kind {
-                SchemeKind::IoTDevice => self.fixed(oracle, i, 0),
-                SchemeKind::Edge => self.fixed(oracle, i, 1),
-                SchemeKind::Cloud => self.fixed(oracle, i, 2),
-                SchemeKind::Successive => self.successive(oracle, i),
-                SchemeKind::Adaptive => {
-                    let layers = adaptive_layers.as_ref().expect("precomputed above");
-                    self.fixed(oracle, i, layers[i])
-                }
-            });
-
+        let outcomes = self.outcomes(kind, oracle, policy, scaler);
         let mut confusion = BinaryConfusion::new();
         let mut total_delay = 0.0f64;
         let mut histogram = [0usize; 3];
@@ -366,6 +408,38 @@ mod tests {
         let serial = run(1);
         let parallel = run(3);
         assert_eq!(serial, parallel);
+    }
+
+    /// The Fig. 3b series and the Table II row read one action table: for
+    /// every scheme the records must add up to exactly what `evaluate`
+    /// reports — confusion, mean delay and action histogram.
+    #[test]
+    fn stream_records_add_up_to_evaluate_for_every_scheme() {
+        let topo = HecTopology::paper_testbed(DatasetKind::Univariate);
+        let oracle = synthetic_oracle(60);
+        let ev = evaluator(&topo);
+        let scaler = ContextScaler::fit(&oracle.contexts());
+        let mut policy = PolicyNetwork::new(scaler.dim(), 8, 3, 0);
+        for kind in SchemeKind::ALL {
+            let records =
+                crate::stream::stream_records(&ev, &oracle, kind, Some(&mut policy), Some(&scaler));
+            let row = ev.evaluate(kind, &oracle, Some(&mut policy), Some(&scaler));
+            let confusion =
+                BinaryConfusion::from_predictions(records.iter().map(|r| (r.predicted, r.truth)));
+            assert_eq!(confusion, row.confusion, "{kind}");
+            let mean_delay = records.iter().map(|r| r.delay_ms).sum::<f64>() / records.len() as f64;
+            assert_eq!(mean_delay, row.mean_delay_ms, "{kind}");
+            let mut histogram = [0usize; 3];
+            for r in &records {
+                histogram[r.action] += 1;
+            }
+            assert_eq!(histogram, row.action_histogram, "{kind}");
+            // Successive stays local on the easy half and escalates on
+            // the hard half, so this is not five constant tables.
+            if kind == SchemeKind::Successive {
+                assert_eq!(histogram, [30, 30, 0]);
+            }
+        }
     }
 
     #[test]

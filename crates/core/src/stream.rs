@@ -14,17 +14,16 @@
 //! and pays load-dependent delay, which the per-window Fig. 3b replay
 //! cannot express.
 //!
-//! The driver pulls outcomes from the sharded coordinator's resumable
-//! `step` contract (a one-shard [`ShardedFleetEngine`], i.e. exactly the
-//! serial `FleetEngine` — the same engine [`crate::fleet_train`] trains
-//! inside) and routes **load-aware**
-//! policies natively: an Adaptive policy whose input dimension is
-//! `context + load features` gets the emitting moment's normalised queue
-//! depths appended to each window's context, instead of the static
-//! precomputed action table the base policy uses. Every emitted window is
-//! scored under the dataset's [`RewardModel`] with its *observed*
-//! load-dependent delay; windows shed by admission control pay the
-//! explicit drop penalty.
+//! It is one composition of the crate's closed loop (`closed_loop.rs`;
+//! README, "The closed loop"): this module picks the router — the scheme's
+//! [`scheme_action_table`], or for a **load-aware** Adaptive policy (input
+//! `context + load features`, [`scenario_load_normalizer`]) a per-window
+//! greedy forward pass on the live queue state — runs it over the
+//! scenario's own one-shard plan, optionally confined to a probe cohort,
+//! and records the `stream.*` counters. Routing per window, scoring at
+//! the *observed* delay, the drop penalty and the conservation checks
+//! are the loop's, shared with [`crate::replay`] and
+//! [`crate::fleet_train`].
 
 use std::fmt::Write as _;
 
@@ -32,13 +31,11 @@ use serde::{Deserialize, Serialize};
 
 use hec_bandit::{ContextScaler, LoadNormalizer, PolicyNetwork, RewardModel};
 use hec_data::BinaryConfusion;
-use hec_sim::fleet::{
-    DropReason, FleetReport, FleetScenario, JobEvent, LatencyHist, RouteCtx, ShardPlan,
-    ShardedFleetEngine,
-};
+use hec_sim::fleet::{FleetReport, FleetScenario, ShardPlan};
 
+use crate::closed_loop::{evaluate_in_fleet, SchemeRouter};
 use crate::oracle::Oracle;
-use crate::scheme::{SchemeEvaluator, SchemeKind};
+use crate::scheme::{action_table, scaled_contexts, SchemeEvaluator, SchemeKind};
 
 /// One row of the Fig. 3b panel: the state after processing window `index`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -71,23 +68,12 @@ pub fn stream_records(
     evaluator: &SchemeEvaluator<'_>,
     oracle: &Oracle,
     kind: SchemeKind,
-    mut policy: Option<&mut PolicyNetwork>,
+    policy: Option<&mut PolicyNetwork>,
     scaler: Option<&ContextScaler>,
 ) -> Vec<StreamRecord> {
     let mut confusion = BinaryConfusion::new();
     let mut records = Vec::with_capacity(oracle.len());
-    for i in 0..oracle.len() {
-        let outcome = match kind {
-            SchemeKind::IoTDevice => evaluator.fixed(oracle, i, 0),
-            SchemeKind::Edge => evaluator.fixed(oracle, i, 1),
-            SchemeKind::Cloud => evaluator.fixed(oracle, i, 2),
-            SchemeKind::Successive => evaluator.successive(oracle, i),
-            SchemeKind::Adaptive => {
-                let p = policy.as_deref_mut().expect("Adaptive needs a trained policy");
-                let s = scaler.expect("Adaptive needs a context scaler");
-                evaluator.adaptive(oracle, i, p, s)
-            }
-        };
+    for (i, outcome) in evaluator.outcomes(kind, oracle, policy, scaler).into_iter().enumerate() {
         let truth = oracle.outcomes[i].truth;
         confusion.record(outcome.verdict, truth);
         records.push(StreamRecord {
@@ -203,54 +189,12 @@ pub fn scenario_load_normalizer(scenario: &FleetScenario) -> LoadNormalizer {
     LoadNormalizer::new(queue_caps, link_caps).with_queue_scale(queue_scale)
 }
 
-/// Window → oracle mapping for a scheme-routed stream, single-sourced so
-/// the fleet trainer and the evaluation router can never diverge on it:
-/// scheme-routed windows map round-robin over the corpus in emission
-/// order; background windows under a probe cohort map to `None` (they
-/// contribute load, not scores or updates).
-#[derive(Debug, Clone)]
-pub struct ProbeMap {
-    probe: Option<u32>,
-    corpus_len: usize,
-    next: usize,
-}
-
-impl ProbeMap {
-    /// Creates the mapping for a corpus of `corpus_len` oracle windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the corpus is empty.
-    pub fn new(probe: Option<u32>, corpus_len: usize) -> Self {
-        assert!(corpus_len > 0, "empty oracle corpus");
-        Self { probe, corpus_len, next: 0 }
-    }
-
-    /// The oracle window index for an emitted window, or `None` when the
-    /// window belongs to a background cohort.
-    pub fn oracle_index(&mut self, ctx: &RouteCtx<'_>) -> Option<usize> {
-        match self.probe {
-            None => Some((ctx.seq % self.corpus_len as u64) as usize),
-            Some(pc) if ctx.cohort == pc => {
-                let i = self.next % self.corpus_len;
-                self.next += 1;
-                Some(i)
-            }
-            Some(_) => None,
-        }
-    }
-
-    /// Resets the round-robin position (start of a new epoch/replay).
-    pub fn reset(&mut self) {
-        self.next = 0;
-    }
-}
-
-/// Precomputes the per-oracle-window routing table for a scheme — the
-/// stateless (`Fn + Sync`-able) half of scheme routing, shared by
-/// [`stream_through_fleet`]'s table mode and the sharded
-/// [`crate::replay`] driver, so the two can never diverge on what a
-/// scheme does.
+/// Precomputes the per-oracle-window routing table for a scheme on
+/// `scenario`'s hierarchy — the stateless (`Fn + Sync`-able) half of
+/// scheme routing. It is the scheme module's one action table, the same
+/// [`SchemeEvaluator::evaluate`] and [`stream_records`] read, so
+/// [`stream_through_fleet`]'s table mode, the sharded [`crate::replay`]
+/// driver and Table II can never diverge on what a scheme does.
 ///
 /// `policy`/`scaler` are required for [`SchemeKind::Adaptive`] and the
 /// policy must be **static** (`input_dim == scaler.dim()`): a load-aware
@@ -268,73 +212,7 @@ pub fn scheme_action_table(
     policy: Option<&mut PolicyNetwork>,
     scaler: Option<&ContextScaler>,
 ) -> Vec<usize> {
-    let n = oracle.len();
-    match kind {
-        SchemeKind::IoTDevice => vec![0; n],
-        SchemeKind::Edge => vec![1; n],
-        SchemeKind::Cloud => vec![2; n],
-        SchemeKind::Successive => {
-            let top = scenario.topology().num_layers() - 1;
-            (0..n)
-                .map(|i| {
-                    let mut layer = 0usize;
-                    while layer < top && !oracle.confident(i, layer) {
-                        layer += 1;
-                    }
-                    layer
-                })
-                .collect()
-        }
-        SchemeKind::Adaptive => {
-            let p = policy.expect("Adaptive needs a trained policy");
-            let s = scaler.expect("Adaptive needs a context scaler");
-            if p.input_dim() != s.dim() {
-                let norm = scenario_load_normalizer(scenario);
-                panic!(
-                    "Adaptive policy input dim {} matches neither the base context ({}) nor \
-                     base + load features ({})",
-                    p.input_dim(),
-                    s.dim(),
-                    s.dim() + norm.dims()
-                );
-            }
-            let scaled: Vec<Vec<f32>> =
-                oracle.outcomes.iter().map(|o| s.transform(&o.context)).collect();
-            p.greedy_batch(&scaled)
-        }
-    }
-}
-
-/// How the scheme picks each emitted window's layer.
-enum FleetRouterMode<'p> {
-    /// Per-oracle-window precomputed actions: a table lookup on the hot
-    /// path (fixed schemes, Successive, and the static Adaptive policy).
-    Table(Vec<usize>),
-    /// A load-aware policy: each window's scaled base context gets the
-    /// emitting moment's normalised load gauges appended, and the policy
-    /// runs greedily per window — the action genuinely depends on the
-    /// queues the earlier actions built up.
-    LoadAware {
-        policy: &'p mut PolicyNetwork,
-        base: Vec<Vec<f32>>,
-        norm: LoadNormalizer,
-        scratch: Vec<f32>,
-    },
-}
-
-impl FleetRouterMode<'_> {
-    /// Routes oracle window `i` under the live load gauges of `ctx`.
-    fn route(&mut self, ctx: &RouteCtx<'_>, i: usize) -> usize {
-        match self {
-            FleetRouterMode::Table(actions) => actions[i],
-            FleetRouterMode::LoadAware { policy, base, norm, scratch } => {
-                scratch.clear();
-                scratch.extend_from_slice(&base[i]);
-                norm.append_features(ctx.queue_depth, ctx.link_inflight, scratch);
-                policy.greedy(scratch)
-            }
-        }
-    }
+    action_table(scenario.topology().num_layers(), oracle, kind, policy, scaler)
 }
 
 /// Streams the corpus through the discrete-event fleet simulator under a
@@ -380,152 +258,45 @@ pub fn stream_through_fleet(
     scenario: &FleetScenario,
     oracle: &Oracle,
     kind: SchemeKind,
-    mut policy: Option<&mut PolicyNetwork>,
+    policy: Option<&mut PolicyNetwork>,
     scaler: Option<&ContextScaler>,
     reward: &RewardModel,
     probe_cohort: Option<u32>,
 ) -> FleetStreamResult {
     assert!(!oracle.is_empty(), "cannot stream an empty oracle corpus");
-    if let Some(pc) = probe_cohort {
-        assert!(
-            (pc as usize) < scenario.cohorts.len(),
-            "probe cohort {pc} out of range ({} cohorts)",
-            scenario.cohorts.len()
-        );
-    }
-    let n = oracle.len();
-    let mut mode: FleetRouterMode<'_> = match (kind, policy.take()) {
-        (SchemeKind::Adaptive, Some(p)) => {
-            let s = scaler.expect("Adaptive needs a context scaler");
-            let norm = scenario_load_normalizer(scenario);
-            if p.input_dim() == s.dim() + norm.dims() {
-                // Load-aware policy: routed per window on the live queue
-                // state — no precomputable table.
-                let scaled: Vec<Vec<f32>> =
-                    oracle.outcomes.iter().map(|o| s.transform(&o.context)).collect();
-                let scratch = Vec::with_capacity(p.input_dim());
-                FleetRouterMode::LoadAware { policy: p, base: scaled, norm, scratch }
-            } else {
-                // Static policy (or a dimension mismatch, which the
-                // table builder rejects with the full diagnostic).
-                FleetRouterMode::Table(scheme_action_table(scenario, oracle, kind, Some(p), scaler))
-            }
+    let norm = scenario_load_normalizer(scenario);
+    let table;
+    let router = match (kind, policy, scaler) {
+        (SchemeKind::Adaptive, Some(p), Some(s)) if p.input_dim() == s.dim() + norm.dims() => {
+            let base = scaled_contexts(oracle, s);
+            SchemeRouter::LoadAware { policy: p, base, norm, scratch: Vec::new() }
         }
-        (_, p) => FleetRouterMode::Table(scheme_action_table(scenario, oracle, kind, p, scaler)),
+        // Everything else has a table (a policy of any other dimension is
+        // rejected there).
+        (_, p, _) => {
+            table = scheme_action_table(scenario, oracle, kind, p, scaler);
+            SchemeRouter::Table(&table)
+        }
     };
-
-    let mut confusion = BinaryConfusion::new();
-    let mut missed = 0u64;
-    let mut reward_sum = 0.0f64;
-    let mut routed = 0u64;
-    let mut routed_latency = LatencyHist::new();
-    // Every drop of the run, by layer and cause — background cohorts
-    // included, so the totals reconcile against the fleet report.
-    let mut drop_counts = vec![[0u64; 2]; scenario.topology().num_layers()];
-    // Oracle index of each scheme-routed window, by sequence number
-    // (`u32::MAX` = background window, not scored). Only needed when a
-    // probe cohort leaves background windows interleaved in the stream.
-    let mut oracle_of: Vec<u32> = match probe_cohort {
-        Some(_) => vec![u32::MAX; scenario.total_windows() as usize],
-        None => Vec::new(),
-    };
-    let mut probe_map = ProbeMap::new(probe_cohort, n);
-
-    // The one-shard plan routes through the sharded coordinator's serial
-    // fast path: exactly `FleetEngine::step`, so stateful (`FnMut`)
-    // routers stay legal and the output is byte-identical to PR 3/4.
+    // One shard: the scenario's own fleet, and exactly the serial engine.
     let plan = ShardPlan::new(scenario, 1);
-    let mut engine = ShardedFleetEngine::new(&plan);
-    while let Some(ev) = {
-        let mode = &mut mode;
-        let oracle_of = &mut oracle_of;
-        let probe_map = &mut probe_map;
-        engine.step(&mut |ctx| match probe_map.oracle_index(ctx) {
-            Some(i) => {
-                if probe_cohort.is_some() {
-                    oracle_of[ctx.seq as usize] = i as u32;
-                }
-                mode.route(ctx, i)
-            }
-            None => scenario.planned_layer(ctx.cohort, ctx.seq),
-        })
-    } {
-        // Map the outcome back to its oracle window; background windows
-        // under a probe cohort only contribute load, not scores.
-        let index_of = |seq: u64| -> Option<usize> {
-            match probe_cohort {
-                None => Some((seq % n as u64) as usize),
-                Some(_) => {
-                    let i = oracle_of[seq as usize];
-                    (i != u32::MAX).then_some(i as usize)
-                }
-            }
-        };
-        match ev {
-            JobEvent::Served { seq, layer, latency_ms, .. } => {
-                let Some(i) = index_of(seq) else { continue };
-                confusion.record(oracle.verdict(i, layer), oracle.outcomes[i].truth);
-                reward_sum += reward.reward_outcome(oracle.correct(i, layer), Some(latency_ms));
-                routed_latency.record(latency_ms);
-                routed += 1;
-            }
-            JobEvent::Dropped { seq, layer, reason, .. } => {
-                let cause = match reason {
-                    DropReason::QueueFull => 0,
-                    DropReason::LinkSaturated => 1,
-                };
-                drop_counts[layer][cause] += 1;
-                if index_of(seq).is_none() {
-                    continue;
-                }
-                missed += 1;
-                reward_sum += reward.reward_dropped();
-                routed += 1;
-            }
-        }
-    }
-    let fleet = engine.report();
-    let drops: Vec<DropBreakdown> = drop_counts
-        .iter()
-        .enumerate()
-        .map(|(layer, c)| DropBreakdown { layer, queue: c[0], link: c[1] })
-        .collect();
-    let total_drops: u64 = drops.iter().map(|d| d.queue + d.link).sum();
-    debug_assert_eq!(total_drops, fleet.dropped, "drop breakdown diverged from the fleet report");
-    debug_assert_eq!(fleet.served + fleet.dropped, fleet.emitted, "window conservation violated");
+    let result = evaluate_in_fleet(&plan, oracle, kind, router, reward, probe_cohort);
     if hec_telemetry::ENABLED {
         let scheme = kind.to_string();
-        for d in &drops {
+        for d in &result.drops {
             let layer = d.layer.to_string();
-            if d.queue > 0 {
-                hec_telemetry::counter_add(
-                    "stream.drops",
-                    &[("cause", "queue_full"), ("layer", &layer), ("scheme", &scheme)],
-                    d.queue,
-                );
-            }
-            if d.link > 0 {
-                hec_telemetry::counter_add(
-                    "stream.drops",
-                    &[("cause", "link_saturated"), ("layer", &layer), ("scheme", &scheme)],
-                    d.link,
-                );
+            for (cause, n) in [("queue_full", d.queue), ("link_saturated", d.link)] {
+                if n > 0 {
+                    let labels = [("cause", cause), ("layer", &layer), ("scheme", &scheme)];
+                    hec_telemetry::counter_add("stream.drops", &labels, n);
+                }
             }
         }
-        hec_telemetry::counter_add("stream.missed", &[("scheme", &scheme)], missed);
+        let routed = result.confusion.total() as u64 + result.missed;
+        hec_telemetry::counter_add("stream.missed", &[("scheme", &scheme)], result.missed);
         hec_telemetry::counter_add("stream.routed", &[("scheme", &scheme)], routed);
     }
-    let mean_reward_x100 = 100.0 * reward_sum / routed.max(1) as f64;
-    FleetStreamResult {
-        scheme: kind,
-        fleet,
-        confusion,
-        missed,
-        drops,
-        mean_reward_x100,
-        routed_mean_ms: routed_latency.mean(),
-        routed_p99_ms: routed_latency.quantile(0.99),
-    }
+    result
 }
 
 /// Renders per-scheme fleet streaming results as CSV: one row per scheme

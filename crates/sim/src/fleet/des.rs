@@ -42,7 +42,7 @@ use std::collections::VecDeque;
 use crate::event::EventQueue;
 use crate::topology::HecTopology;
 
-use super::metrics::{DropReason, FleetReport, LatencyHist, LayerSummary, TraceSample};
+use super::metrics::{DropReason, FleetReport, FleetTotals, LatencyHist, TraceSample};
 use super::queueing::{FifoQueue, JobRec, PsResource};
 use super::scenario::{Discipline, FleetScenario};
 
@@ -133,22 +133,6 @@ struct LayerState {
     busy_ms: f64,
     link_work_ms: f64,
     latency: LatencyHist,
-}
-
-/// A read-only snapshot of one layer's raw counters, consumed by the
-/// sharded engine when merging shard metrics into a fleet-wide
-/// [`FleetReport`].
-pub(crate) struct RawLayerStats<'e> {
-    pub offered: u64,
-    pub served: u64,
-    pub dropped_queue: u64,
-    pub dropped_link: u64,
-    pub busy_ms: f64,
-    pub link_work_ms: f64,
-    pub latency: &'e LatencyHist,
-    pub peak_queue_depth: usize,
-    pub peak_link_inflight: usize,
-    pub has_link: bool,
 }
 
 /// A resumable, step-wise fleet simulation: the pull-driven core behind
@@ -380,25 +364,36 @@ impl<'a> FleetEngine<'a> {
         }
     }
 
-    /// Raw per-layer counters and histograms, for the sharded engine's
-    /// order-stable metric merge.
-    pub(crate) fn raw_layers(&self) -> impl Iterator<Item = RawLayerStats<'_>> {
-        self.layers.iter().map(|layer| RawLayerStats {
-            offered: layer.offered,
-            served: layer.served,
-            dropped_queue: layer.dropped_queue,
-            dropped_link: layer.dropped_link,
-            busy_ms: layer.busy_ms,
-            link_work_ms: layer.link_work_ms,
-            latency: &layer.latency,
-            peak_queue_depth: match &layer.stage {
+    /// Adds this engine's raw counters to a fleet's totals: the one sum
+    /// every report is rendered from, whether the fleet is this engine
+    /// alone ([`FleetEngine::report`]) or the shards of a plan.
+    pub(crate) fn add_to(&self, totals: &mut FleetTotals) {
+        totals.engines += 1;
+        totals.horizon_ms = totals.horizon_ms.max(self.last_activity_ms);
+        totals.events += self.events;
+        totals.emitted += self.emitted;
+        for (l, (sum, layer)) in totals.layers.iter_mut().zip(&self.layers).enumerate() {
+            sum.servers += if l == 0 {
+                self.total_devices
+            } else {
+                self.topo.layers()[l].device.concurrency.max(1) as u64
+            };
+            sum.offered += layer.offered;
+            sum.served += layer.served;
+            sum.dropped_queue += layer.dropped_queue;
+            sum.dropped_link += layer.dropped_link;
+            sum.busy_ms += layer.busy_ms;
+            sum.link_work_ms += layer.link_work_ms;
+            sum.latency.merge(&layer.latency);
+            sum.peak_queue_depth = sum.peak_queue_depth.max(match &layer.stage {
                 Some(Stage::Fifo(f)) => f.peak_depth,
                 Some(Stage::Ps(ps)) => ps.peak_inflight,
                 None => 0,
-            },
-            peak_link_inflight: layer.link.as_ref().map_or(0, |ps| ps.peak_inflight),
-            has_link: layer.link.is_some(),
-        })
+            });
+            sum.peak_link_inflight =
+                sum.peak_link_inflight.max(layer.link.as_ref().map_or(0, |ps| ps.peak_inflight));
+            sum.has_link |= layer.link.is_some();
+        }
     }
 
     /// Discrete events processed so far.
@@ -706,65 +701,9 @@ impl<'a> FleetEngine<'a> {
     /// step`] returns `None`; calling earlier reports the progress so far
     /// (utilization denominators use the last processed activity time).
     pub fn report(&self) -> FleetReport {
-        let sc = self.sc;
-        let horizon = self.last_activity_ms.max(1e-9);
-        let mut overall = LatencyHist::new();
-        let mut served = 0u64;
-        let mut dropped = 0u64;
-        let summaries: Vec<LayerSummary> = self
-            .layers
-            .iter()
-            .enumerate()
-            .map(|(l, layer)| {
-                let servers = if l == 0 {
-                    self.total_devices.max(1) as f64
-                } else {
-                    self.topo.layers()[l].device.concurrency.max(1) as f64
-                };
-                served += layer.served;
-                dropped += layer.dropped_queue + layer.dropped_link;
-                overall.merge(&layer.latency);
-                LayerSummary {
-                    layer: l,
-                    name: self.topo.layers()[l].device.name.clone(),
-                    offered: layer.offered,
-                    served: layer.served,
-                    dropped_queue: layer.dropped_queue,
-                    dropped_link: layer.dropped_link,
-                    drop_rate: if layer.offered == 0 {
-                        0.0
-                    } else {
-                        (layer.dropped_queue + layer.dropped_link) as f64 / layer.offered as f64
-                    },
-                    utilization: layer.busy_ms / (servers * horizon),
-                    link_utilization: layer.link.as_ref().map(|_| layer.link_work_ms / horizon),
-                    peak_queue_depth: match &layer.stage {
-                        Some(Stage::Fifo(f)) => f.peak_depth,
-                        Some(Stage::Ps(ps)) => ps.peak_inflight,
-                        None => 0,
-                    },
-                    peak_link_inflight: layer.link.as_ref().map_or(0, |ps| ps.peak_inflight),
-                    mean_ms: layer.latency.mean(),
-                    p50_ms: layer.latency.quantile(0.50),
-                    p99_ms: layer.latency.quantile(0.99),
-                    max_ms: layer.latency.max(),
-                }
-            })
-            .collect();
-
-        FleetReport {
-            scenario: sc.name.clone(),
-            horizon_ms: self.last_activity_ms,
-            events: self.events,
-            emitted: self.emitted,
-            served,
-            dropped,
-            layers: summaries,
-            overall_mean_ms: overall.mean(),
-            overall_p50_ms: overall.quantile(0.50),
-            overall_p99_ms: overall.quantile(0.99),
-            trace: self.trace.clone(),
-        }
+        let mut totals = FleetTotals::new(self.k);
+        self.add_to(&mut totals);
+        totals.report(&self.sc.name, &self.topo, self.trace.clone())
     }
 }
 

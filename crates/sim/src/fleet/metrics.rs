@@ -3,6 +3,8 @@
 
 use std::fmt::Write as _;
 
+use crate::topology::HecTopology;
+
 /// Geometric-bin latency histogram — since PR 8 this is the shared
 /// [`hec_telemetry::GeomHist`] (the implementation moved there so every
 /// layer can record mergeable distributions through the metrics
@@ -91,6 +93,117 @@ pub struct FleetReport {
     pub overall_p99_ms: f64,
     /// Periodic queue-depth samples.
     pub trace: Vec<TraceSample>,
+}
+
+/// One layer's raw counters, summed over the engines of a fleet.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LayerTotals {
+    /// Servers at the layer: every device at layer 0, the engines'
+    /// (partitioned) concurrencies above.
+    pub servers: u64,
+    pub offered: u64,
+    pub served: u64,
+    pub dropped_queue: u64,
+    pub dropped_link: u64,
+    pub busy_ms: f64,
+    pub link_work_ms: f64,
+    pub latency: LatencyHist,
+    pub peak_queue_depth: usize,
+    pub peak_link_inflight: usize,
+    pub has_link: bool,
+}
+
+/// The raw totals of a fleet run — one engine's, or the sum over a
+/// plan's shards in stable shard order (`FleetEngine::add_to`) — and the
+/// only place a [`FleetReport`] is assembled from them.
+#[derive(Debug, Clone)]
+pub(crate) struct FleetTotals {
+    /// Engines summed (1 for the serial engine).
+    pub engines: usize,
+    /// Latest activity time among the engines, ms.
+    pub horizon_ms: f64,
+    pub events: u64,
+    pub emitted: u64,
+    pub layers: Vec<LayerTotals>,
+}
+
+impl FleetTotals {
+    /// Empty totals for a `num_layers`-layer hierarchy.
+    pub(crate) fn new(num_layers: usize) -> Self {
+        Self {
+            engines: 0,
+            horizon_ms: 0.0,
+            events: 0,
+            emitted: 0,
+            layers: vec![LayerTotals::default(); num_layers],
+        }
+    }
+
+    /// Latency over all served windows: the layers' histograms merged
+    /// bottom-up.
+    pub(crate) fn overall_latency(&self) -> LatencyHist {
+        let mut overall = LatencyHist::new();
+        for layer in &self.layers {
+            overall.merge(&layer.latency);
+        }
+        overall
+    }
+
+    /// Renders the report. Utilizations are taken against the aggregate
+    /// capacity: each engine's link carries `1/engines` of the bandwidth,
+    /// so links at work `w_s` each run at `Σw_s / (engines × horizon)`.
+    /// For one engine every sum, merge and division here is exact, so a
+    /// one-shard plan reports the serial engine's bytes.
+    pub(crate) fn report(
+        &self,
+        scenario: &str,
+        topology: &HecTopology,
+        trace: Vec<TraceSample>,
+    ) -> FleetReport {
+        let horizon = self.horizon_ms.max(1e-9);
+        let overall = self.overall_latency();
+        let layers: Vec<LayerSummary> = self
+            .layers
+            .iter()
+            .enumerate()
+            .map(|(l, t)| LayerSummary {
+                layer: l,
+                name: topology.layers()[l].device.name.clone(),
+                offered: t.offered,
+                served: t.served,
+                dropped_queue: t.dropped_queue,
+                dropped_link: t.dropped_link,
+                drop_rate: if t.offered == 0 {
+                    0.0
+                } else {
+                    (t.dropped_queue + t.dropped_link) as f64 / t.offered as f64
+                },
+                utilization: t.busy_ms / (t.servers.max(1) as f64 * horizon),
+                link_utilization: t
+                    .has_link
+                    .then(|| t.link_work_ms / (self.engines as f64 * horizon)),
+                peak_queue_depth: t.peak_queue_depth,
+                peak_link_inflight: t.peak_link_inflight,
+                mean_ms: t.latency.mean(),
+                p50_ms: t.latency.quantile(0.50),
+                p99_ms: t.latency.quantile(0.99),
+                max_ms: t.latency.max(),
+            })
+            .collect();
+        FleetReport {
+            scenario: scenario.to_owned(),
+            horizon_ms: self.horizon_ms,
+            events: self.events,
+            emitted: self.emitted,
+            served: layers.iter().map(|l| l.served).sum(),
+            dropped: layers.iter().map(|l| l.dropped_queue + l.dropped_link).sum(),
+            layers,
+            overall_mean_ms: overall.mean(),
+            overall_p50_ms: overall.quantile(0.50),
+            overall_p99_ms: overall.quantile(0.99),
+            trace,
+        }
+    }
 }
 
 impl FleetReport {

@@ -56,7 +56,7 @@ use std::collections::VecDeque;
 use crate::topology::HecTopology;
 
 use super::des::{FleetEngine, JobEvent, RouteCtx};
-use super::metrics::{FleetReport, LatencyHist, LayerSummary, TraceSample};
+use super::metrics::{FleetReport, FleetTotals, LatencyHist, TraceSample};
 use super::scenario::FleetScenario;
 
 /// The contiguous run of one cohort's devices owned by one shard.
@@ -561,125 +561,35 @@ impl<'a> ShardedFleetEngine<'a> {
         &mut self.shards
     }
 
-    /// Renders the fleet-wide report. With one shard this is byte-for-
-    /// byte the serial [`FleetEngine::report`]; with more, per-layer
-    /// counters are summed, latency histograms merged in stable shard
-    /// order (order-invariant), peaks maxed, and utilizations recomputed
-    /// against the partitioned capacity — all deterministic.
+    /// Renders the fleet-wide report from the shards' raw counters, summed
+    /// in stable shard order: per-layer counters added, latency histograms
+    /// merged (order-invariant), peaks maxed, and utilizations taken
+    /// against the partitioned capacity — all deterministic. With one
+    /// shard every one of those steps is exact, so this is byte-for-byte
+    /// the serial [`FleetEngine::report`].
     pub fn report(&self) -> FleetReport {
-        if hec_telemetry::ENABLED {
-            self.record_registry_metrics();
-        }
-        if self.shards.len() == 1 {
-            return self.shards[0].engine.report();
-        }
         let plan = self.plan;
         let k = plan.topology.num_layers();
-        let shards_f = self.shards.len() as f64;
-
-        let horizon_act =
-            self.shards.iter().map(|sh| sh.engine.last_activity_ms()).fold(0.0f64, f64::max);
-        let horizon = horizon_act.max(1e-9);
-
-        let mut offered = vec![0u64; k];
-        let mut served = vec![0u64; k];
-        let mut dropped_queue = vec![0u64; k];
-        let mut dropped_link = vec![0u64; k];
-        let mut busy_ms = vec![0.0f64; k];
-        let mut link_work_ms = vec![0.0f64; k];
-        let mut peak_queue = vec![0usize; k];
-        let mut peak_link = vec![0usize; k];
-        let mut has_link = vec![false; k];
-        let mut hist: Vec<LatencyHist> = (0..k).map(|_| LatencyHist::new()).collect();
+        let mut totals = FleetTotals::new(k);
         for sh in &self.shards {
-            for (l, raw) in sh.engine.raw_layers().enumerate() {
-                offered[l] += raw.offered;
-                served[l] += raw.served;
-                dropped_queue[l] += raw.dropped_queue;
-                dropped_link[l] += raw.dropped_link;
-                busy_ms[l] += raw.busy_ms;
-                link_work_ms[l] += raw.link_work_ms;
-                peak_queue[l] = peak_queue[l].max(raw.peak_queue_depth);
-                peak_link[l] = peak_link[l].max(raw.peak_link_inflight);
-                has_link[l] |= raw.has_link;
-                hist[l].merge(raw.latency);
-            }
+            sh.engine.add_to(&mut totals);
         }
-
-        // Aggregate server capacity per layer: every device at layer 0,
-        // the sum of the shards' (partitioned) concurrencies above. Each
-        // shard link carries 1/S of the bandwidth, so S shard-links at
-        // work w_s each run at Σw_s / (S × horizon) aggregate utilization.
-        let servers: Vec<f64> = (0..k)
-            .map(|l| {
-                if l == 0 {
-                    plan.scenario.total_devices().max(1) as f64
-                } else {
-                    plan.shards
-                        .iter()
-                        .map(|sp| sp.topology.layers()[l].device.concurrency.max(1))
-                        .sum::<usize>() as f64
-                }
-            })
-            .collect();
-
-        let mut overall = LatencyHist::new();
-        let mut total_served = 0u64;
-        let mut total_dropped = 0u64;
-        let layers: Vec<LayerSummary> = (0..k)
-            .map(|l| {
-                total_served += served[l];
-                total_dropped += dropped_queue[l] + dropped_link[l];
-                overall.merge(&hist[l]);
-                LayerSummary {
-                    layer: l,
-                    name: plan.topology.layers()[l].device.name.clone(),
-                    offered: offered[l],
-                    served: served[l],
-                    dropped_queue: dropped_queue[l],
-                    dropped_link: dropped_link[l],
-                    drop_rate: if offered[l] == 0 {
-                        0.0
-                    } else {
-                        (dropped_queue[l] + dropped_link[l]) as f64 / offered[l] as f64
-                    },
-                    utilization: busy_ms[l] / (servers[l] * horizon),
-                    link_utilization: has_link[l].then(|| link_work_ms[l] / (shards_f * horizon)),
-                    peak_queue_depth: peak_queue[l],
-                    peak_link_inflight: peak_link[l],
-                    mean_ms: hist[l].mean(),
-                    p50_ms: hist[l].quantile(0.50),
-                    p99_ms: hist[l].quantile(0.99),
-                    max_ms: hist[l].max(),
-                }
-            })
-            .collect();
-
-        FleetReport {
-            scenario: plan.scenario.name.clone(),
-            horizon_ms: horizon_act,
-            events: self.events(),
-            emitted: self.emitted(),
-            served: total_served,
-            dropped: total_dropped,
-            layers,
-            overall_mean_ms: overall.mean(),
-            overall_p50_ms: overall.quantile(0.50),
-            overall_p99_ms: overall.quantile(0.99),
-            trace: self.merged_trace(k),
+        let report = totals.report(&plan.scenario.name, &plan.topology, self.merged_trace(k));
+        if hec_telemetry::ENABLED {
+            self.record_registry_metrics(&report, &totals.overall_latency());
         }
+        report
     }
 
-    /// Copies per-shard progress and fleet totals into the global
-    /// telemetry registry. Everything recorded here is a virtual-clock or
-    /// count fact, so the registry snapshot stays byte-identical across
-    /// reruns and `HEC_THREADS` (recording happens on the coordinator
-    /// thread in stable shard order, and all values are set-semantics so
-    /// re-reporting is idempotent).
-    fn record_registry_metrics(&self) {
-        use hec_telemetry::{counter_set, gauge_set, hist_set, GeomHist};
+    /// Copies per-shard progress and the report's fleet totals into the
+    /// global telemetry registry. Everything recorded here is a
+    /// virtual-clock or count fact, so the registry snapshot stays
+    /// byte-identical across reruns and `HEC_THREADS` (recording happens
+    /// on the coordinator thread in stable shard order, and all values
+    /// are set-semantics so re-reporting is idempotent).
+    fn record_registry_metrics(&self, report: &FleetReport, overall: &LatencyHist) {
+        use hec_telemetry::{counter_set, gauge_set, hist_set};
         let scenario = self.plan.scenario.name.as_str();
-        let k = self.plan.topology.num_layers();
 
         for sh in &self.shards {
             // Zero-padded ids keep lexicographic snapshot order numeric.
@@ -696,37 +606,19 @@ impl<'a> ShardedFleetEngine<'a> {
             );
         }
 
-        let mut overall = GeomHist::new();
-        let mut served = 0u64;
-        let mut dropped_queue = 0u64;
-        let mut dropped_link = 0u64;
-        for l in 0..k {
-            let mut layer_served = 0u64;
-            let mut layer_dq = 0u64;
-            let mut layer_dl = 0u64;
-            for sh in &self.shards {
-                if let Some(raw) = sh.engine.raw_layers().nth(l) {
-                    layer_served += raw.served;
-                    layer_dq += raw.dropped_queue;
-                    layer_dl += raw.dropped_link;
-                    overall.merge(raw.latency);
-                }
-            }
-            let layer = format!("{l}");
+        for l in &report.layers {
+            let layer = format!("{}", l.layer);
             let labels = [("layer", layer.as_str()), ("scenario", scenario)];
-            counter_set("fleet.layer.served", &labels, layer_served);
-            counter_set("fleet.layer.dropped_queue", &labels, layer_dq);
-            counter_set("fleet.layer.dropped_link", &labels, layer_dl);
-            served += layer_served;
-            dropped_queue += layer_dq;
-            dropped_link += layer_dl;
+            counter_set("fleet.layer.served", &labels, l.served);
+            counter_set("fleet.layer.dropped_queue", &labels, l.dropped_queue);
+            counter_set("fleet.layer.dropped_link", &labels, l.dropped_link);
         }
         let labels = [("scenario", scenario)];
-        counter_set("fleet.emitted", &labels, self.emitted());
-        counter_set("fleet.served", &labels, served);
-        counter_set("fleet.dropped", &labels, dropped_queue + dropped_link);
-        counter_set("fleet.events", &labels, self.events());
-        hist_set("fleet.latency_ms", &labels, &overall);
+        counter_set("fleet.emitted", &labels, report.emitted);
+        counter_set("fleet.served", &labels, report.served);
+        counter_set("fleet.dropped", &labels, report.dropped);
+        counter_set("fleet.events", &labels, report.events);
+        hist_set("fleet.latency_ms", &labels, overall);
     }
 
     /// Element-wise sum of the shards' queue traces. Shards sample at
