@@ -24,12 +24,16 @@
 //! merge on one thread. The adaptation loop's 50-window chunk replays are
 //! far below the grain; spawning for them cost more than the simulation.
 //! The grain comes from a sweep on the two-core build machine (the
-//! ignored `grain_sweep` test; table in EXPERIMENTS.md): serial against
-//! 2 workers at 4 shards, the window loop wins from about 4 000 windows
-//! per worker on the replay fleet (ten emission rounds, so about eleven
-//! barriers however large it is) and from about 33 000 per worker on
-//! `flash_crowd` (about 120 barriers at every size). 16 384 sits
-//! between: at worst a third is lost to the wrong choice on either shape.
+//! ignored `grain_sweep` test and its one-process-per-cell repeat; tables
+//! in EXPERIMENTS.md, PR 12 and PR 16): serial against 2 workers at 4
+//! shards, the window loop wins from below 16 000 windows per worker on
+//! the replay fleet (ten emission rounds, so about eleven barriers
+//! however large it is) and from about 49 000 per worker on `flash_crowd`
+//! (about 120 barriers at every size, each a rendezvous that costs what
+//! it did when a window cost 1.7× as much: PR 16 moved this crossover up
+//! from about 33 000 and the constant from 16 384). 32 768 sits between:
+//! at worst a third is forgone on the replay shape just below it, and
+//! about a seventh lost on `flash_crowd` just above it.
 //!
 //! The router must be `Fn + Sync` (shared across workers); routing tables
 //! and scenario route plans qualify. Stateful `FnMut` routers — e.g. a
@@ -47,7 +51,7 @@ use crate::parallel::thread_count;
 
 /// Windows of the plan each worker must have before [`run_plan`] spawns
 /// any (see the module docs for the sweep behind the value).
-const WINDOWS_PER_WORKER: u64 = 16_384;
+const WINDOWS_PER_WORKER: u64 = 32_768;
 
 /// Result of one sharded fleet run: the merged report plus per-shard
 /// event counts (for per-shard throughput reporting in `repro_fleet`).
@@ -397,25 +401,49 @@ mod tests {
     /// (about 120 barriers) from tens to 256 k windows. Largest first:
     /// started on the small ones, the host keeps both threads on one core
     /// and nothing runs in parallel at any size. Prints
-    /// `scenario windows serial_us parallel_us`, medians of 25 runs:
+    /// `scenario windows serial_us parallel_us cores`, medians of 25 runs;
+    /// `cores` is the CPU time the parallel runs used over their wall time
+    /// (from `/proc/self/stat`, so only where they add up to enough 10 ms
+    /// ticks) — near 1.0 the two threads shared a core and the parallel
+    /// column says nothing about the window loop:
     /// `cargo test --release -p hec-core --lib grain_sweep -- --ignored --nocapture`.
     #[test]
     #[ignore = "timing sweep, prints a table"]
     fn grain_sweep() {
+        /// User + system time of this process so far, µs.
+        fn cpu_us() -> Option<f64> {
+            let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+            let mut fields = stat.rsplit(')').next()?.split_whitespace().skip(11);
+            let ticks = fields.next()?.parse::<f64>().ok()? + fields.next()?.parse::<f64>().ok()?;
+            Some(ticks * 1e4)
+        }
         println!("nproc {:?}", std::thread::available_parallelism());
         let sweep = |sc: &FleetScenario, router: &(dyn Fn(&RouteCtx) -> usize + Sync)| {
             let plan = ShardPlan::new(sc, 4);
             let mut us = [Vec::new(), Vec::new()];
+            let cpu0 = cpu_us();
             for run in 0..50 {
                 let t0 = std::time::Instant::now();
                 std::hint::black_box(drive(&plan, 1 + run % 2, router, &mut |_| {}));
                 us[run % 2].push(t0.elapsed().as_secs_f64() * 1e6);
             }
+            // A serial run is one thread: its CPU time is its wall time.
+            let [serial_wall, parallel_wall] = [0, 1].map(|side| us[side].iter().sum::<f64>());
+            let cores = match (cpu0, cpu_us()) {
+                (Some(c0), Some(c1)) if parallel_wall >= 2e5 => {
+                    format!("{:.2}", (c1 - c0 - serial_wall) / parallel_wall)
+                }
+                _ => "-".into(),
+            };
             let [serial, parallel] = us.map(|mut v| {
                 v.sort_by(f64::total_cmp);
                 v[v.len() / 2]
             });
-            println!("{:<12} {:>7} {serial:>9.0} {parallel:>9.0}", sc.name, sc.total_windows());
+            println!(
+                "{:<12} {:>7} {serial:>9.0} {parallel:>9.0} {cores:>6}",
+                sc.name,
+                sc.total_windows()
+            );
         };
         for windows in [256_000, 64_000, 32_000, 16_000, 8_000, 4_000, 2_000, 500, 50] {
             let sc = replay_scenario(DatasetKind::Univariate, 384, windows);

@@ -54,11 +54,11 @@ fn captured(drive: impl FnOnce(&mut Vec<JobEvent>) -> ShardedFleetRun) -> Artifa
 
 #[test]
 fn run_plan_matches_the_step_loop_on_both_sides_of_the_grain() {
-    // 32 760 windows: one short of two workers' worth.
-    let below = replay_scenario(DatasetKind::Univariate, 384, 32_758);
-    // ~70 000 windows: enough for four.
+    // 65 530 windows: one short of two workers' worth.
+    let below = replay_scenario(DatasetKind::Univariate, 384, 65_526);
+    // ~140 000 windows: enough for four.
     let mut above = FleetScenario::edge_saturated(FleetScale::Quick);
-    above.scale_fleet(3.5);
+    above.scale_fleet(7.0);
 
     for (sc, parallel) in [(&below, false), (&above, true)] {
         let planned = |ctx: &RouteCtx| sc.planned_layer(ctx.cohort, ctx.seq);

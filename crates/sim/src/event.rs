@@ -3,43 +3,188 @@
 //! Events are ordered by virtual time (f64 milliseconds) with FIFO
 //! tie-breaking, which keeps simulations reproducible regardless of
 //! insertion pattern.
+//!
+//! Most events of a simulation are scheduled in time order *within a
+//! stream* — a cohort's round-robin emissions, completions a fixed delay
+//! after "now" — and a binary heap pays `O(log n)` moves to rediscover an
+//! order the caller already had. So the queue keeps **monotone lanes**
+//! beside the heap: [`EventQueue::schedule_on`] appends to a lane (a FIFO)
+//! when the event is not earlier than the lane's tail and falls back to
+//! the heap otherwise, and [`EventQueue::pop`] takes the smallest
+//! `(time, seq)` among the lane heads and the heap top. `seq` is one
+//! counter over lanes and heap, so the pop order — ties included — is
+//! exactly the single-heap order whichever way an event went in; a lane is
+//! a hint about where an event is cheap to keep, never about when it
+//! fires.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
-/// A pending event at a virtual time.
-struct Scheduled<T> {
-    time_ms: f64,
+/// A pending entry: ordered by `key`, then by insertion `seq`.
+struct Entry<T> {
+    key: f64,
     seq: u64,
     payload: T,
 }
 
-impl<T> PartialEq for Scheduled<T> {
+impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.time_ms == other.time_ms && self.seq == other.seq
+        self.key == other.key && self.seq == other.seq
     }
 }
 
-impl<T> Eq for Scheduled<T> {}
+impl<T> Eq for Entry<T> {}
 
-impl<T> PartialOrd for Scheduled<T> {
+impl<T> PartialOrd for Entry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<T> Ord for Scheduled<T> {
+impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: BinaryHeap is a max-heap, we want earliest-first.
         other
-            .time_ms
-            .partial_cmp(&self.time_ms)
+            .key
+            .partial_cmp(&self.key)
             .unwrap_or(Ordering::Equal)
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
-/// A min-heap of timestamped events with deterministic FIFO tie-breaks.
+/// `(key, seq)` of an entry: what orders it.
+type Head = (f64, u64);
+
+/// Head of an empty lane or heap: after every real entry (no entry's
+/// `seq` reaches `u64::MAX`).
+const NO_HEAD: Head = (f64::INFINITY, u64::MAX);
+
+/// Whether `a` pops before `b`.
+#[inline]
+fn before(a: Head, b: Head) -> bool {
+    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
+}
+
+/// The "sorted tail or heap" priority queue under [`EventQueue`] and the
+/// processor-sharing resource: a min-queue on `(key, insertion seq)` made
+/// of FIFO lanes, each kept sorted by only ever appending to it, and a
+/// binary heap for everything that would break a lane's order.
+pub(crate) struct LaneQueue<T> {
+    heap: BinaryHeap<Entry<T>>,
+    lanes: Vec<VecDeque<Entry<T>>>,
+    /// Each lane's front `(key, seq)`, [`NO_HEAD`] when empty: `pop`
+    /// scans these few words instead of the deques.
+    heads: Vec<Head>,
+    next_seq: u64,
+    len: usize,
+}
+
+impl<T> LaneQueue<T> {
+    /// An empty queue with `lanes` lanes.
+    pub(crate) fn new(lanes: usize) -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+            lanes: (0..lanes).map(|_| VecDeque::new()).collect(),
+            heads: vec![NO_HEAD; lanes],
+            next_seq: 0,
+            len: 0,
+        }
+    }
+
+    fn entry(&mut self, key: f64, payload: T) -> Entry<T> {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.len += 1;
+        Entry { key, seq, payload }
+    }
+
+    /// Inserts into the heap.
+    pub(crate) fn push(&mut self, key: f64, payload: T) {
+        let entry = self.entry(key, payload);
+        self.heap.push(entry);
+    }
+
+    /// Inserts at the tail of `lane` if `key` is not below the lane's last
+    /// key, into the heap otherwise — or if the queue has no such lane.
+    pub(crate) fn push_on(&mut self, lane: usize, key: f64, payload: T) {
+        let entry = self.entry(key, payload);
+        let Some(fifo) = self.lanes.get_mut(lane) else {
+            self.heap.push(entry);
+            return;
+        };
+        match fifo.back() {
+            Some(tail) if key >= tail.key => {
+                debug_assert!(tail.seq < entry.seq, "lane not seq-sorted");
+                fifo.push_back(entry);
+            }
+            Some(_) => self.heap.push(entry),
+            None => {
+                self.heads[lane] = (key, entry.seq);
+                fifo.push_back(entry);
+            }
+        }
+    }
+
+    /// The earliest entry's key and where it sits (`None`: the heap).
+    #[inline]
+    fn earliest(&self) -> Option<(f64, Option<usize>)> {
+        if self.len == 0 {
+            return None;
+        }
+        let mut best = self.heap.peek().map_or(NO_HEAD, |e| (e.key, e.seq));
+        let mut lane = None;
+        for (i, &head) in self.heads.iter().enumerate() {
+            if before(head, best) {
+                best = head;
+                lane = Some(i);
+            }
+        }
+        Some((best.0, lane))
+    }
+
+    /// Key of the earliest entry.
+    pub(crate) fn peek_key(&self) -> Option<f64> {
+        self.earliest().map(|(key, _)| key)
+    }
+
+    /// Removes and returns the earliest entry if its key is at or below
+    /// `bound`: one scan finds it, tests it and takes it.
+    #[inline]
+    pub(crate) fn pop_at_or_before(&mut self, bound: f64) -> Option<(f64, T)> {
+        let (key, lane) = self.earliest()?;
+        if key > bound {
+            return None;
+        }
+        let entry = match lane {
+            Some(i) => {
+                let fifo = &mut self.lanes[i];
+                let entry = fifo.pop_front()?;
+                let head = fifo.front().map_or(NO_HEAD, |e| (e.key, e.seq));
+                debug_assert!(before((entry.key, entry.seq), head), "lane {i} out of order");
+                self.heads[i] = head;
+                entry
+            }
+            None => self.heap.pop()?,
+        };
+        self.len -= 1;
+        Some((entry.key, entry.payload))
+    }
+
+    /// Entries pending, lanes and heap together.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+}
+
+impl<T> std::fmt::Debug for LaneQueue<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "LaneQueue(pending={}, lanes={})", self.len, self.lanes.len())
+    }
+}
+
+/// A min-queue of timestamped events with deterministic FIFO tie-breaks:
+/// a binary heap, plus optional monotone lanes for event streams that are
+/// scheduled in time order anyway (see the module docs).
 ///
 /// # Example
 ///
@@ -54,15 +199,33 @@ impl<T> Ord for Scheduled<T> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Scheduled<T>>,
-    next_seq: u64,
+    q: LaneQueue<T>,
     now_ms: f64,
 }
 
 impl<T> EventQueue<T> {
-    /// Creates an empty queue at virtual time 0.
+    /// Creates an empty queue at virtual time 0, without lanes.
     pub fn new() -> Self {
-        Self { heap: BinaryHeap::new(), next_seq: 0, now_ms: 0.0 }
+        Self::with_lanes(0)
+    }
+
+    /// Creates an empty queue at virtual time 0 with `lanes` monotone
+    /// lanes, addressed `0..lanes` by [`EventQueue::schedule_on`].
+    /// `pop` looks at every lane's head, so lanes are for the few hot
+    /// streams of a simulation, not one per entity.
+    pub fn with_lanes(lanes: usize) -> Self {
+        Self { q: LaneQueue::new(lanes), now_ms: 0.0 }
+    }
+
+    /// Rejects a time no event may have.
+    fn check_time(&self, time_ms: f64) {
+        assert!(time_ms.is_finite(), "event time must be finite, got {time_ms}");
+        assert!(
+            time_ms >= self.now_ms,
+            "cannot schedule in the past ({} < {})",
+            time_ms,
+            self.now_ms
+        );
     }
 
     /// Schedules `payload` at absolute virtual time `time_ms`.
@@ -74,16 +237,22 @@ impl<T> EventQueue<T> {
     /// heap order (`Ord` has no total order over NaN), so they are rejected
     /// at the door rather than surfacing later as mis-ordered events.
     pub fn schedule(&mut self, time_ms: f64, payload: T) {
-        assert!(time_ms.is_finite(), "event time must be finite, got {time_ms}");
-        assert!(
-            time_ms >= self.now_ms,
-            "cannot schedule in the past ({} < {})",
-            time_ms,
-            self.now_ms
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled { time_ms, seq, payload });
+        self.check_time(time_ms);
+        self.q.push(time_ms, payload);
+    }
+
+    /// [`EventQueue::schedule`], for an event of a stream the caller
+    /// expects to schedule in time order: kept at the tail of `lane` when
+    /// `time_ms` is not earlier than the last event put there, in the heap
+    /// when it is — or when the queue was built without that lane. It pops
+    /// exactly when `schedule` would have popped it.
+    ///
+    /// # Panics
+    ///
+    /// As [`EventQueue::schedule`].
+    pub fn schedule_on(&mut self, lane: usize, time_ms: f64, payload: T) {
+        self.check_time(time_ms);
+        self.q.push_on(lane, time_ms, payload);
     }
 
     /// Schedules `payload` after a relative delay from the current time.
@@ -98,9 +267,18 @@ impl<T> EventQueue<T> {
 
     /// Pops the earliest event and advances virtual time to it.
     pub fn pop(&mut self) -> Option<(f64, T)> {
-        let ev = self.heap.pop()?;
-        self.now_ms = ev.time_ms;
-        Some((ev.time_ms, ev.payload))
+        self.pop_at_or_before(f64::INFINITY)
+    }
+
+    /// Pops the earliest event if it is due at or before `barrier_ms`
+    /// and advances virtual time to it; leaves queue and clock alone
+    /// otherwise.
+    #[inline]
+    pub fn pop_at_or_before(&mut self, barrier_ms: f64) -> Option<(f64, T)> {
+        let (time_ms, payload) = self.q.pop_at_or_before(barrier_ms)?;
+        debug_assert!(time_ms >= self.now_ms, "virtual clock ran backwards");
+        self.now_ms = time_ms;
+        Some((time_ms, payload))
     }
 
     /// Current virtual time (time of the last popped event).
@@ -110,17 +288,17 @@ impl<T> EventQueue<T> {
 
     /// Virtual time of the earliest pending event, without popping it.
     pub fn peek_time_ms(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time_ms)
+        self.q.peek_key()
     }
 
-    /// Number of pending events.
+    /// Number of pending events, in lanes and heap together.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.q.len()
     }
 
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.q.len() == 0
     }
 }
 
@@ -236,5 +414,45 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 2);
         assert_eq!(q.pop().unwrap().1, 3);
         assert_eq!(q.pop().unwrap().1, 4);
+    }
+
+    /// Accounting must see the lanes: a queue whose every pending event
+    /// sits in a lane is not empty, and its next event time is the
+    /// earliest lane head (the sharded coordinator's barrier comes from
+    /// it).
+    #[test]
+    fn lane_only_events_are_counted_and_peeked() {
+        let mut q = EventQueue::with_lanes(2);
+        q.schedule_on(0, 7.0, "a");
+        q.schedule_on(1, 3.0, "b");
+        q.schedule_on(0, 9.0, "c");
+        assert_eq!(q.len(), 3);
+        assert!(!q.is_empty());
+        assert_eq!(q.peek_time_ms(), Some(3.0));
+        assert_eq!(q.pop_at_or_before(2.9), None);
+        assert_eq!(q.now_ms(), 0.0, "a refused pop must not move the clock");
+        assert_eq!(q.pop_at_or_before(3.0), Some((3.0, "b")));
+        assert_eq!(q.peek_time_ms(), Some(7.0));
+        assert_eq!(q.pop(), Some((7.0, "a")));
+        assert_eq!(q.pop(), Some((9.0, "c")));
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time_ms(), None);
+        assert_eq!(q.pop(), None);
+    }
+
+    /// A lane insert earlier than the lane's tail goes to the heap and
+    /// still pops in `(time, seq)` order; equal times across lanes and
+    /// heap pop in scheduling order.
+    #[test]
+    fn lane_miss_and_cross_lane_ties_keep_schedule_order() {
+        let mut q = EventQueue::with_lanes(2);
+        q.schedule_on(0, 5.0, 0);
+        q.schedule(5.0, 1);
+        q.schedule_on(1, 5.0, 2);
+        q.schedule_on(0, 4.0, 3); // below lane 0's tail: the heap
+        q.schedule_on(0, 5.0, 4);
+        q.schedule_on(9, 5.0, 5); // no such lane: the heap
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+        assert_eq!(order, [3, 0, 1, 2, 4, 5]);
     }
 }

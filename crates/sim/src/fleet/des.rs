@@ -32,10 +32,25 @@
 //! The engine is single-threaded and fully deterministic — same scenario,
 //! same seed ⇒ byte-identical [`FleetReport`] regardless of host thread
 //! count or `HEC_THREADS`, and the step-wise API yields exactly the event
-//! sequence the push driver reports. The hot path is batched: one
-//! emission event injects a whole phase bucket of windows, and a freed
-//! server dequeues jobs in batches, so millions of windows cost only a
-//! few events each.
+//! sequence the push driver reports.
+//!
+//! The hot path is batched, and what is left of it is kept out of the
+//! heap. One emission event injects a whole phase bucket of windows and a
+//! freed server dequeues jobs in batches, so a window costs only about
+//! 1.25 events. Nearly all of those belong to three kinds of stream that
+//! are scheduled in time order anyway, and each stream has a monotone
+//! lane of the [`EventQueue`] to itself: a cohort's `Emit`s (its buckets
+//! fire round-robin, phase by phase), a cohort's `LocalDone`s (`now +
+//! exec0`, unless the device is backlogged) and a shared layer's
+//! `ComputeArrive`s (`now +` propagation). Scheduling those is a FIFO
+//! append and popping them a scan of the few lane heads; the heap keeps
+//! the handful of `ComputeDone` / `LinkDone` / `PsComputeDone` / `Trace`
+//! events, plus any lane event that arrives out of order (a backlogged
+//! device's `LocalDone`) — the queue pops in `(time, seq)` order either
+//! way, so where an event waited never shows in a report. Each outcome is
+//! written once, by `dispatch`, straight to where the driver wants it:
+//! the caller's sink under [`FleetEngine::advance_until`], the `pending`
+//! line under [`FleetEngine::step`].
 
 use std::collections::VecDeque;
 
@@ -121,6 +136,10 @@ struct LayerState {
     exec_ms: f64,
     /// One-way propagation, ms (half the round trip).
     prop_ms: f64,
+    /// Queue lane of this layer's `ComputeArrive` events: `now + prop_ms`,
+    /// from the router on an uncapped uplink and from `LinkDone` on a
+    /// capped one (layer 0 has none and never looks).
+    arrive_lane: usize,
     /// `Some` when the uplink is bandwidth-capped (the per-window
     /// serialisation work is per-cohort, see `FleetEngine::ser_ms`).
     link: Option<PsResource>,
@@ -190,6 +209,20 @@ impl<'a> FleetEngine<'a> {
     /// Panics if the scenario has no cohorts or a cohort's `local_speed`
     /// is invalid.
     pub fn with_topology(scenario: &'a FleetScenario, topology: HecTopology) -> Self {
+        let lanes = 2 * scenario.cohorts.len() + topology.num_layers() - 1;
+        Self::build(scenario, topology, lanes)
+    }
+
+    /// The engine with every event in the queue's heap: the referee the
+    /// lane mapping is held to.
+    #[cfg(test)]
+    fn heap_only(scenario: &'a FleetScenario) -> Self {
+        Self::build(scenario, scenario.topology(), 0)
+    }
+
+    /// The engine over a queue of `lanes` lanes (see `emit_lane`,
+    /// `local_lane` and `LayerState::arrive_lane` for who gets which).
+    fn build(scenario: &'a FleetScenario, topology: HecTopology, lanes: usize) -> Self {
         assert!(!scenario.cohorts.is_empty(), "scenario has no cohorts");
         let sc = scenario;
         let topo = topology;
@@ -223,6 +256,7 @@ impl<'a> FleetEngine<'a> {
                 LayerState {
                     exec_ms: topo.exec_ms(l),
                     prop_ms: spec.uplink.rtt_ms / 2.0,
+                    arrive_lane: 2 * sc.cohorts.len() + l - 1,
                     link,
                     stage,
                     offered: 0,
@@ -274,7 +308,7 @@ impl<'a> FleetEngine<'a> {
             topo,
             k,
             layers,
-            q: EventQueue::new(),
+            q: EventQueue::with_lanes(lanes),
             bases,
             bucket_count,
             ticks,
@@ -299,9 +333,11 @@ impl<'a> FleetEngine<'a> {
                 continue;
             }
             for b in 0..engine.bucket_count[c] {
-                engine
-                    .q
-                    .schedule(engine.emit_time(c, b, 0), Ev::Emit { cohort: c as u32, bucket: b });
+                engine.q.schedule_on(
+                    engine.emit_lane(c),
+                    engine.emit_time(c, b, 0),
+                    Ev::Emit { cohort: c as u32, bucket: b },
+                );
             }
         }
         if sc.max_trace_samples > 0 {
@@ -323,15 +359,15 @@ impl<'a> FleetEngine<'a> {
     }
 
     /// Advances the simulation through every event at or before
-    /// `barrier_ms`, appending each per-window outcome to `sink` tagged
-    /// with the virtual time of the event that produced it (sink entries
-    /// are therefore time-ordered). The engine's own `pending` buffer is
-    /// drained into the sink, so mixing `advance_until` with [`FleetEngine::
-    /// step`] on the same engine never loses or duplicates outcomes.
+    /// `barrier_ms`, handing each per-window outcome to `sink` with the
+    /// virtual time of the event that produced it (the sink is therefore
+    /// called in time order). Outcomes still `pending` from earlier
+    /// [`FleetEngine::step`] calls go to the sink first, so mixing the two
+    /// on one engine never loses or duplicates outcomes.
     ///
     /// This is the shard-local primitive behind the sharded fleet engine:
     /// a shard advances to the coordinator's barrier, and the coordinator
-    /// merges the timestamped sinks across shards in stable shard order.
+    /// merges the timestamped outcomes across shards in stable shard order.
     ///
     /// # Panics
     ///
@@ -340,27 +376,16 @@ impl<'a> FleetEngine<'a> {
         &mut self,
         barrier_ms: f64,
         router: &mut dyn FnMut(&RouteCtx) -> usize,
-        sink: &mut Vec<(f64, JobEvent)>,
+        sink: &mut impl FnMut(f64, JobEvent),
     ) {
         // Anything already pending was produced at or before the last
         // processed event's time.
         let carried = self.last_activity_ms;
         for ev in self.pending.drain(..) {
-            sink.push((carried, ev));
+            sink(carried, ev);
         }
-        while let Some(t) = self.q.peek_time_ms() {
-            if t > barrier_ms {
-                break;
-            }
-            let (now, ev) = self.q.pop().expect("peeked event exists");
-            self.events += 1;
-            if !matches!(ev, Ev::Trace) {
-                self.last_activity_ms = now;
-            }
-            self.dispatch(now, ev, router);
-            for ev in self.pending.drain(..) {
-                sink.push((now, ev));
-            }
+        while let Some((now, ev)) = self.q.pop_at_or_before(barrier_ms) {
+            self.dispatch(now, ev, router, &mut |out| sink(now, out));
         }
     }
 
@@ -443,17 +468,38 @@ impl<'a> FleetEngine<'a> {
                 return Some(ev);
             }
             let (now, ev) = self.q.pop()?;
-            self.events += 1;
-            if !matches!(ev, Ev::Trace) {
-                self.last_activity_ms = now;
-            }
-            self.dispatch(now, ev, router);
+            // Empty here; lent to `dispatch`'s sink for the one event.
+            let mut pending = std::mem::take(&mut self.pending);
+            self.dispatch(now, ev, router, &mut |out| pending.push_back(out));
+            self.pending = pending;
         }
     }
 
-    /// Handles one discrete event, appending any per-window outcomes to
-    /// `self.pending`.
-    fn dispatch(&mut self, now: f64, ev: Ev, router: &mut dyn FnMut(&RouteCtx) -> usize) {
+    /// Lane of cohort `c`'s `Emit` events: its buckets fire round-robin in
+    /// phase order, tick after tick.
+    fn emit_lane(&self, c: usize) -> usize {
+        c
+    }
+
+    /// Lane of cohort `c`'s `LocalDone` events: `now + exec0[c]` whenever
+    /// the device is idle.
+    fn local_lane(&self, c: usize) -> usize {
+        self.sc.cohorts.len() + c
+    }
+
+    /// Handles one discrete event popped at `now`, handing any per-window
+    /// outcomes to `out`.
+    fn dispatch(
+        &mut self,
+        now: f64,
+        ev: Ev,
+        router: &mut dyn FnMut(&RouteCtx) -> usize,
+        out: &mut impl FnMut(JobEvent),
+    ) {
+        self.events += 1;
+        if !matches!(ev, Ev::Trace) {
+            self.last_activity_ms = now;
+        }
         match ev {
             Ev::Emit { cohort, bucket } => {
                 let c = cohort as usize;
@@ -467,6 +513,7 @@ impl<'a> FleetEngine<'a> {
                 }
                 let (lo, hi) = self.bucket_range(c, bucket);
                 let exec0 = self.exec0[c];
+                let local_lane = self.local_lane(c);
                 for local in lo..hi {
                     let device = self.bases[c] + local;
                     let seq = self.next_seq;
@@ -491,7 +538,7 @@ impl<'a> FleetEngine<'a> {
                         let start = self.busy_until[d].max(now);
                         if start - now > self.sc.local_backlog_ms {
                             layer.dropped_queue += 1;
-                            self.pending.push_back(JobEvent::Dropped {
+                            out(JobEvent::Dropped {
                                 seq,
                                 device,
                                 layer: 0,
@@ -505,13 +552,8 @@ impl<'a> FleetEngine<'a> {
                             let latency = finish - now;
                             layer.latency.record(latency);
                             self.local_inflight += 1;
-                            self.q.schedule(finish, Ev::LocalDone);
-                            self.pending.push_back(JobEvent::Served {
-                                seq,
-                                device,
-                                layer: 0,
-                                latency_ms: latency,
-                            });
+                            self.q.schedule_on(local_lane, finish, Ev::LocalDone);
+                            out(JobEvent::Served { seq, device, layer: 0, latency_ms: latency });
                         }
                     } else {
                         let job = JobRec { emit_ms: now, seq, device };
@@ -519,6 +561,7 @@ impl<'a> FleetEngine<'a> {
                             (Some(ps), Some(work)) => {
                                 if ps.offer(now, work, job) {
                                     layer.link_work_ms += work;
+                                    // An admitted transfer is in flight.
                                     let t = ps.next_completion_ms().expect("just offered").max(now);
                                     self.q.schedule(
                                         t,
@@ -526,7 +569,7 @@ impl<'a> FleetEngine<'a> {
                                     );
                                 } else {
                                     layer.dropped_link += 1;
-                                    self.pending.push_back(JobEvent::Dropped {
+                                    out(JobEvent::Dropped {
                                         seq,
                                         device,
                                         layer: target,
@@ -536,7 +579,8 @@ impl<'a> FleetEngine<'a> {
                             }
                             _ => {
                                 let arrive = now + layer.prop_ms;
-                                self.q.schedule(
+                                self.q.schedule_on(
+                                    layer.arrive_lane,
                                     arrive,
                                     Ev::ComputeArrive { layer: target as u8, job },
                                 );
@@ -547,7 +591,11 @@ impl<'a> FleetEngine<'a> {
                 let tick = self.ticks[c][bucket as usize] + 1;
                 self.ticks[c][bucket as usize] = tick;
                 if tick < self.sc.cohorts[c].windows_per_device {
-                    self.q.schedule(self.emit_time(c, bucket, tick), Ev::Emit { cohort, bucket });
+                    self.q.schedule_on(
+                        self.emit_lane(c),
+                        self.emit_time(c, bucket, tick),
+                        Ev::Emit { cohort, bucket },
+                    );
                 }
             }
 
@@ -555,6 +603,8 @@ impl<'a> FleetEngine<'a> {
                 let l = layer as usize;
                 let lay = &mut self.layers[l];
                 let prop = lay.prop_ms;
+                let arrive_lane = lay.arrive_lane;
+                // Only a capped link's `offer` schedules a `LinkDone`.
                 let ps = lay.link.as_mut().expect("LinkDone on uncapped link");
                 if epoch != ps.epoch {
                     return; // superseded by a later arrival/completion
@@ -565,7 +615,7 @@ impl<'a> FleetEngine<'a> {
                     self.q.schedule(t.max(now), Ev::LinkDone { layer, epoch: ps.epoch });
                 }
                 for job in self.done_buf.drain(..) {
-                    self.q.schedule(now + prop, Ev::ComputeArrive { layer, job });
+                    self.q.schedule_on(arrive_lane, now + prop, Ev::ComputeArrive { layer, job });
                 }
             }
 
@@ -573,6 +623,8 @@ impl<'a> FleetEngine<'a> {
                 let l = layer as usize;
                 let lay = &mut self.layers[l];
                 let exec = lay.exec_ms;
+                // `ComputeArrive` is only scheduled for layers ≥ 1, which
+                // all have a compute stage.
                 match lay.stage.as_mut().expect("compute on shared layer") {
                     Stage::Fifo(queue) => {
                         if queue.offer(job) {
@@ -585,7 +637,7 @@ impl<'a> FleetEngine<'a> {
                             }
                         } else {
                             lay.dropped_queue += 1;
-                            self.pending.push_back(JobEvent::Dropped {
+                            out(JobEvent::Dropped {
                                 seq: job.seq,
                                 device: job.device,
                                 layer: l,
@@ -595,11 +647,12 @@ impl<'a> FleetEngine<'a> {
                     }
                     Stage::Ps(ps) => {
                         if ps.offer(now, exec, job) {
+                            // An admitted job is in flight.
                             let t = ps.next_completion_ms().expect("just offered").max(now);
                             self.q.schedule(t, Ev::PsComputeDone { layer, epoch: ps.epoch });
                         } else {
                             lay.dropped_queue += 1;
-                            self.pending.push_back(JobEvent::Dropped {
+                            out(JobEvent::Dropped {
                                 seq: job.seq,
                                 device: job.device,
                                 layer: l,
@@ -624,7 +677,7 @@ impl<'a> FleetEngine<'a> {
                     let latency = now + prop - job.emit_ms;
                     lay.served += 1;
                     lay.latency.record(latency);
-                    self.pending.push_back(JobEvent::Served {
+                    out(JobEvent::Served {
                         seq: job.seq,
                         device: job.device,
                         layer: l,
@@ -658,7 +711,7 @@ impl<'a> FleetEngine<'a> {
                     lay.served += 1;
                     lay.busy_ms += exec;
                     lay.latency.record(latency);
-                    self.pending.push_back(JobEvent::Served {
+                    out(JobEvent::Served {
                         seq: job.seq,
                         device: job.device,
                         layer: l,
@@ -998,6 +1051,75 @@ mod tests {
             "mean {}",
             report.layers[2].mean_ms
         );
+    }
+
+    /// Every way an event can miss its lane, in one scenario, against the
+    /// same engine with every event in the heap: devices emitting faster
+    /// than they execute (a backlogged device's `LocalDone` lands after an
+    /// idle one's was scheduled), two `local_speed`s, two payload sizes
+    /// sharing capped links (finish credits out of order) and PS compute.
+    /// Where an event waited must not show: same outcome stream, same
+    /// event count, same report — by `step` and by `advance_until`.
+    #[test]
+    fn lane_misses_leave_no_trace() {
+        let mut sc = tiny(6, 30, 5.0, RoutePlan::Fixed(0));
+        sc.cohorts.push(CohortSpec {
+            local_speed: 0.5,
+            payload_bytes: Some(4 * 384),
+            ..CohortSpec::uniform(5, 24, 7.0, 3.0, RoutePlan::Fixed(0))
+        });
+        sc.discipline = Discipline::ProcessorSharing;
+        sc.edge_bandwidth_mbps = Some(2.0);
+        sc.cloud_bandwidth_mbps = Some(1.0);
+        sc.link_max_inflight = 12;
+        sc.queue_capacity = 1;
+        sc.local_backlog_ms = 40.0;
+        sc.emit_buckets = 3;
+        // Odd devices work locally window after window and back up; even
+        // ones take a turn every third window and stay idle.
+        let route = |ctx: &RouteCtx| {
+            if ctx.device % 2 == 1 {
+                0
+            } else {
+                (ctx.seq % 3) as usize
+            }
+        };
+
+        let by_step = |mut engine: FleetEngine| {
+            let mut outcomes = Vec::new();
+            while let Some(ev) = engine.step(&mut { route }) {
+                outcomes.push(ev);
+            }
+            (outcomes, engine.events_processed(), engine.report())
+        };
+        let by_barriers = |mut engine: FleetEngine| {
+            let mut outcomes = Vec::new();
+            while let Some(next) = engine.next_event_time_ms() {
+                engine
+                    .advance_until(next + 5.0, &mut { route }, &mut |t, ev| outcomes.push((t, ev)));
+            }
+            (outcomes, engine.events_processed(), engine.report())
+        };
+
+        let laned = by_step(FleetEngine::new(&sc));
+        assert_eq!(laned, by_step(FleetEngine::heap_only(&sc)));
+        assert_eq!(by_barriers(FleetEngine::new(&sc)), by_barriers(FleetEngine::heap_only(&sc)));
+
+        // The scenario does what it is for: local backlog (a latency above
+        // the slow cohort's bare execution time), drops at the backlog
+        // bound, the link bound and the PS admission bound, work served on
+        // every layer.
+        let report = &laned.2;
+        assert!(
+            report.layers[0].max_ms > 24.8 + 1.0,
+            "no local backlog: {}",
+            report.layers[0].max_ms
+        );
+        assert!(report.layers[0].dropped_queue > 0, "local backlog bound never tripped");
+        assert!(report.layers.iter().all(|l| l.served > 0));
+        assert!(report.layers[1..].iter().any(|l| l.dropped_link > 0), "link bound never tripped");
+        assert!(report.layers[1..].iter().any(|l| l.dropped_queue > 0), "PS bound never tripped");
+        assert_eq!(report.served + report.dropped, report.emitted);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!   scaling scenarios to millions of devices.
 //!
 //! Determinism is a hard invariant: each engine runs over a
-//! totally-ordered event heap, all randomness is seeded hashing, shard
+//! totally-ordered event queue, all randomness is seeded hashing, shard
 //! outcomes merge in a fixed `(time, shard-id)` order, and the same
 //! scenario + seed + shard count produce byte-identical reports on any
 //! host and under any `HEC_THREADS` setting.

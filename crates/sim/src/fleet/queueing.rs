@@ -16,8 +16,9 @@
 //! method calls, ties break by insertion sequence, and no wall-clock or
 //! OS entropy is consulted.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
+
+use crate::event::LaneQueue;
 
 /// A window in flight through the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,37 +135,6 @@ impl FifoQueue {
     }
 }
 
-/// One transfer/job inside a [`PsResource`], keyed by the cumulative
-/// service credit at which it completes.
-#[derive(Debug)]
-struct PsEntry {
-    finish_credit: f64,
-    seq: u64,
-    job: JobRec,
-}
-
-impl PartialEq for PsEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.finish_credit == other.finish_credit && self.seq == other.seq
-    }
-}
-impl Eq for PsEntry {}
-impl PartialOrd for PsEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PsEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by finish credit, FIFO on ties.
-        other
-            .finish_credit
-            .partial_cmp(&self.finish_credit)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// An egalitarian processor-sharing resource (the fluid model of a shared
 /// link or a PS compute layer).
 ///
@@ -172,8 +142,13 @@ impl Ord for PsEntry {
 /// Instead of rescaling every job's remaining work on each arrival —
 /// O(n) per event — the resource tracks a single cumulative *service
 /// credit* `S(t) = ∫ rate(n(t)) dt`; a job with `work` remaining at
-/// insertion completes when `S` has advanced by `work`. A min-heap on the
-/// completion credit gives O(log n) arrivals and departures.
+/// insertion completes when `S` has advanced by `work`. Jobs wait in a
+/// min-queue on the completion credit, FIFO on ties. `S` never falls, so
+/// jobs of equal work — one payload size on a link, one model on a compute
+/// layer — arrive already sorted and the queue's one monotone lane is a
+/// plain FIFO: O(1) arrivals and departures. A job that would finish
+/// before the lane's tail (a smaller payload behind a larger one) goes to
+/// the queue's heap, O(log n), and completes in the same order.
 ///
 /// Every mutation bumps [`PsResource::epoch`]; the simulator stamps its
 /// scheduled completion events with the epoch and discards stale ones, so
@@ -186,8 +161,8 @@ pub struct PsResource {
     max_jobs: usize,
     credit: f64,
     last_ms: f64,
-    heap: BinaryHeap<PsEntry>,
-    next_seq: u64,
+    /// In-flight jobs by completion credit.
+    jobs: LaneQueue<JobRec>,
     /// Mutation counter for stale-event detection.
     pub epoch: u64,
     /// Largest in-flight count observed.
@@ -215,15 +190,14 @@ impl PsResource {
             max_jobs,
             credit: 0.0,
             last_ms: 0.0,
-            heap: BinaryHeap::new(),
-            next_seq: 0,
+            jobs: LaneQueue::new(1),
             epoch: 0,
             peak_inflight: 0,
         }
     }
 
     fn rate(&self) -> f64 {
-        let n = self.heap.len();
+        let n = self.jobs.len();
         if n == 0 {
             0.0
         } else {
@@ -242,13 +216,11 @@ impl PsResource {
     /// when `max_jobs` are already in flight.
     pub fn offer(&mut self, now_ms: f64, work: f64, job: JobRec) -> bool {
         self.advance(now_ms);
-        if self.heap.len() >= self.max_jobs {
+        if self.jobs.len() >= self.max_jobs {
             return false;
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(PsEntry { finish_credit: self.credit + work, seq, job });
-        self.peak_inflight = self.peak_inflight.max(self.heap.len());
+        self.jobs.push_on(0, self.credit + work, job);
+        self.peak_inflight = self.peak_inflight.max(self.jobs.len());
         self.epoch += 1;
         true
     }
@@ -256,8 +228,8 @@ impl PsResource {
     /// Estimated virtual time of the next completion under the *current*
     /// share (`None` when idle). Valid until the next mutation.
     pub fn next_completion_ms(&self) -> Option<f64> {
-        let top = self.heap.peek()?;
-        let dt = ((top.finish_credit - self.credit) / self.rate()).max(0.0);
+        let finish_credit = self.jobs.peek_key()?;
+        let dt = ((finish_credit - self.credit) / self.rate()).max(0.0);
         Some(self.last_ms + dt)
     }
 
@@ -269,22 +241,18 @@ impl PsResource {
         // one rounding of `dt × rate`; scale the slack with the credit
         // magnitude so it stays far below any real job's work.
         let due = self.credit + 1e-9 + 1e-12 * self.credit.abs();
-        let mut popped = false;
-        while let Some(top) = self.heap.peek() {
-            if top.finish_credit > due {
-                break;
-            }
-            out.push(self.heap.pop().expect("peeked entry exists").job);
-            popped = true;
+        let before = out.len();
+        while let Some((_, job)) = self.jobs.pop_at_or_before(due) {
+            out.push(job);
         }
-        if popped {
+        if out.len() > before {
             self.epoch += 1;
         }
     }
 
     /// Jobs currently in flight.
     pub fn inflight(&self) -> usize {
-        self.heap.len()
+        self.jobs.len()
     }
 }
 

@@ -26,9 +26,10 @@
 //!    the barrier ([`ShardEngine::advance_to`]), buffering its per-window
 //!    outcomes tagged with their virtual times;
 //! 3. the coordinator merges the buffers in `(time, shard-id)` order
-//!    ([`merge_window`]) — a deterministic k-way merge, so the merged
-//!    stream and the merged metrics are byte-identical across reruns
-//!    *and* across however many OS threads stepped the shards.
+//!    ([`merge_window`]) — a deterministic k-way merge, a run of one
+//!    shard's outcomes at a time, so the merged stream and the merged
+//!    metrics are byte-identical across reruns *and* across however many
+//!    OS threads stepped the shards.
 //!
 //! This crate spawns no threads. [`ShardedFleetEngine::step`] runs the
 //! three steps on the calling thread; `hec_core::sharded::run_plan` runs
@@ -367,10 +368,9 @@ impl ShardEngine<'_> {
             let Self { engine, slices, seq_base, .. } = self;
             let (slices, sb): (&[DeviceSlice], u64) = (slices, *seq_base);
             let mut wrapped = |ctx: &RouteCtx| router(&globalize_ctx(slices, sb, ctx));
-            engine.advance_until(barrier_ms, &mut wrapped, outbox);
-            for (_t, ev) in &mut outbox[from..] {
-                *ev = globalize_event(slices, sb, *ev);
-            }
+            engine.advance_until(barrier_ms, &mut wrapped, &mut |t, ev| {
+                outbox.push((t, globalize_event(slices, sb, ev)));
+            });
         }
         if hec_telemetry::ENABLED {
             self.barriers += 1;
@@ -439,7 +439,14 @@ pub fn earliest_event_ms(shards: &[ShardEngine<'_>]) -> f64 {
 /// into `sink` in `(virtual time, shard id)` order and clears them — a
 /// deterministic k-way merge of already time-sorted buffers, so the
 /// merged stream is independent of how many threads filled them.
-/// `cursors` is scratch the caller keeps between windows.
+///
+/// It goes a **run** at a time: the shard whose head is earliest (the
+/// lowest id on a tie) hands over every outcome that still precedes all
+/// the other shards' heads — strictly earlier than the head of a lower
+/// shard id, at or before the head of a higher one — and only then are
+/// the heads compared again. A bucket of devices emits at one virtual
+/// time, so runs are tens of outcomes long. `cursors` is scratch the
+/// caller keeps between windows.
 pub fn merge_window(
     outboxes: &mut [Vec<(f64, JobEvent)>],
     cursors: &mut Vec<usize>,
@@ -447,19 +454,28 @@ pub fn merge_window(
 ) {
     cursors.clear();
     cursors.resize(outboxes.len(), 0);
+    let head = |s: usize, cursors: &[usize]| outboxes[s].get(cursors[s]).map(|&(t, _)| t);
     loop {
         let mut best: Option<(f64, usize)> = None;
-        for (s, outbox) in outboxes.iter().enumerate() {
-            if let Some(&(t, _)) = outbox.get(cursors[s]) {
+        for s in 0..outboxes.len() {
+            if let Some(t) = head(s, cursors) {
                 // Strict `<`: ties go to the lowest shard id.
                 if best.is_none_or(|(bt, _)| t < bt) {
                     best = Some((t, s));
                 }
             }
         }
-        let Some((_, s)) = best else { break };
-        sink(outboxes[s][cursors[s]].1);
-        cursors[s] += 1;
+        let Some((_, win)) = best else { break };
+        let earliest = |shards: std::ops::Range<usize>| {
+            shards.filter_map(|s| head(s, cursors)).fold(f64::INFINITY, f64::min)
+        };
+        let (below, above) = (earliest(0..win), earliest(win + 1..outboxes.len()));
+        // The winning head passes both tests, so every pass moves on.
+        let run = outboxes[win][cursors[win]..].iter();
+        for &(_, ev) in run.take_while(|&&(t, _)| t < below && t <= above) {
+            sink(ev);
+            cursors[win] += 1;
+        }
     }
     for outbox in outboxes {
         outbox.clear();
