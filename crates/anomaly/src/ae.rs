@@ -22,7 +22,16 @@
 //! and, once every worker would get `PAR_GRAIN_ROWS` windows, gives each
 //! [`hec_tensor::parallel`] worker a contiguous span of the corpus to walk
 //! — with results equal to per-window `detect` bit for bit at any worker
-//! count. The single-window entry points are one-row blocks.
+//! count. `detect` is a one-row block; calibration gathers its errors block
+//! by block straight into the one flat matrix the scorer is fitted on.
+//!
+//! That row split is the only thread a detector ever spawns, and only from
+//! [`ROW_SPLIT_WINDOWS`]. Below it a *catalog's* three detectors can still
+//! run side by side — fitted, or scored when
+//! [`AnomalyDetector::scoring_work`] pays for a worker — which is
+//! `hec-core`'s decision (`Experiment::train_detectors`,
+//! `Oracle::precompute`), not this module's; inside such a worker the row
+//! split runs inline.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -57,6 +66,12 @@ const BLOCK_ROWS: usize = 16;
 /// chunks and the offline splits never spawn — and an 18 000-window replay
 /// segment uses every worker.
 const PAR_GRAIN_ROWS: usize = 1024;
+
+/// The corpus size from which [`AnomalyDetector::detect_batch`] of an
+/// autoencoder splits its rows between the parallel workers (two
+/// `PAR_GRAIN_ROWS`); below it the call runs on the calling thread alone,
+/// and a caller holding several detectors may give each a thread instead.
+pub const ROW_SPLIT_WINDOWS: usize = 2 * PAR_GRAIN_ROWS;
 
 /// Per-thread inference scratch: grows once to the largest block the
 /// thread has seen, then serves every detector on it.
@@ -385,30 +400,41 @@ impl AutoencoderDetector {
         })
     }
 
+    /// Walks `windows[span]` in `BLOCK_ROWS`-window blocks, handing `read`
+    /// each block's per-point errors (one row per window) in corpus order.
+    fn for_each_block_errors(
+        &self,
+        windows: &[LabeledWindow],
+        span: std::ops::Range<usize>,
+        mut read: impl FnMut(&mut Matrix),
+    ) {
+        for first in span.clone().step_by(BLOCK_ROWS) {
+            let block = &windows[first..span.end.min(first + BLOCK_ROWS)];
+            self.with_block_errors(block, first, &mut read);
+        }
+    }
+
     /// Calibrates the scorer on the current forward path's per-point errors
-    /// over `calibration` (all-normal windows).
+    /// over `calibration` (all-normal windows): every error of every window,
+    /// window after window, as one flat `N × 1` matrix — the order the
+    /// Gaussian's sums run in.
     fn calibrate(&mut self, calibration: &[LabeledWindow]) -> Result<f32, FitError> {
-        let per_window: Vec<Vec<f32>> = calibration
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                self.with_block_errors(std::slice::from_ref(w), i, |errors| errors.row(0).to_vec())
-            })
-            .collect();
-        // The scorer fits on 1-D error vectors; materialise them only here,
-        // on the cold calibration path.
-        let all_errors: Vec<Vec<f32>> =
-            per_window.iter().flat_map(|errs| errs.iter().map(|&e| vec![e])).collect();
-        let mut scorer = LogPdScorer::fit_with_rule(&all_errors, 1e-6, self.threshold_rule)
-            .map_err(|e| match e {
-                crate::scorer::ScorerError::Gaussian(g) => FitError::Scoring(g),
-                crate::scorer::ScorerError::EmptyCalibrationSet => {
-                    FitError::InvalidTrainingSet { reason: "no calibration errors produced".into() }
-                }
-            })?;
+        if calibration.is_empty() {
+            return Err(FitError::InvalidTrainingSet {
+                reason: "no calibration errors produced".into(),
+            });
+        }
+        let dim = self.input_dim();
+        let mut errors = Vec::with_capacity(calibration.len() * dim);
+        self.for_each_block_errors(calibration, 0..calibration.len(), |block| {
+            errors.extend_from_slice(block.as_slice());
+        });
+        let errors = Matrix::from_vec(errors.len(), 1, errors);
+        let mut scorer = LogPdScorer::fit_rows(&errors, 1e-6, self.threshold_rule)?;
         if let ThresholdRule::WindowFpr(_) = self.threshold_rule {
-            let minima: Vec<f32> = per_window
-                .iter()
+            let minima: Vec<f32> = errors
+                .as_slice()
+                .chunks_exact(dim)
                 .map(|errs| {
                     errs.iter().map(|&e| scorer.log_pd_scalar(e)).fold(f32::INFINITY, f32::min)
                 })
@@ -499,17 +525,14 @@ impl AnomalyDetector for AutoencoderDetector {
         let det = &*self;
         parallel_map_spans(windows.len(), PAR_GRAIN_ROWS, |span| {
             let mut detections = Vec::with_capacity(span.len());
-            for first in span.clone().step_by(BLOCK_ROWS) {
-                let block = &windows[first..span.end.min(first + BLOCK_ROWS)];
-                det.with_block_errors(block, first, |errors| {
-                    detections.extend(
-                        errors
-                            .as_mut_slice()
-                            .chunks_exact_mut(det.input_dim())
-                            .map(|row| det.detection_from_scalar_errors(row)),
-                    );
-                });
-            }
+            det.for_each_block_errors(windows, span, |errors| {
+                detections.extend(
+                    errors
+                        .as_mut_slice()
+                        .chunks_exact_mut(det.input_dim())
+                        .map(|row| det.detection_from_scalar_errors(row)),
+                );
+            });
             detections
         })
     }

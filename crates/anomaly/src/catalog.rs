@@ -176,7 +176,10 @@ impl ModelCatalog {
         self.detectors[layer.index()].as_mut()
     }
 
-    /// Mutable access to all three detectors (bottom-up).
+    /// Mutable access to all three detectors (bottom-up). They share
+    /// nothing and are `Send`, so the slice can be handed to
+    /// `hec_tensor::parallel::parallel_map_mut` — how `hec-core` fits and
+    /// scores a catalog one detector per worker.
     pub fn detectors_mut(&mut self) -> &mut [Box<dyn AnomalyDetector>] {
         &mut self.detectors
     }

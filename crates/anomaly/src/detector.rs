@@ -72,7 +72,12 @@ impl From<hec_tensor::GaussianError> for FitError {
 /// Implemented by [`crate::AutoencoderDetector`] (univariate) and
 /// [`crate::Seq2SeqDetector`] (multivariate). The model-selection schemes
 /// in `hec-core` treat detectors uniformly through this trait.
-pub trait AnomalyDetector {
+///
+/// Detectors are `Send`: a catalog's three are independent by construction
+/// (§II-A: trained and frozen before the policy sees them), so `hec-core`
+/// fits and scores them side by side, one per
+/// [`hec_tensor::parallel`] worker.
+pub trait AnomalyDetector: Send {
     /// Human-readable model name (e.g. `"AE-IoT"`).
     fn name(&self) -> &str;
 
@@ -114,6 +119,17 @@ pub trait AnomalyDetector {
     /// [`detect`]: AnomalyDetector::detect
     fn detect_batch(&mut self, windows: &[LabeledWindow]) -> Vec<Detection> {
         windows.iter().map(|w| self.detect(w)).collect()
+    }
+
+    /// A rough count of the multiply-accumulates [`detect_batch`] spends on
+    /// `windows` — what a caller weighs against the cost of a thread before
+    /// putting this detector on a worker of its own. The default, one pass
+    /// over the parameters per window, is a dense model's;
+    /// [`crate::Seq2SeqDetector`] makes one per deployed timestep.
+    ///
+    /// [`detect_batch`]: AnomalyDetector::detect_batch
+    fn scoring_work(&self, windows: &[LabeledWindow]) -> u64 {
+        self.param_count() as u64 * windows.len() as u64
     }
 
     /// Model-derived contextual features of a window for the policy network,

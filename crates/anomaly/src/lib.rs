@@ -32,7 +32,7 @@ pub mod drift;
 pub mod scorer;
 pub mod seq2seq_detector;
 
-pub use ae::{AeArchitecture, AutoencoderDetector};
+pub use ae::{AeArchitecture, AutoencoderDetector, ROW_SPLIT_WINDOWS};
 pub use catalog::{HecLayer, ModelCatalog, ModelSpec};
 pub use detector::{AnomalyDetector, Detection, FitError, FitReport};
 pub use drift::{DriftDirection, PageHinkley, PageHinkleyConfig, SlidingReservoir};

@@ -18,7 +18,10 @@
 //! the same bits alone or in any block (`tests/seq2seq_blocks.rs`);
 //! windows of another length simply start the next block. Blocks run
 //! inline on the caller: the scratch is bounded by one block and shared by
-//! every detector on the thread, and no entry point spawns a thread.
+//! every detector on the thread, and no entry point spawns a thread. (One
+//! level up, `hec-core` puts a catalog's three detectors on a worker each
+//! when their [`AnomalyDetector::scoring_work`] pays for it — this model
+//! splits no rows itself, so that is where its parallelism comes from.)
 
 use std::cell::RefCell;
 
@@ -360,7 +363,13 @@ impl AnomalyDetector for Seq2SeqDetector {
         self.model.param_count()
     }
 
+    /// Wall time lands in the telemetry sidecar as `anomaly.fit`, the span
+    /// the autoencoders' `fit` records too. Sidecar totals are **summed
+    /// over threads**: with a catalog's detectors fitting side by side they
+    /// (and `nn.train_batch` under them) can exceed the wall time of the
+    /// call that fitted all three.
     fn fit(&mut self, train: &[LabeledWindow], epochs: usize) -> Result<FitReport, FitError> {
+        let _span = hec_telemetry::WallSpan::new("anomaly.fit");
         validate_training_set(train)?;
         let dim = self.model.config().input_dim;
         for (i, w) in train.iter().enumerate() {
@@ -394,6 +403,11 @@ impl AnomalyDetector for Seq2SeqDetector {
 
         let threshold = self.calibrate_scorer(train)?;
         Ok(FitReport { epochs, final_loss, threshold })
+    }
+
+    fn scoring_work(&self, windows: &[LabeledWindow]) -> u64 {
+        let steps: usize = windows.iter().map(|w| self.deployed_len(w.len())).sum();
+        self.param_count() as u64 * steps as u64
     }
 
     fn detect(&mut self, window: &LabeledWindow) -> Detection {

@@ -9,7 +9,7 @@
 
 use rand::Rng;
 
-use hec_nn::{Activation, Dense, Optimizer, Sequential};
+use hec_nn::{Activation, Dense, Optimizer, PingPong, Sequential};
 use hec_tensor::{vecops, Matrix};
 
 /// The policy network `f_θ(z_x) → s ∈ Δ^{K-1}`.
@@ -27,6 +27,12 @@ pub struct PolicyNetwork {
     net: Sequential,
     input_dim: usize,
     num_actions: usize,
+    /// The one-window paths' reused buffers: the context as a `1 × input`
+    /// row, the inference activations, and `π(· | context)` — which a
+    /// REINFORCE update then turns, in place, into `∂L/∂logits`.
+    context_row: Matrix,
+    acts: PingPong,
+    probs: Matrix,
 }
 
 impl PolicyNetwork {
@@ -45,7 +51,14 @@ impl PolicyNetwork {
             Box::new(Dense::new_he(&mut rng, input_dim, hidden, Activation::Relu)),
             Box::new(Dense::new(&mut rng, hidden, num_actions, Activation::Linear)),
         ]);
-        Self { net, input_dim, num_actions }
+        Self {
+            net,
+            input_dim,
+            num_actions,
+            context_row: Matrix::zeros(1, input_dim),
+            acts: PingPong::new(),
+            probs: Matrix::zeros(1, num_actions),
+        }
     }
 
     /// Context dimensionality.
@@ -69,14 +82,23 @@ impl PolicyNetwork {
     ///
     /// Panics if `context.len() != input_dim`.
     pub fn probabilities(&mut self, context: &[f32]) -> Vec<f32> {
+        self.infer_probabilities(context).to_vec()
+    }
+
+    /// [`PolicyNetwork::probabilities`] in the network's own buffers: a
+    /// warmed call allocates nothing.
+    fn infer_probabilities(&mut self, context: &[f32]) -> &[f32] {
         assert_eq!(context.len(), self.input_dim, "context dimension mismatch");
-        let logits = self.net.predict(&Matrix::row_vector(context));
-        vecops::softmax(logits.as_slice())
+        self.context_row.as_mut_slice().copy_from_slice(context);
+        let logits = self.net.infer(&self.context_row, &mut self.acts);
+        self.probs.copy_from(logits);
+        vecops::softmax_inplace(self.probs.as_mut_slice());
+        self.probs.as_slice()
     }
 
     /// Samples an action from the policy (training-time exploration).
     pub fn sample(&mut self, context: &[f32], rng: &mut impl Rng) -> usize {
-        let probs = self.probabilities(context);
+        let probs = self.infer_probabilities(context);
         let u: f32 = rng.gen();
         let mut acc = 0.0f32;
         for (k, &p) in probs.iter().enumerate() {
@@ -90,7 +112,7 @@ impl PolicyNetwork {
 
     /// The greedy action `|a| = argmax_k s_k` (evaluation-time selection).
     pub fn greedy(&mut self, context: &[f32]) -> usize {
-        vecops::argmax(&self.probabilities(context))
+        vecops::argmax(self.infer_probabilities(context))
     }
 
     /// Greedy actions for a whole corpus in **one batched forward pass**:
@@ -189,21 +211,30 @@ impl PolicyNetwork {
             entropy_beta >= 0.0 && entropy_beta.is_finite(),
             "entropy_beta must be finite and non-negative"
         );
-        let logits = self.net.forward_training(&Matrix::row_vector(context));
-        let probs = vecops::softmax(logits.as_slice());
+        self.context_row.as_mut_slice().copy_from_slice(context);
+        self.probs.copy_from(self.net.forward_training(&self.context_row));
+        let probs = self.probs.as_mut_slice();
+        vecops::softmax_inplace(probs);
         let log_prob = probs[action].max(1e-12).ln();
 
-        let mut dlogits: Vec<f32> = probs.iter().map(|&p| advantage * p).collect();
-        dlogits[action] -= advantage;
-        if entropy_beta > 0.0 {
-            // H = −Σ π log π; descent on −βH adds β·π_k(log π_k + H).
-            let entropy: f32 = -probs.iter().map(|&p| p * p.max(1e-12).ln()).sum::<f32>();
-            for (d, &p) in dlogits.iter_mut().zip(probs.iter()) {
+        // H = −Σ π log π; descent on −βH adds β·π_k(log π_k + H).
+        let entropy: f32 = if entropy_beta > 0.0 {
+            -probs.iter().map(|&p| p * p.max(1e-12).ln()).sum::<f32>()
+        } else {
+            0.0
+        };
+        // π becomes ∂L/∂logits = advantage · (π − e_action) [+ entropy term].
+        for (k, d) in probs.iter_mut().enumerate() {
+            let p = *d;
+            *d = advantage * p;
+            if k == action {
+                *d -= advantage;
+            }
+            if entropy_beta > 0.0 {
                 *d += entropy_beta * p * (p.max(1e-12).ln() + entropy);
             }
         }
-        let grad = Matrix::row_vector(&dlogits);
-        let _ = self.net.backward(&grad);
+        self.net.backward(&self.probs, false);
         self.net.apply_gradients(optimizer);
         log_prob
     }

@@ -1,0 +1,50 @@
+//! Allocation accounting for the policy network's one-window paths: a
+//! warmed `sample` / `greedy` and a warmed REINFORCE update (with and
+//! without the entropy bonus) perform **zero** heap allocations — the
+//! context row, the activations, the probabilities and the gradients all
+//! live in the network (proved with a counting global allocator).
+//!
+//! One `#[test]`, so no concurrent test can disturb the global counter.
+
+use hec_bandit::PolicyNetwork;
+use hec_nn::RmsProp;
+use hec_telemetry::{allocations, CountingAlloc};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+#[test]
+fn one_window_policy_paths_are_allocation_free() {
+    let mut policy = PolicyNetwork::new(4, 100, 3, 7);
+    let mut opt = RmsProp::new(1e-3);
+    let mut rng = StdRng::seed_from_u64(1);
+    let contexts = [[0.1f32, -0.4, 0.9, 0.0], [1.2, 0.3, -0.7, 0.5]];
+    let mut step = |policy: &mut PolicyNetwork, i: usize| {
+        let ctx = &contexts[i % 2];
+        let action = policy.sample(ctx, &mut rng);
+        policy.reinforce_update(ctx, action, 0.5, &mut opt);
+        let greedy = policy.greedy(ctx);
+        policy.reinforce_update_with_entropy(ctx, greedy, -0.25, 0.01, &mut opt);
+    };
+    step(&mut policy, 0); // warmup: workspace and optimizer state grow here
+
+    // The harness occasionally allocates from another thread mid-window; a
+    // path that really allocated would dirty every window.
+    let mut last_delta = usize::MAX;
+    for _attempt in 0..5 {
+        let before = allocations();
+        for i in 0..32 {
+            step(&mut policy, i);
+        }
+        last_delta = allocations() - before;
+        if last_delta == 0 {
+            break;
+        }
+    }
+    assert_eq!(
+        last_delta, 0,
+        "warmed sample/greedy/reinforce_update performed {last_delta} heap allocations per window"
+    );
+}

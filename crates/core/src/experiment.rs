@@ -6,7 +6,7 @@
 //! network on the policy-training split → evaluate all five schemes on the
 //! whole dataset (Tables I and II).
 
-use hec_anomaly::{FitError, ModelCatalog};
+use hec_anomaly::{FitError, FitReport, ModelCatalog};
 use hec_bandit::{
     ContextScaler, PolicyNetwork, PolicyTrainer, RewardModel, StaticDelays, TrainConfig,
     TrainingCurve,
@@ -19,6 +19,7 @@ use hec_data::{
     BinaryConfusion, DatasetSource, LabeledCorpus, LabeledWindow, PaperSplit,
 };
 use hec_sim::{DatasetKind, HecTopology};
+use hec_tensor::parallel::parallel_map_mut;
 use hec_tensor::Matrix;
 
 use crate::oracle::Oracle;
@@ -297,19 +298,49 @@ impl Experiment {
     }
 
     /// Stage 3: train all three detectors on the AD training split and
-    /// calibrate their scorers.
+    /// calibrate their scorers — [`Experiment::try_train_detectors`] for
+    /// callers that treat a failed fit as a bug in their split.
     ///
     /// # Panics
     ///
     /// Panics if a detector fails to fit (invalid split).
     pub fn train_detectors(&mut self) {
-        let train = &self.split.ad_train;
-        for (layer, det) in self.catalog.detectors_mut().iter_mut().enumerate() {
-            let report = det
-                .fit(train, self.config.ad_epochs)
-                .unwrap_or_else(|e| panic!("failed to fit {}: {e}", det.name()));
-            self.thresholds[layer] = report.threshold;
+        if let Err((name, e)) = self.fit_detectors() {
+            panic!("failed to fit {name}: {e}");
         }
+    }
+
+    /// Stage 3 with a typed error: fits and calibrates the three detectors
+    /// **side by side**, one per [`crate::parallel`] worker (at two
+    /// workers: IoT and edge on the calling thread, cloud — about 60 % of
+    /// the work — beside them), and returns their reports bottom-up. The
+    /// fits share nothing, so every weight and threshold is the one the
+    /// serial loop (`HEC_THREADS=1`) produces.
+    ///
+    /// # Errors
+    ///
+    /// The [`FitError`] of the first detector in the ladder that failed;
+    /// the threshold table is then left as it was (the detectors
+    /// themselves have been trained on, so re-`prepare` before retrying).
+    ///
+    /// # Panics
+    ///
+    /// A panic inside a fit reaches the caller with its own payload.
+    pub fn try_train_detectors(&mut self) -> Result<[FitReport; 3], FitError> {
+        self.fit_detectors().map_err(|(_, e)| e)
+    }
+
+    /// The fan-out behind both entry points; an error names its detector.
+    fn fit_detectors(&mut self) -> Result<[FitReport; 3], (String, FitError)> {
+        let (train, epochs) = (&self.split.ad_train, self.config.ad_epochs);
+        let fits = parallel_map_mut(self.catalog.detectors_mut(), |_, det| {
+            det.fit(train, epochs).map_err(|e| (det.name().to_owned(), e))
+        });
+        let reports: Vec<FitReport> = fits.into_iter().collect::<Result<_, _>>()?;
+        let reports: [FitReport; 3] =
+            reports.try_into().expect("a catalog holds exactly K = 3 detectors");
+        self.thresholds = reports.map(|r| r.threshold);
+        Ok(reports)
     }
 
     /// Stage 4: Table I — evaluate each detector on the AD test split.
@@ -523,6 +554,96 @@ mod tests {
         let (_policy, scaler, curve) = exp.train_policy(&oracle);
         assert_eq!(scaler.dim(), 4);
         assert!(!curve.mean_reward_per_epoch.is_empty());
+    }
+
+    /// Small enough for a debug build, large enough (3 800 deployed steps
+    /// over 18 k parameters) that `Oracle::precompute` scores the whole
+    /// corpus side by side.
+    fn tiny_multivariate() -> ExperimentConfig {
+        ExperimentConfig {
+            dataset: DatasetConfig::Multivariate(MhealthConfig {
+                subjects: 2,
+                window: 32,
+                stride: 32,
+                session_len: 128,
+                normal_session_multiplier: 4,
+                noise_std: 0.12,
+                seed: 7,
+            }),
+            ad_epochs: 1,
+            policy: TrainConfig { epochs: 2, ..Default::default() },
+            seq2seq_hidden: 8,
+            policy_hidden: 16,
+            seed: 7,
+        }
+    }
+
+    /// Stage 3 and stage 5 from nothing under `threads` workers.
+    fn fit_and_score(
+        config: &ExperimentConfig,
+        catalog: Option<fn() -> ModelCatalog>,
+        threads: usize,
+    ) -> ([FitReport; 3], [f32; 3], Oracle) {
+        crate::parallel::with_thread_count(threads, || {
+            let mut exp = Experiment::prepare(config.clone());
+            if let Some(build) = catalog {
+                exp.catalog = build();
+            }
+            let reports = exp.try_train_detectors().expect("valid split");
+            let corpus = exp.split.full.clone();
+            (reports, exp.thresholds(), exp.oracle_over(&corpus))
+        })
+    }
+
+    #[test]
+    fn detectors_fit_and_score_the_same_at_any_worker_count() {
+        let quantized: fn() -> ModelCatalog = || {
+            let mode = hec_anomaly::QuantMode::int8(hec_anomaly::QuantScheme::PerRow);
+            ModelCatalog::univariate_quantized(24, 7, mode)
+        };
+        let mut uni = tiny_univariate();
+        uni.ad_epochs = 10;
+        for (name, config, catalog) in [
+            ("univariate", &uni, None),
+            ("univariate_quantized", &uni, Some(quantized)),
+            ("multivariate", &tiny_multivariate(), None),
+        ] {
+            let serial = fit_and_score(config, catalog, 1);
+            assert_eq!(serial.1, serial.0.map(|r| r.threshold), "{name}");
+            // Only the multivariate corpus is heavy enough to score side by
+            // side; the autoencoders' fan-out is the fit alone.
+            let mut exp = Experiment::prepare(config.clone());
+            let work: u64 =
+                exp.catalog.detectors_mut().iter().map(|d| d.scoring_work(&exp.split.full)).sum();
+            assert_eq!(work >= crate::oracle::SIDE_BY_SIDE_MACS, name == "multivariate", "{work}");
+            assert!(serial.1.iter().all(|t| t.is_finite()), "{name}");
+            for threads in [2, 3, 4] {
+                assert_eq!(fit_and_score(config, catalog, threads), serial, "{name} x {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_fit_is_a_typed_error_and_leaves_the_thresholds() {
+        for threads in [1, 3] {
+            crate::parallel::with_thread_count(threads, || {
+                let mut exp = Experiment::prepare(tiny_univariate());
+                exp.split.ad_train[5].anomalous = true;
+                let err = exp.try_train_detectors().unwrap_err();
+                assert!(matches!(err, FitError::InvalidTrainingSet { .. }), "{err}");
+                assert_eq!(exp.thresholds(), [0.0; 3], "thresholds must stay untouched");
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "failed to fit AE-IoT: invalid training set")]
+    fn train_detectors_panics_with_the_first_detectors_message() {
+        crate::parallel::with_thread_count(2, || {
+            let mut exp = Experiment::prepare(tiny_univariate());
+            exp.split.ad_train[0].anomalous = true;
+            exp.train_detectors();
+        });
     }
 
     #[test]

@@ -7,9 +7,36 @@
 //! rule and flagging threshold re-derivable for ablations (we store the raw
 //! scores, not just verdicts).
 
-use hec_anomaly::{ConfidenceRule, ModelCatalog};
+use hec_anomaly::{AnomalyDetector, ConfidenceRule, ModelCatalog, ROW_SPLIT_WINDOWS};
 use hec_data::LabeledWindow;
+use hec_tensor::parallel::{parallel_map_mut, thread_count};
 use hec_tensor::vecops;
+
+/// Fewest multiply-accumulates (summed [`AnomalyDetector::scoring_work`] of
+/// the three detectors) before [`Oracle::precompute`] scores them side by
+/// side: a worker's spawn and cold scratch must be small change beside its
+/// share. The three regimes the benchmark has, and what each needs:
+///
+/// * a multivariate split — 2 × 10⁸ … 10⁹ for some tens of windows (the
+///   seq2seq models make a pass over their parameters per *timestep*, and
+///   never split rows themselves): side by side, cloud beside IoT + edge;
+/// * an 18 000-window replay segment of autoencoder windows — 3.6 × 10⁸,
+///   but at or above [`ROW_SPLIT_WINDOWS`] every detector already splits
+///   its rows over all workers, which balances better than 40/60: left to
+///   the row split;
+/// * a 50-window adaptation chunk — 10⁶, a hundred microseconds of
+///   scoring: inline (spawning here read `drift_adapt` −14 %).
+///
+/// Anything from 10⁷ to 10⁸ separates them; the univariate offline splits
+/// (a few hundred windows, 7 × 10⁶) sit just below and gain nothing
+/// measurable either way.
+pub(crate) const SIDE_BY_SIDE_MACS: u64 = 1 << 26;
+
+/// Whether the three detectors of a catalog score a corpus one per worker.
+/// Pure in its inputs so the three regimes above stay pinned by a test.
+fn scores_side_by_side(work_macs: u64, windows: usize, threads: usize) -> bool {
+    threads > 1 && windows < ROW_SPLIT_WINDOWS && work_macs >= SIDE_BY_SIDE_MACS
+}
 
 /// Raw per-layer scores of one window, plus its ground truth and context.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,37 +72,60 @@ impl Oracle {
     /// them (the LSTM-encoder state, §III-B); otherwise the univariate
     /// `{min, max, mean, std}` summary of the window is used.
     ///
+    /// The detectors are frozen and independent, so when the corpus is too
+    /// small for a detector to split its own rows and the work pays for a
+    /// thread (`SIDE_BY_SIDE_MACS`) they score side by side, one per
+    /// [`crate::parallel`] worker — to the same outcomes at any worker
+    /// count.
+    ///
     /// # Panics
     ///
     /// Panics if any detector was not fitted.
     pub fn precompute(catalog: &mut ModelCatalog, windows: &[LabeledWindow]) -> Self {
-        let mut thresholds = [0.0f32; 3];
-        let mut per_layer: Vec<Vec<(f32, f32)>> = Vec::with_capacity(3);
-        for (layer, det) in catalog.detectors_mut().iter_mut().enumerate() {
-            thresholds[layer] =
+        let work = catalog.detectors_mut().iter().map(|det| det.scoring_work(windows)).sum();
+        let side_by_side = scores_side_by_side(work, windows.len(), thread_count());
+        Self::score(catalog, windows, side_by_side)
+    }
+
+    /// [`Oracle::precompute`] with the fan-out decision made by the caller.
+    fn score(catalog: &mut ModelCatalog, windows: &[LabeledWindow], side_by_side: bool) -> Self {
+        // One detector's whole task: batched scoring (one forward pass over
+        // the corpus where the detector supports it, identical results to
+        // per-window) and, at the IoT layer, the policy's model-derived
+        // context while that model's scratch is warm.
+        let score_one = |layer: usize, det: &mut Box<dyn AnomalyDetector>| {
+            let threshold =
                 det.threshold().expect("detector must be fitted before precomputing outcomes");
-            // Batched scoring: one forward pass over the whole corpus where
-            // the detector supports it (identical results to per-window).
-            let scores = det
+            let scores: Vec<(f32, f32)> = det
                 .detect_batch(windows)
                 .into_iter()
                 .map(|d| (d.min_log_pd, d.anomalous_fraction))
                 .collect();
-            per_layer.push(scores);
-        }
+            let contexts = if layer == 0 { det.context_features_batch(windows) } else { None };
+            (threshold, scores, contexts)
+        };
+        let detectors = catalog.detectors_mut();
+        let mut per_layer = if side_by_side {
+            parallel_map_mut(detectors, score_one)
+        } else {
+            detectors.iter_mut().enumerate().map(|(layer, det)| score_one(layer, det)).collect()
+        };
 
-        let contexts = extract_contexts(catalog, windows);
+        let contexts = per_layer[0].2.take().unwrap_or_else(|| {
+            windows.iter().map(|w| vecops::summary_features(w.data.as_slice()).to_vec()).collect()
+        });
         let outcomes = windows
             .iter()
             .zip(contexts)
             .enumerate()
             .map(|(i, (w, context))| WindowOutcome {
                 truth: w.anomalous,
-                min_log_pd: [per_layer[0][i].0, per_layer[1][i].0, per_layer[2][i].0],
-                anomalous_fraction: [per_layer[0][i].1, per_layer[1][i].1, per_layer[2][i].1],
+                min_log_pd: [0, 1, 2].map(|layer| per_layer[layer].1[i].0),
+                anomalous_fraction: [0, 1, 2].map(|layer| per_layer[layer].1[i].1),
                 context,
             })
             .collect();
+        let thresholds = [0, 1, 2].map(|layer| per_layer[layer].0);
 
         Self { outcomes, thresholds, flag_fraction: 0.0, confidence: ConfidenceRule::default() }
     }
@@ -138,15 +188,6 @@ impl Oracle {
     }
 }
 
-/// Context extraction: IoT-layer model features if available, else the
-/// univariate summary features.
-fn extract_contexts(catalog: &mut ModelCatalog, windows: &[LabeledWindow]) -> Vec<Vec<f32>> {
-    let iot = catalog.detector_mut(hec_anomaly::HecLayer::IoT);
-    iot.context_features_batch(windows).unwrap_or_else(|| {
-        windows.iter().map(|w| vecops::summary_features(w.data.as_slice()).to_vec()).collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,6 +214,59 @@ mod tests {
             det.fit(&train, 60).unwrap();
         }
         catalog
+    }
+
+    /// The three regimes `SIDE_BY_SIDE_MACS` is recorded with, on the
+    /// work the real catalogs report.
+    #[test]
+    fn the_scoring_decision_separates_the_benchmarks_three_regimes() {
+        let work = |catalog: &mut ModelCatalog, windows: &[LabeledWindow]| -> u64 {
+            catalog.detectors_mut().iter().map(|det| det.scoring_work(windows)).sum()
+        };
+        let mut seq2seq = ModelCatalog::multivariate(18, 32, 0);
+        let mut ae = ModelCatalog::univariate(96, 0);
+        let multivariate_split: Vec<_> =
+            (0..32).map(|_| LabeledWindow::new(Matrix::zeros(64, 18), false)).collect();
+        let ae_windows = |n| vec![LabeledWindow::new(Matrix::zeros(96, 1), false); n];
+
+        // A multivariate split: side by side at any worker count above one.
+        let macs = work(&mut seq2seq, &multivariate_split);
+        assert!(macs > 4 * SIDE_BY_SIDE_MACS, "{macs}");
+        assert!(scores_side_by_side(macs, 32, 2) && scores_side_by_side(macs, 32, 4));
+        assert!(!scores_side_by_side(macs, 32, 1));
+        // An 18 000-window replay segment: plenty of work, but the
+        // detectors split its rows themselves.
+        let macs = work(&mut ae, &ae_windows(18_000));
+        assert!(macs > SIDE_BY_SIDE_MACS, "{macs}");
+        assert!(!scores_side_by_side(macs, 18_000, 2));
+        assert!(scores_side_by_side(macs, ROW_SPLIT_WINDOWS - 1, 2));
+        assert!(!scores_side_by_side(macs, ROW_SPLIT_WINDOWS, 2));
+        // A 50-window adaptation chunk: a spawn costs more than it scores.
+        let macs = work(&mut ae, &ae_windows(50));
+        assert!(macs * 16 < SIDE_BY_SIDE_MACS, "{macs}");
+        assert!(!scores_side_by_side(macs, 50, 2));
+        // The seq2seq estimate counts deployed steps, not windows.
+        let long: Vec<_> =
+            (0..32).map(|_| LabeledWindow::new(Matrix::zeros(128, 18), false)).collect();
+        assert_eq!(work(&mut seq2seq, &long), 2 * work(&mut seq2seq, &multivariate_split));
+    }
+
+    /// Side by side or one after another, at any worker count: the same
+    /// oracle, context features included.
+    #[test]
+    fn side_by_side_scoring_is_the_serial_oracle() {
+        let mut catalog = fitted_catalog(16);
+        let windows: Vec<LabeledWindow> = (0..40)
+            .map(|i| if i % 7 == 3 { flat(16) } else { ramp(16, 0.001 * i as f32) })
+            .collect();
+        let serial = Oracle::score(&mut catalog, &windows, false);
+        assert_eq!(serial, Oracle::precompute(&mut catalog, &windows));
+        for threads in [1, 2, 3, 4] {
+            let fanned = crate::parallel::with_thread_count(threads, || {
+                Oracle::score(&mut catalog, &windows, true)
+            });
+            assert_eq!(fanned, serial, "{threads} workers");
+        }
     }
 
     #[test]

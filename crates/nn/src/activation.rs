@@ -7,7 +7,7 @@ use hec_tensor::Matrix;
 /// Element-wise activation applied by a [`crate::Dense`] layer.
 ///
 /// The derivative is expressed in terms of the *activated output* `y = f(x)`,
-/// which is what the backward pass has cached (this is exact for all four
+/// which is what the backward pass is handed (this is exact for all four
 /// variants: linear, sigmoid, tanh and ReLU).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum Activation {
@@ -23,19 +23,7 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation to every element of `m`.
-    pub fn apply(self, m: &Matrix) -> Matrix {
-        match self {
-            Activation::Linear => m.clone(),
-            Activation::Sigmoid => m.map(sigmoid),
-            Activation::Tanh => m.map(f32::tanh),
-            Activation::Relu => m.map(|x| x.max(0.0)),
-        }
-    }
-
-    /// Applies the activation to every element of `m` in place — the
-    /// allocation-free sibling of [`Activation::apply`] used by the
-    /// quantised inference path.
+    /// Applies the activation to every element of `m` in place.
     pub fn apply_inplace(self, m: &mut Matrix) {
         match self {
             Activation::Linear => {}
@@ -45,14 +33,24 @@ impl Activation {
         }
     }
 
-    /// Derivative `f'(x)` expressed as a function of the activated output
-    /// `y = f(x)`.
-    pub fn derivative_from_output(self, y: &Matrix) -> Matrix {
+    /// Turns `grad = ∂L/∂y` into `δ = ∂L/∂z = grad ⊙ f'(z)` in place, with
+    /// `f'` read off the activated output `y`. One multiplication per
+    /// element, the derivative formed first (ReLU multiplies by 0 rather
+    /// than storing it: a masked negative gradient is `-0.0`), which is
+    /// what `tests/dense_reference.rs` holds to the old Hadamard product
+    /// with a materialised derivative matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ.
+    pub fn backprop_inplace(self, y: &Matrix, grad: &mut Matrix) {
+        assert_eq!(y.shape(), grad.shape(), "activation backprop shape mismatch");
+        let pairs = grad.as_mut_slice().iter_mut().zip(y.as_slice());
         match self {
-            Activation::Linear => Matrix::ones(y.rows(), y.cols()),
-            Activation::Sigmoid => y.map(|v| v * (1.0 - v)),
-            Activation::Tanh => y.map(|v| 1.0 - v * v),
-            Activation::Relu => y.map(|v| if v > 0.0 { 1.0 } else { 0.0 }),
+            Activation::Linear => {}
+            Activation::Sigmoid => pairs.for_each(|(g, &v)| *g *= v * (1.0 - v)),
+            Activation::Tanh => pairs.for_each(|(g, &v)| *g *= 1.0 - v * v),
+            Activation::Relu => pairs.for_each(|(g, &v)| *g *= if v > 0.0 { 1.0 } else { 0.0 }),
         }
     }
 }
@@ -71,17 +69,23 @@ pub fn sigmoid(x: f32) -> f32 {
 mod tests {
     use super::*;
 
+    fn apply(act: Activation, x: f32) -> Matrix {
+        let mut m = Matrix::filled(1, 1, x);
+        act.apply_inplace(&mut m);
+        m
+    }
+
     fn check_derivative(act: Activation, x: f32) {
         let eps = 1e-3f32;
-        let m = Matrix::filled(1, 1, x);
-        let y = act.apply(&m);
-        let analytic = act.derivative_from_output(&y)[(0, 0)];
-        let y_plus = act.apply(&Matrix::filled(1, 1, x + eps))[(0, 0)];
-        let y_minus = act.apply(&Matrix::filled(1, 1, x - eps))[(0, 0)];
-        let numeric = (y_plus - y_minus) / (2.0 * eps);
+        let y = apply(act, x);
+        // δ for ∂L/∂y = 1 is the derivative itself.
+        let mut analytic = Matrix::ones(1, 1);
+        act.backprop_inplace(&y, &mut analytic);
+        let numeric = (apply(act, x + eps)[(0, 0)] - apply(act, x - eps)[(0, 0)]) / (2.0 * eps);
         assert!(
-            (analytic - numeric).abs() < 2e-3,
-            "{act:?} at {x}: analytic {analytic} vs numeric {numeric}"
+            (analytic[(0, 0)] - numeric).abs() < 2e-3,
+            "{act:?} at {x}: analytic {} vs numeric {numeric}",
+            analytic[(0, 0)]
         );
     }
 
@@ -105,15 +109,15 @@ mod tests {
 
     #[test]
     fn relu_clamps_negatives() {
-        let m = Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]);
-        let y = Activation::Relu.apply(&m);
+        let mut y = Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]);
+        Activation::Relu.apply_inplace(&mut y);
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
     }
 
     #[test]
     fn tanh_range() {
-        let m = Matrix::from_rows(&[&[-10.0, 10.0]]);
-        let y = Activation::Tanh.apply(&m);
+        let mut y = Matrix::from_rows(&[&[-10.0, 10.0]]);
+        Activation::Tanh.apply_inplace(&mut y);
         assert!(y.as_slice().iter().all(|&v| (-1.0..=1.0).contains(&v)));
     }
 

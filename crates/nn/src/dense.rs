@@ -23,9 +23,10 @@ use crate::workspace::Buf;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = StdRng::seed_from_u64(0);
-/// let mut layer = Dense::new(&mut rng, 3, 2, Activation::Relu);
+/// let layer = Dense::new(&mut rng, 3, 2, Activation::Relu);
 /// let x = Matrix::ones(4, 3); // batch of 4
-/// let y = layer.forward(&x, false);
+/// let mut y = Matrix::zeros(1, 1);
+/// layer.infer_into(&x, &mut y);
 /// assert_eq!(y.shape(), (4, 2));
 /// ```
 pub struct Dense {
@@ -34,18 +35,6 @@ pub struct Dense {
     activation: Activation,
     grad_weight: Matrix,
     grad_bias: Matrix,
-    cached_input: Option<Matrix>,
-    cached_output: Option<Matrix>,
-    scratch: DenseScratch,
-}
-
-/// Reusable buffers so forward/backward perform no matmul allocations.
-#[derive(Default)]
-struct DenseScratch {
-    /// Pre-activation `x·W + b`.
-    z: Buf,
-    /// Backward `δ = ∂L/∂z`.
-    delta: Buf,
     /// Staging for the weight-gradient product before accumulation.
     gw: Buf,
     /// Staging for the bias-gradient row before accumulation.
@@ -84,9 +73,8 @@ impl Dense {
             weight,
             bias: Matrix::zeros(1, out_dim),
             activation,
-            cached_input: None,
-            cached_output: None,
-            scratch: DenseScratch::default(),
+            gw: Buf::new(),
+            gb: Buf::new(),
         }
     }
 
@@ -157,42 +145,33 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Matrix, training: bool) -> Matrix {
-        let z = self.scratch.z.shaped(input.rows(), self.weight.cols());
-        input.matmul_into(&self.weight, z);
-        z.add_row_broadcast_assign(&self.bias);
-        let y = self.activation.apply(z);
-        if training {
-            self.cached_input = Some(input.clone());
-            self.cached_output = Some(y.clone());
-        }
-        y
-    }
-
     fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
         self.affine_into(input, out);
         self.activation.apply_inplace(out);
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let input =
-            self.cached_input.take().expect("Dense::backward called without training-mode forward");
-        let output = self.cached_output.take().expect("missing cached output");
+    fn backward_into(
+        &mut self,
+        input: &Matrix,
+        output: &Matrix,
+        grad: &mut Matrix,
+        grad_input: Option<&mut Matrix>,
+    ) {
         // δ = ∂L/∂z = ∂L/∂y ⊙ f'(z), with f' expressed from the output.
-        let delta = self.scratch.delta.shaped(grad_output.rows(), grad_output.cols());
-        grad_output.hadamard_into(&self.activation.derivative_from_output(&output), delta);
+        self.activation.backprop_inplace(output, grad);
+        let delta = &*grad;
         // Accumulate parameter gradients (staged through scratch so the
         // products never allocate).
-        let gw = self.scratch.gw.shaped(self.weight.rows(), self.weight.cols());
+        let gw = self.gw.shaped(self.weight.rows(), self.weight.cols());
         input.t_matmul_into(delta, gw);
         self.grad_weight += &*gw;
-        let gb = self.scratch.gb.shaped(1, self.bias.cols());
+        let gb = self.gb.shaped(1, self.bias.cols());
         delta.sum_rows_into(gb);
         self.grad_bias += &*gb;
         // ∂L/∂x = δ · Wᵀ
-        let mut dx = Matrix::zeros(input.rows(), self.weight.rows());
-        delta.matmul_t_into(&self.weight, &mut dx);
-        dx
+        if let Some(dx) = grad_input {
+            delta.matmul_t_into(&self.weight, dx);
+        }
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
@@ -225,6 +204,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn output_sum(layer: &Dense, x: &Matrix) -> f32 {
+        let mut y = Matrix::zeros(1, 1);
+        layer.infer_into(x, &mut y);
+        y.sum()
+    }
+
     /// Finite-difference gradient check on a single dense layer.
     #[test]
     fn gradient_check_weights_and_bias() {
@@ -232,10 +217,11 @@ mod tests {
         let mut layer = Dense::new(&mut rng, 3, 2, Activation::Tanh);
         let x = Matrix::from_rows(&[&[0.5, -0.3, 0.8], &[-0.1, 0.9, 0.2]]);
         // Loss = sum of outputs (so dL/dy = 1).
-        let ones = Matrix::ones(2, 2);
+        let mut ones = Matrix::ones(2, 2);
 
-        let _ = layer.forward(&x, true);
-        let _ = layer.backward(&ones);
+        let mut y = Matrix::zeros(1, 1);
+        layer.train_into(&x, &mut y);
+        layer.backward_into(&x, &y, &mut ones, None);
 
         // Collect analytic grads.
         let mut analytic: Vec<f32> = Vec::new();
@@ -257,9 +243,9 @@ mod tests {
                     slice[i] += delta;
                 };
                 get(&mut layer, eps);
-                let y_plus = layer.forward(&x, false).sum();
+                let y_plus = output_sum(&layer, &x);
                 get(&mut layer, -2.0 * eps);
-                let y_minus = layer.forward(&x, false).sum();
+                let y_minus = output_sum(&layer, &x);
                 get(&mut layer, eps);
                 numeric.push((y_plus - y_minus) / (2.0 * eps));
             }
@@ -279,9 +265,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let mut layer = Dense::new(&mut rng, 3, 2, Activation::Sigmoid);
         let x = Matrix::from_rows(&[&[0.4, -0.2, 0.1]]);
-        let ones = Matrix::ones(1, 2);
-        let _ = layer.forward(&x, true);
-        let dx = layer.backward(&ones);
+        let (mut y, mut dx) = (Matrix::zeros(1, 1), Matrix::zeros(1, 1));
+        layer.train_into(&x, &mut y);
+        layer.backward_into(&x, &y, &mut Matrix::ones(1, 2), Some(&mut dx));
 
         let eps = 1e-3f32;
         for i in 0..3 {
@@ -289,8 +275,7 @@ mod tests {
             xp.as_mut_slice()[i] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[i] -= eps;
-            let numeric =
-                (layer.forward(&xp, false).sum() - layer.forward(&xm, false).sum()) / (2.0 * eps);
+            let numeric = (output_sum(&layer, &xp) - output_sum(&layer, &xm)) / (2.0 * eps);
             let analytic = dx.as_slice()[i];
             assert!(
                 (analytic - numeric).abs() < 5e-3 * (1.0 + numeric.abs()),
@@ -306,20 +291,26 @@ mod tests {
         assert_eq!(layer.param_count(), 10 * 7 + 7);
     }
 
+    /// Nothing of a batch stays in the layer: backpropagating batch A after
+    /// a forward pass over batch B (of another shape) gives A's gradients.
     #[test]
-    #[should_panic(expected = "without training-mode forward")]
-    fn backward_without_forward_panics() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut layer = Dense::new(&mut rng, 2, 2, Activation::Linear);
-        let _ = layer.backward(&Matrix::ones(1, 2));
-    }
-
-    #[test]
-    fn inference_forward_does_not_cache() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut layer = Dense::new(&mut rng, 2, 2, Activation::Linear);
-        let _ = layer.forward(&Matrix::ones(1, 2), false);
-        assert!(layer.cached_input.is_none());
+    fn backward_takes_its_batch_from_the_caller() {
+        let grads_of = |interleave: bool| {
+            let mut rng = StdRng::seed_from_u64(0);
+            let mut layer = Dense::new(&mut rng, 2, 3, Activation::Tanh);
+            let a = init::uniform(&mut rng, 4, 2, -1.0, 1.0);
+            let b = init::uniform(&mut rng, 1, 2, -1.0, 1.0);
+            let (mut ya, mut yb, mut dx) =
+                (Matrix::zeros(1, 1), Matrix::zeros(1, 1), Matrix::zeros(1, 1));
+            layer.train_into(&a, &mut ya);
+            if interleave {
+                layer.train_into(&b, &mut yb);
+            }
+            layer.backward_into(&a, &ya, &mut Matrix::ones(4, 3), Some(&mut dx));
+            (layer.grad_weight.clone(), layer.grad_bias.clone(), dx)
+        };
+        assert_eq!(grads_of(false), grads_of(true));
+        assert_eq!(grads_of(true).2.shape(), (4, 2));
     }
 
     #[test]

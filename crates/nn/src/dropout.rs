@@ -15,7 +15,9 @@ use crate::sequential::Layer;
 pub struct Dropout {
     rate: f32,
     rng: StdRng,
-    mask: Option<Matrix>,
+    /// The last training pass's mask (`0` or `1/(1-rate)` per unit), drawn
+    /// into one reused buffer.
+    mask: Matrix,
 }
 
 impl Dropout {
@@ -26,7 +28,7 @@ impl Dropout {
     /// Panics unless `0 <= rate < 1`.
     pub fn new(rate: f32, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&rate), "dropout rate must be in [0, 1), got {rate}");
-        Self { rate, rng: StdRng::seed_from_u64(seed), mask: None }
+        Self { rate, rng: StdRng::seed_from_u64(seed), mask: Matrix::zeros(1, 1) }
     }
 
     /// The configured drop rate.
@@ -36,31 +38,36 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Matrix, training: bool) -> Matrix {
-        if !training || self.rate == 0.0 {
-            self.mask = None;
-            return input.clone();
-        }
-        let keep = 1.0 - self.rate;
-        let scale = 1.0 / keep;
-        let mask_data: Vec<f32> = (0..input.len())
-            .map(|_| if self.rng.gen::<f32>() < keep { scale } else { 0.0 })
-            .collect();
-        let mask = Matrix::from_vec(input.rows(), input.cols(), mask_data);
-        let out = input.hadamard(&mask);
-        self.mask = Some(mask);
-        out
-    }
-
     fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
         out.copy_from(input);
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        match self.mask.take() {
-            Some(mask) => grad_output.hadamard(&mask),
-            // forward ran in inference mode (or rate 0): identity.
-            None => grad_output.clone(),
+    fn train_into(&mut self, input: &Matrix, out: &mut Matrix) {
+        if self.rate == 0.0 {
+            out.copy_from(input);
+            return;
+        }
+        let keep = 1.0 - self.rate;
+        let scale = 1.0 / keep;
+        self.mask.resize(input.rows(), input.cols());
+        for m in self.mask.as_mut_slice() {
+            *m = if self.rng.gen::<f32>() < keep { scale } else { 0.0 };
+        }
+        input.hadamard_into(&self.mask, out);
+    }
+
+    fn backward_into(
+        &mut self,
+        _input: &Matrix,
+        _output: &Matrix,
+        grad: &mut Matrix,
+        grad_input: Option<&mut Matrix>,
+    ) {
+        let Some(dx) = grad_input else { return };
+        if self.rate == 0.0 {
+            dx.copy_from(grad);
+        } else {
+            grad.hadamard_into(&self.mask, dx);
         }
     }
 
@@ -81,18 +88,26 @@ impl std::fmt::Debug for Dropout {
 mod tests {
     use super::*;
 
+    fn train(d: &mut Dropout, x: &Matrix) -> Matrix {
+        let mut y = Matrix::zeros(1, 1);
+        d.train_into(x, &mut y);
+        y
+    }
+
     #[test]
     fn inference_is_identity() {
-        let mut d = Dropout::new(0.5, 1);
+        let d = Dropout::new(0.5, 1);
         let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
-        assert_eq!(d.forward(&x, false), x);
+        let mut y = Matrix::zeros(1, 1);
+        d.infer_into(&x, &mut y);
+        assert_eq!(y, x);
     }
 
     #[test]
     fn training_zeroes_and_rescales() {
         let mut d = Dropout::new(0.3, 7);
         let x = Matrix::ones(10, 100);
-        let y = d.forward(&x, true);
+        let y = train(&mut d, &x);
         let scale = 1.0 / 0.7;
         let mut zeros = 0usize;
         for &v in y.as_slice() {
@@ -111,8 +126,9 @@ mod tests {
     fn backward_applies_same_mask() {
         let mut d = Dropout::new(0.5, 3);
         let x = Matrix::ones(1, 50);
-        let y = d.forward(&x, true);
-        let g = d.backward(&Matrix::ones(1, 50));
+        let y = train(&mut d, &x);
+        let mut g = Matrix::zeros(1, 1);
+        d.backward_into(&x, &y, &mut Matrix::ones(1, 50), Some(&mut g));
         // Gradient passes exactly where the forward survived.
         for (yv, gv) in y.as_slice().iter().zip(g.as_slice().iter()) {
             assert_eq!(yv == &0.0, gv == &0.0);
@@ -123,7 +139,10 @@ mod tests {
     fn rate_zero_is_identity_even_in_training() {
         let mut d = Dropout::new(0.0, 3);
         let x = Matrix::from_rows(&[&[1.0, -2.0]]);
-        assert_eq!(d.forward(&x, true), x);
+        assert_eq!(train(&mut d, &x), x);
+        let mut g = Matrix::zeros(1, 1);
+        d.backward_into(&x, &x, &mut x.clone(), Some(&mut g));
+        assert_eq!(g, x);
     }
 
     #[test]

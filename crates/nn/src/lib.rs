@@ -19,7 +19,10 @@
 //! Every model owns a preallocated scratch workspace (see [`workspace`]) and
 //! routes its matrix products through `hec-tensor`'s `_into` kernels, so
 //! steady-state forward and training steps allocate no matmul temporaries
-//! (every product lands in a reused buffer or a caller-visible output). The
+//! (every product lands in a reused buffer or a caller-visible output), and a
+//! warmed dense training step ([`Sequential::train_batch`]) allocates
+//! nothing at all: a [`Layer`] keeps no part of a batch, its driver owns
+//! the activations and gradients. The
 //! LSTMs work a sequence at a time on time-major arenas (see [`lstm`]): a
 //! warmed inference pass — [`Lstm::step_seq`], or a whole block of windows
 //! through [`Seq2Seq`] — performs zero heap allocations, and a training

@@ -7,24 +7,36 @@ pub trait Loss {
     /// Scalar loss value.
     fn value(&self, prediction: &Matrix, target: &Matrix) -> f32;
 
-    /// Gradient `∂L/∂prediction`, same shape as `prediction`.
-    fn gradient(&self, prediction: &Matrix, target: &Matrix) -> Matrix;
+    /// Gradient `∂L/∂prediction` written into `out` (resized in place to
+    /// the shape of `prediction`).
+    fn gradient_into(&self, prediction: &Matrix, target: &Matrix, out: &mut Matrix);
 }
 
 /// Mean squared error over all elements — the paper's reconstruction loss
-/// ("minimize the mean squared reconstruction error", §II-A2).
+/// ("minimize the mean squared reconstruction error", §II-A2). Neither
+/// form allocates; both walk the elements in storage order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Mse;
 
 impl Loss for Mse {
     fn value(&self, prediction: &Matrix, target: &Matrix) -> f32 {
-        let diff = prediction - target;
-        diff.frobenius_norm_sq() / prediction.len() as f32
+        assert_eq!(prediction.shape(), target.shape(), "mse shape mismatch");
+        let squares = prediction.as_slice().iter().zip(target.as_slice()).map(|(p, t)| {
+            let diff = p - t;
+            diff * diff
+        });
+        squares.sum::<f32>() / prediction.len() as f32
     }
 
-    fn gradient(&self, prediction: &Matrix, target: &Matrix) -> Matrix {
+    fn gradient_into(&self, prediction: &Matrix, target: &Matrix, out: &mut Matrix) {
+        assert_eq!(prediction.shape(), target.shape(), "mse shape mismatch");
         let scale = 2.0 / prediction.len() as f32;
-        (prediction - target).scale(scale)
+        out.resize(prediction.rows(), prediction.cols());
+        for ((g, p), t) in
+            out.as_mut_slice().iter_mut().zip(prediction.as_slice()).zip(target.as_slice())
+        {
+            *g = (p - t) * scale;
+        }
     }
 }
 
@@ -50,7 +62,8 @@ mod tests {
     fn gradient_matches_finite_difference() {
         let p = Matrix::from_rows(&[&[0.5, -1.0], &[2.0, 0.0]]);
         let t = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 1.0]]);
-        let g = Mse.gradient(&p, &t);
+        let mut g = Matrix::zeros(1, 1);
+        Mse.gradient_into(&p, &t, &mut g);
         let eps = 1e-3f32;
         for i in 0..4 {
             let mut pp = p.clone();
@@ -69,7 +82,8 @@ mod tests {
     #[test]
     fn gradient_is_zero_at_minimum() {
         let a = Matrix::from_rows(&[&[3.0, -2.0]]);
-        let g = Mse.gradient(&a, &a);
+        let mut g = Matrix::zeros(1, 1);
+        Mse.gradient_into(&a, &a, &mut g);
         assert!(g.as_slice().iter().all(|&x| x == 0.0));
     }
 }

@@ -30,10 +30,12 @@
 //! any `B` — `hec-anomaly` scores corpora sixteen windows at a time on
 //! that.
 //!
-//! The model owns three buffers beside the layers' own arenas, each grown
+//! The model owns a few buffers beside the layers' own arenas, each grown
 //! once and reused: the encoder's final state (the decoder's initial one),
 //! the decoder's fed-back outputs `ŷ_t` (`T·B × input_dim`) and, in
-//! training, its stacked hidden states for dropout and the output layer.
+//! training, its stacked hidden states with the activations and gradients
+//! of the dropout and output layers above them (this model is their
+//! driver in the sense of [`Layer`]).
 //! In inference dropout is the identity, so the fed-back `ŷ_t = h_t·W + b`
 //! *is* the reconstruction: the output layer runs once per step, not a
 //! second time over the stacked states.
@@ -121,6 +123,19 @@ pub struct Seq2Seq {
     fed_back: Buf,
     /// Training: the decoder's hidden states, stacked for the output layer.
     stacked_h: Buf,
+    head: HeadScratch,
+}
+
+/// Training activations and gradients of the dropout → dense head over the
+/// stacked hidden states.
+#[derive(Default)]
+struct HeadScratch {
+    dropped: Buf,
+    prediction: Buf,
+    /// `∂L/∂prediction`, then the output layer's `δ` in place.
+    d_prediction: Buf,
+    d_dropped: Buf,
+    d_stacked_h: Buf,
 }
 
 impl Seq2Seq {
@@ -152,6 +167,7 @@ impl Seq2Seq {
             encoded: LstmState::zeros(1, 1),
             fed_back: Buf::new(),
             stacked_h: Buf::new(),
+            head: HeadScratch::default(),
         }
     }
 
@@ -251,17 +267,23 @@ impl Seq2Seq {
     pub fn train_batch(&mut self, xs: &Matrix, batch: usize, optimizer: &mut dyn Optimizer) -> f32 {
         let _span = hec_telemetry::WallSpan::new("nn.train_batch");
         self.decode(xs, batch, true);
-        let dropped = self.dropout.forward(self.stacked_h.get(), true);
-        let prediction = self.output.forward(&dropped, true);
+        let (rows, hidden, dim) = (xs.rows(), self.decoder.hidden(), self.config.input_dim);
+        let stacked_h = self.stacked_h.get();
+        let dropped = self.head.dropped.shaped(rows, hidden);
+        self.dropout.train_into(stacked_h, dropped);
+        let prediction = self.head.prediction.shaped(rows, dim);
+        self.output.train_into(dropped, prediction);
 
-        let loss = Mse.value(&prediction, xs);
-        let d_ys = Mse.gradient(&prediction, xs);
+        let loss = Mse.value(prediction, xs);
+        let d_prediction = self.head.d_prediction.shaped(rows, dim);
+        Mse.gradient_into(prediction, xs, d_prediction);
 
-        // Back through dense and dropout (both cached on the stacked matrix),
-        // then BPTT through the decoder.
-        let d_dropped = self.output.backward(&d_ys);
-        let d_stacked_h = self.dropout.backward(&d_dropped);
-        let d_state0 = self.decoder.backward_seq(Some(&d_stacked_h), None, None);
+        // Back through dense and dropout, then BPTT through the decoder.
+        let d_dropped = self.head.d_dropped.shaped(rows, hidden);
+        self.output.backward_into(dropped, prediction, d_prediction, Some(&mut *d_dropped));
+        let d_stacked_h = self.head.d_stacked_h.shaped(rows, hidden);
+        self.dropout.backward_into(stacked_h, dropped, d_dropped, Some(&mut *d_stacked_h));
+        let d_state0 = self.decoder.backward_seq(Some(&*d_stacked_h), None, None);
 
         // The decoder's initial state is the encoder's final state.
         match &mut self.encoder {

@@ -6,37 +6,58 @@ use crate::loss::Loss;
 use crate::optim::Optimizer;
 use crate::workspace::PingPong;
 
-/// A differentiable layer with cached forward state.
+/// A differentiable layer.
 ///
-/// The contract mirrors classic define-by-run frameworks:
+/// A layer owns its parameters and their gradients and **nothing of a
+/// batch**: whoever drives it keeps the activations. The contract:
 ///
-/// 1. [`Layer::forward`] caches whatever the backward pass needs;
-/// 2. [`Layer::backward`] consumes the cache, **accumulates** parameter
-///    gradients internally, and returns the gradient w.r.t. its input;
+/// 1. [`Layer::infer_into`] / [`Layer::train_into`] write the layer's output
+///    for `input` into the caller's buffer;
+/// 2. [`Layer::backward_into`] is handed that same `input` and output back
+///    together with `∂L/∂output`, **accumulates** parameter gradients
+///    internally, and writes `∂L/∂input` only when the caller has a layer
+///    below that wants it;
 /// 3. [`Layer::visit_params`] walks `(parameter, gradient)` pairs in a stable
 ///    order so an [`Optimizer`] can update them and zero the gradients.
+///
+/// [`Sequential`] is the driver for a stack (one activation buffer per
+/// layer boundary, two gradient buffers); `Seq2Seq` drives its output
+/// layers the same way on buffers of its own. Once those buffers have
+/// grown, a training step allocates nothing.
 ///
 /// Layers are `Send + Sync`: [`Layer::infer_into`] reads the weights through
 /// `&self`, so a trained stack can serve several inference workers at once.
 pub trait Layer: Send + Sync {
-    /// Forward pass over a batch (`rows = batch`, `cols = features`).
-    /// `training` enables dropout and gradient caching.
-    fn forward(&mut self, input: &Matrix, training: bool) -> Matrix;
-
-    /// Inference forward pass into a caller-owned buffer (resized in
-    /// place): the same values as `forward(input, false)`, but through
-    /// `&self` and with nothing cached, so one set of weights serves any
-    /// number of callers at once, each with its own `out`.
+    /// Inference forward pass over a batch (`rows = batch`, `cols =
+    /// features`) into a caller-owned buffer (resized in place), through
+    /// `&self`: one set of weights serves any number of callers at once,
+    /// each with its own `out`.
     fn infer_into(&self, input: &Matrix, out: &mut Matrix);
 
-    /// Backward pass: receives `∂L/∂output`, accumulates parameter gradients,
-    /// returns `∂L/∂input`.
+    /// Training-mode forward pass into a caller-owned buffer. For a
+    /// deterministic layer — the default — this *is* [`Layer::infer_into`];
+    /// dropout draws its mask here.
+    fn train_into(&mut self, input: &Matrix, out: &mut Matrix) {
+        self.infer_into(input, out);
+    }
+
+    /// Backward pass for the batch the last [`Layer::train_into`] saw:
+    /// `input` and `output` are that call's, `grad` arrives holding
+    /// `∂L/∂output` and is **scratch** from then on (a dense layer forms
+    /// its `δ` there). Accumulates parameter gradients and, when
+    /// `grad_input` is given, writes `∂L/∂input` into it (resized in
+    /// place).
     ///
     /// # Panics
     ///
-    /// Implementations may panic if called without a preceding training-mode
-    /// [`Layer::forward`].
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix;
+    /// Implementations panic on shapes that do not fit the layer.
+    fn backward_into(
+        &mut self,
+        input: &Matrix,
+        output: &Matrix,
+        grad: &mut Matrix,
+        grad_input: Option<&mut Matrix>,
+    );
 
     /// Visits every `(parameter, gradient)` pair in a stable order.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix));
@@ -61,6 +82,12 @@ pub trait Layer: Send + Sync {
 /// autoencoders and the policy network.
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    /// Training activations, one per layer boundary: `acts[0]` is the batch
+    /// and `acts[i + 1]` layer `i`'s output.
+    acts: Vec<Matrix>,
+    /// `∂L/∂(a boundary)` on its way down the stack: each layer reads one
+    /// and writes the other.
+    grads: [Matrix; 2],
 }
 
 impl Sequential {
@@ -71,7 +98,8 @@ impl Sequential {
     /// Panics if `layers` is empty.
     pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
         assert!(!layers.is_empty(), "sequential model needs at least one layer");
-        Self { layers }
+        let acts = (0..=layers.len()).map(|_| Matrix::zeros(1, 1)).collect();
+        Self { layers, acts, grads: [Matrix::zeros(1, 1), Matrix::zeros(1, 1)] }
     }
 
     /// Number of layers.
@@ -84,40 +112,56 @@ impl Sequential {
         self.layers.iter().map(|l| l.param_count()).sum()
     }
 
-    /// Inference-mode forward pass (dropout disabled).
-    pub fn predict(&mut self, input: &Matrix) -> Matrix {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, false);
-        }
-        x
+    /// Inference-mode forward pass (dropout disabled) into a fresh matrix;
+    /// [`Sequential::infer`] is the form for a hot path.
+    pub fn predict(&self, input: &Matrix) -> Matrix {
+        self.infer(input, &mut PingPong::new()).clone()
     }
 
     /// Inference-mode forward pass through `&self`: activations alternate
     /// between the caller's two buffers, so a warmed call allocates nothing
-    /// and concurrent callers share the weights. Bit-identical to
-    /// [`Sequential::predict`]; the result borrows `acts`.
+    /// and concurrent callers share the weights. The result borrows `acts`.
     pub fn infer<'a>(&self, input: &Matrix, acts: &'a mut PingPong) -> &'a Matrix {
         acts.run(&self.layers, input, |layer, src, dst| layer.infer_into(src, dst))
     }
 
-    /// Training-mode forward pass (dropout enabled, caches kept).
-    pub fn forward_training(&mut self, input: &Matrix) -> Matrix {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, true);
+    /// Training-mode forward pass (dropout enabled): leaves every layer
+    /// boundary's activation in the model's workspace for
+    /// [`Sequential::backward`] and returns the last one.
+    pub fn forward_training(&mut self, input: &Matrix) -> &Matrix {
+        self.acts[0].copy_from(input);
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            let (done, rest) = self.acts.split_at_mut(i + 1);
+            layer.train_into(&done[i], &mut rest[0]);
         }
-        x
+        &self.acts[self.layers.len()]
     }
 
-    /// Backpropagates `grad` through every layer (reverse order), returning
-    /// the gradient w.r.t. the model input.
-    pub fn backward(&mut self, grad: &Matrix) -> Matrix {
-        let mut g = grad.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+    /// Backpropagates `grad = ∂L/∂output` through every layer (reverse
+    /// order) for the batch the last [`Sequential::forward_training`] saw,
+    /// accumulating every parameter gradient. The gradient w.r.t. the model
+    /// input costs the first layer a product nothing in a plain training
+    /// step reads, so it is computed and returned only when asked for.
+    pub fn backward(&mut self, grad: &Matrix, want_input_grad: bool) -> Option<&Matrix> {
+        self.grads[0].copy_from(grad);
+        self.backprop(want_input_grad)
+    }
+
+    /// [`Sequential::backward`] of the gradient already in `grads[0]`.
+    fn backprop(&mut self, want_input_grad: bool) -> Option<&Matrix> {
+        let [mut grad, mut below] = self.grads.each_mut();
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            let wanted = i > 0 || want_input_grad;
+            layer.backward_into(
+                &self.acts[i],
+                &self.acts[i + 1],
+                grad,
+                wanted.then_some(&mut *below),
+            );
+            std::mem::swap(&mut grad, &mut below);
         }
-        g
+        // After the last swap `grad` is what the first layer wrote below it.
+        want_input_grad.then_some(&*grad)
     }
 
     /// One optimisation step: forward, loss, backward, L2, parameter update.
@@ -134,9 +178,9 @@ impl Sequential {
         l2_lambda: f32,
     ) -> f32 {
         let output = self.forward_training(input);
-        let loss_value = loss.value(&output, target);
-        let grad = loss.gradient(&output, target);
-        self.backward(&grad);
+        let loss_value = loss.value(output, target);
+        loss.gradient_into(&self.acts[self.layers.len()], target, &mut self.grads[0]);
+        self.backprop(false);
         if l2_lambda > 0.0 {
             for layer in &mut self.layers {
                 layer.apply_l2(l2_lambda);
@@ -224,28 +268,55 @@ mod tests {
 
     #[test]
     fn predict_is_deterministic() {
-        let mut net = tiny_net(1);
+        let net = tiny_net(1);
         let x = Matrix::from_rows(&[&[0.3, -0.7]]);
         let a = net.predict(&x);
         let b = net.predict(&x);
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn infer_matches_predict_bit_for_bit() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut net = Sequential::new(vec![
-            Box::new(Dense::new(&mut rng, 5, 7, Activation::Tanh)),
+    fn deep_net(rng: &mut StdRng) -> Sequential {
+        Sequential::new(vec![
+            Box::new(Dense::new(rng, 5, 7, Activation::Tanh)),
             Box::new(crate::Dropout::new(0.3, 1)),
-            Box::new(Dense::new(&mut rng, 7, 3, Activation::Sigmoid)),
-            Box::new(Dense::new(&mut rng, 3, 5, Activation::Linear)),
-        ]);
+            Box::new(Dense::new(rng, 7, 3, Activation::Sigmoid)),
+            Box::new(Dense::new(rng, 3, 5, Activation::Linear)),
+        ])
+    }
+
+    /// One pair of buffers serves batches that grow and shrink.
+    #[test]
+    fn infer_reuses_its_buffers_across_batch_shapes() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let net = deep_net(&mut rng);
         let mut acts = PingPong::new();
-        for rows in [1, 4, 9] {
+        for rows in [1, 9, 4] {
             let x = hec_tensor::init::uniform(&mut rng, rows, 5, -1.0, 1.0);
             let expect = net.predict(&x);
             assert_eq!(net.infer(&x, &mut acts), &expect, "rows={rows}");
         }
+    }
+
+    /// The input gradient is there when asked for and only then, and asking
+    /// changes nothing else.
+    #[test]
+    fn input_gradient_is_optional() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let x = hec_tensor::init::uniform(&mut rng, 3, 5, -1.0, 1.0);
+        let grad = hec_tensor::init::uniform(&mut rng, 3, 5, -1.0, 1.0);
+        let grads_of = |want: bool| {
+            let mut net = deep_net(&mut StdRng::seed_from_u64(9));
+            assert_eq!(net.forward_training(&x).shape(), (3, 5));
+            let dx = net.backward(&grad, want).cloned();
+            let mut grads = Vec::new();
+            net.visit_params(&mut |_, g| grads.push(g.clone()));
+            (dx, grads)
+        };
+        let (none, without) = grads_of(false);
+        let (some, with) = grads_of(true);
+        assert!(none.is_none());
+        assert_eq!(some.expect("asked for").shape(), (3, 5));
+        assert_eq!(without, with);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! `hec-tensor`, so a steady-state forward or training step allocates **no
 //! matmul temporaries**: each buffer is allocated once at its workload's
 //! peak shape and reused for every subsequent call, and the only matmul
-//! results that still allocate are caller-visible outputs (returned
-//! gradients and states). The LSTMs add two things of their own on top (see
+//! results that still allocate are caller-visible outputs (the LSTMs'
+//! returned state gradients). [`crate::Sequential`] holds the dense stacks'
+//! training activations and gradients the same way, so its layers hold
+//! none. The LSTMs add two things of their own on top (see
 //! [`crate::lstm`]): flat time-major arenas for what a sequence leaves
 //! behind, and one per-thread set of BPTT buffers shared by every layer,
 //! since a backward pass needs them only while it runs.

@@ -17,16 +17,12 @@ use rand::SeedableRng;
 use hec_nn::lstm::BiLstm;
 use hec_nn::{Lstm, LstmState, RmsProp, Seq2Seq, Seq2SeqConfig};
 use hec_tensor::{init, Matrix};
-use reference::{RefBiLstm, RefLstm, RefSeq2Seq};
+use reference::{bits, RefBiLstm, RefLstm, RefSeq2Seq};
 
 const SEEDS: [u64; 3] = [1, 2, 3];
 const STEPS: [usize; 4] = [1, 2, 7, 64];
 const HIDDEN: [usize; 4] = [3, 16, 32, 64];
 const INPUT_DIM: usize = 18;
-
-fn bits(m: &Matrix) -> Vec<u32> {
-    m.as_slice().iter().map(|v| v.to_bits()).collect()
-}
 
 /// The batch-1 time-major sequence as the reference's per-step matrices.
 fn per_step(xs: &Matrix) -> Vec<Matrix> {

@@ -3,15 +3,28 @@
 //! the library to **bit for bit**: one `StepCache` of owned matrices per
 //! timestep, two rank-1 weight-gradient products staged and added per BPTT
 //! step, `dx` computed at every step, `vconcat` chains around the output
-//! layer. Built on the crate's public layers only, so the comparison shares
-//! the kernels and nothing above them. Not a model to copy from.
+//! layer. Built on `hec-tensor` and the old dense layers in [`dense`], so
+//! the comparison shares the kernels and nothing above them. Not a model to
+//! copy from.
+
+// Each test binary uses its own half of the reference.
+#![allow(dead_code)]
+
+pub mod dense;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hec_nn::activation::sigmoid;
-use hec_nn::{Activation, Dense, Dropout, Layer, Loss, LstmState, Mse, Optimizer, Seq2SeqConfig};
+use hec_nn::{Activation, LstmState, Optimizer, Seq2SeqConfig};
 use hec_tensor::{init, Matrix};
+
+use dense::{mse_gradient, mse_value, RefDense, RefDropout, RefLayer};
+
+/// A matrix's elements as bit patterns: what "bit for bit" compares.
+pub fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
 
 fn gate_block(z: &Matrix, start: usize, width: usize, f: impl Fn(f32) -> f32) -> Matrix {
     let mut out = Matrix::zeros(z.rows(), width);
@@ -282,8 +295,8 @@ enum Encoder {
 pub struct RefSeq2Seq {
     encoder: Encoder,
     decoder: RefLstm,
-    dropout: Dropout,
-    output: Dense,
+    dropout: RefDropout,
+    output: RefDense,
     config: Seq2SeqConfig,
 }
 
@@ -299,8 +312,8 @@ impl RefSeq2Seq {
             Encoder::Uni(Box::new(RefLstm::new(&mut rng, config.input_dim, config.encoder_hidden)))
         };
         let decoder = RefLstm::new(&mut rng, config.input_dim, dec_hidden);
-        let output = Dense::new(&mut rng, dec_hidden, config.input_dim, Activation::Linear);
-        let dropout = Dropout::new(config.dropout, config.seed.wrapping_add(0x9E37));
+        let output = RefDense::new(&mut rng, dec_hidden, config.input_dim, Activation::Linear);
+        let dropout = RefDropout::new(config.dropout, config.seed.wrapping_add(0x9E37));
         Self { encoder, decoder, dropout, output, config }
     }
 
@@ -361,8 +374,8 @@ impl RefSeq2Seq {
             prediction = prediction.vconcat(y);
         }
 
-        let loss = Mse.value(&prediction, &target);
-        let d_ys = Mse.gradient(&prediction, &target);
+        let loss = mse_value(&prediction, &target);
+        let d_ys = mse_gradient(&prediction, &target);
         let d_dropped = self.output.backward(&d_ys);
         let d_stacked_h = self.dropout.backward(&d_dropped);
 

@@ -9,15 +9,21 @@
 //!   workspaces or caller-visible outputs (proved with
 //!   `hec_tensor::kernel::matmul_allocations`, which counts the allocating
 //!   wrapper calls);
+//! * a warmed dense training step — [`Sequential::train_batch`] at the
+//!   AE-Cloud shapes, a `Dropout` in the stack, full and ragged batches —
+//!   performs **zero** heap allocations: activations and gradients live in
+//!   the model's workspace (the policy network's one-row REINFORCE update
+//!   has the same check in `hec-bandit`'s `tests/zero_alloc.rs`);
 //! * a warmed [`Seq2Seq::train_batch`] allocates a small **constant** —
-//!   the matrices the dropout, output and loss layers return and the
-//!   initial-state gradients, the same count at 16 steps as at 64.
+//!   the initial-state gradients the LSTMs hand back — the same count at
+//!   16 steps as at 64.
 //!
 //! Everything lives in one `#[test]` so no concurrent test can disturb the
 //! global counters.
 
 use hec_nn::{
-    Activation, Lstm, LstmState, QuantMode, QuantizedDense, RmsProp, Seq2Seq, Seq2SeqConfig,
+    Activation, Dense, Dropout, Lstm, LstmState, Mse, QuantMode, QuantizedDense, RmsProp, Seq2Seq,
+    Seq2SeqConfig, Sequential,
 };
 use hec_telemetry::{allocations, CountingAlloc};
 use hec_tensor::{Matrix, QuantScheme, QuantizedMatrix};
@@ -95,6 +101,40 @@ fn hot_paths_are_matmul_allocation_free() {
     assert_eq!(
         last_delta, 0,
         "warmed QuantizedDense::forward_into performed {last_delta} heap allocations per window"
+    );
+
+    // --- Dense training step: zero total allocations once the workspace
+    // and the optimizer state have grown, whatever the batch's row count
+    // does afterwards (an epoch's last batch is short). ---
+    let sizes = [96, 48, 24, 12, 24, 48, 96];
+    let mut layers: Vec<Box<dyn hec_nn::Layer>> = Vec::new();
+    for (i, pair) in sizes.windows(2).enumerate() {
+        let act = if i == sizes.len() - 2 { Activation::Linear } else { Activation::Tanh };
+        layers.push(Box::new(Dense::new(&mut rng, pair[0], pair[1], act)));
+        if i == 2 {
+            layers.push(Box::new(Dropout::new(0.3, 5)));
+        }
+    }
+    let mut net = Sequential::new(layers);
+    let mut opt = RmsProp::new(1e-3);
+    let full = hec_tensor::init::uniform(&mut rng, 32, 96, -1.0, 1.0);
+    let ragged = hec_tensor::init::uniform(&mut rng, 5, 96, -1.0, 1.0);
+    net.train_batch(&full, &full, &Mse, &mut opt, 1e-4); // warmup
+    let mut last_delta = usize::MAX;
+    for _attempt in 0..5 {
+        let before = allocations();
+        for _ in 0..16 {
+            net.train_batch(&full, &full, &Mse, &mut opt, 1e-4);
+            net.train_batch(&ragged, &ragged, &Mse, &mut opt, 1e-4);
+        }
+        last_delta = allocations() - before;
+        if last_delta == 0 {
+            break;
+        }
+    }
+    assert_eq!(
+        last_delta, 0,
+        "warmed Sequential::train_batch performed {last_delta} heap allocations in every window"
     );
 
     // --- LSTM training step (forward_seq + backward_seq): zero allocating
@@ -189,9 +229,9 @@ fn hot_paths_are_matmul_allocation_free() {
     }
 }
 
-/// Heap allocations of one warmed [`Seq2Seq::train_batch`], at most — 15
-/// with a unidirectional encoder and 21 with a bidirectional one when this
-/// was written: the matrices the dropout, output and loss layers return or
-/// cache, the initial-state gradient each LSTM hands back, and the halves a
-/// bidirectional encoder splits one into.
-const TRAIN_BATCH_ALLOCS: usize = 24;
+/// Heap allocations of one warmed [`Seq2Seq::train_batch`], at most — 4
+/// with a unidirectional encoder and 10 with a bidirectional one when this
+/// was written: the initial-state gradient each LSTM hands back and the
+/// halves a bidirectional encoder splits one into. The dropout, output and
+/// loss layers above the decoder allocate nothing.
+const TRAIN_BATCH_ALLOCS: usize = 12;

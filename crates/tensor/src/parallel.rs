@@ -9,9 +9,17 @@
 //!   forces the serial path, which is also taken automatically for tiny
 //!   inputs;
 //! * items are split into **contiguous chunks**, one per worker, and chunk
-//!   results are concatenated in spawn order — output ordering is therefore
+//!   results are concatenated in chunk order — output ordering is therefore
 //!   deterministic and identical to the serial map, regardless of the
-//!   thread count or scheduling.
+//!   thread count or scheduling;
+//! * the **calling thread is the first worker**: it takes the first chunk
+//!   itself (on its own warm thread-local scratch) and only the other
+//!   chunks get a spawned thread, so a two-worker map spawns once.
+//!
+//! [`parallel_map_mut`] is the `&mut` sibling for a handful of heavy,
+//! independent items that are each *changed* by the work — the three
+//! detectors of a catalog being fitted or scored side by side. Both forms
+//! run one scope/spawn/join body (`run_chunks`).
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
@@ -21,9 +29,11 @@ thread_local! {
     /// Per-thread override installed by [`with_thread_count`]; takes
     /// precedence over `HEC_THREADS`.
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-    /// Set inside [`parallel_map`] workers so nested calls (e.g. a sweep
-    /// point evaluating a scheme) run serially instead of spawning
-    /// `threads²` threads.
+    /// Set while a thread works a chunk of a parallel helper — spawned
+    /// workers and the calling thread on the first chunk alike — so nested
+    /// calls (e.g. a sweep point evaluating a scheme, a detector scoring
+    /// its corpus inside a catalog fan-out) run serially instead of
+    /// spawning `threads²` threads.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -81,7 +91,7 @@ pub fn with_thread_count<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// # Panics
 ///
 /// Propagates panics from `f` with their payload: the whole map panics
-/// with the message of the first failed worker in spawn order, which for
+/// with the message of the first failed worker in chunk order, which for
 /// a panic that depends only on the index is the one the serial map
 /// raises.
 ///
@@ -153,22 +163,83 @@ where
         return f(0..len);
     }
     let span_len = len.div_ceil(threads);
+    let spans = (0..len).step_by(span_len).map(|start| start..(start + span_len).min(len));
+    run_chunks(spans, len, f)
+}
+
+/// Maps `f` over `items` (with the item's index), each item handed out
+/// **mutably**, returning results **in item order** — for a few heavy
+/// items that own their state (a catalog's detectors). Items are split
+/// into one contiguous chunk per worker, so three items at two workers run
+/// as `[0, 1]` on the calling thread beside `[2]` on a spawned one, and at
+/// three or more workers one item each. With one worker, one item, or from
+/// inside another helper's worker, this is the serial
+/// `items.iter_mut().enumerate().map(f).collect()` on the calling thread.
+/// There is no grain: whether the work pays for a spawn is the caller's
+/// call.
+///
+/// # Panics
+///
+/// Propagates panics from `f` with their payload: the first failed item in
+/// item order re-raises its own.
+pub fn parallel_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut T) -> R + Sync,
+{
+    let len = items.len();
+    let work = |(first, chunk): (usize, &mut [T])| -> Vec<R> {
+        chunk.iter_mut().enumerate().map(|(i, item)| f(first + i, item)).collect()
+    };
+    let threads = thread_count().min(len);
+    if threads <= 1 || IN_WORKER.with(Cell::get) {
+        return work((0, items));
+    }
+    let chunk_len = len.div_ceil(threads);
+    let chunks = items.chunks_mut(chunk_len).enumerate().map(|(k, chunk)| (k * chunk_len, chunk));
+    run_chunks(chunks, len, work)
+}
+
+/// The scope/spawn/join body under every helper here: the calling thread
+/// works the first chunk while one spawned thread works each of the others,
+/// and the vectors `work` returns are concatenated **in chunk order**.
+/// [`IN_WORKER`] is set on every thread while it works and put back on the
+/// calling thread afterwards, also when `work` unwinds. The first chunk in
+/// order that panicked re-raises its own payload (the scope joins the other
+/// threads first).
+fn run_chunks<C, R, F>(chunks: impl Iterator<Item = C>, len: usize, work: F) -> Vec<R>
+where
+    C: Send,
+    R: Send,
+    F: Fn(C) -> Vec<R> + Sync,
+{
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_WORKER.with(|c| c.set(self.0));
+        }
+    }
+    let mut chunks = chunks;
+    let Some(first) = chunks.next() else { return Vec::new() };
     std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = (0..len)
-            .step_by(span_len)
-            .map(|start| {
-                let end = (start + span_len).min(len);
+        let work = &work;
+        let handles: Vec<_> = chunks
+            .map(|chunk| {
                 scope.spawn(move || {
                     IN_WORKER.with(|c| c.set(true));
-                    f(start..end)
+                    work(chunk)
                 })
             })
             .collect();
-        let mut out = Vec::with_capacity(len);
+        let mut out = {
+            let _restore = Restore(IN_WORKER.with(|c| c.replace(true)));
+            work(first)
+        };
+        out.reserve(len.saturating_sub(out.len()));
         for handle in handles {
             match handle.join() {
-                Ok(span) => out.extend(span),
+                Ok(chunk) => out.extend(chunk),
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
@@ -253,6 +324,103 @@ mod tests {
         // Below two grains the caller's thread gets the whole range.
         let spans = with_thread_count(4, || parallel_map_spans(19, 10, |s| vec![s]));
         assert_eq!(spans, vec![0..19]);
+    }
+
+    #[test]
+    fn map_mut_changes_every_item_once_in_order() {
+        // One item, fewer items than workers, uneven chunks, one worker.
+        for (threads, len) in [(4, 1), (4, 3), (2, 3), (3, 7), (1, 5)] {
+            let mut items: Vec<usize> = (0..len).collect();
+            let out = with_thread_count(threads, || {
+                parallel_map_mut(&mut items, |i, item| {
+                    assert_eq!(i, *item);
+                    *item += 100;
+                    i * 2
+                })
+            });
+            assert_eq!(out, (0..len).map(|i| i * 2).collect::<Vec<_>>(), "{threads} x {len}");
+            assert_eq!(items, (100..100 + len).collect::<Vec<_>>(), "{threads} x {len}");
+        }
+        assert!(parallel_map_mut(&mut [0u8; 0], |_, _| ()).is_empty());
+    }
+
+    #[test]
+    fn map_mut_chunks_are_contiguous_and_the_caller_takes_the_first() {
+        let caller = std::thread::current().id();
+        let on_caller = |threads: usize| {
+            let mut items = [0u8; 3];
+            with_thread_count(threads, || {
+                parallel_map_mut(&mut items, |_, _| std::thread::current().id() == caller)
+            })
+        };
+        // Two workers: items 0 and 1 beside item 2; from three, one each.
+        assert_eq!(on_caller(2), [true, true, false]);
+        assert_eq!(on_caller(3), [true, false, false]);
+        assert_eq!(on_caller(4), [true, false, false]);
+        assert_eq!(on_caller(1), [true, true, true]);
+    }
+
+    #[test]
+    fn map_mut_runs_nested_helpers_inline_and_restores_the_flag() {
+        assert!(!IN_WORKER.with(Cell::get));
+        let mut items = [0usize; 3];
+        let nested = with_thread_count(4, || {
+            parallel_map_mut(&mut items, |_, _| {
+                assert!(IN_WORKER.with(Cell::get));
+                // Whole range in one span: the nested call did not fan out.
+                let spans = parallel_map_spans(64, 1, |s| vec![s]);
+                let mut inner = [0u8; 4];
+                let ids = parallel_map_mut(&mut inner, |_, _| std::thread::current().id());
+                (spans, ids.iter().all(|&id| id == std::thread::current().id()))
+            })
+        });
+        assert!(nested
+            .iter()
+            .all(|(spans, inline)| spans.len() == 1 && spans[0] == (0..64) && *inline));
+        assert!(!IN_WORKER.with(Cell::get), "the caller's flag must come back");
+
+        // A caller that is itself a worker stays one.
+        IN_WORKER.with(|c| c.set(true));
+        let _ = with_thread_count(4, || parallel_map_mut(&mut items, |i, _| i));
+        assert!(IN_WORKER.with(Cell::get));
+        IN_WORKER.with(|c| c.set(false));
+
+        // Also after the caller's own chunk, or a spawned one, panicked.
+        for bad in [0, 2] {
+            let caught = std::panic::catch_unwind(|| {
+                with_thread_count(3, || {
+                    parallel_map_mut(&mut [0usize; 3], |i, _| assert!(i != bad, "item {i} failed"))
+                })
+            });
+            assert!(caught.is_err());
+            assert!(!IN_WORKER.with(Cell::get), "flag left set after item {bad} panicked");
+        }
+    }
+
+    /// Items 1 and 2 both fail; whatever the chunking, item 1's payload is
+    /// the one re-raised.
+    fn map_mut_panic_at_1_and_2(threads: usize) {
+        with_thread_count(threads, || {
+            parallel_map_mut(&mut [0usize; 3], |i, _| assert!(i == 0, "item {i} failed"))
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "item 1 failed")]
+    fn map_mut_first_failing_item_wins_serial() {
+        map_mut_panic_at_1_and_2(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 1 failed")]
+    fn map_mut_first_failing_item_wins_two_workers() {
+        map_mut_panic_at_1_and_2(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 1 failed")]
+    fn map_mut_first_failing_item_wins_three_workers() {
+        map_mut_panic_at_1_and_2(3);
     }
 
     #[test]

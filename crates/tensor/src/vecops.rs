@@ -49,15 +49,31 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 /// assert!((p[0] - 0.5).abs() < 1e-6);
 /// ```
 pub fn softmax(logits: &[f32]) -> Vec<f32> {
+    let mut probs = logits.to_vec();
+    softmax_inplace(&mut probs);
+    probs
+}
+
+/// [`softmax`] over `logits` in place — the same bits, no allocation.
+///
+/// # Panics
+///
+/// Panics if `logits` is empty.
+pub fn softmax_inplace(logits: &mut [f32]) {
     assert!(!logits.is_empty(), "softmax of empty slice");
     let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&x| (x - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
+    for x in logits.iter_mut() {
+        *x = (*x - max).exp();
+    }
+    let sum: f32 = logits.iter().sum();
     if sum == 0.0 || !sum.is_finite() {
         // Degenerate input (all -inf or NaN): fall back to uniform.
-        return vec![1.0 / logits.len() as f32; logits.len()];
+        logits.fill(1.0 / logits.len() as f32);
+        return;
     }
-    exps.into_iter().map(|e| e / sum).collect()
+    for e in logits.iter_mut() {
+        *e /= sum;
+    }
 }
 
 /// Index of the maximum element (first occurrence on ties).
