@@ -48,7 +48,7 @@ use hec_tensor::parallel::parallel_map_spans;
 use hec_tensor::{Matrix, QuantizedMatrix};
 
 use crate::detector::{validate_training_set, AnomalyDetector, Detection, FitError, FitReport};
-use crate::scorer::{ConfidenceRule, LogPdScorer, ThresholdRule};
+use crate::scorer::LogPdScorer;
 
 /// Windows gathered per inference block: four of the f32 kernel's 4-row
 /// register tiles. At the paper's 96-sample window the gathered rows and
@@ -165,8 +165,8 @@ impl AeArchitecture {
 
 /// An autoencoder anomaly detector over flattened univariate windows.
 ///
-/// Scoring: per-timestep scalar reconstruction errors, 1-D Gaussian logPD,
-/// threshold = min training logPD (§II-A3).
+/// Scoring: per-timestep scalar reconstruction errors, 1-D Gaussian logPD
+/// (§II-A3), threshold calibrated under [`crate::scorer::CALIBRATION_RULE`].
 ///
 /// # Example
 ///
@@ -194,14 +194,8 @@ pub struct AutoencoderDetector {
     architecture: AeArchitecture,
     net: Sequential,
     scorer: Option<LogPdScorer>,
-    confidence: ConfidenceRule,
-    threshold_rule: ThresholdRule,
-    /// A window is flagged anomalous when its anomalous-point fraction
-    /// exceeds this (default 0: any point below threshold flags the window).
-    flag_fraction: f32,
     batch_size: usize,
     learning_rate: f32,
-    quantization_bits: Option<u8>,
     /// When set, inference runs through `qnet` instead of the f32 net.
     quant_mode: Option<QuantMode>,
     /// The int8 inference twin of the trained f32 net: one
@@ -252,34 +246,12 @@ impl AutoencoderDetector {
             net: Sequential::new(layers),
             architecture,
             scorer: None,
-            confidence: ConfidenceRule::default(),
-            threshold_rule: ThresholdRule::default(),
-            flag_fraction: 0.0,
             batch_size: 32,
             learning_rate: 1e-3,
-            quantization_bits: None,
             quant_mode: None,
             qnet: None,
             rng,
         }
-    }
-
-    /// Replaces the confidence rule (for the Successive-scheme ablation).
-    pub fn set_confidence_rule(&mut self, rule: ConfidenceRule) {
-        self.confidence = rule;
-    }
-
-    /// Replaces the threshold rule (the paper's `Min`, a quantile, a robust
-    /// `MeanMinusKSigma`, or the default fixed-specificity `WindowFpr`).
-    /// Takes effect at the next `fit`.
-    pub fn set_threshold_rule(&mut self, rule: ThresholdRule) {
-        self.threshold_rule = rule;
-    }
-
-    /// Enables post-training weight quantization to `bits` bits (deployment
-    /// compression, paper §III-B). Applied during `fit`, before calibration.
-    pub fn set_quantization_bits(&mut self, bits: Option<u8>) {
-        self.quantization_bits = bits;
     }
 
     /// Selects the int8 inference path: when `Some`, `fit` snapshots the
@@ -319,16 +291,6 @@ impl AutoencoderDetector {
         self.qnet = self.quant_mode.map(|mode| quantize_layers(&mut self.net, n_layers, mode));
     }
 
-    /// Sets the window-flagging fraction (see field docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction ∉ [0, 1)`.
-    pub fn set_flag_fraction(&mut self, fraction: f32) {
-        assert!((0.0..1.0).contains(&fraction), "flag fraction must be in [0, 1)");
-        self.flag_fraction = fraction;
-    }
-
     /// The architecture this detector was built with.
     pub fn architecture(&self) -> &AeArchitecture {
         &self.architecture
@@ -348,14 +310,7 @@ impl AutoencoderDetector {
     fn detection_from_scalar_errors(&self, errors: &mut [f32]) -> Detection {
         let scorer = self.scorer.as_ref().expect("detect called before fit");
         let (min_log_pd, anomalous_fraction) = scorer.score_window_scalar(errors);
-        let anomalous = anomalous_fraction > self.flag_fraction;
-        let confident = self.confidence.is_confident(
-            min_log_pd,
-            anomalous_fraction,
-            scorer.threshold(),
-            anomalous,
-        );
-        Detection { anomalous, confident, min_log_pd, anomalous_fraction }
+        scorer.detection(min_log_pd, anomalous_fraction)
     }
 
     /// The one inference routine: hands `read` the per-point reconstruction
@@ -430,17 +385,8 @@ impl AutoencoderDetector {
             errors.extend_from_slice(block.as_slice());
         });
         let errors = Matrix::from_vec(errors.len(), 1, errors);
-        let mut scorer = LogPdScorer::fit_rows(&errors, 1e-6, self.threshold_rule)?;
-        if let ThresholdRule::WindowFpr(_) = self.threshold_rule {
-            let minima: Vec<f32> = errors
-                .as_slice()
-                .chunks_exact(dim)
-                .map(|errs| {
-                    errs.iter().map(|&e| scorer.log_pd_scalar(e)).fold(f32::INFINITY, f32::min)
-                })
-                .collect();
-            scorer.set_threshold(self.threshold_rule.threshold(&minima));
-        }
+        let window_ends = (1..=calibration.len()).map(|w| w * dim);
+        let scorer = LogPdScorer::fit(&errors, window_ends, 1e-6)?;
         let threshold = scorer.threshold();
         self.scorer = Some(scorer);
         Ok(threshold)
@@ -485,12 +431,6 @@ impl AnomalyDetector for AutoencoderDetector {
                 batches += 1;
             }
             final_loss = epoch_loss / batches.max(1) as f32;
-        }
-
-        if let Some(bits) = self.quantization_bits {
-            self.net.visit_params(&mut |param, _| {
-                hec_tensor::quantize::quantize_inplace(param, bits);
-            });
         }
 
         // Snapshot the trained weights into the int8 twin (if selected),
@@ -678,6 +618,33 @@ mod tests {
         let bad = vec![LabeledWindow::new(Matrix::from_vec(16, 1, vec![0.1; 16]), true)];
         assert!(matches!(det.recalibrate(&bad), Err(FitError::InvalidTrainingSet { .. })));
         assert!(matches!(det.recalibrate(&[]), Err(FitError::InvalidTrainingSet { .. })));
+    }
+
+    /// The one-pass calibration lands on the bits of the two-pass way it
+    /// replaced: fit the Gaussian, score every error again for the
+    /// per-window minima, take the quantile.
+    #[test]
+    fn calibration_threshold_is_the_two_pass_threshold() {
+        let train = train_set(16);
+        let mut det = AutoencoderDetector::new("ae", AeArchitecture::edge(16), 1);
+        let report = det.fit(&train, 40).unwrap();
+
+        let mut errors = Vec::new();
+        det.for_each_block_errors(&train, 0..train.len(), |block| {
+            errors.extend_from_slice(block.as_slice());
+        });
+        let errors = Matrix::from_vec(errors.len(), 1, errors);
+        let gaussian = hec_tensor::Gaussian::fit(&errors, 1e-6).unwrap();
+        let minima: Vec<f32> = errors
+            .as_slice()
+            .chunks_exact(16)
+            .map(|w| {
+                w.iter().map(|&e| gaussian.log_pdf_scalar(e).unwrap()).fold(f32::INFINITY, f32::min)
+            })
+            .collect();
+        let two_pass = crate::scorer::CALIBRATION_RULE.threshold(&minima);
+        assert_eq!(report.threshold.to_bits(), two_pass.to_bits());
+        assert_eq!(det.recalibrate(&train).unwrap().to_bits(), two_pass.to_bits());
     }
 
     #[test]

@@ -149,9 +149,9 @@ impl ModelCatalog {
     ///
     /// Deployment fidelity: on-device inference reads compressed sensor
     /// buffers (IoT 3-bit, edge 4-bit input quantization) while offloaded
-    /// windows reach the cloud at full fidelity — the fidelity/compute
-    /// tradeoff documented in DESIGN.md §2 that reproduces the paper's
-    /// accuracy ladder.
+    /// windows reach the cloud at full fidelity — a fidelity/compute
+    /// tradeoff that can only lose evidence, so it reproduces the paper's
+    /// accuracy ladder on the synthetic data without ever inverting it.
     pub fn multivariate(input_dim: usize, hidden: usize, seed: u64) -> Self {
         let mut iot = Seq2SeqDetector::iot(input_dim, hidden, seed);
         iot.set_input_bits(Some(3));

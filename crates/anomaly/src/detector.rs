@@ -25,7 +25,7 @@ pub struct FitReport {
     pub epochs: usize,
     /// Final mean reconstruction loss over the training set.
     pub final_loss: f32,
-    /// The calibrated logPD threshold (min over the training set).
+    /// The calibrated logPD threshold.
     pub threshold: f32,
 }
 

@@ -24,42 +24,30 @@
 
 use std::collections::VecDeque;
 
-/// Which direction of mean shift raises the alarm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriftDirection {
-    /// Alarm on a sustained **rise** of the mean (the adaptation loop's
-    /// default: drift pushes the flagged fraction up).
-    Increase,
-    /// Alarm on a sustained fall.
-    Decrease,
-    /// Alarm on either.
-    Both,
-}
+/// Dead-band half-width: deviations from the running mean smaller than
+/// this never accumulate. It absorbs the normal-regime wobble of a bounded
+/// `[0, 1]` statistic such as a flagged-window fraction.
+const DELTA: f64 = 0.05;
 
-/// Page–Hinkley test parameters. The defaults are tuned for a bounded
-/// `[0, 1]` statistic such as a flagged-window fraction: `delta` absorbs
-/// its normal-regime wobble, and `lambda = 6` requires roughly eight
-/// consecutive fully-saturated windows before alarming — long enough
-/// that a chance run of true anomalies (~15% of windows in the paper
-/// protocol) will practically never trip it, short enough that a real
-/// regime change is caught within a dozen windows.
+/// Alarm threshold on the accumulated upward excursion. On a `[0, 1]`
+/// statistic, 6 requires roughly eight consecutive fully-saturated windows
+/// before alarming — long enough that a chance run of true anomalies (~15%
+/// of windows in the paper protocol) will practically never trip it, short
+/// enough that a real regime change is caught within a dozen windows.
+const LAMBDA: f64 = 6.0;
+
+/// Page–Hinkley test parameters: the dead band and the alarm threshold
+/// are fixed, the warm-up is the caller's.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageHinkleyConfig {
-    /// Dead-band half-width: deviations from the running mean smaller
-    /// than this never accumulate.
-    pub delta: f64,
-    /// Alarm threshold on the accumulated excursion.
-    pub lambda: f64,
     /// Warm-up: no alarm before this many observations (the running
     /// mean needs samples before deviations are meaningful).
     pub min_samples: u64,
-    /// Which shift direction alarms.
-    pub direction: DriftDirection,
 }
 
 impl Default for PageHinkleyConfig {
     fn default() -> Self {
-        Self { delta: 0.05, lambda: 6.0, min_samples: 30, direction: DriftDirection::Increase }
+        Self { min_samples: 30 }
     }
 }
 
@@ -85,14 +73,12 @@ pub struct PageHinkley {
     mean: f64,
     cum_up: f64,
     min_up: f64,
-    cum_down: f64,
-    max_down: f64,
 }
 
 impl PageHinkley {
     /// A fresh test with the given parameters.
     pub fn new(config: PageHinkleyConfig) -> Self {
-        Self { config, n: 0, mean: 0.0, cum_up: 0.0, min_up: 0.0, cum_down: 0.0, max_down: 0.0 }
+        Self { config, n: 0, mean: 0.0, cum_up: 0.0, min_up: 0.0 }
     }
 
     /// Observations absorbed since the last reset.
@@ -105,18 +91,16 @@ impl PageHinkley {
         self.mean
     }
 
-    /// The current upward excursion statistic (compared against
-    /// `lambda`); useful for telemetry gauges.
+    /// The current upward excursion statistic (compared against the
+    /// alarm threshold); useful for telemetry gauges. Drift pushes the
+    /// flagged fraction up, so a sustained **rise** of the mean is what
+    /// alarms.
     pub fn statistic(&self) -> f64 {
-        match self.config.direction {
-            DriftDirection::Increase => self.cum_up - self.min_up,
-            DriftDirection::Decrease => self.max_down - self.cum_down,
-            DriftDirection::Both => (self.cum_up - self.min_up).max(self.max_down - self.cum_down),
-        }
+        self.cum_up - self.min_up
     }
 
     /// Absorbs one observation; returns `true` when the accumulated
-    /// mean-shift excursion crosses `lambda` (the caller decides whether
+    /// mean-shift excursion crosses the threshold (the caller decides whether
     /// to [`reset`](Self::reset) and refresh). The alarm keeps returning
     /// `true` until reset — it is a level, not an edge.
     ///
@@ -130,11 +114,9 @@ impl PageHinkley {
         let x = x as f64;
         self.n += 1;
         self.mean += (x - self.mean) / self.n as f64;
-        self.cum_up += x - self.mean - self.config.delta;
+        self.cum_up += x - self.mean - DELTA;
         self.min_up = self.min_up.min(self.cum_up);
-        self.cum_down += x - self.mean + self.config.delta;
-        self.max_down = self.max_down.max(self.cum_down);
-        self.n >= self.config.min_samples && self.statistic() > self.config.lambda
+        self.n >= self.config.min_samples && self.statistic() > LAMBDA
     }
 
     /// Forgets all state (called after a refresh so the test re-learns
@@ -236,31 +218,12 @@ mod tests {
 
     #[test]
     fn min_samples_suppresses_early_alarms() {
-        let cfg = PageHinkleyConfig { min_samples: 50, ..PageHinkleyConfig::default() };
+        let cfg = PageHinkleyConfig { min_samples: 50 };
         let mut ph = PageHinkley::new(cfg);
         for i in 0..49 {
             // Wildly shifting from the start — still quiet during warm-up.
             assert!(!ph.observe(if i < 5 { 0.0 } else { 1.0 }) || i >= 49);
         }
-    }
-
-    #[test]
-    fn decrease_direction_catches_falls_only() {
-        let cfg = PageHinkleyConfig {
-            direction: DriftDirection::Decrease,
-            ..PageHinkleyConfig::default()
-        };
-        let mut falling = PageHinkley::new(cfg);
-        for _ in 0..100 {
-            assert!(!falling.observe(0.9));
-        }
-        assert!((0..40).any(|_| falling.observe(0.05)), "a fall must alarm Decrease");
-
-        let mut rising = PageHinkley::new(cfg);
-        for _ in 0..100 {
-            assert!(!rising.observe(0.1));
-        }
-        assert!(!(0..40).any(|_| rising.observe(0.95)), "a rise must not alarm Decrease");
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!   LSTM-seq2seq-Edge / BiLSTM-seq2seq-Cloud**;
 //! * [`LogPdScorer`] — the shared anomaly score: reconstruction errors are
 //!   assumed Gaussian `N(µ, Σ)` (fitted on normal training data) and scored
-//!   by their **log probability density**; the detection threshold is the
-//!   minimum logPD observed on the training set (§II-A3);
+//!   by their **log probability density** (§II-A3); the detection threshold
+//!   is calibrated on the training set under one fixed rule,
+//!   [`CALIBRATION_RULE`];
 //! * [`ConfidenceRule`] — the paper's two *confident detection* conditions:
 //!   (i) some point's logPD below `factor ×` threshold (logPD is negative),
 //!   or (ii) more than `fraction` of the window's points anomalous;
@@ -35,7 +36,7 @@ pub mod seq2seq_detector;
 pub use ae::{AeArchitecture, AutoencoderDetector, ROW_SPLIT_WINDOWS};
 pub use catalog::{HecLayer, ModelCatalog, ModelSpec};
 pub use detector::{AnomalyDetector, Detection, FitError, FitReport};
-pub use drift::{DriftDirection, PageHinkley, PageHinkleyConfig, SlidingReservoir};
+pub use drift::{PageHinkley, PageHinkleyConfig, SlidingReservoir};
 pub use hec_nn::{QuantMode, QuantScheme};
-pub use scorer::{ConfidenceRule, LogPdScorer, ScorerError, ThresholdRule};
+pub use scorer::{ConfidenceRule, LogPdScorer, ThresholdRule, CALIBRATION_RULE};
 pub use seq2seq_detector::Seq2SeqDetector;

@@ -6,11 +6,11 @@
 //! value of the logPD on the normal dataset (i.e., the training set) as the
 //! threshold for detecting outliers."*
 
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
 
 use hec_tensor::{Gaussian, GaussianError, Matrix};
+
+use crate::detector::Detection;
 
 /// The paper's two *confident detection* conditions (§II-A3):
 ///
@@ -28,11 +28,17 @@ pub struct ConfidenceRule {
 
 impl Default for ConfidenceRule {
     fn default() -> Self {
-        Self { factor: 2.0, fraction: 0.05 }
+        Self::PAPER
     }
 }
 
 impl ConfidenceRule {
+    /// The paper's rule (2×, 5 %) — the one every detector reports
+    /// [`Detection::confident`] under. The Successive-scheme ablation
+    /// re-derives confidence under other rules from an oracle's stored
+    /// scores, never from a detector.
+    pub const PAPER: Self = Self { factor: 2.0, fraction: 0.05 };
+
     /// Evaluates the rule given the window's point scores and the threshold.
     ///
     /// A *normal* verdict is also treated as confident when **no** point is
@@ -55,49 +61,15 @@ impl ConfidenceRule {
     }
 }
 
-/// Error from [`LogPdScorer`] operations.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ScorerError {
-    /// The underlying Gaussian fit failed.
-    Gaussian(GaussianError),
-    /// No error vectors were supplied.
-    EmptyCalibrationSet,
-}
-
-impl fmt::Display for ScorerError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScorerError::Gaussian(e) => write!(f, "gaussian fit failed: {e}"),
-            ScorerError::EmptyCalibrationSet => write!(f, "no calibration error vectors"),
-        }
-    }
-}
-
-impl std::error::Error for ScorerError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ScorerError::Gaussian(e) => Some(e),
-            ScorerError::EmptyCalibrationSet => None,
-        }
-    }
-}
-
-impl From<GaussianError> for ScorerError {
-    fn from(e: GaussianError) -> Self {
-        ScorerError::Gaussian(e)
-    }
-}
-
-/// How the detection threshold is derived from the training logPDs.
+/// How a detection threshold is derived from calibration logPDs.
 ///
 /// The paper uses the **minimum** training logPD (§II-A3). The minimum is an
 /// extreme-value statistic: across models it varies by several σ for no
 /// capacity-related reason, which scrambles the sensitivity ordering the
-/// HEC ladder depends on. [`ThresholdRule::MeanMinusKSigma`] replaces it
-/// with `µ(logPD) − k·σ(logPD)` on the same calibration data — the same
-/// quantity with the tail noise averaged out — and is the default (`k = 6`).
-/// `Min` reproduces the paper's rule exactly; the threshold-rule ablation
-/// bench compares them.
+/// HEC ladder depends on. The detectors therefore calibrate under one fixed
+/// rule, [`CALIBRATION_RULE`]; the other variants exist for the
+/// threshold-rule ablation (`hec_core::ablation`), which re-derives verdicts
+/// under each of them from an oracle's stored per-window minima.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ThresholdRule {
     /// The paper's rule: the minimum logPD observed on the training set.
@@ -111,16 +83,17 @@ pub enum ThresholdRule {
     /// windows, so every model flags the same fraction of normal windows.
     /// With equal specificity, detection sensitivity ordering follows model
     /// capacity directly — this is the validation-tuned-τ practice of
-    /// EncDec-AD (ref [2]) and is the default (`0.02` = 2 % normal windows
-    /// flagged). Handled by the detectors (needs per-window grouping).
+    /// EncDec-AD (ref [2]).
     WindowFpr(f64),
 }
 
-impl Default for ThresholdRule {
-    fn default() -> Self {
-        ThresholdRule::WindowFpr(0.02)
-    }
-}
+/// The rule every detector's threshold is calibrated under: 2 % of the
+/// normal calibration windows flagged.
+pub const CALIBRATION_RULE: ThresholdRule = ThresholdRule::WindowFpr(0.02);
+
+/// A window is flagged anomalous when its anomalous-point fraction exceeds
+/// this: any point below the threshold flags the window.
+const FLAG_FRACTION: f32 = 0.0;
 
 impl ThresholdRule {
     /// Computes the threshold from the calibration logPDs.
@@ -171,12 +144,14 @@ impl ThresholdRule {
 ///
 /// ```rust
 /// use hec_anomaly::LogPdScorer;
+/// use hec_tensor::Matrix;
 ///
-/// // Calibrate on small errors; a large error scores below threshold.
-/// let calib: Vec<Vec<f32>> = (0..50).map(|i| vec![0.01 * (i % 7) as f32]).collect();
-/// let scorer = LogPdScorer::fit(&calib, 1e-4)?;
+/// // Calibrate on 50 one-point windows of small errors; a large error
+/// // scores below the threshold.
+/// let calib = Matrix::from_vec(50, 1, (0..50).map(|i| 0.01 * (i % 7) as f32).collect());
+/// let scorer = LogPdScorer::fit(&calib, 1..=50, 1e-4)?;
 /// assert!(scorer.log_pd(&[5.0]) < scorer.threshold());
-/// # Ok::<(), hec_anomaly::ScorerError>(())
+/// # Ok::<(), hec_tensor::GaussianError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LogPdScorer {
@@ -185,74 +160,50 @@ pub struct LogPdScorer {
 }
 
 impl LogPdScorer {
-    /// Fits the Gaussian on calibration error vectors (from **normal**
-    /// training windows) and sets the threshold to the **minimum** logPD
-    /// observed among them — the paper's exact rule.
+    /// Fits the Gaussian on the rows of `errors` — the per-point error
+    /// vectors of **normal** windows, window after window, window `w`'s rows
+    /// ending before row `window_ends[w]` — and calibrates the threshold
+    /// under [`CALIBRATION_RULE`] on the per-window minimum logPDs. Each
+    /// row's logPD is evaluated once, folded straight into its window's
+    /// minimum.
     ///
     /// `ridge` regularises the covariance diagonal.
     ///
     /// # Errors
     ///
-    /// [`ScorerError::EmptyCalibrationSet`] if `errors` is empty;
-    /// [`ScorerError::Gaussian`] if the fit fails (e.g. fewer than two
-    /// vectors, or non-PD covariance even after the ridge).
-    pub fn fit(errors: &[Vec<f32>], ridge: f32) -> Result<Self, ScorerError> {
-        Self::fit_with_rule(errors, ridge, ThresholdRule::Min)
-    }
-
-    /// Like [`LogPdScorer::fit`] but with an explicit [`ThresholdRule`].
+    /// The [`GaussianError`] if the fit fails (fewer than two rows, or a
+    /// covariance that is not positive definite even after the ridge).
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Same as [`LogPdScorer::fit`].
-    pub fn fit_with_rule(
-        errors: &[Vec<f32>],
-        ridge: f32,
-        rule: ThresholdRule,
-    ) -> Result<Self, ScorerError> {
-        if errors.is_empty() {
-            return Err(ScorerError::EmptyCalibrationSet);
-        }
-        let dim = errors[0].len();
-        let mut flat = Vec::with_capacity(errors.len() * dim);
-        for e in errors {
-            assert_eq!(e.len(), dim, "inconsistent error-vector dimensionality");
-            flat.extend_from_slice(e);
-        }
-        Ok(Self::fit_rows(&Matrix::from_vec(errors.len(), dim, flat), ridge, rule)?)
-    }
-
-    /// [`LogPdScorer::fit_with_rule`] on error vectors already laid out as
-    /// the rows of one matrix — no per-vector allocation on either side.
-    ///
-    /// # Errors
-    ///
-    /// The [`GaussianError`] if the fit fails (a matrix always has a row, so
-    /// there is no empty calibration set to report).
-    pub fn fit_rows(
+    /// Panics if `window_ends` is empty or runs past the last row.
+    pub fn fit(
         errors: &Matrix,
+        window_ends: impl IntoIterator<Item = usize>,
         ridge: f32,
-        rule: ThresholdRule,
     ) -> Result<Self, GaussianError> {
         let gaussian = Gaussian::fit(errors, ridge)?;
         let mut scratch = vec![0.0; errors.cols()];
-        let log_pds: Vec<f32> = errors
-            .iter_rows()
-            .map(|e| gaussian.log_pdf_with(e, &mut scratch).expect("rows have the fitted width"))
+        let mut start = 0;
+        let minima: Vec<f32> = window_ends
+            .into_iter()
+            .map(|end| {
+                let rows = start..end;
+                start = end;
+                rows.map(|r| {
+                    gaussian
+                        .log_pdf_with(errors.row(r), &mut scratch)
+                        .expect("rows have the fitted width")
+                })
+                .fold(f32::INFINITY, f32::min)
+            })
             .collect();
-        let threshold = rule.threshold(&log_pds);
-        Ok(Self { gaussian, threshold })
+        Ok(Self { gaussian, threshold: CALIBRATION_RULE.threshold(&minima) })
     }
 
     /// The calibrated detection threshold.
     pub fn threshold(&self) -> f32 {
         self.threshold
-    }
-
-    /// Overrides the detection threshold (used by detectors implementing
-    /// window-level rules such as [`ThresholdRule::WindowFpr`]).
-    pub fn set_threshold(&mut self, threshold: f32) {
-        self.threshold = threshold;
     }
 
     /// Dimensionality of the error vectors.
@@ -288,6 +239,19 @@ impl LogPdScorer {
     /// Panics if either length differs from the calibration's dimension.
     pub fn log_pd_with(&self, error: &[f32], scratch: &mut [f32]) -> f32 {
         self.gaussian.log_pdf_with(error, scratch).expect("error-vector dimension mismatch")
+    }
+
+    /// The detection a window's scores amount to: flagged when any point
+    /// fell below the threshold, confident under [`ConfidenceRule::PAPER`].
+    pub fn detection(&self, min_log_pd: f32, anomalous_fraction: f32) -> Detection {
+        let anomalous = anomalous_fraction > FLAG_FRACTION;
+        let confident = ConfidenceRule::PAPER.is_confident(
+            min_log_pd,
+            anomalous_fraction,
+            self.threshold,
+            anomalous,
+        );
+        Detection { anomalous, confident, min_log_pd, anomalous_fraction }
     }
 
     /// Scores a window whose per-point error vectors are the given `rows`
@@ -350,38 +314,47 @@ impl LogPdScorer {
 mod tests {
     use super::*;
 
-    fn calib() -> Vec<Vec<f32>> {
-        (0..100).map(|i| vec![0.02 * ((i % 11) as f32 - 5.0)]).collect()
+    /// 25 four-point windows of small scalar errors.
+    fn calib() -> Matrix {
+        Matrix::from_vec(100, 1, (0..100).map(|i| 0.02 * ((i * 7 % 31) as f32 - 15.0)).collect())
+    }
+
+    fn fitted() -> LogPdScorer {
+        LogPdScorer::fit(&calib(), (1..=25).map(|w| 4 * w), 1e-4).unwrap()
     }
 
     #[test]
-    fn threshold_is_min_training_log_pd() {
-        let scorer = LogPdScorer::fit(&calib(), 1e-4).unwrap();
-        let min = calib().iter().map(|e| scorer.log_pd(e)).fold(f32::INFINITY, f32::min);
-        assert!((scorer.threshold() - min).abs() < 1e-5);
-    }
-
-    #[test]
-    fn training_points_never_below_threshold() {
-        let scorer = LogPdScorer::fit(&calib(), 1e-4).unwrap();
-        let errors = Matrix::from_vec(100, 1, calib().concat());
-        let (_, frac) = scorer.score_window(&errors, 0..100, &mut Vec::new());
+    fn threshold_is_the_calibration_quantile_of_per_window_minima() {
+        // The two-pass way: fit, then score every row again and fold.
+        let scorer = fitted();
+        let minima: Vec<f32> = calib()
+            .as_slice()
+            .chunks_exact(4)
+            .map(|w| w.iter().map(|&e| scorer.log_pd(&[e])).fold(f32::INFINITY, f32::min))
+            .collect();
+        assert_eq!(scorer.threshold().to_bits(), CALIBRATION_RULE.threshold(&minima).to_bits());
+        // 2 % of 25 windows: the lowest minimum itself, so no calibration
+        // window is flagged and no calibration point scores below it.
+        let (_, frac) = scorer.score_window(&calib(), 0..100, &mut Vec::new());
         assert_eq!(frac, 0.0);
     }
 
     #[test]
     fn large_error_scores_below_threshold() {
-        let scorer = LogPdScorer::fit(&calib(), 1e-4).unwrap();
+        let scorer = fitted();
         assert!(scorer.log_pd(&[3.0]) < scorer.threshold());
         let errors = Matrix::from_vec(2, 1, vec![3.0, 0.0]);
         let (min_lp, frac) = scorer.score_window(&errors, 0..2, &mut Vec::new());
         assert!(min_lp < scorer.threshold());
         assert!((frac - 0.5).abs() < 1e-6);
+        let flagged = scorer.detection(min_lp, frac);
+        assert!(flagged.anomalous && flagged.confident);
+        assert!(!scorer.detection(0.0, 0.0).anomalous);
     }
 
     #[test]
     fn scalar_scoring_is_bit_identical_to_vector_scoring() {
-        let scorer = LogPdScorer::fit(&calib(), 1e-4).unwrap();
+        let scorer = fitted();
         let scalars = vec![0.01f32, -0.07, 3.0, 0.0];
         let window = Matrix::from_vec(4, 1, scalars.clone());
         let (min_v, frac_v) = scorer.score_window(&window, 0..4, &mut Vec::new());
@@ -397,9 +370,9 @@ mod tests {
 
     #[test]
     fn multivariate_scoring() {
-        let errors: Vec<Vec<f32>> =
-            (0..60).map(|i| vec![0.01 * (i % 5) as f32, -0.01 * (i % 3) as f32]).collect();
-        let scorer = LogPdScorer::fit(&errors, 1e-4).unwrap();
+        let errors: Vec<f32> =
+            (0..60).flat_map(|i| [0.01 * (i % 5) as f32, -0.01 * (i % 3) as f32]).collect();
+        let scorer = LogPdScorer::fit(&Matrix::from_vec(60, 2, errors), 1..=60, 1e-4).unwrap();
         assert_eq!(scorer.dim(), 2);
         assert!(scorer.log_pd(&[1.0, 1.0]) < scorer.threshold());
 
@@ -414,8 +387,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_calibration_rejected() {
-        assert_eq!(LogPdScorer::fit(&[], 1e-4).unwrap_err(), ScorerError::EmptyCalibrationSet);
+    fn a_single_row_is_not_a_calibration_set() {
+        let err = LogPdScorer::fit(&Matrix::zeros(1, 1), 1..=1, 1e-4).unwrap_err();
+        assert_eq!(err, GaussianError::NotEnoughSamples { got: 1 });
     }
 
     #[test]
@@ -442,11 +416,5 @@ mod tests {
         let threshold = -10.0;
         assert!(rule.is_confident(-3.0, 0.0, threshold, false)); // well above -5
         assert!(!rule.is_confident(-8.0, 0.0, threshold, false)); // near the border
-    }
-
-    #[test]
-    fn scorer_error_display() {
-        let e = ScorerError::EmptyCalibrationSet.to_string();
-        assert!(e.contains("calibration"));
     }
 }

@@ -11,8 +11,8 @@
 //! Every entry point — `fit`'s training windows, calibration,
 //! [`AnomalyDetector::detect`] / `detect_batch`, the policy context — goes
 //! through one routine: gather up to [`BLOCK_WINDOWS`] equally long windows
-//! into this thread's scratch as one **time-major** block (deployment
-//! truncation and input quantisation applied on the way), hand the block to
+//! into this thread's scratch as one **time-major** block (the deployment's
+//! input quantisation applied on the way), hand the block to
 //! the model's batch axis, read the result row by row. Rows of the model's
 //! products are independent, so a window's errors, scores and context are
 //! the same bits alone or in any block (`tests/seq2seq_blocks.rs`);
@@ -30,7 +30,7 @@ use hec_nn::{RmsProp, Seq2Seq, Seq2SeqConfig};
 use hec_tensor::Matrix;
 
 use crate::detector::{validate_training_set, AnomalyDetector, Detection, FitError, FitReport};
-use crate::scorer::{ConfidenceRule, LogPdScorer, ThresholdRule};
+use crate::scorer::LogPdScorer;
 
 /// Windows per inference block: the row count the autoencoders settled on
 /// (four of the f32 kernel's 4-row register tiles). The LSTM's own state
@@ -95,12 +95,7 @@ pub struct Seq2SeqDetector {
     name: String,
     model: Seq2Seq,
     scorer: Option<LogPdScorer>,
-    confidence: ConfidenceRule,
-    threshold_rule: ThresholdRule,
-    flag_fraction: f32,
     learning_rate: f32,
-    quantization_bits: Option<u8>,
-    truncation_fraction: Option<f32>,
     input_bits: Option<u8>,
 }
 
@@ -111,12 +106,7 @@ impl Seq2SeqDetector {
             name: name.to_owned(),
             model: Seq2Seq::new(config),
             scorer: None,
-            confidence: ConfidenceRule::default(),
-            threshold_rule: ThresholdRule::default(),
-            flag_fraction: 0.0,
             learning_rate: 1e-3,
-            quantization_bits: None,
-            truncation_fraction: None,
             input_bits: None,
         }
     }
@@ -163,50 +153,12 @@ impl Seq2SeqDetector {
         )
     }
 
-    /// Replaces the confidence rule.
-    pub fn set_confidence_rule(&mut self, rule: ConfidenceRule) {
-        self.confidence = rule;
-    }
-
-    /// Replaces the threshold rule. Takes effect at the next `fit`.
-    pub fn set_threshold_rule(&mut self, rule: ThresholdRule) {
-        self.threshold_rule = rule;
-    }
-
-    /// Enables post-training weight quantization to `bits` bits, emulating
-    /// the deployment compression the paper applies to the IoT and edge
-    /// models (§III-B). Applied (and the scorer recalibrated) during `fit`.
-    pub fn set_quantization_bits(&mut self, bits: Option<u8>) {
-        self.quantization_bits = bits;
-    }
-
-    /// The configured deployment quantization, if any.
-    pub fn quantization_bits(&self) -> Option<u8> {
-        self.quantization_bits
-    }
-
-    /// Restricts the model to the first `fraction` of every window
-    /// (deployment compute budget: the IoT device cannot afford to run the
-    /// LSTM over the full 2.56 s window, see DESIGN.md §2). The evidence a
-    /// truncated deployment sees is a strict prefix of the full window, so
-    /// detection capability is monotone in the fraction by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < fraction <= 1`.
-    pub fn set_truncation_fraction(&mut self, fraction: Option<f32>) {
-        if let Some(f) = fraction {
-            assert!(f > 0.0 && f <= 1.0, "fraction must be in (0, 1]");
-        }
-        self.truncation_fraction = fraction;
-    }
-
     /// Restricts the on-device input fidelity to `bits` bits per sample
     /// (standardised range ±4 clamped and uniformly quantized). Models
     /// deployed low in the hierarchy read compressed sensor buffers, while
     /// offloaded windows travel at full fidelity — a fidelity/compute
     /// tradeoff that strictly degrades detectability (data-processing
-    /// inequality), so the capability ladder cannot invert (DESIGN.md §2).
+    /// inequality), so the capability ladder cannot invert.
     ///
     /// # Panics
     ///
@@ -218,18 +170,10 @@ impl Seq2SeqDetector {
         self.input_bits = bits;
     }
 
-    /// Steps of a `len`-step window the deployed model reads.
-    fn deployed_len(&self, len: usize) -> usize {
-        match self.truncation_fraction {
-            Some(f) => ((len as f32 * f).round() as usize).max(2).min(len),
-            None => len,
-        }
-    }
-
     /// The one way into the model: gathers `block` (equally long windows)
-    /// time-major into this thread's scratch — the deployment truncation
-    /// and input quantization applied — and hands `run` the detector, the
-    /// block and the logPD working vector. `run` must not re-enter.
+    /// time-major into this thread's scratch — the deployment's input
+    /// quantization applied — and hands `run` the detector, the block and
+    /// the logPD working vector. `run` must not re-enter.
     ///
     /// # Panics
     ///
@@ -241,7 +185,7 @@ impl Seq2SeqDetector {
         run: impl FnOnce(&mut Self, &mut Matrix, &mut Vec<f32>) -> R,
     ) -> R {
         let (batch, dim) = (block.len(), self.model.config().input_dim);
-        let steps = self.deployed_len(block[0].len());
+        let steps = block[0].len();
         SCRATCH.with(|scratch| {
             let Scratch { rows, y } = &mut *scratch.borrow_mut();
             rows.resize(steps * batch, dim);
@@ -274,26 +218,9 @@ impl Seq2SeqDetector {
             for b in 0..batch {
                 let window_rows = (b..errors.rows()).step_by(batch);
                 let (min_log_pd, anomalous_fraction) = scorer.score_window(errors, window_rows, y);
-                let anomalous = anomalous_fraction > det.flag_fraction;
-                let confident = det.confidence.is_confident(
-                    min_log_pd,
-                    anomalous_fraction,
-                    scorer.threshold(),
-                    anomalous,
-                );
-                emit(Detection { anomalous, confident, min_log_pd, anomalous_fraction });
+                emit(scorer.detection(min_log_pd, anomalous_fraction));
             }
         });
-    }
-
-    /// Sets the window-flagging fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction ∉ [0, 1)`.
-    pub fn set_flag_fraction(&mut self, fraction: f32) {
-        assert!((0.0..1.0).contains(&fraction), "flag fraction must be in [0, 1)");
-        self.flag_fraction = fraction;
     }
 
     /// The calibrated scorer, if fitted.
@@ -309,13 +236,11 @@ impl Seq2SeqDetector {
         })
     }
 
-    /// Fits the logPD scorer (and threshold) on `calibration`'s
-    /// reconstruction errors through the current weights — shared by
-    /// `fit` and `recalibrate`.
-    fn calibrate_scorer(&mut self, calibration: &[LabeledWindow]) -> Result<f32, FitError> {
-        // Every window's error vectors, window after window — the order the
-        // Gaussian's sums run in — and where each window's rows end.
-        let total = calibration.iter().map(|w| self.deployed_len(w.len())).sum();
+    /// Every window's reconstruction-error vectors through the current
+    /// weights, window after window — the order the Gaussian's sums run in —
+    /// and the row at which each window's errors end.
+    fn calibration_errors(&mut self, calibration: &[LabeledWindow]) -> (Matrix, Vec<usize>) {
+        let total = calibration.iter().map(LabeledWindow::len).sum();
         let mut errors = Matrix::zeros(total, self.model.config().input_dim);
         let mut ends = Vec::with_capacity(calibration.len());
         let mut at = 0;
@@ -332,22 +257,14 @@ impl Seq2SeqDetector {
                 }
             });
         }
+        (errors, ends)
+    }
 
-        let mut scorer = LogPdScorer::fit_rows(&errors, 1e-4, self.threshold_rule)?;
-        if let ThresholdRule::WindowFpr(_) = self.threshold_rule {
-            let mut y = vec![0.0; scorer.dim()];
-            let mut start = 0;
-            let minima: Vec<f32> = ends
-                .iter()
-                .map(|&end| {
-                    let rows = start..end;
-                    start = end;
-                    rows.map(|r| scorer.log_pd_with(errors.row(r), &mut y))
-                        .fold(f32::INFINITY, f32::min)
-                })
-                .collect();
-            scorer.set_threshold(self.threshold_rule.threshold(&minima));
-        }
+    /// Fits the logPD scorer (and threshold) on `calibration`'s
+    /// reconstruction errors — shared by `fit` and `recalibrate`.
+    fn calibrate_scorer(&mut self, calibration: &[LabeledWindow]) -> Result<f32, FitError> {
+        let (errors, ends) = self.calibration_errors(calibration);
+        let scorer = LogPdScorer::fit(&errors, ends, 1e-4)?;
         let threshold = scorer.threshold();
         self.scorer = Some(scorer);
         Ok(threshold)
@@ -395,18 +312,12 @@ impl AnomalyDetector for Seq2SeqDetector {
             final_loss = epoch_loss / train.len() as f32;
         }
 
-        if let Some(bits) = self.quantization_bits {
-            self.model.visit_params(&mut |param, _| {
-                hec_tensor::quantize::quantize_inplace(param, bits);
-            });
-        }
-
         let threshold = self.calibrate_scorer(train)?;
         Ok(FitReport { epochs, final_loss, threshold })
     }
 
     fn scoring_work(&self, windows: &[LabeledWindow]) -> u64 {
-        let steps: usize = windows.iter().map(|w| self.deployed_len(w.len())).sum();
+        let steps: usize = windows.iter().map(LabeledWindow::len).sum();
         self.param_count() as u64 * steps as u64
     }
 
@@ -434,7 +345,7 @@ impl AnomalyDetector for Seq2SeqDetector {
         // Encoder state (paper §III-B) augmented with per-channel mean/std —
         // both computable on the IoT device in one pass; the summary stats
         // compensate for the reduced fidelity of the on-device encoder input
-        // (see DESIGN.md §2).
+        // (`set_input_bits`).
         let mut contexts = Vec::with_capacity(windows.len());
         for block in blocks(windows) {
             self.with_block(block, |det, rows, _| {
@@ -584,6 +495,34 @@ mod tests {
             fresh.recalibrate(&train_set()),
             Err(FitError::InvalidTrainingSet { .. })
         ));
+    }
+
+    /// The one-pass calibration lands on the bits of the two-pass way it
+    /// replaced: fit the Gaussian, score every error vector again for the
+    /// per-window minima, take the quantile.
+    #[test]
+    fn calibration_threshold_is_the_two_pass_threshold() {
+        // Two lengths, so the windows' ends are not a stride.
+        let mut train = train_set();
+        train.extend((0..5).map(|i| sine_window(0.4, i as f32 * 0.11, 9)));
+        let mut det = small("s2s", true, 6);
+        let report = det.fit(&train, 5).unwrap();
+
+        let (errors, ends) = det.calibration_errors(&train);
+        let gaussian = hec_tensor::Gaussian::fit(&errors, 1e-4).unwrap();
+        let mut start = 0;
+        let minima: Vec<f32> = ends
+            .iter()
+            .map(|&end| {
+                let rows = start..end;
+                start = end;
+                rows.map(|r| gaussian.log_pdf(errors.row(r)).unwrap()).fold(f32::INFINITY, f32::min)
+            })
+            .collect();
+        assert_eq!(minima.len(), train.len());
+        let two_pass = crate::scorer::CALIBRATION_RULE.threshold(&minima);
+        assert_eq!(report.threshold.to_bits(), two_pass.to_bits());
+        assert_eq!(det.recalibrate(&train).unwrap().to_bits(), two_pass.to_bits());
     }
 
     #[test]

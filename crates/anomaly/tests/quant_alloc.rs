@@ -6,11 +6,10 @@
 //!   into the thread's reused block, the layers run in its two activation
 //!   buffers (and the integer kernels in their thread-local scratch), and
 //!   scoring overwrites the block in place;
-//! * batched detection makes **zero allocating matmul calls** — every
-//!   product routes through the `_into` kernels
-//!   (`hec_tensor::kernel::matmul_allocations` counts the allocating
-//!   wrapper calls) — and, below the fan-out grain, allocates the same few
-//!   times whatever the batch size (the results vector, not the windows).
+//! * batched detection, below the fan-out grain, allocates the same few
+//!   times whatever the batch size — the results vector, not the windows,
+//!   and no block's matrix product (each routes through the `_into`
+//!   kernels).
 //!
 //! Everything lives in one `#[test]` so no concurrent test can disturb the
 //! global counters.
@@ -63,12 +62,11 @@ fn detection_is_allocation_free(mode: Option<QuantMode>) {
         "{path}: warmed detect performed {last_delta} heap allocations per window batch"
     );
 
-    // --- Batched detection below the fan-out grain: zero allocating
-    // matmul wrapper calls, and heap allocations that do not grow with
-    // the batch (the results vector is the only fresh memory). ---
+    // --- Batched detection below the fan-out grain: heap allocations that
+    // do not grow with the batch — one block or fifty, the results vector
+    // is the only fresh memory. ---
     let windows: Vec<LabeledWindow> = (0..800).map(|i| ramp_window(0.001 * i as f32, 16)).collect();
     let _ = det.detect_batch(&windows); // warmup
-    let wrapper_before = hec_tensor::kernel::matmul_allocations();
     let mut deltas = [usize::MAX; 2];
     for _attempt in 0..5 {
         for (delta, batch) in deltas.iter_mut().zip([&windows[..8], &windows[..]]) {
@@ -80,10 +78,5 @@ fn detection_is_allocation_free(mode: Option<QuantMode>) {
             break;
         }
     }
-    assert_eq!(
-        hec_tensor::kernel::matmul_allocations(),
-        wrapper_before,
-        "{path}: detect_batch performed allocating matmul calls"
-    );
     assert_eq!(deltas[0], deltas[1], "{path}: detect_batch allocations grew from 8 to 800 windows");
 }

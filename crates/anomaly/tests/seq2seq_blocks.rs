@@ -3,8 +3,8 @@
 //! equally long windows through the model's batch axis, `detect` and
 //! `context_features` one — same detections, same contexts, at corpus sizes
 //! around the block size, under every deployment setting the catalog uses
-//! (input quantisation 3 / 4 bits / none, a truncation fraction, uni- and
-//! bidirectional encoders), and when window lengths change mid-corpus.
+//! (input quantisation 3 / 4 bits / none, uni- and bidirectional encoders),
+//! and when window lengths change mid-corpus.
 
 use hec_anomaly::{AnomalyDetector, Detection, Seq2SeqDetector};
 use hec_data::LabeledWindow;
@@ -26,7 +26,7 @@ fn window(i: usize, steps: usize) -> LabeledWindow {
     LabeledWindow::new(Matrix::from_vec(steps, CHANNELS, data), jagged)
 }
 
-fn fitted(bidirectional: bool, input_bits: Option<u8>, truncation: Option<f32>) -> Seq2SeqDetector {
+fn fitted(bidirectional: bool, input_bits: Option<u8>) -> Seq2SeqDetector {
     let mut det = Seq2SeqDetector::new(
         "blocks",
         Seq2SeqConfig {
@@ -39,7 +39,6 @@ fn fitted(bidirectional: bool, input_bits: Option<u8>, truncation: Option<f32>) 
         },
     );
     det.set_input_bits(input_bits);
-    det.set_truncation_fraction(truncation);
     let train: Vec<LabeledWindow> = (0..20).filter(|i| i % 5 != 4).map(|i| window(i, 12)).collect();
     det.fit(&train, 3).expect("fit on normal windows");
     det
@@ -64,20 +63,13 @@ fn assert_blocks_equal_windows(det: &mut Seq2SeqDetector, corpus: &[LabeledWindo
 
 #[test]
 fn detect_batch_equals_per_window_detect_around_the_block_size() {
-    let settings = [
-        (false, Some(3), None),
-        (false, Some(4), None),
-        (true, None, None),
-        (false, None, Some(0.5)),
-        (true, Some(3), Some(0.75)),
-    ];
-    for (bidirectional, input_bits, truncation) in settings {
-        let mut det = fitted(bidirectional, input_bits, truncation);
+    let settings =
+        [(false, Some(3)), (false, Some(4)), (true, None), (false, None), (true, Some(3))];
+    for (bidirectional, input_bits) in settings {
+        let mut det = fitted(bidirectional, input_bits);
         for n in [1usize, 15, 16, 17, 33] {
             let corpus: Vec<LabeledWindow> = (0..n).map(|i| window(i, 12)).collect();
-            let case = format!(
-                "bi {bidirectional}, bits {input_bits:?}, keep {truncation:?}, {n} windows"
-            );
+            let case = format!("bi {bidirectional}, bits {input_bits:?}, {n} windows");
             assert_blocks_equal_windows(&mut det, &corpus, &case);
             assert!(
                 n < 5 || det.detect_batch(&corpus).iter().any(|d| d.anomalous),
@@ -94,19 +86,13 @@ fn windows_of_another_length_start_a_new_block() {
     let lengths = [[12usize; 3].as_slice(), &[9], &[12; 2], &[10; 20], &[12]].concat();
     let corpus: Vec<LabeledWindow> =
         lengths.iter().enumerate().map(|(i, &steps)| window(i, steps)).collect();
-    for truncation in [None, Some(0.6)] {
-        let mut det = fitted(false, Some(4), truncation);
-        assert_blocks_equal_windows(
-            &mut det,
-            &corpus,
-            &format!("mixed lengths, keep {truncation:?}"),
-        );
-    }
+    let mut det = fitted(false, Some(4));
+    assert_blocks_equal_windows(&mut det, &corpus, "mixed lengths");
 }
 
 #[test]
 fn empty_corpus_scores_to_nothing() {
-    let mut det = fitted(false, None, None);
+    let mut det = fitted(false, None);
     assert!(det.detect_batch(&[]).is_empty());
     assert_eq!(det.context_features_batch(&[]), Some(Vec::new()));
 }

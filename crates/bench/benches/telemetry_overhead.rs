@@ -5,15 +5,13 @@
 //! `--no-default-features` and the `*_gated` rows collapse to the cost
 //! of an empty loop, because every recording entry point folds away on
 //! `hec_telemetry::ENABLED == false` (the CI no-op build compiles this
-//! configuration). The `fleet_quick_*` pair pins the end-to-end overhead
-//! of the instrumented sharded engine: with capture off, the only
-//! telemetry work in the run is two u64 bumps per lookahead window.
+//! configuration) — the one configuration `perf`, which always builds
+//! telemetry in, cannot time. The end-to-end price of capture on an
+//! instrumented fleet run is `perf`'s `telemetry.trace_overhead_share`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use hec_core::run_scenario_sharded;
-use hec_sim::fleet::{FleetScale, FleetScenario};
 use hec_telemetry::{FastCounter, WallSpan};
 
 static BENCH_COUNTER: FastCounter = FastCounter::new("bench.fast_counter");
@@ -65,32 +63,5 @@ fn bench_primitives(c: &mut Criterion) {
     hec_telemetry::reset();
 }
 
-fn bench_instrumented_fleet(c: &mut Criterion) {
-    let mut group = c.benchmark_group("telemetry_fleet");
-    group.sample_size(20);
-    let sc = FleetScenario::edge_saturated(FleetScale::Quick);
-
-    // Instrumented engine, capture off — the default running mode. The
-    // delta of this row between default features and
-    // `--no-default-features` is the total enabled-but-idle overhead.
-    group.bench_function("fleet_quick_capture_off", |b| {
-        b.iter(|| black_box(run_scenario_sharded(black_box(&sc), 4)))
-    });
-
-    // Full virtual-event capture, the --telemetry dump mode.
-    group.bench_function("fleet_quick_capture_on", |b| {
-        b.iter(|| {
-            hec_telemetry::set_trace_capture(true);
-            let out = black_box(run_scenario_sharded(black_box(&sc), 4));
-            hec_telemetry::set_trace_capture(false);
-            hec_telemetry::clear_trace();
-            out
-        })
-    });
-
-    group.finish();
-    hec_telemetry::reset();
-}
-
-criterion_group!(benches, bench_primitives, bench_instrumented_fleet);
+criterion_group!(benches, bench_primitives);
 criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Ablation studies (DESIGN.md §5): α sensitivity, the reinforcement-
+//! Ablation studies (`hec_core::ablation`): α sensitivity, the reinforcement-
 //! comparison baseline, alternative bandit solvers, and the Successive
 //! scheme's confidence rule.
 //!

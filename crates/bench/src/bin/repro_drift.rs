@@ -39,6 +39,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use hec_bandit::{PolicyTrainer, TrainConfig};
+use hec_bench::cli::Spec;
 use hec_bench::{univariate_config, Profile};
 use hec_core::adapt::{run_adaptive_stream, AdaptConfig, AdaptReport, RecoveryStats};
 use hec_core::Experiment;
@@ -99,11 +100,6 @@ fn sizing(profile: Profile) -> DriftSizing {
     }
 }
 
-fn usage_exit(detail: &str) -> ! {
-    eprintln!("usage: repro_drift [out_dir] [--telemetry <dir>]  ({detail})");
-    std::process::exit(2);
-}
-
 fn print_report(report: &AdaptReport, recovery: &RecoveryStats) {
     println!("{} pipeline:", report.label);
     println!(
@@ -147,20 +143,15 @@ fn append_csv(csv: &mut String, report: &AdaptReport) {
 }
 
 fn main() {
-    let mut out_dir: Option<String> = None;
-    let mut telemetry_dir: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--telemetry" {
-            telemetry_dir =
-                Some(args.next().unwrap_or_else(|| usage_exit("--telemetry needs a directory")));
-        } else if arg.starts_with('-') || out_dir.is_some() {
-            usage_exit(&format!("unexpected argument {arg:?}"));
-        } else {
-            out_dir = Some(arg);
-        }
+    let cli = Spec {
+        bin: "repro_drift",
+        usage: "usage: repro_drift [out_dir] [--telemetry <dir>]\n",
+        values: &["--telemetry"],
+        switches: &[],
     }
-    hec_bench::telemetry::init("repro_drift", telemetry_dir.as_deref());
+    .parse();
+    let out_dir = cli.positional();
+    hec_bench::telemetry::init("repro_drift", cli.telemetry_dir());
     let mut bench_metrics: Vec<(String, f64)> = Vec::new();
     let profile = Profile::from_env();
     let size = sizing(profile);
@@ -249,7 +240,7 @@ fn main() {
         fmt_rec(fr.recovery_chunks)
     );
 
-    if let Some(dir) = &out_dir {
+    if let Some(dir) = out_dir {
         let mut csv = String::from(
             "pipeline,chunk,windows,f1,accuracy,reward_x100,ph_statistic,alarm,refreshed,\
              policy_updates,threshold_iot\n",
@@ -265,5 +256,5 @@ fn main() {
     let metric_refs: Vec<(&str, f64)> =
         bench_metrics.iter().map(|(n, v)| (n.as_str(), *v)).collect();
     hec_bench::telemetry::write_bench_json("repro_drift", &metric_refs);
-    hec_bench::telemetry::dump("repro_drift", telemetry_dir.as_deref());
+    hec_bench::telemetry::dump("repro_drift", cli.telemetry_dir());
 }

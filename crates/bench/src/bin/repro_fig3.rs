@@ -10,12 +10,20 @@
 //! ```
 
 use hec_bandit::RewardModel;
+use hec_bench::cli::Spec;
 use hec_bench::{univariate_config, Profile};
 use hec_core::stream::{stream_records, to_csv};
 use hec_core::{Experiment, SchemeEvaluator, SchemeKind};
 
 fn main() {
-    let out_dir = std::env::args().nth(1);
+    let cli = Spec {
+        bin: "repro_fig3",
+        usage: "usage: repro_fig3 [out_dir]\n",
+        values: &[],
+        switches: &[],
+    }
+    .parse();
+    let out_dir = cli.positional();
     let profile = Profile::from_env();
     println!("== repro_fig3 (profile: {profile:?}) ==\n");
 
@@ -51,7 +59,7 @@ fn main() {
             last.cumulative_f1,
             mean_delay
         );
-        if let Some(dir) = &out_dir {
+        if let Some(dir) = out_dir {
             std::fs::create_dir_all(dir).expect("create output directory");
             let path =
                 format!("{dir}/fig3_{}.csv", kind.to_string().to_lowercase().replace(' ', "_"));

@@ -27,10 +27,10 @@
 //! bandit's actions shape the queueing), printing accuracy/F1 next to the
 //! load-dependent delays.
 
-use std::str::FromStr;
 use std::time::Instant;
 
 use hec_bandit::RewardModel;
+use hec_bench::cli::Spec;
 use hec_bench::{univariate_config, Profile};
 use hec_core::sharded::run_scenario_sharded;
 use hec_core::stream::{fleet_stream_csv, stream_through_fleet, FleetStreamResult};
@@ -57,13 +57,11 @@ byte-stable reports on stdout (timing goes to stderr).
   --devices N    scale every scenario to ~N total devices; emission
                  periods and the virtual horizon stretch by the same
                  factor, preserving every offered-load rate
-                 (env fallback: HEC_DEVICES)
   --windows N    windows emitted per device (default: the scenario's
                  own, 10; total windows = devices x N)
-                 (env fallback: HEC_WINDOWS)
   --shards N     partition each fleet into N independent shards driven
                  in parallel on HEC_THREADS workers; N=1 (default) is
-                 the serial engine (env fallback: HEC_SHARDS)
+                 the serial engine
   --telemetry DIR  capture the metric registry and virtual-clock span
                  trace and write telemetry_snapshot.{txt,ndjson} and
                  trace.json (Perfetto-loadable) into DIR; the files are
@@ -75,77 +73,27 @@ fixed (profile, devices, windows, shards) setting, stdout and the CSVs
 are byte-identical across reruns and across HEC_THREADS values.
 ";
 
-fn scale_of(profile: Profile) -> FleetScale {
-    match profile {
-        Profile::Quick => FleetScale::Quick,
-        Profile::Full => FleetScale::Full,
-    }
-}
-
-/// Parses an env var as a flag fallback; unparsable values are rejected
-/// just like bad flag values, so a typo can't silently run the default.
-fn env_override<T: FromStr>(key: &str) -> Option<T> {
-    let raw = std::env::var(key).ok()?;
-    match raw.trim().parse() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!("repro_fleet: cannot parse {key}={raw:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn parse_value<T: FromStr>(value: Option<String>, flag: &str) -> T {
-    let Some(raw) = value else {
-        eprintln!("repro_fleet: {flag} needs a value\n\n{USAGE}");
-        std::process::exit(2);
-    };
-    match raw.trim().parse() {
-        Ok(v) => v,
-        Err(_) => {
-            eprintln!("repro_fleet: cannot parse {flag} value {raw:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
-    let mut out_dir: Option<String> = None;
-    let mut with_stream = false;
-    let mut devices: Option<u64> = env_override("HEC_DEVICES");
-    let mut windows: Option<u32> = env_override("HEC_WINDOWS");
-    let mut shards: Option<usize> = env_override("HEC_SHARDS");
-    let mut telemetry_dir: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return;
-            }
-            "--stream" => with_stream = true,
-            "--devices" => devices = Some(parse_value(args.next(), "--devices")),
-            "--windows" => windows = Some(parse_value(args.next(), "--windows")),
-            "--shards" => shards = Some(parse_value(args.next(), "--shards")),
-            "--telemetry" => telemetry_dir = Some(parse_value(args.next(), "--telemetry")),
-            _ if arg.starts_with('-') || out_dir.is_some() => {
-                eprintln!("repro_fleet: unexpected argument {arg:?}\n\n{USAGE}");
-                std::process::exit(2);
-            }
-            _ => out_dir = Some(arg),
-        }
+    let cli = Spec {
+        bin: "repro_fleet",
+        usage: USAGE,
+        values: &["--devices", "--windows", "--shards", "--telemetry"],
+        switches: &["--stream"],
     }
-    let shards = shards.unwrap_or(1);
+    .parse();
+    let out_dir = cli.positional();
+    let devices: Option<u64> = cli.value("--devices");
+    let windows: Option<u32> = cli.value("--windows");
+    let shards: usize = cli.value("--shards").unwrap_or(1);
     if shards == 0 || devices == Some(0) || windows == Some(0) {
-        eprintln!("repro_fleet: --devices/--windows/--shards must be at least 1");
-        std::process::exit(2);
+        cli.fail("--devices/--windows/--shards must be at least 1");
     }
 
-    hec_bench::telemetry::init("repro_fleet", telemetry_dir.as_deref());
+    hec_bench::telemetry::init("repro_fleet", cli.telemetry_dir());
     let mut bench_metrics: Vec<(String, f64)> = Vec::new();
 
     let profile = Profile::from_env();
-    let scale = scale_of(profile);
+    let scale = profile.fleet_scale();
     println!("== repro_fleet (profile: {profile:?}) ==\n");
     // Deterministic banner for non-default tiers only, so the default
     // invocation stays byte-identical to the pre-sharding recordings.
@@ -189,7 +137,7 @@ fn main() {
         }
         print!("{}", report.to_text());
         println!();
-        if let Some(dir) = &out_dir {
+        if let Some(dir) = out_dir {
             std::fs::create_dir_all(dir).expect("create output directory");
             let layers = format!("{dir}/fleet_{name}_layers.csv");
             std::fs::write(&layers, report.layers_csv()).expect("write layers CSV");
@@ -199,14 +147,14 @@ fn main() {
         }
     }
 
-    if with_stream {
-        stream_schemes(profile, scale, out_dir.as_deref());
+    if cli.switch("--stream") {
+        stream_schemes(profile, scale, out_dir);
     }
 
     let metric_refs: Vec<(&str, f64)> =
         bench_metrics.iter().map(|(n, v)| (n.as_str(), *v)).collect();
     hec_bench::telemetry::write_bench_json("repro_fleet", &metric_refs);
-    hec_bench::telemetry::dump("repro_fleet", telemetry_dir.as_deref());
+    hec_bench::telemetry::dump("repro_fleet", cli.telemetry_dir());
 }
 
 /// Closed loop: train the univariate pipeline, then stream the evaluation

@@ -30,10 +30,10 @@
 //!
 //! With `out_dir`, a `fleet_train.csv` comparison table is written there.
 //!
-//! `--layer0-exec-ms` (or env `HEC_LAYER0_EXEC_MS`) replaces the paper's
-//! measured 12.4 ms layer-0 execution time everywhere delays are derived —
-//! the static delay table the baseline policy trains against, the fleet
-//! scenarios' device-local execution, and the shared layers' service times.
+//! `--layer0-exec-ms` replaces the paper's measured 12.4 ms layer-0
+//! execution time everywhere delays are derived — the static delay table
+//! the baseline policy trains against, the fleet scenarios' device-local
+//! execution, and the shared layers' service times.
 //! Pass the per-window latency `repro_quant` measures for the int8 path to
 //! re-record the comparison with the cheaper layer 0. Output stays
 //! deterministic for a fixed flag value (the default invocation is
@@ -43,6 +43,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use hec_bandit::{RewardModel, TrainConfig};
+use hec_bench::cli::Spec;
 use hec_bench::{univariate_config, Profile};
 use hec_core::stream::stream_through_fleet;
 use hec_core::{train_policy_in_fleet, Experiment, SchemeKind};
@@ -70,49 +71,25 @@ fn with_probe_cohort(
 #[global_allocator]
 static GLOBAL_ALLOC: hec_telemetry::CountingAlloc = hec_telemetry::CountingAlloc;
 
-fn usage_exit(detail: &str) -> ! {
-    eprintln!(
-        "usage: repro_fleet_train [out_dir] [--layer0-exec-ms <ms>] [--telemetry <dir>]  \
-         ({detail})"
-    );
-    std::process::exit(2);
-}
-
 fn main() {
-    let mut out_dir: Option<String> = None;
-    let mut telemetry_dir: Option<String> = None;
-    let mut layer0_exec_ms: Option<f64> = std::env::var("HEC_LAYER0_EXEC_MS")
-        .ok()
-        .map(|v| v.parse().unwrap_or_else(|_| usage_exit("bad HEC_LAYER0_EXEC_MS")));
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--layer0-exec-ms" {
-            let ms: f64 = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage_exit("--layer0-exec-ms needs a number"));
-            layer0_exec_ms = Some(ms);
-        } else if arg == "--telemetry" {
-            telemetry_dir =
-                Some(args.next().unwrap_or_else(|| usage_exit("--telemetry needs a directory")));
-        } else if arg.starts_with('-') || out_dir.is_some() {
-            usage_exit(&format!("unexpected argument {arg:?}"));
-        } else {
-            out_dir = Some(arg);
-        }
+    let cli = Spec {
+        bin: "repro_fleet_train",
+        usage: "usage: repro_fleet_train [out_dir] [--layer0-exec-ms <ms>] [--telemetry <dir>]\n",
+        values: &["--layer0-exec-ms", "--telemetry"],
+        switches: &[],
     }
+    .parse();
+    let out_dir = cli.positional();
+    let layer0_exec_ms: Option<f64> = cli.value("--layer0-exec-ms");
     if let Some(ms) = layer0_exec_ms {
         if !(ms.is_finite() && ms > 0.0) {
-            usage_exit("layer-0 exec override must be finite and > 0");
+            cli.fail("layer-0 exec override must be finite and > 0");
         }
     }
-    hec_bench::telemetry::init("repro_fleet_train", telemetry_dir.as_deref());
+    hec_bench::telemetry::init("repro_fleet_train", cli.telemetry_dir());
     let mut bench_metrics: Vec<(String, f64)> = Vec::new();
     let profile = Profile::from_env();
-    let eval_scale = match profile {
-        Profile::Quick => FleetScale::Quick,
-        Profile::Full => FleetScale::Full,
-    };
+    let eval_scale = profile.fleet_scale();
     println!("== repro_fleet_train (profile: {profile:?}) ==\n");
     if let Some(ms) = layer0_exec_ms {
         println!("layer-0 exec override: {ms} ms (int8 quantised inference path)\n");
@@ -256,7 +233,7 @@ fn main() {
         );
     }
 
-    if let Some(dir) = &out_dir {
+    if let Some(dir) = out_dir {
         std::fs::create_dir_all(dir).expect("create output directory");
         let path = format!("{dir}/fleet_train.csv");
         std::fs::write(&path, csv).expect("write comparison CSV");
@@ -266,5 +243,5 @@ fn main() {
     let metric_refs: Vec<(&str, f64)> =
         bench_metrics.iter().map(|(n, v)| (n.as_str(), *v)).collect();
     hec_bench::telemetry::write_bench_json("repro_fleet_train", &metric_refs);
-    hec_bench::telemetry::dump("repro_fleet_train", telemetry_dir.as_deref());
+    hec_bench::telemetry::dump("repro_fleet_train", cli.telemetry_dir());
 }

@@ -27,6 +27,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use hec_anomaly::{AeArchitecture, AnomalyDetector, AutoencoderDetector, QuantMode, QuantScheme};
+use hec_bench::cli::Spec;
 use hec_bench::{univariate_config, Profile};
 use hec_core::{DatasetConfig, Experiment};
 use hec_data::{BinaryConfusion, LabeledWindow};
@@ -63,26 +64,16 @@ fn per_window_us(det: &mut AutoencoderDetector, test: &[LabeledWindow], passes: 
     t0.elapsed().as_secs_f64() * 1e6 / (passes * test.len()) as f64
 }
 
-fn usage_exit(detail: &str) -> ! {
-    eprintln!("usage: repro_quant [out_dir] [--telemetry <dir>]  ({detail})");
-    std::process::exit(2);
-}
-
 fn main() {
-    let mut out_dir: Option<String> = None;
-    let mut telemetry_dir: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--telemetry" {
-            telemetry_dir =
-                Some(args.next().unwrap_or_else(|| usage_exit("--telemetry needs a directory")));
-        } else if arg.starts_with('-') || out_dir.is_some() {
-            usage_exit(&format!("unexpected argument {arg:?}"));
-        } else {
-            out_dir = Some(arg);
-        }
+    let cli = Spec {
+        bin: "repro_quant",
+        usage: "usage: repro_quant [out_dir] [--telemetry <dir>]\n",
+        values: &["--telemetry"],
+        switches: &[],
     }
-    hec_bench::telemetry::init("repro_quant", telemetry_dir.as_deref());
+    .parse();
+    let out_dir = cli.positional();
+    hec_bench::telemetry::init("repro_quant", cli.telemetry_dir());
     let mut bench_metrics: Vec<(String, f64)> = Vec::new();
     let profile = Profile::from_env();
     println!("== repro_quant (profile: {profile:?}) ==\n");
@@ -205,7 +196,7 @@ fn main() {
         paper_layer0_ms * ratio
     );
 
-    if let Some(dir) = &out_dir {
+    if let Some(dir) = out_dir {
         std::fs::create_dir_all(dir).expect("create output directory");
         let path = format!("{dir}/quant_schemes.csv");
         std::fs::write(&path, csv).expect("write scheme CSV");
@@ -215,5 +206,5 @@ fn main() {
     let metric_refs: Vec<(&str, f64)> =
         bench_metrics.iter().map(|(n, v)| (n.as_str(), *v)).collect();
     hec_bench::telemetry::write_bench_json("repro_quant", &metric_refs);
-    hec_bench::telemetry::dump("repro_quant", telemetry_dir.as_deref());
+    hec_bench::telemetry::dump("repro_quant", cli.telemetry_dir());
 }

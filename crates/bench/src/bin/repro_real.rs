@@ -31,6 +31,7 @@
 //! panics — identical through the chunked path.
 
 use hec_bandit::{ContextScaler, PolicyNetwork, RewardModel, TrainConfig};
+use hec_bench::cli::Spec;
 use hec_core::parallel::{thread_count, with_thread_count};
 use hec_core::replay::{replay_scenario, replay_trace_sharded};
 use hec_core::stream::{fleet_stream_csv, stream_through_fleet};
@@ -55,6 +56,9 @@ const POWER_SPD: usize = 24;
 const MHEALTH_WINDOW: usize = 16;
 const MHEALTH_STRIDE: usize = 8;
 
+const USAGE: &str = "usage: repro_real [fixtures_dir] [--telemetry <dir>] [--amplify <n>] \
+                     [--ingest-threads <n>] [--shards <n>] [--out <dir>]\n";
+
 /// Parsed command line.
 struct Args {
     fixtures: String,
@@ -70,49 +74,28 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        fixtures: String::new(),
-        telemetry_dir: None,
-        amplify: 0,
-        ingest_threads: 0,
-        shards: 4,
-        out_dir: None,
-    };
-    let mut fixtures: Option<String> = None;
-    let mut argv = std::env::args().skip(1);
-    let usage_exit = || -> ! {
-        eprintln!(
-            "usage: repro_real [fixtures_dir] [--telemetry <dir>] [--amplify <n>] \
-             [--ingest-threads <n>] [--shards <n>] [--out <dir>]"
-        );
-        std::process::exit(2);
-    };
-    let next_value = |argv: &mut dyn Iterator<Item = String>| -> String {
-        argv.next().unwrap_or_else(|| usage_exit())
-    };
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--telemetry" => args.telemetry_dir = Some(next_value(&mut argv)),
-            "--out" => args.out_dir = Some(next_value(&mut argv)),
-            "--amplify" => {
-                args.amplify = next_value(&mut argv).parse().unwrap_or_else(|_| usage_exit())
-            }
-            "--ingest-threads" => {
-                args.ingest_threads = next_value(&mut argv).parse().unwrap_or_else(|_| usage_exit())
-            }
-            "--shards" => {
-                args.shards = next_value(&mut argv).parse().unwrap_or_else(|_| usage_exit());
-                if args.shards == 0 {
-                    usage_exit();
-                }
-            }
-            _ if arg.starts_with('-') || fixtures.is_some() => usage_exit(),
-            _ => fixtures = Some(arg),
-        }
+    let cli = Spec {
+        bin: "repro_real",
+        usage: USAGE,
+        values: &["--telemetry", "--amplify", "--ingest-threads", "--shards", "--out"],
+        switches: &[],
     }
-    args.fixtures =
-        fixtures.unwrap_or_else(|| format!("{}/../../fixtures", env!("CARGO_MANIFEST_DIR")));
-    args
+    .parse();
+    let shards = cli.value("--shards").unwrap_or(4);
+    if shards == 0 {
+        cli.fail("--shards must be at least 1");
+    }
+    Args {
+        fixtures: cli.positional().map_or_else(
+            || format!("{}/../../fixtures", env!("CARGO_MANIFEST_DIR")),
+            str::to_owned,
+        ),
+        telemetry_dir: cli.telemetry_dir().map(str::to_owned),
+        amplify: cli.value("--amplify").unwrap_or(0),
+        ingest_threads: cli.value("--ingest-threads").unwrap_or(0),
+        shards,
+        out_dir: cli.value("--out"),
+    }
 }
 
 /// Runs `f` under the requested ingest worker count (0 = inherit).

@@ -16,6 +16,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod telemetry;
 
 use hec_bandit::TrainConfig;
@@ -53,6 +54,14 @@ pub enum Profile {
 }
 
 impl Profile {
+    /// The fleet-scenario scale this profile runs at.
+    pub fn fleet_scale(self) -> FleetScale {
+        match self {
+            Profile::Quick => FleetScale::Quick,
+            Profile::Full => FleetScale::Full,
+        }
+    }
+
     /// Reads `HEC_PROFILE` (`quick`/`full`), defaulting to `Full`.
     pub fn from_env() -> Self {
         Self::from_env_or(Profile::Full)

@@ -1,4 +1,6 @@
-//! Ablation studies over the design choices DESIGN.md §5 calls out.
+//! Ablation studies over the design choices the paper fixes without
+//! measuring: the cost weight α, the reinforcement-comparison baseline, the
+//! bandit solver, the confident-detection rule and the threshold rule.
 //!
 //! All ablations run against a frozen [`Oracle`], so they isolate the knob
 //! under study from AD-model training variance.
@@ -295,12 +297,7 @@ mod tests {
                 }
             })
             .collect();
-        Oracle {
-            outcomes,
-            thresholds: [-10.0; 3],
-            flag_fraction: 0.0,
-            confidence: ConfidenceRule::default(),
-        }
+        Oracle { outcomes, thresholds: [-10.0; 3], confidence: ConfidenceRule::default() }
     }
 
     fn quick_train() -> TrainConfig {
@@ -453,12 +450,8 @@ mod threshold_tests {
                 }
             })
             .collect();
-        let oracle = Oracle {
-            outcomes,
-            thresholds: [-10.0; 3],
-            flag_fraction: 0.0,
-            confidence: ConfidenceRule::default(),
-        };
+        let oracle =
+            Oracle { outcomes, thresholds: [-10.0; 3], confidence: ConfidenceRule::default() };
         let rows = threshold_rule_ablation(&oracle);
         assert_eq!(rows.len(), 4);
         for row in &rows {

@@ -294,7 +294,6 @@ mod tests {
         let oracle = Oracle {
             outcomes: vec![],
             thresholds: [0.0; 3],
-            flag_fraction: 0.0,
             confidence: ConfidenceRule::default(),
         };
         let mut fleet = FleetSim::new(&FleetScenario::light_load(FleetScale::Quick)).run();

@@ -202,12 +202,7 @@ mod tests {
                 }
             })
             .collect();
-        Oracle {
-            outcomes,
-            thresholds: [-10.0; 3],
-            flag_fraction: 0.0,
-            confidence: ConfidenceRule::default(),
-        }
+        Oracle { outcomes, thresholds: [-10.0; 3], confidence: ConfidenceRule::default() }
     }
 
     /// A small fleet whose edge saturates if everything offloads there:
@@ -361,7 +356,6 @@ mod tests {
         let o = Oracle {
             outcomes: vec![],
             thresholds: [0.0; 3],
-            flag_fraction: 0.0,
             confidence: ConfidenceRule::default(),
         };
         let scaler = ContextScaler::fit(&[vec![0.0]]);

@@ -28,7 +28,8 @@
 //!   a scheme's action, a window's score and the engine's step loop are
 //!   each written once);
 //! * [`ablation`] — α sweeps, baseline ablation, bandit-solver comparison
-//!   and confidence-rule sweeps (DESIGN.md §5);
+//!   and confidence-rule sweeps — the design choices the paper fixes
+//!   without measuring;
 //! * [`parallel`] — scoped-thread helpers (`HEC_THREADS` override) behind
 //!   the parallel scheme evaluation and sweeps, with deterministic result
 //!   ordering;

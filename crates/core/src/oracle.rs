@@ -4,8 +4,8 @@
 //! policy network against them (§II-B). Detection outcomes per (window,
 //! layer) are therefore immutable during bandit training, and we precompute
 //! them once: this keeps REINFORCE epochs cheap and makes the confidence
-//! rule and flagging threshold re-derivable for ablations (we store the raw
-//! scores, not just verdicts).
+//! rule and the detection threshold re-derivable for ablations (we store
+//! the raw scores, not just verdicts).
 
 use hec_anomaly::{AnomalyDetector, ConfidenceRule, ModelCatalog, ROW_SPLIT_WINDOWS};
 use hec_data::LabeledWindow;
@@ -59,8 +59,6 @@ pub struct Oracle {
     pub outcomes: Vec<WindowOutcome>,
     /// Each layer's calibrated logPD threshold.
     pub thresholds: [f32; 3],
-    /// Anomalous-fraction above which a window is flagged (default 0).
-    pub flag_fraction: f32,
     /// Confidence rule for the Successive scheme.
     pub confidence: ConfidenceRule,
 }
@@ -127,7 +125,7 @@ impl Oracle {
             .collect();
         let thresholds = [0, 1, 2].map(|layer| per_layer[layer].0);
 
-        Self { outcomes, thresholds, flag_fraction: 0.0, confidence: ConfidenceRule::default() }
+        Self { outcomes, thresholds, confidence: ConfidenceRule::default() }
     }
 
     /// Like [`Oracle::precompute`] but with exact thresholds supplied by the
@@ -152,9 +150,10 @@ impl Oracle {
         self.outcomes.is_empty()
     }
 
-    /// Layer `layer`'s verdict on window `i` (`true` = anomalous).
+    /// Layer `layer`'s verdict on window `i` (`true` = anomalous): the
+    /// detectors' rule, any point below the threshold flags the window.
     pub fn verdict(&self, i: usize, layer: usize) -> bool {
-        self.outcomes[i].anomalous_fraction[layer] > self.flag_fraction
+        self.outcomes[i].anomalous_fraction[layer] > 0.0
     }
 
     /// Whether layer `layer`'s detection of window `i` is confident.

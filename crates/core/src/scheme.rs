@@ -289,12 +289,7 @@ mod tests {
                 }
             })
             .collect();
-        Oracle {
-            outcomes,
-            thresholds: [-10.0; 3],
-            flag_fraction: 0.0,
-            confidence: ConfidenceRule::default(),
-        }
+        Oracle { outcomes, thresholds: [-10.0; 3], confidence: ConfidenceRule::default() }
     }
 
     fn evaluator(topo: &HecTopology) -> SchemeEvaluator<'_> {

@@ -40,12 +40,7 @@ fn oracle(n: usize) -> Oracle {
             }
         })
         .collect();
-    Oracle {
-        outcomes,
-        thresholds: [-10.0; 3],
-        flag_fraction: 0.0,
-        confidence: hec_anomaly::ConfidenceRule::default(),
-    }
+    Oracle { outcomes, thresholds: [-10.0; 3], confidence: hec_anomaly::ConfidenceRule::default() }
 }
 
 /// Background: 2.5 k windows/s, 90 % of them to an edge that serves about

@@ -41,12 +41,7 @@ fn oracle(n: usize) -> Oracle {
             }
         })
         .collect();
-    Oracle {
-        outcomes,
-        thresholds: [-10.0; 3],
-        flag_fraction: 0.0,
-        confidence: hec_anomaly::ConfidenceRule::default(),
-    }
+    Oracle { outcomes, thresholds: [-10.0; 3], confidence: hec_anomaly::ConfidenceRule::default() }
 }
 
 /// A fleet hot enough that routing everything to the edge drops windows:

@@ -4,8 +4,8 @@
 //! the HEC-AD reproduction.
 //!
 //! The paper evaluates on two public datasets that we substitute with
-//! faithful synthetic generators (see DESIGN.md §2 for the substitution
-//! rationale):
+//! faithful synthetic generators (neither is redistributable; see the
+//! README's "Datasets" section):
 //!
 //! * [`power`] — a univariate **power-demand** generator modelled on the
 //!   Dutch power-demand dataset (UCR discords): one year of 15-minute
@@ -67,3 +67,13 @@ pub use source::{DatasetSource, IngestError, LabeledCorpus};
 pub use split::{paper_split, PaperSplit};
 pub use standardize::{NonFiniteError, Standardizer};
 pub use window::LabeledWindow;
+
+/// Standard-normal sample via Box–Muller — the generators' sensor noise.
+/// Two draws per sample, in this order: the generated corpora are pinned
+/// to them bit for bit.
+pub(crate) fn gaussian(rng: &mut rand::rngs::StdRng) -> f32 {
+    use rand::Rng;
+    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+    let u2: f32 = rng.gen_range(0.0..1.0);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+}

@@ -21,6 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use hec_tensor::Matrix;
 
+use crate::gaussian;
 use crate::window::{sliding_windows, LabeledWindow};
 
 /// Number of sensor channels (2 sensors × 3 modalities × 3 axes).
@@ -350,13 +351,6 @@ impl MhealthGenerator {
         }
         out
     }
-}
-
-/// Standard-normal sample via Box–Muller.
-fn gaussian(rng: &mut StdRng) -> f32 {
-    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-    let u2: f32 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

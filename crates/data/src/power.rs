@@ -28,6 +28,7 @@ use serde::{Deserialize, Serialize};
 
 use hec_tensor::Matrix;
 
+use crate::gaussian;
 use crate::window::LabeledWindow;
 
 /// Anomaly hardness tiers for the synthetic power data.
@@ -233,13 +234,6 @@ fn weekend_shape(t: f32) -> f32 {
 fn bump(t: f32, c: f32, w: f32) -> f32 {
     let d = (t - c) / w;
     (-0.5 * d * d).exp()
-}
-
-/// Standard-normal sample via Box–Muller.
-fn gaussian(rng: &mut StdRng) -> f32 {
-    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-    let u2: f32 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

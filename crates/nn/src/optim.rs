@@ -17,65 +17,29 @@ use hec_tensor::Matrix;
 pub trait Optimizer {
     /// Updates `param` in place given its gradient.
     fn step(&mut self, slot: usize, param: &mut Matrix, grad: &Matrix);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Replaces the learning rate (for schedules / ablations).
-    fn set_learning_rate(&mut self, lr: f32);
 }
 
-/// Plain stochastic gradient descent, optionally with momentum.
+/// Plain stochastic gradient descent.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
-    velocity: HashMap<usize, Matrix>,
 }
 
 impl Sgd {
-    /// SGD with learning rate `lr` and no momentum.
+    /// SGD with learning rate `lr`.
     ///
     /// # Panics
     ///
     /// Panics if `lr` is not positive.
     pub fn new(lr: f32) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// SGD with momentum `µ` (`0 ≤ µ < 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0` or `momentum` outside `[0, 1)`.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Self { lr, momentum, velocity: HashMap::new() }
+        Self { lr }
     }
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, slot: usize, param: &mut Matrix, grad: &Matrix) {
-        if self.momentum == 0.0 {
-            param.add_scaled(grad, -self.lr);
-            return;
-        }
-        let v =
-            self.velocity.entry(slot).or_insert_with(|| Matrix::zeros(param.rows(), param.cols()));
-        // v = µ·v − lr·g ; θ += v
-        *v = v.scale(self.momentum);
-        v.add_scaled(grad, -self.lr);
-        *param += &*v;
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
+    fn step(&mut self, _slot: usize, param: &mut Matrix, grad: &Matrix) {
+        param.add_scaled(grad, -self.lr);
     }
 }
 
@@ -96,19 +60,8 @@ impl RmsProp {
     ///
     /// Panics if `lr` is not positive.
     pub fn new(lr: f32) -> Self {
-        Self::with_params(lr, 0.9, 1e-7)
-    }
-
-    /// Fully-parameterised constructor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0`, `decay` outside `(0, 1)`, or `epsilon <= 0`.
-    pub fn with_params(lr: f32, decay: f32, epsilon: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        assert!(decay > 0.0 && decay < 1.0, "decay must be in (0, 1)");
-        assert!(epsilon > 0.0, "epsilon must be positive");
-        Self { lr, decay, epsilon, mean_sq: HashMap::new() }
+        Self { lr, decay: 0.9, epsilon: 1e-7, mean_sq: HashMap::new() }
     }
 }
 
@@ -128,15 +81,6 @@ impl Optimizer for RmsProp {
         {
             *p -= lr * g / (m.sqrt() + eps);
         }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
     }
 }
 
@@ -193,15 +137,6 @@ impl Optimizer for Adam {
             *p -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -222,11 +157,6 @@ mod tests {
     #[test]
     fn sgd_converges_on_quadratic() {
         assert!(run_quadratic(&mut Sgd::new(0.1), 100) < 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_converges_on_quadratic() {
-        assert!(run_quadratic(&mut Sgd::with_momentum(0.05, 0.9), 200) < 1e-2);
     }
 
     #[test]
@@ -269,13 +199,5 @@ mod tests {
     #[should_panic(expected = "learning rate must be positive")]
     fn negative_lr_rejected() {
         let _ = Sgd::new(-0.1);
-    }
-
-    #[test]
-    fn lr_getter_setter() {
-        let mut opt = Adam::new(0.1);
-        assert_eq!(opt.learning_rate(), 0.1);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
     }
 }

@@ -57,7 +57,6 @@
 //! accumulation.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hec_telemetry::FastCounter;
 
@@ -83,10 +82,6 @@ pub fn publish_telemetry() {
     GEMM_I8_CALLS.publish();
 }
 
-/// Allocating matmul wrapper calls since process start — see
-/// [`matmul_allocations`].
-static MATMUL_ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
     /// Reusable packing buffer for [`gemm_nt`]'s transposed-B path. Grows to
     /// the largest `k × n` panel seen on this thread and is then reused, so
@@ -96,21 +91,6 @@ thread_local! {
     /// [`gemm_nn_i8`] takes the dot route, `B` rows when [`gemm_nt_i8`]
     /// takes the tile route.
     static PACK_BT_I8: RefCell<Vec<i8>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Number of *allocating* matmul wrapper calls (`Matrix::matmul`,
-/// `t_matmul`, `matmul_t`) since process start.
-///
-/// Hot paths are expected to use the `_into` family, which never touches
-/// this counter; tests assert a delta of zero around a warmed training step
-/// to prove the hot path performs no matmul-related heap allocations.
-pub fn matmul_allocations() -> usize {
-    MATMUL_ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Records one allocating matmul call (see [`matmul_allocations`]).
-pub(crate) fn count_matmul_alloc() {
-    MATMUL_ALLOCS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Zeroes the trailing `n % NR` column strip of a row-major `m×n` output —
@@ -613,13 +593,6 @@ mod tests {
                 assert!((x - y).abs() < 1e-5, "gemm_tn stale {m}x{k}x{n}: {x} vs {y}");
             }
         }
-    }
-
-    #[test]
-    fn alloc_counter_is_monotone() {
-        let before = matmul_allocations();
-        count_matmul_alloc();
-        assert!(matmul_allocations() > before);
     }
 
     fn naive_nn_i8(m: usize, k: usize, n: usize, a: &[i8], b: &[i8]) -> Vec<i32> {

@@ -261,7 +261,6 @@ impl Matrix {
     ///
     /// Panics if `self.cols != rhs.rows`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        crate::kernel::count_matmul_alloc();
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         self.matmul_into(rhs, &mut out);
         out
@@ -299,7 +298,6 @@ impl Matrix {
     ///
     /// Panics if `self.rows != rhs.rows`.
     pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
-        crate::kernel::count_matmul_alloc();
         let mut out = Matrix::zeros(self.cols, rhs.cols);
         self.t_matmul_into(rhs, &mut out);
         out
@@ -336,7 +334,6 @@ impl Matrix {
     ///
     /// Panics if `self.cols != rhs.cols`.
     pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
-        crate::kernel::count_matmul_alloc();
         let mut out = Matrix::zeros(self.rows, rhs.rows);
         self.matmul_t_into(rhs, &mut out);
         out

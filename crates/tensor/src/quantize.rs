@@ -26,15 +26,6 @@
 //! bit-identical across reruns, `HEC_THREADS` settings, and accumulation
 //! order changes. CI byte-diffs the quantised repro output on exactly this
 //! guarantee.
-//!
-//! # Legacy shims
-//!
-//! [`quantize_inplace`]/[`quantization_rmse`] predate the real path. At
-//! 8 bits they now round-trip through [`QuantizedMatrix::quantize_symmetric`]
-//! (bit-identical to the old `round(x/Δ)·Δ` grid, `Δ = max|x|/127`); other
-//! bit widths keep the fake-quant grid and are **simulation-only** — they
-//! model the capability gap between deployment tiers (DESIGN.md §2) and
-//! never touch the integer kernels.
 
 use std::cell::RefCell;
 
@@ -97,16 +88,6 @@ impl QuantParams {
         QuantParams { scale, zero_point }
     }
 
-    /// Symmetric parameters on the legacy 8-bit grid: `scale = max|x|/127`,
-    /// `zero_point = 0`, codes in `[−127, 127]`.
-    fn symmetric(max_abs: f32) -> Self {
-        let scale = max_abs / 127.0;
-        if !(scale.is_finite() && scale > 0.0) {
-            return QuantParams { scale: 1.0, zero_point: 0 };
-        }
-        QuantParams { scale, zero_point: 0 }
-    }
-
     /// Quantises one value (saturating).
     #[inline]
     pub fn quantize(&self, x: f32) -> i8 {
@@ -128,9 +109,7 @@ impl QuantParams {
 /// Products run through [`kernel::gemm_nt_i8`] with i32 accumulation and
 /// dequantise via [`QuantizedMatrix::matmul_t_into`], which reuses a
 /// thread-local accumulator panel and resizes `out` in place — zero heap
-/// allocations per call once warm. The allocating convenience wrapper
-/// [`QuantizedMatrix::matmul_t`] bumps the same counter as the f32
-/// allocating wrappers ([`kernel::matmul_allocations`]).
+/// allocations per call once warm.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedMatrix {
     rows: usize,
@@ -176,42 +155,14 @@ impl QuantizedMatrix {
         q
     }
 
-    /// Quantises `m` on the symmetric per-tensor grid (`zero_point = 0`,
-    /// codes in `[−127, 127]`) — bit-identical to the legacy 8-bit
-    /// fake-quant grid, and the grid [`quantize_inplace`] round-trips at
-    /// 8 bits.
-    pub fn quantize_symmetric(m: &Matrix) -> Self {
-        let mut q = Self::empty();
-        let max_abs = m.as_slice().iter().fold(0.0f32, |acc, &x| acc.max(x.abs()));
-        q.requantize_with(m, QuantScheme::PerTensor, |_| QuantParams::symmetric(max_abs));
-        q
-    }
-
     /// Re-quantises `m` into this matrix, reusing its buffers (grow-only) —
     /// the per-batch activation path. Allocation-free once the buffers have
     /// grown to the workload's shape.
     pub fn quantize_from(&mut self, m: &Matrix, scheme: QuantScheme) {
-        match scheme {
-            QuantScheme::PerTensor => {
-                let (lo, hi) = min_max(m.as_slice());
-                let p = QuantParams::from_range(lo, hi);
-                self.requantize_with(m, scheme, |_| p);
-            }
-            QuantScheme::PerRow => {
-                self.requantize_with(m, scheme, |row| {
-                    let (lo, hi) = min_max(row);
-                    QuantParams::from_range(lo, hi)
-                });
-            }
-        }
-    }
-
-    fn requantize_with(
-        &mut self,
-        m: &Matrix,
-        scheme: QuantScheme,
-        param_for: impl Fn(&[f32]) -> QuantParams,
-    ) {
+        let param_for = |xs: &[f32]| {
+            let (lo, hi) = min_max(xs);
+            QuantParams::from_range(lo, hi)
+        };
         let (rows, cols) = m.shape();
         self.rows = rows;
         self.cols = cols;
@@ -419,11 +370,9 @@ impl QuantizedMatrix {
         });
     }
 
-    /// Allocating wrapper over [`Self::matmul_t_into`]. Counts against
-    /// [`kernel::matmul_allocations`] like the f32 allocating wrappers; hot
-    /// paths must use the `_into` variant.
+    /// Allocating wrapper over [`Self::matmul_t_into`]; hot paths must use
+    /// the `_into` variant.
     pub fn matmul_t(&self, rhs: &QuantizedMatrix) -> Matrix {
-        kernel::count_matmul_alloc();
         let mut out = Matrix::zeros(self.rows, rhs.rows);
         self.matmul_t_into(rhs, &mut out);
         out
@@ -434,128 +383,9 @@ fn min_max(xs: &[f32]) -> (f32, f32) {
     xs.iter().fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &x| (lo.min(x), hi.max(x)))
 }
 
-/// Quantizes every element to a symmetric uniform grid of `bits` bits:
-/// `w ↦ round(w/Δ)·Δ` with `Δ = max|w| / (2^{bits-1} − 1)`.
-///
-/// At `bits = 8` this is a thin wrapper over the real quantiser — a
-/// [`QuantizedMatrix::quantize_symmetric`] round-trip, bit-identical to the
-/// historical grid. Other bit widths keep the legacy fake-quant formula and
-/// are **simulation-only**: they model tier capability gaps and never touch
-/// the integer kernels.
-///
-/// A zero matrix is returned unchanged. `bits = 1` collapses weights to
-/// `{−max, 0, +max}`.
-///
-/// # Panics
-///
-/// Panics if `bits` is 0 or greater than 15.
-pub fn quantize_inplace(m: &mut Matrix, bits: u8) {
-    assert!((1..=15).contains(&bits), "bits must be in 1..=15, got {bits}");
-    if bits == 8 {
-        QuantizedMatrix::quantize_symmetric(m).dequantize_into(m);
-        return;
-    }
-    let max_abs = m.as_slice().iter().fold(0.0f32, |acc, &x| acc.max(x.abs()));
-    if max_abs == 0.0 {
-        return;
-    }
-    let levels = ((1u32 << (bits - 1)) - 1).max(1) as f32;
-    let delta = max_abs / levels;
-    m.map_inplace(|x| (x / delta).round() * delta);
-}
-
-/// Root-mean-square quantization error a grid of `bits` bits introduces on
-/// `m` (useful for calibrating deployment tiers).
-///
-/// # Panics
-///
-/// Panics if `bits` is 0 or greater than 15.
-pub fn quantization_rmse(m: &Matrix, bits: u8) -> f32 {
-    let mut q = m.clone();
-    quantize_inplace(&mut q, bits);
-    let diff = m - &q;
-    (diff.frobenius_norm_sq() / m.len() as f32).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn high_bit_widths_are_nearly_lossless() {
-        let m = Matrix::from_rows(&[&[0.1, -0.2, 0.33], &[0.05, -0.44, 0.21]]);
-        assert!(quantization_rmse(&m, 14) < 1e-4);
-    }
-
-    #[test]
-    fn fewer_bits_mean_more_error() {
-        let data: Vec<f32> = (0..64).map(|i| ((i as f32) * 0.37).sin() * 0.5).collect();
-        let m = Matrix::from_vec(8, 8, data);
-        let e4 = quantization_rmse(&m, 4);
-        let e6 = quantization_rmse(&m, 6);
-        let e8 = quantization_rmse(&m, 8);
-        assert!(e4 > e6 && e6 > e8, "{e4} {e6} {e8}");
-    }
-
-    #[test]
-    fn values_land_on_grid() {
-        let mut m = Matrix::from_rows(&[&[0.9, -0.3, 0.45]]);
-        quantize_inplace(&mut m, 3);
-        // max=0.9, levels=3, delta=0.3 → all values are multiples of 0.3.
-        for &v in m.as_slice() {
-            let ratio = v / 0.3;
-            assert!((ratio - ratio.round()).abs() < 1e-5, "{v} off-grid");
-        }
-    }
-
-    #[test]
-    fn zero_matrix_unchanged() {
-        for bits in [4, 8] {
-            let mut m = Matrix::zeros(2, 2);
-            quantize_inplace(&mut m, bits);
-            assert!(m.as_slice().iter().all(|&x| x == 0.0));
-        }
-    }
-
-    #[test]
-    fn max_magnitude_preserved() {
-        let mut m = Matrix::from_rows(&[&[1.0, -0.5]]);
-        quantize_inplace(&mut m, 5);
-        assert_eq!(m[(0, 0)], 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bits must be in")]
-    fn zero_bits_rejected() {
-        let mut m = Matrix::ones(1, 1);
-        quantize_inplace(&mut m, 0);
-    }
-
-    /// The satellite contract: at 8 bits the legacy wrapper must reproduce
-    /// the historical fake-quant grid *exactly* while routing through the
-    /// real quantiser.
-    #[test]
-    fn legacy_wrapper_matches_old_grid_exactly_at_8_bits() {
-        let data: Vec<f32> = (0..96).map(|i| ((i as f32) * 0.731).sin() * 2.5).collect();
-        let m = Matrix::from_vec(8, 12, data);
-
-        // Historical formula, inlined: round(x/Δ)·Δ with Δ = max|x|/127.
-        let max_abs = m.as_slice().iter().fold(0.0f32, |a, &x| a.max(x.abs()));
-        let delta = max_abs / 127.0;
-        let mut legacy = m.clone();
-        legacy.map_inplace(|x| (x / delta).round() * delta);
-
-        let mut via_new = m.clone();
-        quantize_inplace(&mut via_new, 8);
-        assert_eq!(via_new.as_slice(), legacy.as_slice());
-
-        // And the RMSE figures agree exactly too.
-        let legacy_rmse = {
-            let diff = &m - &legacy;
-            (diff.frobenius_norm_sq() / m.len() as f32).sqrt()
-        };
-        assert_eq!(quantization_rmse(&m, 8), legacy_rmse);
-    }
 
     #[test]
     fn affine_roundtrip_error_within_half_scale() {
@@ -661,18 +491,6 @@ mod tests {
         enc_packed.pack_for_inference();
         assert!(!enc_packed.is_packed_nn());
         assert_eq!(enc_packed, enc);
-    }
-
-    #[test]
-    fn allocating_wrapper_counts_into_not() {
-        let a = Matrix::ones(2, 8);
-        let qa = QuantizedMatrix::quantize(&a, QuantScheme::PerTensor);
-        let before = kernel::matmul_allocations();
-        let mut out = Matrix::zeros(2, 2);
-        qa.matmul_t_into(&qa, &mut out);
-        assert_eq!(kernel::matmul_allocations(), before, "_into must not count");
-        let _ = qa.matmul_t(&qa);
-        assert!(kernel::matmul_allocations() > before, "wrapper must count");
     }
 
     #[test]

@@ -64,11 +64,8 @@ fn into_kernels_are_allocation_free_after_warmup() {
         "warmed _into kernels performed {last_delta} heap allocations in every window"
     );
 
-    // Sanity: the allocating wrappers do allocate (and are counted by the
-    // kernel's wrapper counter).
-    let wrapper_before = hec_tensor::kernel::matmul_allocations();
+    // Sanity: the allocating wrappers do allocate.
     let alloc_before = allocations();
     let _ = a.matmul(&b);
     assert!(allocations() > alloc_before);
-    assert_eq!(hec_tensor::kernel::matmul_allocations(), wrapper_before + 1);
 }

@@ -19,12 +19,7 @@ fn synthetic_oracle(n: usize) -> Oracle {
             }
         })
         .collect();
-    Oracle {
-        outcomes,
-        thresholds: [-10.0; 3],
-        flag_fraction: 0.0,
-        confidence: ConfidenceRule::default(),
-    }
+    Oracle { outcomes, thresholds: [-10.0; 3], confidence: ConfidenceRule::default() }
 }
 
 #[test]
