@@ -13,6 +13,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use hec_tensor::math;
+
 /// Maps raw per-layer load gauges (queue depths, in-flight link transfers)
 /// to `[0, 1]`-scale context features via a log ramp:
 /// `f(d) = ln(1 + d) / ln(1 + cap)` clamped to `[0, 1]`.
@@ -21,8 +23,10 @@ use serde::{Deserialize, Serialize};
 /// 20 matters much more than 1800 vs 2000) while the cap pins "full" at 1.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LoadNormalizer {
-    queue_caps: Vec<f64>,
-    link_caps: Vec<f64>,
+    /// `ln(1 + cap)` per queue gauge — the ramp's denominator.
+    queue_ln_caps: Vec<f32>,
+    /// `ln(1 + cap)` per link gauge.
+    link_ln_caps: Vec<f32>,
     /// Per-layer multiplier applied to the raw queue gauge before the
     /// ramp (1.0 = use the gauge as-is).
     queue_scale: Vec<f64>,
@@ -40,8 +44,12 @@ impl LoadNormalizer {
             queue_caps.iter().chain(link_caps.iter()).all(|&c| c >= 1.0),
             "load caps must be ≥ 1"
         );
-        let queue_scale = vec![1.0; queue_caps.len()];
-        Self { queue_caps, link_caps, queue_scale }
+        let ln_caps = |caps: Vec<f64>| caps.iter().map(|&c| math::ln((1.0 + c) as f32)).collect();
+        Self {
+            queue_scale: vec![1.0; queue_caps.len()],
+            queue_ln_caps: ln_caps(queue_caps),
+            link_ln_caps: ln_caps(link_caps),
+        }
     }
 
     /// Sets per-layer multipliers applied to the raw queue gauges before
@@ -55,7 +63,7 @@ impl LoadNormalizer {
     /// Panics if the length differs from the queue caps or any scale is
     /// not positive and finite.
     pub fn with_queue_scale(mut self, queue_scale: Vec<f64>) -> Self {
-        assert_eq!(queue_scale.len(), self.queue_caps.len(), "one scale per queue gauge");
+        assert_eq!(queue_scale.len(), self.queue_ln_caps.len(), "one scale per queue gauge");
         assert!(
             queue_scale.iter().all(|s| *s > 0.0 && s.is_finite()),
             "queue scales must be positive and finite"
@@ -66,11 +74,11 @@ impl LoadNormalizer {
 
     /// Number of features this normaliser appends.
     pub fn dims(&self) -> usize {
-        self.queue_caps.len() + self.link_caps.len()
+        self.queue_ln_caps.len() + self.link_ln_caps.len()
     }
 
-    fn ramp(raw: f64, cap: f64) -> f32 {
-        (((1.0 + raw.max(0.0)).ln() / (1.0 + cap).ln()) as f32).clamp(0.0, 1.0)
+    fn ramp(raw: f64, ln_cap: f32) -> f32 {
+        (math::ln((1.0 + raw.max(0.0)) as f32) / ln_cap).clamp(0.0, 1.0)
     }
 
     /// Appends the normalised load features for one routing decision.
@@ -84,13 +92,13 @@ impl LoadNormalizer {
         link_inflight: &[usize],
         out: &mut Vec<f32>,
     ) {
-        assert!(queue_depth.len() >= self.queue_caps.len(), "queue gauge too short");
-        assert!(link_inflight.len() >= self.link_caps.len(), "link gauge too short");
-        for (l, &cap) in self.queue_caps.iter().enumerate() {
-            out.push(Self::ramp(queue_depth[l] as f64 * self.queue_scale[l], cap));
+        assert!(queue_depth.len() >= self.queue_ln_caps.len(), "queue gauge too short");
+        assert!(link_inflight.len() >= self.link_ln_caps.len(), "link gauge too short");
+        for (l, &ln_cap) in self.queue_ln_caps.iter().enumerate() {
+            out.push(Self::ramp(queue_depth[l] as f64 * self.queue_scale[l], ln_cap));
         }
-        for (l, &cap) in self.link_caps.iter().enumerate() {
-            out.push(Self::ramp(link_inflight[l] as f64, cap));
+        for (l, &ln_cap) in self.link_ln_caps.iter().enumerate() {
+            out.push(Self::ramp(link_inflight[l] as f64, ln_cap));
         }
     }
 

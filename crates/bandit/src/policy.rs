@@ -10,7 +10,7 @@
 use rand::Rng;
 
 use hec_nn::{Activation, Dense, Optimizer, PingPong, Sequential};
-use hec_tensor::{vecops, Matrix};
+use hec_tensor::{math, vecops, Matrix};
 
 /// The policy network `f_θ(z_x) → s ∈ Δ^{K-1}`.
 ///
@@ -215,11 +215,11 @@ impl PolicyNetwork {
         self.probs.copy_from(self.net.forward_training(&self.context_row));
         let probs = self.probs.as_mut_slice();
         vecops::softmax_inplace(probs);
-        let log_prob = probs[action].max(1e-12).ln();
+        let log_prob = math::ln(probs[action].max(1e-12));
 
         // H = −Σ π log π; descent on −βH adds β·π_k(log π_k + H).
         let entropy: f32 = if entropy_beta > 0.0 {
-            -probs.iter().map(|&p| p * p.max(1e-12).ln()).sum::<f32>()
+            -probs.iter().map(|&p| p * math::ln(p.max(1e-12))).sum::<f32>()
         } else {
             0.0
         };
@@ -231,7 +231,7 @@ impl PolicyNetwork {
                 *d -= advantage;
             }
             if entropy_beta > 0.0 {
-                *d += entropy_beta * p * (p.max(1e-12).ln() + entropy);
+                *d += entropy_beta * p * (math::ln(p.max(1e-12)) + entropy);
             }
         }
         self.net.backward(&self.probs, false);

@@ -1,0 +1,48 @@
+//! The workspace's libm surface is four `f64` lines. Every `f32`
+//! transcendental goes through `hec_tensor::math`, whose bits do not depend
+//! on the host's libm; this guard fails when library or binary source
+//! calls one of libm's functions anywhere else. The four lines left are in
+//! crates that do not depend on `hec-tensor` (ROADMAP names the PR that
+//! takes each). `.sqrt()` is an IEEE operation, not libm, and is not listed.
+
+mod sources;
+
+/// The libm-backed functions, as method calls (`x.exp()`) and as paths
+/// (`f32::exp`, what `map(f32::tanh)` spells).
+fn libm_spellings() -> Vec<String> {
+    let names = ["exp", "ln", "tanh", "sin", "cos", "powf", "ln_1p", "exp_m1"];
+    let methods = names.iter().map(|name| format!(".{name}("));
+    let paths = names.iter().flat_map(|name| [format!("f32::{name}"), format!("f64::{name}")]);
+    methods.chain(paths).collect()
+}
+
+#[test]
+fn the_libm_surface_is_four_f64_lines() {
+    let spellings = libm_spellings();
+    // `path: line` for every non-comment line that calls a libm function,
+    // outside `math.rs` itself and before a file's `#[cfg(test)] mod`.
+    let mut found = Vec::new();
+    sources::for_each_source_file(|path, source| {
+        if path.ends_with("math.rs") {
+            return;
+        }
+        let mut lines = source.lines().map(str::trim).peekable();
+        while let Some(line) = lines.next() {
+            if line == "#[cfg(test)]" && lines.peek().is_some_and(|next| next.starts_with("mod ")) {
+                break;
+            }
+            if !line.starts_with("//") && spellings.iter().any(|s| line.contains(s.as_str())) {
+                found.push(format!("{}: {line}", path.display()));
+            }
+        }
+    });
+    assert_eq!(
+        found,
+        [
+            "sim/src/network.rs: let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();",
+            "telemetry/src/hist.rs: ((1.0 + x.max(0.0)).ln() * Self::BINS_PER_LN) as usize",
+            "telemetry/src/hist.rs: let lo = (idx as f64 / Self::BINS_PER_LN).exp() - 1.0;",
+            "telemetry/src/hist.rs: let hi = ((idx + 1) as f64 / Self::BINS_PER_LN).exp() - 1.0;",
+        ]
+    );
+}

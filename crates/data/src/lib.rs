@@ -72,8 +72,9 @@ pub use window::LabeledWindow;
 /// Two draws per sample, in this order: the generated corpora are pinned
 /// to them bit for bit.
 pub(crate) fn gaussian(rng: &mut rand::rngs::StdRng) -> f32 {
+    use hec_tensor::math;
     use rand::Rng;
     let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
     let u2: f32 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+    (-2.0 * math::ln(u1)).sqrt() * math::cos(2.0 * std::f32::consts::PI * u2)
 }

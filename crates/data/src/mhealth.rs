@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use hec_tensor::Matrix;
+use hec_tensor::{math, Matrix};
 
 use crate::gaussian;
 use crate::window::{sliding_windows, LabeledWindow};
@@ -301,11 +301,11 @@ impl MhealthGenerator {
         for s in 0..steps {
             let t = s as f32 / SAMPLE_RATE_HZ;
             let wander =
-                1.0 + 0.12 * (std::f32::consts::TAU * wander_rate * t + wander_phase).sin();
+                1.0 + 0.12 * math::sin(std::f32::consts::TAU * wander_rate * t + wander_phase);
             theta += std::f32::consts::TAU * f0 * wander * dt;
             for c in 0..CHANNELS {
-                let amp_mod =
-                    1.0 + 0.25 * (std::f32::consts::TAU * mod_rates[c] * t + mod_phases[c]).sin();
+                let amp_mod = 1.0
+                    + 0.25 * math::sin(std::f32::consts::TAU * mod_rates[c] * t + mod_phases[c]);
                 let own = self.signatures[activity.index() * CHANNELS + c];
                 let base = self.signatures[walk.index() * CHANNELS + c];
                 let sig = Signature {
@@ -320,9 +320,9 @@ impl MhealthGenerator {
                     + intensity
                         * subject_scale
                         * amp_mod
-                        * (sig.amp1 * w.sin()
-                            + sig.amp2 * (2.0 * w).sin()
-                            + sig.amp3 * (3.0 * w + 0.7).sin());
+                        * (sig.amp1 * math::sin(w)
+                            + sig.amp2 * math::sin(2.0 * w)
+                            + sig.amp3 * math::sin(3.0 * w + 0.7));
                 let noise = gaussian(&mut rng) * self.config.noise_std;
                 data.push(value + noise);
             }

@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use hec_tensor::Matrix;
+use hec_tensor::{math, Matrix};
 
 use crate::gaussian;
 use crate::window::LabeledWindow;
@@ -233,7 +233,7 @@ fn weekend_shape(t: f32) -> f32 {
 /// Gaussian bump centred at `c` with width `w`.
 fn bump(t: f32, c: f32, w: f32) -> f32 {
     let d = (t - c) / w;
-    (-0.5 * d * d).exp()
+    math::exp(-0.5 * d * d)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use hec_tensor::Matrix;
+use hec_tensor::{math, Matrix};
 
 /// Element-wise activation applied by a [`crate::Dense`] layer.
 ///
@@ -27,8 +27,8 @@ impl Activation {
     pub fn apply_inplace(self, m: &mut Matrix) {
         match self {
             Activation::Linear => {}
-            Activation::Sigmoid => m.map_inplace(sigmoid),
-            Activation::Tanh => m.map_inplace(f32::tanh),
+            Activation::Sigmoid => math::sigmoid_slice(m.as_mut_slice()),
+            Activation::Tanh => math::tanh_slice(m.as_mut_slice()),
             Activation::Relu => m.map_inplace(|x| x.max(0.0)),
         }
     }
@@ -52,16 +52,6 @@ impl Activation {
             Activation::Tanh => pairs.for_each(|(g, &v)| *g *= 1.0 - v * v),
             Activation::Relu => pairs.for_each(|(g, &v)| *g *= if v > 0.0 { 1.0 } else { 0.0 }),
         }
-    }
-}
-
-/// Scalar logistic sigmoid, numerically stable for large |x|.
-pub fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
     }
 }
 
@@ -97,14 +87,6 @@ mod tests {
             check_derivative(Activation::Tanh, x);
             check_derivative(Activation::Relu, x); // x away from the kink
         }
-    }
-
-    #[test]
-    fn sigmoid_extremes_are_stable() {
-        assert!((sigmoid(100.0) - 1.0).abs() < 1e-6);
-        assert!(sigmoid(-100.0) < 1e-6);
-        assert!(sigmoid(-100.0) >= 0.0);
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-7);
     }
 
     #[test]

@@ -75,9 +75,8 @@ use std::cell::RefCell;
 use rand::Rng;
 
 use hec_tensor::kernel::gemm_nn;
-use hec_tensor::{init, Matrix};
+use hec_tensor::{init, math, Matrix};
 
-use crate::activation::sigmoid;
 use crate::workspace::Buf;
 
 /// The recurrent state `(h, c)` of an [`Lstm`].
@@ -331,35 +330,38 @@ impl Lstm {
         let zh = grown(&mut self.zh, b * h4);
         gemm_nn(b, hd, h4, &seq.h[prev * bh..][..bh], self.wh.as_slice(), zh);
 
-        // z = (x·Wx + h·Wh) + b as its own pass, which vectorises; the gate
-        // loop below is bound by its libm calls either way.
+        // z = (x·Wx + h·Wh) + b, then each row's contiguous [i f | g | o]
+        // blocks activated in place — element-wise passes that vectorise.
         for (z_r, zh_r) in gates.chunks_exact_mut(h4).zip(zh.chunks_exact(h4)) {
             for ((z, &zh), &bias) in z_r.iter_mut().zip(zh_r).zip(self.b.as_slice()) {
                 *z = (*z + zh) + bias;
             }
+            let (i_f, g_o) = z_r.split_at_mut(2 * hd);
+            let (g, o) = g_o.split_at_mut(hd);
+            math::sigmoid_slice(i_f);
+            math::tanh_slice(g);
+            math::sigmoid_slice(o);
         }
 
         let (c_prev, c_next) = two_blocks(&mut seq.c, prev, next, bh);
+        for ((c, c_prev), z_r) in
+            c_next.chunks_exact_mut(hd).zip(c_prev.chunks_exact(hd)).zip(gates.chunks_exact(h4))
+        {
+            let (i, f, g) = (&z_r[..hd], &z_r[hd..2 * hd], &z_r[2 * hd..3 * hd]);
+            for (((c, &c_prev), (&i, &f)), &g) in
+                c.iter_mut().zip(c_prev).zip(i.iter().zip(f)).zip(g)
+            {
+                *c = f * c_prev + i * g;
+            }
+        }
+        tanh_c.copy_from_slice(c_next);
+        math::tanh_slice(tanh_c);
         let h_next = &mut seq.h[next * bh..][..bh];
-        for r in 0..b {
-            // Every slice cut to exactly `hd`, so the loop indexes unchecked.
-            let (g_i, rest) = gates[r * h4..][..h4].split_at_mut(hd);
-            let (g_f, rest) = rest.split_at_mut(hd);
-            let (g_g, g_o) = rest.split_at_mut(hd);
-            let (g_f, g_g, g_o) = (&mut g_f[..hd], &mut g_g[..hd], &mut g_o[..hd]);
-            let (c_prev, c_next) = (&c_prev[r * hd..][..hd], &mut c_next[r * hd..][..hd]);
-            let (tanh_c, h_next) = (&mut tanh_c[r * hd..][..hd], &mut h_next[r * hd..][..hd]);
-            for idx in 0..hd {
-                let i_v = sigmoid(g_i[idx]);
-                let f_v = sigmoid(g_f[idx]);
-                let g_v = g_g[idx].tanh();
-                let o_v = sigmoid(g_o[idx]);
-                let c_v = f_v * c_prev[idx] + i_v * g_v;
-                let tc = c_v.tanh();
-                (g_i[idx], g_f[idx], g_g[idx], g_o[idx]) = (i_v, f_v, g_v, o_v);
-                tanh_c[idx] = tc;
-                c_next[idx] = c_v;
-                h_next[idx] = o_v * tc;
+        for ((h, tanh_c), z_r) in
+            h_next.chunks_exact_mut(hd).zip(tanh_c.chunks_exact(hd)).zip(gates.chunks_exact(h4))
+        {
+            for ((h, &tc), &o) in h.iter_mut().zip(tanh_c).zip(&z_r[3 * hd..]) {
+                *h = o * tc;
             }
         }
         seq.steps += 1;

@@ -11,8 +11,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hec_nn::activation::sigmoid;
 use hec_nn::{Activation, Optimizer};
+use hec_tensor::math::{sigmoid, tanh};
 use hec_tensor::{init, Matrix};
 
 /// `f(m)` as a new matrix.
@@ -20,7 +20,7 @@ fn activate(act: Activation, m: &Matrix) -> Matrix {
     match act {
         Activation::Linear => m.clone(),
         Activation::Sigmoid => m.map(sigmoid),
-        Activation::Tanh => m.map(f32::tanh),
+        Activation::Tanh => m.map(tanh),
         Activation::Relu => m.map(|x| x.max(0.0)),
     }
 }

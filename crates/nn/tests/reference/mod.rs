@@ -15,8 +15,8 @@ pub mod dense;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hec_nn::activation::sigmoid;
 use hec_nn::{Activation, LstmState, Optimizer, Seq2SeqConfig};
+use hec_tensor::math::{sigmoid, tanh};
 use hec_tensor::{init, Matrix};
 
 use dense::{mse_gradient, mse_value, RefDense, RefDropout, RefLayer};
@@ -101,7 +101,7 @@ impl RefLstm {
 
         let i = gate_block(&z, 0, h, sigmoid);
         let f = gate_block(&z, h, h, sigmoid);
-        let g = gate_block(&z, 2 * h, h, f32::tanh);
+        let g = gate_block(&z, 2 * h, h, tanh);
         let o = gate_block(&z, 3 * h, h, sigmoid);
 
         let mut c = Matrix::zeros(batch, h);
@@ -114,7 +114,7 @@ impl RefLstm {
         {
             *cv = fv * cp + iv * gv;
         }
-        let tanh_c = c.map(f32::tanh);
+        let tanh_c = c.map(tanh);
         let h_new = o.hadamard(&tanh_c);
 
         if training {

@@ -7,7 +7,7 @@
 
 use rand::Rng;
 
-use crate::Matrix;
+use crate::{math, Matrix};
 
 /// Glorot/Xavier uniform: `U(-l, l)` with `l = sqrt(6 / (fan_in + fan_out))`.
 ///
@@ -62,11 +62,11 @@ pub fn normal(rng: &mut impl Rng, rows: usize, cols: usize, std: f32) -> Matrix 
     while data.len() < n {
         let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
         let u2: f32 = rng.gen_range(0.0..1.0);
-        let r = (-2.0 * u1.ln()).sqrt();
+        let r = (-2.0 * math::ln(u1)).sqrt();
         let theta = 2.0 * std::f32::consts::PI * u2;
-        data.push(r * theta.cos() * std);
+        data.push(r * math::cos(theta) * std);
         if data.len() < n {
-            data.push(r * theta.sin() * std);
+            data.push(r * math::sin(theta) * std);
         }
     }
     Matrix::from_vec(rows, cols, data)

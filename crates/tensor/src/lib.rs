@@ -15,6 +15,10 @@
 //! * [`stats`] — Gaussian fitting (mean/covariance), Cholesky factorisation and
 //!   multivariate log probability density, used for the paper's logPD anomaly
 //!   score (§II-A3).
+//! * [`math`] — `exp`, `tanh`, `sigmoid`, `ln`, `sin`, `cos` without libm:
+//!   fixed-order polynomials in plain IEEE arithmetic, scalar and in-place
+//!   slice forms that agree bit for bit, stated ULP bounds. Every `f32`
+//!   transcendental in the workspace goes through it.
 //! * [`vecops`] — free functions over `&[f32]` slices (dot, softmax,
 //!   argmax, running stats) used in hot paths that do not need a full matrix.
 //! * [`kernel`] — the shared cache-blocked matmul kernels behind every
@@ -42,6 +46,7 @@
 
 pub mod init;
 pub mod kernel;
+pub mod math;
 pub mod matrix;
 pub mod parallel;
 pub mod quantize;

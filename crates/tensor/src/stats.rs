@@ -11,7 +11,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::Matrix;
+use crate::{math, Matrix};
 
 /// Error fitting or evaluating a [`Gaussian`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -145,7 +145,7 @@ impl Gaussian {
             return Err(GaussianError::DimensionMismatch { expected: d, got: cov.rows() });
         }
         let chol = cholesky(cov).ok_or(GaussianError::NotPositiveDefinite)?;
-        let log_det = 2.0 * (0..d).map(|i| chol[(i, i)].ln()).sum::<f32>();
+        let log_det = 2.0 * (0..d).map(|i| math::ln(chol[(i, i)])).sum::<f32>();
         Ok(Self { mean, chol, log_det, dim: d })
     }
 
@@ -185,7 +185,7 @@ impl Gaussian {
     pub fn log_pdf_with(&self, x: &[f32], scratch: &mut [f32]) -> Result<f32, GaussianError> {
         let maha_sq = self.mahalanobis_sq_with(x, scratch)?;
         let d = self.dim as f32;
-        Ok(-0.5 * (d * (2.0 * std::f32::consts::PI).ln() + self.log_det + maha_sq))
+        Ok(-0.5 * (d * math::ln(std::f32::consts::TAU) + self.log_det + maha_sq))
     }
 
     /// Log probability density of a 1-dimensional sample, allocation-free.
@@ -219,7 +219,7 @@ impl Gaussian {
             return Err(GaussianError::DimensionMismatch { expected: self.dim, got: 1 });
         }
         let (mean, scale) = (self.mean[0], self.chol[(0, 0)]);
-        let constant = (2.0 * std::f32::consts::PI).ln() + self.log_det;
+        let constant = math::ln(std::f32::consts::TAU) + self.log_det;
         for x in xs {
             let y = (*x - mean) / scale;
             *x = -0.5 * (constant + y * y);

@@ -6,6 +6,8 @@
 //! (the univariate contextual features of the paper are exactly
 //! `{min, max, mean, std}`, §III-B).
 
+use crate::math;
+
 /// Dot product of two equal-length slices.
 ///
 /// # Panics
@@ -63,8 +65,9 @@ pub fn softmax_inplace(logits: &mut [f32]) {
     assert!(!logits.is_empty(), "softmax of empty slice");
     let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     for x in logits.iter_mut() {
-        *x = (*x - max).exp();
+        *x -= max;
     }
+    math::exp_slice(logits);
     let sum: f32 = logits.iter().sum();
     if sum == 0.0 || !sum.is_finite() {
         // Degenerate input (all -inf or NaN): fall back to uniform.
@@ -227,6 +230,16 @@ mod tests {
         let p = softmax(&[1000.0, -1000.0]);
         assert!((p[0] - 1.0).abs() < 1e-6);
         assert!(p.iter().all(|x| x.is_finite()));
+    }
+
+    #[test]
+    fn softmax_of_a_degenerate_row_is_uniform() {
+        // Rests on `math::exp(NaN)` being NaN: a clamp that swallowed it
+        // would hand back a confident distribution instead.
+        let ninf = f32::NEG_INFINITY;
+        for row in [[ninf, ninf, ninf], [0.5, f32::NAN, -1.0], [f32::NAN; 3], [f32::INFINITY; 3]] {
+            assert_eq!(softmax(&row), [1.0 / 3.0; 3], "softmax({row:?})");
+        }
     }
 
     #[test]
