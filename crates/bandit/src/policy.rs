@@ -98,16 +98,7 @@ impl PolicyNetwork {
 
     /// Samples an action from the policy (training-time exploration).
     pub fn sample(&mut self, context: &[f32], rng: &mut impl Rng) -> usize {
-        let probs = self.infer_probabilities(context);
-        let u: f32 = rng.gen();
-        let mut acc = 0.0f32;
-        for (k, &p) in probs.iter().enumerate() {
-            acc += p;
-            if u < acc {
-                return k;
-            }
-        }
-        probs.len() - 1
+        draw(self.infer_probabilities(context), rng)
     }
 
     /// The greedy action `|a| = argmax_k s_k` (evaluation-time selection).
@@ -205,16 +196,57 @@ impl PolicyNetwork {
         entropy_beta: f32,
         optimizer: &mut dyn Optimizer,
     ) -> f32 {
-        assert_eq!(context.len(), self.input_dim, "context dimension mismatch");
         assert!(action < self.num_actions, "action out of range");
+        self.forward_for_update(context);
+        self.backward_from_probs(action, advantage, entropy_beta, optimizer)
+    }
+
+    /// One whole REINFORCE step from a **single** forward pass: samples an
+    /// action from `π_θ(· | context)`, asks `advantage_of` what it earned,
+    /// and backpropagates from the activations the sampling forward left —
+    /// nothing can change the weights between the two halves, so this is
+    /// [`PolicyNetwork::sample`] then
+    /// [`PolicyNetwork::reinforce_update_with_entropy`] bit for bit, minus
+    /// the second, identical forward. Returns the sampled action.
+    pub(crate) fn sample_and_update(
+        &mut self,
+        context: &[f32],
+        rng: &mut impl Rng,
+        entropy_beta: f32,
+        optimizer: &mut dyn Optimizer,
+        advantage_of: impl FnOnce(usize) -> f32,
+    ) -> usize {
+        self.forward_for_update(context);
+        let action = draw(self.probs.as_slice(), rng);
+        let advantage = advantage_of(action);
+        self.backward_from_probs(action, advantage, entropy_beta, optimizer);
+        action
+    }
+
+    /// Training-mode forward: every layer boundary's activation stays in
+    /// the network for the backward pass, `π(· | context)` lands in `probs`.
+    fn forward_for_update(&mut self, context: &[f32]) {
+        assert_eq!(context.len(), self.input_dim, "context dimension mismatch");
+        self.context_row.as_mut_slice().copy_from_slice(context);
+        self.probs.copy_from(self.net.forward_training(&self.context_row));
+        vecops::softmax_inplace(self.probs.as_mut_slice());
+    }
+
+    /// The update half: turns the `π` [`Self::forward_for_update`] left in
+    /// `probs` into `∂L/∂logits`, backpropagates it through that forward's
+    /// activations and applies the optimizer. Returns `log π(action)`.
+    fn backward_from_probs(
+        &mut self,
+        action: usize,
+        advantage: f32,
+        entropy_beta: f32,
+        optimizer: &mut dyn Optimizer,
+    ) -> f32 {
         assert!(
             entropy_beta >= 0.0 && entropy_beta.is_finite(),
             "entropy_beta must be finite and non-negative"
         );
-        self.context_row.as_mut_slice().copy_from_slice(context);
-        self.probs.copy_from(self.net.forward_training(&self.context_row));
         let probs = self.probs.as_mut_slice();
-        vecops::softmax_inplace(probs);
         let log_prob = math::ln(probs[action].max(1e-12));
 
         // H = −Σ π log π; descent on −βH adds β·π_k(log π_k + H).
@@ -234,10 +266,28 @@ impl PolicyNetwork {
                 *d += entropy_beta * p * (math::ln(p.max(1e-12)) + entropy);
             }
         }
+        // A saturated softmax leaves subnormal entries here, and every
+        // product the backward pass forms with one is a microcode assist
+        // and a subnormal on its way into the optimizer's moments.
+        math::flush_subnormal_slice(probs);
         self.net.backward(&self.probs, false);
         self.net.apply_gradients(optimizer);
         log_prob
     }
+}
+
+/// The action a uniform draw from `rng` picks under `probs` (the last one
+/// when rounding leaves the cumulative sum short of the draw).
+fn draw(probs: &[f32], rng: &mut impl Rng) -> usize {
+    let u: f32 = rng.gen();
+    let mut acc = 0.0f32;
+    for (k, &p) in probs.iter().enumerate() {
+        acc += p;
+        if u < acc {
+            return k;
+        }
+    }
+    probs.len() - 1
 }
 
 impl std::fmt::Debug for PolicyNetwork {

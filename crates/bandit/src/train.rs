@@ -154,14 +154,23 @@ impl PolicyTrainer {
 
     /// One REINFORCE step on a single context: sample an action, query the
     /// reward oracle, update baseline and policy. Returns `(action, reward)`.
+    ///
+    /// Exactly [`PolicyTrainer::sample_action`] then
+    /// [`PolicyTrainer::observe`], from one forward pass: nothing updates
+    /// the weights between the two here, so the update backpropagates from
+    /// the activations the sampling forward left.
     pub fn step(
         &mut self,
         context: &[f32],
         reward_of: &mut dyn FnMut(usize) -> f32,
     ) -> (usize, f32) {
-        let action = self.sample_action(context);
-        let reward = reward_of(action);
-        self.observe(context, action, reward);
+        let Self { policy, baseline, optimizer, rng, config, .. } = self;
+        let mut reward = 0.0;
+        let action =
+            policy.sample_and_update(context, rng, config.entropy_beta, optimizer, |action| {
+                reward = reward_of(action);
+                advantage(baseline, config, reward)
+            });
         (action, reward)
     }
 
@@ -178,11 +187,7 @@ impl PolicyTrainer {
     /// known: updates the baseline and the policy. `context` must be the
     /// exact context the action was sampled from.
     pub fn observe(&mut self, context: &[f32], action: usize, reward: f32) {
-        let advantage = if self.config.use_baseline {
-            self.baseline.advantage_and_update(reward)
-        } else {
-            reward
-        };
+        let advantage = advantage(&mut self.baseline, &self.config, reward);
         self.policy.reinforce_update_with_entropy(
             context,
             action,
@@ -273,6 +278,16 @@ impl PolicyTrainer {
             reward.reward_outcome(correct_of(i, a), delays.delay_ms(i, a)) as f32
         };
         self.train(contexts, &mut reward_of)
+    }
+}
+
+/// What `reward` is worth to the policy gradient: the reward against the
+/// running reference (which it then moves), or the raw reward without one.
+fn advantage(baseline: &mut ReinforcementComparison, config: &TrainConfig, reward: f32) -> f32 {
+    if config.use_baseline {
+        baseline.advantage_and_update(reward)
+    } else {
+        reward
     }
 }
 

@@ -2,11 +2,14 @@
 //! warmed `sample` / `greedy` and a warmed REINFORCE update (with and
 //! without the entropy bonus) perform **zero** heap allocations — the
 //! context row, the activations, the probabilities and the gradients all
-//! live in the network (proved with a counting global allocator).
+//! live in the network (proved with a counting global allocator). The same
+//! for the trainer around it: a warmed `PolicyTrainer::step` (one forward)
+//! and a warmed `sample_action` + `observe` (the in-fleet pair, two), with
+//! Adam's slot state grown.
 //!
 //! One `#[test]`, so no concurrent test can disturb the global counter.
 
-use hec_bandit::PolicyNetwork;
+use hec_bandit::{PolicyNetwork, PolicyTrainer, TrainConfig};
 use hec_nn::RmsProp;
 use hec_telemetry::{allocations, CountingAlloc};
 use rand::rngs::StdRng;
@@ -29,22 +32,42 @@ fn one_window_policy_paths_are_allocation_free() {
         policy.reinforce_update_with_entropy(ctx, greedy, -0.25, 0.01, &mut opt);
     };
     step(&mut policy, 0); // warmup: workspace and optimizer state grow here
+    assert_eq!(
+        allocations_of(|i| step(&mut policy, i)),
+        0,
+        "warmed sample/greedy/reinforce_update allocated"
+    );
 
-    // The harness occasionally allocates from another thread mid-window; a
-    // path that really allocated would dirty every window.
+    let config = TrainConfig { entropy_beta: 0.01, ..Default::default() };
+    let mut trainer = PolicyTrainer::new(PolicyNetwork::new(4, 100, 3, 7), config);
+    let step = |trainer: &mut PolicyTrainer, i: usize| {
+        let ctx = &contexts[i % 2];
+        trainer.step(ctx, &mut |action| action as f32 - 1.0);
+        let action = trainer.sample_action(ctx);
+        trainer.observe(ctx, action, 0.5);
+    };
+    step(&mut trainer, 0);
+    assert_eq!(
+        allocations_of(|i| step(&mut trainer, i)),
+        0,
+        "warmed PolicyTrainer::step / sample_action + observe allocated"
+    );
+}
+
+/// Heap allocations of 32 calls of `window`. The harness occasionally
+/// allocates from another thread mid-run; a path that really allocated
+/// would dirty every attempt, so the cleanest of five counts.
+fn allocations_of(mut window: impl FnMut(usize)) -> usize {
     let mut last_delta = usize::MAX;
     for _attempt in 0..5 {
         let before = allocations();
         for i in 0..32 {
-            step(&mut policy, i);
+            window(i);
         }
         last_delta = allocations() - before;
         if last_delta == 0 {
             break;
         }
     }
-    assert_eq!(
-        last_delta, 0,
-        "warmed sample/greedy/reinforce_update performed {last_delta} heap allocations per window"
-    );
+    last_delta
 }

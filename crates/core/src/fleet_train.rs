@@ -33,6 +33,8 @@
 //! config ⇒ byte-identical trained weights, curve and drop counts on any
 //! host and under any `HEC_THREADS` setting.
 
+use std::fmt;
+
 use hec_bandit::{
     ContextScaler, LoadNormalizer, PolicyNetwork, PolicyTrainer, RewardModel, TrainConfig,
     TrainingCurve,
@@ -58,6 +60,75 @@ pub struct FleetTrainOutcome {
     pub drops_per_epoch: Vec<u64>,
 }
 
+/// Why [`try_train_policy_in_fleet`] could not start: each is a mismatch
+/// between its arguments, found before anything is trained.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FleetTrainError {
+    /// The oracle holds no windows.
+    EmptyOracle,
+    /// The scenario — or its probe cohort — emits no windows.
+    NothingToTrain,
+    /// The probe cohort is not one of the scenario's.
+    ProbeOutOfRange {
+        /// The probe cohort asked for.
+        probe: u32,
+        /// How many cohorts the scenario has.
+        cohorts: usize,
+    },
+    /// An oracle context is not as wide as the scaler was fitted for.
+    ContextDimMismatch {
+        /// The scaler's dimensionality.
+        scaler: usize,
+        /// The first oracle window that disagrees.
+        window: usize,
+        /// That window's context width.
+        context: usize,
+    },
+}
+
+impl fmt::Display for FleetTrainError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Self::EmptyOracle => write!(f, "cannot train on an empty oracle corpus"),
+            Self::NothingToTrain => {
+                write!(f, "nothing to train on: the scenario or its probe cohort emits no windows")
+            }
+            Self::ProbeOutOfRange { probe, cohorts } => {
+                write!(f, "probe cohort {probe} out of range (the scenario has {cohorts})")
+            }
+            Self::ContextDimMismatch { scaler, window, context } => write!(
+                f,
+                "context dimension mismatch: the scaler takes {scaler} features, \
+                 oracle window {window} has {context}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FleetTrainError {}
+
+/// Trains a load-aware policy inside `scenario`'s fleet —
+/// [`try_train_policy_in_fleet`] for callers whose arguments come from one
+/// pipeline and cannot disagree.
+///
+/// # Panics
+///
+/// Panics with the [`FleetTrainError`] if the oracle is empty, the scaler's
+/// dimensionality does not match the oracle contexts, the probe cohort is
+/// out of range or emits nothing, or the scenario emits no windows.
+pub fn train_policy_in_fleet(
+    scenario: &FleetScenario,
+    oracle: &Oracle,
+    scaler: &ContextScaler,
+    reward: &RewardModel,
+    hidden: usize,
+    config: TrainConfig,
+    probe_cohort: Option<u32>,
+) -> FleetTrainOutcome {
+    try_train_policy_in_fleet(scenario, oracle, scaler, reward, hidden, config, probe_cohort)
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// Trains a load-aware policy inside `scenario`'s fleet.
 ///
 /// The policy's context is the scaled oracle context concatenated with
@@ -74,12 +145,16 @@ pub struct FleetTrainOutcome {
 /// cohorts replay their scenario routing plans as background load — the
 /// congestion regime the policy must learn to route around.
 ///
+/// # Errors
+///
+/// A [`FleetTrainError`] when the arguments do not fit each other; nothing
+/// has been trained then.
+///
 /// # Panics
 ///
-/// Panics if the oracle is empty, the scaler's dimensionality does not
-/// match the oracle contexts, the probe cohort is out of range or emits
-/// nothing, or the scenario emits no windows.
-pub fn train_policy_in_fleet(
+/// Panics if `hidden` is zero, or if the fleet loses a window (a bug in
+/// the engine, not in the arguments).
+pub fn try_train_policy_in_fleet(
     scenario: &FleetScenario,
     oracle: &Oracle,
     scaler: &ContextScaler,
@@ -87,20 +162,35 @@ pub fn train_policy_in_fleet(
     hidden: usize,
     config: TrainConfig,
     probe_cohort: Option<u32>,
-) -> FleetTrainOutcome {
-    assert!(!oracle.is_empty(), "cannot train on an empty oracle corpus");
-    let trained = routed_windows(scenario, probe_cohort);
-    assert!(trained > 0, "nothing to train on: the scenario or its probe cohort emits no windows");
+) -> Result<FleetTrainOutcome, FleetTrainError> {
+    if oracle.is_empty() {
+        return Err(FleetTrainError::EmptyOracle);
+    }
+    let cohorts = scenario.cohorts.len();
+    if let Some(probe) = probe_cohort.filter(|&pc| pc as usize >= cohorts) {
+        return Err(FleetTrainError::ProbeOutOfRange { probe, cohorts });
+    }
+    if routed_windows(scenario, probe_cohort) == 0 {
+        return Err(FleetTrainError::NothingToTrain);
+    }
+    let dim = scaler.dim();
+    if let Some(window) = oracle.outcomes.iter().position(|o| o.context.len() != dim) {
+        let context = oracle.outcomes[window].context.len();
+        return Err(FleetTrainError::ContextDimMismatch { scaler: dim, window, context });
+    }
 
     let norm = scenario_load_normalizer(scenario);
-    let input_dim = scaler.dim() + norm.dims();
+    let input_dim = dim + norm.dims();
     let policy =
         PolicyNetwork::new(input_dim, hidden, scenario.topology().num_layers(), config.seed);
+    let windows = scenario.total_windows() as usize;
     let mut lp = Training {
         trainer: PolicyTrainer::new(policy, config),
         base: scaled_contexts(oracle, scaler),
         norm,
-        pending: vec![None; scenario.total_windows() as usize],
+        contexts: vec![0.0; windows * input_dim],
+        actions: vec![UNROUTED; windows],
+        scratch: Vec::with_capacity(input_dim),
         total: 0.0,
         outcomes: 0,
         drops: 0,
@@ -127,12 +217,15 @@ pub fn train_policy_in_fleet(
         })
         .unzip();
 
-    FleetTrainOutcome {
+    Ok(FleetTrainOutcome {
         policy: lp.trainer.into_policy(),
         curve: TrainingCurve { mean_reward_per_epoch: curve },
         drops_per_epoch,
-    }
+    })
 }
+
+/// `Training::actions` of a window not routed, or already heard.
+const UNROUTED: usize = usize::MAX;
 
 /// Training as a closed loop: route = sample an action on the window's
 /// load features, hear = score the outcome and apply the deferred
@@ -141,9 +234,14 @@ struct Training {
     trainer: PolicyTrainer,
     base: Vec<Vec<f32>>,
     norm: LoadNormalizer,
-    /// Routed-but-unresolved trained windows: (augmented context, sampled
-    /// action) by the window's global sequence number.
-    pending: Vec<Option<(Vec<f32>, usize)>>,
+    /// Routed-but-unresolved trained windows by global sequence number:
+    /// row `seq` (the policy's `input_dim` wide) is the augmented context the action in
+    /// `actions[seq]` was sampled on. Sized once, so neither `route` nor
+    /// `hear` allocates.
+    contexts: Vec<f32>,
+    actions: Vec<usize>,
+    /// `route`'s feature row while it is being built.
+    scratch: Vec<f32>,
     /// This epoch's reward sum over the trained windows, an `f32`
     /// accumulation in event order (the curve is byte-compared).
     total: f32,
@@ -151,21 +249,33 @@ struct Training {
     drops: u64,
 }
 
+impl Training {
+    /// Where window `seq`'s row sits in `contexts`.
+    fn row(&self, seq: u64) -> std::ops::Range<usize> {
+        let dim = self.trainer.policy().input_dim();
+        seq as usize * dim..(seq as usize + 1) * dim
+    }
+}
+
 impl<'t> ClosedLoop<'t> for Training {
     fn route(&mut self, ctx: &RouteCtx<'_>, i: usize) -> usize {
-        let mut feat = Vec::with_capacity(self.trainer.policy().input_dim());
-        load_features(&self.base[i], &self.norm, ctx, &mut feat);
-        let action = self.trainer.sample_action(&feat);
-        self.pending[ctx.seq as usize] = Some((feat, action));
+        load_features(&self.base[i], &self.norm, ctx, &mut self.scratch);
+        let action = self.trainer.sample_action(&self.scratch);
+        let row = self.row(ctx.seq);
+        self.contexts[row].copy_from_slice(&self.scratch);
+        self.actions[ctx.seq as usize] = action;
         action
     }
 
     fn hear(&mut self, ev: &JobEvent, scored: Option<(usize, f64)>) {
         let Some((_, r)) = scored else { return }; // background window: load only, no update
         let (JobEvent::Served { seq, .. } | JobEvent::Dropped { seq, .. }) = *ev;
-        let (feat, action) =
-            self.pending[seq as usize].take().expect("heard a window never routed");
-        self.trainer.observe(&feat, action, r as f32);
+        // The loop scores only what it routed through `route`, once each
+        // (a release build that breaks this fails `observe`'s action check).
+        let action = std::mem::replace(&mut self.actions[seq as usize], UNROUTED);
+        debug_assert_ne!(action, UNROUTED, "heard a window never routed");
+        let row = self.row(seq);
+        self.trainer.observe(&self.contexts[row], action, r as f32);
         self.total += r as f32;
         self.outcomes += 1;
         self.drops += u64::from(matches!(ev, JobEvent::Dropped { .. }));
@@ -348,6 +458,32 @@ mod tests {
             r_fleet.mean_reward_x100,
             r_static.mean_reward_x100
         );
+    }
+
+    /// Each way the arguments can disagree comes back as its own error,
+    /// before anything is trained.
+    #[test]
+    fn mismatched_arguments_are_typed_errors() {
+        let o = oracle(12);
+        let scaler = ContextScaler::fit(&o.contexts());
+        let reward = RewardModel::new(0.0005);
+        let try_with = |sc: &FleetScenario, o: &Oracle, scaler: &ContextScaler, probe| {
+            try_train_policy_in_fleet(sc, o, scaler, &reward, 8, quick_config(1), probe).map(|_| ())
+        };
+        let sc = hot_scenario();
+        assert_eq!(try_with(&sc, &o, &scaler, None), Ok(()));
+        assert_eq!(try_with(&sc, &oracle(0), &scaler, None), Err(FleetTrainError::EmptyOracle));
+        assert_eq!(
+            try_with(&sc, &o, &scaler, Some(1)),
+            Err(FleetTrainError::ProbeOutOfRange { probe: 1, cohorts: 1 })
+        );
+        let mut silent = hot_scenario();
+        silent.cohorts.push(CohortSpec::uniform(0, 8, 25.0, 0.0, RoutePlan::Fixed(0)));
+        assert_eq!(try_with(&silent, &o, &scaler, Some(1)), Err(FleetTrainError::NothingToTrain));
+        let narrow = ContextScaler::fit(&[vec![0.0]]);
+        let err = try_with(&sc, &o, &narrow, None).unwrap_err();
+        assert_eq!(err, FleetTrainError::ContextDimMismatch { scaler: 1, window: 0, context: 2 });
+        assert!(err.to_string().starts_with("context dimension mismatch"), "{err}");
     }
 
     #[test]

@@ -67,7 +67,9 @@ pub use adapt::{run_adaptive_stream, AdaptConfig, AdaptReport, ChunkStats, Recov
 pub use experiment::{
     static_delay_table, DatasetConfig, Experiment, ExperimentConfig, ExperimentReport,
 };
-pub use fleet_train::{train_policy_in_fleet, FleetTrainOutcome};
+pub use fleet_train::{
+    train_policy_in_fleet, try_train_policy_in_fleet, FleetTrainError, FleetTrainOutcome,
+};
 pub use oracle::{Oracle, WindowOutcome};
 pub use report::{format_table1, format_table2, Table1Row, Table2Row};
 pub use scheme::{SchemeEvaluator, SchemeKind, SchemeOutcome, SchemeResult};

@@ -2,21 +2,58 @@
 //!
 //! The paper trains the seq2seq models with **RMSProp** (§II-A2); SGD and Adam
 //! are provided for the policy network and ablations. Optimizers keep
-//! per-parameter state keyed by a caller-supplied *slot* index (stable across
-//! steps because layers visit parameters in a fixed order).
+//! per-parameter state in a `Vec` indexed by a caller-supplied *slot*
+//! (stable across steps because layers visit parameters in a fixed order;
+//! slot 0 opens a step) and update state and parameter in **one pass** per
+//! tensor.
+//!
+//! # No subnormal survives an update
+//!
+//! Adam stores both moments through [`hec_tensor::math::flush_subnormal`].
+//! Without it a parameter whose gradient goes to exact zero — a ReLU unit
+//! that stopped firing — has its `m` decay by β₁ a step into the subnormal
+//! range and stick there for good (`0.9 × 4 ulp` rounds back to `4 ulp`),
+//! and every later update pays a microcode assist per stuck element: the
+//! in-fleet policy trainer went from 4.8 µs to 26 µs an update over 24 000
+//! updates this way (EXPERIMENTS.md, PR 24). What the flush costs in
+//! accuracy, against the unflushed update `tests/reference/optim.rs` keeps:
+//!
+//! * a flushed `m` is below `2⁻¹²⁶`, the denominator `√v̂ + ε` is at least
+//!   `ε` and the bias correction `1 − β₁ᵗ` at least `1 − β₁`, so the step it
+//!   would have contributed is below `lr · 2⁻¹²⁶ / (ε · (1 − β₁))` —
+//!   `≈ 1.2 · 10⁻²⁹ · lr`, `10⁻³²` at `lr = 10⁻³`: under half an ulp of any
+//!   weight above `≈ 10⁻²⁵`, which therefore keeps its bits. A smaller
+//!   parameter (a bias still at zero) rounds each such step in, so over `N`
+//!   steps it differs from the unflushed one by at most `2N` times that;
+//! * a flushed `v` is below `2⁻¹²⁶`, so `√v̂` moves by less than
+//!   `√(2⁻¹²⁶ / (1 − β₂)) ≈ 3.4 · 10⁻¹⁸` against `ε = 10⁻⁸`, whose half-ulp
+//!   is `4.4 · 10⁻¹⁶`: the denominator keeps its bits.
+//!
+//! While no moment underflows the flush is the identity and every update is
+//! the unflushed one bit for bit (`tests/optim_reference.rs`). RMSProp's
+//! mean square is not flushed: a census of every benchmark workload found
+//! none to flush (EXPERIMENTS.md, PR 24).
 
-use std::collections::HashMap;
-
+use hec_tensor::math::flush_subnormal;
 use hec_tensor::Matrix;
 
 /// A stateful first-order optimizer.
 ///
 /// `slot` identifies a parameter tensor; callers must pass the same slot for
-/// the same tensor on every step (see
+/// the same tensor on every step, starting each step at slot 0 (see
 /// [`Sequential::apply_gradients`](crate::Sequential::apply_gradients)).
 pub trait Optimizer {
     /// Updates `param` in place given its gradient.
     fn step(&mut self, slot: usize, param: &mut Matrix, grad: &Matrix);
+}
+
+/// Slot `slot`'s state in `slots`, made by `init` the first time the slot
+/// is seen (slots may arrive in any order).
+fn slot_state<T>(slots: &mut Vec<Option<T>>, slot: usize, init: impl FnOnce() -> T) -> &mut T {
+    if slot >= slots.len() {
+        slots.resize_with(slot + 1, || None);
+    }
+    slots[slot].get_or_insert_with(init)
 }
 
 /// Plain stochastic gradient descent.
@@ -50,7 +87,7 @@ pub struct RmsProp {
     lr: f32,
     decay: f32,
     epsilon: f32,
-    mean_sq: HashMap<usize, Matrix>,
+    mean_sq: Vec<Option<Matrix>>,
 }
 
 impl RmsProp {
@@ -61,38 +98,43 @@ impl RmsProp {
     /// Panics if `lr` is not positive.
     pub fn new(lr: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        Self { lr, decay: 0.9, epsilon: 1e-7, mean_sq: HashMap::new() }
+        Self { lr, decay: 0.9, epsilon: 1e-7, mean_sq: Vec::new() }
+    }
+
+    /// Slot `slot`'s running mean of squared gradients, once it has been
+    /// stepped.
+    pub fn mean_sq(&self, slot: usize) -> Option<&Matrix> {
+        self.mean_sq.get(slot)?.as_ref()
     }
 }
 
 impl Optimizer for RmsProp {
     fn step(&mut self, slot: usize, param: &mut Matrix, grad: &Matrix) {
-        let ms =
-            self.mean_sq.entry(slot).or_insert_with(|| Matrix::zeros(param.rows(), param.cols()));
-        let d = self.decay;
-        // ms = ρ·ms + (1-ρ)·g²
-        for (m, &g) in ms.as_mut_slice().iter_mut().zip(grad.as_slice().iter()) {
-            *m = d * *m + (1.0 - d) * g * g;
-        }
-        let lr = self.lr;
-        let eps = self.epsilon;
-        for ((p, &g), &m) in
-            param.as_mut_slice().iter_mut().zip(grad.as_slice().iter()).zip(ms.as_slice().iter())
+        let ms = slot_state(&mut self.mean_sq, slot, || Matrix::zeros(param.rows(), param.cols()));
+        let (d, lr, eps) = (self.decay, self.lr, self.epsilon);
+        for ((p, m), &g) in
+            param.as_mut_slice().iter_mut().zip(ms.as_mut_slice()).zip(grad.as_slice())
         {
+            // ms = ρ·ms + (1-ρ)·g²
+            *m = d * *m + (1.0 - d) * g * g;
             *p -= lr * g / (m.sqrt() + eps);
         }
     }
 }
 
-/// Adam (Kingma & Ba) with bias correction.
+/// Adam (Kingma & Ba) with bias correction; both moments are stored
+/// subnormal-free (module docs).
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
     beta1: f32,
     beta2: f32,
     epsilon: f32,
+    /// Steps opened so far: slot 0 opens one.
     t: u64,
-    moments: HashMap<usize, (Matrix, Matrix)>,
+    /// `(1 − β₁ᵗ, 1 − β₂ᵗ)` of the open step.
+    bias: (f32, f32),
+    moments: Vec<Option<(Matrix, Matrix)>>,
 }
 
 impl Adam {
@@ -103,37 +145,52 @@ impl Adam {
     /// Panics if `lr` is not positive.
     pub fn new(lr: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        Self { lr, beta1: 0.9, beta2: 0.999, epsilon: 1e-8, t: 0, moments: HashMap::new() }
+        let (beta1, beta2) = (0.9, 0.999);
+        // A slot stepped before slot 0 ever was is corrected as in step 1.
+        let bias = Self::bias_corrections(beta1, beta2, 1);
+        Self { lr, beta1, beta2, epsilon: 1e-8, t: 0, bias, moments: Vec::new() }
+    }
+
+    /// `(1 − β₁ᵗ, 1 − β₂ᵗ)`. The exponent saturates at `i32::MAX`, where
+    /// both powers have long underflowed to 0 and both corrections are
+    /// exactly 1 — as they are for every larger `t`.
+    fn bias_corrections(beta1: f32, beta2: f32, t: u64) -> (f32, f32) {
+        let t = i32::try_from(t).unwrap_or(i32::MAX);
+        (1.0 - beta1.powi(t), 1.0 - beta2.powi(t))
+    }
+
+    /// Slot `slot`'s first and second moment, once it has been stepped.
+    pub fn moments(&self, slot: usize) -> Option<(&Matrix, &Matrix)> {
+        self.moments.get(slot)?.as_ref().map(|(m, v)| (m, v))
     }
 }
 
 impl Optimizer for Adam {
     fn step(&mut self, slot: usize, param: &mut Matrix, grad: &Matrix) {
-        // Counting steps per slot would be more precise; counting per call is
-        // the common simplification and only affects early bias correction.
+        // Slot 0 opens a step: the count and the corrections every slot of
+        // the step shares advance here, once. (Counting per slot would be
+        // more precise; per step is the common simplification and only
+        // affects early bias correction.)
         if slot == 0 {
-            self.t += 1;
+            self.t = self.t.saturating_add(1);
+            self.bias = Self::bias_corrections(self.beta1, self.beta2, self.t);
         }
-        let t = self.t.max(1);
-        let (m, v) = self.moments.entry(slot).or_insert_with(|| {
+        let (m, v) = slot_state(&mut self.moments, slot, || {
             (Matrix::zeros(param.rows(), param.cols()), Matrix::zeros(param.rows(), param.cols()))
         });
-        let (b1, b2) = (self.beta1, self.beta2);
-        for ((mi, vi), &g) in
-            m.as_mut_slice().iter_mut().zip(v.as_mut_slice().iter_mut()).zip(grad.as_slice().iter())
+        let (b1, b2, lr, eps) = (self.beta1, self.beta2, self.lr, self.epsilon);
+        let (bias1, bias2) = self.bias;
+        for (((p, mi), vi), &g) in param
+            .as_mut_slice()
+            .iter_mut()
+            .zip(m.as_mut_slice())
+            .zip(v.as_mut_slice())
+            .zip(grad.as_slice())
         {
-            *mi = b1 * *mi + (1.0 - b1) * g;
-            *vi = b2 * *vi + (1.0 - b2) * g * g;
-        }
-        let bias1 = 1.0 - b1.powi(t as i32);
-        let bias2 = 1.0 - b2.powi(t as i32);
-        let lr = self.lr;
-        let eps = self.epsilon;
-        for ((p, &mi), &vi) in
-            param.as_mut_slice().iter_mut().zip(m.as_slice().iter()).zip(v.as_slice().iter())
-        {
-            let m_hat = mi / bias1;
-            let v_hat = vi / bias2;
+            *mi = flush_subnormal(b1 * *mi + (1.0 - b1) * g);
+            *vi = flush_subnormal(b2 * *vi + (1.0 - b2) * g * g);
+            let m_hat = *mi / bias1;
+            let v_hat = *vi / bias2;
             *p -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
@@ -193,6 +250,20 @@ mod tests {
         opt.step(0, &mut a, &ga);
         opt.step(1, &mut b, &gb); // different shape in a different slot: fine
         assert!(a[(0, 0)] < 1.0 && b[(0, 0)] < 1.0);
+    }
+
+    /// The corrections a step shares are the two powers every slot used to
+    /// recompute, and past `i32::MAX` — where an `as i32` exponent wrapped
+    /// negative — they stay at the 1 they reached long before.
+    #[test]
+    fn adam_bias_corrections_match_powi_and_saturate_at_one() {
+        for t in [1u64, 2, 10, 1_000, 100_000] {
+            let expected = (1.0 - 0.9f32.powi(t as i32), 1.0 - 0.999f32.powi(t as i32));
+            assert_eq!(Adam::bias_corrections(0.9, 0.999, t), expected, "t = {t}");
+        }
+        for t in [i32::MAX as u64, i32::MAX as u64 + 1, u64::MAX] {
+            assert_eq!(Adam::bias_corrections(0.9, 0.999, t), (1.0, 1.0), "t = {t}");
+        }
     }
 
     #[test]

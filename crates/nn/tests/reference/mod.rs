@@ -11,6 +11,7 @@
 #![allow(dead_code)]
 
 pub mod dense;
+pub mod optim;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

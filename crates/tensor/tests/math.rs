@@ -1,6 +1,7 @@
 //! `hec_tensor::math` against its own contract: the special-value table,
 //! the ULP budgets (sampled here, every finite `f32` under `--ignored`),
-//! monotonicity, and slice form == scalar form bit for bit.
+//! monotonicity, slice form == scalar form bit for bit, and
+//! `flush_subnormal` zeroing the subnormals and nothing else.
 //!
 //! The referee is the platform's `f64` libm, correct to well under an `f32`
 //! ulp. Measured maxima of the exhaustive run are quoted in the module docs
@@ -319,6 +320,42 @@ fn exp_ln_tanh_sigmoid_are_monotone_on_the_grid() {
     }
 }
 
+#[test]
+fn flush_subnormal_zeroes_exactly_the_subnormals() {
+    let min = f32::MIN_POSITIVE;
+    let below = f32::from_bits(min.to_bits() - 1); // the largest subnormal
+    let above = f32::from_bits(min.to_bits() + 1);
+    let smallest = f32::from_bits(1);
+    // Passed through, bit for bit.
+    let nan = f32::from_bits(0x7fc0_1234);
+    for x in [0.0, min, above, 1.0, f32::MAX, f32::INFINITY, nan] {
+        for x in [x, -x] {
+            assert_eq!(math::flush_subnormal(x).to_bits(), x.to_bits(), "{x:e} must pass");
+        }
+    }
+    // Flushed to a zero of their sign.
+    for x in [below, smallest, min / 2.0] {
+        assert_eq!(math::flush_subnormal(x).to_bits(), 0.0f32.to_bits(), "{x:e}");
+        assert_eq!(math::flush_subnormal(-x).to_bits(), (-0.0f32).to_bits(), "-{x:e}");
+    }
+    // The rule is `|x| < MIN_POSITIVE → ±0` on every float: a zero
+    // exponent field and nothing else.
+    for bits in (0..=u32::MAX).step_by(65_537) {
+        let x = f32::from_bits(bits);
+        let expected = if x.abs() < min { 0.0f32.copysign(x) } else { x };
+        assert_eq!(math::flush_subnormal(x).to_bits(), expected.to_bits(), "{bits:#010x}");
+    }
+}
+
+/// A function's name, scalar form and in-place slice form.
+type SlicePair = (&'static str, fn(f32) -> f32, fn(&mut [f32]));
+
+/// Every scalar / slice pair of the module, `flush_subnormal` included.
+fn slice_pairs() -> impl Iterator<Item = SlicePair> {
+    let flush: SlicePair = ("flush_subnormal", math::flush_subnormal, math::flush_subnormal_slice);
+    CASES.iter().map(|case| (case.name, case.scalar, case.slice)).chain([flush])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -329,19 +366,23 @@ proptest! {
     fn slice_forms_match_scalar_forms_bit_for_bit(
         bits in collection::vec(any::<u32>(), 0..68),
         near in collection::vec(-30.0f32..30.0, 0..68),
+        tiny in collection::vec((0u32..0x0100_0000, any::<bool>()), 0..68),
         offset in 0usize..17,
     ) {
         // Raw bit patterns reach NaNs, infinities and subnormals; the
-        // second draw stays where the functions do their real work.
+        // second draw stays where the functions do their real work, the
+        // third on both sides of `MIN_POSITIVE`, where the flush does its.
         let raw: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
-        for xs in [raw, near] {
+        let tiny: Vec<f32> =
+            tiny.iter().map(|&(b, neg)| f32::from_bits(b | u32::from(neg) << 31)).collect();
+        for xs in [raw, near, tiny] {
             let offset = offset.min(xs.len());
-            for case in &CASES {
+            for (name, scalar, slice) in slice_pairs() {
                 let mut ys = xs.clone();
-                (case.slice)(&mut ys[offset..]);
+                slice(&mut ys[offset..]);
                 for (i, (&x, &y)) in xs.iter().zip(&ys).enumerate() {
-                    let expected = if i < offset { x } else { (case.scalar)(x) };
-                    prop_assert_eq!(y.to_bits(), expected.to_bits(), "{}({:e})", case.name, x);
+                    let expected = if i < offset { x } else { scalar(x) };
+                    prop_assert_eq!(y.to_bits(), expected.to_bits(), "{}({:e})", name, x);
                 }
             }
         }
