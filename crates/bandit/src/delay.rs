@@ -1,30 +1,11 @@
-//! Pluggable sources of per-action end-to-end delay.
+//! The per-action end-to-end delay the static reward is priced at.
 //!
 //! The paper's reward `R(a, z_x) = accuracy − C(a, x)` needs the delay `t`
-//! the chosen action actually paid. Early reproductions hard-coded the
-//! static per-layer table (`HecTopology::end_to_end_ms`), which makes the
-//! bandit blind to queueing: offloading under load looks exactly as cheap
-//! as offloading into an idle fleet. [`DelaySource`] abstracts where the
-//! delay comes from, so the same reward model and training loop work
-//! against the unloaded table ([`StaticDelays`]) *and* against observed
-//! load-dependent completions recorded from a fleet simulation
-//! ([`ObservedDelays`]).
-//!
-//! A source may also report that a window was never served at all
-//! (`None`): admission control shed it before any model saw it. The reward
-//! model maps that to the explicit drop penalty
-//! ([`crate::CostModel::DROP_COST`]) instead of panicking on a sentinel
-//! delay.
-
-/// Where the end-to-end delay of serving `window` with `action` comes from.
-///
-/// Returning `None` means the window was dropped (never served) under that
-/// action — callers should charge the drop penalty, not a delay cost.
-pub trait DelaySource {
-    /// Delay in ms for serving `window` at `action`, or `None` if the
-    /// window was dropped.
-    fn delay_ms(&self, window: usize, action: usize) -> Option<f64>;
-}
+//! the chosen action pays. Offline, that is the unloaded per-layer table
+//! (`HecTopology::end_to_end_ms`, Table II's `t_e2e` ladder):
+//! [`StaticDelays`]. In the fleet the delay is the one each window was
+//! observed to pay, and a shed window pays the drop penalty
+//! ([`crate::RewardModel::reward_dropped`]) instead.
 
 /// The load-independent per-action delay table (the paper's Table II
 /// `t_e2e` ladder). Every window pays the same delay for a given action
@@ -50,61 +31,13 @@ impl StaticDelays {
         Self { per_action }
     }
 
-    /// The underlying per-action delays.
-    pub fn per_action(&self) -> &[f64] {
-        &self.per_action
-    }
-}
-
-impl DelaySource for StaticDelays {
-    fn delay_ms(&self, _window: usize, action: usize) -> Option<f64> {
-        Some(self.per_action[action])
-    }
-}
-
-/// Observed per-(window, action) delays recorded from a closed-loop run
-/// (e.g. the discrete-event fleet simulator): load-dependent, and `None`
-/// where the combination was shed by admission control or never tried.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObservedDelays {
-    windows: usize,
-    actions: usize,
-    /// Row-major `[window][action]`; NaN = never observed / dropped.
-    delays: Vec<f64>,
-}
-
-impl ObservedDelays {
-    /// Creates an empty recorder for `windows × actions` combinations.
-    pub fn new(windows: usize, actions: usize) -> Self {
-        Self { windows, actions, delays: vec![f64::NAN; windows * actions] }
-    }
-
-    /// Records an observed completion delay.
+    /// Delay in ms for serving a window at `action`.
     ///
     /// # Panics
     ///
-    /// Panics if indices are out of range or `delay_ms` is not finite.
-    pub fn record(&mut self, window: usize, action: usize, delay_ms: f64) {
-        assert!(window < self.windows && action < self.actions, "index out of range");
-        assert!(delay_ms.is_finite(), "observed delay must be finite");
-        self.delays[window * self.actions + action] = delay_ms;
-    }
-
-    /// Number of recorded (served) combinations.
-    pub fn observed(&self) -> usize {
-        self.delays.iter().filter(|d| !d.is_nan()).count()
-    }
-}
-
-impl DelaySource for ObservedDelays {
-    fn delay_ms(&self, window: usize, action: usize) -> Option<f64> {
-        assert!(window < self.windows && action < self.actions, "index out of range");
-        let d = self.delays[window * self.actions + action];
-        if d.is_nan() {
-            None
-        } else {
-            Some(d)
-        }
+    /// Panics if `action` is out of range.
+    pub fn delay_ms(&self, action: usize) -> f64 {
+        self.per_action[action]
     }
 }
 
@@ -113,11 +46,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn static_table_is_window_independent() {
+    fn static_table_is_indexed_by_action() {
         let t = StaticDelays::new(vec![12.4, 257.43, 504.5]);
-        assert_eq!(t.delay_ms(0, 1), Some(257.43));
-        assert_eq!(t.delay_ms(999, 1), Some(257.43));
-        assert_eq!(t.per_action().len(), 3);
+        assert_eq!(t.delay_ms(0), 12.4);
+        assert_eq!(t.delay_ms(1), 257.43);
+        assert_eq!(t.delay_ms(2), 504.5);
     }
 
     #[test]
@@ -130,23 +63,5 @@ mod tests {
     #[should_panic(expected = "at least one action")]
     fn static_table_rejects_empty() {
         let _ = StaticDelays::new(vec![]);
-    }
-
-    #[test]
-    fn observed_delays_default_to_dropped() {
-        let mut o = ObservedDelays::new(4, 3);
-        assert_eq!(o.delay_ms(2, 1), None);
-        assert_eq!(o.observed(), 0);
-        o.record(2, 1, 88.5);
-        assert_eq!(o.delay_ms(2, 1), Some(88.5));
-        assert_eq!(o.delay_ms(2, 0), None);
-        assert_eq!(o.observed(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "index out of range")]
-    fn observed_bounds_checked() {
-        let o = ObservedDelays::new(2, 2);
-        let _ = o.delay_ms(2, 0);
     }
 }

@@ -9,9 +9,8 @@
 //!   `π_θ(a | z_x)` over HEC layers;
 //! * [`reward`] — the reward `R(a, z) = accuracy(x) − C(a, x)` with the
 //!   delay-to-accuracy cost `C = α·t_e2e / (1 + α·t_e2e)` (Eq. 1);
-//! * [`delay`] — pluggable [`DelaySource`]s feeding the reward: the static
-//!   per-action table, or observed load-dependent delays from a simulated
-//!   fleet (with `None` = dropped → the explicit drop penalty);
+//! * [`delay`] — the static per-action delay table ([`StaticDelays`]) the
+//!   offline reward is priced at;
 //! * [`train`] — REINFORCE with the **reinforcement comparison** baseline
 //!   (Williams 1992) the paper uses to reduce reward variance;
 //! * [`solvers`] — comparator bandit algorithms (ε-greedy, LinUCB) for the
@@ -47,7 +46,7 @@ pub mod solvers;
 pub mod train;
 
 pub use context::{ContextScaler, LoadNormalizer};
-pub use delay::{DelaySource, ObservedDelays, StaticDelays};
+pub use delay::StaticDelays;
 pub use policy::PolicyNetwork;
 pub use reward::{CostModel, InvalidDelay, RewardModel};
 pub use solvers::{BanditSolver, EpsilonGreedy, LinUcb};

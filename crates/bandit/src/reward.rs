@@ -110,20 +110,6 @@ impl RewardModel {
         -CostModel::DROP_COST
     }
 
-    /// Reward for a closed-loop outcome: `Some(delay)` means the window
-    /// was served (scored by [`RewardModel::reward`]), `None` means it was
-    /// dropped and pays [`RewardModel::reward_dropped`] regardless of
-    /// `correct` (a shed window has no verdict to be correct about).
-    ///
-    /// This is the reward path every [`crate::DelaySource`]-driven
-    /// training and evaluation loop goes through.
-    pub fn reward_outcome(&self, correct: bool, delay_ms: Option<f64>) -> f64 {
-        match delay_ms {
-            Some(t) => self.reward(correct, t),
-            None => self.reward_dropped(),
-        }
-    }
-
     /// Aggregate "Reward" column of Table II: `100 × (mean accuracy − mean
     /// cost)` over a set of `(correct, delay)` pairs.
     ///
@@ -238,15 +224,5 @@ mod tests {
         // Even an incorrect verdict after an absurd delay beats a drop.
         assert!(r.reward_dropped() < r.reward(false, 1e12));
         assert!(r.reward_dropped() < r.reward(true, 1e12));
-    }
-
-    #[test]
-    fn reward_outcome_routes_drops_to_the_penalty() {
-        let r = RewardModel::new(0.0005);
-        assert_eq!(r.reward_outcome(true, Some(12.4)), r.reward(true, 12.4));
-        assert_eq!(r.reward_outcome(false, Some(504.5)), r.reward(false, 504.5));
-        // Correctness is irrelevant for a window nobody served.
-        assert_eq!(r.reward_outcome(true, None), r.reward_dropped());
-        assert_eq!(r.reward_outcome(false, None), r.reward_dropped());
     }
 }

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use hec_nn::Adam;
 
-use crate::delay::DelaySource;
+use crate::delay::StaticDelays;
 use crate::policy::PolicyNetwork;
 use crate::reward::RewardModel;
 
@@ -254,15 +254,9 @@ impl PolicyTrainer {
         TrainingCurve { mean_reward_per_epoch: curve }
     }
 
-    /// Trains against a [`RewardModel`] whose delays come from a pluggable
-    /// [`DelaySource`]: the canonical reward path. `correct_of(i, a)` is
-    /// the frozen oracle's verdict-correctness for window `i` at action
-    /// `a`; windows the source reports as dropped (`None`) pay the drop
-    /// penalty ([`RewardModel::reward_dropped`]).
-    ///
-    /// With a [`crate::StaticDelays`] table this reproduces the paper's
-    /// original static training bit-for-bit; with observed delays the same
-    /// loop learns load-dependent costs.
+    /// Trains against a [`RewardModel`] at the static per-action delays:
+    /// the paper's original training. `correct_of(i, a)` is the frozen
+    /// oracle's verdict-correctness for window `i` at action `a`.
     ///
     /// # Panics
     ///
@@ -271,11 +265,11 @@ impl PolicyTrainer {
         &mut self,
         contexts: &[Vec<f32>],
         correct_of: &mut dyn FnMut(usize, usize) -> bool,
-        delays: &dyn DelaySource,
+        delays: &StaticDelays,
         reward: &RewardModel,
     ) -> TrainingCurve {
         let mut reward_of = |i: usize, a: usize| -> f32 {
-            reward.reward_outcome(correct_of(i, a), delays.delay_ms(i, a)) as f32
+            reward.reward(correct_of(i, a), delays.delay_ms(a)) as f32
         };
         self.train(contexts, &mut reward_of)
     }
@@ -362,11 +356,9 @@ mod tests {
     }
 
     #[test]
-    fn delay_source_training_matches_equivalent_closure() {
-        use crate::delay::StaticDelays;
-
+    fn delay_table_training_matches_equivalent_closure() {
         // Identical seeds and rewards ⇒ identical curves and weights,
-        // whether the reward comes from the closure or the trait path.
+        // whether the reward comes from the closure or the table path.
         let contexts: Vec<Vec<f32>> =
             (0..30).map(|i| if i % 2 == 0 { vec![1.0, 0.0] } else { vec![0.0, 1.0] }).collect();
         let delays = StaticDelays::new(vec![12.4, 257.43, 504.5]);
@@ -374,43 +366,21 @@ mod tests {
         let correct = |i: usize, a: usize| if i.is_multiple_of(2) { a == 0 } else { a == 2 };
         let config = TrainConfig { epochs: 10, ..Default::default() };
 
-        let mut via_trait = PolicyTrainer::new(PolicyNetwork::new(2, 16, 3, 5), config);
-        let curve_trait =
-            via_trait.train_with_delays(&contexts, &mut { correct }, &delays, &reward);
+        let mut via_table = PolicyTrainer::new(PolicyNetwork::new(2, 16, 3, 5), config);
+        let curve_table =
+            via_table.train_with_delays(&contexts, &mut { correct }, &delays, &reward);
 
         let mut via_closure = PolicyTrainer::new(PolicyNetwork::new(2, 16, 3, 5), config);
-        let mut reward_of = |i: usize, a: usize| -> f32 {
-            reward.reward(correct(i, a), delays.per_action()[a]) as f32
-        };
+        let ladder = [12.4, 257.43, 504.5];
+        let mut reward_of =
+            |i: usize, a: usize| -> f32 { reward.reward(correct(i, a), ladder[a]) as f32 };
         let curve_closure = via_closure.train(&contexts, &mut reward_of);
 
-        assert_eq!(curve_trait, curve_closure);
+        assert_eq!(curve_table, curve_closure);
         assert_eq!(
-            via_trait.policy_mut().weights_le_bytes(),
+            via_table.policy_mut().weights_le_bytes(),
             via_closure.policy_mut().weights_le_bytes()
         );
-    }
-
-    #[test]
-    fn dropped_windows_pay_the_penalty_during_training() {
-        use crate::delay::ObservedDelays;
-
-        // Action 1 is never served: the trained policy must avoid it even
-        // though its "correctness" would have been perfect.
-        let contexts: Vec<Vec<f32>> = (0..20).map(|_| vec![1.0, 1.0]).collect();
-        let mut observed = ObservedDelays::new(20, 3);
-        for i in 0..20 {
-            observed.record(i, 0, 12.4);
-            observed.record(i, 2, 504.5);
-        }
-        let reward = RewardModel::new(0.0005);
-        let mut trainer = PolicyTrainer::new(
-            PolicyNetwork::new(2, 16, 3, 3),
-            TrainConfig { epochs: 40, learning_rate: 5e-3, ..Default::default() },
-        );
-        let curve = trainer.train_with_delays(&contexts, &mut |_i, _a| true, &observed, &reward);
-        assert!(curve.final_reward() > 0.8, "final {}", curve.final_reward());
-        assert_ne!(trainer.policy_mut().greedy(&[1.0, 1.0]), 1, "policy kept the dropped arm");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run -p hec-bench --bin repro_fig2`.
 
-use hec_bandit::{DelaySource, PolicyNetwork, PolicyTrainer, RewardModel, TrainConfig};
+use hec_bandit::{PolicyNetwork, PolicyTrainer, RewardModel, TrainConfig};
 use hec_core::static_delay_table;
 use hec_sim::{DatasetKind, HecTopology};
 
@@ -33,7 +33,7 @@ fn main() {
     let mut reward_of = |i: usize, a: usize| -> f32 {
         let hardness = (i % 3) as f32 / 2.0;
         let capable = a as f32 / 2.0 >= hardness;
-        reward.reward_outcome(capable, delays.delay_ms(i, a)) as f32
+        reward.reward(capable, delays.delay_ms(a)) as f32
     };
     let mut trainer = PolicyTrainer::new(
         policy,

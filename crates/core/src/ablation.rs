@@ -11,8 +11,8 @@ use serde::{Deserialize, Serialize};
 
 use hec_anomaly::{ConfidenceRule, ThresholdRule};
 use hec_bandit::{
-    BanditSolver, ContextScaler, DelaySource, EpsilonGreedy, LinUcb, PolicyNetwork, PolicyTrainer,
-    RewardModel, TrainConfig, TrainingCurve,
+    BanditSolver, ContextScaler, EpsilonGreedy, LinUcb, PolicyNetwork, PolicyTrainer, RewardModel,
+    TrainConfig, TrainingCurve,
 };
 use hec_data::BinaryConfusion;
 use hec_sim::HecTopology;
@@ -153,7 +153,7 @@ pub fn solver_comparison(
     let reward = RewardModel::new(alpha);
     let delays = static_delay_table(topology, payload_bytes);
     let reward_of = |i: usize, a: usize| -> f32 {
-        reward.reward_outcome(oracle.correct(i, a), delays.delay_ms(i, a)) as f32
+        reward.reward(oracle.correct(i, a), delays.delay_ms(a)) as f32
     };
 
     // Classic solvers behind the common trait (each worker builds its own).
@@ -177,7 +177,7 @@ pub fn solver_comparison(
         for (i, ctx) in scaled.iter().enumerate() {
             let arm = solver.select(ctx, &mut greedy_rng);
             confusion.record(oracle.verdict(i, arm), oracle.outcomes[i].truth);
-            delay += delays.per_action()[arm];
+            delay += delays.delay_ms(arm);
         }
         SolverRow {
             solver: solver.name().to_owned(),
@@ -200,7 +200,7 @@ pub fn solver_comparison(
         for (i, ctx) in scaled.iter().enumerate() {
             let arm = policy.greedy(ctx);
             confusion.record(oracle.verdict(i, arm), oracle.outcomes[i].truth);
-            delay += delays.per_action()[arm];
+            delay += delays.delay_ms(arm);
         }
         let mean_reward = curve.mean_reward_per_epoch.iter().map(|&x| x as f64).sum::<f64>()
             / curve.mean_reward_per_epoch.len().max(1) as f64;

@@ -47,7 +47,7 @@
 //! calibration is pushed between reporting rounds.
 
 use hec_anomaly::{PageHinkley, PageHinkleyConfig, SlidingReservoir};
-use hec_bandit::{ContextScaler, DelaySource, PolicyTrainer, RewardModel};
+use hec_bandit::{ContextScaler, PolicyTrainer, RewardModel};
 use hec_data::{LabeledWindow, OnlineStandardizer};
 
 use crate::experiment::Experiment;
@@ -326,8 +326,7 @@ pub fn run_adaptive_stream(
             for (i, outcome) in oracle.outcomes.iter().enumerate() {
                 let context = scaler.transform(&outcome.context);
                 let action = trainer.sample_action(&context);
-                let delay = delays.delay_ms(i, action).expect("static delays never drop");
-                let r = reward.reward(oracle.correct(i, action), delay) as f32;
+                let r = reward.reward(oracle.correct(i, action), delays.delay_ms(action)) as f32;
                 trainer.buffer(context, action, r);
             }
             policy_updates = trainer.refresh();

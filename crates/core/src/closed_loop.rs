@@ -16,14 +16,12 @@
 //!    assembled and the only copy of the window-conservation checks,
 //!    which hold in release builds too;
 //! 3. **how the engine is driven** — [`run_closed_loop`] drains a plan
-//!    for one [`ClosedLoop`] (a router and the hearer of its outcomes)
-//!    and chooses the driver from what it is given: a stateless action
-//!    table over a fleet without background cohorts goes to [`run_plan`]
-//!    (serial below its work grain, worker threads above); anything whose
-//!    routing or bookkeeping changes between windows — a load-aware
-//!    policy, a probe cohort, a trainer mid-update — goes through
-//!    [`ShardedFleetEngine::step`], which hands over outcome *n* before
-//!    it routes window *n + 1*.
+//!    for one [`ClosedLoop`] (a router and the hearer of its outcomes):
+//!    a stateless action table over a fleet without background cohorts
+//!    goes to [`run_plan`] at any shard count; anything whose routing or
+//!    bookkeeping changes between windows — a load-aware policy, a probe
+//!    cohort, a trainer mid-update — needs a one-shard plan, whose shard
+//!    hands over outcome *n* before it routes window *n + 1*.
 //!
 //! The compositions: [`crate::stream::stream_through_fleet`] (one shard,
 //! any router, optional probe cohort) and
@@ -34,9 +32,9 @@
 use hec_bandit::{LoadNormalizer, PolicyNetwork, RewardModel};
 use hec_data::BinaryConfusion;
 use hec_sim::fleet::{
-    DropReason, FleetReport, FleetScenario, JobEvent, LatencyHist, RouteCtx, ShardPlan,
-    ShardedFleetEngine,
+    DropReason, FleetReport, FleetScenario, JobEvent, RouteCtx, ShardPlan, ShardedFleetEngine,
 };
+use hec_telemetry::GeomHist;
 
 use crate::oracle::Oracle;
 use crate::scheme::SchemeKind;
@@ -107,7 +105,8 @@ pub(crate) trait ClosedLoop<'t> {
 ///
 /// # Panics
 ///
-/// Panics if the probe cohort is out of range, or if the fleet lost a
+/// Panics if the probe cohort is out of range, if a stateful router or a
+/// probe cohort gets a plan of more than one shard, or if the fleet lost a
 /// scheme-routed window (not every one of them was heard).
 pub(crate) fn run_closed_loop<'p, 't>(
     plan: &'p ShardPlan,
@@ -122,7 +121,7 @@ pub(crate) fn run_closed_loop<'p, 't>(
     let mut heard = 0u64;
     let score = |ev: &JobEvent, i: usize| match *ev {
         JobEvent::Served { layer, latency_ms, .. } => {
-            (i, reward.reward_outcome(oracle.correct(i, layer), Some(latency_ms)))
+            (i, reward.reward(oracle.correct(i, layer), latency_ms))
         }
         JobEvent::Dropped { .. } => (i, reward.reward_dropped()),
     };
@@ -136,12 +135,15 @@ pub(crate) fn run_closed_loop<'p, 't>(
         });
         Box::new(move || run.report)
     } else {
+        let mut engine = ShardedFleetEngine::new(plan);
+        let [shard] = engine.shards_mut() else {
+            panic!("a stateful router needs a one-shard plan, got {} shards", plan.num_shards())
+        };
         // The oracle window of each scheme-routed window, noted at its
         // emission by sequence number (`u32::MAX`: a background window).
         let mut oracle_of = vec![u32::MAX; scenario.total_windows() as usize];
         let mut emitted = 0u64;
-        let mut engine = ShardedFleetEngine::new(plan);
-        while let Some(ev) = engine.step(&mut |ctx| {
+        while let Some(ev) = shard.step(&mut |ctx| {
             if probe.is_some_and(|pc| pc != ctx.cohort) {
                 return scenario.planned_layer(ctx.cohort, ctx.seq);
             }
@@ -186,7 +188,7 @@ pub(crate) struct Evaluation<'a> {
     confusion: BinaryConfusion,
     missed: u64,
     reward_sum: f64,
-    routed_latency: LatencyHist,
+    routed_latency: GeomHist,
     /// Every drop of the run by layer and cause — background cohorts
     /// included, so the totals reconcile against the fleet report.
     drops: Vec<DropBreakdown>,
@@ -273,7 +275,7 @@ pub(crate) fn evaluate_in_fleet(
         confusion: BinaryConfusion::new(),
         missed: 0,
         reward_sum: 0.0,
-        routed_latency: LatencyHist::new(),
+        routed_latency: GeomHist::new(),
         drops: (0..plan.num_layers())
             .map(|layer| DropBreakdown { layer, queue: 0, link: 0 })
             .collect(),
@@ -285,8 +287,10 @@ pub(crate) fn evaluate_in_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::WindowOutcome;
+    use crate::sharded::run_scenario_sharded;
     use hec_anomaly::ConfidenceRule;
-    use hec_sim::fleet::{FleetScale, FleetSim};
+    use hec_sim::fleet::FleetScale;
 
     /// Closes an evaluation that heard nothing against `light_load`'s own
     /// report after `tamper` had a go at it.
@@ -296,7 +300,8 @@ mod tests {
             thresholds: [0.0; 3],
             confidence: ConfidenceRule::default(),
         };
-        let mut fleet = FleetSim::new(&FleetScenario::light_load(FleetScale::Quick)).run();
+        let mut fleet =
+            run_scenario_sharded(&FleetScenario::light_load(FleetScale::Quick), 1).report;
         assert_eq!((fleet.dropped, fleet.served), (0, fleet.emitted), "light_load sheds nothing");
         tamper(&mut fleet);
         let evaluation = Evaluation {
@@ -305,7 +310,7 @@ mod tests {
             confusion: BinaryConfusion::new(),
             missed: 0,
             reward_sum: 0.0,
-            routed_latency: LatencyHist::new(),
+            routed_latency: GeomHist::new(),
             drops: vec![DropBreakdown { layer: 0, queue: 0, link: 0 }],
         };
         evaluation.finish(SchemeKind::IoTDevice, fleet)
@@ -331,5 +336,36 @@ mod tests {
     #[should_panic(expected = "window conservation violated")]
     fn finish_rejects_a_report_that_lost_a_window() {
         finish_against(|fleet| fleet.emitted += 1);
+    }
+
+    /// A load-aware policy reads the live queues as each window is
+    /// emitted, so it cannot ride the window loop: on a plan of two shards
+    /// the loop refuses it rather than pick a driver that would route it
+    /// differently.
+    #[test]
+    #[should_panic(expected = "needs a one-shard plan, got 2 shards")]
+    fn a_load_aware_router_needs_a_one_shard_plan() {
+        let oracle = Oracle {
+            outcomes: vec![WindowOutcome {
+                truth: false,
+                min_log_pd: [-1.0; 3],
+                anomalous_fraction: [0.0; 3],
+                context: vec![0.0],
+            }],
+            thresholds: [-10.0; 3],
+            confidence: ConfidenceRule::default(),
+        };
+        let sc = FleetScenario::light_load(FleetScale::Quick);
+        let norm = crate::stream::scenario_load_normalizer(&sc);
+        let mut policy = PolicyNetwork::new(1 + norm.dims(), 4, 3, 0);
+        let router = SchemeRouter::LoadAware {
+            policy: &mut policy,
+            base: vec![vec![0.0]],
+            norm,
+            scratch: Vec::new(),
+        };
+        let plan = ShardPlan::new(&sc, 2);
+        let reward = RewardModel::new(0.0005);
+        evaluate_in_fleet(&plan, &oracle, SchemeKind::Adaptive, router, &reward, None);
     }
 }

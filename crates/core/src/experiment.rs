@@ -370,9 +370,8 @@ impl Experiment {
     }
 
     /// The static per-action delay table of this experiment's topology
-    /// and payload — the unloaded `t_e2e` ladder behind Table II, exposed
-    /// as a [`StaticDelays`] source so training and ablations share one
-    /// reward path with the fleet-observed delays.
+    /// and payload — the unloaded `t_e2e` ladder behind Table II, which
+    /// training and ablations price rewards at.
     pub fn static_delays(&self) -> StaticDelays {
         static_delay_table(&self.topology, self.config.payload_bytes())
     }
@@ -465,10 +464,9 @@ impl Experiment {
 }
 
 /// The static per-action delay table for a topology and payload: the
-/// unloaded end-to-end `t_e2e` of every layer, as a [`StaticDelays`]
-/// source. Every consumer of the old "fixed delay table" reward path goes
-/// through this (training, ablations, figures), so swapping in observed
-/// fleet delays is a one-argument change.
+/// unloaded end-to-end `t_e2e` of every layer, as [`StaticDelays`]. Every
+/// consumer of the fixed-delay reward path goes through this (training,
+/// ablations, figures).
 pub fn static_delay_table(topology: &HecTopology, payload_bytes: usize) -> StaticDelays {
     StaticDelays::new(
         (0..topology.num_layers()).map(|l| topology.end_to_end_ms(l, payload_bytes)).collect(),

@@ -25,8 +25,8 @@
 //! * [`replay`] — the same closed loop at shard scale: an (amplified)
 //!   trace corpus streamed through the sharded fleet engine (streaming,
 //!   replay and training are three compositions of one private loop:
-//!   a scheme's action, a window's score and the engine's step loop are
-//!   each written once);
+//!   a scheme's action, a window's score and how the engine is driven
+//!   are each written once);
 //! * [`ablation`] — α sweeps, baseline ablation, bandit-solver comparison
 //!   and confidence-rule sweeps — the design choices the paper fixes
 //!   without measuring;
@@ -38,10 +38,11 @@
 //!   in-fleet refresh of the standardizer, the detector calibration and
 //!   the bandit policy — all inside the sharded replay loop, with
 //!   deterministic reports;
-//! * [`sharded`] — the parallel driver for the sharded fleet engine:
-//!   shards advance to conservative lookahead barriers on `HEC_THREADS`
-//!   workers and merge deterministically, scaling fleet scenarios to
-//!   millions of devices with byte-identical output at any thread count.
+//! * [`sharded`] — the fleet driver: a one-shard plan stepped outcome by
+//!   outcome, a larger one through the window loop, where shards advance
+//!   to conservative lookahead barriers on `HEC_THREADS` workers and merge
+//!   deterministically, scaling fleet scenarios to millions of devices
+//!   with byte-identical output at any thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

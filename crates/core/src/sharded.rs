@@ -1,44 +1,45 @@
-//! Parallel driver for the sharded fleet engine.
+//! The fleet driver: a shard plan run to completion, one way per shard count.
 //!
 //! `hec_sim::fleet::shard` owns the partitioning and the deterministic
-//! merge; this module supplies the threads. [`run_plan`] pays for them
-//! **once per run**: inside one `thread::scope` the calling thread — the
-//! coordinator — keeps the first contiguous chunk of shards and spawns
-//! `workers − 1` threads that each own one chunk until the plan has
-//! drained. Per lookahead window the coordinator publishes the barrier,
-//! every thread advances its chunk to it and leaves the buffered outcomes
-//! at the rendezvous, and the coordinator merges them in stable
-//! `(time, shard-id)` order and calls the observer serially. Because
-//! shards are independent and the merge order is fixed, the outcome
-//! stream, the observer calls, the final report, the registry snapshot
-//! and the virtual-clock trace are byte-identical whatever the thread
-//! count — the same invariant CI enforces for the serial engine. A thread
-//! that panics (a router returning a layer outside the topology) aborts
-//! the rendezvous instead of leaving the others waiting, and the panic
-//! propagates out of `run_plan`.
+//! merge. A one-shard plan steps its shard outcome by outcome on the
+//! calling thread. A larger plan runs the **window loop**, paying for its
+//! threads **once per run**: inside one `thread::scope` the calling
+//! thread — the coordinator — keeps the first contiguous chunk of shards
+//! and spawns `workers − 1` threads that each own one chunk until the
+//! plan has drained. Per lookahead window the coordinator publishes the
+//! barrier, every thread advances its chunk to it and leaves the buffered
+//! outcomes at the rendezvous, and the coordinator merges them in stable
+//! `(time, shard-id)` order and calls the observer serially; at one
+//! worker it holds every shard, spawns nothing and waits on nobody.
+//! Because shards are independent and the merge order is fixed, the
+//! outcome stream, the observer calls, the final report, the registry
+//! snapshot and the virtual-clock trace are byte-identical whatever the
+//! worker count — the same invariant CI enforces for the serial engine. A
+//! thread that panics (a router returning a layer outside the topology)
+//! aborts the rendezvous instead of leaving the others waiting, and the
+//! panic propagates out of `run_plan`.
 //!
 //! Threads are only worth their spawn and one rendezvous per window when
 //! each has enough to do, so `run_plan` uses `min(HEC_THREADS, shards,
-//! windows / WINDOWS_PER_WORKER)` workers and, at one, takes the serial
-//! [`ShardedFleetEngine::step`] loop — the same barriers and the same
-//! merge on one thread. The adaptation loop's 50-window chunk replays are
-//! far below the grain; spawning for them cost more than the simulation.
-//! The grain comes from a sweep on the two-core build machine (the
-//! ignored `grain_sweep` test and its one-process-per-cell repeat; tables
-//! in EXPERIMENTS.md, PR 12 and PR 16): serial against 2 workers at 4
-//! shards, the window loop wins from below 16 000 windows per worker on
-//! the replay fleet (ten emission rounds, so about eleven barriers
-//! however large it is) and from about 49 000 per worker on `flash_crowd`
-//! (about 120 barriers at every size, each a rendezvous that costs what
-//! it did when a window cost 1.7× as much: PR 16 moved this crossover up
-//! from about 33 000 and the constant from 16 384). 32 768 sits between:
-//! at worst a third is forgone on the replay shape just below it, and
-//! about a seventh lost on `flash_crowd` just above it.
+//! windows / WINDOWS_PER_WORKER)` workers, and at least one. The
+//! adaptation loop's 50-window chunk replays are far below the grain;
+//! spawning for them cost more than the simulation. The grain comes from
+//! a sweep on the two-core build machine (the ignored `grain_sweep` test
+//! and its one-process-per-cell repeat; tables in EXPERIMENTS.md): one
+//! worker against 2 at 4 shards, two win from below 16 000 windows per
+//! worker on the replay fleet (ten emission rounds, so about eleven
+//! barriers however large it is) and from about 49 000 per worker on
+//! `flash_crowd` (about 120 barriers at every size, each a rendezvous
+//! that costs what it did when a window cost 1.7× as much: the
+//! lane-backed event loop moved this crossover up from about 33 000 and
+//! the constant from 16 384). 32 768 sits between: at worst a third is
+//! forgone on the replay shape just below it, and about a seventh lost on
+//! `flash_crowd` just above it.
 //!
 //! The router must be `Fn + Sync` (shared across workers); routing tables
 //! and scenario route plans qualify. Stateful `FnMut` routers — e.g. a
-//! policy mid-training — cannot be shared across threads and instead go
-//! through [`ShardedFleetEngine::step`] themselves.
+//! policy mid-training — cannot be shared across threads and instead step
+//! a one-shard plan themselves.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -64,11 +65,11 @@ pub struct ShardedFleetRun {
 }
 
 /// Runs a shard plan to completion and delivers every merged outcome to
-/// `observer` in the deterministic `(time, shard-id)` order. Shards
-/// advance **in parallel** — up to `HEC_THREADS` workers, spawned once
-/// for the whole run — when the plan has at least [`WINDOWS_PER_WORKER`]
-/// windows per worker, and through the serial step loop otherwise; the
-/// outcome stream and the report are the same either way.
+/// `observer` in the deterministic `(time, shard-id)` order: a one-shard
+/// plan stepped outcome by outcome, a larger one through the window loop
+/// on up to `HEC_THREADS` workers — spawned once for the whole run, and
+/// only as many as the plan has [`WINDOWS_PER_WORKER`] windows for. The
+/// outcome stream and the report do not depend on the worker count.
 ///
 /// # Panics
 ///
@@ -82,10 +83,10 @@ pub fn run_plan(
 ) -> ShardedFleetRun {
     let _span = hec_telemetry::WallSpan::new("core.fleet_run");
     let by_grain = (plan.scenario().total_windows() / WINDOWS_PER_WORKER) as usize;
-    drive(plan, thread_count().min(plan.num_shards()).min(by_grain), router, observer)
+    drive(plan, thread_count().min(plan.num_shards()).min(by_grain).max(1), router, observer)
 }
 
-/// [`run_plan`] at a given worker count.
+/// [`run_plan`] at a given worker count (one or more).
 fn drive(
     plan: &ShardPlan,
     workers: usize,
@@ -93,13 +94,13 @@ fn drive(
     observer: &mut dyn FnMut(&JobEvent),
 ) -> ShardedFleetRun {
     let mut engine = ShardedFleetEngine::new(plan);
-    if workers <= 1 {
-        let mut serial = |ctx: &RouteCtx| router(ctx);
-        while let Some(ev) = engine.step(&mut serial) {
-            observer(&ev);
+    match engine.shards_mut() {
+        [shard] => {
+            while let Some(ev) = shard.step(&mut |ctx| router(ctx)) {
+                observer(&ev);
+            }
         }
-    } else {
-        drive_windows(plan, engine.shards_mut(), workers, router, observer);
+        shards => drive_windows(plan, shards, workers, router, observer),
     }
     let shard_events = engine.shards_mut().iter().map(|shard| shard.events()).collect();
     ShardedFleetRun { report: engine.report(), shard_events }
@@ -211,9 +212,9 @@ impl Drop for AbortOnPanic<'_> {
     }
 }
 
-/// The parallel window loop: `shards` in one contiguous chunk per
-/// thread, the first on the calling thread — the coordinator, which also
-/// publishes the barriers, merges and calls the observer.
+/// The window loop: `shards` in one contiguous chunk per worker, the
+/// first on the calling thread — the coordinator, which also publishes
+/// the barriers, merges and calls the observer.
 fn drive_windows(
     plan: &ShardPlan,
     shards: &mut [ShardEngine<'_>],
@@ -290,21 +291,8 @@ mod tests {
     use super::*;
     use crate::parallel::with_thread_count;
     use crate::replay::replay_scenario;
-    use hec_sim::fleet::{FleetScale, FleetSim};
+    use hec_sim::fleet::{FleetEngine, FleetScale};
     use hec_sim::DatasetKind;
-
-    /// The reference: the engine's own serial `step` loop.
-    fn step_driven(sc: &FleetScenario, shards: usize) -> (Vec<JobEvent>, ShardedFleetRun) {
-        let plan = ShardPlan::new(sc, shards);
-        let mut engine = ShardedFleetEngine::new(&plan);
-        let mut router = |ctx: &RouteCtx| sc.planned_layer(ctx.cohort, ctx.seq);
-        let mut outcomes = Vec::new();
-        while let Some(ev) = engine.step(&mut router) {
-            outcomes.push(ev);
-        }
-        let shard_events = engine.shards_mut().iter().map(|shard| shard.events()).collect();
-        (outcomes, ShardedFleetRun { report: engine.report(), shard_events })
-    }
 
     fn run_plan_driven(
         sc: &FleetScenario,
@@ -330,33 +318,69 @@ mod tests {
         sc
     }
 
-    /// Four workers on every named scenario. The shards × threads matrix
-    /// on both sides of the grain, with the registry snapshot and the
-    /// Chrome trace, is `tests/sharded_driver.rs` — a binary of its own,
-    /// because the recorder is global.
+    /// One worker and four on every named scenario. The shards × threads
+    /// matrix on both sides of the grain against the serial barrier loop,
+    /// with the registry snapshot and the Chrome trace, and small plans
+    /// against it at one worker, are `tests/sharded_driver.rs` — a binary
+    /// of its own, because the recorder is global.
     #[test]
-    fn parallel_driver_matches_serial_step_driver() {
+    fn sharded_run_is_thread_count_invariant() {
         for name in FleetScenario::NAMES {
             let sc = above_grain(name);
-            let (step_ev, step_run) = step_driven(&sc, 4);
-            let (win_ev, win_run) = run_plan_driven(&sc, 4, 4);
-            assert_eq!(step_ev, win_ev, "{name}: outcome streams diverged");
-            assert_eq!(step_run, win_run, "{name}: runs diverged");
-            assert_eq!(win_run.shard_events.len(), 4, "{name}");
-            assert_eq!(win_run.shard_events.iter().sum::<u64>(), win_run.report.events, "{name}");
+            let (ev_1, run_1) = run_plan_driven(&sc, 4, 1);
+            let (ev_4, run_4) = run_plan_driven(&sc, 4, 4);
+            assert_eq!(ev_1, ev_4, "{name}: outcome stream depends on HEC_THREADS");
+            assert_eq!(run_1, run_4, "{name}: report depends on HEC_THREADS");
+            assert_eq!(run_1.report.to_text(), run_4.report.to_text(), "{name}");
+            assert_eq!(run_1.report.layers_csv(), run_4.report.layers_csv(), "{name}");
+            assert_eq!(run_1.report.trace_csv(), run_4.report.trace_csv(), "{name}");
+            assert_eq!(run_4.shard_events.len(), 4, "{name}");
+            assert_eq!(run_4.shard_events.iter().sum::<u64>(), run_4.report.events, "{name}");
         }
     }
 
+    /// Plans far below the grain, on 1–4 workers all the same: more shards
+    /// than devices (whole chunks of empty shards) and random scenarios of
+    /// a few dozen devices. `run_plan` keeps them on one worker, where
+    /// `tests/sharded_driver.rs` holds them to the serial barrier loop.
     #[test]
-    fn sharded_run_is_thread_count_invariant() {
-        let sc = above_grain("flash_crowd");
-        let (ev_1, run_1) = run_plan_driven(&sc, 4, 1);
-        let (ev_4, run_4) = run_plan_driven(&sc, 4, 4);
-        assert_eq!(ev_1, ev_4, "outcome stream depends on HEC_THREADS");
-        assert_eq!(run_1, run_4, "report depends on HEC_THREADS");
-        assert_eq!(run_1.report.to_text(), run_4.report.to_text());
-        assert_eq!(run_1.report.layers_csv(), run_4.report.layers_csv());
-        assert_eq!(run_1.report.trace_csv(), run_4.report.trace_csv());
+    fn small_plans_are_worker_count_invariant() {
+        use hec_sim::fleet::{CohortSpec, RoutePlan};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut few_devices = FleetScenario::light_load(FleetScale::Quick);
+        few_devices.cohorts[0].devices = 3;
+        let mut plans = vec![(few_devices, 8)];
+        let mut rng = StdRng::seed_from_u64(25);
+        for _ in 0..24 {
+            let mut sc = FleetScenario::light_load(FleetScale::Quick);
+            sc.queue_capacity = rng.gen_range(1..64);
+            sc.batch_max = rng.gen_range(1..6);
+            let weights = [(); 3].map(|()| rng.gen_range(0.05..1.0));
+            let (devices, windows) = (rng.gen_range(1..40), rng.gen_range(1..8));
+            let route = RoutePlan::Mixture(weights);
+            sc.cohorts =
+                vec![CohortSpec::uniform(devices, windows, rng.gen_range(1.0..500.0), 0.0, route)];
+            plans.push((sc, rng.gen_range(2..9)));
+        }
+        for (i, (sc, shards)) in plans.iter().enumerate() {
+            let plan = ShardPlan::new(sc, *shards);
+            let router = |ctx: &RouteCtx| sc.planned_layer(ctx.cohort, ctx.seq);
+            let driven = |workers| {
+                let mut outcomes = Vec::new();
+                let run = drive(&plan, workers, &router, &mut |ev| outcomes.push(*ev));
+                (outcomes, run)
+            };
+            let (ev_1, run_1) = driven(1);
+            assert_eq!(run_1.report.emitted, sc.total_windows(), "plan {i}");
+            assert_eq!(ev_1.len() as u64, run_1.report.emitted, "plan {i}");
+            for workers in 2..=4 {
+                let (ev, run) = driven(workers);
+                assert_eq!(ev, ev_1, "plan {i} ({shards} shards) at {workers} workers");
+                assert_eq!(run, run_1, "plan {i} ({shards} shards) at {workers} workers");
+            }
+        }
     }
 
     /// A router that panics on a worker's shard (2 workers × 4 shards:
@@ -387,15 +411,17 @@ mod tests {
     fn one_shard_run_matches_the_serial_engine_bytes() {
         for name in FleetScenario::NAMES {
             let sc = FleetScenario::by_name(name, FleetScale::Quick).unwrap();
-            let serial = FleetSim::new(&sc).run();
+            let mut engine = FleetEngine::new(&sc);
+            while engine.step(&mut |ctx| sc.planned_layer(ctx.cohort, ctx.seq)).is_some() {}
+            let serial = engine.report();
             let run = run_scenario_sharded(&sc, 1);
             assert_eq!(serial, run.report, "{name}");
             assert_eq!(serial.to_text(), run.report.to_text(), "{name}");
         }
     }
 
-    /// The sweep behind `WINDOWS_PER_WORKER` (module docs): the serial
-    /// step loop against the window loop at 2 workers, 4 shards, runs
+    /// The sweep behind `WINDOWS_PER_WORKER` (module docs): the window
+    /// loop at 1 worker against 2 workers, 4 shards, runs
     /// alternating, on the replay fleet (ten emission rounds whatever its
     /// size, a third of the windows to each layer) and on `flash_crowd`
     /// (about 120 barriers) from tens to 256 k windows. Largest first:

@@ -18,21 +18,22 @@
 //! delay is therefore *load-dependent*: the same action costs more under
 //! queueing.
 //!
-//! The engine comes in two shapes sharing one implementation:
+//! The engine has two drivers sharing one implementation:
 //!
-//! * [`FleetSim::run_with`] — the push driver: run to completion with a
-//!   router and an observer callback (scenario replays, CSV exports);
-//! * [`FleetEngine::step`] — the pull driver: advance the virtual clock
-//!   until the *next* per-window outcome ([`JobEvent::Served`] /
-//!   [`JobEvent::Dropped`]) and return it. This is what closes the
-//!   training loop: a caller can route a window, observe its simulated
-//!   load-dependent completion, update the policy, and keep going —
-//!   without re-running whole scenarios.
+//! * [`FleetEngine::step`] — advance the virtual clock until the *next*
+//!   per-window outcome ([`JobEvent::Served`] / [`JobEvent::Dropped`])
+//!   and return it. This is what closes the training loop: a caller can
+//!   route a window, observe its simulated load-dependent completion,
+//!   update the policy, and keep going — without re-running whole
+//!   scenarios;
+//! * [`FleetEngine::advance_until`] — process every event up to a barrier
+//!   and hand the outcomes to a sink: a shard's half of a multi-shard
+//!   plan's window loop ([`super::shard`]).
 //!
-//! The engine is single-threaded and fully deterministic — same scenario,
-//! same seed ⇒ byte-identical [`FleetReport`] regardless of host thread
-//! count or `HEC_THREADS`, and the step-wise API yields exactly the event
-//! sequence the push driver reports.
+//! An engine is driven by one of them for its whole run. It is
+//! single-threaded and fully deterministic — same scenario, same seed ⇒
+//! byte-identical [`FleetReport`] regardless of host thread count or
+//! `HEC_THREADS`, and both drivers yield the same outcome sequence.
 //!
 //! The hot path is batched, and what is left of it is kept out of the
 //! heap. One emission event injects a whole phase bucket of windows and a
@@ -54,10 +55,12 @@
 
 use std::collections::VecDeque;
 
+use hec_telemetry::GeomHist;
+
 use crate::event::EventQueue;
 use crate::topology::HecTopology;
 
-use super::metrics::{DropReason, FleetReport, FleetTotals, LatencyHist, TraceSample};
+use super::metrics::{DropReason, FleetReport, FleetTotals, TraceSample};
 use super::queueing::{FifoQueue, JobRec, PsResource};
 use super::scenario::{Discipline, FleetScenario};
 
@@ -151,18 +154,17 @@ struct LayerState {
     dropped_link: u64,
     busy_ms: f64,
     link_work_ms: f64,
-    latency: LatencyHist,
+    latency: GeomHist,
 }
 
-/// A resumable, step-wise fleet simulation: the pull-driven core behind
-/// [`FleetSim`].
+/// A resumable fleet simulation.
 ///
 /// [`FleetEngine::step`] advances the virtual clock until the next
 /// per-window outcome and returns it; the caller supplies the router on
 /// every call, so routing state (e.g. a policy network being trained on
 /// the observed completions) can be mutated *between* steps. Once `step`
 /// returns `None` the run is complete and [`FleetEngine::report`] renders
-/// the same [`FleetReport`] the push driver would have produced.
+/// its [`FleetReport`].
 pub struct FleetEngine<'a> {
     sc: &'a FleetScenario,
     topo: HecTopology,
@@ -265,7 +267,7 @@ impl<'a> FleetEngine<'a> {
                     dropped_link: 0,
                     busy_ms: 0.0,
                     link_work_ms: 0.0,
-                    latency: LatencyHist::new(),
+                    latency: GeomHist::new(),
                 }
             })
             .collect();
@@ -361,29 +363,24 @@ impl<'a> FleetEngine<'a> {
     /// Advances the simulation through every event at or before
     /// `barrier_ms`, handing each per-window outcome to `sink` with the
     /// virtual time of the event that produced it (the sink is therefore
-    /// called in time order). Outcomes still `pending` from earlier
-    /// [`FleetEngine::step`] calls go to the sink first, so mixing the two
-    /// on one engine never loses or duplicates outcomes.
+    /// called in time order).
     ///
     /// This is the shard-local primitive behind the sharded fleet engine:
     /// a shard advances to the coordinator's barrier, and the coordinator
     /// merges the timestamped outcomes across shards in stable shard order.
+    /// An engine driven by [`FleetEngine::step`] is never advanced this way.
     ///
     /// # Panics
     ///
-    /// Panics if the router returns a layer outside the topology.
+    /// Panics if the router returns a layer outside the topology, or if
+    /// outcomes of an earlier [`FleetEngine::step`] are still queued.
     pub fn advance_until(
         &mut self,
         barrier_ms: f64,
         router: &mut dyn FnMut(&RouteCtx) -> usize,
         sink: &mut impl FnMut(f64, JobEvent),
     ) {
-        // Anything already pending was produced at or before the last
-        // processed event's time.
-        let carried = self.last_activity_ms;
-        for ev in self.pending.drain(..) {
-            sink(carried, ev);
-        }
+        assert!(self.pending.is_empty(), "a stepped engine advanced to a barrier");
         while let Some((now, ev)) = self.q.pop_at_or_before(barrier_ms) {
             self.dispatch(now, ev, router, &mut |out| sink(now, out));
         }
@@ -760,55 +757,6 @@ impl<'a> FleetEngine<'a> {
     }
 }
 
-/// A configured fleet simulation, ready to run (the push driver over
-/// [`FleetEngine`]).
-pub struct FleetSim<'a> {
-    scenario: &'a FleetScenario,
-    topology: HecTopology,
-}
-
-impl<'a> FleetSim<'a> {
-    /// Prepares a simulation on the scenario's own topology
-    /// ([`FleetScenario::topology`]).
-    pub fn new(scenario: &'a FleetScenario) -> Self {
-        let topology = scenario.topology();
-        Self::with_topology(scenario, topology)
-    }
-
-    /// Prepares a simulation on an explicit topology (the scenario's
-    /// bandwidth overrides are ignored; the topology is taken as-is).
-    pub fn with_topology(scenario: &'a FleetScenario, topology: HecTopology) -> Self {
-        assert!(!scenario.cohorts.is_empty(), "scenario has no cohorts");
-        Self { scenario, topology }
-    }
-
-    /// Runs the scenario with its own routing plans and no observer.
-    pub fn run(&self) -> FleetReport {
-        let sc = self.scenario;
-        let mut router = |ctx: &RouteCtx| sc.planned_layer(ctx.cohort, ctx.seq);
-        self.run_with(&mut router, &mut |_| {})
-    }
-
-    /// Runs with a custom router (e.g. a trained policy choosing the
-    /// action per window) and an observer receiving every per-window
-    /// [`JobEvent`] in deterministic order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the router returns a layer outside the topology.
-    pub fn run_with(
-        &self,
-        router: &mut dyn FnMut(&RouteCtx) -> usize,
-        observer: &mut dyn FnMut(&JobEvent),
-    ) -> FleetReport {
-        let mut engine = FleetEngine::with_topology(self.scenario, self.topology.clone());
-        while let Some(ev) = engine.step(router) {
-            observer(&ev);
-        }
-        engine.report()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -823,12 +771,31 @@ mod tests {
         sc
     }
 
+    /// Steps `sc` to completion under `router`, handing every outcome to
+    /// `observer`.
+    fn run_with(
+        sc: &FleetScenario,
+        router: &mut dyn FnMut(&RouteCtx) -> usize,
+        observer: &mut dyn FnMut(&JobEvent),
+    ) -> FleetReport {
+        let mut engine = FleetEngine::new(sc);
+        while let Some(ev) = engine.step(router) {
+            observer(&ev);
+        }
+        engine.report()
+    }
+
+    /// Steps `sc` to completion under its own routing plans.
+    fn run(sc: &FleetScenario) -> FleetReport {
+        run_with(sc, &mut |ctx| sc.planned_layer(ctx.cohort, ctx.seq), &mut |_| {})
+    }
+
     #[test]
     fn unloaded_cloud_latency_matches_table2() {
         // One device, slow emission, always-cloud: no queueing anywhere,
         // so every window costs exactly 500 ms RTT + 4.5 ms exec.
         let sc = tiny(1, 5, 10_000.0, RoutePlan::Fixed(2));
-        let report = FleetSim::new(&sc).run();
+        let report = run(&sc);
         assert_eq!(report.served, 5);
         assert_eq!(report.dropped, 0);
         assert!((report.layers[2].mean_ms - 504.5).abs() < 1e-9, "{}", report.layers[2].mean_ms);
@@ -838,7 +805,7 @@ mod tests {
     #[test]
     fn unloaded_iot_latency_matches_table2() {
         let sc = tiny(3, 4, 10_000.0, RoutePlan::Fixed(0));
-        let report = FleetSim::new(&sc).run();
+        let report = run(&sc);
         assert_eq!(report.served, 12);
         assert!((report.layers[0].mean_ms - 12.4).abs() < 1e-9);
     }
@@ -851,7 +818,7 @@ mod tests {
         let mut sc = tiny(200, 20, 2.0, RoutePlan::Fixed(1));
         sc.batch_max = 1;
         sc.queue_capacity = 100;
-        let report = FleetSim::new(&sc).run();
+        let report = run(&sc);
         let edge = &report.layers[1];
         assert!(edge.dropped_queue > 0, "bounded queue never shed load");
         assert!(edge.p99_ms > 400.0, "p99 {} not load-dependent", edge.p99_ms);
@@ -866,7 +833,7 @@ mod tests {
         let mut sc = tiny(50, 4, 1000.0, RoutePlan::Fixed(2));
         sc.cloud_bandwidth_mbps = Some(1.0);
         sc.emit_buckets = 1; // all devices in one bucket → simultaneous
-        let report = FleetSim::new(&sc).run();
+        let report = run(&sc);
         let cloud = &report.layers[2];
         assert_eq!(cloud.served, 200);
         assert!(cloud.peak_link_inflight >= 50, "peak {}", cloud.peak_link_inflight);
@@ -882,7 +849,7 @@ mod tests {
         sc.cloud_bandwidth_mbps = Some(0.5);
         sc.link_max_inflight = 10;
         sc.emit_buckets = 1;
-        let report = FleetSim::new(&sc).run();
+        let report = run(&sc);
         assert!(report.layers[2].dropped_link > 0, "admission bound never tripped");
         assert_eq!(report.served + report.dropped, report.emitted);
     }
@@ -893,7 +860,7 @@ mod tests {
         // locally: the backlog crosses 50 ms and subsequent windows drop.
         let mut sc = tiny(1, 100, 1.0, RoutePlan::Fixed(0));
         sc.local_backlog_ms = 50.0;
-        let report = FleetSim::new(&sc).run();
+        let report = run(&sc);
         assert!(report.layers[0].dropped_queue > 0);
         assert!(report.layers[0].served > 0);
         assert_eq!(report.served + report.dropped, report.emitted);
@@ -904,7 +871,7 @@ mod tests {
         let mut sc = tiny(100, 5, 10.0, RoutePlan::Fixed(1));
         sc.discipline = Discipline::ProcessorSharing;
         sc.queue_capacity = 10_000;
-        let report = FleetSim::new(&sc).run();
+        let report = run(&sc);
         let edge = &report.layers[1];
         assert_eq!(edge.served, 500);
         // Overloaded PS stretches latencies beyond the unloaded value.
@@ -915,7 +882,7 @@ mod tests {
     fn conservation_emitted_equals_served_plus_dropped() {
         for name in FleetScenario::NAMES {
             let sc = FleetScenario::by_name(name, FleetScale::Quick).unwrap();
-            let report = FleetSim::new(&sc).run();
+            let report = run(&sc);
             assert_eq!(report.emitted, sc.total_windows(), "{name}");
             assert_eq!(report.served + report.dropped, report.emitted, "{name}");
         }
@@ -924,8 +891,8 @@ mod tests {
     #[test]
     fn reruns_are_identical() {
         let sc = FleetScenario::flash_crowd(FleetScale::Quick);
-        let a = FleetSim::new(&sc).run();
-        let b = FleetSim::new(&sc).run();
+        let a = run(&sc);
+        let b = run(&sc);
         assert_eq!(a, b);
         assert_eq!(a.to_text(), b.to_text());
     }
@@ -936,7 +903,7 @@ mod tests {
         let mut served = 0u64;
         let mut dropped = 0u64;
         let mut router = |ctx: &RouteCtx| (ctx.seq % 3) as usize;
-        let report = FleetSim::new(&sc).run_with(&mut router, &mut |ev| match ev {
+        let report = run_with(&sc, &mut router, &mut |ev| match ev {
             JobEvent::Served { .. } => served += 1,
             JobEvent::Dropped { .. } => dropped += 1,
         });
@@ -948,7 +915,7 @@ mod tests {
     #[test]
     fn trace_samples_cover_the_run() {
         let sc = tiny(20, 10, 10.0, RoutePlan::Fixed(1));
-        let report = FleetSim::new(&sc).run();
+        let report = run(&sc);
         assert!(!report.trace.is_empty());
         assert!(report.trace.windows(2).all(|w| w[0].t_ms < w[1].t_ms));
     }
@@ -958,19 +925,21 @@ mod tests {
     fn out_of_range_route_panics() {
         let sc = tiny(1, 1, 10.0, RoutePlan::Fixed(0));
         let mut router = |_: &RouteCtx<'_>| 9usize;
-        let _ = FleetSim::new(&sc).run_with(&mut router, &mut |_| {});
+        let _ = run_with(&sc, &mut router, &mut |_| {});
     }
 
-    /// The step-wise engine must yield exactly the event stream and the
-    /// byte-identical report of the push driver.
+    /// Stepping an engine to completion and advancing it to an infinite
+    /// barrier must yield the same outcome stream and the byte-identical
+    /// report.
     #[test]
-    fn stepwise_engine_matches_push_driver() {
+    fn step_matches_advance_until_infinity() {
         let mut sc = tiny(40, 8, 5.0, RoutePlan::Fixed(0));
         sc.batch_max = 2;
         let route = |ctx: &RouteCtx| (ctx.seq % 3) as usize;
 
+        let mut advanced = FleetEngine::new(&sc);
         let mut pushed: Vec<JobEvent> = Vec::new();
-        let push_report = FleetSim::new(&sc).run_with(&mut { route }, &mut |ev| pushed.push(*ev));
+        advanced.advance_until(f64::INFINITY, &mut { route }, &mut |_, ev| pushed.push(ev));
 
         let mut engine = FleetEngine::new(&sc);
         let mut pulled: Vec<JobEvent> = Vec::new();
@@ -978,9 +947,24 @@ mod tests {
             pulled.push(ev);
         }
         assert_eq!(pushed, pulled);
-        assert_eq!(push_report, engine.report());
-        assert_eq!(push_report.to_text(), engine.report().to_text());
-        assert_eq!(engine.emitted(), push_report.emitted);
+        assert_eq!(advanced.report(), engine.report());
+        assert_eq!(advanced.report().to_text(), engine.report().to_text());
+        assert_eq!(engine.emitted(), advanced.emitted());
+    }
+
+    /// Outcomes a `step` left queued would never reach a barrier's sink:
+    /// mixing the drivers is refused, in release builds too.
+    #[test]
+    #[should_panic(expected = "a stepped engine advanced to a barrier")]
+    fn advancing_a_stepped_engine_panics() {
+        let mut sc = tiny(40, 8, 5.0, RoutePlan::Fixed(0));
+        sc.batch_max = 2;
+        let route = |ctx: &RouteCtx| (ctx.seq % 3) as usize;
+        let mut engine = FleetEngine::new(&sc);
+        while engine.pending.is_empty() {
+            engine.step(&mut { route }).expect("no event left two outcomes queued");
+        }
+        engine.advance_until(f64::INFINITY, &mut { route }, &mut |_, _| {});
     }
 
     /// The step-wise API exists so routing state can change between
@@ -1021,7 +1005,7 @@ mod tests {
             local_speed: 0.5,
             ..CohortSpec::uniform(2, 3, 10_000.0, 0.0, RoutePlan::Fixed(0))
         });
-        let report = FleetSim::new(&sc).run();
+        let report = run(&sc);
         assert_eq!(report.served, 12);
         assert!((report.layers[0].max_ms - 24.8).abs() < 1e-9, "{}", report.layers[0].max_ms);
         // The fast cohort still pays the testbed 12.4 ms (the p50 over
@@ -1036,7 +1020,7 @@ mod tests {
             // Offset so transfers never overlap: latency is pure serialisation.
             ..CohortSpec::uniform(1, 2, 10_000.0, 3_000.0, RoutePlan::Fixed(2))
         });
-        let report = FleetSim::new(&sc).run();
+        let report = run(&sc);
         assert_eq!(report.served, 4);
         // 384 B at 1 Mbit/s = 3.072 ms; 1536 B = 12.288 ms.
         let base = 504.5;

@@ -3,13 +3,9 @@
 
 use std::fmt::Write as _;
 
-use crate::topology::HecTopology;
+use hec_telemetry::GeomHist;
 
-/// Geometric-bin latency histogram — since PR 8 this is the shared
-/// [`hec_telemetry::GeomHist`] (the implementation moved there so every
-/// layer can record mergeable distributions through the metrics
-/// registry); the alias keeps the simulator's vocabulary and API intact.
-pub use hec_telemetry::GeomHist as LatencyHist;
+use crate::topology::HecTopology;
 
 /// Why a window was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,7 +103,7 @@ pub(crate) struct LayerTotals {
     pub dropped_link: u64,
     pub busy_ms: f64,
     pub link_work_ms: f64,
-    pub latency: LatencyHist,
+    pub latency: GeomHist,
     pub peak_queue_depth: usize,
     pub peak_link_inflight: usize,
     pub has_link: bool,
@@ -141,8 +137,8 @@ impl FleetTotals {
 
     /// Latency over all served windows: the layers' histograms merged
     /// bottom-up.
-    pub(crate) fn overall_latency(&self) -> LatencyHist {
-        let mut overall = LatencyHist::new();
+    pub(crate) fn overall_latency(&self) -> GeomHist {
+        let mut overall = GeomHist::new();
         for layer in &self.layers {
             overall.merge(&layer.latency);
         }

@@ -16,18 +16,18 @@
 //! * [`scenario`] — named workloads at two scales (`light_load`,
 //!   `edge_saturated`, `cloud_link_constrained`, `flash_crowd`), with
 //!   per-cohort heterogeneous payloads and local compute speeds;
-//! * [`des`] — the virtual-clock engine on [`crate::EventQueue`]: the
-//!   push driver ([`FleetSim`]) and the resumable step-wise engine
-//!   ([`FleetEngine`]) that lets a caller interleave "route window →
-//!   observe simulated completion → update policy" for in-fleet training;
+//! * [`des`] — the virtual-clock engine on [`crate::EventQueue`]
+//!   ([`FleetEngine`]), resumable outcome by outcome so a caller can
+//!   interleave "route window → observe simulated completion → update
+//!   policy" for in-fleet training;
 //! * [`metrics`] — latency histograms, per-layer utilization/drop
 //!   summaries, queue traces, CSV renderings;
 //! * [`shard`] — the sharded engine: a deterministic device/resource
-//!   partitioner ([`ShardPlan`]) and a coordinator
-//!   ([`ShardedFleetEngine`]) that advances per-shard sub-engines to
-//!   conservative lookahead barriers — in parallel when driven by
-//!   `hec-core` — and merges their outcomes in stable shard order,
-//!   scaling scenarios to millions of devices.
+//!   partitioner ([`ShardPlan`]), per-shard sub-engines
+//!   ([`ShardedFleetEngine`]) that `hec-core` steps outcome by outcome
+//!   (one shard) or advances to conservative lookahead barriers (more),
+//!   and the merge of their outcomes in stable shard order, scaling
+//!   scenarios to millions of devices.
 //!
 //! Determinism is a hard invariant: each engine runs over a
 //! totally-ordered event queue, all randomness is seeded hashing, shard
@@ -43,10 +43,8 @@ pub mod queueing;
 pub mod scenario;
 pub mod shard;
 
-pub use des::{FleetEngine, FleetSim, JobEvent, RouteCtx};
-pub use metrics::{DropReason, FleetReport, LatencyHist, LayerSummary, TraceSample};
+pub use des::{FleetEngine, JobEvent, RouteCtx};
+pub use metrics::{DropReason, FleetReport, LayerSummary, TraceSample};
 pub use queueing::{FifoQueue, JobRec, PsResource};
 pub use scenario::{CohortSpec, Discipline, FleetScale, FleetScenario, RoutePlan};
-pub use shard::{
-    earliest_event_ms, merge_window, DeviceSlice, ShardEngine, ShardPlan, ShardedFleetEngine,
-};
+pub use shard::{earliest_event_ms, merge_window, ShardEngine, ShardPlan, ShardedFleetEngine};

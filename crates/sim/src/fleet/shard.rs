@@ -14,10 +14,8 @@
 //! jobs and each one is an ordinary, fully deterministic [`FleetEngine`]
 //! over its own [`EventQueue`] and layer-0 `busy_until` array.
 //!
-//! Shards still have to agree on a *global* outcome order, and the
-//! coordinator must bound how far any shard's clock runs ahead of the
-//! caller (routers may mutate between outcomes). Both come from a
-//! conservative lookahead-window scheme:
+//! Shards still have to agree on a *global* outcome order. That comes
+//! from a conservative lookahead-window scheme:
 //!
 //! 1. the barrier is `min` over shards of the next pending event time
 //!    ([`earliest_event_ms`]), plus the plan's lookahead (the shortest
@@ -31,18 +29,17 @@
 //!    metrics are byte-identical across reruns *and* across however many
 //!    OS threads stepped the shards.
 //!
-//! This crate spawns no threads. [`ShardedFleetEngine::step`] runs the
-//! three steps on the calling thread; `hec_core::sharded::run_plan` runs
-//! the same three over worker threads that live for one whole run — each
-//! holding a contiguous chunk of [`ShardedFleetEngine::shards_mut`] —
-//! when the plan is large enough to pay for them, and calls `step`
-//! otherwise.
-//!
-//! `shards = 1` is the serial engine: the single shard's scenario,
-//! topology and resource bounds are exactly the original's, and
-//! [`ShardedFleetEngine::step`] delegates straight to
-//! [`FleetEngine::step`], preserving the resumable pull contract (and its
-//! byte-identical reports) for in-fleet training.
+//! This crate spawns no threads and drives no plan to completion; a plan
+//! is driven one of two ways, chosen by its shard count. A one-shard plan
+//! steps per outcome through [`ShardEngine::step`]: the single shard's
+//! scenario, topology and resource bounds are exactly the original's, so
+//! this *is* [`FleetEngine::step`] — the resumable pull contract (and its
+//! byte-identical reports) a router that changes between outcomes, such
+//! as a policy in training, needs. A plan of more shards runs the three
+//! steps above as `hec_core::sharded`'s window loop, over however many
+//! worker threads — each holding a contiguous chunk of
+//! [`ShardedFleetEngine::shards_mut`] — the plan is large enough to pay
+//! for.
 //!
 //! Note that `shards > 1` is a *different* (equally valid) simulation
 //! than the serial one — partitioning re-buckets emission phases and
@@ -52,27 +49,25 @@
 //! [`FleetScale`]: super::scenario::FleetScale
 //! [`EventQueue`]: crate::event::EventQueue
 
-use std::collections::VecDeque;
+use hec_telemetry::GeomHist;
 
 use crate::topology::HecTopology;
 
 use super::des::{FleetEngine, JobEvent, RouteCtx};
-use super::metrics::{FleetReport, FleetTotals, LatencyHist, TraceSample};
+use super::metrics::{FleetReport, FleetTotals, TraceSample};
 use super::scenario::FleetScenario;
 
 /// The contiguous run of one cohort's devices owned by one shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeviceSlice {
-    /// Cohort the slice belongs to.
-    pub cohort: u32,
+struct DeviceSlice {
     /// First shard-local device id of the slice (slices are laid out in
     /// cohort order within the shard, exactly as in the serial engine).
-    pub local_base: u32,
+    local_base: u32,
     /// First fleet-global device id of the slice.
-    pub global_base: u32,
+    global_base: u32,
     /// Devices in the slice (may be 0 when a cohort is smaller than the
     /// shard count).
-    pub len: u32,
+    len: u32,
 }
 
 /// One shard's derived configuration.
@@ -151,7 +146,6 @@ impl ShardPlan {
                 let offset = s as u32 * per + (s as u32).min(rem);
                 sub.cohorts[c].devices = len;
                 slices.push(DeviceSlice {
-                    cohort: c as u32,
                     local_base: local_next,
                     global_base: global_base[c] + offset,
                     len,
@@ -215,30 +209,6 @@ impl ShardPlan {
         &self.scenario
     }
 
-    /// Shard `s`'s derived sub-scenario (its device counts and `1/S`
-    /// resource bounds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    pub fn shard_scenario(&self, s: usize) -> &FleetScenario {
-        &self.shards[s].scenario
-    }
-
-    /// Shard `s`'s device slices, one per cohort in cohort order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    pub fn device_slices(&self, s: usize) -> &[DeviceSlice] {
-        &self.shards[s].slices
-    }
-
-    /// The conservative lookahead window, ms.
-    pub fn lookahead_ms(&self) -> f64 {
-        self.lookahead_ms
-    }
-
     /// The next conservative barrier: the earliest pending event time
     /// across shards plus the lookahead, marked on the coordinator's
     /// virtual-trace track. `None` when every shard has drained
@@ -300,6 +270,10 @@ fn globalize_event(slices: &[DeviceSlice], seq_base: u64, ev: JobEvent) -> JobEv
 /// One shard's engine plus its global-coordinate translation: routers
 /// always see fleet-global device ids and window sequence numbers,
 /// whichever shard asks.
+///
+/// A shard is driven one way for its whole run: by
+/// [`ShardEngine::step`] or by [`ShardEngine::advance_to`], never both
+/// (`advance_to` panics on outcomes a `step` left queued).
 pub struct ShardEngine<'a> {
     engine: FleetEngine<'a>,
     slices: &'a [DeviceSlice],
@@ -329,21 +303,6 @@ impl ShardEngine<'_> {
         self.engine.events_processed()
     }
 
-    /// Shard index within the plan.
-    pub fn shard_id(&self) -> usize {
-        self.shard_id
-    }
-
-    /// Lookahead windows this shard has advanced through.
-    pub fn barriers(&self) -> u64 {
-        self.barriers
-    }
-
-    /// Lookahead windows in which this shard processed zero events.
-    pub fn stall_windows(&self) -> u64 {
-        self.stall_windows
-    }
-
     /// Advances this shard through every event at or before `barrier_ms`,
     /// appending the produced outcomes — time-tagged and already
     /// globalized — to `outbox`, this shard's buffer for the window
@@ -353,7 +312,8 @@ impl ShardEngine<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if the router returns a layer outside the topology.
+    /// Panics if the router returns a layer outside the topology, or if
+    /// the shard has been stepped and outcomes are still queued.
     pub fn advance_to(
         &mut self,
         barrier_ms: f64,
@@ -409,10 +369,18 @@ impl ShardEngine<'_> {
         }
     }
 
-    /// The serial (`shards = 1`) fast path: exactly [`FleetEngine::step`]
-    /// with global-coordinate translation (the identity for shard 0 of a
-    /// one-shard plan).
-    fn step_translated(&mut self, router: &mut dyn FnMut(&RouteCtx) -> usize) -> Option<JobEvent> {
+    /// How a one-shard plan is driven: advances the shard until its next
+    /// per-window outcome and returns it, or `None` when it has drained —
+    /// exactly [`FleetEngine::step`] with global-coordinate translation
+    /// (the identity for the shard of a one-shard plan), so the router may
+    /// change between outcomes. A shard of a larger plan goes through
+    /// [`ShardEngine::advance_to`] instead: the merged `(time, shard-id)`
+    /// order exists only at barriers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the router returns a layer outside the topology.
+    pub fn step(&mut self, router: &mut dyn FnMut(&RouteCtx) -> usize) -> Option<JobEvent> {
         let ev = {
             let Self { engine, slices, seq_base, .. } = self;
             let (slices, sb): (&[DeviceSlice], u64) = (slices, *seq_base);
@@ -482,25 +450,18 @@ pub fn merge_window(
     }
 }
 
-/// The sharded fleet engine: shard sub-engines behind the serial
-/// [`FleetEngine`]'s resumable pull contract.
+/// The sharded fleet engine: one sub-engine per shard of a plan, and the
+/// fleet-wide report over them.
 ///
-/// [`ShardedFleetEngine::step`] yields per-window outcomes in the
-/// deterministic merged order, advancing the shards serially. A caller
-/// with a `Sync` router may instead spread [`ShardedFleetEngine::
-/// shards_mut`] over threads and run the same windows itself —
-/// [`earliest_event_ms`], [`ShardPlan::barrier_after`],
-/// [`ShardEngine::advance_to`], [`merge_window`] — which is what
-/// `hec_core::sharded` does above its work grain; both drivers produce
-/// identical streams and byte-identical reports.
+/// The caller drives [`ShardedFleetEngine::shards_mut`] (module docs): the
+/// one shard of a one-shard plan by [`ShardEngine::step`], the shards of a
+/// larger plan window by window — [`earliest_event_ms`],
+/// [`ShardPlan::barrier_after`], [`ShardEngine::advance_to`],
+/// [`merge_window`] — on any number of threads, which is what
+/// `hec_core::sharded` does.
 pub struct ShardedFleetEngine<'a> {
     plan: &'a ShardPlan,
     shards: Vec<ShardEngine<'a>>,
-    /// The current window's outcome buffer of each shard.
-    outboxes: Vec<Vec<(f64, JobEvent)>>,
-    /// [`merge_window`]'s scratch.
-    cursors: Vec<usize>,
-    ready: VecDeque<JobEvent>,
 }
 
 impl<'a> ShardedFleetEngine<'a> {
@@ -524,55 +485,12 @@ impl<'a> ShardedFleetEngine<'a> {
                 stall_windows: 0,
             })
             .collect();
-        let outboxes = vec![Vec::new(); shards.len()];
-        Self { plan, shards, outboxes, cursors: Vec::new(), ready: VecDeque::new() }
+        Self { plan, shards }
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Windows emitted so far, across shards.
-    pub fn emitted(&self) -> u64 {
-        self.shards.iter().map(|sh| sh.engine.emitted()).sum()
-    }
-
-    /// Discrete events processed so far, across shards.
-    pub fn events(&self) -> u64 {
-        self.shards.iter().map(|sh| sh.engine.events_processed()).sum()
-    }
-
-    /// Advances the fleet until the next per-window outcome (in the
-    /// deterministic merged order) and returns it, or `None` when every
-    /// shard has drained. With one shard this *is* [`FleetEngine::step`];
-    /// with more it advances all shards window-by-window, consulting the
-    /// router shard-by-shard in stable shard order within each window
-    /// (which is what lets a `FnMut` router — e.g. a policy being
-    /// trained — remain legal under sharding).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the router returns a layer outside the topology.
-    pub fn step(&mut self, router: &mut dyn FnMut(&RouteCtx) -> usize) -> Option<JobEvent> {
-        if self.shards.len() == 1 {
-            return self.shards[0].step_translated(router);
-        }
-        loop {
-            if let Some(ev) = self.ready.pop_front() {
-                return Some(ev);
-            }
-            let barrier = self.plan.barrier_after(earliest_event_ms(&self.shards))?;
-            for (shard, outbox) in self.shards.iter_mut().zip(&mut self.outboxes) {
-                shard.advance_to(barrier, router, outbox);
-            }
-            let ready = &mut self.ready;
-            merge_window(&mut self.outboxes, &mut self.cursors, &mut |ev| ready.push_back(ev));
-        }
-    }
-
-    /// Mutable access to the shard engines, for a parallel window driver
-    /// (each shard to the same barrier, any thread assignment).
+    /// Mutable access to the shard engines, in shard order: the one to
+    /// step, or the ones to advance to each barrier (any thread
+    /// assignment).
     pub fn shards_mut(&mut self) -> &mut [ShardEngine<'a>] {
         &mut self.shards
     }
@@ -603,7 +521,7 @@ impl<'a> ShardedFleetEngine<'a> {
     /// byte-identical across reruns and `HEC_THREADS` (recording happens
     /// on the coordinator thread in stable shard order, and all values
     /// are set-semantics so re-reporting is idempotent).
-    fn record_registry_metrics(&self, report: &FleetReport, overall: &LatencyHist) {
+    fn record_registry_metrics(&self, report: &FleetReport, overall: &GeomHist) {
         use hec_telemetry::{counter_set, gauge_set, hist_set};
         let scenario = self.plan.scenario.name.as_str();
 
@@ -672,32 +590,25 @@ impl<'a> ShardedFleetEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::des::FleetSim;
-    use crate::fleet::scenario::{FleetScale, RoutePlan};
+    use crate::fleet::scenario::FleetScale;
 
-    fn default_router(sc: &FleetScenario) -> impl FnMut(&RouteCtx) -> usize + '_ {
-        move |ctx: &RouteCtx| sc.planned_layer(ctx.cohort, ctx.seq)
-    }
-
-    /// Runs a sharded plan to completion through `step`, returning the
-    /// outcome stream and report.
-    fn run_sharded(sc: &FleetScenario, shards: usize) -> (Vec<JobEvent>, FleetReport) {
-        let plan = ShardPlan::new(sc, shards);
-        let mut engine = ShardedFleetEngine::new(&plan);
-        let mut router = default_router(sc);
-        let mut outcomes = Vec::new();
-        while let Some(ev) = engine.step(&mut router) {
-            outcomes.push(ev);
-        }
-        (outcomes, engine.report())
+    /// One scenario's outcome stream and report, from the serial engine
+    /// or a one-shard plan, each stepped under the scenario's own plans.
+    fn serial_and_one_shard(sc: &FleetScenario) -> [(Vec<JobEvent>, FleetReport); 2] {
+        let mut router = |ctx: &RouteCtx| sc.planned_layer(ctx.cohort, ctx.seq);
+        let mut engine = FleetEngine::new(sc);
+        let serial = std::iter::from_fn(|| engine.step(&mut router)).collect();
+        let plan = ShardPlan::new(sc, 1);
+        let mut sharded = ShardedFleetEngine::new(&plan);
+        let one = std::iter::from_fn(|| sharded.shards_mut()[0].step(&mut router)).collect();
+        [(serial, engine.report()), (one, sharded.report())]
     }
 
     #[test]
     fn one_shard_is_byte_identical_to_serial() {
         for name in FleetScenario::NAMES {
             let sc = FleetScenario::by_name(name, FleetScale::Quick).unwrap();
-            let serial = FleetSim::new(&sc).run();
-            let (_, sharded) = run_sharded(&sc, 1);
+            let [(_, serial), (_, sharded)] = serial_and_one_shard(&sc);
             assert_eq!(serial, sharded, "{name}");
             assert_eq!(serial.to_text(), sharded.to_text(), "{name}");
             assert_eq!(serial.layers_csv(), sharded.layers_csv(), "{name}");
@@ -708,25 +619,8 @@ mod tests {
     #[test]
     fn one_shard_outcome_stream_matches_serial_engine() {
         let sc = FleetScenario::flash_crowd(FleetScale::Quick);
-        let mut serial = Vec::new();
-        FleetSim::new(&sc).run_with(&mut default_router(&sc), &mut |ev| serial.push(*ev));
-        let (sharded, _) = run_sharded(&sc, 1);
+        let [(serial, _), (sharded, _)] = serial_and_one_shard(&sc);
         assert_eq!(serial, sharded);
-    }
-
-    #[test]
-    fn sharded_runs_conserve_windows_and_are_deterministic() {
-        for shards in [2usize, 3, 7] {
-            for name in FleetScenario::NAMES {
-                let sc = FleetScenario::by_name(name, FleetScale::Quick).unwrap();
-                let (ev_a, rep_a) = run_sharded(&sc, shards);
-                let (ev_b, rep_b) = run_sharded(&sc, shards);
-                assert_eq!(ev_a, ev_b, "{name}/{shards}: outcome stream not deterministic");
-                assert_eq!(rep_a, rep_b, "{name}/{shards}: report not deterministic");
-                assert_eq!(rep_a.emitted, sc.total_windows(), "{name}/{shards}");
-                assert_eq!(rep_a.served + rep_a.dropped, rep_a.emitted, "{name}/{shards}");
-            }
-        }
     }
 
     #[test]
@@ -734,56 +628,18 @@ mod tests {
         let sc = FleetScenario::flash_crowd(FleetScale::Quick);
         for shards in [1usize, 2, 5, 13] {
             let plan = ShardPlan::new(&sc, shards);
+            let slice = |s: usize, c: usize| &plan.shards[s].slices[c];
             for (c, spec) in sc.cohorts.iter().enumerate() {
-                let total: u32 = (0..shards).map(|s| plan.device_slices(s)[c].len).sum();
+                let total: u32 = (0..shards).map(|s| slice(s, c).len).sum();
                 assert_eq!(total, spec.devices, "cohort {c} at {shards} shards");
                 // Slices tile the cohort's global id range in shard order.
-                let mut expect = plan.device_slices(0)[c].global_base;
+                let mut expect = slice(0, c).global_base;
                 for s in 0..shards {
-                    let sl = &plan.device_slices(s)[c];
-                    assert_eq!(sl.global_base, expect, "cohort {c} shard {s}");
-                    expect += sl.len;
+                    assert_eq!(slice(s, c).global_base, expect, "cohort {c} shard {s}");
+                    expect += slice(s, c).len;
                 }
             }
         }
-    }
-
-    #[test]
-    fn global_ids_and_seqs_are_unique_and_dense() {
-        let sc = FleetScenario::flash_crowd(FleetScale::Quick);
-        let plan = ShardPlan::new(&sc, 4);
-        let mut engine = ShardedFleetEngine::new(&plan);
-        let total = sc.total_windows();
-        let mut seen_seq = vec![false; total as usize];
-        let devices = sc.total_devices();
-        let mut router = |ctx: &RouteCtx| {
-            assert!((ctx.device as u64) < devices, "device {} out of range", ctx.device);
-            assert!(ctx.seq < total, "seq {} out of range", ctx.seq);
-            assert!(!seen_seq[ctx.seq as usize], "seq {} routed twice", ctx.seq);
-            seen_seq[ctx.seq as usize] = true;
-            sc.planned_layer(ctx.cohort, ctx.seq)
-        };
-        while engine.step(&mut router).is_some() {}
-        assert!(seen_seq.iter().all(|&b| b), "not every window was routed");
-    }
-
-    #[test]
-    fn merged_outcomes_are_time_ordered_within_windows() {
-        // The merged stream must visit shards deterministically; outcome
-        // seqs of a Fixed(0) run arrive grouped by emission time.
-        let mut sc = FleetScenario::light_load(FleetScale::Quick);
-        sc.cohorts[0].route = RoutePlan::Fixed(0);
-        let (outcomes, report) = run_sharded(&sc, 3);
-        assert_eq!(outcomes.len() as u64, report.emitted);
-    }
-
-    #[test]
-    fn more_shards_than_devices_still_completes() {
-        let mut sc = FleetScenario::light_load(FleetScale::Quick);
-        sc.cohorts[0].devices = 3;
-        let (outcomes, report) = run_sharded(&sc, 8);
-        assert_eq!(report.emitted, sc.total_windows());
-        assert_eq!(outcomes.len() as u64, report.served + report.dropped);
     }
 
     #[test]

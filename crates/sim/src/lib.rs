@@ -11,7 +11,7 @@
 //! * [`device`] — device profiles and execution-time models, calibrated to
 //!   the paper's measured Table I times (e.g. AE on the Pi: 12.4 ms;
 //!   BiLSTM-seq2seq on the Devbox: 232.3 ms);
-//! * [`network`] — links with RTT, optional bandwidth and jitter, calibrated
+//! * [`network`] — links with RTT and optional bandwidth, calibrated
 //!   to Table II (IoT→Edge ≈ 250 ms RTT, IoT→Cloud ≈ 500 ms RTT);
 //! * [`topology`] — the assembled testbed and its end-to-end delay model;
 //! * [`event`] — a deterministic discrete-event queue;
@@ -37,7 +37,7 @@ pub mod topology;
 
 pub use device::{DeviceProfile, ExecTimeModel};
 pub use event::EventQueue;
-pub use fleet::{FleetReport, FleetScale, FleetScenario, FleetSim};
+pub use fleet::{FleetReport, FleetScale, FleetScenario};
 pub use network::Link;
 pub use runtime::{DetectJob, HecRuntime, JobResult};
 pub use topology::{DatasetKind, HecTopology};

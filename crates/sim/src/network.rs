@@ -1,13 +1,12 @@
-//! Network links with RTT, optional bandwidth cap and jitter.
+//! Network links with RTT and an optional bandwidth cap.
 //!
 //! The paper emulates WAN connections with the Linux `tc` tool (§III-C).
 //! Table II implies pure-delay links: the univariate Edge scheme's
 //! end-to-end delay (257.43 ms) minus the TX2 execution time (7.4 ms) gives
 //! ≈ 250 ms for IoT→Edge, and the Cloud scheme gives ≈ 500 ms for
 //! IoT→Cloud — for both datasets, independent of payload size. We therefore
-//! default to delay-only links and expose bandwidth/jitter for ablations.
+//! default to delay-only links and expose bandwidth for ablations.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A (round-trip) network path between the IoT device and a higher layer.
@@ -18,8 +17,6 @@ pub struct Link {
     /// Optional uplink bandwidth cap in Mbit/s (`None` = unconstrained,
     /// matching the paper's delay-only `tc netem` emulation).
     pub bandwidth_mbps: Option<f64>,
-    /// Standard deviation of Gaussian delay jitter, ms (0 = deterministic).
-    pub jitter_std_ms: f64,
 }
 
 impl Link {
@@ -30,7 +27,7 @@ impl Link {
     /// Panics if `rtt_ms` is negative.
     pub fn delay_only(rtt_ms: f64) -> Self {
         assert!(rtt_ms >= 0.0, "rtt must be non-negative");
-        Self { rtt_ms, bandwidth_mbps: None, jitter_std_ms: 0.0 }
+        Self { rtt_ms, bandwidth_mbps: None }
     }
 
     /// The local "link" from a device to itself: zero cost.
@@ -49,19 +46,7 @@ impl Link {
         self
     }
 
-    /// Adds Gaussian jitter (std in ms).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_ms` is negative.
-    pub fn with_jitter(mut self, std_ms: f64) -> Self {
-        assert!(std_ms >= 0.0, "jitter std must be non-negative");
-        self.jitter_std_ms = std_ms;
-        self
-    }
-
-    /// Deterministic round-trip transfer time for a payload of
-    /// `payload_bytes` (jitter excluded).
+    /// Round-trip transfer time for a payload of `payload_bytes`.
     pub fn transfer_ms(&self, payload_bytes: usize) -> f64 {
         let serialisation = match self.bandwidth_mbps {
             Some(mbps) => (payload_bytes as f64 * 8.0) / (mbps * 1e6) * 1e3,
@@ -69,25 +54,11 @@ impl Link {
         };
         self.rtt_ms + serialisation
     }
-
-    /// Transfer time with jitter sampled from `rng` (truncated at zero).
-    pub fn transfer_ms_jittered(&self, payload_bytes: usize, rng: &mut impl Rng) -> f64 {
-        let base = self.transfer_ms(payload_bytes);
-        if self.jitter_std_ms == 0.0 {
-            return base;
-        }
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        (base + z * self.jitter_std_ms).max(0.0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn delay_only_ignores_payload() {
@@ -107,25 +78,6 @@ mod tests {
         let link = Link::delay_only(100.0).with_bandwidth(10.0);
         let t = link.transfer_ms(1_000_000);
         assert!((t - 900.0).abs() < 1e-6, "got {t}");
-    }
-
-    #[test]
-    fn jitter_varies_but_stays_positive() {
-        let link = Link::delay_only(50.0).with_jitter(20.0);
-        let mut rng = StdRng::seed_from_u64(5);
-        let samples: Vec<f64> = (0..200).map(|_| link.transfer_ms_jittered(0, &mut rng)).collect();
-        assert!(samples.iter().all(|&t| t >= 0.0));
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        assert!((mean - 50.0).abs() < 5.0, "mean {mean}");
-        let distinct = samples.windows(2).any(|w| (w[0] - w[1]).abs() > 1e-9);
-        assert!(distinct, "jitter produced identical samples");
-    }
-
-    #[test]
-    fn zero_jitter_is_deterministic() {
-        let link = Link::delay_only(75.0);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(link.transfer_ms_jittered(100, &mut rng), 75.0);
     }
 
     #[test]

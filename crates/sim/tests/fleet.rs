@@ -1,14 +1,28 @@
 //! Integration and property tests for the discrete-event fleet simulator:
 //! determinism (rerun identity, event insertion-order invariance) and
-//! conservation across randomly generated scenarios.
+//! conservation across randomly generated scenarios, one-shard plans
+//! stepped outcome by outcome and larger ones through the barrier loop in
+//! `reference/stepped.rs`.
+
+mod reference;
 
 use proptest::prelude::*;
 
 use hec_sim::fleet::{
-    CohortSpec, FleetScale, FleetScenario, FleetSim, LatencyHist, RouteCtx, RoutePlan, ShardPlan,
-    ShardedFleetEngine,
+    CohortSpec, FleetEngine, FleetReport, FleetScale, FleetScenario, JobEvent, RouteCtx, RoutePlan,
+    ShardPlan, ShardedFleetEngine,
 };
 use hec_sim::EventQueue;
+use hec_telemetry::GeomHist;
+use reference::stepped::run_stepped;
+
+/// Steps `sc` to completion on the serial engine under its own routing
+/// plans.
+fn run(sc: &FleetScenario) -> FleetReport {
+    let mut engine = FleetEngine::new(sc);
+    while engine.step(&mut |ctx| sc.planned_layer(ctx.cohort, ctx.seq)).is_some() {}
+    engine.report()
+}
 
 /// Builds a small scenario from sampled parameters.
 fn scenario_from(
@@ -85,7 +99,7 @@ proptest! {
         batch_max in 1usize..6,
     ) {
         let sc = scenario_from(devices, windows, period_ms, [w0, w1, w2], queue_capacity, batch_max);
-        let a = FleetSim::new(&sc).run();
+        let a = run(&sc);
         prop_assert_eq!(a.emitted, sc.total_windows());
         prop_assert_eq!(a.served + a.dropped, a.emitted);
         for layer in &a.layers {
@@ -95,7 +109,7 @@ proptest! {
                 "layer {} leaks windows", layer.layer
             );
         }
-        let b = FleetSim::new(&sc).run();
+        let b = run(&sc);
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(a.to_text(), b.to_text());
         prop_assert_eq!(a.layers_csv(), b.layers_csv());
@@ -142,7 +156,7 @@ proptest! {
         prop_assert_eq!(rotated.total_windows(), windows);
 
         for scenario in [&sc, &rotated] {
-            let report = FleetSim::new(scenario).run();
+            let report = run(scenario);
             prop_assert_eq!(report.emitted, windows);
             prop_assert_eq!(report.served + report.dropped, report.emitted);
             for layer in &report.layers {
@@ -162,8 +176,8 @@ proptest! {
 fn named_quick_scenarios_are_reproducible() {
     for name in FleetScenario::NAMES {
         let sc = FleetScenario::by_name(name, FleetScale::Quick).unwrap();
-        let a = FleetSim::new(&sc).run();
-        let b = FleetSim::new(&sc).run();
+        let a = run(&sc);
+        let b = run(&sc);
         assert_eq!(a, b, "{name} diverged between reruns");
         assert_eq!(a.to_text(), b.to_text(), "{name} text diverged");
         assert_eq!(a.trace_csv(), b.trace_csv(), "{name} trace diverged");
@@ -174,9 +188,9 @@ fn named_quick_scenarios_are_reproducible() {
 /// light one — the whole point of the discrete-event model.
 #[test]
 fn saturated_scenarios_have_higher_tail_latency_than_light_load() {
-    let light = FleetSim::new(&FleetScenario::light_load(FleetScale::Quick)).run();
-    let edge = FleetSim::new(&FleetScenario::edge_saturated(FleetScale::Quick)).run();
-    let cloud = FleetSim::new(&FleetScenario::cloud_link_constrained(FleetScale::Quick)).run();
+    let light = run(&FleetScenario::light_load(FleetScale::Quick));
+    let edge = run(&FleetScenario::edge_saturated(FleetScale::Quick));
+    let cloud = run(&FleetScenario::cloud_link_constrained(FleetScale::Quick));
 
     assert_eq!(light.dropped, 0, "light load must not shed");
     assert!(edge.layers[1].p99_ms > 2.0 * light.layers[1].p99_ms);
@@ -194,7 +208,7 @@ fn saturated_scenarios_have_higher_tail_latency_than_light_load() {
 fn flash_crowd_spikes_the_queue_trace() {
     let sc = FleetScenario::flash_crowd(FleetScale::Quick);
     let burst_start = sc.cohorts[1].start_ms;
-    let report = FleetSim::new(&sc).run();
+    let report = run(&sc);
     let edge_depth_before: usize = report
         .trace
         .iter()
@@ -218,7 +232,7 @@ fn flash_crowd_spikes_the_queue_trace() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// [`LatencyHist::quantile`] is monotone in `q` and every quantile of
+    /// [`GeomHist::quantile`] is monotone in `q` and every quantile of
     /// a non-empty histogram lies within `[min, max]` of the recorded
     /// samples (clamped at the bin edges by construction).
     #[test]
@@ -226,7 +240,7 @@ proptest! {
         samples in proptest::collection::vec(0.0f64..50_000.0, 1..200),
         qs in proptest::collection::vec(0.0f64..1.0, 8),
     ) {
-        let mut hist = LatencyHist::new();
+        let mut hist = GeomHist::new();
         for &ms in &samples {
             hist.record(ms);
         }
@@ -257,7 +271,7 @@ proptest! {
         right in proptest::collection::vec(0.0f64..50_000.0, 0..120),
     ) {
         let build = |samples: &[f64]| {
-            let mut h = LatencyHist::new();
+            let mut h = GeomHist::new();
             for &ms in samples {
                 h.record(ms);
             }
@@ -291,7 +305,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// [`LatencyHist::merge`] is associative and commutative over an
+    /// [`GeomHist::merge`] is associative and commutative over an
     /// arbitrary partition of a sample stream into shard histograms —
     /// merging the parts in any order or grouping renders every byte
     /// identically, including when some parts are empty. (Samples are
@@ -306,17 +320,17 @@ proptest! {
         rot in 1usize..5,
     ) {
         let build = |quarters: &[u32]| {
-            let mut h = LatencyHist::new();
+            let mut h = GeomHist::new();
             for &q in quarters {
                 h.record(f64::from(q) * 0.25);
             }
             h
         };
-        let hists: Vec<LatencyHist> = parts.iter().map(|p| build(p)).collect();
+        let hists: Vec<GeomHist> = parts.iter().map(|p| build(p)).collect();
         // Any fixed rendering: if the histograms are bit-equal these
         // strings are byte-equal, which is what the shard report relies
         // on when it merges per-shard histograms into one summary line.
-        let render = |h: &LatencyHist| {
+        let render = |h: &GeomHist| {
             format!(
                 "n={} mean={:.3} p50={:.3} p99={:.3} max={:.3}",
                 h.count(), h.mean(), h.quantile(0.5), h.quantile(0.99), h.max()
@@ -324,24 +338,24 @@ proptest! {
         };
 
         // Left fold in shard order (what the report merge does).
-        let fold = |order: &[&LatencyHist]| {
-            let mut acc = LatencyHist::new();
+        let fold = |order: &[&GeomHist]| {
+            let mut acc = GeomHist::new();
             for h in order {
                 acc.merge(h);
             }
             acc
         };
-        let in_order: Vec<&LatencyHist> = hists.iter().collect();
+        let in_order: Vec<&GeomHist> = hists.iter().collect();
         let mut rotated = in_order.clone();
         rotated.rotate_left(rot.min(hists.len() - 1));
-        let reversed: Vec<&LatencyHist> = hists.iter().rev().collect();
+        let reversed: Vec<&GeomHist> = hists.iter().rev().collect();
 
         let a = fold(&in_order);
         prop_assert_eq!(&fold(&rotated), &a, "rotation changed the merge");
         prop_assert_eq!(&fold(&reversed), &a, "reversal changed the merge");
 
         // Right-associated grouping: h0 + (h1 + (h2 + ...)).
-        let mut right = LatencyHist::new();
+        let mut right = GeomHist::new();
         for h in hists.iter().rev() {
             let mut tail = h.clone();
             tail.merge(&right);
@@ -357,9 +371,10 @@ proptest! {
     }
 
     /// Any small random scenario, partitioned into any shard count,
-    /// conserves windows, reruns byte-identically, and at one shard is
-    /// byte-identical to the serial engine — the invariants `repro_fleet
-    /// --shards` and the CI shard-smoke job depend on.
+    /// conserves windows, reruns byte-identically, and at one shard —
+    /// stepped through its one shard engine — is byte-identical to the
+    /// serial engine: the invariants `repro_fleet --shards` and the CI
+    /// shard-smoke job depend on.
     #[test]
     fn random_scenarios_shard_deterministically_and_conserve_windows(
         devices in 1u32..40,
@@ -373,15 +388,18 @@ proptest! {
         shards in 1usize..6,
     ) {
         let sc = scenario_from(devices, windows, period_ms, [w0, w1, w2], queue_capacity, batch_max);
-        let run = |sc: &FleetScenario, shards: usize| {
-            let plan = ShardPlan::new(sc, shards);
-            let mut engine = ShardedFleetEngine::new(&plan);
+        let sharded = |shards: usize| {
+            let plan = ShardPlan::new(&sc, shards);
             let mut router = |ctx: &RouteCtx| sc.planned_layer(ctx.cohort, ctx.seq);
-            while engine.step(&mut router).is_some() {}
+            if shards > 1 {
+                return run_stepped(&plan, &mut router).1;
+            }
+            let mut engine = ShardedFleetEngine::new(&plan);
+            while engine.shards_mut()[0].step(&mut router).is_some() {}
             engine.report()
         };
 
-        let a = run(&sc, shards);
+        let a = sharded(shards);
         prop_assert_eq!(a.emitted, sc.total_windows());
         prop_assert_eq!(a.served + a.dropped, a.emitted);
         for layer in &a.layers {
@@ -392,14 +410,14 @@ proptest! {
             );
         }
 
-        let b = run(&sc, shards);
+        let b = sharded(shards);
         prop_assert_eq!(&a, &b, "sharded rerun diverged");
         prop_assert_eq!(a.to_text(), b.to_text());
         prop_assert_eq!(a.layers_csv(), b.layers_csv());
         prop_assert_eq!(a.trace_csv(), b.trace_csv());
 
-        let serial = FleetSim::new(&sc).run();
-        let one = run(&sc, 1);
+        let serial = run(&sc);
+        let one = sharded(1);
         prop_assert_eq!(&one, &serial, "one shard is not the serial engine");
         prop_assert_eq!(one.to_text(), serial.to_text());
     }
@@ -409,26 +427,85 @@ proptest! {
 /// empty-empty merge stays a well-formed empty histogram.
 #[test]
 fn latency_hist_empty_merges_are_identities() {
-    let mut filled = LatencyHist::new();
+    let mut filled = GeomHist::new();
     for ms in [3.0, 97.5, 1200.0] {
         filled.record(ms);
     }
 
-    let mut left_empty = LatencyHist::new();
+    let mut left_empty = GeomHist::new();
     left_empty.merge(&filled);
     assert_eq!(left_empty, filled, "empty.merge(h) must equal h");
 
     let mut right_empty = filled.clone();
-    right_empty.merge(&LatencyHist::new());
+    right_empty.merge(&GeomHist::new());
     assert_eq!(right_empty, filled, "h.merge(empty) must leave h unchanged");
 
-    let mut both = LatencyHist::new();
-    both.merge(&LatencyHist::new());
-    assert_eq!(both, LatencyHist::new());
+    let mut both = GeomHist::new();
+    both.merge(&GeomHist::new());
+    assert_eq!(both, GeomHist::new());
     assert_eq!(both.count(), 0);
     assert_eq!(both.quantile(0.5), 0.0);
     // And the merged-empty histogram still records correctly afterwards.
     both.record(7.0);
     assert_eq!(both.count(), 1);
     assert!(both.quantile(1.0) <= both.max());
+}
+
+/// A named quick scenario's merged outcome stream and report at `shards`
+/// shards, under its own routing plans.
+fn stepped(sc: &FleetScenario, shards: usize) -> (Vec<JobEvent>, FleetReport) {
+    let plan = ShardPlan::new(sc, shards);
+    run_stepped(&plan, &mut |ctx| sc.planned_layer(ctx.cohort, ctx.seq))
+}
+
+#[test]
+fn sharded_runs_conserve_windows_and_are_deterministic() {
+    for shards in [2usize, 3, 7] {
+        for name in FleetScenario::NAMES {
+            let sc = FleetScenario::by_name(name, FleetScale::Quick).unwrap();
+            let (ev_a, rep_a) = stepped(&sc, shards);
+            let (ev_b, rep_b) = stepped(&sc, shards);
+            assert_eq!(ev_a, ev_b, "{name}/{shards}: outcome stream not deterministic");
+            assert_eq!(rep_a, rep_b, "{name}/{shards}: report not deterministic");
+            assert_eq!(rep_a.emitted, sc.total_windows(), "{name}/{shards}");
+            assert_eq!(rep_a.served + rep_a.dropped, rep_a.emitted, "{name}/{shards}");
+        }
+    }
+}
+
+#[test]
+fn global_ids_and_seqs_are_unique_and_dense() {
+    let sc = FleetScenario::flash_crowd(FleetScale::Quick);
+    let plan = ShardPlan::new(&sc, 4);
+    let total = sc.total_windows();
+    let mut seen_seq = vec![false; total as usize];
+    let devices = sc.total_devices();
+    let mut router = |ctx: &RouteCtx| {
+        assert!((ctx.device as u64) < devices, "device {} out of range", ctx.device);
+        assert!(ctx.seq < total, "seq {} out of range", ctx.seq);
+        assert!(!seen_seq[ctx.seq as usize], "seq {} routed twice", ctx.seq);
+        seen_seq[ctx.seq as usize] = true;
+        sc.planned_layer(ctx.cohort, ctx.seq)
+    };
+    run_stepped(&plan, &mut router);
+    assert!(seen_seq.iter().all(|&b| b), "not every window was routed");
+}
+
+#[test]
+fn merged_outcomes_are_time_ordered_within_windows() {
+    // The merged stream must visit shards deterministically; outcome
+    // seqs of a Fixed(0) run arrive grouped by emission time.
+    let mut sc = FleetScenario::light_load(FleetScale::Quick);
+    sc.cohorts[0].route = RoutePlan::Fixed(0);
+    let (outcomes, report) = stepped(&sc, 3);
+    assert_eq!(outcomes.len() as u64, report.emitted);
+}
+
+#[test]
+fn more_shards_than_devices_still_completes() {
+    let mut sc = FleetScenario::light_load(FleetScale::Quick);
+    sc.cohorts[0].devices = 3;
+    let (outcomes, report) = stepped(&sc, 8);
+    assert_eq!(report.emitted, sc.total_windows());
+    assert_eq!(outcomes.len() as u64, report.served + report.dropped);
 }

@@ -3,8 +3,14 @@
 //! referees `des_reference.rs` holds the library to **exactly**: one binary
 //! heap on `(time, seq)` for the queue, one binary heap on `(finish credit,
 //! seq)` for the PS resource, and a merge that compares every shard's head
-//! for every outcome. Deliberately the plainest thing that is right. Not a
-//! model to copy from.
+//! for every outcome. Beside them, [`stepped`]: the serial barrier loop
+//! multi-shard plans ran before the window loop, which `fleet.rs` drives
+//! them with. Deliberately the plainest thing that is right. Not a model
+//! to copy from.
+
+#![allow(dead_code)]
+
+pub mod stepped;
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

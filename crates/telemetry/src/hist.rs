@@ -1,7 +1,7 @@
-//! Geometric-bin histogram — the generalisation of the fleet simulator's
-//! `LatencyHist`, promoted here so every layer can record mergeable
-//! distributions (latencies, queue residencies, batch sizes) through the
-//! metrics registry.
+//! Geometric-bin histogram — the fleet simulator's latency histogram,
+//! kept here so every layer can record mergeable distributions
+//! (latencies, queue residencies, batch sizes) through the metrics
+//! registry.
 
 /// Geometric-bin histogram over non-negative samples.
 ///
