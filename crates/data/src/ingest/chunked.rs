@@ -13,14 +13,21 @@
 //! 1. **Scan.** A worker validates its range as UTF-8 once (a range is
 //!    whole lines, so an invalid line fails the file exactly as it fails
 //!    the serial reader's `read_line`; pure ASCII validates at memory
-//!    speed), then walks borrowed sub-slices of that text — no per-line
-//!    copy — through the dialect rules of [`super::csv`] and the schema's
-//!    own `PowerRow::extract`. What it keeps is columnar: the finite `f32`
-//!    values, labels as runs (a day's readings share one), and a gap
-//!    marker where a value is missing or non-finite — four bytes per
-//!    record plus a few per label change. It keeps **no line numbers and
-//!    builds no errors**: at the first line the serial reader would
-//!    reject, it stops and marks the chunk incomplete.
+//!    speed), then reads each line in one of two tiers. A **fused record**,
+//!    `-?[0-9]+(\.[0-9]+)?(,[0-9]+)?` then `\r?\n` or the end of the text
+//!    with at most 15 value and 18 label digits, is read in one pass that
+//!    accumulates the digits `w` and the label: `w < 2^53` and `10^e` are
+//!    exact `f64`s, so `w / 10^e` is rounded once, and its `f32` rounding
+//!    is the decimal's unless it is an `f32` midpoint (every midpoint is
+//!    an `f64`, so none lies strictly between the decimal and its nearest
+//!    `f64`), which is declined. Any other line takes the **dialect**
+//!    tier: [`super::csv`]'s rules and `PowerRow::extract` over a borrowed
+//!    sub-slice, with `std` parsing every number. The scan keeps columns:
+//!    the finite `f32` values, labels as runs (a day's readings share
+//!    one), and a gap marker where a value is missing or non-finite —
+//!    four bytes per record plus a few per label change. It keeps **no
+//!    line numbers and builds no errors**: at the first line the serial
+//!    reader would reject, it stops and marks the chunk incomplete.
 //! 2. **Stitch.** Chunks replay in input order through the one stateful
 //!    `PowerBuilder` the serial path uses, a run at a time: a run of finite
 //!    readings slice-extends the day buffer, a gap goes through the
@@ -35,8 +42,10 @@
 //!    newline-count pre-pass, no per-record line number).
 //!
 //! On success the corpus is **byte-identical to the serial reader's**,
-//! whatever `HEC_THREADS` or the chunk size: the scanner applies the same
-//! dialect functions and the same extraction, the builder is the same.
+//! whatever `HEC_THREADS` or the chunk size: a fused record reads as
+//! `std` reads it (`tests/fused_number.rs` referees that bit for bit),
+//! every other line goes through the same dialect functions and
+//! extraction, and the builder is the same.
 //!
 //! **MHEALTH NDJSON** keeps its record reader per range (its records are
 //! 18-channel objects; the line copy is not what it spends its time on)
@@ -58,13 +67,10 @@ use crate::source::{IngestError, LabeledCorpus};
 /// every boundary snapped forward to just after the next `\n` so no
 /// record (or CRLF pair) straddles two ranges. The concatenation of the
 /// ranges is exactly `0..bytes.len()`; the final range may lack a
-/// trailing newline (a file's last line often does too).
-///
-/// # Panics
-///
-/// Panics if `chunk_bytes == 0`.
+/// trailing newline (a file's last line often does too). A
+/// `chunk_bytes` of 0 reads as 1: a range per line.
 pub fn chunk_ranges(bytes: &[u8], chunk_bytes: usize) -> Vec<(usize, usize)> {
-    assert!(chunk_bytes >= 1, "chunk_bytes must be non-zero");
+    let chunk_bytes = chunk_bytes.max(1);
     let len = bytes.len();
     let mut ranges = Vec::new();
     let mut start = 0usize;
@@ -111,33 +117,71 @@ struct PowerChunk {
     complete: bool,
 }
 
-/// What one pass over a line's bytes learns.
-struct LineScan {
-    /// Offset of the line's `\n`, or of the end of the text.
-    end: usize,
-    commas: usize,
-    first_comma: usize,
-    /// Bytes that are not printable ASCII: whitespace, controls, and every
-    /// byte of a multi-byte character.
-    odd: usize,
+impl PowerChunk {
+    fn push_reading(&mut self, value: f32, label: usize) {
+        self.values.push(value);
+        match self.runs.last_mut() {
+            Some(Run::Readings { len, label: open }) if *open == label => *len += 1,
+            _ => self.runs.push(Run::Readings { len: 1, label }),
+        }
+    }
 }
 
-fn scan_line(bytes: &[u8], start: usize) -> LineScan {
-    let mut scan = LineScan { end: start, commas: 0, first_comma: 0, odd: 0 };
-    while scan.end < bytes.len() && bytes[scan.end] != b'\n' {
-        match bytes[scan.end] {
-            b',' => {
-                if scan.commas == 0 {
-                    scan.first_comma = scan.end;
-                }
-                scan.commas += 1;
-            }
-            0x21..=0x7f => {}
-            _ => scan.odd += 1,
+/// `10^e` for every fraction length a fused record can have, each an exact
+/// `f64`.
+const POW10: [f64; 16] =
+    [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15];
+
+/// Reads the fused record at `at` (module docs, step 1): its value, its
+/// label (0 when absent) and the offset past its line ending. `None`
+/// declines the line to the dialect tier.
+fn fused_record(bytes: &[u8], at: usize) -> Option<(f32, usize, usize)> {
+    /// Appends the run of ASCII digits at `*i` to `acc`, returning how
+    /// many there were (`acc` is meaningless past 19 of them).
+    fn digits(bytes: &[u8], i: &mut usize, acc: &mut u64) -> usize {
+        let from = *i;
+        while let Some(&d @ b'0'..=b'9') = bytes.get(*i) {
+            *acc = acc.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+            *i += 1;
         }
-        scan.end += 1;
+        *i - from
     }
-    scan
+    let mut i = at;
+    let negative = bytes.get(i) == Some(&b'-');
+    i += usize::from(negative);
+    let mut w = 0u64;
+    let whole = digits(bytes, &mut i, &mut w);
+    let mut e = 0;
+    if bytes.get(i) == Some(&b'.') {
+        i += 1;
+        e = digits(bytes, &mut i, &mut w);
+        if e == 0 {
+            return None;
+        }
+    }
+    if whole == 0 || whole + e > 15 {
+        return None;
+    }
+    let mut label = 0u64;
+    if bytes.get(i) == Some(&b',') {
+        i += 1;
+        if !(1..=18).contains(&digits(bytes, &mut i, &mut label)) {
+            return None;
+        }
+    }
+    let next = match &bytes[i..] {
+        [] => i,
+        [b'\n', ..] => i + 1,
+        [b'\r', b'\n', ..] => i + 2,
+        _ => return None,
+    };
+    let q = w as f64 / POW10[e];
+    // The low 29 of the 52 fraction bits are what rounding to `f32` drops.
+    if q.to_bits() & 0x1fff_ffff == 0x1000_0000 {
+        return None;
+    }
+    let value = q as f32;
+    Some((if negative { -value } else { value }, usize::try_from(label).ok()?, next))
 }
 
 /// Scans one newline-snapped range. `file_start`: the range begins the
@@ -158,36 +202,20 @@ fn scan_power_chunk(range: &[u8], file_start: bool) -> PowerChunk {
     let mut next = 0usize;
     while next < bytes.len() {
         let start = next;
-        let LineScan { end, commas, first_comma, odd } = scan_line(bytes, start);
-        next = end + 1;
-        // The common line is printable ASCII up to its `\n` or `\r\n`:
-        // nothing to trim anywhere, so the dialect rules reduce to "blank
-        // if empty, comment on `#`, fields between the commas". Every
-        // other line, and the first record (a header may have any arity),
-        // goes through the dialect functions themselves.
-        let content_end = if end > start && bytes[end - 1] == b'\r' { end - 1 } else { end };
-        let line = if odd == end - content_end && !first_record {
-            let line = &text[start..content_end];
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            bounds.clear();
-            match commas {
-                0 => bounds.push((0, line.len())),
-                1 => {
-                    bounds.extend([(0, first_comma - start), (first_comma + 1 - start, line.len())])
-                }
-                _ => return chunk,
-            }
-            line
-        } else {
-            let line = strip_eol(&text[start..next.min(bytes.len())]);
-            if is_skipped(line) {
-                continue;
-            }
-            split_fields(line, Delimiter::Byte(b','), &mut bounds);
-            line
-        };
+        // A fused record is a reading, never a header.
+        if let Some((value, label, end)) = fused_record(bytes, start) {
+            next = end;
+            first_record = false;
+            chunk.push_reading(value, label);
+            continue;
+        }
+        let newline = bytes[start..].iter().position(|&b| b == b'\n');
+        next = newline.map_or(bytes.len(), |n| start + n + 1);
+        let line = strip_eol(&text[start..next]);
+        if is_skipped(line) {
+            continue;
+        }
+        split_fields(line, Delimiter::Byte(b','), &mut bounds);
         let record = CsvRecord::new(0, line, &bounds);
         if std::mem::take(&mut first_record) && record.looks_like_header() {
             chunk.header = true;
@@ -199,13 +227,7 @@ fn scan_power_chunk(range: &[u8], file_start: bool) -> PowerChunk {
             return chunk;
         };
         match raw {
-            Some(value) if value.is_finite() => {
-                chunk.values.push(value);
-                match chunk.runs.last_mut() {
-                    Some(Run::Readings { len, label: open }) if *open == label => *len += 1,
-                    _ => chunk.runs.push(Run::Readings { len: 1, label }),
-                }
-            }
+            Some(value) if value.is_finite() => chunk.push_reading(value, label),
             _ => chunk.runs.push(Run::Gap { label }),
         }
     }
@@ -249,8 +271,8 @@ impl PowerCsvSource {
     /// Parses an in-memory byte stream with the chunked parallel path.
     /// Byte-identical to [`parse`](Self::parse) — same corpus on
     /// success, same first error (variant, message, global 1-based line
-    /// number) on failure — for every `chunk_bytes >= 1` and thread
-    /// count.
+    /// number) on failure — for every `chunk_bytes` (0 reads as 1, see
+    /// [`chunk_ranges`]) and thread count.
     pub fn parse_chunked(
         &self,
         bytes: &[u8],
@@ -335,11 +357,12 @@ mod tests {
         MhealthNdjsonSource::new("trace.ndjson", window, stride, MissingValuePolicy::Reject)
     }
 
-    /// Asserts chunked == serial (corpus or error) at every chunk size.
+    /// Asserts chunked == serial (corpus or error) at every chunk size, 0
+    /// included.
     fn assert_power_matches(src: &PowerCsvSource, text: impl AsRef<[u8]>) {
         let text = text.as_ref();
         let serial = src.parse(Cursor::new(text));
-        for chunk_bytes in 1..=text.len().max(1) {
+        for chunk_bytes in 0..=text.len().max(1) {
             let chunked = src.parse_chunked(text, chunk_bytes);
             match (&serial, &chunked) {
                 (Ok(a), Ok(b)) => {
@@ -372,6 +395,33 @@ mod tests {
             }
         }
         assert!(chunk_ranges(b"", 8).is_empty());
+        assert_eq!(chunk_ranges(text, 0), chunk_ranges(text, 1));
+    }
+
+    #[test]
+    fn fused_records_read_as_std_reads_them() {
+        for (line, value, label) in [
+            ("0.83452135,0\n", "0.83452135", 0),
+            ("-12.5,3\r\n", "-12.5", 3),
+            ("-0", "-0", 0),
+            ("007.250,000000000000000012", "7.25", 12),
+            ("123456789012345\n", "123456789012345", 0),
+            ("0.00000000000001,1", "0.00000000000001", 1),
+        ] {
+            let (v, l, next) = fused_record(line.as_bytes(), 0).expect(line);
+            assert_eq!(v.to_bits(), value.parse::<f32>().unwrap().to_bits(), "{line:?}");
+            assert_eq!((l, next), (label, line.len()), "{line:?}");
+        }
+        // Two records back to back: the second starts where the first ends.
+        assert_eq!(fused_record(b"1,0\n2.5,1\n", 4), Some((2.5, 1, 10)));
+        // Blank, signs, bare points, exponents, words, padding, empty or
+        // extra fields, stray `\r`s, non-ASCII, too many digits, midpoints.
+        let declined = "|\n|+1|.5|5.|1e5|inf|nan|?|-| 1|1 |1,|0.35,|1,0\r|1,0\r\r\n|1,0,0\
+                        |1.2.3|# 1|1\u{a0}|1234567890123456|0.000000000000001\
+                        |1,0000000000000000000|16777217|-16777219,0";
+        for line in declined.split('|') {
+            assert_eq!(fused_record(line.as_bytes(), 0), None, "{line:?}");
+        }
     }
 
     #[test]
@@ -577,7 +627,7 @@ mod tests {
         }
         let src = mhealth(4, 2);
         let serial = src.parse(Cursor::new(&text)).unwrap();
-        for chunk_bytes in [1, 7, 64, text.len(), text.len() * 2] {
+        for chunk_bytes in [0, 1, 7, 64, text.len(), text.len() * 2] {
             let chunked = src.parse_chunked(text.as_bytes(), chunk_bytes).unwrap();
             assert_eq!(serial.classes, chunked.classes, "chunk_bytes={chunk_bytes}");
             for (a, b) in serial.windows.iter().zip(&chunked.windows) {

@@ -12,7 +12,9 @@
 //! fields split, what counts as missing, how a field parses — lives in
 //! the free functions and [`CsvRecord`] methods below, so the in-place
 //! scanner of [`super::chunked`] applies exactly the same rules to
-//! sub-slices of one in-memory text, without the per-line copy.
+//! sub-slices of one in-memory text, without the per-line copy. That
+//! scanner reads one plain record shape itself, and only where it gets
+//! `std`'s bits; for every other field `std`'s parsers are the reference.
 //!
 //! Dialect: configurable single-byte delimiter (default `,`) or
 //! whitespace splitting; fields are trimmed of ASCII whitespace; lines

@@ -252,6 +252,7 @@ impl Parser<'_> {
                 return Err(self.error("expected digits in the exponent"));
             }
         }
+        // Invariant: every byte consumed since `start` matched an ASCII class.
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
         text.parse::<f32>().map_err(|_| self.error(format!("invalid number {text:?}")))
     }

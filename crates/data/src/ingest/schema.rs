@@ -131,6 +131,7 @@ impl PowerBuilder {
     /// Emits the day window once the day buffer holds a full day.
     fn close_full_day(&mut self) {
         if self.day.len() == self.samples_per_day {
+            // Invariant: every push into `day` first sets `day_label`.
             let (label, _) = self.day_label.take().expect("label set with the day's first reading");
             let day = std::mem::replace(&mut self.day, Vec::with_capacity(self.samples_per_day));
             let data = Matrix::from_vec(self.samples_per_day, 1, day);

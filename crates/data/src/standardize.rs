@@ -35,14 +35,14 @@ impl std::error::Error for NonFiniteError {}
 
 /// Returns the position of the first non-finite entry, if any.
 pub(crate) fn first_non_finite(data: &Matrix) -> Option<NonFiniteError> {
-    for (r, row) in data.iter_rows().enumerate() {
-        for (c, &x) in row.iter().enumerate() {
-            if !x.is_finite() {
-                return Some(NonFiniteError { row: r, col: c });
-            }
-        }
+    let flat = data.as_slice();
+    // The all-finite answer from a scan without an early exit, which
+    // vectorises; the positional walk only runs when it fails.
+    if flat.iter().fold(true, |finite, x| finite & x.is_finite()) {
+        return None;
     }
-    None
+    let at = flat.iter().position(|x| !x.is_finite())?;
+    Some(NonFiniteError { row: at / data.cols(), col: at % data.cols() })
 }
 
 /// Fitted per-channel standardiser: `x ↦ (x − µ_c) / σ_c`.
@@ -170,11 +170,9 @@ impl Standardizer {
             return Err(e);
         }
         let mut out = data.clone();
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            for ((x, &m), &s) in row.iter_mut().zip(self.mean.iter()).zip(self.std.iter()) {
-                *x = (*x - m) / s;
-            }
+        let stats = self.mean.iter().zip(&self.std).cycle();
+        for (x, (&m, &s)) in out.as_mut_slice().iter_mut().zip(stats) {
+            *x = (*x - m) / s;
         }
         Ok(out)
     }

@@ -16,13 +16,18 @@
 //!
 //! Chunk boundaries land mid-record, mid-CRLF, mid-comment — everywhere
 //! — because every chunk size in the sweep is tried on every generated
-//! input.
+//! input. Shortest-form `f32` records reach the scanner's fused number
+//! path with up to 9 significant digits, and every shape it must decline
+//! (exponents, signs, bare points, `inf`, long mantissas and labels, a
+//! trailing comma or `\r`) is generated too. The flat standardiser rides
+//! along: it must equal the row-wise loop it replaced, bit for bit.
 #![cfg(feature = "real-data")]
 
 use proptest::prelude::*;
 
 use hec_data::ingest::{MhealthNdjsonSource, MissingValuePolicy, PowerCsvSource};
-use hec_data::LabeledCorpus;
+use hec_data::{LabeledCorpus, NonFiniteError, Standardizer};
+use hec_tensor::Matrix;
 
 const SPD: usize = 4;
 
@@ -86,10 +91,55 @@ fn power_line(kind: u8, v: u32, out: &mut String) {
         // Stands for a line of invalid UTF-8; `power_bytes` swaps the
         // bytes in.
         23 if v.is_multiple_of(29) => out.push_str(&format!("{INVALID_UTF8_MARK},{label}\n")),
+        24 | 25 => number_record(v, label, out),
+        // Values `std` reads as non-finite or not at all, and a 20-digit
+        // label: all declined by the fused record.
+        26 if v.is_multiple_of(7) => {
+            out.push_str(&format!("{},{label}\n", ["-", "inf", "+"][v as usize % 3]));
+        }
+        27 if v.is_multiple_of(37) => out.push_str(&format!("{x:.3},1{v:019}\n")),
         _ => {
             out.push_str(&format!("{x:.3},{label}\n"));
         }
     }
+}
+
+/// Finite numbers `std` reads that the fused record must decline: an
+/// exponent, a sign, a bare point, more than 15 digits.
+const DECLINED: [&str; 10] = [
+    "1e5",
+    "+1",
+    ".5",
+    "5.",
+    "1234567890123456",
+    "0.1234567890123456",
+    "12345678.901234567",
+    "00000000000000001",
+    "-0.000000000000001",
+    "1.5e-3",
+];
+
+/// One record whose value `std` reads as finite, in a form the fused
+/// record reads or declines: a shortest-form `f32` (up to 9 significant
+/// digits, huge and tiny magnitudes), a `{:.4}` one, or a [`DECLINED`]
+/// spelling; labelled, padded with zeros, unlabelled or with an empty
+/// label (the last two only for label 0), behind `\n`, `\r\n` or `\r\r\n`.
+fn number_record(v: u32, label: u32, out: &mut String) {
+    let x = f32::from_bits(v.wrapping_mul(0x9e37_79b1));
+    let x = if x.is_finite() { x } else { v as f32 };
+    let value = match v % 4 {
+        0 | 1 => format!("{x}"),
+        2 => format!("{x:.4}"),
+        _ => DECLINED[(v / 4) as usize % DECLINED.len()].to_owned(),
+    };
+    let record = match (v / 7) % 5 {
+        0 if label == 0 => format!("{value}\n"),
+        1 if label == 0 => format!("{value},\n"),
+        2 => format!("{value},00{label}\r\r\n"),
+        3 => format!("{value},{label}\r\n"),
+        _ => format!("{value},{label}\n"),
+    };
+    out.push_str(&record);
 }
 
 /// Placeholder a generated text carries where `power_bytes` puts two bytes
@@ -228,8 +278,110 @@ fn assert_mhealth_equivalence(text: &str, policy: MissingValuePolicy) {
     }
 }
 
+/// Every shape the fused record declines, in the middle of a file and as
+/// its last line, against the serial reader.
+#[test]
+fn declined_shapes_read_as_the_serial_reader_reads_them() {
+    let shapes =
+        DECLINED.iter().chain(&["-", "inf", "nan", "?", ""]).map(|v| format!("{v},0")).chain(
+            ["0.35", "0.35,", "1,0\r", "1,99999999999999999999", "1,0\r\r", "1\u{a0},0", "1,0,0"]
+                .map(String::from),
+        );
+    for shape in shapes {
+        for text in [format!("1,0\n{shape}\n2,0\n3,0\n"), format!("1,0\n2,0\n3,0\n{shape}")] {
+            for policy in [MissingValuePolicy::Reject, MissingValuePolicy::ImputePrevious] {
+                assert_power_equivalence(text.as_bytes(), policy);
+            }
+        }
+    }
+}
+
+/// The flat standardiser against the row-wise loop it replaced.
+fn row_wise_transform(s: &Standardizer, data: &Matrix) -> Result<Matrix, NonFiniteError> {
+    for (r, row) in data.iter_rows().enumerate() {
+        if let Some(c) = row.iter().position(|x| !x.is_finite()) {
+            return Err(NonFiniteError { row: r, col: c });
+        }
+    }
+    let mut out = data.clone();
+    for r in 0..out.rows() {
+        let row = out.row_mut(r);
+        for ((x, &m), &sd) in row.iter_mut().zip(s.mean()).zip(s.std()) {
+            *x = (*x - m) / sd;
+        }
+    }
+    Ok(out)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Power CSV that parses — one label per day (or 0 throughout, where
+    /// a reading gained or lost cannot hide behind a label the builder
+    /// refuses), blank and comment lines between, every value finite — so
+    /// the readings themselves, not an error, are compared bit for bit, in
+    /// every form [`number_record`] writes, with and without a final
+    /// newline.
+    #[test]
+    fn power_readings_equal_serial(
+        tokens in proptest::collection::vec((0u8..8, 0u32..100_000), 0..80),
+        labels in 1u32..4,
+        cut_final_newline in 0u8..2,
+    ) {
+        let mut text = String::new();
+        let mut records = 0;
+        for &(kind, v) in &tokens {
+            match kind {
+                0 => text.push('\n'),
+                1 => text.push_str("# c\n"),
+                _ => {
+                    number_record(v, (records / SPD as u32) % labels, &mut text);
+                    records += 1;
+                }
+            }
+        }
+        if cut_final_newline == 1 && text.ends_with('\n') {
+            text.pop();
+        }
+        let source = PowerCsvSource::new("unused.csv", SPD, MissingValuePolicy::Reject);
+        prop_assert!(source.parse(std::io::Cursor::new(&text)).is_ok(), "{text:?}");
+        assert_power_equivalence(text.as_bytes(), MissingValuePolicy::Reject);
+    }
+
+    /// `Standardizer::try_transform` equals the row-wise loop bit for bit
+    /// at 1, 3 and 18 channels, and reports the same first non-finite
+    /// position when `poison` plants one.
+    #[test]
+    fn standardizer_matches_the_row_wise_loop(
+        seed in 0u32..1_000_000,
+        rows in 1usize..40,
+        poison in proptest::collection::vec(0usize..10_000, 0..3),
+    ) {
+        for channels in [1, 3, 18] {
+            let mut state = seed;
+            let mut sample = || {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                (state >> 8) as f32 / (1 << 20) as f32 - 8.0
+            };
+            let fit = Matrix::from_vec(rows, channels, (0..rows * channels).map(|_| sample()).collect());
+            let standardizer = Standardizer::fit(&fit);
+            let mut data = (0..rows * channels).map(|_| 3.0 * sample()).collect::<Vec<_>>();
+            for (&at, bad) in poison.iter().zip([f32::NAN, f32::INFINITY, f32::NEG_INFINITY]) {
+                let n = data.len();
+                data[at % n] = bad;
+            }
+            let data = Matrix::from_vec(rows, channels, data);
+            let flat = standardizer.try_transform(&data);
+            let row_wise = row_wise_transform(&standardizer, &data);
+            match (&flat, &row_wise) {
+                (Ok(a), Ok(b)) => prop_assert!(
+                    a.as_slice().iter().map(|x| x.to_bits()).eq(b.as_slice().iter().map(|x| x.to_bits()))
+                ),
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                _ => panic!("channels={channels}: {flat:?} vs {row_wise:?}"),
+            }
+        }
+    }
 
     /// Power CSV: chunked == serial on arbitrary record mixes, with and
     /// without a leading header, a byte-order mark and a final newline,
