@@ -116,33 +116,6 @@ impl ModelCatalog {
         }
     }
 
-    /// Like [`Self::univariate`] but the layer-0 (IoT) detector opts into
-    /// the int8 quantised inference path under `mode` — weights quantised
-    /// once post-training, activations per batch when the mode asks for it.
-    /// The edge and cloud detectors keep the f32 path: the paper's premise
-    /// is that *on-device* inference is the resource-constrained one, and
-    /// the quantised layer-0 delay is what feeds back into the fleet's
-    /// delay economy.
-    pub fn univariate_quantized(input_dim: usize, seed: u64, mode: hec_nn::QuantMode) -> Self {
-        let mut iot = AutoencoderDetector::new("AE-IoT", AeArchitecture::iot(input_dim), seed);
-        iot.set_quant_mode(Some(mode));
-        Self {
-            detectors: vec![
-                Box::new(iot),
-                Box::new(AutoencoderDetector::new(
-                    "AE-Edge",
-                    AeArchitecture::edge(input_dim),
-                    seed.wrapping_add(1),
-                )),
-                Box::new(AutoencoderDetector::new(
-                    "AE-Cloud",
-                    AeArchitecture::cloud(input_dim),
-                    seed.wrapping_add(2),
-                )),
-            ],
-        }
-    }
-
     /// The multivariate family: LSTM-seq2seq-IoT (`hidden` units),
     /// LSTM-seq2seq-Edge (double units), BiLSTM-seq2seq-Cloud
     /// (bidirectional) over `input_dim` channels.
@@ -169,11 +142,6 @@ impl ModelCatalog {
     pub fn from_detectors(detectors: Vec<Box<dyn AnomalyDetector>>) -> Self {
         assert_eq!(detectors.len(), 3, "catalog needs exactly K = 3 detectors");
         Self { detectors }
-    }
-
-    /// The detector deployed at `layer`.
-    pub fn detector_mut(&mut self, layer: HecLayer) -> &mut dyn AnomalyDetector {
-        self.detectors[layer.index()].as_mut()
     }
 
     /// Mutable access to all three detectors (bottom-up). They share
@@ -246,21 +214,19 @@ mod tests {
     #[test]
     fn quantized_catalog_marks_layer0_only() {
         use hec_nn::{QuantMode, QuantScheme};
-        let catalog =
-            ModelCatalog::univariate_quantized(96, 0, QuantMode::int8(QuantScheme::PerRow));
+        let mut iot = AutoencoderDetector::new("AE-IoT", AeArchitecture::iot(96), 0);
+        iot.set_quant_mode(Some(QuantMode::int8(QuantScheme::PerRow)));
+        let catalog = ModelCatalog::from_detectors(vec![
+            Box::new(iot),
+            Box::new(AutoencoderDetector::new("AE-Edge", AeArchitecture::edge(96), 1)),
+            Box::new(AutoencoderDetector::new("AE-Cloud", AeArchitecture::cloud(96), 2)),
+        ]);
         let specs = catalog.specs();
         assert_eq!(specs[0].quant.as_deref(), Some("int8-per-row"));
         assert_eq!(specs[1].quant, None);
         assert_eq!(specs[2].quant, None);
         // The plain catalog is entirely f32.
         assert!(ModelCatalog::univariate(96, 0).specs().iter().all(|s| s.quant.is_none()));
-    }
-
-    #[test]
-    fn detector_lookup_by_layer() {
-        let mut catalog = ModelCatalog::univariate(32, 0);
-        assert_eq!(catalog.detector_mut(HecLayer::Cloud).name(), "AE-Cloud");
-        assert_eq!(catalog.detector_mut(HecLayer::IoT).name(), "AE-IoT");
     }
 
     #[test]

@@ -220,16 +220,6 @@ impl LogPdScorer {
         self.gaussian.log_pdf(error).expect("error-vector dimension mismatch")
     }
 
-    /// logPD of a single scalar error (1-D calibration) — allocation-free
-    /// and bit-identical to [`LogPdScorer::log_pd`] on `&[error]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scorer was calibrated on multivariate errors.
-    pub fn log_pd_scalar(&self, error: f32) -> f32 {
-        self.gaussian.log_pdf_scalar(error).expect("scorer is not 1-dimensional")
-    }
-
     /// logPD of a single error vector, with the working vector supplied by
     /// the caller (`scratch.len() == self.dim()`) — allocation-free and
     /// bit-identical to [`LogPdScorer::log_pd`].
@@ -363,7 +353,6 @@ mod tests {
         assert_eq!(min_v.to_bits(), min_s.to_bits());
         assert_eq!(frac_v.to_bits(), frac_s.to_bits());
         for (&e, &lp) in scalars.iter().zip(&log_pds) {
-            assert_eq!(scorer.log_pd(&[e]).to_bits(), scorer.log_pd_scalar(e).to_bits());
             assert_eq!(scorer.log_pd(&[e]).to_bits(), lp.to_bits());
         }
     }

@@ -228,14 +228,6 @@ impl Seq2SeqDetector {
         self.scorer.as_ref()
     }
 
-    /// Encoded state of a window — the policy network's multivariate context
-    /// (§III-B: "we use the encoded states of the LSTM-encoder").
-    pub fn encode_context(&mut self, window: &LabeledWindow) -> Vec<f32> {
-        self.with_block(std::slice::from_ref(window), |det, rows, _| {
-            det.model.encode(rows, 1).h.as_slice().to_vec()
-        })
-    }
-
     /// Every window's reconstruction-error vectors through the current
     /// weights, window after window — the order the Gaussian's sums run in —
     /// and the row at which each window's errors end.
@@ -459,12 +451,13 @@ mod tests {
 
     #[test]
     fn context_vector_has_hidden_width() {
-        let mut det = small("s2s", false, 12);
-        let ctx = det.encode_context(&sine_window(0.4, 0.0, 12));
-        assert_eq!(ctx.len(), 12);
-        let mut det_bi = small("s2s-bi", true, 12);
-        let ctx_bi = det_bi.encode_context(&sine_window(0.4, 0.0, 12));
-        assert_eq!(ctx_bi.len(), 24);
+        // Encoder state (hidden, both directions when bidirectional), then
+        // each of the two channels' mean and std.
+        let window = sine_window(0.4, 0.0, 12);
+        let ctx = small("s2s", false, 12).context_features(&window).unwrap();
+        assert_eq!(ctx.len(), 12 + 2 * 2);
+        let ctx_bi = small("s2s-bi", true, 12).context_features(&window).unwrap();
+        assert_eq!(ctx_bi.len(), 24 + 2 * 2);
     }
 
     #[test]

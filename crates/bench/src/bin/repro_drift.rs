@@ -152,7 +152,6 @@ fn main() {
     .parse();
     let out_dir = cli.positional();
     hec_bench::telemetry::init("repro_drift", cli.telemetry_dir());
-    let mut bench_metrics: Vec<(String, f64)> = Vec::new();
     let profile = Profile::from_env();
     let size = sizing(profile);
     println!("== repro_drift (profile: {profile:?}) ==\n");
@@ -170,7 +169,6 @@ fn main() {
     );
     let pipeline_wall = t0.elapsed().as_secs_f64();
     eprintln!("[timing] offline pipeline: {pipeline_wall:.2} s");
-    bench_metrics.push(("pipeline_s".into(), pipeline_wall));
 
     // Stage 2: the drift-injected stream. Amplify a decorrelated raw
     // corpus, then shift level by 1.5σ and scale by +20% from the onset
@@ -208,14 +206,12 @@ fn main() {
     let frozen = run_adaptive_stream(&mut exp, &mut trainer, &scaler, &stream, &frozen_cfg);
     let frozen_wall = t0.elapsed().as_secs_f64();
     eprintln!("[timing] frozen stream: {frozen_wall:.2} s");
-    bench_metrics.push(("frozen_windows_per_s".into(), stream.len() as f64 / frozen_wall));
 
     let adaptive_cfg = AdaptConfig::adaptive(size.chunk, size.shards);
     let t0 = Instant::now();
     let adaptive = run_adaptive_stream(&mut exp, &mut trainer, &scaler, &stream, &adaptive_cfg);
     let adaptive_wall = t0.elapsed().as_secs_f64();
     eprintln!("[timing] adaptive stream: {adaptive_wall:.2} s");
-    bench_metrics.push(("adaptive_windows_per_s".into(), stream.len() as f64 / adaptive_wall));
 
     // Stage 4: recovery comparison.
     let eps = 0.05;
@@ -253,8 +249,5 @@ fn main() {
         println!("\nwrote {path}");
     }
 
-    let metric_refs: Vec<(&str, f64)> =
-        bench_metrics.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    hec_bench::telemetry::write_bench_json("repro_drift", &metric_refs);
     hec_bench::telemetry::dump("repro_drift", cli.telemetry_dir());
 }

@@ -90,7 +90,6 @@ fn main() {
     }
 
     hec_bench::telemetry::init("repro_fleet", cli.telemetry_dir());
-    let mut bench_metrics: Vec<(String, f64)> = Vec::new();
 
     let profile = Profile::from_env();
     let scale = profile.fleet_scale();
@@ -123,8 +122,6 @@ fn main() {
             report.events as f64 / wall / 1e6,
             report.emitted as f64 / wall / 1e6
         );
-        bench_metrics.push((format!("{name}.events_per_s"), report.events as f64 / wall));
-        bench_metrics.push((format!("{name}.windows_per_s"), report.emitted as f64 / wall));
         if shards > 1 {
             let per_shard: Vec<String> =
                 run.shard_events.iter().map(|&e| format!("{:.2}M", e as f64 / 1e6)).collect();
@@ -151,9 +148,6 @@ fn main() {
         stream_schemes(profile, scale, out_dir);
     }
 
-    let metric_refs: Vec<(&str, f64)> =
-        bench_metrics.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    hec_bench::telemetry::write_bench_json("repro_fleet", &metric_refs);
     hec_bench::telemetry::dump("repro_fleet", cli.telemetry_dir());
 }
 

@@ -87,7 +87,6 @@ fn main() {
         }
     }
     hec_bench::telemetry::init("repro_fleet_train", cli.telemetry_dir());
-    let mut bench_metrics: Vec<(String, f64)> = Vec::new();
     let profile = Profile::from_env();
     let eval_scale = profile.fleet_scale();
     println!("== repro_fleet_train (profile: {profile:?}) ==\n");
@@ -151,8 +150,6 @@ fn main() {
         );
         let train_wall = t0.elapsed().as_secs_f64();
         eprintln!("[timing] fleet-train {name}: {train_wall:.2} s");
-        bench_metrics
-            .push((format!("{name}.train_epoch_ms"), train_wall * 1e3 / fleet_epochs as f64));
         let curve = &out.curve.mean_reward_per_epoch;
         println!("scenario {name}:");
         println!(
@@ -198,8 +195,6 @@ fn main() {
         ];
         let eval_wall = t0.elapsed().as_secs_f64();
         eprintln!("[timing] eval {name}: {eval_wall:.2} s");
-        let eval_windows: u64 = results.iter().map(|(_, r)| r.fleet.emitted).sum();
-        bench_metrics.push((format!("{name}.windows_per_s"), eval_windows as f64 / eval_wall));
         for (label, r) in &results {
             println!(
                 "  {label:<7} acc={:.4} f1={:.4} reward={:<9.2} mean={:.2} ms p99={:.2} ms \
@@ -240,8 +235,5 @@ fn main() {
         println!("wrote {path}");
     }
 
-    let metric_refs: Vec<(&str, f64)> =
-        bench_metrics.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    hec_bench::telemetry::write_bench_json("repro_fleet_train", &metric_refs);
     hec_bench::telemetry::dump("repro_fleet_train", cli.telemetry_dir());
 }

@@ -74,7 +74,6 @@ fn main() {
     .parse();
     let out_dir = cli.positional();
     hec_bench::telemetry::init("repro_quant", cli.telemetry_dir());
-    let mut bench_metrics: Vec<(String, f64)> = Vec::new();
     let profile = Profile::from_env();
     println!("== repro_quant (profile: {profile:?}) ==\n");
 
@@ -107,7 +106,6 @@ fn main() {
     let report = det.fit(&train, ad_epochs).expect("AE-IoT fit");
     let fit_wall = t0.elapsed().as_secs_f64();
     eprintln!("[timing] f32 training: {fit_wall:.2} s");
-    bench_metrics.push(("train_epoch_ms".into(), fit_wall * 1e3 / ad_epochs as f64));
 
     // Sub-microsecond per-window latency needs a long measurement window:
     // 200 full-profile passes over the test split is ~20 ms per scheme.
@@ -120,7 +118,6 @@ fn main() {
     let f32_threshold = report.threshold;
     let f32_us = per_window_us(&mut det, &test, passes);
     eprintln!("[latency] {:<15}: {f32_us:9.1} us/window", "f32");
-    bench_metrics.push(("f32.detect_us_per_window".into(), f32_us));
 
     let modes = [
         QuantMode::weight_only(QuantScheme::PerTensor),
@@ -153,7 +150,6 @@ fn main() {
         let confusion = evaluate(&mut det, &test);
         let us = per_window_us(&mut det, &test, passes);
         eprintln!("[latency] {:<15}: {us:9.1} us/window", mode.label());
-        bench_metrics.push((format!("{}.detect_us_per_window", mode.label()), us));
         if mode == QuantMode::int8(QuantScheme::PerRow) {
             int8_per_row_us = us;
         }
@@ -203,8 +199,5 @@ fn main() {
         println!("wrote {path}");
     }
 
-    let metric_refs: Vec<(&str, f64)> =
-        bench_metrics.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    hec_bench::telemetry::write_bench_json("repro_quant", &metric_refs);
     hec_bench::telemetry::dump("repro_quant", cli.telemetry_dir());
 }

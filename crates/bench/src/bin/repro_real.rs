@@ -26,9 +26,9 @@
 //! fixtures and flags ⇒ byte-identical output across reruns,
 //! `HEC_THREADS` and `--ingest-threads` settings (the CI real-data job
 //! enforces this with a diff matrix). Wall-clock timings go to stderr
-//! and `BENCH_repro_real.json` only. The adversarial fixtures
-//! demonstrate the loader's failure mode: line-numbered errors, never
-//! panics — identical through the chunked path.
+//! only. The adversarial fixtures demonstrate the loader's failure mode:
+//! line-numbered errors, never panics — identical through the chunked
+//! path.
 
 use hec_bandit::{ContextScaler, PolicyNetwork, RewardModel, TrainConfig};
 use hec_bench::cli::Spec;
@@ -262,7 +262,6 @@ fn main() {
     let args = parse_args();
     let dir = &args.fixtures;
     hec_bench::telemetry::init("repro_real", args.telemetry_dir.as_deref());
-    let mut bench_metrics: Vec<(String, f64)> = Vec::new();
     println!("== repro_real (fixture traces through the full paper protocol) ==\n");
 
     // --- univariate: power-demand CSV (chunked parallel ingestion) ---
@@ -293,14 +292,11 @@ fn main() {
         policy_hidden: 32,
         seed: 42,
     };
-    let n_windows = corpus.len();
     let t0 = std::time::Instant::now();
     let (mut power_exp, mut power_policy, power_scaler) =
         run_pipeline(&power_source.name(), config, corpus);
     let wall = t0.elapsed().as_secs_f64();
     eprintln!("[timing] power pipeline: {wall:.2} s");
-    bench_metrics.push(("power.pipeline_s".into(), wall));
-    bench_metrics.push(("power.windows_per_s".into(), n_windows as f64 / wall));
 
     // --- multivariate: MHEALTH NDJSON (chunked parallel ingestion) ---
     let mhealth_source = MhealthNdjsonSource::new(
@@ -334,13 +330,10 @@ fn main() {
         policy_hidden: 32,
         seed: 42,
     };
-    let n_windows = corpus.len();
     let t0 = std::time::Instant::now();
     run_pipeline(&mhealth_source.name(), config, corpus);
     let wall = t0.elapsed().as_secs_f64();
     eprintln!("[timing] mhealth pipeline: {wall:.2} s");
-    bench_metrics.push(("mhealth.pipeline_s".into(), wall));
-    bench_metrics.push(("mhealth.windows_per_s".into(), n_windows as f64 / wall));
 
     // --- adversarial traces: line-numbered errors, not panics ---
     println!("--- adversarial traces ---");
@@ -382,9 +375,6 @@ fn main() {
             parsed.len() as f64 / ingest_wall,
             big.len().div_ceil(chunk)
         );
-        bench_metrics.push(("ingest.amplified_bytes".into(), big.len() as f64));
-        bench_metrics.push(("ingest.gb_per_s".into(), gb_per_s));
-        bench_metrics.push(("ingest.windows_per_s".into(), parsed.len() as f64 / ingest_wall));
 
         // Replay corpus: the loaded corpus amplified with deterministic
         // perturbation (repetition 0 verbatim), scored by the trained
@@ -406,7 +396,6 @@ fn main() {
             args.shards
         );
         let mut results = Vec::new();
-        let mut replay_wall = 0.0f64;
         for scheme in SchemeKind::ALL {
             let t0 = std::time::Instant::now();
             let r = match scheme {
@@ -422,14 +411,10 @@ fn main() {
                 _ => replay_trace_sharded(&sc, &oracle, scheme, None, None, &reward, args.shards),
             };
             let wall = t0.elapsed().as_secs_f64();
-            replay_wall += wall;
             eprintln!(
                 "[timing] replay {scheme}: {wall:.2} s ({:.0} windows/s)",
                 r.fleet.emitted as f64 / wall
             );
-            bench_metrics.push((format!("replay.{scheme}.windows_per_s"), {
-                r.fleet.emitted as f64 / wall
-            }));
             println!(
                 "  {:<11} acc={:.4} f1={:.4} reward={:<8.2} mean={:.2} ms p99={:.2} ms \
                  served={} missed={}",
@@ -444,11 +429,6 @@ fn main() {
             );
             results.push(r);
         }
-        bench_metrics.push(("replay.windows".into(), sc.total_windows() as f64));
-        bench_metrics.push((
-            "replay.windows_per_s".into(),
-            (sc.total_windows() as f64 * SchemeKind::ALL.len() as f64) / replay_wall,
-        ));
         if let Some(out) = &args.out_dir {
             std::fs::create_dir_all(out).expect("create --out dir");
             let path = format!("{out}/replay.csv");
@@ -457,8 +437,5 @@ fn main() {
         }
     }
 
-    let metric_refs: Vec<(&str, f64)> =
-        bench_metrics.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    hec_bench::telemetry::write_bench_json("repro_real", &metric_refs);
     hec_bench::telemetry::dump("repro_real", args.telemetry_dir.as_deref());
 }

@@ -14,13 +14,10 @@
 //!
 //! Wall-clock span and allocation-phase aggregates are **not** written to
 //! the dump directory — they are machine-dependent, so they go to stderr
-//! and to the `BENCH_<bin>.json` throughput sidecar ([`write_bench_json`])
-//! in the working directory, keeping every CI-diffed artifact stable.
+//! only, keeping every CI-diffed artifact stable.
 //!
 //! When the binary was built with `--no-default-features`, the flag is
 //! accepted but warns on stderr and writes nothing.
-
-use std::fmt::Write as _;
 
 /// Arms telemetry for a run: enables virtual-event capture when a dump
 /// directory was requested, and warns when the flag is used in a build
@@ -60,77 +57,5 @@ pub fn dump(bin: &str, dir: Option<&str>) {
     let wall = hec_telemetry::wall_stats_text();
     if !wall.is_empty() {
         eprintln!("[telemetry] wall-clock spans (machine-dependent, stderr only):\n{wall}");
-    }
-}
-
-/// Writes `BENCH_<bin>.json` in the working directory: the run's headline
-/// throughput numbers plus (when telemetry is on) the wall-clock span and
-/// allocation-phase aggregates. Wall-clock quantities are
-/// machine-dependent by design — this artifact is for local comparison
-/// and perf tracking, never for byte-stability CI diffs.
-pub fn write_bench_json(bin: &str, metrics: &[(&str, f64)]) {
-    let path = format!("BENCH_{bin}.json");
-    std::fs::write(&path, bench_json(bin, metrics)).expect("write bench json");
-    eprintln!("[telemetry] {bin}: wrote {path}");
-}
-
-/// Renders the `BENCH_<bin>.json` document (exposed for tests).
-pub fn bench_json(bin: &str, metrics: &[(&str, f64)]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bin\": \"{bin}\",");
-    let _ = writeln!(out, "  \"telemetry_enabled\": {},", hec_telemetry::ENABLED);
-    out.push_str("  \"metrics\": {");
-    for (i, (name, value)) in metrics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\n    \"{name}\": {value:.3}");
-    }
-    out.push_str("\n  }");
-    if hec_telemetry::ENABLED {
-        out.push_str(",\n  \"wall_spans\": {");
-        let stats = hec_telemetry::wall_stats();
-        let mut first = true;
-        for (name, s) in &stats {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            if name.starts_with("alloc.") {
-                let _ = write!(
-                    out,
-                    "\n    \"{name}\": {{\"count\": {}, \"allocs\": {}, \"max\": {}}}",
-                    s.count, s.total, s.max
-                );
-            } else {
-                let _ = write!(
-                    out,
-                    "\n    \"{name}\": {{\"count\": {}, \"total_ms\": {:.3}, \
-                     \"mean_us\": {:.1}, \"max_us\": {:.1}}}",
-                    s.count,
-                    s.total as f64 / 1e6,
-                    if s.count == 0 { 0.0 } else { s.total as f64 / s.count as f64 / 1e3 },
-                    s.max as f64 / 1e3
-                );
-            }
-        }
-        out.push_str("\n  }");
-    }
-    out.push_str("\n}\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_json_renders_metrics_with_balanced_braces() {
-        let json = bench_json("repro_x", &[("windows_per_s", 1234.5678), ("events_per_s", 9.0)]);
-        assert!(json.contains("\"bin\": \"repro_x\""));
-        assert!(json.contains("\"windows_per_s\": 1234.568"));
-        assert!(json.contains("\"events_per_s\": 9.000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.ends_with("}\n"));
     }
 }

@@ -12,7 +12,7 @@ use hec_bandit::{
     TrainingCurve,
 };
 use hec_data::{
-    mhealth::{Activity, MhealthConfig, MhealthGenerator},
+    mhealth::{MhealthConfig, MhealthGenerator},
     paper_split,
     power::{PowerConfig, PowerGenerator},
     standardize::Standardizer,
@@ -483,9 +483,6 @@ fn stack_rows(mats: &[Matrix]) -> Matrix {
     out
 }
 
-/// Re-export of the MHEALTH activity enum for example binaries.
-pub type MhealthActivity = Activity;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,8 +593,15 @@ mod tests {
     #[test]
     fn detectors_fit_and_score_the_same_at_any_worker_count() {
         let quantized: fn() -> ModelCatalog = || {
-            let mode = hec_anomaly::QuantMode::int8(hec_anomaly::QuantScheme::PerRow);
-            ModelCatalog::univariate_quantized(24, 7, mode)
+            use hec_anomaly::{AeArchitecture as Arch, AutoencoderDetector as Ae};
+            use hec_anomaly::{QuantMode, QuantScheme};
+            let mut iot = Ae::new("AE-IoT", Arch::iot(24), 7);
+            iot.set_quant_mode(Some(QuantMode::int8(QuantScheme::PerRow)));
+            ModelCatalog::from_detectors(vec![
+                Box::new(iot),
+                Box::new(Ae::new("AE-Edge", Arch::edge(24), 8)),
+                Box::new(Ae::new("AE-Cloud", Arch::cloud(24), 9)),
+            ])
         };
         let mut uni = tiny_univariate();
         uni.ad_epochs = 10;

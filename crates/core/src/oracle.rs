@@ -172,15 +172,6 @@ impl Oracle {
         self.verdict(i, layer) == self.outcomes[i].truth
     }
 
-    /// Per-layer accuracy over all windows (sanity metric).
-    pub fn layer_accuracy(&self, layer: usize) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        let correct = (0..self.len()).filter(|&i| self.correct(i, layer)).count();
-        correct as f64 / self.len() as f64
-    }
-
     /// All context vectors (corpus order).
     pub fn contexts(&self) -> Vec<Vec<f32>> {
         self.outcomes.iter().map(|o| o.context.clone()).collect()
@@ -312,16 +303,5 @@ mod tests {
         let windows = vec![ramp(16, 0.0)];
         let oracle = Oracle::precompute_with_thresholds(&mut catalog, &windows, [-1.0, -2.0, -3.0]);
         assert_eq!(oracle.thresholds, [-1.0, -2.0, -3.0]);
-    }
-
-    #[test]
-    fn layer_accuracy_in_unit_range() {
-        let mut catalog = fitted_catalog(16);
-        let windows = vec![ramp(16, 0.0), flat(16), ramp(16, 0.002)];
-        let oracle = Oracle::precompute(&mut catalog, &windows);
-        for layer in 0..3 {
-            let acc = oracle.layer_accuracy(layer);
-            assert!((0.0..=1.0).contains(&acc));
-        }
     }
 }

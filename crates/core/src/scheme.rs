@@ -407,7 +407,8 @@ mod tests {
 
     /// The Fig. 3b series and the Table II row read one action table: for
     /// every scheme the records must add up to exactly what `evaluate`
-    /// reports — confusion, mean delay and action histogram.
+    /// reports — confusion, mean delay and action histogram — and the row
+    /// must cover the whole corpus at a positive mean delay.
     #[test]
     fn stream_records_add_up_to_evaluate_for_every_scheme() {
         let topo = HecTopology::paper_testbed(DatasetKind::Univariate);
@@ -419,6 +420,8 @@ mod tests {
             let records =
                 crate::stream::stream_records(&ev, &oracle, kind, Some(&mut policy), Some(&scaler));
             let row = ev.evaluate(kind, &oracle, Some(&mut policy), Some(&scaler));
+            assert_eq!(row.confusion.total(), 60, "{kind} did not cover the corpus");
+            assert!(row.mean_delay_ms > 0.0, "{kind}");
             let confusion =
                 BinaryConfusion::from_predictions(records.iter().map(|r| (r.predicted, r.truth)));
             assert_eq!(confusion, row.confusion, "{kind}");

@@ -55,7 +55,7 @@ use std::io::Cursor;
 
 use hec_tensor::parallel::parallel_map;
 
-use crate::ingest::csv::{is_skipped, split_fields, strip_eol, CsvRecord, Delimiter, BOM};
+use crate::ingest::csv::{is_skipped, split_fields, strip_eol, CsvRecord, BOM};
 use crate::ingest::ndjson::NdjsonReader;
 use crate::ingest::schema::{
     MhealthBuilder, MhealthNdjsonSource, MhealthRow, PowerBuilder, PowerCsvSource, PowerRow,
@@ -215,7 +215,7 @@ fn scan_power_chunk(range: &[u8], file_start: bool) -> PowerChunk {
         if is_skipped(line) {
             continue;
         }
-        split_fields(line, Delimiter::Byte(b','), &mut bounds);
+        split_fields(line, &mut bounds);
         let record = CsvRecord::new(0, line, &bounds);
         if std::mem::take(&mut first_record) && record.looks_like_header() {
             chunk.header = true;

@@ -16,8 +16,8 @@
 //! scanner reads one plain record shape itself, and only where it gets
 //! `std`'s bits; for every other field `std`'s parsers are the reference.
 //!
-//! Dialect: configurable single-byte delimiter (default `,`) or
-//! whitespace splitting; fields are trimmed of ASCII whitespace; lines
+//! Dialect: fields split at every `,` (empty fields preserved, so `1,,3`
+//! has a *missing* middle field) and trimmed of ASCII whitespace; lines
 //! that are blank or start with `#` after trimming leading *Unicode*
 //! whitespace are skipped; CRLF (and `\r\r\n`) line endings are
 //! tolerated; a UTF-8 BOM is stripped off the file's first line only.
@@ -28,16 +28,6 @@
 use std::io::BufRead;
 
 use crate::source::IngestError;
-
-/// How a line is split into fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delimiter {
-    /// Split at every occurrence of this byte (empty fields preserved,
-    /// so `1,,3` has a *missing* middle field).
-    Byte(u8),
-    /// Split at runs of ASCII whitespace (empty fields impossible).
-    Whitespace,
-}
 
 /// Field spellings treated as a missing value (case-insensitive):
 /// the empty field, `?`, `nan`, `na`, and `null`.
@@ -66,38 +56,19 @@ pub(crate) fn is_skipped(line: &str) -> bool {
     trimmed.is_empty() || trimmed.starts_with('#')
 }
 
-/// Splits a record line into trimmed field bounds (byte ranges of `line`),
-/// replacing the contents of `bounds`.
-pub(crate) fn split_fields(line: &str, delimiter: Delimiter, bounds: &mut Vec<(usize, usize)>) {
+/// Splits a record line at every `,` into trimmed field bounds (byte
+/// ranges of `line`), replacing the contents of `bounds`.
+pub(crate) fn split_fields(line: &str, bounds: &mut Vec<(usize, usize)>) {
     bounds.clear();
     let bytes = line.as_bytes();
-    match delimiter {
-        Delimiter::Byte(delim) => {
-            let mut start = 0usize;
-            for (i, &b) in bytes.iter().enumerate() {
-                if b == delim {
-                    bounds.push(trim_bounds(line, start, i));
-                    start = i + 1;
-                }
-            }
-            bounds.push(trim_bounds(line, start, bytes.len()));
-        }
-        Delimiter::Whitespace => {
-            let mut start: Option<usize> = None;
-            for (i, &b) in bytes.iter().enumerate() {
-                if b.is_ascii_whitespace() {
-                    if let Some(s) = start.take() {
-                        bounds.push((s, i));
-                    }
-                } else if start.is_none() {
-                    start = Some(i);
-                }
-            }
-            if let Some(s) = start {
-                bounds.push((s, bytes.len()));
-            }
+    let mut start = 0usize;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b == b',' {
+            bounds.push(trim_bounds(line, start, i));
+            start = i + 1;
         }
     }
+    bounds.push(trim_bounds(line, start, bytes.len()));
 }
 
 /// A streaming CSV reader over any [`BufRead`].
@@ -105,7 +76,6 @@ pub(crate) fn split_fields(line: &str, delimiter: Delimiter, bounds: &mut Vec<(u
 pub struct CsvReader<R> {
     src: R,
     name: String,
-    delimiter: Delimiter,
     line: String,
     bounds: Vec<(usize, usize)>,
     line_no: u64,
@@ -116,30 +86,7 @@ impl<R: BufRead> CsvReader<R> {
     /// used in I/O error reports (keep it relative/stable so repro output
     /// stays byte-identical).
     pub fn new(src: R, name: impl Into<String>) -> Self {
-        Self {
-            src,
-            name: name.into(),
-            delimiter: Delimiter::Byte(b','),
-            line: String::new(),
-            bounds: Vec::new(),
-            line_no: 0,
-        }
-    }
-
-    /// Replaces the delimiter (e.g. `Delimiter::Whitespace` for the
-    /// space/tab-separated UCI exports).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a `Delimiter::Byte` is not ASCII: a byte ≥ 0x80 can
-    /// fall inside a multi-byte UTF-8 character, and splitting there
-    /// would put a field bound on a non-character boundary.
-    pub fn with_delimiter(mut self, delimiter: Delimiter) -> Self {
-        if let Delimiter::Byte(b) = delimiter {
-            assert!(b.is_ascii(), "delimiter byte 0x{b:02X} is not ASCII");
-        }
-        self.delimiter = delimiter;
-        self
+        Self { src, name: name.into(), line: String::new(), bounds: Vec::new(), line_no: 0 }
     }
 
     /// The 1-based number of the most recently read line (0 before the
@@ -177,7 +124,7 @@ impl<R: BufRead> CsvReader<R> {
                 break;
             }
         }
-        split_fields(&self.line, self.delimiter, &mut self.bounds);
+        split_fields(&self.line, &mut self.bounds);
         Ok(Some(CsvRecord::new(self.line_no, &self.line, &self.bounds)))
     }
 }
@@ -359,14 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn whitespace_delimiter_splits_runs() {
-        let mut r = reader("1.0\t 2.0   3.0\n").with_delimiter(Delimiter::Whitespace);
-        let rec = r.next_record().unwrap().unwrap();
-        assert_eq!(rec.len(), 3);
-        assert_eq!(rec.parse_f32(2).unwrap(), Some(3.0));
-    }
-
-    #[test]
     fn header_detection() {
         let mut r = reader("value,label\n1.0,0\n");
         let rec = r.next_record().unwrap().unwrap();
@@ -388,13 +327,6 @@ mod tests {
         }
         let mut r = reader("_ts,demand\n");
         assert!(r.next_record().unwrap().unwrap().looks_like_header());
-    }
-
-    #[test]
-    #[should_panic(expected = "not ASCII")]
-    fn non_ascii_delimiter_rejected() {
-        // A byte >= 0x80 could split inside a multi-byte UTF-8 character.
-        let _ = reader("a\n").with_delimiter(Delimiter::Byte(0xA0));
     }
 
     #[test]
@@ -428,7 +360,7 @@ mod tests {
         // ...but fields are trimmed of ASCII whitespace only.
         let mut bounds = Vec::new();
         let line = " 1.5\u{a0}\t, 2 ";
-        split_fields(line, Delimiter::Byte(b','), &mut bounds);
+        split_fields(line, &mut bounds);
         let fields: Vec<&str> = bounds.iter().map(|&(a, b)| &line[a..b]).collect();
         assert_eq!(fields, ["1.5\u{a0}", "2"]);
         // One ending may hold several carriage returns; an inner one is data.

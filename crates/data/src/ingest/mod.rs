@@ -4,7 +4,7 @@
 //! paper's datasets ship in — no external parser crates (the build
 //! environment is vendored-stubs only):
 //!
-//! * [`csv`] — delimiter-separated records ([`csv::CsvReader`]): blank
+//! * [`csv`] — comma-separated records ([`csv::CsvReader`]): blank
 //!   lines and `#` comments skipped, CRLF tolerated, one reusable line
 //!   buffer and field-bounds vector for the whole stream;
 //! * [`ndjson`] — newline-delimited JSON ([`ndjson::NdjsonReader`]): one
@@ -46,7 +46,7 @@ pub mod ndjson;
 pub mod schema;
 
 pub use chunked::chunk_ranges;
-pub use csv::{CsvReader, Delimiter};
+pub use csv::CsvReader;
 pub use ndjson::{JsonValue, NdjsonReader};
 pub use schema::{MhealthNdjsonSource, PowerCsvSource};
 

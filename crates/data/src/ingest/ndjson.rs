@@ -351,16 +351,6 @@ impl<'a> NdjsonRecord<'a> {
         }
     }
 
-    /// A required numeric field; `null` surfaces as `Ok(None)` (a missing
-    /// sample for the ingestion policy to resolve).
-    pub fn opt_number(&self, key: &str) -> Result<Option<f32>, IngestError> {
-        match self.get(key) {
-            Some(JsonValue::Number(v)) => Ok(Some(v)),
-            Some(JsonValue::Null) => Ok(None),
-            _ => Err(self.missing(key, "a number or null")),
-        }
-    }
-
     /// A required non-negative integer field.
     pub fn integer(&self, key: &str) -> Result<usize, IngestError> {
         match self.get(key) {
@@ -404,7 +394,7 @@ mod tests {
         assert_eq!(rec.integer("activity").unwrap(), 3);
         assert_eq!(rec.get("tag"), Some(JsonValue::Str("walk")));
         assert_eq!(rec.get("ok"), Some(JsonValue::Bool(true)));
-        assert_eq!(rec.opt_number("gap").unwrap(), None);
+        assert_eq!(rec.get("gap"), Some(JsonValue::Null));
         assert_eq!(rec.get("nope"), None);
         assert!(r.next_record().unwrap().is_none());
     }
@@ -474,7 +464,7 @@ mod tests {
     fn bom_is_stripped_from_the_first_line_only() {
         let mut r = reader("\u{feff}{\"a\": 1}\n");
         let rec = r.next_record().unwrap().unwrap();
-        assert_eq!(rec.opt_number("a").unwrap(), Some(1.0));
+        assert_eq!(rec.get("a"), Some(JsonValue::Number(1.0)));
         // Past the first line BOM bytes are corruption, not a mark.
         let mut r = reader("{\"a\": 1}\n\u{feff}{\"a\": 1}\n");
         let _ = r.next_record().unwrap().unwrap();

@@ -115,11 +115,6 @@ impl QuantizedDense {
         self.mode
     }
 
-    /// The quantised kernel (transposed, `out_dim × in_dim`).
-    pub fn weight_q(&self) -> &QuantizedMatrix {
-        &self.wq
-    }
-
     /// Pre-activation `x·W̃ + b` into a caller-owned buffer (resized in
     /// place). `codes` is the caller's per-batch activation-code scratch
     /// (untouched in weight-only mode). Allocation-free once `out`, `codes`

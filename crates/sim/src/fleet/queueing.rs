@@ -124,11 +124,6 @@ impl FifoQueue {
         self.waiting.len()
     }
 
-    /// Jobs currently being served.
-    pub fn in_service(&self) -> usize {
-        self.servers - self.free_servers
-    }
-
     /// Total server count.
     pub fn servers(&self) -> usize {
         self.servers
@@ -301,7 +296,6 @@ mod tests {
         let mut out = Vec::new();
         q.complete_into(slot, &mut out);
         assert_eq!(out.len(), 4);
-        assert_eq!(q.in_service(), 0);
     }
 
     #[test]

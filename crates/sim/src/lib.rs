@@ -15,10 +15,6 @@
 //!   to Table II (IoT→Edge ≈ 250 ms RTT, IoT→Cloud ≈ 500 ms RTT);
 //! * [`topology`] — the assembled testbed and its end-to-end delay model;
 //! * [`event`] — a deterministic discrete-event queue;
-//! * [`runtime`] — a threaded message-passing runtime (crossbeam channels
-//!   standing in for the paper's keep-alive TCP sockets) that executes
-//!   detection jobs at a chosen layer and reports simulated end-to-end
-//!   delays;
 //! * [`fleet`] — a discrete-event *fleet* simulator: hundreds of
 //!   thousands of devices streaming millions of windows through
 //!   per-layer service queues and bandwidth-shared links, making
@@ -32,12 +28,10 @@ pub mod device;
 pub mod event;
 pub mod fleet;
 pub mod network;
-pub mod runtime;
 pub mod topology;
 
 pub use device::{DeviceProfile, ExecTimeModel};
 pub use event::EventQueue;
 pub use fleet::{FleetReport, FleetScale, FleetScenario};
 pub use network::Link;
-pub use runtime::{DetectJob, HecRuntime, JobResult};
 pub use topology::{DatasetKind, HecTopology};

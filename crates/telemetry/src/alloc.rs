@@ -14,7 +14,7 @@
 //! `realloc` calls. [`AllocPhase`] wraps a code region and folds the
 //! allocation delta into the sidecar store (`alloc.<label>`), so
 //! per-phase allocation behaviour shows up next to the wall-clock spans
-//! in stderr dumps and `BENCH_*.json` — never in the deterministic
+//! in stderr dumps and `perf`'s per-layer rows — never in the deterministic
 //! registry, since allocator traffic varies with thread count and warmup
 //! state.
 

@@ -13,8 +13,9 @@
 //!   NDJSON and byte-diff clean across thread counts (CI-enforced).
 //! * [`span`] — virtual-clock spans/instants on named tracks, exported
 //!   as Chrome-trace JSON for Perfetto; plus wall-clock [`WallSpan`]
-//!   timers that aggregate into a sidecar store rendered to stderr and
-//!   `BENCH_*.json` only, so stdout stays byte-stable.
+//!   timers that aggregate into a sidecar store read by stderr dumps and
+//!   the `perf` benchmark's per-layer rows only, so stdout stays
+//!   byte-stable.
 //! * [`alloc`] — the shared counting global allocator (promoted from
 //!   three duplicated test harnesses) and [`AllocPhase`] for per-phase
 //!   allocation deltas, which land in the sidecar next to wall spans.

@@ -164,11 +164,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the flat row-major buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrows row `r` as a slice.
     ///
     /// # Panics
@@ -591,23 +586,6 @@ impl Matrix {
         Matrix { rows: end - start, cols: self.cols, data }
     }
 
-    /// True if any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
-    }
-
-    /// Clamps every element into `[lo, hi]` in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn clamp_inplace(&mut self, lo: f32, hi: f32) {
-        assert!(lo <= hi, "invalid clamp range [{lo}, {hi}]");
-        for x in &mut self.data {
-            *x = x.clamp(lo, hi);
-        }
-    }
-
     fn assert_same_shape(&self, rhs: &Matrix, op: &str) {
         assert_eq!(
             (self.rows, self.cols),
@@ -919,21 +897,6 @@ mod tests {
         let b = Matrix::filled(2, 2, 2.0);
         a.add_scaled(&b, 0.5);
         assert!(a.as_slice().iter().all(|&x| approx(x, 2.0)));
-    }
-
-    #[test]
-    fn non_finite_detection() {
-        let mut a = Matrix::ones(1, 2);
-        assert!(!a.has_non_finite());
-        a[(0, 1)] = f32::NAN;
-        assert!(a.has_non_finite());
-    }
-
-    #[test]
-    fn clamp_bounds() {
-        let mut a = Matrix::from_rows(&[&[-5.0, 0.5, 5.0]]);
-        a.clamp_inplace(-1.0, 1.0);
-        assert_eq!(a.as_slice(), &[-1.0, 0.5, 1.0]);
     }
 
     #[test]

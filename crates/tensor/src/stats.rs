@@ -227,17 +227,8 @@ impl Gaussian {
         Ok(())
     }
 
-    /// Squared Mahalanobis distance `(x-µ)ᵀ Σ⁻¹ (x-µ)`.
-    ///
-    /// # Errors
-    ///
-    /// [`GaussianError::DimensionMismatch`] if `x.len() != self.dim()`.
-    pub fn mahalanobis_sq(&self, x: &[f32]) -> Result<f32, GaussianError> {
-        self.mahalanobis_sq_with(x, &mut vec![0.0; x.len()])
-    }
-
-    /// Solves `L y = x − µ` into `y` by forward substitution; then
-    /// `(x-µ)ᵀ Σ⁻¹ (x-µ) = ‖y‖²`.
+    /// Squared Mahalanobis distance `(x-µ)ᵀ Σ⁻¹ (x-µ)`: solves
+    /// `L y = x − µ` into `y` by forward substitution, then returns `‖y‖²`.
     fn mahalanobis_sq_with(&self, x: &[f32], y: &mut [f32]) -> Result<f32, GaussianError> {
         for got in [x.len(), y.len()] {
             if got != self.dim {
@@ -429,13 +420,6 @@ mod tests {
             g.log_pdf_with(&[0.0; 3], &mut [0.0; 2]).unwrap_err(),
             GaussianError::DimensionMismatch { expected: 3, got: 2 }
         );
-    }
-
-    #[test]
-    fn mahalanobis_identity_cov_is_euclidean_sq() {
-        let g = Gaussian::from_mean_cov(vec![0.0, 0.0], &Matrix::eye(2)).unwrap();
-        let m = g.mahalanobis_sq(&[3.0, 4.0]).unwrap();
-        assert!((m - 25.0).abs() < 1e-4);
     }
 
     #[test]

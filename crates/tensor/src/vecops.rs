@@ -152,11 +152,6 @@ pub fn summary_features(v: &[f32]) -> [f32; 4] {
     [min, max, mean(v), std_dev(v)]
 }
 
-/// Euclidean (L2) norm.
-pub fn norm2(v: &[f32]) -> f32 {
-    v.iter().map(|x| x * x).sum::<f32>().sqrt()
-}
-
 /// Mean squared error between two equal-length slices.
 ///
 /// # Panics
@@ -166,26 +161,6 @@ pub fn mse(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "mse length mismatch");
     assert!(!a.is_empty(), "mse of empty slices");
     a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum::<f32>() / a.len() as f32
-}
-
-/// Clips every element into `[-c, c]` in place; returns how many were clipped.
-///
-/// # Panics
-///
-/// Panics if `c` is not positive.
-pub fn clip_inplace(v: &mut [f32], c: f32) -> usize {
-    assert!(c > 0.0, "clip bound must be positive");
-    let mut clipped = 0;
-    for x in v.iter_mut() {
-        if *x > c {
-            *x = c;
-            clipped += 1;
-        } else if *x < -c {
-            *x = -c;
-            clipped += 1;
-        }
-    }
-    clipped
 }
 
 #[cfg(test)]
@@ -264,20 +239,7 @@ mod tests {
     }
 
     #[test]
-    fn clip_counts() {
-        let mut v = vec![-2.0, 0.5, 3.0];
-        let n = clip_inplace(&mut v, 1.0);
-        assert_eq!(n, 2);
-        assert_eq!(v, vec![-1.0, 0.5, 1.0]);
-    }
-
-    #[test]
     fn std_dev_of_constant_is_zero() {
         assert_eq!(std_dev(&[3.0, 3.0, 3.0]), 0.0);
-    }
-
-    #[test]
-    fn norm2_known() {
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-6);
     }
 }

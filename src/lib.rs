@@ -12,7 +12,7 @@
 //! | [`nn`] | dense / LSTM / BiLSTM / seq2seq networks with manual backprop |
 //! | [`data`] | synthetic power-demand & MHEALTH-like datasets, splits, metrics |
 //! | [`anomaly`] | the six AD models and the logPD anomaly scorer |
-//! | [`sim`] | the 3-layer HEC testbed simulator (devices, links, runtime) |
+//! | [`sim`] | the 3-layer HEC testbed simulator (devices, links, fleet DES) |
 //! | [`bandit`] | policy network, REINFORCE + reinforcement comparison, ε-greedy, LinUCB |
 //! | [`core`] | the five schemes, the experiment pipeline, tables, ablations |
 //! | [`telemetry`] | deterministic metrics registry, span tracing, alloc tracking |
