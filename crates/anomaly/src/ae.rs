@@ -32,6 +32,15 @@
 //! `hec-core`'s decision (`Experiment::train_detectors`,
 //! `Oracle::precompute`), not this module's; inside such a worker the row
 //! split runs inline.
+//!
+//! At the paper's 96-sample window the narrow layers — the 96 → 3, 32 → 8
+//! and 24 → 12 bottlenecks, the last 8 columns of 48 → 24 and 12 → 24 —
+//! are not a multiple of the gemm's 16-column tile. A block of 4 or more
+//! windows (every full block) runs their columns through a zero-padded
+//! full register tile rather than a scalar loop ([`hec_tensor::kernel`]),
+//! and each window's minimum logPD and below-threshold count fold over 8
+//! independent lanes ([`LogPdScorer::score_window_scalar`]); neither
+//! changes a bit.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -282,22 +282,48 @@ impl LogPdScorer {
     /// back holding each point's logPD (one vectorisable pass writes them,
     /// a second takes the minimum and the count).
     ///
+    /// The second pass folds `FOLD_LANES` independent lanes — a select
+    /// `if lp < acc { lp } else { acc }` and a branch-free count each — and
+    /// then the lanes and the remainder, instead of one loop-carried
+    /// `f32::min` chain. The minimum is the same bits: a NaN point never
+    /// replaces an accumulator in either form (the select's compare is
+    /// false, `f32::min` returns the other operand, and every accumulator
+    /// starts at `+∞`), and `±0` ordering cannot arise, since the only zero
+    /// logPD is `−0.0` — `constant + y²` rounds to `+0` or to a non-zero
+    /// value, never to `−0`, and `−0.5 × (+0) = −0`.
+    ///
     /// # Panics
     ///
     /// Panics if `errors` is empty or the scorer is not 1-dimensional.
     pub fn score_window_scalar(&self, errors: &mut [f32]) -> (f32, f32) {
         assert!(!errors.is_empty(), "empty window");
         self.gaussian.log_pdf_scalars(errors).expect("scorer is not 1-dimensional");
-        let mut min_lp = f32::INFINITY;
-        let mut below = 0usize;
-        for &lp in errors.iter() {
-            min_lp = min_lp.min(lp);
-            if lp < self.threshold {
-                below += 1;
-            }
-        }
-        (min_lp, below as f32 / errors.len() as f32)
+        lane_fold(errors, self.threshold)
     }
+}
+
+/// Independent accumulators of [`lane_fold`]: one 8-wide `f32` vector on
+/// AVX2.
+const FOLD_LANES: usize = 8;
+
+/// `(min, fraction below threshold)` of a non-empty window's logPDs, the
+/// fold [`LogPdScorer::score_window_scalar`] describes.
+fn lane_fold(log_pds: &[f32], threshold: f32) -> (f32, f32) {
+    let (mut mins, mut below) = ([f32::INFINITY; FOLD_LANES], [0u32; FOLD_LANES]);
+    let mut chunks = log_pds.chunks_exact(FOLD_LANES);
+    for chunk in &mut chunks {
+        for l in 0..FOLD_LANES {
+            let lp = chunk[l];
+            mins[l] = if lp < mins[l] { lp } else { mins[l] };
+            below[l] += (lp < threshold) as u32;
+        }
+    }
+    let rest = chunks.remainder();
+    let min_lp =
+        mins.iter().chain(rest).fold(f32::INFINITY, |acc, &lp| if lp < acc { lp } else { acc });
+    let count =
+        below.iter().sum::<u32>() + rest.iter().map(|&lp| (lp < threshold) as u32).sum::<u32>();
+    (min_lp, count as f32 / log_pds.len() as f32)
 }
 
 #[cfg(test)]
@@ -354,6 +380,68 @@ mod tests {
         assert_eq!(frac_v.to_bits(), frac_s.to_bits());
         for (&e, &lp) in scalars.iter().zip(&log_pds) {
             assert_eq!(scorer.log_pd(&[e]).to_bits(), lp.to_bits());
+        }
+    }
+
+    /// The fold `score_window_scalar` ran before its lanes: one serial
+    /// `f32::min` chain and a branchy count.
+    fn serial_fold(log_pds: &[f32], threshold: f32) -> (f32, f32) {
+        let mut min_lp = f32::INFINITY;
+        let mut below = 0usize;
+        for &lp in log_pds {
+            min_lp = min_lp.min(lp);
+            if lp < threshold {
+                below += 1;
+            }
+        }
+        (min_lp, below as f32 / log_pds.len() as f32)
+    }
+
+    fn assert_folds_agree(log_pds: &[f32], threshold: f32) {
+        let (lane, serial) = (lane_fold(log_pds, threshold), serial_fold(log_pds, threshold));
+        assert_eq!(lane.0.to_bits(), serial.0.to_bits(), "min of {log_pds:?}");
+        assert_eq!(lane.1.to_bits(), serial.1.to_bits(), "fraction of {log_pds:?}");
+    }
+
+    #[test]
+    fn lane_fold_is_the_serial_fold_bit_for_bit() {
+        let threshold = -3.5f32;
+        // Every length across the lane width and its remainders, values on
+        // both sides of the threshold, NaN points at every position.
+        for len in 1..=33usize {
+            let window: Vec<f32> =
+                (0..len).map(|i| -0.37 * ((i * 11 + len * 5) % 23) as f32).collect();
+            assert_folds_agree(&window, threshold);
+            for nan_at in 0..len {
+                let mut with_nan = window.clone();
+                with_nan[nan_at] = f32::NAN;
+                assert_folds_agree(&with_nan, threshold);
+            }
+            assert_folds_agree(&vec![f32::NAN; len], threshold);
+            // All equal, and all exactly at the threshold: none counted.
+            assert_folds_agree(&vec![-1.25; len], threshold);
+            assert_folds_agree(&vec![threshold; len], threshold);
+            assert_eq!(lane_fold(&vec![threshold; len], threshold).1, 0.0);
+            let mut at_threshold = window.clone();
+            at_threshold[len - 1] = threshold;
+            assert_folds_agree(&at_threshold, threshold);
+            // The one zero a logPD can be is −0.0, and it can be the minimum.
+            let mut zero_min: Vec<f32> = (0..len).map(|i| 0.5 + i as f32).collect();
+            zero_min[len / 2] = -0.0;
+            assert_folds_agree(&zero_min, threshold);
+            assert_eq!(lane_fold(&zero_min, threshold).0.to_bits(), (-0.0f32).to_bits());
+        }
+        // Through the scorer: each window's logPDs come back in the scratch.
+        let scorer = fitted();
+        for len in 1..=33usize {
+            let errors: Vec<f32> = (0..len).map(|i| 0.9 * ((i * 7 % 13) as f32 - 6.0)).collect();
+            let mut log_pds = errors.clone();
+            let lane = scorer.score_window_scalar(&mut log_pds);
+            let serial = serial_fold(&log_pds, scorer.threshold());
+            assert_eq!(
+                (lane.0.to_bits(), lane.1.to_bits()),
+                (serial.0.to_bits(), serial.1.to_bits())
+            );
         }
     }
 
