@@ -8,11 +8,22 @@
 //!   **byte-identical** to `sample_action` + `observe` (two forwards) on a
 //!   twin trainer, all the way through;
 //! * no trained weight is subnormal at the end (the optimizer's own state
-//!   is held to that in `hec-nn`'s `optim_reference.rs`).
+//!   is held to that in `hec-nn`'s `optim_reference.rs`);
+//! * the trained weights themselves are pinned by an FNV-1a digest of
+//!   `weights_le_bytes`, here and at the in-fleet shape (10 load-aware
+//!   inputs, 1 403 parameters, `lr = 2e-3`, `β = 0.08`): an optimizer or
+//!   kernel change that is meant to move no bit must leave both as they are.
 
 use hec_bandit::{PolicyNetwork, PolicyTrainer, TrainConfig};
 
 const UPDATES: usize = 20_000;
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
 
 /// Contexts far from the origin that drift as the stream goes on, so units
 /// that fire early stop firing later.
@@ -47,6 +58,7 @@ fn single_forward_step_matches_its_two_halves_and_leaves_no_subnormal_weight() {
     }
     let weights = stepped.policy_mut().weights_le_bytes();
     assert_eq!(weights, halves.policy_mut().weights_le_bytes(), "step != sample_action + observe");
+    assert_eq!(fnv1a(&weights), WEIGHTS_4_100_3, "trained weights moved");
 
     let subnormal = weights
         .chunks_exact(4)
@@ -54,4 +66,31 @@ fn single_forward_step_matches_its_two_halves_and_leaves_no_subnormal_weight() {
         .filter(|w| w.is_subnormal())
         .count();
     assert_eq!(subnormal, 0, "{subnormal} of {} weights are subnormal", weights.len() / 4);
+}
+
+/// The in-fleet trainer's shape: the four contexts above plus six
+/// load-like features in `[0, 1]` that fill and drain with the stream.
+fn fleet_context(i: usize) -> [f32; 10] {
+    let [a, b, c, d] = context(i);
+    let load = |k: usize| ((i / 500 + 3 * k) % 11) as f32 / 10.0;
+    [a, b, c, d, load(0), load(1), load(2), load(3), load(4), load(5)]
+}
+
+/// `weights_le_bytes` after the 20 000 updates of the test above,
+/// recorded before `Adam` skipped any product.
+const WEIGHTS_4_100_3: u64 = 0xb7216d19ba0daed9;
+/// The same at the in-fleet shape.
+const WEIGHTS_10_100_3: u64 = 0x33b7fdd4a856169e;
+
+#[test]
+fn in_fleet_shape_trains_to_the_pinned_weights() {
+    let config =
+        TrainConfig { learning_rate: 2e-3, entropy_beta: 0.08, seed: 3, ..Default::default() };
+    let mut trainer = PolicyTrainer::new(PolicyNetwork::new(10, 100, 3, 5), config);
+    for i in 0..UPDATES {
+        trainer.step(&fleet_context(i), &mut reward);
+    }
+    let weights = trainer.policy_mut().weights_le_bytes();
+    assert_eq!(weights.len(), 4 * 1_403);
+    assert_eq!(fnv1a(&weights), WEIGHTS_10_100_3, "trained weights moved");
 }

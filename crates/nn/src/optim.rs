@@ -33,9 +33,60 @@
 //! the unflushed one bit for bit (`tests/optim_reference.rs`). RMSProp's
 //! mean square is not flushed: a census of every benchmark workload found
 //! none to flush (EXPERIMENTS.md, PR 24).
+//!
+//! # No underflowing product that cannot change a bit
+//!
+//! The flush keeps subnormals out of the *state*; the products of a step
+//! can still underflow, and a vector instruction with one subnormal lane
+//! pays the same assist. A saturated softmax feeds Adam many gradients far
+//! below `2⁻⁵⁹` (≈ 18 % of the in-fleet policy's; EXPERIMENTS.md).
+//! [`Adam::step`] replaces an operand by `+0` — a select, not a branch —
+//! where that provably leaves every stored bit as it was; elsewhere the
+//! product is computed as before. "Cannot change" below always means the
+//! skipped term is under half an ulp of the larger addend, so the rounded
+//! sum is that addend. With `Adam::new`'s `β₁ = 0.9`, `β₂ = 0.999`,
+//! `ε = 10⁻⁸`, write `c₁ = fl(1 − β₁) < 2⁻³` and `c₂ = fl(1 − β₂) < 2⁻⁹`
+//! (a unit test re-derives every bound from those three constants):
+//!
+//! * **second moment.** For `|g| < 2⁻⁵⁹`, `|fl(c₂·g)| ≤ 2⁻⁶⁸`, so
+//!   `s = fl(fl(c₂·g)·g)` is `+0` or a positive subnormal `≤ 2⁻¹²⁷`. With
+//!   `bv = fl(β₂·v)` either `+0` — the stored `flush(s)` is `+0` — or at
+//!   least `2⁻¹⁰¹`, whose half-ulp `2⁻¹²⁵` exceeds `s`, the new `v` is
+//!   `flush(bv)`: what `g = +0` in the product gives. Between the two
+//!   (`0 < bv < 2⁻¹⁰¹`) the product is computed;
+//! * **first moment.** For `|g| < 2⁻¹²³`, `|fl(c₁·g)| < 2⁻¹²⁶`: below the
+//!   half-ulp of any `bm = fl(β₁·m)` with `|bm| ≥ 2⁻¹⁰¹`, so the new `m`
+//!   is `bm`. Not when `bm = ±0`: there the flushed zero takes `g`'s sign;
+//! * **parameter step.** With `T = fl(2⁻¹²⁶ / (2·lr))` and `|m̂| < T`,
+//!   `|lr·m̂| < 2⁻¹²⁷(1 + 2⁻²⁴)`, which rounds to at most `2⁻¹²⁷`; the
+//!   denominator `√v̂ + ε` is at least `ε > 2⁻²⁷`, so the step is at most
+//!   `2⁻¹⁰⁰`, under the half-ulp `2⁻⁹⁹` of any `|p| ≥ 2⁻⁷⁵`. `m̂ = +0`
+//!   steps by `+0` (or by the same NaN, if the denominator is one);
+//! * **exact-one bias corrections.** Once `1 − β₁ᵗ` (from `t ≈ 165`) or
+//!   `1 − β₂ᵗ` (from `t ≈ 17 300`) rounds to `1.0`, its division is
+//!   skipped, a choice made once per tensor: `x / 1.0 == x` bit for bit.
+//!
+//! NaN fails every `<`/`≥` above, so NaN operands are never replaced; `±∞`
+//! moments and parameters propagate as before. `tests/optim_reference.rs`
+//! holds the step to the unskipped one bit for bit on streams that straddle
+//! every bound.
 
 use hec_tensor::math::flush_subnormal;
 use hec_tensor::Matrix;
+
+/// `2^e` for a normal exponent `e`.
+const fn pow2(e: i32) -> f32 {
+    f32::from_bits(((127 + e) as u32) << 23)
+}
+
+/// Gradients below this leave `c₂·g·g` no bit to change (module docs).
+const V_TINY_G: f32 = pow2(-59);
+/// Gradients below this leave `c₁·g` no bit to change.
+const M_TINY_G: f32 = pow2(-123);
+/// A decayed moment at least this large absorbs either tiny product.
+const MOMENT_ABSORBS: f32 = pow2(-101);
+/// A parameter at least this large absorbs a step of at most `2⁻¹⁰⁰`.
+const PARAM_ABSORBS: f32 = pow2(-75);
 
 /// A stateful first-order optimizer.
 ///
@@ -178,21 +229,43 @@ impl Optimizer for Adam {
         let (m, v) = slot_state(&mut self.moments, slot, || {
             (Matrix::zeros(param.rows(), param.cols()), Matrix::zeros(param.rows(), param.cols()))
         });
-        let (b1, b2, lr, eps) = (self.beta1, self.beta2, self.lr, self.epsilon);
-        let (bias1, bias2) = self.bias;
-        for (((p, mi), vi), &g) in param
-            .as_mut_slice()
-            .iter_mut()
-            .zip(m.as_mut_slice())
-            .zip(v.as_mut_slice())
-            .zip(grad.as_slice())
-        {
-            *mi = flush_subnormal(b1 * *mi + (1.0 - b1) * g);
-            *vi = flush_subnormal(b2 * *vi + (1.0 - b2) * g * g);
-            let m_hat = *mi / bias1;
-            let v_hat = *vi / bias2;
-            *p -= lr * m_hat / (v_hat.sqrt() + eps);
+        let hyper = (self.beta1, self.beta2, self.lr, self.epsilon);
+        let (p, m, v, g) =
+            (param.as_mut_slice(), m.as_mut_slice(), v.as_mut_slice(), grad.as_slice());
+        match self.bias {
+            (1.0, 1.0) => adam_pass(hyper, p, m, v, g, |m| m, |v| v),
+            (1.0, bias2) => adam_pass(hyper, p, m, v, g, |m| m, |v| v / bias2),
+            (bias1, bias2) => adam_pass(hyper, p, m, v, g, |m| m / bias1, |v| v / bias2),
         }
+    }
+}
+
+/// One [`Adam::step`] over a tensor with `(β₁, β₂, lr, ε)`, the bias
+/// corrections chosen once per tensor; each skip rule of the module docs
+/// is a select on an operand.
+#[inline(always)]
+fn adam_pass(
+    (b1, b2, lr, eps): (f32, f32, f32, f32),
+    p: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    g: &[f32],
+    unbias1: impl Fn(f32) -> f32,
+    unbias2: impl Fn(f32) -> f32,
+) {
+    let (c1, c2) = (1.0 - b1, 1.0 - b2);
+    // `T = fl(2⁻¹²⁶ / (2·lr))`: a smaller `|m̂|` steps by at most `2⁻¹⁰⁰`.
+    let tiny_m_hat = f32::MIN_POSITIVE / (2.0 * lr);
+    for (((p, mi), vi), &g) in p.iter_mut().zip(m).zip(v).zip(g) {
+        let bm = b1 * *mi;
+        let gm = if g.abs() < M_TINY_G && bm.abs() >= MOMENT_ABSORBS { 0.0 } else { g };
+        *mi = flush_subnormal(bm + c1 * gm);
+        let bv = b2 * *vi;
+        let gv = if g.abs() < V_TINY_G && (bv == 0.0 || bv >= MOMENT_ABSORBS) { 0.0 } else { g };
+        *vi = flush_subnormal(bv + c2 * gv * gv);
+        let m_hat = unbias1(*mi);
+        let m_hat = if m_hat.abs() < tiny_m_hat && p.abs() >= PARAM_ABSORBS { 0.0 } else { m_hat };
+        *p -= lr * m_hat / (unbias2(*vi).sqrt() + eps);
     }
 }
 
@@ -263,6 +336,33 @@ mod tests {
         }
         for t in [i32::MAX as u64, i32::MAX as u64 + 1, u64::MAX] {
             assert_eq!(Adam::bias_corrections(0.9, 0.999, t), (1.0, 1.0), "t = {t}");
+        }
+    }
+
+    /// The module docs' skip rules, re-derived in `f32` from the `β₁`, `β₂`
+    /// and `ε` that `Adam::new` fixes: every product is monotone in its
+    /// operand, so the largest skipped one is the one just below its bound.
+    /// A constant changed without re-deriving the bounds fails here.
+    #[test]
+    fn skip_rule_bounds_follow_from_adams_constants() {
+        let adam = Adam::new(1e-3);
+        let (c1, c2, eps) = (1.0 - adam.beta1, 1.0 - adam.beta2, adam.epsilon);
+        let below = |x: f32| f32::from_bits(x.to_bits() - 1);
+        let half_ulp = |x: f32| (f32::from_bits(x.to_bits() + 1) - x) / 2.0;
+
+        // Second moment: `+0` or subnormal, and absorbed by `β₂·v ≥ 2⁻¹⁰¹`.
+        let g = below(V_TINY_G);
+        let s = c2 * g * g;
+        assert!(s <= f32::MIN_POSITIVE / 2.0, "c₂·g·g = {s:e}");
+        assert!(s < half_ulp(MOMENT_ABSORBS), "c₂·g·g = {s:e}");
+        // First moment: absorbed by `|β₁·m| ≥ 2⁻¹⁰¹`.
+        let t = c1 * below(M_TINY_G);
+        assert!(t < f32::MIN_POSITIVE && t < half_ulp(MOMENT_ABSORBS), "c₁·g = {t:e}");
+        // Parameter step, at the least denominator: absorbed by `|p| ≥ 2⁻⁷⁵`.
+        assert!(eps > pow2(-27) && half_ulp(PARAM_ABSORBS) == pow2(-99));
+        for lr in [1e-5f32, 1e-3, 2e-3, 5e-3, 0.1, 3.0] {
+            let step = lr * below(f32::MIN_POSITIVE / (2.0 * lr)) / eps;
+            assert!(step <= pow2(-100), "lr = {lr}: step {step:e}");
         }
     }
 

@@ -19,7 +19,9 @@
 //!   updates) the strip stays scalar, since the pack would cost more moves
 //!   than the multiply-adds it saves, and so does a strip deeper than the
 //!   fixed per-thread panel (`k > 128`, e.g. a weight gradient summed over
-//!   a long batch).
+//!   a long batch); up to four columns wide (the policy's 100 → 3 head) its
+//!   chains stay in registers. The panel is packed with fixed-width moves,
+//!   not a `memcpy` and a `memset` call per row of `B`.
 //! * [`gemm_tn`] — `out = Aᵀ·B` without materialising the transpose; the
 //!   summed dimension walks *rows* of both operands, so all loads are
 //!   contiguous.
@@ -122,7 +124,10 @@ thread_local! {
 ///
 /// # Panics
 ///
-/// Panics (in debug builds) if a slice length disagrees with its dimensions.
+/// Debug builds panic if a slice length disagrees with its dimensions;
+/// release builds only on a slice too short for them (an index out of
+/// bounds). No input reaches the kernels' `expect`s: each converts a range
+/// of constant length.
 pub fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -133,6 +138,10 @@ pub fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
 
 /// `out = Aᵀ·B` where `A` is `r×m` (so `Aᵀ` is `m×r`), `B` is `r×n` and
 /// `out` is `m×n`. Overwrites `out` completely.
+///
+/// # Panics
+///
+/// As [`gemm_nn`].
 pub fn gemm_tn(r: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(a.len(), r * m);
     debug_assert_eq!(b.len(), r * n);
@@ -200,9 +209,8 @@ fn tiles(
         let mut panel = cell.borrow_mut();
         let panel = &mut panel[..k * NR];
         for (p, b_row) in panel.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
-            let (real, pad) = p.split_at_mut(n - full);
-            real.copy_from_slice(&b_row[full..]);
-            pad.fill(0.0);
+            p.copy_from_slice(&[0.0; NR]);
+            put_lanes(&mut p[..n - full], &b_row[full..]);
         }
         walk(out, Some(panel));
     });
@@ -217,12 +225,31 @@ fn store(out: &mut [f32], n: usize, i: usize, j: usize, width: usize, tile: &[[f
     }
 }
 
+/// `dst = src[..dst.len()]` for `dst.len() ≤ NR` in at most five fixed-width
+/// moves: a runtime-length copy and `fill` per packed row of `B` were a
+/// `memcpy` and a `memset` call, dearer than the narrow products' work (a
+/// stored row's `memcpy` measured no slower, so `store` keeps it).
+#[inline(always)]
+fn put_lanes(dst: &mut [f32], src: &[f32]) {
+    let mut done = 0;
+    for width in [NR, 8, 4, 2, 1] {
+        if dst.len() - done >= width {
+            dst[done..][..width].copy_from_slice(&src[done..][..width]);
+            done += width;
+        }
+    }
+}
+
 /// `out = A·Bᵀ` where `A` is `m×k`, `B` is `nr×k` (so `Bᵀ` is `k×nr`) and
 /// `out` is `m×nr`. Overwrites `out` completely.
 ///
 /// Packs `Bᵀ` into a thread-local buffer first (allocation-free once the
 /// buffer has grown to the workload's panel size), then multiplies through
 /// [`gemm_nn`] — see the module docs for why.
+///
+/// # Panics
+///
+/// As [`gemm_nn`].
 pub fn gemm_nt(m: usize, k: usize, nr: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), nr * k);
@@ -235,9 +262,12 @@ pub fn gemm_nt(m: usize, k: usize, nr: usize, a: &[f32], b: &[f32], out: &mut [f
             bt.resize(k * nr, 0.0);
         }
         let panel = &mut bt[..k * nr];
-        for (j, b_row) in b.chunks_exact(k).enumerate() {
-            for (kk, &v) in b_row.iter().enumerate() {
-                panel[kk * nr + j] = v;
+        // Row by row: packed column by column, the last stores are the
+        // ragged strip's columns, which the one-row product then loads a
+        // vector at a time before those stores retire (≈ +25 % on 1×3×100).
+        for (kk, p_row) in panel.chunks_exact_mut(nr).enumerate() {
+            for (j, p) in p_row.iter_mut().enumerate() {
+                *p = b[j * k + kk];
             }
         }
         gemm_nn(m, k, nr, a, panel, out);
@@ -250,6 +280,10 @@ pub fn gemm_nt(m: usize, k: usize, nr: usize, a: &[f32], b: &[f32], out: &mut [f
 /// Accumulation never overflows for `k ≤ 2^16`: each term is at most
 /// `128 × 128` in magnitude, so the running sum stays below `2^14 · k`.
 /// Debug builds assert this bound.
+///
+/// # Panics
+///
+/// As [`gemm_nn`]; debug builds also on `k > 2¹⁶`.
 pub fn gemm_nn_i8(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], out: &mut [i32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -282,6 +316,10 @@ pub fn gemm_nn_i8(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], out: &mut [i
 /// Narrow outputs run pack-free — every output element is a dot product of
 /// a row of `A` and a row of `B`, both already contiguous. Wide outputs
 /// repack `B` into `Bᵀ` (the f32 [`gemm_nt`] move) for the tiled path.
+///
+/// # Panics
+///
+/// As [`gemm_nn`]; debug builds also on `k > 2¹⁶`.
 pub fn gemm_nt_i8(m: usize, k: usize, nr: usize, a: &[i8], b: &[i8], out: &mut [i32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), nr * k);
@@ -386,6 +424,7 @@ fn micro_nn_i8(i: usize, j: usize, k: usize, n: usize, a: &[i8], b: &[i8], out: 
     let a3 = &a[(i + 3) * k..(i + 4) * k];
     let (mut c0, mut c1, mut c2, mut c3) = ([0i32; NR], [0i32; NR], [0i32; NR], [0i32; NR]);
     for (kk, b_full) in b.chunks_exact(n).enumerate() {
+        // Cannot fail: the range is NR long (a short `b` fails the index).
         let b_row: &[i8; NR] = b_full[j..j + NR].try_into().expect("NR-wide tile slice");
         let (v0, v1, v2, v3) = (a0[kk] as i32, a1[kk] as i32, a2[kk] as i32, a3[kk] as i32);
         for c in 0..NR {
@@ -422,6 +461,7 @@ fn edge_any_i8(
         if jb == NR {
             let mut acc = [0i32; NR];
             for (kk, b_full) in b.chunks_exact(n).enumerate() {
+                // Cannot fail: the range is NR long (a short `b` fails the index).
                 let b_row: &[i8; NR] = b_full[j..j + NR].try_into().expect("NR-wide slice");
                 let av = a[row * k + kk] as i32;
                 for c in 0..NR {
@@ -454,6 +494,7 @@ fn micro_nn(i: usize, j: usize, k: usize, ldb: usize, a: &[f32], b: &[f32]) -> [
     let a3 = &a[(i + 3) * k..(i + 4) * k];
     let (mut c0, mut c1, mut c2, mut c3) = ([0.0f32; NR], [0.0f32; NR], [0.0f32; NR], [0.0f32; NR]);
     for (kk, b_full) in b.chunks_exact(ldb).enumerate() {
+        // Cannot fail: the range is NR long (a short `b` fails the index).
         let b_row: &[f32; NR] = b_full[j..j + NR].try_into().expect("NR-wide tile slice");
         let (v0, v1, v2, v3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
         for c in 0..NR {
@@ -473,7 +514,9 @@ fn micro_nn(i: usize, j: usize, k: usize, ldb: usize, a: &[f32], b: &[f32]) -> [
 fn micro_tn(i: usize, j: usize, m: usize, ldb: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
     let (mut c0, mut c1, mut c2, mut c3) = ([0.0f32; NR], [0.0f32; NR], [0.0f32; NR], [0.0f32; NR]);
     for (kk, b_full) in b.chunks_exact(ldb).enumerate() {
+        // Cannot fail: the range is MR long (a short `a` fails the index).
         let a4: &[f32; MR] = a[kk * m + i..kk * m + i + MR].try_into().expect("MR-wide tile slice");
+        // Cannot fail: the range is NR long (a short `b` fails the index).
         let b_row: &[f32; NR] = b_full[j..j + NR].try_into().expect("NR-wide slice");
         for c in 0..NR {
             c0[c] += a4[0] * b_row[c];
@@ -497,6 +540,7 @@ fn micro_tn(i: usize, j: usize, m: usize, ldb: usize, a: &[f32], b: &[f32]) -> [
 fn edge_any(b: &[f32], ldb: usize, j: usize, a_row: impl Fn(usize) -> f32) -> [f32; NR] {
     let mut acc = [0.0f32; NR];
     for (kk, b_full) in b.chunks_exact(ldb).enumerate() {
+        // Cannot fail: the range is NR long (a short `b` fails the index).
         let b_row: &[f32; NR] = b_full[j..j + NR].try_into().expect("NR-wide slice");
         let av = a_row(kk);
         for c in 0..NR {
@@ -506,19 +550,49 @@ fn edge_any(b: &[f32], ldb: usize, j: usize, a_row: impl Fn(usize) -> f32) -> [f
     acc
 }
 
-/// The ragged strip of one row left unpacked: columns `j..` of `b` (row
-/// stride `ldb`) accumulated straight into `o`, from `0.0`. Kept out of
-/// line: inlined into the tile walk, the one-row 100 → 3 product (the
-/// policy head) read ≈ 40 % slower on an AVX2 build.
+/// The ragged strip of one row left unpacked: columns `j..j + o.len()` of
+/// `b` (row stride `ldb`) into `o`, each output's chain from `0.0`. Up to
+/// four columns (the one-row policy head's 3, the 4 past a 96-wide tile)
+/// the chains live in registers ([`strip_regs`]); wider strips accumulate
+/// in `o`, where every step is a load, an add and a store. Out of line:
+/// inlined into the tile walk it reads the same on the one-row shapes.
 #[inline(never)]
 fn strip_scalar(b: &[f32], ldb: usize, j: usize, a_row: impl Fn(usize) -> f32, o: &mut [f32]) {
-    o.fill(0.0);
+    match o.len() {
+        1 => strip_regs::<1>(b, ldb, j, a_row, o),
+        2 => strip_regs::<2>(b, ldb, j, a_row, o),
+        3 => strip_regs::<3>(b, ldb, j, a_row, o),
+        4 => strip_regs::<4>(b, ldb, j, a_row, o),
+        _ => {
+            o.fill(0.0);
+            for (kk, b_full) in b.chunks_exact(ldb).enumerate() {
+                let av = a_row(kk);
+                for (x, &bv) in o.iter_mut().zip(&b_full[j..]) {
+                    *x += av * bv;
+                }
+            }
+        }
+    }
+}
+
+/// [`strip_scalar`] for a strip of `W` columns (`o.len() == W`), with the
+/// accumulators in a fixed-width local.
+#[inline(always)]
+fn strip_regs<const W: usize>(
+    b: &[f32],
+    ldb: usize,
+    j: usize,
+    a_row: impl Fn(usize) -> f32,
+    o: &mut [f32],
+) {
+    let mut acc = [0.0f32; W];
     for (kk, b_full) in b.chunks_exact(ldb).enumerate() {
         let av = a_row(kk);
-        for (x, &bv) in o.iter_mut().zip(&b_full[j..]) {
+        for (x, &bv) in acc.iter_mut().zip(&b_full[j..j + W]) {
             *x += av * bv;
         }
     }
+    o.copy_from_slice(&acc);
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //! from `0.0` — whatever path computes it: an `MR × NR` register tile, a
 //! full-width row past the last tile of rows, the zero-padded ragged strip,
 //! or the scalar strip of a product with fewer than `MR` rows or a depth
-//! past the packed panel's 128. So
+//! past the packed panel's 128 (register accumulators up to four columns,
+//! the output row beyond). So
 //! `gemm_nn`, `gemm_tn` and `gemm_nt` must equal the naive loops by
 //! `to_bits` (NaN only as NaN: its payload is not part of the contract),
 //! on every row count across the tile height, every strip width
@@ -108,6 +109,38 @@ fn kernels_equal_the_naive_loops_on_every_strip_width() {
                 check_shape(m, k, n);
             }
         }
+    }
+}
+
+/// The one-row products — below the tile height, every strip width runs
+/// scalar (up to four columns in register accumulators): one to three rows
+/// at the policy's depth, the deepest packed strip and the first unpacked
+/// one; and `tn` with one summed row (an outer product) at 100 rows, the
+/// policy's weight gradient, through every narrow store width.
+#[test]
+fn one_to_three_rows_and_one_row_outer_products() {
+    for m in 1..=3 {
+        for k in [100, 128, 129] {
+            for n in 1..=40 {
+                check_shape(m, k, n);
+            }
+        }
+    }
+    for n in 1..=40 {
+        check_shape(100, 1, n);
+    }
+}
+
+/// The in-fleet policy step's products by name (`4`/`10 → 100 → 3`): the
+/// head `1×100×3`, the hidden layer `1×4×100`/`1×10×100`, the hidden
+/// gradient (`nt 1×3×100`) and the weight gradients (`tn` with `r = 1`).
+#[test]
+fn the_policy_step_shapes() {
+    let head = (1, 100, 3);
+    for (m, k, n) in
+        [head, (1, 4, 100), (1, 10, 100), (1, 3, 100), (100, 1, 3), (4, 1, 100), (10, 1, 100)]
+    {
+        check_shape(m, k, n);
     }
 }
 
