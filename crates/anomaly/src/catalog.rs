@@ -74,9 +74,6 @@ pub struct ModelSpec {
     pub layer: HecLayer,
     /// Trainable parameter count.
     pub params: usize,
-    /// Int8 quantisation mode label (e.g. `int8-per-row`) when this model's
-    /// inference runs the quantised path; `None` for the f32 path.
-    pub quant: Option<String>,
 }
 
 /// A trained (or trainable) set of three detectors, one per HEC layer.
@@ -161,7 +158,6 @@ impl ModelCatalog {
                 name: d.name().to_owned(),
                 layer,
                 params: d.param_count(),
-                quant: d.quant_mode().map(|m| m.label()),
             })
             .collect()
     }
@@ -209,24 +205,6 @@ mod tests {
         assert_eq!(specs[2].name, "BiLSTM-seq2seq-Cloud");
         assert!(specs[0].params < specs[1].params);
         assert!(specs[1].params < specs[2].params);
-    }
-
-    #[test]
-    fn quantized_catalog_marks_layer0_only() {
-        use hec_nn::{QuantMode, QuantScheme};
-        let mut iot = AutoencoderDetector::new("AE-IoT", AeArchitecture::iot(96), 0);
-        iot.set_quant_mode(Some(QuantMode::int8(QuantScheme::PerRow)));
-        let catalog = ModelCatalog::from_detectors(vec![
-            Box::new(iot),
-            Box::new(AutoencoderDetector::new("AE-Edge", AeArchitecture::edge(96), 1)),
-            Box::new(AutoencoderDetector::new("AE-Cloud", AeArchitecture::cloud(96), 2)),
-        ]);
-        let specs = catalog.specs();
-        assert_eq!(specs[0].quant.as_deref(), Some("int8-per-row"));
-        assert_eq!(specs[1].quant, None);
-        assert_eq!(specs[2].quant, None);
-        // The plain catalog is entirely f32.
-        assert!(ModelCatalog::univariate(96, 0).specs().iter().all(|s| s.quant.is_none()));
     }
 
     #[test]

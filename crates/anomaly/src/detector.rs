@@ -156,13 +156,6 @@ pub trait AnomalyDetector: Send {
         None
     }
 
-    /// The int8 quantisation mode this detector's inference runs under, if
-    /// any — `None` means the f32 path. Surfaces in [`crate::ModelSpec`] so
-    /// reports show which catalog entries are quantised.
-    fn quant_mode(&self) -> Option<hec_nn::QuantMode> {
-        None
-    }
-
     /// Recalibrates the logPD scorer and threshold on fresh **normal**
     /// windows without retraining the model weights — the cheap half of
     /// online adaptation: after a regime change the reconstruction-error

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use hec_nn::{Lstm, LstmState, RmsProp, Seq2Seq, Seq2SeqConfig};
-use hec_tensor::{Gaussian, Matrix, QuantScheme, QuantizedMatrix};
+use hec_tensor::{Gaussian, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -36,83 +36,6 @@ fn bench_matmul(c: &mut Criterion) {
     c.bench_function("matmul_t_96x64x96", |bch| {
         bch.iter(|| black_box(black_box(&a).matmul_t(black_box(&bt))))
     });
-}
-
-/// Int8 vs f32 at the detector shapes: the raw integer kernel against the
-/// f32 kernel on identical dimensions, and the full quantised product
-/// (quantise-correct-dequantise included) against `matmul_t_into` — the
-/// honest end-to-end comparison behind `repro_quant`'s latency numbers.
-fn bench_int8(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(4);
-
-    // Raw kernels at the canonical 96×64×96 benchmark shape.
-    let ai: Vec<i8> = (0..96 * 64).map(|i| (i % 255) as i8).collect();
-    let bi: Vec<i8> = (0..64 * 96).map(|i| (i % 253) as i8).collect();
-    let mut oi = vec![0i32; 96 * 96];
-    c.bench_function("gemm_nn_i8_96x64x96", |bch| {
-        bch.iter(|| {
-            hec_tensor::kernel::gemm_nn_i8(96, 64, 96, black_box(&ai), black_box(&bi), &mut oi);
-            black_box(&oi);
-        })
-    });
-    let bti: Vec<i8> = (0..96 * 64).map(|i| (i % 251) as i8).collect();
-    c.bench_function("gemm_nt_i8_96x64x96", |bch| {
-        bch.iter(|| {
-            hec_tensor::kernel::gemm_nt_i8(96, 64, 96, black_box(&ai), black_box(&bti), &mut oi);
-            black_box(&oi);
-        })
-    });
-
-    // Full quantised product vs the f32 packed path at the same shape.
-    let a = hec_tensor::init::uniform(&mut rng, 96, 64, -1.0, 1.0);
-    let bt = hec_tensor::init::uniform(&mut rng, 96, 64, -1.0, 1.0);
-    let aq = QuantizedMatrix::quantize(&a, QuantScheme::PerRow);
-    let btq = QuantizedMatrix::quantize(&bt, QuantScheme::PerRow);
-    let mut out = Matrix::zeros(96, 96);
-    c.bench_function("matmul_t_into_f32_96x64x96", |bch| {
-        bch.iter(|| {
-            black_box(&a).matmul_t_into(black_box(&bt), &mut out);
-            black_box(&out);
-        })
-    });
-    c.bench_function("matmul_t_into_i8_96x64x96", |bch| {
-        bch.iter(|| {
-            black_box(&aq).matmul_t_into(black_box(&btq), &mut out);
-            black_box(&out);
-        })
-    });
-
-    // The AE-IoT layer shapes ([96, 3, 96]) at batch 1 and batch 32:
-    // weights stay quantised, activations re-quantise per call — exactly
-    // what the quantised detector forward pays per window/batch.
-    for (label, batch, in_dim, out_dim) in [
-        ("enc_96_to_3_b1", 1usize, 96usize, 3usize),
-        ("dec_3_to_96_b1", 1, 3, 96),
-        ("enc_96_to_3_b32", 32, 96, 3),
-        ("dec_3_to_96_b32", 32, 3, 96),
-    ] {
-        let x = hec_tensor::init::uniform(&mut rng, batch, in_dim, -1.0, 1.0);
-        let w = hec_tensor::init::uniform(&mut rng, in_dim, out_dim, -1.0, 1.0);
-        let wt = w.transpose();
-        let mut wq = QuantizedMatrix::quantize(&wt, QuantScheme::PerRow);
-        wq.pack_for_inference(); // quantise-once weight layout, as the detector runs it
-
-        let mut y = Matrix::zeros(batch, out_dim);
-        c.bench_function(&format!("ae_layer_f32_{label}"), |bch| {
-            bch.iter(|| {
-                black_box(&x).matmul_into(black_box(&w), &mut y);
-                black_box(&y);
-            })
-        });
-        let mut xq = QuantizedMatrix::empty();
-        c.bench_function(&format!("ae_layer_i8_{label}"), |bch| {
-            bch.iter(|| {
-                xq.quantize_from(black_box(&x), QuantScheme::PerRow);
-                xq.matmul_t_into(black_box(&wq), &mut y);
-                black_box(&y);
-            })
-        });
-    }
 }
 
 fn bench_lstm_step(c: &mut Criterion) {
@@ -208,5 +131,5 @@ fn bench_gaussian(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_matmul, bench_int8, bench_lstm_step, bench_seq2seq, bench_gaussian);
+criterion_group!(benches, bench_matmul, bench_lstm_step, bench_seq2seq, bench_gaussian);
 criterion_main!(benches);

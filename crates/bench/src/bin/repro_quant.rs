@@ -10,9 +10,10 @@
 //! isolates the accuracy cost of quantisation from training noise.
 //!
 //! Everything on stdout is deterministic — same profile ⇒ byte-identical
-//! output across reruns and `HEC_THREADS` settings (the integer kernels
-//! accumulate in a fixed order), which the CI smoke job enforces by
-//! diffing two runs. Per-window latency is *measured wall-clock* and
+//! output across reruns and `HEC_THREADS` settings (the int8 code product
+//! runs on the f32 gemm and is exact — every partial sum an integer below
+//! 2²⁴ — so no summation order can move a bit), which the CI smoke job
+//! enforces by diffing two runs. Per-window latency is *measured wall-clock* and
 //! goes to **stderr** only, alongside the suggested
 //! `repro_fleet_train --layer0-exec-ms` value (the paper's 12.4 ms
 //! layer-0 execution time scaled by the measured int8/f32 ratio).

@@ -16,9 +16,11 @@
 //!   f32 arithmetic.
 //! * **full int8** (`quantize_activations = true`): inputs quantise
 //!   per-row (= per-sample, so batching never changes a row's result) and
-//!   the product runs i8×i8→i32 through
-//!   [`hec_tensor::kernel::gemm_nt_i8`], dequantised with the affine
-//!   correction — bit-identical across reruns and thread counts.
+//!   the code product runs on the f32 gemm
+//!   ([`hec_tensor::QuantizedMatrix::matmul_t_into`]), exact up to 1024
+//!   inputs, dequantised with the affine correction — bit-identical across
+//!   reruns and thread counts. The bound is checked once, when such a layer
+//!   is built.
 
 pub use hec_tensor::QuantScheme;
 use hec_tensor::{Matrix, QuantizedMatrix};
@@ -30,9 +32,9 @@ use crate::activation::Activation;
 pub struct QuantMode {
     /// Granularity of the weight quantisation parameters.
     pub scheme: QuantScheme,
-    /// When `true`, activations quantise per batch and the product runs on
-    /// the integer kernels; when `false`, only weights are quantised and the
-    /// product stays in f32.
+    /// When `true`, activations quantise per batch and the product runs
+    /// over integer codes; when `false`, only weights are quantised and the
+    /// product runs over the dequantised weights.
     pub quantize_activations: bool,
 }
 
@@ -42,7 +44,7 @@ impl QuantMode {
         QuantMode { scheme, quantize_activations: false }
     }
 
-    /// Int8 weights *and* activations on the integer kernels.
+    /// Int8 weights *and* activations, multiplied as integer codes.
     pub fn int8(scheme: QuantScheme) -> Self {
         QuantMode { scheme, quantize_activations: true }
     }
@@ -61,7 +63,8 @@ impl QuantMode {
 /// so the same training run can be re-quantised under different schemes
 /// (what `repro_quant` sweeps).
 pub struct QuantizedDense {
-    /// Quantised kernel, stored transposed (`out_dim × in_dim`).
+    /// Quantised kernel, stored transposed (`out_dim × in_dim`); its codes
+    /// are also laid out `in_dim × out_dim`, the gemm's right-hand side.
     wq: QuantizedMatrix,
     /// Fake-quantised f32 kernel (`in_dim × out_dim`) for the weight-only
     /// path — carries exactly the int8 weight error.
@@ -77,7 +80,9 @@ impl QuantizedDense {
     ///
     /// # Panics
     ///
-    /// Panics if `bias` does not match the weight's output dimension.
+    /// Panics if `bias` does not match the weight's output dimension, or if
+    /// a mode that quantises activations gets more than 1024 inputs: past
+    /// that depth the code product may round ([`hec_tensor::quantize`]).
     pub fn from_weights(
         weight: &Matrix,
         bias: &Matrix,
@@ -85,13 +90,14 @@ impl QuantizedDense {
         mode: QuantMode,
     ) -> Self {
         assert_eq!(bias.cols(), weight.cols(), "bias/weight out_dim mismatch");
+        assert!(
+            !mode.quantize_activations || weight.rows() <= 1 << 10,
+            "int8 layer with {} inputs: the code product is exact only up to 1024",
+            weight.rows()
+        );
         let wt = weight.transpose();
-        let mut wq = QuantizedMatrix::quantize(&wt, mode.scheme);
+        let wq = QuantizedMatrix::quantize(&wt, mode.scheme);
         let w_deq = wq.dequantize().transpose();
-        // Weights are quantised once: re-lay the codes in the orientation
-        // the integer kernel reads for this shape, so wide-output layers
-        // (the AE decoder) skip the per-call repack. Bit-identical result.
-        wq.pack_for_inference();
         QuantizedDense { wq, w_deq, bias: bias.clone(), activation, mode }
     }
 
@@ -117,8 +123,8 @@ impl QuantizedDense {
 
     /// Pre-activation `x·W̃ + b` into a caller-owned buffer (resized in
     /// place). `codes` is the caller's per-batch activation-code scratch
-    /// (untouched in weight-only mode). Allocation-free once `out`, `codes`
-    /// and the kernel scratch have grown to the workload's shape.
+    /// (untouched in weight-only mode). Allocation-free once `out` and
+    /// `codes` have grown to the workload's shape.
     pub fn affine_into(&self, input: &Matrix, codes: &mut QuantizedMatrix, out: &mut Matrix) {
         if self.mode.quantize_activations {
             // Per-row (= per-sample) activation parameters keep each batch

@@ -45,34 +45,14 @@
 //! accumulate every term, which only differs for non-finite operands, where
 //! `0.0 × ∞`/`0.0 × NaN` now propagate NaN per IEEE-754.)
 //!
-//! # Integer kernels
+//! # Quantised products
 //!
-//! [`gemm_nn_i8`] and [`gemm_nt_i8`] are the i8×i8→i32 siblings used by the
-//! quantised inference path ([`crate::QuantizedMatrix`]). They route each
-//! shape to one of two bodies:
-//!
-//! * **Dot path** (narrow outputs, `n < NR` with `k ≥ NR`): each output
-//!   element is a single-accumulator dot product over contiguous rows —
-//!   the one reduction shape LLVM lowers to `vpmaddwd` (16 widening
-//!   multiply-adds per AVX2 instruction, twice the f32 FMA lane count).
-//!   This is the AE *encoder* shape (`k = input_dim`, `n = bottleneck`),
-//!   where a tile would spend most of its lanes on padding or run scalar
-//!   ragged columns (the integer tile path keeps the scalar strip).
-//! * **Tiled path** (everything else): the same `MR × NR` register tiling
-//!   as the f32 kernels, vectorising over the `n` output columns with
-//!   widened i32 multiplies. Wide outputs with tiny `k` (the AE *decoder*
-//!   shape) land here, where per-element dot reductions would drown in
-//!   horizontal-sum tails.
-//!
-//! Each route wants `B` in a different layout, so which kernel packs
-//! depends on the route: dots read `Bᵀ` rows ([`gemm_nt_i8`] is pack-free,
-//! [`gemm_nn_i8`] repacks), tiles read `B` rows ([`gemm_nn_i8`] is
-//! pack-free, [`gemm_nt_i8`] repacks) — the thread-local panel is shared.
-//! Integer addition is associative, so the routing is semantically
-//! invisible and the determinism guarantee is stronger than the f32 one:
-//! the integer output is *exactly* determined by the operands —
-//! bit-identical across reruns, thread counts, and any reordering of the
-//! accumulation.
+//! There is no integer kernel. The int8 inference path
+//! ([`crate::QuantizedMatrix`]) runs its code product through [`gemm_nn`]
+//! over the codes held as `f32`: every product and partial sum is an
+//! integer below `2²⁴` up to depth 1024, so each multiply and add is exact
+//! and the result is the i32 accumulation's, whatever path computes it
+//! (see [`crate::quantize`]).
 
 use std::cell::RefCell;
 
@@ -92,15 +72,12 @@ const STRIP_K: usize = 128;
 /// per call would serialise the workers. [`publish_telemetry`] copies them
 /// into the registry at snapshot time.
 static GEMM_F32_CALLS: FastCounter = FastCounter::new("tensor.gemm.f32_calls");
-/// i8×i8→i32 gemm kernel invocations (`gemm_nn_i8` + `gemm_nt_i8`).
-static GEMM_I8_CALLS: FastCounter = FastCounter::new("tensor.gemm.i8_calls");
 
 /// Publishes the kernel fast counters into the global telemetry registry
 /// (as unlabelled counters, set-semantics — safe to call repeatedly). A
 /// no-op when the `telemetry` feature is off.
 pub fn publish_telemetry() {
     GEMM_F32_CALLS.publish();
-    GEMM_I8_CALLS.publish();
 }
 
 thread_local! {
@@ -113,10 +90,6 @@ thread_local! {
     /// detectors' freshly spawned row-split workers pack without a heap
     /// allocation.
     static PACK_STRIP: RefCell<[f32; STRIP_K * NR]> = const { RefCell::new([0.0; STRIP_K * NR]) };
-    /// Same as `PACK_BT`, for the integer kernels' repack panel — `Bᵀ` rows when
-    /// [`gemm_nn_i8`] takes the dot route, `B` rows when [`gemm_nt_i8`]
-    /// takes the tile route.
-    static PACK_BT_I8: RefCell<Vec<i8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// `out = A·B` where `A` is `m×k`, `B` is `k×n` and `out` is `m×n`, all
@@ -272,215 +245,6 @@ pub fn gemm_nt(m: usize, k: usize, nr: usize, a: &[f32], b: &[f32], out: &mut [f
         }
         gemm_nn(m, k, nr, a, panel, out);
     });
-}
-
-/// `out = A·B` over i8 operands with i32 accumulation: `A` is `m×k`, `B` is
-/// `k×n`, `out` is `m×n`, all row-major. Overwrites `out` completely.
-///
-/// Accumulation never overflows for `k ≤ 2^16`: each term is at most
-/// `128 × 128` in magnitude, so the running sum stays below `2^14 · k`.
-/// Debug builds assert this bound.
-///
-/// # Panics
-///
-/// As [`gemm_nn`]; debug builds also on `k > 2¹⁶`.
-pub fn gemm_nn_i8(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], out: &mut [i32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    debug_assert!(k <= 1 << 16, "i32 accumulator bound: k = {k} > 65536");
-    GEMM_I8_CALLS.add(1);
-    if dot_route(k, n) {
-        // Narrow output: repack B into Bᵀ rows and take the dot path.
-        PACK_BT_I8.with(|cell| {
-            let mut bt = cell.borrow_mut();
-            if bt.len() < k * n {
-                bt.resize(k * n, 0);
-            }
-            let panel = &mut bt[..k * n];
-            for (kk, b_row) in b.chunks_exact(n).enumerate() {
-                for (j, &v) in b_row.iter().enumerate() {
-                    panel[j * k + kk] = v;
-                }
-            }
-            dots_nt_i8(k, n, a, panel, out);
-        });
-    } else {
-        tiled_nn_i8(m, k, n, a, b, out);
-    }
-}
-
-/// `out = A·Bᵀ` over i8 operands: `A` is `m×k`, `B` is `nr×k` (so `Bᵀ` is
-/// `k×nr`) and `out` is `m×nr`. Overwrites `out` completely.
-///
-/// Narrow outputs run pack-free — every output element is a dot product of
-/// a row of `A` and a row of `B`, both already contiguous. Wide outputs
-/// repack `B` into `Bᵀ` (the f32 [`gemm_nt`] move) for the tiled path.
-///
-/// # Panics
-///
-/// As [`gemm_nn`]; debug builds also on `k > 2¹⁶`.
-pub fn gemm_nt_i8(m: usize, k: usize, nr: usize, a: &[i8], b: &[i8], out: &mut [i32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), nr * k);
-    debug_assert_eq!(out.len(), m * nr);
-    debug_assert!(k <= 1 << 16, "i32 accumulator bound: k = {k} > 65536");
-    GEMM_I8_CALLS.add(1);
-    if dot_route(k, nr) {
-        dots_nt_i8(k, nr, a, b, out);
-    } else {
-        PACK_BT_I8.with(|cell| {
-            let mut bt = cell.borrow_mut();
-            if bt.len() < k * nr {
-                bt.resize(k * nr, 0);
-            }
-            let panel = &mut bt[..k * nr];
-            for (j, b_row) in b.chunks_exact(k).enumerate() {
-                for (kk, &v) in b_row.iter().enumerate() {
-                    panel[kk * nr + j] = v;
-                }
-            }
-            tiled_nn_i8(m, k, nr, a, panel, out);
-        });
-    }
-}
-
-/// Route selector for the integer kernels: dots pay one horizontal-sum
-/// tail per output element, so they only win when there are few columns
-/// (`n < NR` — where the tile kernel would run scalar ragged columns) and
-/// enough depth to amortise the tail (`k ≥ NR`). Measured on the AE
-/// shapes: dots are ~1.3× faster than f32 at `k=96, n=3` and ~10× slower
-/// than the tile at `k=3, n=96`.
-#[inline(always)]
-pub(crate) fn dot_route(k: usize, n: usize) -> bool {
-    n < NR && k >= NR
-}
-
-/// Dot-path core: `out[i][j] = a_row(i) · bt_row(j)` with `bt` holding
-/// `Bᵀ` contiguously (`n × k`, row-major).
-fn dots_nt_i8(k: usize, n: usize, a: &[i8], bt: &[i8], out: &mut [i32]) {
-    for (a_row, o_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-        for (b_row, o) in bt.chunks_exact(k).zip(o_row.iter_mut()) {
-            *o = dot_i8(a_row, b_row);
-        }
-    }
-}
-
-/// i8·i8 → i32 dot product. The single-accumulator integer reduction is
-/// the shape LLVM's vectoriser lowers to `vpmaddwd` (16 widening multiply-
-/// adds per instruction on AVX2); any parallel-reduction or elementwise
-/// restructuring of this loop falls back to the 2-µop `vpmulld`. Integer
-/// addition is associative, so any accumulation order the compiler picks
-/// yields the same bits.
-#[inline(always)]
-fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
-}
-
-/// Tile-path core: the f32 [`gemm_nn`] structure over i8 operands with
-/// widened i32 multiplies, vectorising over the `n` output columns.
-fn tiled_nn_i8(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], out: &mut [i32]) {
-    zero_ragged_tail_i32(n, out);
-    let mut i = 0;
-    while i < m {
-        let ib = MR.min(m - i);
-        let mut j = 0;
-        while j < n {
-            let jb = NR.min(n - j);
-            if ib == MR && jb == NR {
-                micro_nn_i8(i, j, k, n, a, b, out);
-            } else {
-                edge_any_i8(i, ib, j, jb, k, n, a, b, out);
-            }
-            j += jb;
-        }
-        i += ib;
-    }
-}
-
-/// Zeroes the trailing `n % NR` column strip of the integer tile path's
-/// output: only its scalar ragged-corner path accumulates into `out`.
-fn zero_ragged_tail_i32(n: usize, out: &mut [i32]) {
-    let tail = n % NR;
-    if tail == 0 {
-        return;
-    }
-    if tail == n {
-        out.fill(0);
-        return;
-    }
-    for row in out.chunks_exact_mut(n) {
-        row[n - tail..].fill(0);
-    }
-}
-
-/// Full `MR × NR` register tile of integer `A·B` — the f32 [`micro_nn`]
-/// with i32 accumulators and widened multiplies.
-#[inline(always)]
-fn micro_nn_i8(i: usize, j: usize, k: usize, n: usize, a: &[i8], b: &[i8], out: &mut [i32]) {
-    let a0 = &a[i * k..(i + 1) * k];
-    let a1 = &a[(i + 1) * k..(i + 2) * k];
-    let a2 = &a[(i + 2) * k..(i + 3) * k];
-    let a3 = &a[(i + 3) * k..(i + 4) * k];
-    let (mut c0, mut c1, mut c2, mut c3) = ([0i32; NR], [0i32; NR], [0i32; NR], [0i32; NR]);
-    for (kk, b_full) in b.chunks_exact(n).enumerate() {
-        // Cannot fail: the range is NR long (a short `b` fails the index).
-        let b_row: &[i8; NR] = b_full[j..j + NR].try_into().expect("NR-wide tile slice");
-        let (v0, v1, v2, v3) = (a0[kk] as i32, a1[kk] as i32, a2[kk] as i32, a3[kk] as i32);
-        for c in 0..NR {
-            let bv = b_row[c] as i32;
-            c0[c] += v0 * bv;
-            c1[c] += v1 * bv;
-            c2[c] += v2 * bv;
-            c3[c] += v3 * bv;
-        }
-    }
-    for (r, acc) in [c0, c1, c2, c3].iter().enumerate() {
-        out[(i + r) * n + j..(i + r) * n + j + NR].copy_from_slice(acc);
-    }
-}
-
-/// Ragged edge tile of the integer tile path: full-width `NR` column
-/// strips keep a register accumulator per row, the final corner runs
-/// scalar at any row count (unlike the f32 [`edge_any`], the strip is not
-/// padded: narrow deep products take the dot route instead).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn edge_any_i8(
-    i: usize,
-    ib: usize,
-    j: usize,
-    jb: usize,
-    k: usize,
-    n: usize,
-    a: &[i8],
-    b: &[i8],
-    out: &mut [i32],
-) {
-    for row in i..i + ib {
-        if jb == NR {
-            let mut acc = [0i32; NR];
-            for (kk, b_full) in b.chunks_exact(n).enumerate() {
-                // Cannot fail: the range is NR long (a short `b` fails the index).
-                let b_row: &[i8; NR] = b_full[j..j + NR].try_into().expect("NR-wide slice");
-                let av = a[row * k + kk] as i32;
-                for c in 0..NR {
-                    acc[c] += av * b_row[c] as i32;
-                }
-            }
-            out[row * n + j..row * n + j + NR].copy_from_slice(&acc);
-        } else {
-            let (o_start, o_end) = (row * n + j, row * n + j + jb);
-            for kk in 0..k {
-                let av = a[row * k + kk] as i32;
-                let b_row = &b[kk * n + j..kk * n + j + jb];
-                let o_row = &mut out[o_start..o_end];
-                for (o, &bv) in o_row.iter_mut().zip(b_row.iter()) {
-                    *o += av * bv as i32;
-                }
-            }
-        }
-    }
 }
 
 /// Full `MR × NR` register tile of `A·B` over columns `j..j + NR` of a `b`
@@ -699,63 +463,5 @@ mod tests {
             let expect = naive_nn(m, k, n, &a_mat, &b);
             assert_eq!(bits(&out_t), bits(&expect), "gemm_tn stale {m}x{k}x{n}");
         }
-    }
-
-    fn naive_nn_i8(m: usize, k: usize, n: usize, a: &[i8], b: &[i8]) -> Vec<i32> {
-        let mut out = vec![0i32; m * n];
-        for i in 0..m {
-            for kk in 0..k {
-                for j in 0..n {
-                    out[i * n + j] += a[i * k + kk] as i32 * b[kk * n + j] as i32;
-                }
-            }
-        }
-        out
-    }
-
-    fn ramp_i8(len: usize, step: usize) -> Vec<i8> {
-        (0..len).map(|x| ((x * step % 255) as i32 - 127) as i8).collect()
-    }
-
-    #[test]
-    fn gemm_nn_i8_matches_naive_on_ragged_shapes() {
-        for &(m, k, n) in
-            &[(1, 1, 1), (4, 4, 16), (5, 3, 17), (96, 64, 96), (7, 129, 3), (33, 2, 31)]
-        {
-            let a = ramp_i8(m * k, 7);
-            let b = ramp_i8(k * n, 11);
-            let mut out = vec![99i32; m * n]; // stale garbage must be overwritten
-            gemm_nn_i8(m, k, n, &a, &b, &mut out);
-            assert_eq!(out, naive_nn_i8(m, k, n, &a, &b), "shape {m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn gemm_nt_i8_matches_dot_products() {
-        for &(m, k, nr) in &[(1, 96, 3), (5, 23, 7), (96, 64, 96)] {
-            let a = ramp_i8(m * k, 13);
-            let b = ramp_i8(nr * k, 5);
-            let mut out = vec![-3i32; m * nr];
-            gemm_nt_i8(m, k, nr, &a, &b, &mut out);
-            for i in 0..m {
-                for j in 0..nr {
-                    let dot: i32 =
-                        (0..k).map(|kk| a[i * k + kk] as i32 * b[j * k + kk] as i32).sum();
-                    assert_eq!(out[i * nr + j], dot, "({i},{j}) of {m}x{k}x{nr}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gemm_i8_saturating_extremes_do_not_overflow() {
-        // Worst-case magnitude: every product is (-128)·(-128); k = 256 keeps
-        // the i32 accumulator far below its bound but exercises carry chains.
-        let (m, k, n) = (4, 256, 16);
-        let a = vec![-128i8; m * k];
-        let b = vec![-128i8; k * n];
-        let mut out = vec![0i32; m * n];
-        gemm_nn_i8(m, k, n, &a, &b, &mut out);
-        assert!(out.iter().all(|&x| x == 128 * 128 * 256));
     }
 }

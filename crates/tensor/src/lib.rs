@@ -26,9 +26,10 @@
 //!   `matmul_into`/`t_matmul_into`/`matmul_t_into` with caller-owned buffers
 //!   so steady-state training allocates no matmul temporaries.
 //! * [`quantize`] — the int8 inference substrate: [`QuantizedMatrix`] with
-//!   per-tensor/per-row affine parameters ([`QuantScheme`]) multiplying
-//!   through the `gemm_*_i8` integer kernels, bit-identical across reruns
-//!   and thread counts.
+//!   per-tensor/per-row affine parameters ([`QuantScheme`]), whose code
+//!   product runs on the f32 kernels — exact up to depth 1024, so
+//!   bit-identical to integer accumulation across reruns and thread
+//!   counts.
 //!
 //! # Example
 //!
