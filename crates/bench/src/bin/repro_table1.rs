@@ -31,7 +31,8 @@ fn main() {
          datasets are synthetic substitutes and the models are sized for them; the\n\
          ladder (params/accuracy up, exec time down from IoT to Cloud) is the\n\
          reproduced claim. Exec times are the testbed-calibrated delay model;\n\
-         `cargo bench -p hec-bench --bench model_exec` measures this Rust\n\
-         implementation's own inference times."
+         this Rust implementation's own inference times are measured by the\n\
+         `perf` benchmark (`anomaly.detect.ns_per_window`) and by `repro_quant`\n\
+         (its stderr `[latency]` lines)."
     );
 }

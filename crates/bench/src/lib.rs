@@ -1,7 +1,7 @@
 //! # hec-bench
 //!
 //! The reproduction harness: shared experiment profiles for the `repro_*`
-//! binaries (one per table/figure of the paper) and the Criterion benches.
+//! binaries (one per table/figure of the paper).
 //!
 //! Two profiles are provided:
 //!

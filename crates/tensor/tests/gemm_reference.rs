@@ -4,9 +4,9 @@
 //! terms, added one by one in ascending order of the summed index starting
 //! from `0.0` — whatever path computes it: an `MR × NR` register tile, a
 //! full-width row past the last tile of rows, the zero-padded ragged strip,
-//! or the scalar strip of a product with fewer than `MR` rows or a depth
-//! past the packed panel's 128 (register accumulators up to four columns,
-//! the output row beyond). So
+//! or the unpacked strip of a product with fewer than `MR` rows or a depth
+//! past the packed panel's 128 (one-row register passes of up to four
+//! columns). So
 //! `gemm_nn`, `gemm_tn` and `gemm_nt` must equal the naive loops by
 //! `to_bits` (NaN only as NaN: its payload is not part of the contract),
 //! on every row count across the tile height, every strip width
@@ -113,7 +113,7 @@ fn kernels_equal_the_naive_loops_on_every_strip_width() {
 }
 
 /// The one-row products — below the tile height, every strip width runs
-/// scalar (up to four columns in register accumulators): one to three rows
+/// unpacked (register passes of up to four columns): one to three rows
 /// at the policy's depth, the deepest packed strip and the first unpacked
 /// one; and `tn` with one summed row (an outer product) at 100 rows, the
 /// policy's weight gradient, through every narrow store width.
@@ -144,7 +144,20 @@ fn the_policy_step_shapes() {
     }
 }
 
-/// Same, over a wider grid: eight tile heights, every depth around the
+/// Shapes the grids here do not reach: one exact `MR × NR` tile four deep,
+/// a 96-square product, a strip past the panel's depth under a full tile
+/// of rows (`7×129×3`), 33 rows two deep, and three small odd shapes
+/// (`5×6×19` is `6×5×19` with `m` and `k` swapped, as `tn` sees it).
+#[test]
+fn shapes_outside_the_grids() {
+    for (m, k, n) in
+        [(4, 4, 16), (96, 64, 96), (7, 129, 3), (33, 2, 31), (6, 5, 19), (5, 6, 19), (5, 23, 7)]
+    {
+        check_shape(m, k, n);
+    }
+}
+
+/// The first grid, wider: eight tile heights, every depth around the
 /// tile width, the deepest packed strip (128) and the first unpacked one,
 /// and widths through four strips.
 #[test]
