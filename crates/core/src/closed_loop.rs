@@ -128,11 +128,12 @@ pub(crate) fn run_closed_loop<'p, 't>(
     let report: Box<dyn FnOnce() -> FleetReport> = if let (Some(table), None) = (lp.table(), probe)
     {
         // Without background windows emission order is sequence order.
-        let run = run_plan(plan, &|ctx: &RouteCtx| table[(ctx.seq % n) as usize], &mut |ev| {
+        let mut hear = |ev: &JobEvent| {
             let (JobEvent::Served { seq, .. } | JobEvent::Dropped { seq, .. }) = *ev;
             lp.hear(ev, Some(score(ev, (seq % n) as usize)));
             heard += 1;
-        });
+        };
+        let run = run_plan(plan, &|ctx: &RouteCtx| table[(ctx.seq % n) as usize], Some(&mut hear));
         Box::new(move || run.report)
     } else {
         let mut engine = ShardedFleetEngine::new(plan);

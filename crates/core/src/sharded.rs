@@ -10,7 +10,10 @@
 //! barrier, every thread advances its chunk to it and leaves the buffered
 //! outcomes at the rendezvous, and the coordinator merges them in stable
 //! `(time, shard-id)` order and calls the observer serially; at one
-//! worker it holds every shard, spawns nothing and waits on nobody.
+//! worker it holds every shard, spawns nothing and waits on nobody. A run
+//! nobody observes (`run_scenario_sharded`) buffers and merges nothing:
+//! its shards hand their outcomes to no sink, and the rendezvous only
+//! collects the next barrier.
 //! Because shards are independent and the merge order is fixed, the
 //! outcome stream, the observer calls, the final report, the registry
 //! snapshot and the virtual-clock trace are byte-identical whatever the
@@ -70,6 +73,9 @@ pub struct ShardedFleetRun {
 /// on up to `HEC_THREADS` workers — spawned once for the whole run, and
 /// only as many as the plan has [`WINDOWS_PER_WORKER`] windows for. The
 /// outcome stream and the report do not depend on the worker count.
+/// Without an observer a larger plan's outcomes are never buffered or
+/// merged; the run, the registry snapshot and the virtual-clock trace are
+/// those of an observed run.
 ///
 /// # Panics
 ///
@@ -79,7 +85,7 @@ pub struct ShardedFleetRun {
 pub fn run_plan(
     plan: &ShardPlan,
     router: &(dyn Fn(&RouteCtx) -> usize + Sync),
-    observer: &mut dyn FnMut(&JobEvent),
+    observer: Option<&mut dyn FnMut(&JobEvent)>,
 ) -> ShardedFleetRun {
     let _span = hec_telemetry::WallSpan::new("core.fleet_run");
     let by_grain = (plan.scenario().total_windows() / WINDOWS_PER_WORKER) as usize;
@@ -91,13 +97,15 @@ fn drive(
     plan: &ShardPlan,
     workers: usize,
     router: &(dyn Fn(&RouteCtx) -> usize + Sync),
-    observer: &mut dyn FnMut(&JobEvent),
+    mut observer: Option<&mut dyn FnMut(&JobEvent)>,
 ) -> ShardedFleetRun {
     let mut engine = ShardedFleetEngine::new(plan);
     match engine.shards_mut() {
         [shard] => {
             while let Some(ev) = shard.step(&mut |ctx| router(ctx)) {
-                observer(&ev);
+                if let Some(observer) = observer.as_mut() {
+                    observer(&ev);
+                }
             }
         }
         shards => drive_windows(plan, shards, workers, router, observer),
@@ -130,6 +138,9 @@ struct Rendezvous {
     window: Mutex<Window>,
     published: Condvar,
     arrived: Condvar,
+    /// Whether anyone observes the outcomes; if not, the shards buffer
+    /// none and the outboxes stay empty.
+    observed: bool,
 }
 
 impl Rendezvous {
@@ -151,8 +162,9 @@ impl Rendezvous {
     }
 
     /// Advances `chunk` (shards `base..`) to the barrier into the
-    /// thread's own `outboxes`, then hands them over — swapped for the
-    /// emptied buffers of the epoch before — and counts the thread in.
+    /// thread's own `outboxes` (if observed), then hands them over —
+    /// swapped for the emptied buffers of the epoch before — and counts
+    /// the thread in.
     fn advance(
         &self,
         barrier_ms: f64,
@@ -163,11 +175,13 @@ impl Rendezvous {
     ) {
         let mut shim = |ctx: &RouteCtx| router(ctx);
         for (shard, outbox) in chunk.iter_mut().zip(outboxes.iter_mut()) {
-            shard.advance_to(barrier_ms, &mut shim, outbox);
+            shard.advance_to(barrier_ms, &mut shim, self.observed.then_some(outbox));
         }
         let mut win = self.lock();
-        for (outbox, slot) in outboxes.iter_mut().zip(&mut win.outboxes[base..]) {
-            std::mem::swap(outbox, slot);
+        if self.observed {
+            for (outbox, slot) in outboxes.iter_mut().zip(&mut win.outboxes[base..]) {
+                std::mem::swap(outbox, slot);
+            }
         }
         win.earliest_ms = win.earliest_ms.min(earliest_event_ms(chunk));
         win.arrived += 1;
@@ -214,13 +228,13 @@ impl Drop for AbortOnPanic<'_> {
 
 /// The window loop: `shards` in one contiguous chunk per worker, the
 /// first on the calling thread — the coordinator, which also publishes
-/// the barriers, merges and calls the observer.
+/// the barriers and, if there is an observer, merges and calls it.
 fn drive_windows(
     plan: &ShardPlan,
     shards: &mut [ShardEngine<'_>],
     workers: usize,
     router: &(dyn Fn(&RouteCtx) -> usize + Sync),
-    observer: &mut dyn FnMut(&JobEvent),
+    mut observer: Option<&mut dyn FnMut(&JobEvent)>,
 ) {
     let mut earliest_ms = earliest_event_ms(shards);
     let chunk_len = shards.len().div_ceil(workers);
@@ -235,6 +249,7 @@ fn drive_windows(
         }),
         published: Condvar::new(),
         arrived: Condvar::new(),
+        observed: observer.is_some(),
     };
     let mut chunks = shards.chunks_mut(chunk_len);
     let own = chunks.next().expect("a plan has at least one shard");
@@ -263,7 +278,9 @@ fn drive_windows(
             earliest_ms = win.earliest_ms;
             // The workers stay parked until the next `publish`, so keeping
             // the lock through the merge holds nobody up.
-            merge_window(&mut win.outboxes, &mut cursors, &mut |ev| observer(&ev));
+            if let Some(observer) = observer.as_mut() {
+                merge_window(&mut win.outboxes, &mut cursors, &mut |ev| observer(&ev));
+            }
         }
         rendezvous.publish(None);
         for handle in handles {
@@ -276,14 +293,15 @@ fn drive_windows(
 
 /// Runs `scenario` under its own routing plans, partitioned into
 /// `shards` shards and driven in parallel — the scale tier behind
-/// `repro_fleet --shards`.
+/// `repro_fleet --shards`. Nobody observes the outcomes, so none is
+/// merged.
 ///
 /// # Panics
 ///
 /// Panics if `shards` is 0 or the scenario has no cohorts.
 pub fn run_scenario_sharded(scenario: &FleetScenario, shards: usize) -> ShardedFleetRun {
     let plan = ShardPlan::new(scenario, shards);
-    run_plan(&plan, &|ctx: &RouteCtx| scenario.planned_layer(ctx.cohort, ctx.seq), &mut |_| {})
+    run_plan(&plan, &|ctx: &RouteCtx| scenario.planned_layer(ctx.cohort, ctx.seq), None)
 }
 
 #[cfg(test)]
@@ -302,9 +320,11 @@ mod tests {
         let plan = ShardPlan::new(sc, shards);
         let mut outcomes = Vec::new();
         let run = with_thread_count(threads, || {
-            run_plan(&plan, &|ctx: &RouteCtx| sc.planned_layer(ctx.cohort, ctx.seq), &mut |ev| {
-                outcomes.push(*ev)
-            })
+            run_plan(
+                &plan,
+                &|ctx: &RouteCtx| sc.planned_layer(ctx.cohort, ctx.seq),
+                Some(&mut |ev| outcomes.push(*ev)),
+            )
         });
         (outcomes, run)
     }
@@ -369,7 +389,7 @@ mod tests {
             let router = |ctx: &RouteCtx| sc.planned_layer(ctx.cohort, ctx.seq);
             let driven = |workers| {
                 let mut outcomes = Vec::new();
-                let run = drive(&plan, workers, &router, &mut |ev| outcomes.push(*ev));
+                let run = drive(&plan, workers, &router, Some(&mut |ev| outcomes.push(*ev)));
                 (outcomes, run)
             };
             let (ev_1, run_1) = driven(1);
@@ -393,7 +413,7 @@ mod tests {
         let plan = ShardPlan::new(&sc, 4);
         let worker_seq = sc.total_windows() * 3 / 4;
         let router = |ctx: &RouteCtx| if ctx.seq >= worker_seq { 99 } else { 0 };
-        with_thread_count(2, || run_plan(&plan, &router, &mut |_| {}));
+        with_thread_count(2, || run_plan(&plan, &router, None));
     }
 
     /// The same on the coordinator's own chunk: the workers must be
@@ -404,7 +424,7 @@ mod tests {
         let sc = above_grain("light_load");
         let plan = ShardPlan::new(&sc, 4);
         let router = |ctx: &RouteCtx| if ctx.seq < 100 { 99 } else { 0 };
-        with_thread_count(2, || run_plan(&plan, &router, &mut |_| {}));
+        with_thread_count(2, || run_plan(&plan, &router, None));
     }
 
     #[test]
@@ -450,7 +470,7 @@ mod tests {
             let cpu0 = cpu_us();
             for run in 0..50 {
                 let t0 = std::time::Instant::now();
-                std::hint::black_box(drive(&plan, 1 + run % 2, router, &mut |_| {}));
+                std::hint::black_box(drive(&plan, 1 + run % 2, router, None));
                 us[run % 2].push(t0.elapsed().as_secs_f64() * 1e6);
             }
             // A serial run is one thread: its CPU time is its wall time.

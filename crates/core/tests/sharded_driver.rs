@@ -19,6 +19,11 @@
 //! every window must be accounted for and every sequence number delivered
 //! once.
 //!
+//! A run nobody observes (`run_plan(.., None)`) buffers and merges no
+//! outcome, and must leave exactly what an observed one leaves: the
+//! [`ShardedFleetRun`], the report's text and CSVs, the registry snapshot
+//! and, with capture on, the Chrome trace with every outcome's job span.
+//!
 //! The registry, the trace store and the capture flag are binary-global
 //! (see `telemetry.rs`), so the tests take turns. Without
 //! `hec-telemetry/enabled` the snapshot and the trace are empty and only
@@ -57,7 +62,7 @@ fn step_loop(
     let (mut outboxes, mut cursors) = (vec![Vec::new(); shards.len()], Vec::new());
     while let Some(barrier) = plan.barrier_after(earliest_event_ms(shards)) {
         for (shard, outbox) in shards.iter_mut().zip(&mut outboxes) {
-            shard.advance_to(barrier, router, outbox);
+            shard.advance_to(barrier, router, Some(outbox));
         }
         merge_window(&mut outboxes, &mut cursors, &mut |ev| outcomes.push(ev));
     }
@@ -125,7 +130,7 @@ fn run_plan_matches_the_step_loop_on_both_sides_of_the_grain() {
                 };
                 let got = captured(|outcomes| {
                     with_thread_count(threads, || {
-                        run_plan(&plan, &router, &mut |ev| outcomes.push(*ev))
+                        run_plan(&plan, &router, Some(&mut |ev| outcomes.push(*ev)))
                     })
                 });
                 let at = format!("{} shards={shards} threads={threads}", sc.name);
@@ -184,7 +189,7 @@ fn run_plan_matches_the_step_loop_on_small_plans() {
         for threads in [1, 4] {
             let mut outcomes = Vec::new();
             let run = with_thread_count(threads, || {
-                run_plan(&plan, &planned, &mut |ev| outcomes.push(*ev))
+                run_plan(&plan, &planned, Some(&mut |ev| outcomes.push(*ev)))
             });
             assert_eq!(outcomes, reference, "{at} threads={threads}");
             assert_eq!(run, reference_run, "{at} threads={threads}");
@@ -203,4 +208,46 @@ fn run_plan_matches_the_step_loop_on_small_plans() {
         }
         assert!(delivered.iter().all(|&d| d), "{at}: a window was never delivered");
     }
+}
+
+/// `run_plan` without an observer against the same plan with one that
+/// ignores every outcome: every named scenario at quick size (below the
+/// grain: one worker whatever `HEC_THREADS` is) at 2 and 4 shards, and
+/// grown for four workers at 4 shards, each at 1, 2 and 4 `HEC_THREADS`.
+#[test]
+fn an_unobserved_run_leaves_what_an_observed_one_leaves() {
+    let _recorder = recorder();
+    for name in FleetScenario::NAMES {
+        let quick = FleetScenario::by_name(name, FleetScale::Quick).unwrap();
+        let mut grown = quick.clone();
+        grown.scale_fleet(4.0 * 33_000.0 / quick.total_windows() as f64);
+        for (sc, shards) in [(&quick, 2), (&quick, 4), (&grown, 4)] {
+            let plan = ShardPlan::new(sc, shards);
+            let planned = |ctx: &RouteCtx| sc.planned_layer(ctx.cohort, ctx.seq);
+            for threads in [1, 2, 4] {
+                let windows = sc.total_windows();
+                let at = format!("{name} ({windows} windows) shards={shards} threads={threads}");
+                let run = |observer: Option<&mut dyn FnMut(&JobEvent)>| {
+                    with_thread_count(threads, || run_plan(&plan, &planned, observer))
+                };
+                let observed = captured(|_| run(Some(&mut |_| {})));
+                let unobserved = captured(|_| run(None));
+                let (a, b) = (&observed.run.report, &unobserved.run.report);
+                assert_eq!(unobserved.run, observed.run, "{at}");
+                assert_eq!(b.to_text(), a.to_text(), "{at}");
+                assert_eq!(b.layers_csv(), a.layers_csv(), "{at}");
+                assert_eq!(b.trace_csv(), a.trace_csv(), "{at}");
+                assert!(unobserved.snapshot == observed.snapshot, "{at}: snapshots diverged");
+                assert!(
+                    unobserved.chrome_trace == observed.chrome_trace,
+                    "{at}: Chrome traces diverged"
+                );
+                if hec_telemetry::ENABLED {
+                    assert!(unobserved.chrome_trace.contains("\"serve L"), "{at}: no job spans");
+                }
+            }
+        }
+    }
+    hec_telemetry::clear_trace();
+    hec_telemetry::reset();
 }

@@ -16,6 +16,15 @@
 //! exactly the single-heap order whichever way an event went in; a lane is
 //! a hint about where an event is cheap to keep, never about when it
 //! fires.
+//!
+//! Beside the lanes sit **replaceable slots**, for a stream of which only
+//! the latest event matters — a processor-sharing resource's next
+//! completion, re-estimated whenever its share changes.
+//! [`EventQueue::schedule_in_slot`] puts an event in a slot and drops
+//! whatever the slot held, so a superseded event never reaches the heap.
+//! A slot's head is scanned with the lane heads and its `seq` comes from
+//! the same counter: the pop order is the single heap's with the
+//! superseded events taken out.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -67,25 +76,29 @@ fn before(a: Head, b: Head) -> bool {
 
 /// The "sorted tail or heap" priority queue under [`EventQueue`] and the
 /// processor-sharing resource: a min-queue on `(key, insertion seq)` made
-/// of FIFO lanes, each kept sorted by only ever appending to it, and a
-/// binary heap for everything that would break a lane's order.
+/// of FIFO lanes, each kept sorted by only ever appending to it,
+/// replaceable one-entry slots, and a binary heap for everything that
+/// would break a lane's order.
 pub(crate) struct LaneQueue<T> {
     heap: BinaryHeap<Entry<T>>,
     lanes: Vec<VecDeque<Entry<T>>>,
-    /// Each lane's front `(key, seq)`, [`NO_HEAD`] when empty: `pop`
-    /// scans these few words instead of the deques.
+    /// Each slot's payload; its `(key, seq)` is in `heads`.
+    slots: Vec<Option<T>>,
+    /// Each lane's front `(key, seq)`, then each slot's, [`NO_HEAD`] when
+    /// empty: `pop` scans these few words instead of the deques.
     heads: Vec<Head>,
     next_seq: u64,
     len: usize,
 }
 
 impl<T> LaneQueue<T> {
-    /// An empty queue with `lanes` lanes.
-    pub(crate) fn new(lanes: usize) -> Self {
+    /// An empty queue with `lanes` lanes and `slots` slots.
+    pub(crate) fn new(lanes: usize, slots: usize) -> Self {
         Self {
             heap: BinaryHeap::new(),
             lanes: (0..lanes).map(|_| VecDeque::new()).collect(),
-            heads: vec![NO_HEAD; lanes],
+            slots: (0..slots).map(|_| None).collect(),
+            heads: vec![NO_HEAD; lanes + slots],
             next_seq: 0,
             len: 0,
         }
@@ -96,6 +109,18 @@ impl<T> LaneQueue<T> {
         self.next_seq += 1;
         self.len += 1;
         Entry { key, seq, payload }
+    }
+
+    /// Puts `payload` in `slot`, dropping the entry the slot held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue has no such slot.
+    pub(crate) fn replace(&mut self, slot: usize, key: f64, payload: T) {
+        let held = self.slots[slot].replace(payload);
+        self.len += usize::from(held.is_none());
+        self.heads[self.lanes.len() + slot] = (key, self.next_seq);
+        self.next_seq += 1;
     }
 
     /// Inserts into the heap.
@@ -125,21 +150,22 @@ impl<T> LaneQueue<T> {
         }
     }
 
-    /// The earliest entry's key and where it sits (`None`: the heap).
+    /// The earliest entry's key and where it sits (`None`: the heap; a
+    /// head index, lanes first, then slots).
     #[inline]
     fn earliest(&self) -> Option<(f64, Option<usize>)> {
         if self.len == 0 {
             return None;
         }
         let mut best = self.heap.peek().map_or(NO_HEAD, |e| (e.key, e.seq));
-        let mut lane = None;
+        let mut at = None;
         for (i, &head) in self.heads.iter().enumerate() {
             if before(head, best) {
                 best = head;
-                lane = Some(i);
+                at = Some(i);
             }
         }
-        Some((best.0, lane))
+        Some((best.0, at))
     }
 
     /// Key of the earliest entry.
@@ -151,26 +177,30 @@ impl<T> LaneQueue<T> {
     /// `bound`: one scan finds it, tests it and takes it.
     #[inline]
     pub(crate) fn pop_at_or_before(&mut self, bound: f64) -> Option<(f64, T)> {
-        let (key, lane) = self.earliest()?;
+        let (key, at) = self.earliest()?;
         if key > bound {
             return None;
         }
-        let entry = match lane {
-            Some(i) => {
+        let payload = match at {
+            Some(i) if i < self.lanes.len() => {
                 let fifo = &mut self.lanes[i];
                 let entry = fifo.pop_front()?;
                 let head = fifo.front().map_or(NO_HEAD, |e| (e.key, e.seq));
                 debug_assert!(before((entry.key, entry.seq), head), "lane {i} out of order");
                 self.heads[i] = head;
-                entry
+                entry.payload
             }
-            None => self.heap.pop()?,
+            Some(i) => {
+                self.heads[i] = NO_HEAD;
+                self.slots[i - self.lanes.len()].take()?
+            }
+            None => self.heap.pop()?.payload,
         };
         self.len -= 1;
-        Some((entry.key, entry.payload))
+        Some((key, payload))
     }
 
-    /// Entries pending, lanes and heap together.
+    /// Entries pending, lanes, slots and heap together.
     pub(crate) fn len(&self) -> usize {
         self.len
     }
@@ -178,13 +208,20 @@ impl<T> LaneQueue<T> {
 
 impl<T> std::fmt::Debug for LaneQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "LaneQueue(pending={}, lanes={})", self.len, self.lanes.len())
+        write!(
+            f,
+            "LaneQueue(pending={}, lanes={}, slots={})",
+            self.len,
+            self.lanes.len(),
+            self.slots.len()
+        )
     }
 }
 
 /// A min-queue of timestamped events with deterministic FIFO tie-breaks:
 /// a binary heap, plus optional monotone lanes for event streams that are
-/// scheduled in time order anyway (see the module docs).
+/// scheduled in time order anyway and replaceable slots for streams whose
+/// latest event supersedes the one before (see the module docs).
 ///
 /// # Example
 ///
@@ -204,17 +241,25 @@ pub struct EventQueue<T> {
 }
 
 impl<T> EventQueue<T> {
-    /// Creates an empty queue at virtual time 0, without lanes.
+    /// Creates an empty queue at virtual time 0, without lanes or slots.
     pub fn new() -> Self {
         Self::with_lanes(0)
     }
 
     /// Creates an empty queue at virtual time 0 with `lanes` monotone
-    /// lanes, addressed `0..lanes` by [`EventQueue::schedule_on`].
-    /// `pop` looks at every lane's head, so lanes are for the few hot
-    /// streams of a simulation, not one per entity.
+    /// lanes, addressed `0..lanes` by [`EventQueue::schedule_on`], and no
+    /// slots.
     pub fn with_lanes(lanes: usize) -> Self {
-        Self { q: LaneQueue::new(lanes), now_ms: 0.0 }
+        Self::with_lanes_and_slots(lanes, 0)
+    }
+
+    /// Creates an empty queue at virtual time 0 with `lanes` monotone
+    /// lanes and `slots` replaceable slots, addressed `0..slots` by
+    /// [`EventQueue::schedule_in_slot`]. `pop` looks at every lane's and
+    /// every slot's head, so both are for the few hot streams of a
+    /// simulation, not one per entity.
+    pub fn with_lanes_and_slots(lanes: usize, slots: usize) -> Self {
+        Self { q: LaneQueue::new(lanes, slots), now_ms: 0.0 }
     }
 
     /// Rejects a time no event may have.
@@ -255,6 +300,18 @@ impl<T> EventQueue<T> {
         self.q.push_on(lane, time_ms, payload);
     }
 
+    /// [`EventQueue::schedule`], for an event that supersedes the one
+    /// pending in `slot`: that one is dropped without ever popping, and
+    /// this one pops exactly when `schedule` would have popped it.
+    ///
+    /// # Panics
+    ///
+    /// As [`EventQueue::schedule`], and if the queue has no such slot.
+    pub fn schedule_in_slot(&mut self, slot: usize, time_ms: f64, payload: T) {
+        self.check_time(time_ms);
+        self.q.replace(slot, time_ms, payload);
+    }
+
     /// Schedules `payload` after a relative delay from the current time.
     ///
     /// # Panics
@@ -291,7 +348,7 @@ impl<T> EventQueue<T> {
         self.q.peek_key()
     }
 
-    /// Number of pending events, in lanes and heap together.
+    /// Number of pending events, in lanes, slots and heap together.
     pub fn len(&self) -> usize {
         self.q.len()
     }
@@ -454,5 +511,65 @@ mod tests {
         q.schedule_on(9, 5.0, 5); // no such lane: the heap
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, [3, 0, 1, 2, 4, 5]);
+    }
+
+    /// A slot holds one event: scheduling into a full slot drops the one
+    /// it held — earlier or later — and the count does not grow.
+    #[test]
+    fn a_replace_drops_the_pending_entry() {
+        let mut q = EventQueue::with_lanes_and_slots(0, 2);
+        q.schedule_in_slot(0, 4.0, "first");
+        q.schedule_in_slot(0, 6.0, "later");
+        assert_eq!(q.len(), 1);
+        q.schedule_in_slot(0, 2.0, "earlier");
+        q.schedule_in_slot(1, 3.0, "other slot");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((2.0, "earlier")));
+        assert_eq!(q.pop(), Some((3.0, "other slot")));
+        assert_eq!(q.pop(), None);
+        // A popped slot is empty: the next event fills it, not replaces.
+        q.schedule_in_slot(0, 5.0, "refill");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((5.0, "refill")));
+    }
+
+    /// Accounting sees the slots, as it sees the lanes.
+    #[test]
+    fn slot_only_events_are_counted_and_peeked() {
+        let mut q = EventQueue::with_lanes_and_slots(1, 2);
+        q.schedule_in_slot(1, 7.0, "a");
+        q.schedule_in_slot(0, 3.0, "b");
+        assert_eq!(q.len(), 2);
+        assert!(!q.is_empty());
+        assert_eq!(q.peek_time_ms(), Some(3.0));
+        assert_eq!(q.pop_at_or_before(2.9), None);
+        assert_eq!(q.now_ms(), 0.0, "a refused pop must not move the clock");
+        assert_eq!(q.pop_at_or_before(3.0), Some((3.0, "b")));
+        assert_eq!(q.peek_time_ms(), Some(7.0));
+        assert_eq!(q.pop_at_or_before(7.0), Some((7.0, "a")));
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time_ms(), None);
+    }
+
+    /// Equal times across slots, lanes and heap pop in scheduling order; a
+    /// replaced event's place in that order is its replacement's.
+    #[test]
+    fn ties_across_slots_lanes_and_heap_keep_schedule_order() {
+        let mut q = EventQueue::with_lanes_and_slots(1, 2);
+        q.schedule_in_slot(0, 5.0, 0);
+        q.schedule_on(0, 5.0, 1);
+        q.schedule(5.0, 2);
+        q.schedule_in_slot(1, 5.0, 3);
+        q.schedule_in_slot(0, 5.0, 4); // replaces 0: pops after 3
+        q.schedule(5.0, 5);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+        assert_eq!(order, [1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "event time must be finite")]
+    fn nan_slot_time_rejected() {
+        let mut q = EventQueue::with_lanes_and_slots(0, 1);
+        q.schedule_in_slot(0, f64::NAN, ());
     }
 }

@@ -145,10 +145,11 @@ impl FifoQueue {
 /// before the lane's tail (a smaller payload behind a larger one) goes to
 /// the queue's heap, O(log n), and completes in the same order.
 ///
-/// Every mutation bumps [`PsResource::epoch`]; the simulator stamps its
-/// scheduled completion events with the epoch and discards stale ones, so
-/// completion times may be re-estimated as the share changes without
-/// touching already-queued events.
+/// [`PsResource::next_completion_ms`] is an estimate under the current
+/// share, valid until the next mutation. The simulator keeps one
+/// completion event per resource, in a replaceable slot of its event
+/// queue, and re-schedules it after every mutation: an estimate the share
+/// changed is replaced, never popped.
 #[derive(Debug)]
 pub struct PsResource {
     capacity: f64,
@@ -158,8 +159,6 @@ pub struct PsResource {
     last_ms: f64,
     /// In-flight jobs by completion credit.
     jobs: LaneQueue<JobRec>,
-    /// Mutation counter for stale-event detection.
-    pub epoch: u64,
     /// Largest in-flight count observed.
     pub peak_inflight: usize,
 }
@@ -185,8 +184,7 @@ impl PsResource {
             max_jobs,
             credit: 0.0,
             last_ms: 0.0,
-            jobs: LaneQueue::new(1),
-            epoch: 0,
+            jobs: LaneQueue::new(1, 0),
             peak_inflight: 0,
         }
     }
@@ -216,7 +214,6 @@ impl PsResource {
         }
         self.jobs.push_on(0, self.credit + work, job);
         self.peak_inflight = self.peak_inflight.max(self.jobs.len());
-        self.epoch += 1;
         true
     }
 
@@ -236,12 +233,8 @@ impl PsResource {
         // one rounding of `dt × rate`; scale the slack with the credit
         // magnitude so it stays far below any real job's work.
         let due = self.credit + 1e-9 + 1e-12 * self.credit.abs();
-        let before = out.len();
         while let Some((_, job)) = self.jobs.pop_at_or_before(due) {
             out.push(job);
-        }
-        if out.len() > before {
-            self.epoch += 1;
         }
     }
 
@@ -360,18 +353,5 @@ mod tests {
         assert!(!ps.offer(0.0, 1.0, job(2)));
         assert_eq!(ps.inflight(), 2);
         assert_eq!(ps.peak_inflight, 2);
-    }
-
-    #[test]
-    fn ps_epoch_bumps_on_mutation() {
-        let mut ps = PsResource::new(1.0, f64::INFINITY, 8);
-        let e0 = ps.epoch;
-        ps.offer(0.0, 1.0, job(0));
-        assert!(ps.epoch > e0);
-        let e1 = ps.epoch;
-        let mut out = Vec::new();
-        ps.pop_due_into(ps.next_completion_ms().unwrap(), &mut out);
-        assert_eq!(out.len(), 1);
-        assert!(ps.epoch > e1);
     }
 }

@@ -283,6 +283,8 @@ pub struct ShardEngine<'a> {
     /// Virtual-trace track name, `<scenario>/shard<id>` (empty when
     /// telemetry is compiled out).
     track: String,
+    /// The track of its outcomes, `<track>/jobs`.
+    jobs_track: String,
     /// Lookahead windows this shard has been advanced through.
     barriers: u64,
     /// Windows in which the shard processed no events (it had nothing
@@ -306,9 +308,12 @@ impl ShardEngine<'_> {
     /// Advances this shard through every event at or before `barrier_ms`,
     /// appending the produced outcomes — time-tagged and already
     /// globalized — to `outbox`, this shard's buffer for the window
-    /// (drained by [`merge_window`]). The router receives fleet-global
-    /// contexts; safe to call from any thread (each shard is advanced by
-    /// at most one thread at a time — `&mut self` enforces it).
+    /// (drained by [`merge_window`]). Without an outbox nobody observes
+    /// the outcomes: they are not built, only counted in the report and,
+    /// while trace capture is on, traced. The router receives
+    /// fleet-global contexts; safe to call from any thread (each shard is
+    /// advanced by at most one thread at a time — `&mut self` enforces
+    /// it).
     ///
     /// # Panics
     ///
@@ -318,53 +323,36 @@ impl ShardEngine<'_> {
         &mut self,
         barrier_ms: f64,
         router: &mut dyn FnMut(&RouteCtx) -> usize,
-        outbox: &mut Vec<(f64, JobEvent)>,
+        outbox: Option<&mut Vec<(f64, JobEvent)>>,
     ) {
         let capture = hec_telemetry::trace_capture_enabled();
         let window_start = if capture { self.engine.next_event_time_ms() } else { None };
         let events_before = if hec_telemetry::ENABLED { self.engine.events_processed() } else { 0 };
-        let from = outbox.len();
         {
-            let Self { engine, slices, seq_base, .. } = self;
+            let Self { engine, slices, seq_base, jobs_track, .. } = self;
             let (slices, sb): (&[DeviceSlice], u64) = (slices, *seq_base);
             let mut wrapped = |ctx: &RouteCtx| router(&globalize_ctx(slices, sb, ctx));
-            engine.advance_until(barrier_ms, &mut wrapped, &mut |t, ev| {
-                outbox.push((t, globalize_event(slices, sb, ev)));
-            });
+            match outbox {
+                Some(outbox) => engine.advance_until(barrier_ms, &mut wrapped, &mut |t, ev| {
+                    if capture {
+                        trace_outcome(jobs_track, t, ev);
+                    }
+                    outbox.push((t, globalize_event(slices, sb, ev)));
+                }),
+                None if capture => engine.advance_until(barrier_ms, &mut wrapped, &mut |t, ev| {
+                    trace_outcome(jobs_track, t, ev);
+                }),
+                None => engine.advance_until(barrier_ms, &mut wrapped, &mut |_, _| {}),
+            }
         }
         if hec_telemetry::ENABLED {
             self.barriers += 1;
             if self.engine.events_processed() == events_before {
                 self.stall_windows += 1;
             }
-            if capture {
-                if let Some(start) = window_start {
-                    let start = start.min(barrier_ms);
-                    hec_telemetry::vspan(&self.track, "advance", start, barrier_ms - start);
-                }
-                self.trace_outcomes(&outbox[from..]);
-            }
-        }
-    }
-
-    /// Records one virtual-trace event per buffered outcome: served
-    /// windows as residency spans (emission-to-completion is exactly the
-    /// latency), drops as instants tagged with layer and cause.
-    fn trace_outcomes(&self, outcomes: &[(f64, JobEvent)]) {
-        let jobs_track = format!("{}/jobs", self.track);
-        for &(t, ev) in outcomes {
-            match ev {
-                JobEvent::Served { layer, latency_ms, .. } => {
-                    hec_telemetry::vspan(
-                        &jobs_track,
-                        &format!("serve L{layer}"),
-                        t - latency_ms,
-                        latency_ms,
-                    );
-                }
-                JobEvent::Dropped { layer, reason, .. } => {
-                    hec_telemetry::vinstant(&jobs_track, &format!("drop L{layer} {reason:?}"), t);
-                }
+            if let Some(start) = window_start {
+                let start = start.min(barrier_ms);
+                hec_telemetry::vspan(&self.track, "advance", start, barrier_ms - start);
             }
         }
     }
@@ -389,10 +377,29 @@ impl ShardEngine<'_> {
         };
         if let Some(out) = ev {
             if hec_telemetry::trace_capture_enabled() {
-                self.trace_outcomes(&[(self.engine.last_activity_ms(), out)]);
+                trace_outcome(&self.jobs_track, self.engine.last_activity_ms(), out);
             }
         }
         ev
+    }
+}
+
+/// Records an outcome at virtual time `t` on `jobs_track`: a served
+/// window as a residency span (emission-to-completion is exactly the
+/// latency), a drop as an instant tagged with layer and cause.
+fn trace_outcome(jobs_track: &str, t: f64, ev: JobEvent) {
+    match ev {
+        JobEvent::Served { layer, latency_ms, .. } => {
+            hec_telemetry::vspan(
+                jobs_track,
+                &format!("serve L{layer}"),
+                t - latency_ms,
+                latency_ms,
+            );
+        }
+        JobEvent::Dropped { layer, reason, .. } => {
+            hec_telemetry::vinstant(jobs_track, &format!("drop L{layer} {reason:?}"), t);
+        }
     }
 }
 
@@ -471,18 +478,22 @@ impl<'a> ShardedFleetEngine<'a> {
             .shards
             .iter()
             .enumerate()
-            .map(|(s, spec)| ShardEngine {
-                engine: FleetEngine::with_topology(&spec.scenario, spec.topology.clone()),
-                slices: &spec.slices,
-                seq_base: spec.seq_base,
-                shard_id: s,
-                track: if hec_telemetry::ENABLED {
+            .map(|(s, spec)| {
+                let track = if hec_telemetry::ENABLED {
                     format!("{}/shard{}", plan.scenario.name, s)
                 } else {
                     String::new()
-                },
-                barriers: 0,
-                stall_windows: 0,
+                };
+                ShardEngine {
+                    engine: FleetEngine::with_topology(&spec.scenario, spec.topology.clone()),
+                    slices: &spec.slices,
+                    seq_base: spec.seq_base,
+                    shard_id: s,
+                    jobs_track: format!("{track}/jobs"),
+                    track,
+                    barriers: 0,
+                    stall_windows: 0,
+                }
             })
             .collect();
         Self { plan, shards }

@@ -1,13 +1,14 @@
-//! The lane queue, the lane-backed processor-sharing resource and the
-//! run-length shard merge against the plain heaps and the per-element
+//! The lane-and-slot queue, the lane-backed processor-sharing resource and
+//! the run-length shard merge against the plain heaps and the per-element
 //! merge they replaced, **exactly**.
 //!
 //! `reference/` keeps what this crate shipped before. Whatever goes in —
-//! lane inserts that keep a lane sorted and ones that do not, equal times
-//! spread over lanes and heap, jobs of mixed work, shards that tie or have
-//! nothing to merge — the same things must come out in the same order, and
-//! every observable in between (length, next time, clock, epoch) must
-//! agree. The default suite runs 32 cases of each property; CI's
+//! lane inserts that keep a lane sorted and ones that do not, slot events
+//! that supersede a pending one and ones that refill an empty slot, equal
+//! times spread over lanes, slots and heap, jobs of mixed work, shards that
+//! tie or have nothing to merge — the same things must come out in the
+//! same order, and every observable in between (length, next time, clock)
+//! must agree. The default suite runs 32 cases of each property; CI's
 //! `sharded fleet` job also runs the ignored 512-case variants.
 
 mod reference;
@@ -22,19 +23,24 @@ use reference::{ref_merge_window, RefEventQueue, RefPsResource};
 /// name a lane the queue does not have.
 const LANES: usize = 3;
 
+/// Slots of the queue under test (a slot op takes its index mod this).
+const SLOTS: usize = 2;
+
 /// One queue operation: `(kind, lane, delay in half-ms, barrier in half-ms)`.
 /// Delays and barriers come from a handful of values so times collide.
 type QueueOp = (u8, usize, u32, u32);
 
 fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
-    collection::vec((0u8..8, 0usize..LANES + 2, 0u32..6, 0u32..4), 1..200)
+    collection::vec((0u8..10, 0usize..LANES + 2, 0u32..6, 0u32..4), 1..200)
 }
 
-/// Random interleavings of `schedule` / `schedule_on` / `pop` /
-/// `pop_at_or_before` on a laned queue and on the single heap.
+/// Random interleavings of `schedule` / `schedule_on` /
+/// `schedule_in_slot` / `pop` / `pop_at_or_before` on a laned, slotted
+/// queue and on the single heap that drops superseded slot events by
+/// generation.
 fn queue_matches_single_heap(ops: &[QueueOp]) {
-    let mut q = EventQueue::with_lanes(LANES);
-    let mut r = RefEventQueue::new();
+    let mut q = EventQueue::with_lanes_and_slots(LANES, SLOTS);
+    let mut r = RefEventQueue::with_slots(SLOTS);
     for (id, &(kind, lane, delay, barrier)) in ops.iter().enumerate() {
         let t = r.now_ms() + delay as f64 * 0.5;
         match kind {
@@ -48,7 +54,12 @@ fn queue_matches_single_heap(ops: &[QueueOp]) {
                 q.schedule(t, id);
                 r.schedule(t, id);
             }
-            5 | 6 => assert_eq!(q.pop(), r.pop(), "op {id}"),
+            // Slot events, earlier or later than the one they replace.
+            5 | 6 => {
+                q.schedule_in_slot(lane % SLOTS, t, id);
+                r.schedule_in_slot(lane % SLOTS, t, id);
+            }
+            7 | 8 => assert_eq!(q.pop(), r.pop(), "op {id}"),
             _ => {
                 let barrier_ms = r.now_ms() + barrier as f64 * 0.5;
                 let due = r.peek_time_ms().is_some_and(|next| next <= barrier_ms);
@@ -112,7 +123,6 @@ fn ps_matches_heap_only(ops: &[PsOp], capacity: f64, rate_cap: f64, max_jobs: us
         }
         assert_eq!(got, want, "op {id}");
         assert_eq!(ps.inflight(), r.inflight(), "op {id}");
-        assert_eq!(ps.epoch, r.epoch, "op {id}");
         assert_eq!(ps.peak_inflight, r.peak_inflight, "op {id}");
         assert_eq!(
             ps.next_completion_ms().map(f64::to_bits),

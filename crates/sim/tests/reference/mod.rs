@@ -1,7 +1,9 @@
 //! The event queue, processor-sharing resource and shard merge this crate
-//! shipped before monotone lanes and run-length merging, kept as the
-//! referees `des_reference.rs` holds the library to **exactly**: one binary
-//! heap on `(time, seq)` for the queue, one binary heap on `(finish credit,
+//! shipped before monotone lanes, replaceable slots and run-length merging,
+//! kept as the referees `des_reference.rs` holds the library to
+//! **exactly**: one binary heap on `(time, seq)` for the queue, where a
+//! superseded slot event waits until it reaches the top and is discarded
+//! there by its slot's generation, one binary heap on `(finish credit,
 //! seq)` for the PS resource, and a merge that compares every shard's head
 //! for every outcome. Beside them, [`stepped`]: the serial barrier loop
 //! multi-shard plans ran before the window loop, which `fleet.rs` drives
@@ -46,42 +48,89 @@ impl<T> Ord for Keyed<T> {
     }
 }
 
-/// The single-heap `EventQueue`.
+/// `(slot, generation)` of a slot event; `None` for any other.
+type Stamp = Option<(usize, u64)>;
+
+/// The single-heap `EventQueue`, with slots the way the engine kept its PS
+/// completions before it had them: every event in the heap, a slot event
+/// stamped with its slot's generation, and one whose slot has been
+/// scheduled into since dropped when it reaches the top.
 pub struct RefEventQueue<T> {
-    heap: BinaryHeap<Keyed<T>>,
+    heap: BinaryHeap<Keyed<(Stamp, T)>>,
+    generations: Vec<u64>,
+    /// Whether each slot's latest event is still pending.
+    occupied: Vec<bool>,
     next_seq: u64,
     now_ms: f64,
+    live: usize,
 }
 
 impl<T> RefEventQueue<T> {
-    pub fn new() -> Self {
-        Self { heap: BinaryHeap::new(), next_seq: 0, now_ms: 0.0 }
+    pub fn with_slots(slots: usize) -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+            generations: vec![0; slots],
+            occupied: vec![false; slots],
+            next_seq: 0,
+            now_ms: 0.0,
+            live: 0,
+        }
     }
 
-    pub fn schedule(&mut self, time_ms: f64, payload: T) {
+    fn push(&mut self, time_ms: f64, stamp: Stamp, payload: T) {
         assert!(time_ms.is_finite(), "event time must be finite, got {time_ms}");
         assert!(time_ms >= self.now_ms, "cannot schedule in the past");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Keyed { key: time_ms, seq, payload });
+        self.heap.push(Keyed { key: time_ms, seq, payload: (stamp, payload) });
+    }
+
+    pub fn schedule(&mut self, time_ms: f64, payload: T) {
+        self.live += 1;
+        self.push(time_ms, None, payload);
+    }
+
+    pub fn schedule_in_slot(&mut self, slot: usize, time_ms: f64, payload: T) {
+        self.generations[slot] += 1;
+        if !std::mem::replace(&mut self.occupied[slot], true) {
+            self.live += 1;
+        }
+        self.push(time_ms, Some((slot, self.generations[slot])), payload);
+    }
+
+    /// Drops superseded slot events off the top of the heap.
+    fn settle(&mut self) {
+        while let Some(Keyed { payload: (Some((slot, generation)), _), .. }) = self.heap.peek() {
+            if *generation == self.generations[*slot] {
+                break;
+            }
+            self.heap.pop();
+        }
     }
 
     pub fn pop(&mut self) -> Option<(f64, T)> {
+        self.settle();
         let ev = self.heap.pop()?;
+        let (stamp, payload) = ev.payload;
+        if let Some((slot, _)) = stamp {
+            self.occupied[slot] = false;
+        }
+        self.live -= 1;
         self.now_ms = ev.key;
-        Some((ev.key, ev.payload))
+        Some((ev.key, payload))
     }
 
     pub fn now_ms(&self) -> f64 {
         self.now_ms
     }
 
-    pub fn peek_time_ms(&self) -> Option<f64> {
+    pub fn peek_time_ms(&mut self) -> Option<f64> {
+        self.settle();
         self.heap.peek().map(|e| e.key)
     }
 
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.live
     }
 }
 
@@ -94,7 +143,6 @@ pub struct RefPsResource {
     last_ms: f64,
     heap: BinaryHeap<Keyed<JobRec>>,
     next_seq: u64,
-    pub epoch: u64,
     pub peak_inflight: usize,
 }
 
@@ -108,7 +156,6 @@ impl RefPsResource {
             last_ms: 0.0,
             heap: BinaryHeap::new(),
             next_seq: 0,
-            epoch: 0,
             peak_inflight: 0,
         }
     }
@@ -136,7 +183,6 @@ impl RefPsResource {
         self.next_seq += 1;
         self.heap.push(Keyed { key: self.credit + work, seq, payload: job });
         self.peak_inflight = self.peak_inflight.max(self.heap.len());
-        self.epoch += 1;
         true
     }
 
@@ -149,16 +195,11 @@ impl RefPsResource {
     pub fn pop_due_into(&mut self, now_ms: f64, out: &mut Vec<JobRec>) {
         self.advance(now_ms);
         let due = self.credit + 1e-9 + 1e-12 * self.credit.abs();
-        let mut popped = false;
         while let Some(top) = self.heap.peek() {
             if top.key > due {
                 break;
             }
             out.push(self.heap.pop().expect("peeked entry exists").payload);
-            popped = true;
-        }
-        if popped {
-            self.epoch += 1;
         }
     }
 

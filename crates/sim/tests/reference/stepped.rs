@@ -23,7 +23,7 @@ pub fn run_stepped(
     let mut outcomes = Vec::new();
     while let Some(barrier) = plan.barrier_after(earliest_event_ms(shards)) {
         for (shard, outbox) in shards.iter_mut().zip(&mut outboxes) {
-            shard.advance_to(barrier, router, outbox);
+            shard.advance_to(barrier, router, Some(outbox));
         }
         ref_merge_window(&mut outboxes, &mut |ev| outcomes.push(ev));
     }

@@ -1,4 +1,4 @@
-//! Deterministic metrics registry: counters, gauges and geometric-bin
+//! Deterministic metrics registry: counters, gauges and log-linear-bin
 //! histograms keyed by a static metric name plus a sorted label set.
 //!
 //! The registry only ever holds *deterministic* quantities — event counts,
@@ -68,7 +68,7 @@ pub enum MetricValue {
     Counter(u64),
     /// Point-in-time float (last write wins on merge).
     Gauge(f64),
-    /// Mergeable geometric-bin distribution.
+    /// Mergeable log-linear-bin distribution.
     Hist(GeomHist),
 }
 
