@@ -19,9 +19,12 @@
 //!    ([`PolicyTrainer::observe`]) with the reinforcement-comparison
 //!    baseline.
 //!
-//! A trainer mid-update is stateful, so the loop steps the one-shard
-//! engine and the update for outcome *n* lands before window *n + 1* is
-//! routed.
+//! A trainer mid-update is stateful, so it goes through the loop's
+//! stepper, the crate's one per-outcome driver: it steps the scenario's
+//! one-shard plan, and the update for outcome *n* lands before window
+//! *n + 1* is routed — the sample → observe → update interleaving the
+//! byte-identical weights depend on. The epoch leaves the fleet report
+//! unrendered.
 //!
 //! Because actions shape queueing, the policy's own exploration changes
 //! the delays it learns from — exactly the closed loop a deployed
@@ -39,7 +42,7 @@ use hec_bandit::{
     ContextScaler, LoadNormalizer, PolicyNetwork, PolicyTrainer, RewardModel, TrainConfig,
     TrainingCurve,
 };
-use hec_sim::fleet::{FleetScenario, JobEvent, RouteCtx, ShardPlan};
+use hec_sim::fleet::{FleetScenario, JobEvent, RouteCtx};
 
 use crate::closed_loop::{load_features, routed_windows, run_closed_loop, ClosedLoop};
 use crate::oracle::Oracle;
@@ -196,16 +199,11 @@ pub fn try_train_policy_in_fleet(
         drops: 0,
     };
 
-    // One shard: exactly the serial engine, whose `step` hands over
-    // outcome n before it routes window n + 1 — the sample → observe →
-    // update interleaving the byte-identical weights depend on.
-    let plan = ShardPlan::new(scenario, 1);
     let (curve, drops_per_epoch) = (0..config.epochs)
         .map(|_epoch| {
             let _span = hec_telemetry::WallSpan::new("core.train_epoch");
             (lp.total, lp.outcomes, lp.drops) = (0.0, 0, 0);
-            // The fleet report stays unrendered.
-            let _ = run_closed_loop(&plan, probe_cohort, oracle, reward, &mut lp);
+            run_closed_loop(scenario, probe_cohort, oracle, reward, &mut lp, |_| ());
             // Deterministic training-progress counts (per-epoch updates
             // and drops are seed-fixed, so these belong in the registry).
             if hec_telemetry::ENABLED {
@@ -257,7 +255,7 @@ impl Training {
     }
 }
 
-impl<'t> ClosedLoop<'t> for Training {
+impl ClosedLoop for Training {
     fn route(&mut self, ctx: &RouteCtx<'_>, i: usize) -> usize {
         load_features(&self.base[i], &self.norm, ctx, &mut self.scratch);
         let action = self.trainer.sample_action(&self.scratch);

@@ -25,8 +25,10 @@
 //! * [`replay`] — the same closed loop at shard scale: an (amplified)
 //!   trace corpus streamed through the sharded fleet engine (streaming,
 //!   replay and training are three compositions of one private loop:
-//!   a scheme's action, a window's score and how the engine is driven
-//!   are each written once);
+//!   a scheme's action and a window's score are each written once, and
+//!   each driver has one job — the loop's stepper routes and hears a
+//!   one-shard plan outcome by outcome for streaming and training,
+//!   [`run_plan`]'s window loop drives the replay's action table);
 //! * [`ablation`] — α sweeps, baseline ablation, bandit-solver comparison
 //!   and confidence-rule sweeps — the design choices the paper fixes
 //!   without measuring;
@@ -38,9 +40,9 @@
 //!   in-fleet refresh of the standardizer, the detector calibration and
 //!   the bandit policy — all inside the sharded replay loop, with
 //!   deterministic reports;
-//! * [`sharded`] — the fleet driver: a one-shard plan stepped outcome by
-//!   outcome, a larger one through the window loop, where shards advance
-//!   to conservative lookahead barriers on `HEC_THREADS` workers and merge
+//! * [`sharded`] — the fleet driver of `Fn + Sync` routers: a plan of
+//!   any shard count through the window loop, where shards advance to
+//!   conservative lookahead barriers on `HEC_THREADS` workers and merge
 //!   deterministically, scaling fleet scenarios to millions of devices
 //!   with byte-identical output at any thread count.
 

@@ -5,16 +5,17 @@
 //! "The closed loop"), composed of: [`replay_scenario`]'s one-cohort
 //! fleet, partitioned into a [`ShardPlan`]'s contiguous device slices;
 //! the scheme's precomputed [`scheme_action_table`] as the router; and no
-//! probe cohort. A table with nothing in the background is stateless, so
-//! the loop hands the plan to [`crate::sharded::run_plan`]: the shards
-//! advance in parallel on the `HEC_THREADS` workers when the trace is
-//! long enough to pay for them (the adaptation loop's 50-window chunks
-//! run on the calling thread), and outcomes merge in the deterministic
-//! `(time, shard-id)` order — the replayed [`FleetStreamResult`] is
-//! byte-identical across reruns and thread counts. Scoring and the
-//! conservation checks are the loop's, the same as
-//! [`crate::stream::stream_through_fleet`]'s; this module adds the
-//! `core.replay` span and the `replay.*` counters.
+//! probe cohort. A table is a stateless `Fn + Sync` router, so the replay
+//! hands it straight to [`crate::sharded::run_plan`]'s window loop at
+//! every shard count: the shards advance in parallel on the `HEC_THREADS`
+//! workers when the trace is long enough to pay for them (the adaptation
+//! loop's 50-window chunks run on the calling thread), and outcomes merge
+//! in the deterministic `(time, shard-id)` order — the replayed
+//! [`FleetStreamResult`] is byte-identical across reruns and thread
+//! counts. Each outcome is priced and scored by the loop's own pricing
+//! function and scorecard, which also hold the conservation checks —
+//! the same code [`crate::stream::stream_through_fleet`] scores with;
+//! this module adds the `core.replay` span and the `replay.*` counters.
 //!
 //! A replay keeps **no queue trace**: [`replay_scenario`] turns the
 //! preset's queue-depth sampler off, so `FleetStreamResult::fleet.trace`
@@ -22,18 +23,24 @@
 //! trace of a replay, and at the preset's 2 048 samples a shard it was
 //! 8 192 of the ≈ 8 300 events of a 50-window, 4-shard chunk replay.
 //!
-//! Scheme-routed windows map to oracle windows round-robin in emission
-//! order (`seq % corpus len`) — the same mapping
-//! `stream_through_fleet` uses without a probe cohort, so a one-shard
-//! replay reproduces its results exactly (asserted in tests).
+//! Window `seq` replays oracle window `seq % corpus len`. A window's
+//! `seq` is shard-major — its shard's first sequence number plus its own
+//! emission index within the shard — so this is round-robin over the
+//! corpus in each shard's emission order, and in fleet-wide emission
+//! order only at one shard. There it is the mapping `stream_through_fleet`
+//! uses without a probe cohort, so a one-shard replay reproduces its
+//! results exactly (asserted in tests).
 
 use hec_bandit::{ContextScaler, PolicyNetwork, RewardModel};
-use hec_sim::fleet::{CohortSpec, FleetScale, FleetScenario, RoutePlan, ShardPlan};
+use hec_sim::fleet::{
+    CohortSpec, FleetScale, FleetScenario, JobEvent, RouteCtx, RoutePlan, ShardPlan,
+};
 use hec_sim::DatasetKind;
 
-use crate::closed_loop::{evaluate_in_fleet, SchemeRouter};
+use crate::closed_loop::{price, Scorecard};
 use crate::oracle::Oracle;
 use crate::scheme::SchemeKind;
+use crate::sharded::run_plan;
 use crate::stream::{scheme_action_table, FleetStreamResult};
 
 /// Windows each replay device emits: the corpus spreads over
@@ -69,12 +76,12 @@ pub fn replay_scenario(kind: DatasetKind, payload_bytes: usize, n_windows: u64) 
 }
 
 /// Streams the oracle corpus through the sharded fleet under a scheme:
-/// every emitted window maps to an oracle window (round-robin in
-/// emission order), the precomputed action table chooses its layer, the
-/// sharded engine charges the load-dependent delay, and the serving
-/// layer's frozen verdict is scored against ground truth — the
-/// accounting of [`crate::stream::stream_through_fleet`] (it is the same
-/// code), at shard scale.
+/// every emitted window maps to an oracle window (`seq % corpus len`,
+/// with `seq` shard-major: module docs), the precomputed action table
+/// chooses its layer, the sharded engine charges the load-dependent
+/// delay, and the serving layer's frozen verdict is scored against ground
+/// truth — the accounting of [`crate::stream::stream_through_fleet`] (it
+/// is the same code), at shard scale.
 ///
 /// `policy`/`scaler` are required only for [`SchemeKind::Adaptive`],
 /// which must be a **static** policy (see [`scheme_action_table`]).
@@ -102,8 +109,18 @@ pub fn replay_trace_sharded(
     let _span = hec_telemetry::WallSpan::new("core.replay");
     let actions = scheme_action_table(scenario, oracle, kind, policy, scaler);
     let plan = ShardPlan::new(scenario, shards);
-    let router = SchemeRouter::Table(&actions);
-    let result = evaluate_in_fleet(&plan, oracle, kind, router, reward, None);
+    let n = oracle.len() as u64;
+    let mut score = Scorecard::new(oracle, plan.num_layers());
+    let mut heard = 0u64;
+    let mut hear = |ev: &JobEvent| {
+        let (JobEvent::Served { seq, .. } | JobEvent::Dropped { seq, .. }) = *ev;
+        let i = (seq % n) as usize;
+        score.record(ev, Some((i, price(reward, oracle, ev, i))));
+        heard += 1;
+    };
+    let run = run_plan(&plan, &|ctx: &RouteCtx| actions[(ctx.seq % n) as usize], Some(&mut hear));
+    assert_eq!(heard, scenario.total_windows(), "fleet leaked scheme-routed windows");
+    let result = score.finish(kind, run.report);
     if hec_telemetry::ENABLED {
         let scheme = kind.to_string();
         hec_telemetry::counter_add("replay.windows", &[("scheme", &scheme)], result.fleet.emitted);
@@ -205,26 +222,47 @@ mod tests {
     }
 
     /// A one-shard replay must reproduce `stream_through_fleet` on the
-    /// same scenario exactly — the two drivers share the action table
-    /// and the oracle mapping, so any divergence is a bug.
+    /// same scenario exactly: the window loop and the closed loop's
+    /// stepper are different drivers over the same action table, oracle
+    /// mapping, pricing and scorecard, so any divergence is a bug. Two
+    /// fleets: the replay fleet, which sheds nothing, and one with every
+    /// bound tight — one job per dequeue, a two-deep queue, a one-megabit
+    /// cloud link admitting two transfers, a window a millisecond from
+    /// each device — which sheds windows for both causes, so drop pricing
+    /// and the drop breakdown are compared too.
     #[test]
     fn one_shard_replay_matches_the_streaming_driver() {
         let o = oracle(60);
         let sc = replay_scenario(DatasetKind::Univariate, 384, o.len() as u64);
-        for kind in [SchemeKind::IoTDevice, SchemeKind::Cloud, SchemeKind::Successive] {
-            let replayed = replay_trace_sharded(&sc, &o, kind, None, None, &rm(), 1);
-            let streamed = stream_through_fleet(&sc, &o, kind, None, None, &rm(), None);
-            assert_eq!(replayed, streamed, "{kind}");
-        }
-        // And the bandit scheme, under a static policy.
-        let kind = SchemeKind::Adaptive;
+        let mut saturated = sc.clone();
+        saturated.batch_max = 1;
+        saturated.queue_capacity = 2;
+        saturated.link_max_inflight = 2;
+        saturated.cloud_bandwidth_mbps = Some(1.0);
+        saturated.cohorts[0].period_ms = 1.0;
         let scaler = hec_bandit::ContextScaler::fit(&o.contexts());
         let mut policy = PolicyNetwork::new(scaler.dim(), 8, 3, 0);
-        let replayed =
-            replay_trace_sharded(&sc, &o, kind, Some(&mut policy), Some(&scaler), &rm(), 1);
-        let streamed =
-            stream_through_fleet(&sc, &o, kind, Some(&mut policy), Some(&scaler), &rm(), None);
-        assert_eq!(replayed, streamed, "{kind}");
+        let mut drops = [0; 2];
+        for sc in [&sc, &saturated] {
+            for kind in
+                [SchemeKind::IoTDevice, SchemeKind::Edge, SchemeKind::Cloud, SchemeKind::Successive]
+            {
+                let replayed = replay_trace_sharded(sc, &o, kind, None, None, &rm(), 1);
+                let streamed = stream_through_fleet(sc, &o, kind, None, None, &rm(), None);
+                assert_eq!(replayed, streamed, "{}: {kind}", sc.name);
+                if sc == &saturated {
+                    drops[0] += replayed.drops.iter().map(|d| d.queue).sum::<u64>();
+                    drops[1] += replayed.drops.iter().map(|d| d.link).sum::<u64>();
+                }
+            }
+            // And the bandit scheme, under a static policy.
+            let kind = SchemeKind::Adaptive;
+            let (p, s) = (Some(&mut policy), Some(&scaler));
+            let replayed = replay_trace_sharded(sc, &o, kind, p, s, &rm(), 1);
+            let streamed = stream_through_fleet(sc, &o, kind, Some(&mut policy), s, &rm(), None);
+            assert_eq!(replayed, streamed, "{}: {kind}", sc.name);
+        }
+        assert!(drops.iter().all(|&d| d > 0), "the tight fleet shed {drops:?} (queue, link)");
     }
 
     #[test]

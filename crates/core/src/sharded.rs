@@ -1,20 +1,19 @@
-//! The fleet driver: a shard plan run to completion, one way per shard count.
+//! The fleet driver of `Fn + Sync` routers: a shard plan of any size run
+//! to completion through one **window loop**.
 //!
 //! `hec_sim::fleet::shard` owns the partitioning and the deterministic
-//! merge. A one-shard plan steps its shard outcome by outcome on the
-//! calling thread. A larger plan runs the **window loop**, paying for its
-//! threads **once per run**: inside one `thread::scope` the calling
-//! thread — the coordinator — keeps the first contiguous chunk of shards
-//! and spawns `workers − 1` threads that each own one chunk until the
-//! plan has drained. Per lookahead window the coordinator publishes the
-//! barrier, every thread advances its chunk to it and leaves the buffered
-//! outcomes at the rendezvous, and the coordinator merges them in stable
-//! `(time, shard-id)` order and calls the observer serially; at one
-//! worker it holds every shard, spawns nothing and waits on nobody. A run
-//! nobody observes (`run_scenario_sharded`) buffers and merges nothing:
-//! its shards hand their outcomes to no sink, and the rendezvous only
-//! collects the next barrier.
-//! Because shards are independent and the merge order is fixed, the
+//! merge. The window loop pays for its threads **once per run**: inside
+//! one `thread::scope` the calling thread — the coordinator — keeps the
+//! first contiguous chunk of shards and spawns `workers − 1` threads that
+//! each own one chunk until the plan has drained. Per lookahead window
+//! the coordinator publishes the barrier, every thread advances its chunk
+//! to it and leaves the buffered outcomes at the rendezvous, and the
+//! coordinator merges them in stable `(time, shard-id)` order and calls
+//! the observer serially; at one worker — always, for a one-shard plan —
+//! it holds every shard, spawns nothing and waits on nobody. A run nobody
+//! observes (`run_scenario_sharded`) buffers and merges nothing: its
+//! shards hand their outcomes to no sink, and the rendezvous only
+//! collects the next barrier. Because shards are independent and the merge order is fixed, the
 //! outcome stream, the observer calls, the final report, the registry
 //! snapshot and the virtual-clock trace are byte-identical whatever the
 //! worker count — the same invariant CI enforces for the serial engine. A
@@ -40,9 +39,11 @@
 //! `flash_crowd` just above it.
 //!
 //! The router must be `Fn + Sync` (shared across workers); routing tables
-//! and scenario route plans qualify. Stateful `FnMut` routers — e.g. a
-//! policy mid-training — cannot be shared across threads and instead step
-//! a one-shard plan themselves.
+//! and scenario route plans qualify. A router whose state changes between
+//! outcomes — a load-aware policy, a probe cohort's bookkeeping, a policy
+//! mid-training — goes through the crate's closed loop instead
+//! (`closed_loop.rs`), the one driver that steps a one-shard plan outcome
+//! by outcome.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -67,15 +68,15 @@ pub struct ShardedFleetRun {
     pub shard_events: Vec<u64>,
 }
 
-/// Runs a shard plan to completion and delivers every merged outcome to
-/// `observer` in the deterministic `(time, shard-id)` order: a one-shard
-/// plan stepped outcome by outcome, a larger one through the window loop
-/// on up to `HEC_THREADS` workers — spawned once for the whole run, and
-/// only as many as the plan has [`WINDOWS_PER_WORKER`] windows for. The
-/// outcome stream and the report do not depend on the worker count.
-/// Without an observer a larger plan's outcomes are never buffered or
-/// merged; the run, the registry snapshot and the virtual-clock trace are
-/// those of an observed run.
+/// Runs a shard plan to completion through the window loop and delivers
+/// every merged outcome to `observer` in the deterministic
+/// `(time, shard-id)` order, on up to `HEC_THREADS` workers — spawned once
+/// for the whole run, and only as many as the plan has shards and
+/// [`WINDOWS_PER_WORKER`] windows for (a one-shard plan runs on the
+/// calling thread). The outcome stream and the report do not depend on
+/// the worker count. Without an observer the outcomes are never buffered
+/// or merged; the run, the registry snapshot and the virtual-clock trace
+/// are those of an observed run.
 ///
 /// # Panics
 ///
@@ -90,28 +91,6 @@ pub fn run_plan(
     let _span = hec_telemetry::WallSpan::new("core.fleet_run");
     let by_grain = (plan.scenario().total_windows() / WINDOWS_PER_WORKER) as usize;
     drive(plan, thread_count().min(plan.num_shards()).min(by_grain).max(1), router, observer)
-}
-
-/// [`run_plan`] at a given worker count (one or more).
-fn drive(
-    plan: &ShardPlan,
-    workers: usize,
-    router: &(dyn Fn(&RouteCtx) -> usize + Sync),
-    mut observer: Option<&mut dyn FnMut(&JobEvent)>,
-) -> ShardedFleetRun {
-    let mut engine = ShardedFleetEngine::new(plan);
-    match engine.shards_mut() {
-        [shard] => {
-            while let Some(ev) = shard.step(&mut |ctx| router(ctx)) {
-                if let Some(observer) = observer.as_mut() {
-                    observer(&ev);
-                }
-            }
-        }
-        shards => drive_windows(plan, shards, workers, router, observer),
-    }
-    let shard_events = engine.shards_mut().iter().map(|shard| shard.events()).collect();
-    ShardedFleetRun { report: engine.report(), shard_events }
 }
 
 /// What the threads of one run share: the barrier the coordinator
@@ -226,16 +205,18 @@ impl Drop for AbortOnPanic<'_> {
     }
 }
 
-/// The window loop: `shards` in one contiguous chunk per worker, the
-/// first on the calling thread — the coordinator, which also publishes
-/// the barriers and, if there is an observer, merges and calls it.
-fn drive_windows(
+/// [`run_plan`] at a given worker count (one or more): the window loop,
+/// with the plan's shards in one contiguous chunk per worker, the first
+/// on the calling thread — the coordinator, which also publishes the
+/// barriers and, if there is an observer, merges and calls it.
+fn drive(
     plan: &ShardPlan,
-    shards: &mut [ShardEngine<'_>],
     workers: usize,
     router: &(dyn Fn(&RouteCtx) -> usize + Sync),
     mut observer: Option<&mut dyn FnMut(&JobEvent)>,
-) {
+) -> ShardedFleetRun {
+    let mut engine = ShardedFleetEngine::new(plan);
+    let shards = engine.shards_mut();
     let mut earliest_ms = earliest_event_ms(shards);
     let chunk_len = shards.len().div_ceil(workers);
     let rendezvous = Rendezvous {
@@ -289,6 +270,8 @@ fn drive_windows(
             }
         }
     });
+    let shard_events = engine.shards_mut().iter().map(|shard| shard.events()).collect();
+    ShardedFleetRun { report: engine.report(), shard_events }
 }
 
 /// Runs `scenario` under its own routing plans, partitioned into
@@ -427,6 +410,8 @@ mod tests {
         with_thread_count(2, || run_plan(&plan, &router, None));
     }
 
+    /// A one-shard plan runs the window loop at one worker; its report is
+    /// still the serial engine's, byte for byte.
     #[test]
     fn one_shard_run_matches_the_serial_engine_bytes() {
         for name in FleetScenario::NAMES {

@@ -18,12 +18,12 @@
 //! README, "The closed loop"): this module picks the router — the scheme's
 //! [`scheme_action_table`], or for a **load-aware** Adaptive policy (input
 //! `context + load features`, [`scenario_load_normalizer`]) a per-window
-//! greedy forward pass on the live queue state — runs it over the
+//! greedy forward pass on the live queue state — and records the
+//! `stream.*` counters. The loop's stepper runs either router over the
 //! scenario's own one-shard plan, optionally confined to a probe cohort,
-//! and records the `stream.*` counters. Routing per window, scoring at
-//! the *observed* delay, the drop penalty and the conservation checks
-//! are the loop's, shared with [`crate::replay`] and
-//! [`crate::fleet_train`].
+//! outcome by outcome. Scoring at the *observed* delay, the drop penalty
+//! and the conservation checks are the loop's, shared with
+//! [`crate::replay`]; the stepper is shared with [`crate::fleet_train`].
 
 use std::fmt::Write as _;
 
@@ -31,9 +31,9 @@ use serde::{Deserialize, Serialize};
 
 use hec_bandit::{ContextScaler, LoadNormalizer, PolicyNetwork, RewardModel};
 use hec_data::BinaryConfusion;
-use hec_sim::fleet::{FleetReport, FleetScenario, ShardPlan};
+use hec_sim::fleet::{FleetReport, FleetScenario, JobEvent, RouteCtx};
 
-use crate::closed_loop::{evaluate_in_fleet, SchemeRouter};
+use crate::closed_loop::{load_features, run_closed_loop, ClosedLoop, Scorecard};
 use crate::oracle::Oracle;
 use crate::scheme::{action_table, scaled_contexts, SchemeEvaluator, SchemeKind};
 
@@ -215,6 +215,46 @@ pub fn scheme_action_table(
     action_table(scenario.topology().num_layers(), oracle, kind, policy, scaler)
 }
 
+/// How a scheme picks each emitted window's layer.
+enum SchemeRouter<'a> {
+    /// Per-oracle-window precomputed actions ([`scheme_action_table`]): a
+    /// table lookup on the hot path (fixed schemes, Successive, and the
+    /// static Adaptive policy).
+    Table(&'a [usize]),
+    /// A load-aware policy runs greedily per window on [`load_features`] —
+    /// the action genuinely depends on the queues the earlier actions
+    /// built up.
+    LoadAware {
+        policy: &'a mut PolicyNetwork,
+        base: Vec<Vec<f32>>,
+        norm: LoadNormalizer,
+        scratch: Vec<f32>,
+    },
+}
+
+/// An evaluation run as a closed loop: a scheme routes, and what comes
+/// back is scored.
+struct Evaluation<'a> {
+    router: SchemeRouter<'a>,
+    score: Scorecard<'a>,
+}
+
+impl ClosedLoop for Evaluation<'_> {
+    fn route(&mut self, ctx: &RouteCtx<'_>, i: usize) -> usize {
+        match &mut self.router {
+            SchemeRouter::Table(actions) => actions[i],
+            SchemeRouter::LoadAware { policy, base, norm, scratch } => {
+                load_features(&base[i], norm, ctx, scratch);
+                policy.greedy(scratch)
+            }
+        }
+    }
+
+    fn hear(&mut self, ev: &JobEvent, scored: Option<(usize, f64)>) {
+        self.score.record(ev, scored);
+    }
+}
+
 /// Streams the corpus through the discrete-event fleet simulator under a
 /// scheme: every scheme-routed window maps to an oracle window (in
 /// emission order, round-robin over the corpus), the scheme chooses its
@@ -278,9 +318,10 @@ pub fn stream_through_fleet(
             SchemeRouter::Table(&table)
         }
     };
-    // One shard: the scenario's own fleet, and exactly the serial engine.
-    let plan = ShardPlan::new(scenario, 1);
-    let result = evaluate_in_fleet(&plan, oracle, kind, router, reward, probe_cohort);
+    let score = Scorecard::new(oracle, scenario.topology().num_layers());
+    let mut lp = Evaluation { router, score };
+    let fleet = run_closed_loop(scenario, probe_cohort, oracle, reward, &mut lp, |e| e.report());
+    let result = lp.score.finish(kind, fleet);
     if hec_telemetry::ENABLED {
         let scheme = kind.to_string();
         for d in &result.drops {

@@ -1,23 +1,25 @@
 //! `run_plan` against the serial barrier loop multi-shard plans ran before
 //! the window loop (`step_loop` below, a copy of the referee in
 //! `hec-sim`'s `tests/reference/stepped.rs` over the public primitives).
+//! One-shard plans run the same window loop, at one worker, and are held
+//! to the same referee.
 //!
 //! On both sides of its work grain — the replay fleet just below it, every
-//! named scenario grown above it for four workers — for shards ∈ {2, 4, 7}
-//! × `HEC_THREADS` ∈ {1, 2, 3, 4} the outcome stream, the
+//! named scenario grown above it for four workers — for shards ∈
+//! {1, 2, 4, 7} × `HEC_THREADS` ∈ {1, 2, 3, 4} the outcome stream, the
 //! [`ShardedFleetRun`], the registry snapshot and the exported Chrome trace
 //! must be the referee's, byte for byte — whether `run_plan` kept every
 //! shard on the calling thread or spawned workers that held uneven chunks
 //! (7 shards over 2, 3 and 4). The grain is private to `hec_core::sharded`,
 //! so the test does not trust its two sizes: the router records which
-//! threads called it, and the test asserts that the small scenario never
-//! left the calling thread and the large ones did whenever they were
-//! allowed more than one.
+//! threads called it, and the test asserts that the small scenario and
+//! every one-shard plan never left the calling thread and the large ones
+//! did whenever they were allowed more than one worker.
 //!
-//! On small plans — random scenarios of a few dozen devices, and more
-//! shards than devices — the stream and the run must be the referee's too,
-//! every window must be accounted for and every sequence number delivered
-//! once.
+//! On small plans — random scenarios of a few dozen devices, each at one
+//! shard and at several, and more shards than devices — the stream and
+//! the run must be the referee's too, every window must be accounted for
+//! and every sequence number delivered once.
 //!
 //! A run nobody observes (`run_plan(.., None)`) buffers and merges no
 //! outcome, and must leave exactly what an observed one leaves: the
@@ -111,7 +113,7 @@ fn run_plan_matches_the_step_loop_on_both_sides_of_the_grain() {
     for (sc, parallel) in &scenarios {
         let parallel = *parallel;
         let planned = |ctx: &RouteCtx| sc.planned_layer(ctx.cohort, ctx.seq);
-        for shards in [2, 4, 7] {
+        for shards in [1, 2, 4, 7] {
             let plan = ShardPlan::new(sc, shards);
             let reference =
                 captured(|outcomes| step_loop(&plan, &mut |ctx| planned(ctx), outcomes));
@@ -135,7 +137,7 @@ fn run_plan_matches_the_step_loop_on_both_sides_of_the_grain() {
                 });
                 let at = format!("{} shards={shards} threads={threads}", sc.name);
                 let callers = callers.into_inner().unwrap();
-                if parallel && threads > 1 {
+                if parallel && threads > 1 && shards > 1 {
                     assert!(callers.len() > 1, "{at}: expected workers, the run stayed serial");
                 } else {
                     assert_eq!(callers.len(), 1, "{at}: expected one worker");
@@ -177,6 +179,7 @@ fn run_plan_matches_the_step_loop_on_small_plans() {
     let mut rng = StdRng::seed_from_u64(25);
     for _ in 0..32 {
         let sc = small_scenario(&mut rng);
+        plans.push((sc.clone(), 1));
         plans.push((sc, rng.gen_range(2..9)));
     }
 
@@ -212,7 +215,7 @@ fn run_plan_matches_the_step_loop_on_small_plans() {
 
 /// `run_plan` without an observer against the same plan with one that
 /// ignores every outcome: every named scenario at quick size (below the
-/// grain: one worker whatever `HEC_THREADS` is) at 2 and 4 shards, and
+/// grain: one worker whatever `HEC_THREADS` is) at 1, 2 and 4 shards, and
 /// grown for four workers at 4 shards, each at 1, 2 and 4 `HEC_THREADS`.
 #[test]
 fn an_unobserved_run_leaves_what_an_observed_one_leaves() {
@@ -221,7 +224,7 @@ fn an_unobserved_run_leaves_what_an_observed_one_leaves() {
         let quick = FleetScenario::by_name(name, FleetScale::Quick).unwrap();
         let mut grown = quick.clone();
         grown.scale_fleet(4.0 * 33_000.0 / quick.total_windows() as f64);
-        for (sc, shards) in [(&quick, 2), (&quick, 4), (&grown, 4)] {
+        for (sc, shards) in [(&quick, 1), (&quick, 2), (&quick, 4), (&grown, 4)] {
             let plan = ShardPlan::new(sc, shards);
             let planned = |ctx: &RouteCtx| sc.planned_layer(ctx.cohort, ctx.seq);
             for threads in [1, 2, 4] {

@@ -24,10 +24,11 @@
 //!   summaries, queue traces, CSV renderings;
 //! * [`shard`] — the sharded engine: a deterministic device/resource
 //!   partitioner ([`ShardPlan`]), per-shard sub-engines
-//!   ([`ShardedFleetEngine`]) that `hec-core` steps outcome by outcome
-//!   (one shard) or advances to conservative lookahead barriers (more),
-//!   and the merge of their outcomes in stable shard order, scaling
-//!   scenarios to millions of devices.
+//!   ([`ShardedFleetEngine`]) that `hec-core` advances to conservative
+//!   lookahead barriers (a stateless router, any shard count) or steps
+//!   outcome by outcome (a router that changes between outcomes, one
+//!   shard), and the merge of their outcomes in stable shard order,
+//!   scaling scenarios to millions of devices.
 //!
 //! Determinism is a hard invariant: each engine runs over a
 //! totally-ordered event queue, all randomness is seeded hashing, shard

@@ -29,17 +29,18 @@
 //!    metrics are byte-identical across reruns *and* across however many
 //!    OS threads stepped the shards.
 //!
-//! This crate spawns no threads and drives no plan to completion; a plan
-//! is driven one of two ways, chosen by its shard count. A one-shard plan
-//! steps per outcome through [`ShardEngine::step`]: the single shard's
-//! scenario, topology and resource bounds are exactly the original's, so
-//! this *is* [`FleetEngine::step`] — the resumable pull contract (and its
-//! byte-identical reports) a router that changes between outcomes, such
-//! as a policy in training, needs. A plan of more shards runs the three
-//! steps above as `hec_core::sharded`'s window loop, over however many
+//! This crate spawns no threads and drives no plan to completion;
+//! `hec-core` drives a plan one of two ways, chosen by its router. A
+//! stateless router runs the three steps above as `hec_core::sharded`'s
+//! window loop at every shard count, one included, over however many
 //! worker threads — each holding a contiguous chunk of
 //! [`ShardedFleetEngine::shards_mut`] — the plan is large enough to pay
-//! for.
+//! for. A router that changes between outcomes, such as a policy in
+//! training, steps the shard of a one-shard plan per outcome through
+//! [`ShardEngine::step`]: the single shard's scenario, topology and
+//! resource bounds are exactly the original's, so this *is*
+//! [`FleetEngine::step`] — the resumable pull contract (and its
+//! byte-identical reports) such a router needs.
 //!
 //! Note that `shards > 1` is a *different* (equally valid) simulation
 //! than the serial one — partitioning re-buckets emission phases and
@@ -357,13 +358,15 @@ impl ShardEngine<'_> {
         }
     }
 
-    /// How a one-shard plan is driven: advances the shard until its next
-    /// per-window outcome and returns it, or `None` when it has drained —
-    /// exactly [`FleetEngine::step`] with global-coordinate translation
-    /// (the identity for the shard of a one-shard plan), so the router may
-    /// change between outcomes. A shard of a larger plan goes through
-    /// [`ShardEngine::advance_to`] instead: the merged `(time, shard-id)`
-    /// order exists only at barriers.
+    /// How a one-shard plan is driven for a router that changes between
+    /// outcomes (`hec-core`'s closed loop): advances the shard until its
+    /// next per-window outcome and returns it, or `None` when it has
+    /// drained — exactly [`FleetEngine::step`] with global-coordinate
+    /// translation (the identity for the shard of a one-shard plan), so
+    /// the router may change between outcomes. The window loop of a
+    /// stateless router goes through [`ShardEngine::advance_to`] instead,
+    /// at every shard count: the merged `(time, shard-id)` order of more
+    /// than one shard exists only at barriers.
     ///
     /// # Panics
     ///
@@ -460,12 +463,12 @@ pub fn merge_window(
 /// The sharded fleet engine: one sub-engine per shard of a plan, and the
 /// fleet-wide report over them.
 ///
-/// The caller drives [`ShardedFleetEngine::shards_mut`] (module docs): the
-/// one shard of a one-shard plan by [`ShardEngine::step`], the shards of a
-/// larger plan window by window — [`earliest_event_ms`],
-/// [`ShardPlan::barrier_after`], [`ShardEngine::advance_to`],
-/// [`merge_window`] — on any number of threads, which is what
-/// `hec_core::sharded` does.
+/// The caller drives [`ShardedFleetEngine::shards_mut`] (module docs):
+/// window by window — [`earliest_event_ms`], [`ShardPlan::barrier_after`],
+/// [`ShardEngine::advance_to`], [`merge_window`] — on any number of
+/// threads, which is what `hec_core::sharded` does at every shard count;
+/// or, for a router that changes between outcomes, the one shard of a
+/// one-shard plan by [`ShardEngine::step`].
 pub struct ShardedFleetEngine<'a> {
     plan: &'a ShardPlan,
     shards: Vec<ShardEngine<'a>>,
