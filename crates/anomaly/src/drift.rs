@@ -1,5 +1,4 @@
-//! Drift detection on the score stream, and the sliding reservoir that
-//! feeds recalibration.
+//! Drift detection on the score stream.
 //!
 //! The detectors are fit offline and frozen; under a regime change their
 //! score stream is the first place the shift becomes visible — a frozen
@@ -13,16 +12,7 @@
 //! the observed sequence, so the refresh schedule it drives is
 //! byte-identical across reruns and thread counts.
 //!
-//! [`SlidingReservoir`] is the companion buffer: the last `capacity`
-//! raw windows of the stream, pushed unconditionally (self-labelled
-//! filtering would starve exactly when drift makes everything look
-//! anomalous). On an alarm the adaptation loop refits the standardiser
-//! from the reservoir and recalibrates the detector scorers on the
-//! subset the refreshed pipeline judges normal.
-//!
 //! [`detect_batch`]: crate::AnomalyDetector::detect_batch
-
-use std::collections::VecDeque;
 
 /// Dead-band half-width: deviations from the running mean smaller than
 /// this never accumulate. It absorbs the normal-regime wobble of a bounded
@@ -36,20 +26,9 @@ const DELTA: f64 = 0.05;
 /// enough that a real regime change is caught within a dozen windows.
 const LAMBDA: f64 = 6.0;
 
-/// Page–Hinkley test parameters: the dead band and the alarm threshold
-/// are fixed, the warm-up is the caller's.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PageHinkleyConfig {
-    /// Warm-up: no alarm before this many observations (the running
-    /// mean needs samples before deviations are meaningful).
-    pub min_samples: u64,
-}
-
-impl Default for PageHinkleyConfig {
-    fn default() -> Self {
-        Self { min_samples: 30 }
-    }
-}
+/// Warm-up: no alarm before this many observations (the running mean
+/// needs samples before deviations are meaningful).
+const MIN_SAMPLES: u64 = 30;
 
 /// The Page–Hinkley mean-shift test: O(1) per observation, exact-rerun
 /// deterministic.
@@ -57,18 +36,17 @@ impl Default for PageHinkleyConfig {
 /// # Example
 ///
 /// ```rust
-/// use hec_anomaly::{PageHinkley, PageHinkleyConfig};
+/// use hec_anomaly::PageHinkley;
 ///
-/// let mut ph = PageHinkley::new(PageHinkleyConfig::default());
+/// let mut ph = PageHinkley::new();
 /// for _ in 0..100 {
 ///     assert!(!ph.observe(0.1)); // stationary: no alarm
 /// }
 /// let fired = (0..20).any(|_| ph.observe(1.0)); // sustained shift
 /// assert!(fired);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PageHinkley {
-    config: PageHinkleyConfig,
     n: u64,
     mean: f64,
     cum_up: f64,
@@ -76,9 +54,9 @@ pub struct PageHinkley {
 }
 
 impl PageHinkley {
-    /// A fresh test with the given parameters.
-    pub fn new(config: PageHinkleyConfig) -> Self {
-        Self { config, n: 0, mean: 0.0, cum_up: 0.0, min_up: 0.0 }
+    /// A fresh test.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Observations absorbed since the last reset.
@@ -116,63 +94,13 @@ impl PageHinkley {
         self.mean += (x - self.mean) / self.n as f64;
         self.cum_up += x - self.mean - DELTA;
         self.min_up = self.min_up.min(self.cum_up);
-        self.n >= self.config.min_samples && self.statistic() > LAMBDA
+        self.n >= MIN_SAMPLES && self.statistic() > LAMBDA
     }
 
     /// Forgets all state (called after a refresh so the test re-learns
     /// the post-refresh regime from scratch).
     pub fn reset(&mut self) {
-        *self = Self::new(self.config);
-    }
-}
-
-/// A fixed-capacity sliding window over the most recent items: push
-/// evicts the oldest once full. The adaptation loop keeps the last `R`
-/// **raw** windows here so a refresh always has recent data to refit
-/// from, whatever the frozen pipeline currently thinks of it.
-#[derive(Debug, Clone)]
-pub struct SlidingReservoir<T> {
-    capacity: usize,
-    buf: VecDeque<T>,
-}
-
-impl<T> SlidingReservoir<T> {
-    /// An empty reservoir holding at most `capacity` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "reservoir capacity must be at least 1");
-        Self { capacity, buf: VecDeque::with_capacity(capacity) }
-    }
-
-    /// Maximum number of retained items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Items currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the reservoir is empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Appends an item, evicting the oldest if at capacity.
-    pub fn push(&mut self, item: T) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(item);
-    }
-
-    /// Iterates oldest → newest.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.buf.iter()
+        *self = Self::new();
     }
 }
 
@@ -182,7 +110,7 @@ mod tests {
 
     #[test]
     fn stationary_stream_never_alarms() {
-        let mut ph = PageHinkley::new(PageHinkleyConfig::default());
+        let mut ph = PageHinkley::new();
         // A noisy but stationary 0/1 mix at ~15% positives (the paper's
         // anomaly rate), deterministic pattern.
         for i in 0..2000u32 {
@@ -194,7 +122,7 @@ mod tests {
 
     #[test]
     fn sustained_rise_alarms_and_reset_rearms() {
-        let mut ph = PageHinkley::new(PageHinkleyConfig::default());
+        let mut ph = PageHinkley::new();
         for _ in 0..100 {
             assert!(!ph.observe(0.1));
         }
@@ -218,24 +146,27 @@ mod tests {
 
     #[test]
     fn min_samples_suppresses_early_alarms() {
-        let cfg = PageHinkleyConfig { min_samples: 50 };
-        let mut ph = PageHinkley::new(cfg);
-        for i in 0..49 {
-            // Wildly shifting from the start — still quiet during warm-up.
-            assert!(!ph.observe(if i < 5 { 0.0 } else { 1.0 }) || i >= 49);
+        let mut ph = PageHinkley::new();
+        // Wildly shifting from the start: the excursion is past the
+        // threshold well before the warm-up ends, and only the warm-up
+        // keeps the test quiet.
+        let x = |i: u64| if i < 5 { 0.0 } else { 1.0 };
+        for i in 0..MIN_SAMPLES - 1 {
+            assert!(!ph.observe(x(i)), "alarm during warm-up at {i}");
         }
+        assert!(ph.statistic() > LAMBDA);
+        assert!(ph.observe(x(MIN_SAMPLES - 1)), "the first post-warm-up observation alarms");
     }
 
     #[test]
     fn alarm_index_is_deterministic() {
         let stream: Vec<f32> = (0..300).map(|i| if i < 150 { 0.1 } else { 0.8 }).collect();
-        let run = |cfg: PageHinkleyConfig| {
-            let mut ph = PageHinkley::new(cfg);
+        let run = || {
+            let mut ph = PageHinkley::new();
             stream.iter().position(|&x| ph.observe(x))
         };
-        let cfg = PageHinkleyConfig::default();
-        let a = run(cfg);
-        let b = run(cfg);
+        let a = run();
+        let b = run();
         assert_eq!(a, b);
         assert!(a.is_some());
     }
@@ -243,26 +174,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-finite observation")]
     fn non_finite_observations_panic() {
-        let mut ph = PageHinkley::new(PageHinkleyConfig::default());
+        let mut ph = PageHinkley::new();
         let _ = ph.observe(f32::NAN);
-    }
-
-    #[test]
-    fn reservoir_is_a_sliding_window() {
-        let mut r = SlidingReservoir::new(3);
-        assert!(r.is_empty());
-        for i in 0..5 {
-            r.push(i);
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.capacity(), 3);
-        let held: Vec<i32> = r.iter().copied().collect();
-        assert_eq!(held, vec![2, 3, 4], "oldest evicted first, iteration oldest → newest");
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be at least 1")]
-    fn zero_capacity_reservoir_panics() {
-        let _ = SlidingReservoir::<i32>::new(0);
     }
 }

@@ -16,9 +16,9 @@
 //!   or (ii) more than `fraction` of the window's points anomalous;
 //! * [`catalog`] — the six-model catalog keyed by HEC layer, with the
 //!   metadata Table I reports (#parameters, layer placement);
-//! * [`drift`] — Page–Hinkley mean-shift detection on the score stream
-//!   and the sliding reservoir feeding cheap scorer recalibration
-//!   ([`AnomalyDetector::recalibrate`]) for online adaptation.
+//! * [`drift`] — Page–Hinkley mean-shift detection on the score stream,
+//!   the alarm behind cheap scorer recalibration
+//!   ([`AnomalyDetector::recalibrate`]) in online adaptation.
 //!
 //! All detectors implement the [`AnomalyDetector`] trait, which is what the
 //! model-selection schemes in `hec-core` consume.
@@ -36,7 +36,7 @@ pub mod seq2seq_detector;
 pub use ae::{AeArchitecture, AutoencoderDetector, ROW_SPLIT_WINDOWS};
 pub use catalog::{HecLayer, ModelCatalog, ModelSpec};
 pub use detector::{AnomalyDetector, Detection, FitError, FitReport};
-pub use drift::{PageHinkley, PageHinkleyConfig, SlidingReservoir};
+pub use drift::PageHinkley;
 pub use hec_nn::{QuantMode, QuantScheme};
 pub use scorer::{ConfidenceRule, LogPdScorer, ThresholdRule, CALIBRATION_RULE};
 pub use seq2seq_detector::Seq2SeqDetector;

@@ -199,11 +199,11 @@ impl PolicyTrainer {
 
     /// Continual mode, half one: queues a deferred observation without
     /// updating anything. The streaming adaptation loop samples shadow
-    /// actions while a chunk replays through the fleet and buffers each
-    /// `(context, action, reward)` here; [`PolicyTrainer::refresh`]
-    /// applies them between chunks, so routing tables stay stable within
-    /// a chunk (the sharded replay driver requires a stateless router)
-    /// while the policy still learns inside the stream.
+    /// actions over each chunk and buffers each `(context, action,
+    /// reward)` here; [`PolicyTrainer::refresh`] applies them between
+    /// chunks, so a chunk's greedy routing table is fixed before its
+    /// windows are shadowed, while the policy still learns inside the
+    /// stream.
     pub fn buffer(&mut self, context: Vec<f32>, action: usize, reward: f32) {
         self.pending.push((context, action, reward));
     }

@@ -11,14 +11,15 @@
 //!    truthful), with a **step regime change** injected mid-stream
 //!    (`DriftSchedule`: +1.5σ level, +20% scale — a sensor
 //!    recalibration-style shift).
-//! 3. Stream it twice through the chunked fleet-replay loop on identical
+//! 3. Stream it twice through the chunked adaptation loop on identical
 //!    starting state: once **frozen** (no refresh of any kind — the
 //!    paper's regime) and once **adaptive** (Page–Hinkley drift detection
 //!    on the layer-0 score stream; on alarm refit the standardizer from
-//!    the raw-window reservoir and recalibrate the detector scorers; the
-//!    bandit refreshes continually between chunks). The frozen run goes
-//!    first and mutates nothing, so both runs start from the same
-//!    weights.
+//!    the last chunk of raw windows and recalibrate the detector scorers;
+//!    the bandit refreshes continually between chunks). Each run's
+//!    routing then replays once through the sharded fleet, which charges
+//!    every window its delay. The frozen run goes first and mutates
+//!    nothing, so both runs start from the same weights.
 //! 4. Compare recovery: chunks until F1 returns to the pre-drift
 //!    baseline, cumulative reward foregone post-onset, and post-drift
 //!    mean F1.
@@ -63,7 +64,7 @@ struct DriftSizing {
     amplify: usize,
     /// Windows per adaptation chunk.
     chunk: usize,
-    /// Fleet shards for the chunk replay.
+    /// Fleet shards for the pass's replay.
     shards: usize,
     /// Drift onset, in stream window index.
     onset: usize,

@@ -11,18 +11,16 @@
 //!
 //! 1. **Stream in chunks.** The raw (unstandardised) window stream is
 //!    processed chunk by chunk: standardise with the *current*
-//!    standardizer, precompute the oracle, and replay the chunk through
-//!    the sharded fleet engine ([`crate::replay`]) under the bandit
-//!    policy — so adaptation runs inside the same resumable DES loop as
-//!    every other scale experiment.
+//!    standardizer, precompute the oracle, and take the chunk's greedy
+//!    routing table from the policy as it stands.
 //! 2. **Detect drift.** Each window's layer-0 anomalous-point fraction (a
 //!    bounded statistic the IoT-tier detector already computes) feeds a
 //!    Page–Hinkley mean-shift detector — O(1) per window, deterministic.
 //! 3. **Refresh in-fleet.** On an alarm (at most one refresh every two
-//!    chunks): refit the standardizer from a sliding reservoir of recent
-//!    **raw** windows
+//!    chunks): refit the standardizer from the last `chunk` **raw**
+//!    windows of the stream
 //!    (`hec_data::OnlineStandardizer`, Welford moments, no second pass
-//!    over history), re-standardise the reservoir, keep the windows the
+//!    over history), re-standardise them, keep the windows the
 //!    cloud-tier model still deems normal (self-labelling — ground truth
 //!    is not available in deployment) and recalibrate every detector's
 //!    logPD scorer and threshold on them
@@ -32,27 +30,33 @@
 //!    each chunk with sampled actions scored against the static delay
 //!    ladder, buffers the `(context, action, reward)` triples, and
 //!    applies them between chunks (`PolicyTrainer::buffer`/`refresh`) —
-//!    so the greedy routing table the fleet replays stays fixed *within*
-//!    a chunk (the sharded driver requires a stateless router) and moves
+//!    so the greedy routing table stays fixed *within* a chunk and moves
 //!    only at chunk boundaries.
+//! 5. **Replay the pass.** Nothing above reads the fleet, so the chunks'
+//!    tables replay once, end to end, through one sharded fleet
+//!    ([`crate::replay`]); each window is priced at its observed delay and
+//!    scored once, into its chunk.
 //!
 //! Everything is deterministic: same inputs ⇒ a byte-identical
 //! [`AdaptReport`] across reruns and `HEC_THREADS` settings (asserted in
 //! `tests/adapt_determinism.rs`).
 //!
 //! **Clock domains.** Drift detection and refresh run in *window-index*
-//! time (the ingestion clock); the fleet replay inside each chunk runs in
-//! *simulated* milliseconds (the DES clock). A refresh takes effect at
-//! the next chunk boundary, never mid-flight — matching a fleet where new
-//! calibration is pushed between reporting rounds.
+//! time (the ingestion clock); the pass's replay runs in *simulated*
+//! milliseconds (the DES clock) on the replay fleet's own schedule. A
+//! refresh takes effect at the next chunk boundary, never mid-chunk —
+//! matching a fleet where new calibration is pushed between reporting rounds.
 
-use hec_anomaly::{PageHinkley, PageHinkleyConfig, SlidingReservoir};
+use hec_anomaly::{ConfidenceRule, PageHinkley};
 use hec_bandit::{ContextScaler, PolicyTrainer, RewardModel};
 use hec_data::{LabeledWindow, OnlineStandardizer};
+use hec_sim::fleet::FleetScenario;
 
+use crate::closed_loop::Tally;
 use crate::experiment::Experiment;
-use crate::replay::{replay_scenario, replay_trace_sharded};
-use crate::scheme::SchemeKind;
+use crate::oracle::{Oracle, WindowOutcome};
+use crate::replay::{replay_scenario, replay_table};
+use crate::scheme::{scaled_contexts, SchemeKind};
 
 /// Minimum chunks between two refreshes (the alarm rate limiter).
 const MIN_REFRESH_GAP: usize = 2;
@@ -61,17 +65,15 @@ const MIN_REFRESH_GAP: usize = 2;
 #[derive(Debug, Clone)]
 pub struct AdaptConfig {
     /// Windows per chunk (refresh granularity; the routing table is
-    /// fixed within a chunk). Also the capacity of the raw-window
-    /// reservoir feeding refreshes — one chunk: at detection time (the
-    /// chunk after a step onset) the reservoir then holds only post-shift
-    /// windows, so the refit lands on the new regime instead of halfway
-    /// between the old and new ones.
+    /// fixed within a chunk). Also how many of the latest raw windows a
+    /// refresh refits from — one chunk: at detection time (the chunk
+    /// after a step onset) they are all post-shift windows, so the refit
+    /// lands on the new regime instead of halfway between the old and new
+    /// ones.
     pub chunk: usize,
-    /// Fleet shards for the chunk replay (part of the simulated physics,
+    /// Fleet shards for the pass's replay (part of the simulated physics,
     /// see [`crate::replay::replay_trace_sharded`]).
     pub shards: usize,
-    /// Page–Hinkley parameters for the layer-0 score stream.
-    pub drift: PageHinkleyConfig,
     /// Whether the run refreshes at all: adaptive = standardizer refit +
     /// detector recalibration on alarm and buffered policy updates at
     /// every chunk boundary; frozen = none of them.
@@ -79,12 +81,12 @@ pub struct AdaptConfig {
 }
 
 impl AdaptConfig {
-    /// A fully frozen pipeline: same chunked replay and drift *detection*
-    /// (so both arms report the same statistic stream), but no refresh of
-    /// any kind — the paper's offline regime, used as the comparison
+    /// A fully frozen pipeline: same replay and drift *detection* (so
+    /// both arms report the same statistic stream), but no refresh of any
+    /// kind — the paper's offline regime, used as the comparison
     /// baseline.
     pub fn frozen(chunk: usize, shards: usize) -> Self {
-        Self { chunk, shards, drift: PageHinkleyConfig::default(), adaptive: false }
+        Self { chunk, shards, adaptive: false }
     }
 
     /// The full adaptive pipeline: standardizer refit + detector
@@ -245,36 +247,24 @@ pub fn run_adaptive_stream(
     let _span = hec_telemetry::WallSpan::new("core.adapt");
 
     let kind = exp.config().dataset.kind();
-    let payload = exp.config().payload_bytes();
+    let scenario = replay_scenario(kind, exp.config().payload_bytes(), stream.len() as u64);
     let reward = RewardModel::new(kind.paper_alpha());
     let delays = exp.static_delays();
 
-    let mut ph = PageHinkley::new(config.drift);
-    let mut reservoir: SlidingReservoir<LabeledWindow> = SlidingReservoir::new(config.chunk);
+    let mut ph = PageHinkley::new();
+    // The pass to replay: each chunk's outcomes under its own calibration,
+    // routed greedily by the policy as it stood before the chunk's refresh.
+    let mut outcomes = Vec::with_capacity(stream.len());
+    let mut actions = Vec::with_capacity(stream.len());
     let mut chunks = Vec::with_capacity(stream.len().div_ceil(config.chunk));
     let mut detections = Vec::new();
     let mut refreshes = Vec::new();
     let mut last_refresh: Option<usize> = None;
 
     for (index, raw) in stream.chunks(config.chunk).enumerate() {
-        for w in raw {
-            reservoir.push(w.clone());
-        }
-
-        // Replay the chunk through the sharded fleet under the current
-        // calibration and the current greedy routing table.
         let standardized = exp.standardize_windows(raw);
         let oracle = exp.oracle_over(&standardized);
-        let scenario = replay_scenario(kind, payload, raw.len() as u64);
-        let result = replay_trace_sharded(
-            &scenario,
-            &oracle,
-            SchemeKind::Adaptive,
-            Some(trainer.policy_mut()),
-            Some(scaler),
-            &reward,
-            config.shards,
-        );
+        actions.extend(trainer.policy_mut().greedy_batch(&scaled_contexts(&oracle, scaler)));
 
         // Drift detection on the layer-0 anomalous-fraction stream.
         let mut drift_alarm = false;
@@ -287,12 +277,15 @@ pub fn run_adaptive_stream(
             detections.push(index);
         }
 
-        // Two-stage refresh on alarm, rate-limited.
+        // Two-stage refresh on alarm, rate-limited, from the last chunk's
+        // worth of raw windows.
         let gap_ok = last_refresh.is_none_or(|c| index - c >= MIN_REFRESH_GAP);
         let refreshed = drift_alarm && gap_ok && config.adaptive;
         if refreshed {
+            let end = index * config.chunk + raw.len();
+            let reservoir = &stream[end.saturating_sub(config.chunk)..end];
             let mut online = OnlineStandardizer::new(exp.standardizer().channels());
-            for w in reservoir.iter() {
+            for w in reservoir {
                 online.update(&w.data);
             }
             exp.set_standardizer(online.freeze());
@@ -302,8 +295,7 @@ pub fn run_adaptive_stream(
             // left to recalibrate on, or a refit that fails, the
             // detectors stay as they were and the standardizer refit
             // alone is the refresh.
-            let raw_reservoir: Vec<LabeledWindow> = reservoir.iter().cloned().collect();
-            let std_reservoir = exp.standardize_windows(&raw_reservoir);
+            let std_reservoir = exp.standardize_windows(reservoir);
             let reservoir_oracle = exp.oracle_over(&std_reservoir);
             let normals: Vec<LabeledWindow> = std_reservoir
                 .iter()
@@ -332,18 +324,26 @@ pub fn run_adaptive_stream(
             policy_updates = trainer.refresh();
         }
 
+        // F1, accuracy and reward: scored by the pass's replay below.
         chunks.push(ChunkStats {
             index,
             windows: raw.len(),
-            f1: result.f1(),
-            accuracy: result.accuracy(),
-            mean_reward_x100: result.mean_reward_x100,
+            f1: 0.0,
+            accuracy: 0.0,
+            mean_reward_x100: 0.0,
             drift_statistic: ph.statistic(),
             drift_alarm,
             refreshed,
             policy_updates,
             threshold_iot: exp.thresholds()[0],
         });
+        outcomes.extend(oracle.outcomes);
+    }
+
+    let scores = score_pass(&scenario, outcomes, &actions, &reward, config.chunk, config.shards);
+    for (stats, t) in chunks.iter_mut().zip(scores) {
+        (stats.f1, stats.accuracy) = (t.confusion.f1(), t.confusion.accuracy());
+        stats.mean_reward_x100 = t.mean_reward_x100();
     }
 
     if hec_telemetry::ENABLED {
@@ -365,6 +365,33 @@ pub fn run_adaptive_stream(
         refreshes,
         total_windows: stream.len(),
     }
+}
+
+/// Replays the pass through one fleet, window `i` (`outcomes[i]`) routed
+/// by `actions[i]`, and scores each stream window once, into chunk
+/// `i / chunk`. The windows the fleet emits past the stream (it rounds
+/// up to whole devices, [`replay_scenario`]) load its queues but score
+/// nowhere.
+fn score_pass(
+    scenario: &FleetScenario,
+    outcomes: Vec<WindowOutcome>,
+    actions: &[usize],
+    reward: &RewardModel,
+    chunk: usize,
+    shards: usize,
+) -> Vec<Tally> {
+    let _span = hec_telemetry::WallSpan::new("core.replay");
+    // Verdicts are read off the outcomes: the pass needs no thresholds.
+    let pass = Oracle { outcomes, thresholds: [0.0; 3], confidence: ConfidenceRule::default() };
+    let n = pass.len();
+    let mut tallies = vec![Tally::default(); n.div_ceil(chunk)];
+    replay_table(scenario, &pass, SchemeKind::Adaptive, actions, reward, shards, |seq, ev, r| {
+        if seq < n as u64 {
+            let i = seq as usize;
+            tallies[i / chunk].record(&pass, ev, i, r);
+        }
+    });
+    tallies
 }
 
 #[cfg(test)]
@@ -435,8 +462,7 @@ mod tests {
     #[test]
     fn frozen_run_detects_but_never_refreshes() {
         let (mut exp, mut trainer, scaler, stream) = fixture();
-        let mut config = AdaptConfig::frozen(20, 2);
-        config.drift.min_samples = 20;
+        let config = AdaptConfig::frozen(20, 2);
         let report = run_adaptive_stream(&mut exp, &mut trainer, &scaler, &stream, &config);
         assert_eq!(report.total_windows, stream.len());
         assert_eq!(report.chunks.len(), stream.len().div_ceil(20));
@@ -456,8 +482,7 @@ mod tests {
     #[test]
     fn adaptive_run_refreshes_after_detection() {
         let (mut exp, mut trainer, scaler, stream) = fixture();
-        let mut config = AdaptConfig::adaptive(20, 2);
-        config.drift.min_samples = 20;
+        let config = AdaptConfig::adaptive(20, 2);
         let report = run_adaptive_stream(&mut exp, &mut trainer, &scaler, &stream, &config);
         assert!(!report.detections.is_empty());
         assert!(!report.refreshes.is_empty(), "adaptive must refresh on alarm: {report:?}");
@@ -476,13 +501,11 @@ mod tests {
     #[test]
     fn adaptive_recovers_better_than_frozen() {
         let (mut exp_f, mut trainer_f, scaler, stream) = fixture();
-        let mut frozen_cfg = AdaptConfig::frozen(20, 2);
-        frozen_cfg.drift.min_samples = 20;
+        let frozen_cfg = AdaptConfig::frozen(20, 2);
         let frozen = run_adaptive_stream(&mut exp_f, &mut trainer_f, &scaler, &stream, &frozen_cfg);
 
         let (mut exp_a, mut trainer_a, scaler_a, stream_a) = fixture();
-        let mut adaptive_cfg = AdaptConfig::adaptive(20, 2);
-        adaptive_cfg.drift.min_samples = 20;
+        let adaptive_cfg = AdaptConfig::adaptive(20, 2);
         let adaptive =
             run_adaptive_stream(&mut exp_a, &mut trainer_a, &scaler_a, &stream_a, &adaptive_cfg);
 
@@ -502,14 +525,41 @@ mod tests {
     #[test]
     fn recovery_stats_are_sane() {
         let (mut exp, mut trainer, scaler, stream) = fixture();
-        let mut config = AdaptConfig::frozen(20, 2);
-        config.drift.min_samples = 20;
+        let config = AdaptConfig::frozen(20, 2);
         let report = run_adaptive_stream(&mut exp, &mut trainer, &scaler, &stream, &config);
         let r = report.recovery(3, 0.05);
         assert!((0.0..=1.0).contains(&r.baseline_f1));
         assert!(r.cumulative_reward_loss >= 0.0);
         if let Some(k) = r.recovery_chunks {
             assert!(k < report.chunks.len());
+        }
+    }
+
+    /// A 115-window pass at 25-window chunks: the replay fleet emits 120
+    /// windows (12 devices × 10), yet every stream window scores exactly
+    /// once, into its own chunk, at every shard count.
+    #[test]
+    fn every_stream_window_scores_once_into_its_chunk() {
+        use hec_sim::DatasetKind;
+
+        let n = 115;
+        let outcomes: Vec<WindowOutcome> = (0..n)
+            .map(|i| WindowOutcome {
+                truth: i % 4 == 0,
+                min_log_pd: [-5.0; 3],
+                anomalous_fraction: [0.0, 0.2, if i % 4 == 0 { 0.4 } else { 0.0 }],
+                context: vec![i as f32],
+            })
+            .collect();
+        let actions: Vec<usize> = (0..n).map(|i| i % 3).collect();
+        let scenario = replay_scenario(DatasetKind::Univariate, 384, n as u64);
+        assert_eq!(scenario.total_windows(), 120);
+        let reward = RewardModel::new(0.0005);
+        for shards in [1, 2, 4] {
+            let tallies = score_pass(&scenario, outcomes.clone(), &actions, &reward, 25, shards);
+            let routed: Vec<u64> =
+                tallies.iter().map(|t| t.confusion.total() as u64 + t.missed).collect();
+            assert_eq!(routed, [25, 25, 25, 25, 15], "shards={shards}");
         }
     }
 

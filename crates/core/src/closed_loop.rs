@@ -10,8 +10,9 @@
 //!    [`SchemeKind`] picks a layer;
 //! 2. **what a routed window scores** — [`price`] is the reward of a
 //!    scheme-routed outcome at its *observed* delay (or the drop penalty),
-//!    and a [`Scorecard`] accumulates a run's confusion, reward, routed
-//!    latency and per-layer × per-cause drops; [`Scorecard::finish`] is
+//!    a [`Tally`] sums scored windows' confusion and reward, and a
+//!    [`Scorecard`] a run's tally, routed latency and per-layer ×
+//!    per-cause drops; [`Scorecard::finish`] is
 //!    the only place a [`FleetStreamResult`] is assembled and the only
 //!    copy of the window-conservation checks, which hold in release
 //!    builds too;
@@ -28,7 +29,8 @@
 //! [`Scorecard`] through [`run_closed_loop`];
 //! [`crate::replay::replay_trace_sharded`] (any shard count, a table)
 //! hands its table to `run_plan` and scores with a [`Scorecard`] and
-//! [`price`]; [`crate::fleet_train::train_policy_in_fleet`] steps a
+//! [`price`], as [`crate::adapt`] replays a pass, with a [`Tally`] per
+//! chunk; [`crate::fleet_train::train_policy_in_fleet`] steps a
 //! sampling trainer through [`run_closed_loop`], once per epoch.
 
 use hec_bandit::{LoadNormalizer, RewardModel};
@@ -152,13 +154,40 @@ pub(crate) fn run_closed_loop<R>(
     render(&engine)
 }
 
+/// What a set of scheme-routed windows scored: confusion over the served
+/// ones, the shed count and the summed reward.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Tally {
+    pub(crate) confusion: BinaryConfusion,
+    pub(crate) missed: u64,
+    reward_sum: f64,
+}
+
+impl Tally {
+    /// Scores outcome `ev` of oracle window `i`, which earned `reward`
+    /// ([`price`]).
+    pub(crate) fn record(&mut self, oracle: &Oracle, ev: &JobEvent, i: usize, reward: f64) {
+        self.reward_sum += reward;
+        match *ev {
+            JobEvent::Served { layer, .. } => {
+                self.confusion.record(oracle.verdict(i, layer), oracle.outcomes[i].truth)
+            }
+            JobEvent::Dropped { .. } => self.missed += 1,
+        }
+    }
+
+    /// `100 × mean(reward)` over the scored windows (0 for none).
+    pub(crate) fn mean_reward_x100(&self) -> f64 {
+        let routed = self.confusion.total() as u64 + self.missed;
+        100.0 * self.reward_sum / routed.max(1) as f64
+    }
+}
+
 /// What a run's outcomes score, accumulated into a
 /// [`FleetStreamResult`].
 pub(crate) struct Scorecard<'a> {
     oracle: &'a Oracle,
-    confusion: BinaryConfusion,
-    missed: u64,
-    reward_sum: f64,
+    tally: Tally,
     routed_latency: GeomHist,
     /// Every drop of the run by layer and cause — background cohorts
     /// included, so the totals reconcile against the fleet report.
@@ -170,9 +199,7 @@ impl<'a> Scorecard<'a> {
     pub(crate) fn new(oracle: &'a Oracle, layers: usize) -> Self {
         Scorecard {
             oracle,
-            confusion: BinaryConfusion::new(),
-            missed: 0,
-            reward_sum: 0.0,
+            tally: Tally::default(),
             routed_latency: GeomHist::new(),
             drops: (0..layers).map(|layer| DropBreakdown { layer, queue: 0, link: 0 }).collect(),
         }
@@ -189,13 +216,9 @@ impl<'a> Scorecard<'a> {
             }
         }
         let Some((i, r)) = scored else { return };
-        self.reward_sum += r;
-        match *ev {
-            JobEvent::Served { layer, latency_ms, .. } => {
-                self.confusion.record(self.oracle.verdict(i, layer), self.oracle.outcomes[i].truth);
-                self.routed_latency.record(latency_ms);
-            }
-            JobEvent::Dropped { .. } => self.missed += 1,
+        self.tally.record(self.oracle, ev, i, r);
+        if let JobEvent::Served { latency_ms, .. } = *ev {
+            self.routed_latency.record(latency_ms);
         }
     }
 
@@ -210,14 +233,13 @@ impl<'a> Scorecard<'a> {
         let total_drops: u64 = self.drops.iter().map(|d| d.queue + d.link).sum();
         assert_eq!(total_drops, fleet.dropped, "drop breakdown diverged from the fleet report");
         assert_eq!(fleet.served + fleet.dropped, fleet.emitted, "window conservation violated");
-        let routed = self.confusion.total() as u64 + self.missed;
         FleetStreamResult {
             scheme,
             fleet,
-            confusion: self.confusion,
-            missed: self.missed,
+            confusion: self.tally.confusion,
+            missed: self.tally.missed,
             drops: self.drops,
-            mean_reward_x100: 100.0 * self.reward_sum / routed.max(1) as f64,
+            mean_reward_x100: self.tally.mean_reward_x100(),
             routed_mean_ms: self.routed_latency.mean(),
             routed_p99_ms: self.routed_latency.quantile(0.99),
         }

@@ -38,8 +38,8 @@
 //! * [`adapt`] — online adaptation under drift: chunked streaming with
 //!   Page–Hinkley drift detection on the layer-0 score stream and
 //!   in-fleet refresh of the standardizer, the detector calibration and
-//!   the bandit policy — all inside the sharded replay loop, with
-//!   deterministic reports;
+//!   the bandit policy, each pass then replayed once through the sharded
+//!   fleet, with deterministic reports;
 //! * [`sharded`] — the fleet driver of `Fn + Sync` routers: a plan of
 //!   any shard count through the window loop, where shards advance to
 //!   conservative lookahead barriers on `HEC_THREADS` workers and merge

@@ -8,8 +8,8 @@
 //! probe cohort. A table is a stateless `Fn + Sync` router, so the replay
 //! hands it straight to [`crate::sharded::run_plan`]'s window loop at
 //! every shard count: the shards advance in parallel on the `HEC_THREADS`
-//! workers when the trace is long enough to pay for them (the adaptation
-//! loop's 50-window chunks run on the calling thread), and outcomes merge
+//! workers when the trace is long enough to pay for them (an adaptation
+//! pass's few thousand run on the calling thread), and outcomes merge
 //! in the deterministic `(time, shard-id)` order — the replayed
 //! [`FleetStreamResult`] is byte-identical across reruns and thread
 //! counts. Each outcome is priced and scored by the loop's own pricing
@@ -20,8 +20,8 @@
 //! A replay keeps **no queue trace**: [`replay_scenario`] turns the
 //! preset's queue-depth sampler off, so `FleetStreamResult::fleet.trace`
 //! is empty and `fleet.events` counts no sample events. Nothing read the
-//! trace of a replay, and at the preset's 2 048 samples a shard it was
-//! 8 192 of the ≈ 8 300 events of a 50-window, 4-shard chunk replay.
+//! trace of a replay, and at the preset's 2 048 samples a shard a
+//! 50-window replay at 4 shards spent 8 192 of its ≈ 8 300 events on it.
 //!
 //! Window `seq` replays oracle window `seq % corpus len`. A window's
 //! `seq` is shard-major — its shard's first sequence number plus its own
@@ -108,6 +108,22 @@ pub fn replay_trace_sharded(
     assert!(!oracle.is_empty(), "cannot replay an empty oracle corpus");
     let _span = hec_telemetry::WallSpan::new("core.replay");
     let actions = scheme_action_table(scenario, oracle, kind, policy, scaler);
+    replay_table(scenario, oracle, kind, &actions, reward, shards, |_, _, _| {})
+}
+
+/// [`replay_trace_sharded`] once the scheme's action table is known:
+/// window `seq` is routed by `actions[seq % n]` and priced and scored as
+/// oracle window `seq % n`, where `n = oracle.len()`. `tap` also hears
+/// every outcome, with its `seq` and what it earned.
+pub(crate) fn replay_table(
+    scenario: &FleetScenario,
+    oracle: &Oracle,
+    kind: SchemeKind,
+    actions: &[usize],
+    reward: &RewardModel,
+    shards: usize,
+    mut tap: impl FnMut(u64, &JobEvent, f64),
+) -> FleetStreamResult {
     let plan = ShardPlan::new(scenario, shards);
     let n = oracle.len() as u64;
     let mut score = Scorecard::new(oracle, plan.num_layers());
@@ -115,7 +131,9 @@ pub fn replay_trace_sharded(
     let mut hear = |ev: &JobEvent| {
         let (JobEvent::Served { seq, .. } | JobEvent::Dropped { seq, .. }) = *ev;
         let i = (seq % n) as usize;
-        score.record(ev, Some((i, price(reward, oracle, ev, i))));
+        let r = price(reward, oracle, ev, i);
+        score.record(ev, Some((i, r)));
+        tap(seq, ev, r);
         heard += 1;
     };
     let run = run_plan(&plan, &|ctx: &RouteCtx| actions[(ctx.seq % n) as usize], Some(&mut hear));

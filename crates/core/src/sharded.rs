@@ -23,9 +23,9 @@
 //!
 //! Threads are only worth their spawn and one rendezvous per window when
 //! each has enough to do, so `run_plan` uses `min(HEC_THREADS, shards,
-//! windows / WINDOWS_PER_WORKER)` workers, and at least one. The
-//! adaptation loop's 50-window chunk replays are far below the grain;
-//! spawning for them cost more than the simulation. The grain comes from
+//! windows / WINDOWS_PER_WORKER)` workers, and at least one. A
+//! quick-profile scenario (~20 000 windows) or an adaptation pass (a few
+//! thousand) runs at one worker whatever `HEC_THREADS` is. The grain comes from
 //! a sweep on the two-core build machine (the ignored `grain_sweep` test
 //! and its one-process-per-cell repeat; tables in EXPERIMENTS.md): one
 //! worker against 2 at 4 shards, two win from below 16 000 windows per

@@ -1,9 +1,10 @@
 //! Satellite guarantee of the online-adaptation loop: the drift
 //! detections, the refresh schedule and every chunk statistic are a pure
 //! function of the inputs — byte-identical across reruns and
-//! `HEC_THREADS` settings, even though each chunk replays through the
+//! `HEC_THREADS` settings, even though the pass replays through the
 //! parallel sharded fleet engine and the refresh path refits the
-//! standardizer and recalibrates the detectors mid-stream.
+//! standardizer and recalibrates the detectors mid-stream — under a step,
+//! a step from the first window, a ramp and a recurring drift.
 
 use hec_bandit::{PolicyTrainer, TrainConfig};
 use hec_core::adapt::{run_adaptive_stream, AdaptConfig, AdaptReport};
@@ -29,7 +30,10 @@ fn tiny_config() -> ExperimentConfig {
     }
 }
 
-fn drifted_stream() -> Vec<LabeledWindow> {
+/// The drift test inputs: a step at window 50 (the one that must detect
+/// and refresh), a step from the first window, a ramp, and a recurring
+/// drift switching every 15 windows.
+fn drifted_streams() -> Vec<(&'static str, Vec<LabeledWindow>)> {
     let base = PowerGenerator::new(PowerConfig {
         days: 100,
         samples_per_day: 24,
@@ -44,9 +48,15 @@ fn drifted_stream() -> Vec<LabeledWindow> {
         moments.update(&w.data);
     }
     let sigma = moments.freeze().std()[0];
-    DriftSchedule { kind: DriftKind::Step, onset: 50, level: 1.5 * sigma, scale: 0.2 }
-        .apply(&base)
-        .windows
+    let drift = |kind, onset| {
+        DriftSchedule { kind, onset, level: 1.5 * sigma, scale: 0.2 }.apply(&base).windows
+    };
+    vec![
+        ("step", drift(DriftKind::Step, 50)),
+        ("step at onset 0", drift(DriftKind::Step, 0)),
+        ("ramp", drift(DriftKind::Ramp { ramp_windows: 30 }, 30)),
+        ("recurring", drift(DriftKind::Recurring { period: 15 }, 30)),
+    ]
 }
 
 /// The full pipeline (prepare → train → adapt) rebuilt from scratch —
@@ -62,23 +72,26 @@ fn run_once(stream: &[LabeledWindow]) -> AdaptReport {
         policy,
         TrainConfig { learning_rate: 5e-3, entropy_beta: 0.02, ..Default::default() },
     );
-    let mut config = AdaptConfig::adaptive(20, 2);
-    config.drift.min_samples = 20;
-    run_adaptive_stream(&mut exp, &mut trainer, &scaler, stream, &config)
+    run_adaptive_stream(&mut exp, &mut trainer, &scaler, stream, &AdaptConfig::adaptive(20, 2))
 }
 
 #[test]
 fn adapt_schedule_is_thread_and_rerun_invariant() {
-    let stream = drifted_stream();
-    let base = with_thread_count(1, || run_once(&stream));
-    assert!(!base.detections.is_empty(), "fixture must actually drift: {base:?}");
-    assert!(!base.refreshes.is_empty(), "fixture must actually refresh: {base:?}");
-    for threads in [1, 2, 4] {
-        let run = with_thread_count(threads, || run_once(&stream));
-        assert_eq!(
-            base, run,
-            "adaptive run diverged at HEC_THREADS={threads}: detections/refreshes/chunk \
-             statistics must be byte-identical"
-        );
+    for (name, stream) in drifted_streams() {
+        let base = with_thread_count(1, || run_once(&stream));
+        let chunked: usize = base.chunks.iter().map(|c| c.windows).sum();
+        assert_eq!(chunked, stream.len(), "{name}: chunks must cover the stream");
+        if name == "step" {
+            assert!(!base.detections.is_empty(), "fixture must actually drift: {base:?}");
+            assert!(!base.refreshes.is_empty(), "fixture must actually refresh: {base:?}");
+        }
+        for threads in [1, 2, 4] {
+            let run = with_thread_count(threads, || run_once(&stream));
+            assert_eq!(
+                base, run,
+                "{name}: adaptive run diverged at HEC_THREADS={threads}: detections/refreshes/chunk \
+                 statistics must be byte-identical"
+            );
+        }
     }
 }
