@@ -133,9 +133,10 @@ pub(crate) fn run_closed_loop<R>(
     // emission by sequence number (`u32::MAX`: a background window).
     let mut oracle_of = vec![u32::MAX; scenario.total_windows() as usize];
     let (mut emitted, mut heard) = (0u64, 0u64);
+    let planned = scenario.planned_router();
     while let Some(ev) = shard.step(&mut |ctx| {
         if probe.is_some_and(|pc| pc != ctx.cohort) {
-            return scenario.planned_layer(ctx.cohort, ctx.seq);
+            return planned(ctx);
         }
         let i = (emitted % n) as usize;
         emitted += 1;

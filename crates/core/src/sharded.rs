@@ -83,9 +83,9 @@ pub struct ShardedFleetRun {
 /// Panics if the router returns a layer outside the topology (on
 /// whichever thread it was called; the run stops and the panic
 /// propagates).
-pub fn run_plan(
+pub fn run_plan<R: Fn(&RouteCtx) -> usize + Sync + ?Sized>(
     plan: &ShardPlan,
-    router: &(dyn Fn(&RouteCtx) -> usize + Sync),
+    router: &R,
     observer: Option<&mut dyn FnMut(&JobEvent)>,
 ) -> ShardedFleetRun {
     let _span = hec_telemetry::WallSpan::new("core.fleet_run");
@@ -144,13 +144,13 @@ impl Rendezvous {
     /// thread's own `outboxes` (if observed), then hands them over —
     /// swapped for the emptied buffers of the epoch before — and counts
     /// the thread in.
-    fn advance(
+    fn advance<R: Fn(&RouteCtx) -> usize + Sync + ?Sized>(
         &self,
         barrier_ms: f64,
         base: usize,
         chunk: &mut [ShardEngine<'_>],
         outboxes: &mut [Vec<(f64, JobEvent)>],
-        router: &(dyn Fn(&RouteCtx) -> usize + Sync),
+        router: &R,
     ) {
         let mut shim = |ctx: &RouteCtx| router(ctx);
         for (shard, outbox) in chunk.iter_mut().zip(outboxes.iter_mut()) {
@@ -169,11 +169,11 @@ impl Rendezvous {
     }
 
     /// A worker's whole run: every published barrier, until the last.
-    fn work(
+    fn work<R: Fn(&RouteCtx) -> usize + Sync + ?Sized>(
         &self,
         base: usize,
         chunk: &mut [ShardEngine<'_>],
-        router: &(dyn Fn(&RouteCtx) -> usize + Sync),
+        router: &R,
     ) {
         let _abort = AbortOnPanic(self);
         let mut outboxes = vec![Vec::new(); chunk.len()];
@@ -209,10 +209,10 @@ impl Drop for AbortOnPanic<'_> {
 /// with the plan's shards in one contiguous chunk per worker, the first
 /// on the calling thread — the coordinator, which also publishes the
 /// barriers and, if there is an observer, merges and calls it.
-fn drive(
+fn drive<R: Fn(&RouteCtx) -> usize + Sync + ?Sized>(
     plan: &ShardPlan,
     workers: usize,
-    router: &(dyn Fn(&RouteCtx) -> usize + Sync),
+    router: &R,
     mut observer: Option<&mut dyn FnMut(&JobEvent)>,
 ) -> ShardedFleetRun {
     let mut engine = ShardedFleetEngine::new(plan);
@@ -284,7 +284,7 @@ fn drive(
 /// Panics if `shards` is 0 or the scenario has no cohorts.
 pub fn run_scenario_sharded(scenario: &FleetScenario, shards: usize) -> ShardedFleetRun {
     let plan = ShardPlan::new(scenario, shards);
-    run_plan(&plan, &|ctx: &RouteCtx| scenario.planned_layer(ctx.cohort, ctx.seq), None)
+    run_plan(&plan, &scenario.planned_router(), None)
 }
 
 #[cfg(test)]

@@ -25,6 +25,15 @@
 //! A slot's head is scanned with the lane heads and its `seq` comes from
 //! the same counter: the pop order is the single heap's with the
 //! superseded events taken out.
+//!
+//! A caller that keeps some events **outside** the queue — the fleet
+//! engine's device-local completions, which change nothing but a gauge —
+//! can still order them against the queue's: [`EventQueue::reserve_seq`]
+//! takes the `seq` scheduling would have taken, and
+//! [`EventQueue::pop_seq_at_or_before`] says which `(time, seq)` each
+//! popped event had. An outside event due before that pair would have
+//! popped before it; every event left in the queue keeps the `seq`, and so
+//! the tie-break, it would have had.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -62,15 +71,15 @@ impl<T> Ord for Entry<T> {
 }
 
 /// `(key, seq)` of an entry: what orders it.
-type Head = (f64, u64);
+pub(crate) type Head = (f64, u64);
 
 /// Head of an empty lane or heap: after every real entry (no entry's
 /// `seq` reaches `u64::MAX`).
-const NO_HEAD: Head = (f64::INFINITY, u64::MAX);
+pub(crate) const NO_HEAD: Head = (f64::INFINITY, u64::MAX);
 
 /// Whether `a` pops before `b`.
 #[inline]
-fn before(a: Head, b: Head) -> bool {
+pub(crate) fn before(a: Head, b: Head) -> bool {
     a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
 }
 
@@ -105,10 +114,16 @@ impl<T> LaneQueue<T> {
     }
 
     fn entry(&mut self, key: f64, payload: T) -> Entry<T> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.reserve_seq();
         self.len += 1;
         Entry { key, seq, payload }
+    }
+
+    /// Takes the next `seq` without inserting anything.
+    pub(crate) fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
     /// Puts `payload` in `slot`, dropping the entry the slot held.
@@ -119,8 +134,7 @@ impl<T> LaneQueue<T> {
     pub(crate) fn replace(&mut self, slot: usize, key: f64, payload: T) {
         let held = self.slots[slot].replace(payload);
         self.len += usize::from(held.is_none());
-        self.heads[self.lanes.len() + slot] = (key, self.next_seq);
-        self.next_seq += 1;
+        self.heads[self.lanes.len() + slot] = (key, self.reserve_seq());
     }
 
     /// Inserts into the heap.
@@ -150,10 +164,10 @@ impl<T> LaneQueue<T> {
         }
     }
 
-    /// The earliest entry's key and where it sits (`None`: the heap; a
-    /// head index, lanes first, then slots).
+    /// The earliest entry's `(key, seq)` and where it sits (`None`: the
+    /// heap; a head index, lanes first, then slots).
     #[inline]
-    fn earliest(&self) -> Option<(f64, Option<usize>)> {
+    fn earliest(&self) -> Option<(Head, Option<usize>)> {
         if self.len == 0 {
             return None;
         }
@@ -165,19 +179,20 @@ impl<T> LaneQueue<T> {
                 at = Some(i);
             }
         }
-        Some((best.0, at))
+        Some((best, at))
     }
 
     /// Key of the earliest entry.
     pub(crate) fn peek_key(&self) -> Option<f64> {
-        self.earliest().map(|(key, _)| key)
+        self.earliest().map(|((key, _), _)| key)
     }
 
-    /// Removes and returns the earliest entry if its key is at or below
-    /// `bound`: one scan finds it, tests it and takes it.
+    /// Removes the earliest entry if its key is at or below `bound` and
+    /// returns its `(key, seq)` and payload: one scan finds it, tests it
+    /// and takes it.
     #[inline]
-    pub(crate) fn pop_at_or_before(&mut self, bound: f64) -> Option<(f64, T)> {
-        let (key, at) = self.earliest()?;
+    pub(crate) fn pop_at_or_before(&mut self, bound: f64) -> Option<(Head, T)> {
+        let ((key, seq), at) = self.earliest()?;
         if key > bound {
             return None;
         }
@@ -197,7 +212,7 @@ impl<T> LaneQueue<T> {
             None => self.heap.pop()?.payload,
         };
         self.len -= 1;
-        Some((key, payload))
+        Some(((key, seq), payload))
     }
 
     /// Entries pending, lanes, slots and heap together.
@@ -312,6 +327,15 @@ impl<T> EventQueue<T> {
         self.q.replace(slot, time_ms, payload);
     }
 
+    /// Takes the `seq` that scheduling an event now would take, without
+    /// scheduling one: for an event the caller keeps outside the queue and
+    /// orders against the queue's by `(time, seq)` (module docs). Every
+    /// event scheduled afterwards gets the `seq`, and so pops in the
+    /// order, it would have had if that event had been scheduled.
+    pub fn reserve_seq(&mut self) -> u64 {
+        self.q.reserve_seq()
+    }
+
     /// Schedules `payload` after a relative delay from the current time.
     ///
     /// # Panics
@@ -332,10 +356,18 @@ impl<T> EventQueue<T> {
     /// otherwise.
     #[inline]
     pub fn pop_at_or_before(&mut self, barrier_ms: f64) -> Option<(f64, T)> {
-        let (time_ms, payload) = self.q.pop_at_or_before(barrier_ms)?;
+        self.pop_seq_at_or_before(barrier_ms).map(|(time_ms, _, payload)| (time_ms, payload))
+    }
+
+    /// [`EventQueue::pop_at_or_before`], also returning the popped
+    /// event's `seq`: with its time, what a caller compares the events it
+    /// keeps outside the queue against ([`EventQueue::reserve_seq`]).
+    #[inline]
+    pub fn pop_seq_at_or_before(&mut self, barrier_ms: f64) -> Option<(f64, u64, T)> {
+        let ((time_ms, seq), payload) = self.q.pop_at_or_before(barrier_ms)?;
         debug_assert!(time_ms >= self.now_ms, "virtual clock ran backwards");
         self.now_ms = time_ms;
-        Some((time_ms, payload))
+        Some((time_ms, seq, payload))
     }
 
     /// Current virtual time (time of the last popped event).
@@ -564,6 +596,53 @@ mod tests {
         q.schedule(5.0, 5);
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, [1, 2, 3, 4, 5]);
+    }
+
+    /// A reserved `seq` is the one scheduling would have taken: a queue
+    /// that reserves where another schedules a dummy event gives every
+    /// event scheduled in both the same `seq` and pops them in the same
+    /// order, ties included — on lanes, in slots and in the heap.
+    #[test]
+    fn reserving_a_seq_counts_as_scheduling() {
+        const DUMMY: i32 = -1;
+        let mut reserved = EventQueue::with_lanes_and_slots(2, 1);
+        let mut scheduled = EventQueue::with_lanes_and_slots(2, 1);
+        let mut seqs = Vec::new();
+        for i in 0..60 {
+            // Few distinct times, so ties abound.
+            let t = f64::from((i * 7) % 5);
+            match i % 6 {
+                0 | 3 => {
+                    let seq = reserved.reserve_seq();
+                    scheduled.schedule(t, DUMMY);
+                    seqs.push(seq);
+                }
+                1 => {
+                    reserved.schedule_on(i as usize % 3, t, i);
+                    scheduled.schedule_on(i as usize % 3, t, i);
+                }
+                2 => {
+                    reserved.schedule_in_slot(0, t, i);
+                    scheduled.schedule_in_slot(0, t, i);
+                }
+                _ => {
+                    reserved.schedule(t, i);
+                    scheduled.schedule(t, i);
+                }
+            }
+        }
+        // Every call took one seq off the one counter, a reserve too.
+        assert_eq!(seqs, (0..60).step_by(3).collect::<Vec<u64>>());
+        let popped = |q: &mut EventQueue<i32>| {
+            std::iter::from_fn(|| q.pop_seq_at_or_before(f64::INFINITY))
+                .filter(|&(_, _, payload)| payload != DUMMY)
+                .collect::<Vec<_>>()
+        };
+        let (a, b) = (popped(&mut reserved), popped(&mut scheduled));
+        // 30 lane and heap events, and the last of the ten slot events.
+        assert_eq!(a.len(), 31);
+        assert_eq!(a, b);
+        assert_eq!(reserved.reserve_seq(), scheduled.reserve_seq(), "counters in step");
     }
 
     #[test]

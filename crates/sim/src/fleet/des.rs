@@ -38,30 +38,46 @@
 //! The hot path is batched, and what is left of it is kept out of the
 //! heap. One emission event injects a whole phase bucket of windows and a
 //! freed server dequeues jobs in batches, so a window costs only about
-//! 1.15 events. Nearly all of those belong to three kinds of stream that
-//! are scheduled in time order anyway, and each stream has a monotone
-//! lane of the [`EventQueue`] to itself: a cohort's `Emit`s (its buckets
-//! fire round-robin, phase by phase), a cohort's `LocalDone`s (`now +
-//! exec0`, unless the device is backlogged) and a shared layer's
-//! `ComputeArrive`s (`now +` propagation). Scheduling those is a FIFO
-//! append and popping them a scan of the few lane heads. A
-//! processor-sharing resource — a capped uplink, a PS compute stage — has
-//! one pending completion (`LinkDone` / `PsComputeDone`), re-estimated
-//! after every arrival and departure: it sits in a replaceable slot of
-//! the queue, so an estimate the share changed is overwritten, never
-//! popped. The heap keeps the handful of `ComputeDone` and `Trace`
-//! events, plus any lane event that arrives out of order (a backlogged
-//! device's `LocalDone`) — the queue pops in `(time, seq)` order either
-//! way, so where an event waited never shows in a report. Each outcome is
-//! written once, by `dispatch`, straight to where the driver wants it:
-//! the caller's sink under [`FleetEngine::advance_until`], the `pending`
-//! line under [`FleetEngine::step`].
+//! 1.15 events — a count that includes device-local completions, although
+//! those are no longer entries of the queue (below). Nearly all of the
+//! queue's events belong to two kinds of stream that are scheduled in
+//! time order anyway, and each stream has a monotone lane of the
+//! [`EventQueue`] to itself: a cohort's `Emit`s (its buckets fire
+//! round-robin, phase by phase) and a shared layer's `ComputeArrive`s
+//! (`now +` propagation). Scheduling those is a FIFO append and popping
+//! them a scan of the few lane heads. A processor-sharing resource — a
+//! capped uplink, a PS compute stage — has one pending completion
+//! (`LinkDone` / `PsComputeDone`), re-estimated after every arrival and
+//! departure: it sits in a replaceable slot of the queue, so an estimate
+//! the share changed is overwritten, never popped. The heap keeps the
+//! handful of `ComputeDone` and `Trace` events, plus any lane event that
+//! arrives out of order — the queue pops in `(time, seq)` order either
+//! way, so where an event waited never shows in a report.
+//!
+//! A device-local completion changes nothing but the layer-0 in-flight
+//! gauge, so it never enters the queue. Serving a window at layer 0 takes
+//! the `seq` scheduling would have taken ([`EventQueue::reserve_seq`]) and
+//! files `(finish, seq)` in its cohort's FIFO (`now + exec0`, in order
+//! unless the device is backlogged; those few go to one small heap). The
+//! engine retires every completion that would have popped before the
+//! `(time, seq)` of the event it handles wherever the gauge is read (an
+//! `Emit`, a `Trace`) and wherever the caller can look (`step` returning,
+//! `advance_until` reaching its barrier). A retired completion still
+//! counts as a processed event at its finish time, and
+//! [`FleetEngine::next_event_time_ms`] sees pending ones, so event counts,
+//! horizons, barriers and traces are those of a queue that held them.
+//!
+//! Each outcome is written once, by `dispatch`, straight to where the
+//! driver wants it: the caller's sink under
+//! [`FleetEngine::advance_until`], the `pending` line under
+//! [`FleetEngine::step`].
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use hec_telemetry::GeomHist;
 
-use crate::event::EventQueue;
+use crate::event::{before, EventQueue, Head, NO_HEAD};
 use crate::topology::HecTopology;
 
 use super::metrics::{DropReason, FleetReport, FleetTotals, TraceSample};
@@ -126,10 +142,82 @@ enum Ev {
     ComputeDone { layer: u8, slot: u32 },
     /// A PS compute layer may have completed jobs.
     PsComputeDone { layer: u8 },
-    /// A device-local execution finishes (gauge bookkeeping only).
+    /// A device-local execution finishes, as a queue event: only the
+    /// referee engine ([`FleetEngine::eager`]) schedules these.
+    #[cfg(test)]
     LocalDone,
     /// Periodic queue-depth sample.
     Trace,
+}
+
+/// Device-local completions not yet retired, each `(finish, seq)` with
+/// its `seq` reserved from the engine's queue (module docs).
+struct LocalCompletions {
+    /// One per cohort: an idle device finishes `exec0` after it is served,
+    /// so a cohort's completions mostly arrive in `(finish, seq)` order.
+    fifos: Vec<VecDeque<Head>>,
+    /// The ones that do not (a backlogged device's), keyed by the bits of
+    /// `finish`: a finish is finite and not negative, and such `f64`s
+    /// order as their bits do.
+    late: BinaryHeap<Reverse<(u64, u64)>>,
+}
+
+impl LocalCompletions {
+    fn new(cohorts: usize) -> Self {
+        Self { fifos: vec![VecDeque::new(); cohorts], late: BinaryHeap::new() }
+    }
+
+    /// Files a completion of cohort `c`.
+    #[inline]
+    fn push(&mut self, c: usize, finish: f64, seq: u64) {
+        debug_assert!(finish >= 0.0 && finish.is_finite(), "local finish {finish}");
+        let fifo = &mut self.fifos[c];
+        if fifo.back().is_none_or(|&(tail, _)| finish >= tail) {
+            fifo.push_back((finish, seq));
+        } else {
+            self.late.push(Reverse((finish.to_bits(), seq)));
+        }
+    }
+
+    /// The earliest pending completion ([`NO_HEAD`] if none) and the
+    /// cohort FIFO it heads (`None`: the heap, or nothing pending).
+    #[inline]
+    fn earliest(&self) -> (Head, Option<usize>) {
+        let mut best =
+            self.late.peek().map_or(NO_HEAD, |&Reverse((bits, seq))| (f64::from_bits(bits), seq));
+        let mut at = None;
+        for (c, fifo) in self.fifos.iter().enumerate() {
+            if let Some(&head) = fifo.front() {
+                if before(head, best) {
+                    best = head;
+                    at = Some(c);
+                }
+            }
+        }
+        (best, at)
+    }
+
+    /// Finish time of the earliest pending completion.
+    fn next_ms(&self) -> Option<f64> {
+        let ((finish, _), _) = self.earliest();
+        finish.is_finite().then_some(finish)
+    }
+
+    /// Removes the earliest pending completion if it pops before `bound`
+    /// and returns its finish time.
+    #[inline]
+    fn pop_before(&mut self, bound: Head) -> Option<f64> {
+        let (head, at) = self.earliest();
+        if !before(head, bound) {
+            return None;
+        }
+        if let Some(c) = at {
+            self.fifos[c].pop_front();
+        } else {
+            self.late.pop();
+        }
+        Some(head.0)
+    }
 }
 
 /// Compute stage of a shared layer.
@@ -186,7 +274,9 @@ pub struct FleetEngine<'a> {
     ser_ms: Vec<Vec<Option<f64>>>,
     total_devices: u64,
     busy_until: Vec<f64>,
+    /// Layer-0 windows served and not yet retired from `local`.
     local_inflight: usize,
+    local: LocalCompletions,
     next_seq: u64,
     emitted: u64,
     events: u64,
@@ -202,6 +292,10 @@ pub struct FleetEngine<'a> {
     /// than `PsResource::pop_due_into`'s tolerance.
     #[cfg(test)]
     idle_completions: u64,
+    /// Every device-local completion is a queue event (`Ev::LocalDone`):
+    /// the referee the retirement rule is held to.
+    #[cfg(test)]
+    eager_local: bool,
 }
 
 impl<'a> FleetEngine<'a> {
@@ -220,20 +314,28 @@ impl<'a> FleetEngine<'a> {
     /// Panics if the scenario has no cohorts or a cohort's `local_speed`
     /// is invalid.
     pub fn with_topology(scenario: &'a FleetScenario, topology: HecTopology) -> Self {
-        let lanes = 2 * scenario.cohorts.len() + topology.num_layers() - 1;
+        let lanes = scenario.cohorts.len() + topology.num_layers() - 1;
         Self::build(scenario, topology, lanes)
     }
 
-    /// The engine with every event but the PS completions in the queue's
-    /// heap: the referee the lane mapping is held to.
+    /// The engine with every queue event but the PS completions in the
+    /// queue's heap: the referee the lane mapping is held to.
     #[cfg(test)]
     fn heap_only(scenario: &'a FleetScenario) -> Self {
         Self::build(scenario, scenario.topology(), 0)
     }
 
-    /// The engine over a queue of `lanes` lanes (see `emit_lane`,
-    /// `local_lane` and `LayerState::arrive_lane` for who gets which) and
-    /// two slots per layer (`link_slot`, `ps_slot`).
+    /// The engine that keeps every device-local completion as a queue
+    /// event and retires it when it pops: the referee the retirement rule
+    /// is held to.
+    #[cfg(test)]
+    fn eager(scenario: &'a FleetScenario) -> Self {
+        Self { eager_local: true, ..Self::new(scenario) }
+    }
+
+    /// The engine over a queue of `lanes` lanes (see `emit_lane` and
+    /// `LayerState::arrive_lane` for who gets which) and two slots per
+    /// layer (`link_slot`, `ps_slot`).
     fn build(scenario: &'a FleetScenario, topology: HecTopology, lanes: usize) -> Self {
         assert!(!scenario.cohorts.is_empty(), "scenario has no cohorts");
         let sc = scenario;
@@ -268,7 +370,7 @@ impl<'a> FleetEngine<'a> {
                 LayerState {
                     exec_ms: topo.exec_ms(l),
                     prop_ms: spec.uplink.rtt_ms / 2.0,
-                    arrive_lane: 2 * sc.cohorts.len() + l - 1,
+                    arrive_lane: sc.cohorts.len() + l - 1,
                     link,
                     stage,
                     offered: 0,
@@ -329,6 +431,7 @@ impl<'a> FleetEngine<'a> {
             total_devices,
             busy_until: vec![0.0f64; total_devices as usize],
             local_inflight: 0,
+            local: LocalCompletions::new(sc.cohorts.len()),
             next_seq: 0,
             emitted: 0,
             events: 0,
@@ -340,6 +443,8 @@ impl<'a> FleetEngine<'a> {
             pending: VecDeque::new(),
             #[cfg(test)]
             idle_completions: 0,
+            #[cfg(test)]
+            eager_local: false,
         };
 
         for (c, spec) in sc.cohorts.iter().enumerate() {
@@ -365,11 +470,15 @@ impl<'a> FleetEngine<'a> {
         self.emitted
     }
 
-    /// Virtual time of the earliest pending event, or `None` when the run
-    /// is complete. This is what the sharded coordinator derives its
-    /// conservative barrier times from.
+    /// Virtual time of the earliest pending event, device-local
+    /// completions included, or `None` when the run is complete. This is
+    /// what the sharded coordinator derives its conservative barrier times
+    /// from.
     pub fn next_event_time_ms(&self) -> Option<f64> {
-        self.q.peek_time_ms()
+        match (self.q.peek_time_ms(), self.local.next_ms()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
     /// Advances the simulation through every event at or before
@@ -386,16 +495,46 @@ impl<'a> FleetEngine<'a> {
     ///
     /// Panics if the router returns a layer outside the topology, or if
     /// outcomes of an earlier [`FleetEngine::step`] are still queued.
-    pub fn advance_until(
+    pub fn advance_until<R: FnMut(&RouteCtx) -> usize + ?Sized>(
         &mut self,
         barrier_ms: f64,
-        router: &mut dyn FnMut(&RouteCtx) -> usize,
+        router: &mut R,
         sink: &mut impl FnMut(f64, JobEvent),
     ) {
         assert!(self.pending.is_empty(), "a stepped engine advanced to a barrier");
-        while let Some((now, ev)) = self.q.pop_at_or_before(barrier_ms) {
-            self.dispatch(now, ev, router, &mut |out| sink(now, out));
+        while let Some((now, seq, ev)) = self.q.pop_seq_at_or_before(barrier_ms) {
+            self.dispatch((now, seq), ev, router, &mut |out| sink(now, out));
         }
+        self.retire_local((barrier_ms, u64::MAX));
+    }
+
+    /// Retires every pending device-local completion that would have
+    /// popped before `bound`, a `(time, seq)`: each counts as an event
+    /// processed at its finish time.
+    #[inline]
+    fn retire_local(&mut self, bound: Head) {
+        while let Some(finish) = self.local.pop_before(bound) {
+            debug_assert!(self.local_inflight > 0, "more local completions than serves");
+            self.local_inflight -= 1;
+            self.events += 1;
+            // Completions retire in order, but possibly after queue events
+            // due later: the horizon is the latest of them all.
+            self.last_activity_ms = self.last_activity_ms.max(finish);
+        }
+    }
+
+    /// Files the completion of a window served at layer 0 by cohort `c`,
+    /// due at `finish`: in `local`, under a `seq` taken where scheduling
+    /// it would have taken one.
+    #[inline]
+    fn complete_locally(&mut self, c: usize, finish: f64) {
+        #[cfg(test)]
+        if self.eager_local {
+            self.q.schedule(finish, Ev::LocalDone);
+            return;
+        }
+        let seq = self.q.reserve_seq();
+        self.local.push(c, finish, seq);
     }
 
     /// Adds this engine's raw counters to a fleet's totals: the one sum
@@ -476,11 +615,19 @@ impl<'a> FleetEngine<'a> {
             if let Some(ev) = self.pending.pop_front() {
                 return Some(ev);
             }
-            let (now, ev) = self.q.pop()?;
+            let Some((now, seq, ev)) = self.q.pop_seq_at_or_before(f64::INFINITY) else {
+                self.retire_local(NO_HEAD);
+                return None;
+            };
             // Empty here; lent to `dispatch`'s sink for the one event.
             let mut pending = std::mem::take(&mut self.pending);
-            self.dispatch(now, ev, router, &mut |out| pending.push_back(out));
+            self.dispatch((now, seq), ev, router, &mut |out| pending.push_back(out));
             self.pending = pending;
+            if !self.pending.is_empty() {
+                // About to return: the caller may look at the engine, which
+                // must show what a queue holding the completions would.
+                self.retire_local((now, seq));
+            }
         }
     }
 
@@ -488,12 +635,6 @@ impl<'a> FleetEngine<'a> {
     /// phase order, tick after tick.
     fn emit_lane(&self, c: usize) -> usize {
         c
-    }
-
-    /// Lane of cohort `c`'s `LocalDone` events: `now + exec0[c]` whenever
-    /// the device is idle.
-    fn local_lane(&self, c: usize) -> usize {
-        self.sc.cohorts.len() + c
     }
 
     /// Slot of layer `l`'s `LinkDone`: the capped uplink's next completion.
@@ -507,15 +648,16 @@ impl<'a> FleetEngine<'a> {
         2 * l + 1
     }
 
-    /// Handles one discrete event popped at `now`, handing any per-window
-    /// outcomes to `out`.
-    fn dispatch(
+    /// Handles one discrete event popped at `at` = `(now, seq)`, handing
+    /// any per-window outcomes to `out`.
+    fn dispatch<R: FnMut(&RouteCtx) -> usize + ?Sized>(
         &mut self,
-        now: f64,
+        at: Head,
         ev: Ev,
-        router: &mut dyn FnMut(&RouteCtx) -> usize,
+        router: &mut R,
         out: &mut impl FnMut(JobEvent),
     ) {
+        let now = at.0;
         self.events += 1;
         if !matches!(ev, Ev::Trace) {
             self.last_activity_ms = now;
@@ -523,6 +665,8 @@ impl<'a> FleetEngine<'a> {
         match ev {
             Ev::Emit { cohort, bucket } => {
                 let c = cohort as usize;
+                // The bucket's depths read the local gauge.
+                self.retire_local(at);
                 for (l, layer) in self.layers.iter().enumerate() {
                     self.depth_scratch[l] = match &layer.stage {
                         Some(Stage::Fifo(f)) => f.depth(),
@@ -533,7 +677,6 @@ impl<'a> FleetEngine<'a> {
                 }
                 let (lo, hi) = self.bucket_range(c, bucket);
                 let exec0 = self.exec0[c];
-                let local_lane = self.local_lane(c);
                 for local in lo..hi {
                     let device = self.bases[c] + local;
                     let seq = self.next_seq;
@@ -572,7 +715,7 @@ impl<'a> FleetEngine<'a> {
                             let latency = finish - now;
                             layer.latency.record(latency);
                             self.local_inflight += 1;
-                            self.q.schedule_on(local_lane, finish, Ev::LocalDone);
+                            self.complete_locally(c, finish);
                             out(JobEvent::Served { seq, device, layer: 0, latency_ms: latency });
                         }
                     } else {
@@ -581,7 +724,8 @@ impl<'a> FleetEngine<'a> {
                             (Some(ps), Some(work)) => {
                                 if ps.offer(now, work, job) {
                                     layer.link_work_ms += work;
-                                    // An admitted transfer is in flight.
+                                    // Invariant: `offer` just admitted a
+                                    // transfer, so one is in flight.
                                     let t = ps.next_completion_ms().expect("just offered").max(now);
                                     self.q.schedule_in_slot(
                                         Self::link_slot(target),
@@ -625,7 +769,8 @@ impl<'a> FleetEngine<'a> {
                 let lay = &mut self.layers[l];
                 let prop = lay.prop_ms;
                 let arrive_lane = lay.arrive_lane;
-                // Only a capped link's `offer` schedules a `LinkDone`.
+                // Invariant: only a capped link's `offer` and completions
+                // schedule a `LinkDone`, and a layer's cap is fixed at build.
                 let ps = lay.link.as_mut().expect("LinkDone on uncapped link");
                 self.done_buf.clear();
                 ps.pop_due_into(now, &mut self.done_buf);
@@ -645,8 +790,8 @@ impl<'a> FleetEngine<'a> {
                 let l = layer as usize;
                 let lay = &mut self.layers[l];
                 let exec = lay.exec_ms;
-                // `ComputeArrive` is only scheduled for layers ≥ 1, which
-                // all have a compute stage.
+                // Invariant: `ComputeArrive` is only scheduled for layers
+                // ≥ 1, and `build` gives every one of them a stage.
                 match lay.stage.as_mut().expect("compute on shared layer") {
                     Stage::Fifo(queue) => {
                         if queue.offer(job) {
@@ -669,7 +814,8 @@ impl<'a> FleetEngine<'a> {
                     }
                     Stage::Ps(ps) => {
                         if ps.offer(now, exec, job) {
-                            // An admitted job is in flight.
+                            // Invariant: `offer` just admitted a job, so
+                            // one is in flight.
                             let t = ps.next_completion_ms().expect("just offered").max(now);
                             self.q.schedule_in_slot(
                                 Self::ps_slot(l),
@@ -695,6 +841,8 @@ impl<'a> FleetEngine<'a> {
                 let prop = lay.prop_ms;
                 let exec = lay.exec_ms;
                 self.done_buf.clear();
+                // Invariant: only a FIFO stage's `dispatch` schedules a
+                // `ComputeDone`, and a layer's stage is fixed at build.
                 let Some(Stage::Fifo(queue)) = lay.stage.as_mut() else {
                     unreachable!("ComputeDone on a non-FIFO layer");
                 };
@@ -721,6 +869,8 @@ impl<'a> FleetEngine<'a> {
                 let lay = &mut self.layers[l];
                 let prop = lay.prop_ms;
                 let exec = lay.exec_ms;
+                // Invariant: only a PS stage's `offer` and completions
+                // schedule a `PsComputeDone`, and a stage is fixed at build.
                 let Some(Stage::Ps(ps)) = lay.stage.as_mut() else {
                     unreachable!("PsComputeDone on a non-PS layer");
                 };
@@ -751,11 +901,14 @@ impl<'a> FleetEngine<'a> {
                 }
             }
 
+            #[cfg(test)]
             Ev::LocalDone => {
                 self.local_inflight -= 1;
             }
 
             Ev::Trace => {
+                // The sample reads the local gauge.
+                self.retire_local(at);
                 let sample = TraceSample {
                     t_ms: now,
                     queue_depth: self
@@ -774,7 +927,9 @@ impl<'a> FleetEngine<'a> {
                         .collect(),
                 };
                 self.trace.push(sample);
-                if self.trace.len() < self.sc.max_trace_samples && self.q.peek_time_ms().is_some() {
+                if self.trace.len() < self.sc.max_trace_samples
+                    && self.next_event_time_ms().is_some()
+                {
                     self.q.schedule_in(self.sc.trace_interval_ms, Ev::Trace);
                 }
             }
@@ -1071,13 +1226,55 @@ mod tests {
         );
     }
 
+    /// What a caller can see of an engine between two calls: events
+    /// processed, last activity, next event time.
+    type Seen = (u64, f64, Option<f64>);
+
+    /// A run as the referee tests compare it: what came out of each call
+    /// with what the engine showed after it, what it showed at the end,
+    /// the PS completions that completed no job, and the report.
+    type Run<T> = (Vec<(T, Seen)>, Seen, u64, FleetReport);
+
+    fn seen(engine: &FleetEngine) -> Seen {
+        (engine.events_processed(), engine.last_activity_ms(), engine.next_event_time_ms())
+    }
+
+    /// Steps `engine` to completion, one outcome a call.
+    fn by_step(
+        mut engine: FleetEngine,
+        mut route: impl FnMut(&RouteCtx) -> usize,
+    ) -> Run<JobEvent> {
+        let mut steps = Vec::new();
+        while let Some(ev) = engine.step(&mut route) {
+            steps.push((ev, seen(&engine)));
+        }
+        (steps, seen(&engine), engine.idle_completions, engine.report())
+    }
+
+    /// Advances `engine` to completion 5 ms past each next event time, one
+    /// barrier's outcomes a call.
+    fn by_barriers(
+        mut engine: FleetEngine,
+        mut route: impl FnMut(&RouteCtx) -> usize,
+    ) -> Run<Vec<(f64, JobEvent)>> {
+        let mut barriers = Vec::new();
+        while let Some(next) = engine.next_event_time_ms() {
+            let mut outcomes = Vec::new();
+            engine.advance_until(next + 5.0, &mut route, &mut |t, ev| outcomes.push((t, ev)));
+            barriers.push((outcomes, seen(&engine)));
+        }
+        (barriers, seen(&engine), engine.idle_completions, engine.report())
+    }
+
     /// Every way an event can miss its lane, in one scenario, against the
-    /// same engine with every lane event in the heap: devices emitting faster
-    /// than they execute (a backlogged device's `LocalDone` lands after an
-    /// idle one's was scheduled), two `local_speed`s, two payload sizes
-    /// sharing capped links (finish credits out of order) and PS compute.
-    /// Where an event waited must not show: same outcome stream, same
-    /// event count, same report — by `step` and by `advance_until`.
+    /// same engine with every lane event in the heap and against the one
+    /// that keeps device-local completions as queue events: devices
+    /// emitting faster than they execute (a backlogged device's completion
+    /// lands after an idle one's was filed), two `local_speed`s, two
+    /// payload sizes sharing capped links (finish credits out of order) and
+    /// PS compute. Where an event waited must not show: same outcome
+    /// stream, same event count, horizon and next event time after every
+    /// step and barrier, same report — by `step` and by `advance_until`.
     #[test]
     fn lane_misses_leave_no_trace() {
         let mut sc = tiny(6, 30, 5.0, RoutePlan::Fixed(0));
@@ -1103,25 +1300,12 @@ mod tests {
             }
         };
 
-        let by_step = |mut engine: FleetEngine| {
-            let mut outcomes = Vec::new();
-            while let Some(ev) = engine.step(&mut { route }) {
-                outcomes.push(ev);
-            }
-            (outcomes, engine.events_processed(), engine.idle_completions, engine.report())
-        };
-        let by_barriers = |mut engine: FleetEngine| {
-            let mut outcomes = Vec::new();
-            while let Some(next) = engine.next_event_time_ms() {
-                engine
-                    .advance_until(next + 5.0, &mut { route }, &mut |t, ev| outcomes.push((t, ev)));
-            }
-            (outcomes, engine.events_processed(), engine.idle_completions, engine.report())
-        };
-
-        let laned = by_step(FleetEngine::new(&sc));
-        assert_eq!(laned, by_step(FleetEngine::heap_only(&sc)));
-        assert_eq!(by_barriers(FleetEngine::new(&sc)), by_barriers(FleetEngine::heap_only(&sc)));
+        let laned = by_step(FleetEngine::new(&sc), route);
+        assert_eq!(laned, by_step(FleetEngine::heap_only(&sc), route));
+        assert_eq!(laned, by_step(FleetEngine::eager(&sc), route));
+        let barriered = by_barriers(FleetEngine::new(&sc), route);
+        assert_eq!(barriered, by_barriers(FleetEngine::heap_only(&sc), route));
+        assert_eq!(barriered, by_barriers(FleetEngine::eager(&sc), route));
 
         // The scenario does what it is for: local backlog (a latency above
         // the slow cohort's bare execution time), drops at the backlog
@@ -1142,6 +1326,47 @@ mod tests {
         assert!(report.layers[1..].iter().any(|l| l.dropped_link > 0), "link bound never tripped");
         assert!(report.layers[1..].iter().any(|l| l.dropped_queue > 0), "PS bound never tripped");
         assert_eq!(report.served + report.dropped, report.emitted);
+    }
+
+    /// Device-local completions due at the very instant of an emission or
+    /// a trace sample, on both sides of it in `(time, seq)` order: a
+    /// cohort whose layer-0 time equals its emission period (a completion
+    /// filed before the next `Emit` was scheduled, so it pops first) and a
+    /// twice-as-fast cohort half a period out of phase (filed after, so it
+    /// pops after the other cohort's `Emit` and after the `Trace`). The
+    /// router reads the local gauge, so a completion retired on the wrong
+    /// side of an event moves windows. Held to the engine that keeps
+    /// completions as queue events, after every step and barrier.
+    #[test]
+    fn completions_at_an_emission_instant_retire_in_seq_order() {
+        let mut sc = tiny(8, 20, 8.0, RoutePlan::Fixed(0));
+        sc.exec_ms_override[0] = Some(8.0);
+        sc.cohorts.push(CohortSpec {
+            local_speed: 2.0,
+            ..CohortSpec::uniform(6, 20, 8.0, 4.0, RoutePlan::Fixed(0))
+        });
+        sc.emit_buckets = 2;
+        sc.trace_interval_ms = 8.0;
+        let depths = std::cell::RefCell::new(std::collections::BTreeSet::new());
+        let route = |ctx: &RouteCtx| {
+            depths.borrow_mut().insert(ctx.queue_depth[0]);
+            if ctx.device % 2 == 1 {
+                0
+            } else {
+                ctx.queue_depth[0] % 3
+            }
+        };
+
+        let stepped = by_step(FleetEngine::new(&sc), route);
+        assert_eq!(stepped, by_step(FleetEngine::eager(&sc), route));
+        let barriered = by_barriers(FleetEngine::new(&sc), route);
+        assert_eq!(barriered, by_barriers(FleetEngine::eager(&sc), route));
+
+        let report = &stepped.3;
+        assert_eq!(report.served + report.dropped, report.emitted);
+        assert!(report.layers.iter().all(|l| l.served > 0), "{report:?}");
+        assert!(depths.borrow().len() > 2, "the router saw one gauge value: {depths:?}");
+        assert!(!report.trace.is_empty());
     }
 
     #[test]

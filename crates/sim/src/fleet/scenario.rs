@@ -11,6 +11,8 @@
 
 use crate::topology::{DatasetKind, HecTopology};
 
+use super::des::RouteCtx;
+
 /// How a cohort's windows choose their execution layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RoutePlan {
@@ -25,20 +27,48 @@ pub enum RoutePlan {
 impl RoutePlan {
     /// The layer for window `seq` under this plan (deterministic).
     pub fn layer_for(&self, seed: u64, seq: u64) -> usize {
+        self.cuts().pick(seed, seq)
+    }
+
+    /// The plan with a mixture's weights turned into cumulative
+    /// thresholds: the sums and divisions `pick` would otherwise redo per
+    /// window.
+    fn cuts(&self) -> Cuts {
         match *self {
-            RoutePlan::Fixed(layer) => layer,
+            RoutePlan::Fixed(layer) => Cuts::Fixed(layer),
             RoutePlan::Mixture(weights) => {
                 let total: f64 = weights.iter().sum();
+                let mut acc = 0.0;
+                Cuts::Below(weights.map(|w| {
+                    acc += w / total;
+                    acc
+                }))
+            }
+        }
+    }
+}
+
+/// A [`RoutePlan`] ready to pick a layer per window.
+#[derive(Debug, Clone, Copy)]
+enum Cuts {
+    /// Every window goes to this layer.
+    Fixed(usize),
+    /// A window goes to the first layer whose cumulative weight its hash
+    /// falls below, and to the last if rounding leaves it above them all.
+    Below([f64; 3]),
+}
+
+impl Cuts {
+    /// The layer of window `seq`: the one routing rule of every
+    /// scenario-planned window.
+    #[inline]
+    fn pick(&self, seed: u64, seq: u64) -> usize {
+        match *self {
+            Cuts::Fixed(layer) => layer,
+            Cuts::Below(cuts) => {
                 let u = splitmix64(seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)) as f64
                     / u64::MAX as f64;
-                let mut acc = 0.0;
-                for (i, w) in weights.iter().enumerate() {
-                    acc += w / total;
-                    if u < acc {
-                        return i;
-                    }
-                }
-                weights.len() - 1
+                cuts.iter().position(|&cut| u < cut).unwrap_or(cuts.len() - 1)
             }
         }
     }
@@ -381,6 +411,19 @@ impl FleetScenario {
         self.cohorts[cohort as usize].route.layer_for(self.seed, seq)
     }
 
+    /// A router that sends every window where [`FleetScenario::
+    /// planned_layer`] does, with each cohort's plan prepared once instead
+    /// of per window: the router of a run under the scenario's own plans.
+    ///
+    /// # Panics
+    ///
+    /// The router panics on a cohort out of range.
+    pub fn planned_router(&self) -> impl Fn(&RouteCtx) -> usize + Send + Sync + 'static {
+        let seed = self.seed;
+        let cuts: Vec<Cuts> = self.cohorts.iter().map(|c| c.route.cuts()).collect();
+        move |ctx: &RouteCtx| cuts[ctx.cohort as usize].pick(seed, ctx.seq)
+    }
+
     /// Total devices across cohorts.
     pub fn total_devices(&self) -> u64 {
         self.cohorts.iter().map(|c| c.devices as u64).sum()
@@ -484,6 +527,63 @@ mod tests {
         assert!((frac(0) - 0.6).abs() < 0.02, "{counts:?}");
         assert!((frac(1) - 0.3).abs() < 0.02, "{counts:?}");
         assert!((frac(2) - 0.1).abs() < 0.02, "{counts:?}");
+    }
+
+    /// The mixture rule as it was written before the thresholds were
+    /// prepared once: cumulative weights summed per window.
+    fn layer_per_window(weights: [f64; 3], seed: u64, seq: u64) -> usize {
+        let total: f64 = weights.iter().sum();
+        let u = splitmix64(seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)) as f64 / u64::MAX as f64;
+        let mut acc = 0.0;
+        for (i, w) in weights.iter().enumerate() {
+            acc += w / total;
+            if u < acc {
+                return i;
+            }
+        }
+        weights.len() - 1
+    }
+
+    /// The prepared router, `planned_layer` and the per-window sums send
+    /// every window to the same layer: every cohort of every named
+    /// scenario, and weights whose cumulative sums round.
+    #[test]
+    fn planned_router_matches_planned_layer() {
+        const SEQS: u64 = 100_000;
+        let mut scenarios: Vec<FleetScenario> = FleetScenario::NAMES
+            .iter()
+            .map(|name| FleetScenario::by_name(name, FleetScale::Quick).unwrap())
+            .collect();
+        let mut inexact = FleetScenario::light_load(FleetScale::Quick);
+        inexact.seed = 7;
+        inexact.cohorts = [[0.1, 0.2, 0.7], [1.0, 1.0, 1.0], [0.3, 0.3, 0.4], [1e-3, 0.0, 2.0]]
+            .map(|w| CohortSpec::uniform(10, 10, 1.0, 0.0, RoutePlan::Mixture(w)))
+            .into();
+        inexact.cohorts.push(CohortSpec::uniform(10, 10, 1.0, 0.0, RoutePlan::Fixed(2)));
+        scenarios.push(inexact);
+        for sc in &scenarios {
+            let router = sc.planned_router();
+            let (depth, links) = ([0usize; 3], [0usize; 3]);
+            for (c, cohort) in sc.cohorts.iter().enumerate() {
+                for seq in 0..SEQS {
+                    let ctx = RouteCtx {
+                        device: 0,
+                        seq,
+                        cohort: c as u32,
+                        now_ms: 0.0,
+                        queue_depth: &depth,
+                        link_inflight: &links,
+                    };
+                    let planned = sc.planned_layer(c as u32, seq);
+                    assert_eq!(router(&ctx), planned, "{} cohort {c} seq {seq}", sc.name);
+                    let per_window = match cohort.route {
+                        RoutePlan::Fixed(layer) => layer,
+                        RoutePlan::Mixture(w) => layer_per_window(w, sc.seed, seq),
+                    };
+                    assert_eq!(planned, per_window, "{} cohort {c} seq {seq}", sc.name);
+                }
+            }
+        }
     }
 
     #[test]

@@ -320,10 +320,10 @@ impl ShardEngine<'_> {
     ///
     /// Panics if the router returns a layer outside the topology, or if
     /// the shard has been stepped and outcomes are still queued.
-    pub fn advance_to(
+    pub fn advance_to<R: FnMut(&RouteCtx) -> usize + ?Sized>(
         &mut self,
         barrier_ms: f64,
-        router: &mut dyn FnMut(&RouteCtx) -> usize,
+        router: &mut R,
         outbox: Option<&mut Vec<(f64, JobEvent)>>,
     ) {
         let capture = hec_telemetry::trace_capture_enabled();
