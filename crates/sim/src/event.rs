@@ -34,6 +34,16 @@
 //! popped event had. An outside event due before that pair would have
 //! popped before it; every event left in the queue keeps the `seq`, and so
 //! the tie-break, it would have had.
+//!
+//! A reserved `seq` can also be **filed later**:
+//! [`EventQueue::schedule_reserved_on`] puts an event in the queue under a
+//! `seq` taken earlier, so one entry can stand for several events reserved
+//! one by one — the fleet engine's arrival groups, every window of which
+//! keeps the `seq` it would have had as an event of its own. The entry
+//! goes on its lane when its `(time, seq)` is after the lane's tail, in
+//! the heap otherwise (a reserved `seq` may be below the tail's), and
+//! [`EventQueue::peek_head`] tells the filer whether some other event
+//! falls between two of the `seq`s it stands for.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -119,6 +129,25 @@ impl<T> LaneQueue<T> {
         Entry { key, seq, payload }
     }
 
+    /// Puts `entry` at the tail of `lane` if it pops after the tail, in
+    /// the heap otherwise — or if the queue has no such lane.
+    #[inline]
+    fn file(&mut self, lane: usize, entry: Entry<T>) {
+        let Some(fifo) = self.lanes.get_mut(lane) else {
+            self.heap.push(entry);
+            return;
+        };
+        let at = (entry.key, entry.seq);
+        match fifo.back() {
+            Some(tail) if before((tail.key, tail.seq), at) => fifo.push_back(entry),
+            Some(_) => self.heap.push(entry),
+            None => {
+                self.heads[lane] = at;
+                fifo.push_back(entry);
+            }
+        }
+    }
+
     /// Takes the next `seq` without inserting anything.
     pub(crate) fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
@@ -144,24 +173,25 @@ impl<T> LaneQueue<T> {
     }
 
     /// Inserts at the tail of `lane` if `key` is not below the lane's last
-    /// key, into the heap otherwise — or if the queue has no such lane.
+    /// key (a fresh `seq` is above every other), into the heap otherwise —
+    /// or if the queue has no such lane.
     pub(crate) fn push_on(&mut self, lane: usize, key: f64, payload: T) {
         let entry = self.entry(key, payload);
-        let Some(fifo) = self.lanes.get_mut(lane) else {
-            self.heap.push(entry);
-            return;
-        };
-        match fifo.back() {
-            Some(tail) if key >= tail.key => {
-                debug_assert!(tail.seq < entry.seq, "lane not seq-sorted");
-                fifo.push_back(entry);
-            }
-            Some(_) => self.heap.push(entry),
-            None => {
-                self.heads[lane] = (key, entry.seq);
-                fifo.push_back(entry);
-            }
-        }
+        self.file(lane, entry);
+    }
+
+    /// [`LaneQueue::push_on`] under `seq`, taken earlier by
+    /// [`LaneQueue::reserve_seq`] and not used since.
+    pub(crate) fn push_reserved_on(&mut self, lane: usize, key: f64, seq: u64, payload: T) {
+        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
+        self.len += 1;
+        self.file(lane, Entry { key, seq, payload });
+    }
+
+    /// Key of `lane`'s last entry, if the lane holds any.
+    #[cfg(test)]
+    pub(crate) fn lane_tail_key(&self, lane: usize) -> Option<f64> {
+        self.lanes.get(lane)?.back().map(|e| e.key)
     }
 
     /// The earliest entry's `(key, seq)` and where it sits (`None`: the
@@ -182,9 +212,9 @@ impl<T> LaneQueue<T> {
         Some((best, at))
     }
 
-    /// Key of the earliest entry.
-    pub(crate) fn peek_key(&self) -> Option<f64> {
-        self.earliest().map(|((key, _), _)| key)
+    /// `(key, seq)` of the earliest entry.
+    pub(crate) fn peek_head(&self) -> Option<Head> {
+        self.earliest().map(|(head, _)| head)
     }
 
     /// Removes the earliest entry if its key is at or below `bound` and
@@ -336,6 +366,25 @@ impl<T> EventQueue<T> {
         self.q.reserve_seq()
     }
 
+    /// Files `payload` at `time_ms` under `seq`, a `seq` taken earlier by
+    /// [`EventQueue::reserve_seq`] and not used since: it pops exactly when
+    /// an event scheduled at `time_ms` at the moment `seq` was reserved
+    /// would have popped. Kept at the tail of `lane` when that keeps the
+    /// lane in `(time, seq)` order, in the heap otherwise — or when the
+    /// queue has no such lane.
+    ///
+    /// A `seq` that was never reserved, or is filed twice, breaks no
+    /// invariant of the queue, but its event's place among equal times is
+    /// then unspecified.
+    ///
+    /// # Panics
+    ///
+    /// As [`EventQueue::schedule`].
+    pub fn schedule_reserved_on(&mut self, lane: usize, time_ms: f64, seq: u64, payload: T) {
+        self.check_time(time_ms);
+        self.q.push_reserved_on(lane, time_ms, seq, payload);
+    }
+
     /// Schedules `payload` after a relative delay from the current time.
     ///
     /// # Panics
@@ -377,7 +426,19 @@ impl<T> EventQueue<T> {
 
     /// Virtual time of the earliest pending event, without popping it.
     pub fn peek_time_ms(&self) -> Option<f64> {
-        self.q.peek_key()
+        self.peek_head().map(|(time_ms, _)| time_ms)
+    }
+
+    /// `(time, seq)` of the earliest pending event, without popping it:
+    /// what [`EventQueue::pop_seq_at_or_before`] would return it with.
+    pub fn peek_head(&self) -> Option<(f64, u64)> {
+        self.q.peek_head()
+    }
+
+    /// Virtual time of `lane`'s last event, if the lane holds any.
+    #[cfg(test)]
+    pub(crate) fn lane_tail_ms(&self, lane: usize) -> Option<f64> {
+        self.q.lane_tail_key(lane)
     }
 
     /// Number of pending events, in lanes, slots and heap together.
@@ -643,6 +704,25 @@ mod tests {
         assert_eq!(a.len(), 31);
         assert_eq!(a, b);
         assert_eq!(reserved.reserve_seq(), scheduled.reserve_seq(), "counters in step");
+    }
+
+    /// An event filed under a reserved `seq` pops where one scheduled at
+    /// the reservation would have: before later-scheduled events of its
+    /// time, behind a lane tail it precedes (through the heap) or on the
+    /// lane after a tail it follows; `peek_head` names its `seq`.
+    #[test]
+    fn a_reserved_seq_files_later_in_its_place() {
+        let mut q = EventQueue::with_lanes(1);
+        let early = q.reserve_seq();
+        q.schedule_on(0, 5.0, "scheduled after the reserve");
+        let late = q.reserve_seq();
+        q.schedule_reserved_on(0, 5.0, early, "reserved first"); // before the tail: heap
+        q.schedule_reserved_on(0, 5.0, late, "reserved second"); // after the tail: lane
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.peek_head(), Some((5.0, early)));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+        assert_eq!(order, ["reserved first", "scheduled after the reserve", "reserved second"]);
+        assert_eq!(q.peek_head(), None);
     }
 
     #[test]

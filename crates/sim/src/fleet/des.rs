@@ -38,21 +38,47 @@
 //! The hot path is batched, and what is left of it is kept out of the
 //! heap. One emission event injects a whole phase bucket of windows and a
 //! freed server dequeues jobs in batches, so a window costs only about
-//! 1.15 events — a count that includes device-local completions, although
-//! those are no longer entries of the queue (below). Nearly all of the
-//! queue's events belong to two kinds of stream that are scheduled in
-//! time order anyway, and each stream has a monotone lane of the
-//! [`EventQueue`] to itself: a cohort's `Emit`s (its buckets fire
-//! round-robin, phase by phase) and a shared layer's `ComputeArrive`s
-//! (`now +` propagation). Scheduling those is a FIFO append and popping
-//! them a scan of the few lane heads. A processor-sharing resource — a
-//! capped uplink, a PS compute stage — has one pending completion
-//! (`LinkDone` / `PsComputeDone`), re-estimated after every arrival and
-//! departure: it sits in a replaceable slot of the queue, so an estimate
-//! the share changed is overwritten, never popped. The heap keeps the
-//! handful of `ComputeDone` and `Trace` events, plus any lane event that
+//! 1.15 events. That count is of events as a queue holding each one would
+//! have popped them: it includes device-local completions and counts every
+//! member of an arrival group (below) one by one, although neither is an
+//! entry of the queue of its own. Nearly all of the queue's entries belong
+//! to three kinds of stream that are scheduled in time order anyway, and
+//! each stream has a monotone lane of the [`EventQueue`] to itself: a
+//! cohort's `Emit`s (its buckets fire round-robin, phase by phase), a
+//! shared layer's arrival groups (`now +` propagation) and a shared FIFO
+//! layer's `ComputeDone`s (`now +` a batch's service time, in order unless
+//! batches of different sizes overtake one another). Scheduling those is
+//! a FIFO append and popping them a scan of the few lane heads. A
+//! processor-sharing resource — a capped uplink, a PS compute stage — has
+//! one pending completion (`LinkDone` / `PsComputeDone`), re-estimated
+//! after every arrival and departure: it sits in a replaceable slot of the
+//! queue, so an estimate the share changed is overwritten, never popped.
+//! The heap keeps the handful of `Trace` events, plus any lane entry that
 //! arrives out of order — the queue pops in `(time, seq)` order either
 //! way, so where an event waited never shows in a report.
+//!
+//! Every window one handler sends to one shared layer's compute stage — an
+//! `Emit` bucket's windows routed over an uncapped uplink, the transfers
+//! one `LinkDone` completes — arrives at the same instant, `now +`
+//! propagation, so they enter the queue as **one arrival group**: one
+//! entry (`Ev::Arrive`) standing for `count` `(seq, job)` members held in
+//! the layer's FIFO of arrivals. A layer's groups pop in the order they
+//! are filed, so that FIFO is the one buffer they all need, grown once and
+//! reused. Each member takes its `seq` where its own arrival event would
+//! have been scheduled ([`EventQueue::reserve_seq`]), the group is filed
+//! under its first member's ([`EventQueue::schedule_reserved_on`]), and
+//! its members are handled one by one, each counted as an event. Another
+//! event can pop between two members only if it shares their instant and
+//! was scheduled between them — another layer's group when two
+//! propagations are equal, say. Handling a member only schedules events
+//! after every member, so one look at the queue's head
+//! ([`EventQueue::peek_head`]) when a group's second member is due says
+//! where to stop: the rest of the group is re-filed under the next
+//! member's `seq`. Under
+//! [`FleetEngine::step`] a group also stops after a member with an
+//! outcome, where that member's own event would have returned. Pop order,
+//! event counts and every outcome are therefore those of one event per
+//! arriving window.
 //!
 //! A device-local completion changes nothing but the layer-0 in-flight
 //! gauge, so it never enters the queue. Serving a window at layer 0 takes
@@ -136,8 +162,10 @@ enum Ev {
     Emit { cohort: u32, bucket: u32 },
     /// A bandwidth-shared uplink may have completed transfers.
     LinkDone { layer: u8 },
-    /// A transferred window reaches a shared layer's compute stage.
-    ComputeArrive { layer: u8, job: JobRec },
+    /// Windows reaching a shared layer's compute stage at one instant, one
+    /// handler's worth: the `count` members at the front of the layer's
+    /// `arrivals`, each one event.
+    Arrive { layer: u8, count: u32 },
     /// A FIFO service batch finishes.
     ComputeDone { layer: u8, slot: u32 },
     /// A PS compute layer may have completed jobs.
@@ -231,10 +259,21 @@ struct LayerState {
     exec_ms: f64,
     /// One-way propagation, ms (half the round trip).
     prop_ms: f64,
-    /// Queue lane of this layer's `ComputeArrive` events: `now + prop_ms`,
-    /// from the router on an uncapped uplink and from `LinkDone` on a
-    /// capped one (layer 0 has none and never looks).
+    /// Queue lane of this layer's `Arrive` groups: `now + prop_ms`, from
+    /// the router on an uncapped uplink and from `LinkDone` on a capped one
+    /// (layer 0 has none and never looks).
     arrive_lane: usize,
+    /// Queue lane of this layer's `ComputeDone`s: in order unless batches
+    /// of different sizes overtake one another.
+    done_lane: usize,
+    /// Members of this layer's arrival groups not handled yet, `(queue seq,
+    /// job)`, in filing order — which is their pop order: a layer's groups
+    /// are due `now + prop_ms`, filed in `now` order, one a handler.
+    arrivals: VecDeque<(u64, JobRec)>,
+    /// Members at the back of `arrivals` the running handler has gathered
+    /// and not filed yet, and the first one's `seq`.
+    open: u32,
+    open_seq: u64,
     /// `Some` when the uplink is bandwidth-capped (the per-window
     /// serialisation work is per-cohort, see `FleetEngine::ser_ms`).
     link: Option<PsResource>,
@@ -247,6 +286,9 @@ struct LayerState {
     busy_ms: f64,
     link_work_ms: f64,
     latency: GeomHist,
+    /// `ComputeDone`s scheduled before their lane's tail (the heap's).
+    #[cfg(test)]
+    done_lane_misses: u64,
 }
 
 /// A resumable fleet simulation.
@@ -292,10 +334,15 @@ pub struct FleetEngine<'a> {
     /// than `PsResource::pop_due_into`'s tolerance.
     #[cfg(test)]
     idle_completions: u64,
-    /// Every device-local completion is a queue event (`Ev::LocalDone`):
-    /// the referee the retirement rule is held to.
+    /// Arrival groups re-filed because another event fell between two of
+    /// their members.
     #[cfg(test)]
-    eager_local: bool,
+    group_splits: u64,
+    /// Every device-local completion and every arrival is a queue event of
+    /// its own (`Ev::LocalDone`, one-member groups): the referee the
+    /// retirement rule and the arrival groups are held to.
+    #[cfg(test)]
+    eager: bool,
 }
 
 impl<'a> FleetEngine<'a> {
@@ -314,28 +361,29 @@ impl<'a> FleetEngine<'a> {
     /// Panics if the scenario has no cohorts or a cohort's `local_speed`
     /// is invalid.
     pub fn with_topology(scenario: &'a FleetScenario, topology: HecTopology) -> Self {
-        let lanes = scenario.cohorts.len() + topology.num_layers() - 1;
+        let lanes = scenario.cohorts.len() + 2 * (topology.num_layers() - 1);
         Self::build(scenario, topology, lanes)
     }
 
     /// The engine with every queue event but the PS completions in the
     /// queue's heap: the referee the lane mapping is held to.
     #[cfg(test)]
-    fn heap_only(scenario: &'a FleetScenario) -> Self {
-        Self::build(scenario, scenario.topology(), 0)
+    fn heap_only(scenario: &'a FleetScenario, topology: HecTopology) -> Self {
+        Self::build(scenario, topology, 0)
     }
 
     /// The engine that keeps every device-local completion as a queue
-    /// event and retires it when it pops: the referee the retirement rule
-    /// is held to.
+    /// event and retires it when it pops, and files every arrival as a
+    /// group of one where it reserves the arrival's `seq`: the referee the
+    /// retirement rule and the arrival groups are held to.
     #[cfg(test)]
-    fn eager(scenario: &'a FleetScenario) -> Self {
-        Self { eager_local: true, ..Self::new(scenario) }
+    fn eager(scenario: &'a FleetScenario, topology: HecTopology) -> Self {
+        Self { eager: true, ..Self::with_topology(scenario, topology) }
     }
 
-    /// The engine over a queue of `lanes` lanes (see `emit_lane` and
-    /// `LayerState::arrive_lane` for who gets which) and two slots per
-    /// layer (`link_slot`, `ps_slot`).
+    /// The engine over a queue of `lanes` lanes (see `emit_lane`,
+    /// `LayerState::arrive_lane` and `LayerState::done_lane` for who gets
+    /// which) and two slots per layer (`link_slot`, `ps_slot`).
     fn build(scenario: &'a FleetScenario, topology: HecTopology, lanes: usize) -> Self {
         assert!(!scenario.cohorts.is_empty(), "scenario has no cohorts");
         let sc = scenario;
@@ -371,6 +419,10 @@ impl<'a> FleetEngine<'a> {
                     exec_ms: topo.exec_ms(l),
                     prop_ms: spec.uplink.rtt_ms / 2.0,
                     arrive_lane: sc.cohorts.len() + l - 1,
+                    done_lane: sc.cohorts.len() + k - 1 + l - 1,
+                    arrivals: VecDeque::new(),
+                    open: 0,
+                    open_seq: 0,
                     link,
                     stage,
                     offered: 0,
@@ -380,6 +432,8 @@ impl<'a> FleetEngine<'a> {
                     busy_ms: 0.0,
                     link_work_ms: 0.0,
                     latency: GeomHist::new(),
+                    #[cfg(test)]
+                    done_lane_misses: 0,
                 }
             })
             .collect();
@@ -444,7 +498,9 @@ impl<'a> FleetEngine<'a> {
             #[cfg(test)]
             idle_completions: 0,
             #[cfg(test)]
-            eager_local: false,
+            group_splits: 0,
+            #[cfg(test)]
+            eager: false,
         };
 
         for (c, spec) in sc.cohorts.iter().enumerate() {
@@ -503,7 +559,7 @@ impl<'a> FleetEngine<'a> {
     ) {
         assert!(self.pending.is_empty(), "a stepped engine advanced to a barrier");
         while let Some((now, seq, ev)) = self.q.pop_seq_at_or_before(barrier_ms) {
-            self.dispatch((now, seq), ev, router, &mut |out| sink(now, out));
+            self.dispatch((now, seq), ev, router, false, &mut |out| sink(now, out));
         }
         self.retire_local((barrier_ms, u64::MAX));
     }
@@ -529,7 +585,7 @@ impl<'a> FleetEngine<'a> {
     #[inline]
     fn complete_locally(&mut self, c: usize, finish: f64) {
         #[cfg(test)]
-        if self.eager_local {
+        if self.eager {
             self.q.schedule(finish, Ev::LocalDone);
             return;
         }
@@ -619,14 +675,15 @@ impl<'a> FleetEngine<'a> {
                 self.retire_local(NO_HEAD);
                 return None;
             };
-            // Empty here; lent to `dispatch`'s sink for the one event.
+            // Empty here; lent to `dispatch`'s sink for the one entry.
             let mut pending = std::mem::take(&mut self.pending);
-            self.dispatch((now, seq), ev, router, &mut |out| pending.push_back(out));
+            let last =
+                self.dispatch((now, seq), ev, router, true, &mut |out| pending.push_back(out));
             self.pending = pending;
             if !self.pending.is_empty() {
                 // About to return: the caller may look at the engine, which
                 // must show what a queue holding the completions would.
-                self.retire_local((now, seq));
+                self.retire_local(last);
             }
         }
     }
@@ -648,15 +705,51 @@ impl<'a> FleetEngine<'a> {
         2 * l + 1
     }
 
-    /// Handles one discrete event popped at `at` = `(now, seq)`, handing
-    /// any per-window outcomes to `out`.
+    /// Adds `job` to layer `l`'s open arrival group under the `seq` its own
+    /// arrival event would have taken here.
+    #[inline]
+    fn gather(&mut self, l: usize, job: JobRec) {
+        let seq = self.q.reserve_seq();
+        let lay = &mut self.layers[l];
+        if lay.open == 0 {
+            lay.open_seq = seq;
+        }
+        lay.open += 1;
+        lay.arrivals.push_back((seq, job));
+        #[cfg(test)]
+        if self.eager {
+            self.file_open(l);
+        }
+    }
+
+    /// Files layer `l`'s open arrival group, if it has members, on the
+    /// layer's arrive lane: due one propagation after the running handler,
+    /// under its first member's `seq`.
+    #[inline]
+    fn file_open(&mut self, l: usize) {
+        let lay = &mut self.layers[l];
+        if lay.open == 0 {
+            return;
+        }
+        let group = Ev::Arrive { layer: l as u8, count: lay.open };
+        lay.open = 0;
+        let t = self.q.now_ms() + lay.prop_ms;
+        self.q.schedule_reserved_on(lay.arrive_lane, t, lay.open_seq, group);
+    }
+
+    /// Handles one queue entry popped at `at` = `(now, seq)`, handing any
+    /// per-window outcomes to `out`, and returns the `(time, seq)` of the
+    /// last event it handled: `at`, unless the entry is an arrival group.
+    /// With `yield_outcome` a group stops after a member with an outcome,
+    /// as its members' own events would have returned `step` there.
     fn dispatch<R: FnMut(&RouteCtx) -> usize + ?Sized>(
         &mut self,
         at: Head,
         ev: Ev,
         router: &mut R,
+        yield_outcome: bool,
         out: &mut impl FnMut(JobEvent),
-    ) {
+    ) -> Head {
         let now = at.0;
         self.events += 1;
         if !matches!(ev, Ev::Trace) {
@@ -742,16 +835,12 @@ impl<'a> FleetEngine<'a> {
                                     });
                                 }
                             }
-                            _ => {
-                                let arrive = now + layer.prop_ms;
-                                self.q.schedule_on(
-                                    layer.arrive_lane,
-                                    arrive,
-                                    Ev::ComputeArrive { layer: target as u8, job },
-                                );
-                            }
+                            _ => self.gather(target, job),
                         }
                     }
+                }
+                for l in 1..self.k {
+                    self.file_open(l);
                 }
                 let tick = self.ticks[c][bucket as usize] + 1;
                 self.ticks[c][bucket as usize] = tick;
@@ -766,12 +855,9 @@ impl<'a> FleetEngine<'a> {
 
             Ev::LinkDone { layer } => {
                 let l = layer as usize;
-                let lay = &mut self.layers[l];
-                let prop = lay.prop_ms;
-                let arrive_lane = lay.arrive_lane;
                 // Invariant: only a capped link's `offer` and completions
                 // schedule a `LinkDone`, and a layer's cap is fixed at build.
-                let ps = lay.link.as_mut().expect("LinkDone on uncapped link");
+                let ps = self.layers[l].link.as_mut().expect("LinkDone on uncapped link");
                 self.done_buf.clear();
                 ps.pop_due_into(now, &mut self.done_buf);
                 #[cfg(test)]
@@ -781,65 +867,22 @@ impl<'a> FleetEngine<'a> {
                 if let Some(t) = ps.next_completion_ms() {
                     self.q.schedule_in_slot(Self::link_slot(l), t.max(now), Ev::LinkDone { layer });
                 }
-                for job in self.done_buf.drain(..) {
-                    self.q.schedule_on(arrive_lane, now + prop, Ev::ComputeArrive { layer, job });
+                let mut done = std::mem::take(&mut self.done_buf);
+                for job in done.drain(..) {
+                    self.gather(l, job);
                 }
+                self.done_buf = done;
+                self.file_open(l);
             }
 
-            Ev::ComputeArrive { layer, job } => {
-                let l = layer as usize;
-                let lay = &mut self.layers[l];
-                let exec = lay.exec_ms;
-                // Invariant: `ComputeArrive` is only scheduled for layers
-                // ≥ 1, and `build` gives every one of them a stage.
-                match lay.stage.as_mut().expect("compute on shared layer") {
-                    Stage::Fifo(queue) => {
-                        if queue.offer(job) {
-                            while let Some((slot, dur)) = queue.dispatch(exec) {
-                                lay.busy_ms += dur;
-                                self.q.schedule(
-                                    now + dur,
-                                    Ev::ComputeDone { layer, slot: slot as u32 },
-                                );
-                            }
-                        } else {
-                            lay.dropped_queue += 1;
-                            out(JobEvent::Dropped {
-                                seq: job.seq,
-                                device: job.device,
-                                layer: l,
-                                reason: DropReason::QueueFull,
-                            });
-                        }
-                    }
-                    Stage::Ps(ps) => {
-                        if ps.offer(now, exec, job) {
-                            // Invariant: `offer` just admitted a job, so
-                            // one is in flight.
-                            let t = ps.next_completion_ms().expect("just offered").max(now);
-                            self.q.schedule_in_slot(
-                                Self::ps_slot(l),
-                                t,
-                                Ev::PsComputeDone { layer },
-                            );
-                        } else {
-                            lay.dropped_queue += 1;
-                            out(JobEvent::Dropped {
-                                seq: job.seq,
-                                device: job.device,
-                                layer: l,
-                                reason: DropReason::QueueFull,
-                            });
-                        }
-                    }
-                }
+            Ev::Arrive { layer, count } => {
+                return self.arrive_group(at, layer as usize, count, yield_outcome, out);
             }
 
             Ev::ComputeDone { layer, slot } => {
                 let l = layer as usize;
                 let lay = &mut self.layers[l];
                 let prop = lay.prop_ms;
-                let exec = lay.exec_ms;
                 self.done_buf.clear();
                 // Invariant: only a FIFO stage's `dispatch` schedules a
                 // `ComputeDone`, and a layer's stage is fixed at build.
@@ -858,10 +901,7 @@ impl<'a> FleetEngine<'a> {
                         latency_ms: latency,
                     });
                 }
-                while let Some((slot, dur)) = queue.dispatch(exec) {
-                    lay.busy_ms += dur;
-                    self.q.schedule(now + dur, Ev::ComputeDone { layer, slot: slot as u32 });
-                }
+                self.start_services(l, now);
             }
 
             Ev::PsComputeDone { layer } => {
@@ -934,6 +974,113 @@ impl<'a> FleetEngine<'a> {
                 }
             }
         }
+        at
+    }
+
+    /// Handles the `count` members of layer `l`'s arrival group, popped at
+    /// `at` = `(t, seq of its first member)`, one event each, and returns
+    /// the `(time, seq)` of the last one handled. The group stops early —
+    /// the rest re-filed under the next member's `seq` — before a member
+    /// that another queued event pops ahead of, and (with `yield_outcome`)
+    /// after a member with an outcome.
+    fn arrive_group(
+        &mut self,
+        at: Head,
+        l: usize,
+        count: u32,
+        yield_outcome: bool,
+        out: &mut impl FnMut(JobEvent),
+    ) -> Head {
+        let t = at.0;
+        // Handling a member schedules events after every member, so the
+        // queue's earliest entry when the second member is due is the only
+        // one that can interleave (a group of one never looks).
+        let mut bound = None;
+        let mut last = at;
+        let mut yielded = false;
+        for i in 0..count {
+            // Invariant: a layer's groups pop in filing order, so this
+            // group's members are the front `count` of `arrivals`.
+            let &(seq, job) = self.layers[l].arrivals.front().expect("group members queued");
+            debug_assert!(i > 0 || seq == at.1, "group popped off its first member's seq");
+            if i > 0 {
+                let bound = *bound.get_or_insert_with(|| self.q.peek_head().unwrap_or(NO_HEAD));
+                let interleaved = !before((t, seq), bound);
+                if interleaved || yielded {
+                    #[cfg(test)]
+                    {
+                        self.group_splits += u64::from(interleaved);
+                    }
+                    let rest = Ev::Arrive { layer: l as u8, count: count - i };
+                    self.q.schedule_reserved_on(self.layers[l].arrive_lane, t, seq, rest);
+                    return last;
+                }
+                self.events += 1;
+            }
+            self.layers[l].arrivals.pop_front();
+            last = (t, seq);
+            if let Some(dropped) = self.arrive(l, t, job) {
+                out(dropped);
+                yielded = yield_outcome;
+            }
+        }
+        last
+    }
+
+    /// One window reaching layer `l`'s compute stage at `now`: its drop,
+    /// if the stage turns it away.
+    #[inline]
+    fn arrive(&mut self, l: usize, now: f64, job: JobRec) -> Option<JobEvent> {
+        let lay = &mut self.layers[l];
+        let exec = lay.exec_ms;
+        // Invariant: arrival groups are only gathered for layers ≥ 1, and
+        // `build` gives every one of them a stage.
+        let admitted = match lay.stage.as_mut().expect("compute on shared layer") {
+            Stage::Fifo(queue) => queue.offer(job),
+            Stage::Ps(ps) => {
+                let admitted = ps.offer(now, exec, job);
+                if admitted {
+                    // Invariant: `offer` just admitted a job, so one is in
+                    // flight.
+                    let t = ps.next_completion_ms().expect("just offered").max(now);
+                    let layer = l as u8;
+                    self.q.schedule_in_slot(Self::ps_slot(l), t, Ev::PsComputeDone { layer });
+                }
+                admitted
+            }
+        };
+        if admitted {
+            self.start_services(l, now);
+            return None;
+        }
+        let lay = &mut self.layers[l];
+        lay.dropped_queue += 1;
+        Some(JobEvent::Dropped {
+            seq: job.seq,
+            device: job.device,
+            layer: l,
+            reason: DropReason::QueueFull,
+        })
+    }
+
+    /// Starts every service layer `l`'s FIFO stage can start at `now`, each
+    /// one's `ComputeDone` on the layer's lane (nothing for a PS stage).
+    #[inline]
+    fn start_services(&mut self, l: usize, now: f64) {
+        let lay = &mut self.layers[l];
+        let Some(Stage::Fifo(queue)) = lay.stage.as_mut() else {
+            return;
+        };
+        while let Some((slot, dur)) = queue.dispatch(lay.exec_ms) {
+            lay.busy_ms += dur;
+            #[cfg(test)]
+            {
+                let tail = self.q.lane_tail_ms(lay.done_lane);
+                lay.done_lane_misses += u64::from(tail.is_some_and(|tail| now + dur < tail));
+            }
+            let done = Ev::ComputeDone { layer: l as u8, slot: slot as u32 };
+            self.q.schedule_on(lay.done_lane, now + dur, done);
+        }
     }
 
     /// Renders the run's report. Normally called after [`FleetEngine::
@@ -950,6 +1097,7 @@ impl<'a> FleetEngine<'a> {
 mod tests {
     use super::*;
     use crate::fleet::scenario::{CohortSpec, FleetScale, RoutePlan};
+    use crate::network::Link;
 
     /// A tiny scenario: `devices` devices, `windows` windows each, one
     /// window per `period_ms`, all routed by `route`.
@@ -1241,29 +1389,29 @@ mod tests {
 
     /// Steps `engine` to completion, one outcome a call.
     fn by_step(
-        mut engine: FleetEngine,
+        engine: &mut FleetEngine,
         mut route: impl FnMut(&RouteCtx) -> usize,
     ) -> Run<JobEvent> {
         let mut steps = Vec::new();
         while let Some(ev) = engine.step(&mut route) {
-            steps.push((ev, seen(&engine)));
+            steps.push((ev, seen(engine)));
         }
-        (steps, seen(&engine), engine.idle_completions, engine.report())
+        (steps, seen(engine), engine.idle_completions, engine.report())
     }
 
     /// Advances `engine` to completion 5 ms past each next event time, one
     /// barrier's outcomes a call.
     fn by_barriers(
-        mut engine: FleetEngine,
+        engine: &mut FleetEngine,
         mut route: impl FnMut(&RouteCtx) -> usize,
     ) -> Run<Vec<(f64, JobEvent)>> {
         let mut barriers = Vec::new();
         while let Some(next) = engine.next_event_time_ms() {
             let mut outcomes = Vec::new();
             engine.advance_until(next + 5.0, &mut route, &mut |t, ev| outcomes.push((t, ev)));
-            barriers.push((outcomes, seen(&engine)));
+            barriers.push((outcomes, seen(engine)));
         }
-        (barriers, seen(&engine), engine.idle_completions, engine.report())
+        (barriers, seen(engine), engine.idle_completions, engine.report())
     }
 
     /// Every way an event can miss its lane, in one scenario, against the
@@ -1300,12 +1448,13 @@ mod tests {
             }
         };
 
-        let laned = by_step(FleetEngine::new(&sc), route);
-        assert_eq!(laned, by_step(FleetEngine::heap_only(&sc), route));
-        assert_eq!(laned, by_step(FleetEngine::eager(&sc), route));
-        let barriered = by_barriers(FleetEngine::new(&sc), route);
-        assert_eq!(barriered, by_barriers(FleetEngine::heap_only(&sc), route));
-        assert_eq!(barriered, by_barriers(FleetEngine::eager(&sc), route));
+        let topo = || sc.topology();
+        let laned = by_step(&mut FleetEngine::new(&sc), route);
+        assert_eq!(laned, by_step(&mut FleetEngine::heap_only(&sc, topo()), route));
+        assert_eq!(laned, by_step(&mut FleetEngine::eager(&sc, topo()), route));
+        let barriered = by_barriers(&mut FleetEngine::new(&sc), route);
+        assert_eq!(barriered, by_barriers(&mut FleetEngine::heap_only(&sc, topo()), route));
+        assert_eq!(barriered, by_barriers(&mut FleetEngine::eager(&sc, topo()), route));
 
         // The scenario does what it is for: local backlog (a latency above
         // the slow cohort's bare execution time), drops at the backlog
@@ -1357,16 +1506,82 @@ mod tests {
             }
         };
 
-        let stepped = by_step(FleetEngine::new(&sc), route);
-        assert_eq!(stepped, by_step(FleetEngine::eager(&sc), route));
-        let barriered = by_barriers(FleetEngine::new(&sc), route);
-        assert_eq!(barriered, by_barriers(FleetEngine::eager(&sc), route));
+        let stepped = by_step(&mut FleetEngine::new(&sc), route);
+        assert_eq!(stepped, by_step(&mut FleetEngine::eager(&sc, sc.topology()), route));
+        let barriered = by_barriers(&mut FleetEngine::new(&sc), route);
+        assert_eq!(barriered, by_barriers(&mut FleetEngine::eager(&sc, sc.topology()), route));
 
         let report = &stepped.3;
         assert_eq!(report.served + report.dropped, report.emitted);
         assert!(report.layers.iter().all(|l| l.served > 0), "{report:?}");
         assert!(depths.borrow().len() > 2, "the router saw one gauge value: {depths:?}");
         assert!(!report.trace.is_empty());
+    }
+
+    /// Arrival groups at one instant with other events between their
+    /// members, held to the engine that files every arrival as an event of
+    /// its own. Edge and cloud are one equal propagation away, so an
+    /// emission bucket routed over both files two groups whose members
+    /// interleave by `seq` (each group splits at the other); layer-0 work
+    /// takes that propagation too, so device-local completions retire at
+    /// those instants; trace samples land on them. A short edge queue
+    /// drops arrivals mid-group (where `step` returns), two edge servers
+    /// with batches of up to four finish out of order (`ComputeDone` lane
+    /// misses), and — on the second topology — a capped cloud uplink
+    /// releases its transfers as `LinkDone` groups. After every step and
+    /// barrier: same events, horizon, next event time, outcomes, report.
+    ///
+    /// Mutants it kills: a fresh `seq` per group instead of the first
+    /// member's, no split at an interleaving event, `step` retiring
+    /// device-local completions up to a group's first member instead of
+    /// its last handled one, and a `ComputeDone` appended to its lane
+    /// without the order check.
+    #[test]
+    fn arrival_groups_sharing_an_instant_split_in_seq_order() {
+        const PROP_MS: f64 = 10.0;
+        let mut sc = tiny(12, 30, 10.0, RoutePlan::Fixed(0));
+        sc.exec_ms_override[0] = Some(PROP_MS);
+        sc.exec_ms_override[2] = Some(3.0 * PROP_MS);
+        sc.discipline = Discipline::Fifo;
+        sc.batch_max = 4;
+        sc.batch_factor = 0.5;
+        sc.queue_capacity = 3;
+        sc.emit_buckets = 2;
+        sc.trace_interval_ms = 5.0;
+        let route = |ctx: &RouteCtx| (ctx.seq as usize + ctx.queue_depth[0]) % 3;
+        let (mut splits, mut misses) = (0, 0);
+        for cloud_mbps in [None, Some(2.0)] {
+            let mut layers = sc.topology().layers().to_vec();
+            layers[1].device.concurrency = 2;
+            layers[2].device.concurrency = 1;
+            layers[1].uplink = Link::delay_only(2.0 * PROP_MS);
+            layers[2].uplink = Link::delay_only(2.0 * PROP_MS);
+            if let Some(mbps) = cloud_mbps {
+                layers[2].uplink = layers[2].uplink.clone().with_bandwidth(mbps);
+            }
+            let topo = || HecTopology::new(layers.clone());
+
+            let mut engine = FleetEngine::with_topology(&sc, topo());
+            let stepped = by_step(&mut engine, route);
+            splits += engine.group_splits;
+            misses += engine.layers.iter().map(|l| l.done_lane_misses).sum::<u64>();
+            assert_eq!(stepped, by_step(&mut FleetEngine::heap_only(&sc, topo()), route));
+            assert_eq!(stepped, by_step(&mut FleetEngine::eager(&sc, topo()), route));
+            let barriered = by_barriers(&mut FleetEngine::with_topology(&sc, topo()), route);
+            assert_eq!(barriered, by_barriers(&mut FleetEngine::heap_only(&sc, topo()), route));
+            assert_eq!(barriered, by_barriers(&mut FleetEngine::eager(&sc, topo()), route));
+
+            let report = &stepped.3;
+            assert_eq!(report.served + report.dropped, report.emitted);
+            assert!(report.layers.iter().all(|l| l.served > 0), "{report:?}");
+            assert!(report.layers[1..].iter().all(|l| l.dropped_queue > 0), "{report:?}");
+            // Cloud windows arrive by `LinkDone` groups here, several
+            // transfers sharing the link.
+            let capped = cloud_mbps.is_some();
+            assert_eq!(report.layers[2].peak_link_inflight > 1, capped, "{report:?}");
+        }
+        assert!(splits > 0, "no group split at an interleaving event");
+        assert!(misses > 0, "every ComputeDone kept its lane in order");
     }
 
     #[test]

@@ -220,7 +220,7 @@ impl PsResource {
     /// Estimated virtual time of the next completion under the *current*
     /// share (`None` when idle). Valid until the next mutation.
     pub fn next_completion_ms(&self) -> Option<f64> {
-        let finish_credit = self.jobs.peek_key()?;
+        let (finish_credit, _) = self.jobs.peek_head()?;
         let dt = ((finish_credit - self.credit) / self.rate()).max(0.0);
         Some(self.last_ms + dt)
     }

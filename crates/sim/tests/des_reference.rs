@@ -4,11 +4,12 @@
 //!
 //! `reference/` keeps what this crate shipped before. Whatever goes in —
 //! lane inserts that keep a lane sorted and ones that do not, slot events
-//! that supersede a pending one and ones that refill an empty slot, equal
-//! times spread over lanes, slots and heap, jobs of mixed work, shards that
-//! tie or have nothing to merge — the same things must come out in the
-//! same order, and every observable in between (length, next time, clock)
-//! must agree. The default suite runs 32 cases of each property; CI's
+//! that supersede a pending one and ones that refill an empty slot, events
+//! filed under a `seq` reserved some operations earlier (in front of or
+//! behind a lane's later tail), equal times spread over lanes, slots and
+//! heap, jobs of mixed work, shards that tie or have nothing to merge — the
+//! same things must come out in the same order, and every observable in
+//! between (length, next time and `seq`, clock) must agree. The default suite runs 32 cases of each property; CI's
 //! `sharded fleet` job also runs the ignored 512-case variants.
 
 mod reference;
@@ -31,16 +32,19 @@ const SLOTS: usize = 2;
 type QueueOp = (u8, usize, u32, u32);
 
 fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
-    collection::vec((0u8..10, 0usize..LANES + 2, 0u32..6, 0u32..4), 1..200)
+    collection::vec((0u8..12, 0usize..LANES + 2, 0u32..6, 0u32..4), 1..200)
 }
 
 /// Random interleavings of `schedule` / `schedule_on` /
-/// `schedule_in_slot` / `pop` / `pop_at_or_before` on a laned, slotted
-/// queue and on the single heap that drops superseded slot events by
-/// generation.
+/// `schedule_in_slot` / `reserve_seq` / `schedule_reserved_on` / `pop` /
+/// `pop_at_or_before` on a laned, slotted queue and on the single heap
+/// that drops superseded slot events by generation and takes reserved
+/// `seq`s explicitly.
 fn queue_matches_single_heap(ops: &[QueueOp]) {
     let mut q = EventQueue::with_lanes_and_slots(LANES, SLOTS);
     let mut r = RefEventQueue::with_slots(SLOTS);
+    // `seq`s reserved and not filed yet.
+    let mut reserved: Vec<u64> = Vec::new();
     for (id, &(kind, lane, delay, barrier)) in ops.iter().enumerate() {
         let t = r.now_ms() + delay as f64 * 0.5;
         match kind {
@@ -60,6 +64,21 @@ fn queue_matches_single_heap(ops: &[QueueOp]) {
                 r.schedule_in_slot(lane % SLOTS, t, id);
             }
             7 | 8 => assert_eq!(q.pop(), r.pop(), "op {id}"),
+            10 => {
+                let seq = q.reserve_seq();
+                assert_eq!(seq, r.reserve_seq(), "op {id}");
+                reserved.push(seq);
+            }
+            // Filed ops later, at a time of the clock then: lane events
+            // scheduled meanwhile have later `seq`s, so the reserved one
+            // may pop before a later lane tail (the heap) or after it.
+            11 => {
+                if !reserved.is_empty() {
+                    let seq = reserved.remove(lane % reserved.len());
+                    q.schedule_reserved_on(lane, t, seq, id);
+                    r.schedule_with_seq(t, seq, id);
+                }
+            }
             _ => {
                 let barrier_ms = r.now_ms() + barrier as f64 * 0.5;
                 let due = r.peek_time_ms().is_some_and(|next| next <= barrier_ms);
@@ -70,6 +89,7 @@ fn queue_matches_single_heap(ops: &[QueueOp]) {
         assert_eq!(q.len(), r.len(), "op {id}");
         assert_eq!(q.is_empty(), r.len() == 0, "op {id}");
         assert_eq!(q.peek_time_ms(), r.peek_time_ms(), "op {id}");
+        assert_eq!(q.peek_head(), r.peek_head(), "op {id}");
         assert_eq!(q.now_ms(), r.now_ms(), "op {id}");
     }
     while let Some(want) = r.pop() {

@@ -4,10 +4,12 @@
 //! stepped outcome by outcome and larger ones through the barrier loop in
 //! `reference/stepped.rs`.
 
+mod common;
 mod reference;
 
 use proptest::prelude::*;
 
+use common::scenario_from;
 use hec_sim::fleet::{
     CohortSpec, FleetEngine, FleetReport, FleetScale, FleetScenario, JobEvent, RouteCtx, RoutePlan,
     ShardPlan, ShardedFleetEngine,
@@ -22,25 +24,6 @@ fn run(sc: &FleetScenario) -> FleetReport {
     let mut engine = FleetEngine::new(sc);
     while engine.step(&mut |ctx| sc.planned_layer(ctx.cohort, ctx.seq)).is_some() {}
     engine.report()
-}
-
-/// Builds a small scenario from sampled parameters.
-fn scenario_from(
-    devices: u32,
-    windows: u32,
-    period_ms: f64,
-    weights: [f64; 3],
-    queue_capacity: usize,
-    batch_max: usize,
-) -> FleetScenario {
-    let mut sc = FleetScenario::light_load(FleetScale::Quick);
-    sc.name = "prop".into();
-    sc.queue_capacity = queue_capacity;
-    sc.batch_max = batch_max;
-    sc.trace_interval_ms = 25.0;
-    sc.cohorts =
-        vec![CohortSpec::uniform(devices, windows, period_ms, 0.0, RoutePlan::Mixture(weights))];
-    sc
 }
 
 proptest! {

@@ -78,16 +78,31 @@ impl<T> RefEventQueue<T> {
     }
 
     fn push(&mut self, time_ms: f64, stamp: Stamp, payload: T) {
+        let seq = self.reserve_seq();
+        self.push_with_seq(time_ms, seq, stamp, payload);
+    }
+
+    fn push_with_seq(&mut self, time_ms: f64, seq: u64, stamp: Stamp, payload: T) {
         assert!(time_ms.is_finite(), "event time must be finite, got {time_ms}");
         assert!(time_ms >= self.now_ms, "cannot schedule in the past");
+        self.heap.push(Keyed { key: time_ms, seq, payload: (stamp, payload) });
+    }
+
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Keyed { key: time_ms, seq, payload: (stamp, payload) });
+        seq
     }
 
     pub fn schedule(&mut self, time_ms: f64, payload: T) {
         self.live += 1;
         self.push(time_ms, None, payload);
+    }
+
+    /// `schedule` under a `seq` taken earlier by `reserve_seq`.
+    pub fn schedule_with_seq(&mut self, time_ms: f64, seq: u64, payload: T) {
+        self.live += 1;
+        self.push_with_seq(time_ms, seq, None, payload);
     }
 
     pub fn schedule_in_slot(&mut self, slot: usize, time_ms: f64, payload: T) {
@@ -125,8 +140,12 @@ impl<T> RefEventQueue<T> {
     }
 
     pub fn peek_time_ms(&mut self) -> Option<f64> {
+        self.peek_head().map(|(time_ms, _)| time_ms)
+    }
+
+    pub fn peek_head(&mut self) -> Option<(f64, u64)> {
         self.settle();
-        self.heap.peek().map(|e| e.key)
+        self.heap.peek().map(|e| (e.key, e.seq))
     }
 
     pub fn len(&self) -> usize {
