@@ -83,7 +83,7 @@ pub enum ThresholdRule {
     /// windows, so every model flags the same fraction of normal windows.
     /// With equal specificity, detection sensitivity ordering follows model
     /// capacity directly — this is the validation-tuned-τ practice of
-    /// EncDec-AD (ref [2]).
+    /// EncDec-AD (ref \[2\]).
     WindowFpr(f64),
 }
 
@@ -138,7 +138,7 @@ impl ThresholdRule {
 ///
 /// For univariate models the error vectors are 1-dimensional (per-timestep
 /// scalar errors); for the multivariate seq2seq models they are
-/// 18-dimensional (per-timestep error vectors), matching refs [2], [3], [9].
+/// 18-dimensional (per-timestep error vectors), matching refs \[2\], \[3\], \[9\].
 ///
 /// # Example
 ///

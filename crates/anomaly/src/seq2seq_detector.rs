@@ -10,7 +10,7 @@
 //!
 //! Every entry point — `fit`'s training windows, calibration,
 //! [`AnomalyDetector::detect`] / `detect_batch`, the policy context — goes
-//! through one routine: gather up to [`BLOCK_WINDOWS`] equally long windows
+//! through one routine: gather up to `BLOCK_WINDOWS` (16) equally long windows
 //! into this thread's scratch as one **time-major** block (the deployment's
 //! input quantisation applied on the way), hand the block to
 //! the model's batch axis, read the result row by row. Rows of the model's
@@ -413,7 +413,6 @@ mod tests {
                 encoder_hidden: hidden,
                 bidirectional: bi,
                 dropout: 0.0,
-                l2_lambda: 1e-4,
                 seed: 3,
             },
         )

@@ -34,7 +34,6 @@ fn fitted(bidirectional: bool, input_bits: Option<u8>) -> Seq2SeqDetector {
             encoder_hidden: 6,
             bidirectional,
             dropout: 0.3,
-            l2_lambda: 1e-4,
             seed: 11,
         },
     );

@@ -1,7 +1,7 @@
 //! REINFORCE training with the reinforcement-comparison baseline.
 //!
 //! §II-B: *"To reduce the variance of reward value and increase the
-//! convergence rate, we utilize reinforcement comparison [11] with a baseline
+//! convergence rate, we utilize reinforcement comparison \[11\] with a baseline
 //! R(ã, z_x)"* — i.e. the advantage fed to the policy gradient is the reward
 //! minus a running reference reward (Williams 1992, Sutton & Barto §2.8).
 

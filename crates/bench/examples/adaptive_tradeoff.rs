@@ -6,10 +6,10 @@
 //! cargo run --release --example adaptive_tradeoff
 //! ```
 
-use hec_ad::bandit::TrainConfig;
-use hec_ad::core::ablation::alpha_sweep;
-use hec_ad::core::{DatasetConfig, Experiment, ExperimentConfig};
-use hec_ad::data::power::PowerConfig;
+use hec_bandit::TrainConfig;
+use hec_core::ablation::alpha_sweep;
+use hec_core::{DatasetConfig, Experiment, ExperimentConfig};
+use hec_data::power::PowerConfig;
 
 fn main() {
     let config = ExperimentConfig {

@@ -8,10 +8,10 @@
 //! cargo run --release --example demo_panel
 //! ```
 
-use hec_ad::bandit::RewardModel;
-use hec_ad::core::stream::stream_records;
-use hec_ad::core::{DatasetConfig, Experiment, ExperimentConfig, SchemeEvaluator, SchemeKind};
-use hec_ad::data::power::PowerConfig;
+use hec_bandit::RewardModel;
+use hec_core::stream::stream_records;
+use hec_core::{DatasetConfig, Experiment, ExperimentConfig, SchemeEvaluator, SchemeKind};
+use hec_data::power::PowerConfig;
 
 fn main() {
     let config = ExperimentConfig {

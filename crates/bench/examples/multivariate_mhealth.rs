@@ -6,10 +6,10 @@
 //! cargo run --release --example multivariate_mhealth
 //! ```
 
-use hec_ad::anomaly::ModelCatalog;
-use hec_ad::data::mhealth::{Activity, MhealthConfig, MhealthGenerator};
-use hec_ad::data::{paper_split, LabeledWindow, Standardizer};
-use hec_ad::tensor::Matrix;
+use hec_anomaly::ModelCatalog;
+use hec_data::mhealth::{Activity, MhealthConfig, MhealthGenerator};
+use hec_data::{paper_split, LabeledWindow, Standardizer};
+use hec_tensor::Matrix;
 
 fn main() {
     // Small-but-real configuration: 2 subjects, 64-step windows.

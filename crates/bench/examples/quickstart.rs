@@ -5,8 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use hec_ad::core::{format_table1, format_table2, DatasetConfig, Experiment, ExperimentConfig};
-use hec_ad::data::power::PowerConfig;
+use hec_core::{format_table1, format_table2, DatasetConfig, Experiment, ExperimentConfig};
+use hec_data::power::PowerConfig;
 
 fn main() {
     // A mid-sized configuration that finishes in seconds in release mode.

@@ -6,10 +6,10 @@
 //! cargo run --release --example univariate_power
 //! ```
 
-use hec_ad::anomaly::ModelCatalog;
-use hec_ad::data::power::{AnomalyKind, PowerConfig, PowerGenerator};
-use hec_ad::data::{paper_split, LabeledWindow, Standardizer};
-use hec_ad::tensor::Matrix;
+use hec_anomaly::ModelCatalog;
+use hec_data::power::{AnomalyKind, PowerConfig, PowerGenerator};
+use hec_data::{paper_split, LabeledWindow, Standardizer};
+use hec_tensor::Matrix;
 
 fn main() {
     let config = PowerConfig {

@@ -6,6 +6,7 @@
 //! (`HEC_PROFILE=quick` for a fast smoke run).
 
 use hec_bandit::TrainConfig;
+use hec_bench::cli::Spec;
 use hec_bench::{univariate_config, Profile};
 use hec_core::ablation::{
     alpha_sweep, baseline_ablation, confidence_sweep, solver_comparison, threshold_rule_ablation,
@@ -13,6 +14,8 @@ use hec_core::ablation::{
 use hec_core::Experiment;
 
 fn main() {
+    Spec { bin: "repro_ablation", usage: "usage: repro_ablation\n", values: &[], switches: &[] }
+        .parse_without_positional();
     let profile = Profile::from_env();
     println!("== repro_ablation (profile: {profile:?}) ==\n");
 

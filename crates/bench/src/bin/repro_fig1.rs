@@ -4,9 +4,12 @@
 //! Run with `cargo run -p hec-bench --bin repro_fig1`.
 
 use hec_anomaly::{AeArchitecture, ModelCatalog};
+use hec_bench::cli::Spec;
 use hec_sim::{DatasetKind, HecTopology};
 
 fn main() {
+    Spec { bin: "repro_fig1", usage: "usage: repro_fig1\n", values: &[], switches: &[] }
+        .parse_without_positional();
     println!("== repro_fig1: HEC testbed and AD model architectures ==\n");
 
     for kind in [DatasetKind::Univariate, DatasetKind::Multivariate] {

@@ -4,10 +4,13 @@
 //! Run with `cargo run -p hec-bench --bin repro_fig2`.
 
 use hec_bandit::{PolicyNetwork, PolicyTrainer, RewardModel, TrainConfig};
+use hec_bench::cli::Spec;
 use hec_core::static_delay_table;
 use hec_sim::{DatasetKind, HecTopology};
 
 fn main() {
+    Spec { bin: "repro_fig2", usage: "usage: repro_fig2\n", values: &[], switches: &[] }
+        .parse_without_positional();
     println!("== repro_fig2: adaptive model selection with a policy network ==\n");
 
     let mut policy = PolicyNetwork::new(4, 100, 3, 0);

@@ -5,10 +5,13 @@
 //! Run with `cargo run --release -p hec-bench --bin repro_table1`
 //! (`HEC_PROFILE=quick` for a fast smoke run).
 
+use hec_bench::cli::Spec;
 use hec_bench::{multivariate_config, paper, paper_table1, univariate_config, Profile};
 use hec_core::{format_table1, Experiment};
 
 fn main() {
+    Spec { bin: "repro_table1", usage: "usage: repro_table1\n", values: &[], switches: &[] }
+        .parse_without_positional();
     let profile = Profile::from_env();
     println!("== repro_table1 (profile: {profile:?}) ==\n");
 

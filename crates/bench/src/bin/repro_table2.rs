@@ -5,6 +5,7 @@
 //! Run with `cargo run --release -p hec-bench --bin repro_table2`
 //! (`HEC_PROFILE=quick` for a fast smoke run).
 
+use hec_bench::cli::Spec;
 use hec_bench::{multivariate_config, paper, paper_table2, univariate_config, Profile};
 use hec_core::{format_table2, Experiment, ExperimentConfig, SchemeKind};
 
@@ -41,6 +42,8 @@ fn run(label: &str, config: ExperimentConfig, reference: &[(&str, f64, f64, f64)
 }
 
 fn main() {
+    Spec { bin: "repro_table2", usage: "usage: repro_table2\n", values: &[], switches: &[] }
+        .parse_without_positional();
     let profile = Profile::from_env();
     println!("== repro_table2 (profile: {profile:?}) ==\n");
 

@@ -58,6 +58,16 @@ impl Spec {
         }
     }
 
+    /// [`Spec::parse`] for a binary that takes no positional argument: one
+    /// is a usage error, like an unknown flag.
+    pub fn parse_without_positional(self) -> Cli {
+        let cli = self.parse();
+        if let Some(arg) = cli.positional() {
+            cli.fail(&format!("unexpected argument {arg:?}"));
+        }
+        cli
+    }
+
     /// Parses `args` (without the program name).
     ///
     /// # Errors

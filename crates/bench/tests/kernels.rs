@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use hec_ad::tensor::Matrix;
+use hec_tensor::Matrix;
 
 /// Naive j-inner triple loop — the reference implementation.
 fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {

@@ -4,9 +4,9 @@
 //! `HEC_PROFILE` with a `quick` default so `cargo test` stays seconds-scale
 //! (`HEC_PROFILE=full cargo test` runs the release-sized experiment).
 
-use hec_ad::core::{DatasetConfig, Experiment, ExperimentConfig, SchemeKind};
-use hec_ad::sim::DatasetKind;
 use hec_bench::{univariate_config, Profile};
+use hec_core::{DatasetConfig, Experiment, ExperimentConfig, SchemeKind};
+use hec_sim::DatasetKind;
 
 fn tiny_univariate(seed: u64) -> ExperimentConfig {
     let profile = Profile::from_env_or(Profile::Quick);

@@ -2,11 +2,11 @@
 
 use proptest::prelude::*;
 
-use hec_ad::bandit::{CostModel, PolicyNetwork};
-use hec_ad::data::BinaryConfusion;
-use hec_ad::nn::{Activation, QuantMode, QuantizedDense};
-use hec_ad::sim::{DatasetKind, EventQueue, HecTopology};
-use hec_ad::tensor::{vecops, Matrix, QuantScheme, QuantizedMatrix};
+use hec_bandit::{CostModel, PolicyNetwork};
+use hec_data::BinaryConfusion;
+use hec_nn::{Activation, QuantMode, QuantizedDense};
+use hec_sim::{DatasetKind, EventQueue, HecTopology};
+use hec_tensor::{vecops, Matrix, QuantScheme, QuantizedMatrix};
 
 fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-10.0f32..10.0, rows * cols)
@@ -190,7 +190,7 @@ proptest! {
 
     #[test]
     fn standardizer_output_is_zero_mean(m in small_matrix(8, 3)) {
-        let s = hec_ad::data::Standardizer::fit(&m);
+        let s = hec_data::Standardizer::fit(&m);
         let z = s.transform(&m);
         for c in 0..3 {
             let col = z.col(c);

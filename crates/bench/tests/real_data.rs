@@ -3,12 +3,12 @@
 //! protocol → scheme evaluation → closed-loop fleet streaming.
 #![cfg(feature = "real-data")]
 
-use hec_ad::bandit::{RewardModel, TrainConfig};
-use hec_ad::core::{DatasetConfig, Experiment, ExperimentConfig, SchemeKind};
-use hec_ad::data::ingest::{MissingValuePolicy, PowerCsvSource};
-use hec_ad::data::power::PowerConfig;
-use hec_ad::data::DatasetSource;
-use hec_ad::sim::fleet::{CohortSpec, FleetScale, FleetScenario, RoutePlan};
+use hec_bandit::{RewardModel, TrainConfig};
+use hec_core::{DatasetConfig, Experiment, ExperimentConfig, SchemeKind};
+use hec_data::ingest::{MissingValuePolicy, PowerCsvSource};
+use hec_data::power::PowerConfig;
+use hec_data::DatasetSource;
+use hec_sim::fleet::{CohortSpec, FleetScale, FleetScenario, RoutePlan};
 
 const SPD: usize = 24;
 
@@ -29,8 +29,8 @@ fn power_fixture_config(days: usize) -> ExperimentConfig {
     }
 }
 
-fn load_power() -> hec_ad::data::LabeledCorpus {
-    let path = format!("{}/fixtures/power_good.csv", env!("CARGO_MANIFEST_DIR"));
+fn load_power() -> hec_data::LabeledCorpus {
+    let path = format!("{}/../../fixtures/power_good.csv", env!("CARGO_MANIFEST_DIR"));
     PowerCsvSource::new(path, SPD, MissingValuePolicy::Reject).load().expect("well-formed fixture")
 }
 
@@ -65,8 +65,8 @@ fn power_fixture_runs_the_full_paper_protocol() {
     let mut sc = FleetScenario::light_load(FleetScale::Quick);
     let probe = sc.cohorts.len() as u32;
     sc.cohorts.push(CohortSpec::uniform(100, 10, 1200.0, 0.0, RoutePlan::Fixed(0)));
-    let reward = RewardModel::new(hec_ad::sim::DatasetKind::Univariate.paper_alpha());
-    let r = hec_ad::core::stream::stream_through_fleet(
+    let reward = RewardModel::new(hec_sim::DatasetKind::Univariate.paper_alpha());
+    let r = hec_core::stream::stream_through_fleet(
         &sc,
         &eval_oracle,
         SchemeKind::Adaptive,

@@ -72,7 +72,7 @@ pub struct ShardedFleetRun {
 /// every merged outcome to `observer` in the deterministic
 /// `(time, shard-id)` order, on up to `HEC_THREADS` workers — spawned once
 /// for the whole run, and only as many as the plan has shards and
-/// [`WINDOWS_PER_WORKER`] windows for (a one-shard plan runs on the
+/// `WINDOWS_PER_WORKER` windows for (a one-shard plan runs on the
 /// calling thread). The outcome stream and the report do not depend on
 /// the worker count. Without an observer the outcomes are never buffered
 /// or merged; the run, the registry snapshot and the virtual-clock trace

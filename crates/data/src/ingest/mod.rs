@@ -37,7 +37,7 @@
 //! treated as missing, so a loaded corpus is finite by construction.
 //!
 //! Every error path reports the **1-based line number** of the offending
-//! record ([`IngestError`](crate::source::IngestError)) — malformed
+//! record ([`IngestError`]) — malformed
 //! traces fail with a pointer at the line to fix, never a panic.
 
 pub mod chunked;

@@ -16,7 +16,7 @@
 //!   12 activities and 10 subjects; the dominant activity (walking) is
 //!   normal, everything else anomalous; windows of 128 steps, stride 64.
 //!
-//! With the `real-data` feature enabled, the [`ingest`] module adds
+//! With the `real-data` feature enabled, the `ingest` module adds
 //! file-backed **real-trace** loading: hand-rolled streaming CSV and
 //! NDJSON readers with schema adapters for the UCI-power-demand and
 //! MHEALTH layouts, an explicit missing-value policy, and line-numbered

@@ -240,7 +240,7 @@ impl MhealthGenerator {
     }
 
     /// Synthesises one session (`steps × 18`) for a subject and activity,
-    /// using the activity's built-in [`Activity::walking_similarity`].
+    /// using the activity's built-in `Activity::walking_similarity`.
     ///
     /// # Panics
     ///

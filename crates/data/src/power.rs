@@ -1,7 +1,7 @@
 //! Synthetic univariate power-demand dataset.
 //!
 //! Substitutes the Dutch power-demand dataset (UCR discords) used by the
-//! paper (§III-A) and its references [2], [3], [9]. The real data is one year
+//! paper (§III-A) and its references \[2\], \[3\], \[9\]. The real data is one year
 //! of 15-minute electricity demand with a strong weekly rhythm; the
 //! documented anomalies are **weekdays whose demand collapses to a
 //! weekend/holiday profile**.

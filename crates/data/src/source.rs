@@ -3,7 +3,7 @@
 //!
 //! Every dataset the pipeline can score — the synthetic [`crate::power`] /
 //! [`crate::mhealth`] generators and (behind the `real-data` feature) the
-//! [`crate::ingest`] CSV/NDJSON trace loaders — produces the same shape:
+//! `ingest` CSV/NDJSON trace loaders — produces the same shape:
 //! a [`LabeledCorpus`] of windows plus per-window anomaly-class ids, which
 //! is exactly what [`crate::paper_split`] consumes. [`DatasetSource`]
 //! abstracts over *where* that corpus comes from, so the experiment
@@ -90,7 +90,7 @@ pub enum IngestError {
         message: String,
     },
     /// A missing or non-finite sample the active
-    /// [`MissingValuePolicy`](crate::ingest::MissingValuePolicy) rejects.
+    /// `ingest::MissingValuePolicy` rejects.
     Missing {
         /// 1-based line number of the offending sample.
         line: u64,

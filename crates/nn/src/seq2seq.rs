@@ -54,6 +54,10 @@ use crate::sequential::Layer;
 use crate::workspace::Buf;
 use crate::Activation;
 
+/// `l2` kernel regularisation weight of every encoder, decoder and output
+/// kernel (paper: 1e-4).
+pub const L2_LAMBDA: f32 = 1e-4;
+
 /// Configuration for a [`Seq2Seq`] model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Seq2SeqConfig {
@@ -65,22 +69,13 @@ pub struct Seq2SeqConfig {
     pub bidirectional: bool,
     /// Dropout rate applied to decoder outputs (paper: 0.3).
     pub dropout: f32,
-    /// `l2` kernel regularisation weight (paper: 1e-4).
-    pub l2_lambda: f32,
     /// RNG seed for weight initialisation and dropout masks.
     pub seed: u64,
 }
 
 impl Default for Seq2SeqConfig {
     fn default() -> Self {
-        Self {
-            input_dim: 18,
-            encoder_hidden: 48,
-            bidirectional: false,
-            dropout: 0.3,
-            l2_lambda: 1e-4,
-            seed: 0,
-        }
+        Self { input_dim: 18, encoder_hidden: 48, bidirectional: false, dropout: 0.3, seed: 0 }
     }
 }
 
@@ -293,15 +288,12 @@ impl Seq2Seq {
             Encoder::Bi(b) => b.backward_from_state(&d_state0, None),
         }
 
-        if self.config.l2_lambda > 0.0 {
-            let lambda = self.config.l2_lambda;
-            match &mut self.encoder {
-                Encoder::Uni(l) => l.apply_l2(lambda),
-                Encoder::Bi(b) => b.apply_l2(lambda),
-            }
-            self.decoder.apply_l2(lambda);
-            self.output.apply_l2(lambda);
+        match &mut self.encoder {
+            Encoder::Uni(l) => l.apply_l2(L2_LAMBDA),
+            Encoder::Bi(b) => b.apply_l2(L2_LAMBDA),
         }
+        self.decoder.apply_l2(L2_LAMBDA);
+        self.output.apply_l2(L2_LAMBDA);
 
         self.apply_gradients(optimizer);
         loss
@@ -376,7 +368,6 @@ mod tests {
             encoder_hidden: 10,
             bidirectional,
             dropout: 0.0, // deterministic tests
-            l2_lambda: 1e-4,
             seed: 7,
         }
     }
@@ -491,7 +482,6 @@ mod tests {
             encoder_hidden: 48,
             bidirectional: false,
             dropout: 0.3,
-            l2_lambda: 1e-4,
             seed: 0,
         });
         let lstm = |input: usize, h: usize| 4 * h * (input + h + 1);

@@ -178,7 +178,7 @@ fn ten_training_steps_leave_the_reference_models_weights() {
         for (t_len, hidden) in [(1usize, 3usize), (7, 16), (64, 32), (64, 64)] {
             let case = format!("bi {bidirectional}, T {t_len}, H {hidden}");
             // Paper settings: dropout 0.3 (the mask stream must line up
-            // too) and l2 1e-4.
+            // too); l2 is the constant 1e-4 on both sides.
             let config = Seq2SeqConfig {
                 input_dim: INPUT_DIM,
                 encoder_hidden: hidden,

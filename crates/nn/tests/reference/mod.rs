@@ -16,6 +16,7 @@ pub mod optim;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use hec_nn::seq2seq::L2_LAMBDA;
 use hec_nn::{Activation, LstmState, Optimizer, Seq2SeqConfig};
 use hec_tensor::math::{sigmoid, tanh};
 use hec_tensor::{init, Matrix};
@@ -395,15 +396,12 @@ impl RefSeq2Seq {
             }
         }
 
-        if self.config.l2_lambda > 0.0 {
-            let lambda = self.config.l2_lambda;
-            match &mut self.encoder {
-                Encoder::Uni(l) => l.apply_l2(lambda),
-                Encoder::Bi(b) => b.apply_l2(lambda),
-            }
-            self.decoder.apply_l2(lambda);
-            self.output.apply_l2(lambda);
+        match &mut self.encoder {
+            Encoder::Uni(l) => l.apply_l2(L2_LAMBDA),
+            Encoder::Bi(b) => b.apply_l2(L2_LAMBDA),
         }
+        self.decoder.apply_l2(L2_LAMBDA);
+        self.output.apply_l2(L2_LAMBDA);
 
         let mut slot = 0usize;
         self.visit_params(&mut |param, grad| {

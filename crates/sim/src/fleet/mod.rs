@@ -1,9 +1,10 @@
 //! Discrete-event fleet simulation: stream millions of windows from a
 //! device fleet through the 3-layer HEC hierarchy.
 //!
-//! The per-job [`crate::runtime`] models a *single* device and charges
-//! each window the load-independent [`HecTopology::end_to_end_ms`]
-//! delay, so offloading never queues and links never saturate. This
+//! The static delay model ([`crate::HecTopology::end_to_end_ms`]) charges
+//! each window a load-independent delay, as if one device had the
+//! hierarchy to itself, so offloading never queues and links never
+//! saturate. This
 //! module scales the testbed out: **N** IoT devices (hundreds of
 //! thousands and up) emit windows at configurable rates into per-layer
 //! service queues and bandwidth-shared links, making detection delay
