@@ -9,8 +9,9 @@
 
 use rand::Rng;
 
-use hec_nn::{Activation, Dense, Optimizer, PingPong, Sequential};
-use hec_tensor::{math, vecops, Matrix};
+use hec_nn::Optimizer;
+use hec_tensor::kernel::gemm_nn;
+use hec_tensor::{init, math, vecops, Matrix};
 
 /// Contexts per forward pass of [`PolicyNetwork::greedy_batch`]: at the
 /// paper's 100 hidden units a block's activations are 25 KB and stay in
@@ -18,6 +19,25 @@ use hec_tensor::{math, vecops, Matrix};
 const GREEDY_BLOCK_ROWS: usize = 64;
 
 /// The policy network `f_θ(z_x) → s ∈ Δ^{K-1}`.
+///
+/// Two dense layers, `input → hidden` (ReLU) and `hidden → actions`
+/// (linear), with softmax on top. All four parameter tensors live in **one
+/// flat buffer** in visit order `W1 | b1 | W2 | b2` (`W1` is
+/// `input × hidden` and `W2` `hidden × actions`, row-major), which is also
+/// the byte order of [`PolicyNetwork::weights_le_bytes`]. A forward pass
+/// is two `gemm_nn` calls over slices of it. A REINFORCE update
+/// **writes** `∂L/∂θ` into a second buffer of the same layout — every
+/// element, so nothing is zeroed between updates — and hands both to
+/// **one** `optimizer.step(0, ..)`: one Adam pass over all parameters and
+/// one step of its count, as four per-tensor passes opened by slot 0 were.
+///
+/// Every gradient element is what the `Sequential` stack of two `Dense`
+/// layers this replaced computed, bit for bit (`tests/reference.rs` keeps
+/// that stack as the referee): each outer-product and bias element is
+/// `0.0 + a·b` (the staged product added into a zeroed gradient,
+/// `0.0 + ((0.0 + a·b)·1.0)`, which turns a `−0` into `+0` the same way),
+/// and the hidden gradient `δ·W2ᵀ` is summed over the actions in ascending
+/// order from `0.0`, before `W2` moves.
 ///
 /// # Example
 ///
@@ -29,20 +49,28 @@ const GREEDY_BLOCK_ROWS: usize = 64;
 /// assert_eq!(probs.len(), 3);
 /// ```
 pub struct PolicyNetwork {
-    net: Sequential,
     input_dim: usize,
+    hidden: usize,
     num_actions: usize,
-    /// The one-window paths' reused buffers: the context as a `1 × input`
-    /// row, the inference activations, and `π(· | context)` — which a
+    /// `W1 | b1 | W2 | b2`, one `1 × param_count` row.
+    params: Matrix,
+    /// `∂L/∂θ` in `params`' layout, written whole by each update.
+    grad: Matrix,
+    /// The forward pass's buffers, grown to the largest block seen
+    /// (one row for the one-window paths, up to `GREEDY_BLOCK_ROWS` for
+    /// [`PolicyNetwork::greedy_batch`]): the contexts, the hidden ReLU
+    /// activations, and the logits turned into `π(· | context)` — which a
     /// REINFORCE update then turns, in place, into `∂L/∂logits`.
-    context_row: Matrix,
-    acts: PingPong,
-    probs: Matrix,
+    contexts: Vec<f32>,
+    hidden_act: Vec<f32>,
+    probs: Vec<f32>,
 }
 
 impl PolicyNetwork {
-    /// Builds the network: `Dense(input → hidden, ReLU)` then
-    /// `Dense(hidden → actions, linear)` with softmax applied on top.
+    /// Builds the network: `input → hidden` (ReLU) then `hidden → actions`
+    /// (linear) with softmax applied on top. `W1` is He-uniform and `W2`
+    /// Glorot-uniform, drawn in that order from a generator seeded with
+    /// `seed`; both biases start at zero.
     ///
     /// # Panics
     ///
@@ -52,17 +80,23 @@ impl PolicyNetwork {
         assert!(num_actions >= 2, "need at least two actions");
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let net = Sequential::new(vec![
-            Box::new(Dense::new_he(&mut rng, input_dim, hidden, Activation::Relu)),
-            Box::new(Dense::new(&mut rng, hidden, num_actions, Activation::Linear)),
-        ]);
+        let w1 = init::he_uniform(&mut rng, input_dim, hidden);
+        let w2 = init::glorot_uniform(&mut rng, hidden, num_actions);
+        let count = input_dim * hidden + hidden + hidden * num_actions + num_actions;
+        let mut params = Vec::with_capacity(count);
+        params.extend_from_slice(w1.as_slice());
+        params.resize(params.len() + hidden, 0.0);
+        params.extend_from_slice(w2.as_slice());
+        params.resize(count, 0.0);
         Self {
-            net,
             input_dim,
+            hidden,
             num_actions,
-            context_row: Matrix::zeros(1, input_dim),
-            acts: PingPong::new(),
-            probs: Matrix::zeros(1, num_actions),
+            params: Matrix::from_vec(1, count, params),
+            grad: Matrix::zeros(1, count),
+            contexts: vec![0.0; input_dim],
+            hidden_act: vec![0.0; hidden],
+            probs: vec![0.0; num_actions],
         }
     }
 
@@ -78,7 +112,7 @@ impl PolicyNetwork {
 
     /// Trainable parameter count.
     pub fn param_count(&self) -> usize {
-        self.net.param_count()
+        self.params.len()
     }
 
     /// The policy `π_θ(· | context)` as a probability vector.
@@ -91,14 +125,35 @@ impl PolicyNetwork {
     }
 
     /// [`PolicyNetwork::probabilities`] in the network's own buffers: a
-    /// warmed call allocates nothing.
+    /// warmed call allocates nothing. The activations it leaves are what a
+    /// REINFORCE update backpropagates through.
     fn infer_probabilities(&mut self, context: &[f32]) -> &[f32] {
         assert_eq!(context.len(), self.input_dim, "context dimension mismatch");
-        self.context_row.as_mut_slice().copy_from_slice(context);
-        let logits = self.net.infer(&self.context_row, &mut self.acts);
-        self.probs.copy_from(logits);
-        vecops::softmax_inplace(self.probs.as_mut_slice());
-        self.probs.as_slice()
+        self.contexts[..self.input_dim].copy_from_slice(context);
+        self.forward(1);
+        &self.probs[..self.num_actions]
+    }
+
+    /// The forward pass over the first `rows` contexts in `contexts`:
+    /// hidden activations into `hidden_act`, `π` row by row into `probs`.
+    fn forward(&mut self, rows: usize) {
+        let (i, h, a) = (self.input_dim, self.hidden, self.num_actions);
+        let (w1, b1, w2, b2) = split_layers(self.params.as_slice(), (i, h, a));
+        let hidden = &mut self.hidden_act[..rows * h];
+        gemm_nn(rows, i, h, &self.contexts[..rows * i], w1, hidden);
+        for row in hidden.chunks_exact_mut(h) {
+            for (z, &b) in row.iter_mut().zip(b1) {
+                *z = (*z + b).max(0.0);
+            }
+        }
+        let probs = &mut self.probs[..rows * a];
+        gemm_nn(rows, h, a, hidden, w2, probs);
+        for row in probs.chunks_exact_mut(a) {
+            for (z, &b) in row.iter_mut().zip(b2) {
+                *z += b;
+            }
+            vecops::softmax_inplace(row);
+        }
     }
 
     /// Samples an action from the policy (training-time exploration).
@@ -113,7 +168,7 @@ impl PolicyNetwork {
 
     /// Greedy actions for a whole corpus in **batched forward passes**: the
     /// contexts are stacked `GREEDY_BLOCK_ROWS` (64) at a time into a
-    /// `block × input_dim` matrix so the dense kernels see a real batch
+    /// `block × input_dim` block so the dense kernels see a real batch
     /// instead of per-window row vectors, through the network's own
     /// buffers — a warmed call allocates only the returned vector.
     ///
@@ -133,36 +188,27 @@ impl PolicyNetwork {
         }
         let mut actions = Vec::with_capacity(contexts.len());
         for block in contexts.chunks(GREEDY_BLOCK_ROWS) {
-            self.context_row.resize(block.len(), self.input_dim);
-            let rows = self.context_row.as_mut_slice().chunks_exact_mut(self.input_dim);
-            for (row, ctx) in rows.zip(block) {
+            let rows = block.len();
+            grow(&mut self.contexts, rows * self.input_dim);
+            grow(&mut self.hidden_act, rows * self.hidden);
+            grow(&mut self.probs, rows * self.num_actions);
+            for (row, ctx) in self.contexts.chunks_exact_mut(self.input_dim).zip(block) {
                 row.copy_from_slice(ctx);
             }
-            self.probs.copy_from(self.net.infer(&self.context_row, &mut self.acts));
-            actions.extend(self.probs.as_mut_slice().chunks_exact_mut(self.num_actions).map(
-                |probs| {
-                    vecops::softmax_inplace(probs);
-                    vecops::argmax(probs)
-                },
-            ));
+            self.forward(rows);
+            let probs = &self.probs[..rows * self.num_actions];
+            actions.extend(probs.chunks_exact(self.num_actions).map(vecops::argmax));
         }
-        self.context_row.resize(1, self.input_dim);
         actions
     }
 
-    /// Serialises every trainable parameter (in layer visitation order)
-    /// as little-endian `f32` bytes. Two policies trained through
-    /// byte-identical update sequences produce byte-identical digests —
-    /// the determinism contract the fleet-in-the-loop trainer is tested
-    /// against.
-    pub fn weights_le_bytes(&mut self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.param_count() * 4);
-        self.net.visit_params(&mut |param, _grad| {
-            for &v in param.as_slice() {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        });
-        out
+    /// Serialises every trainable parameter (in layer visitation order,
+    /// `W1 | b1 | W2 | b2`) as little-endian `f32` bytes. Two policies
+    /// trained through byte-identical update sequences produce
+    /// byte-identical digests — the determinism contract the
+    /// fleet-in-the-loop trainer is tested against.
+    pub fn weights_le_bytes(&self) -> Vec<u8> {
+        self.params.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect()
     }
 
     /// One REINFORCE update minimising `−advantage · log π_θ(action | ctx)`:
@@ -214,7 +260,7 @@ impl PolicyNetwork {
         optimizer: &mut dyn Optimizer,
     ) -> f32 {
         assert!(action < self.num_actions, "action out of range");
-        self.forward_for_update(context);
+        self.infer_probabilities(context);
         self.backward_from_probs(action, advantage, entropy_beta, optimizer)
     }
 
@@ -233,25 +279,15 @@ impl PolicyNetwork {
         optimizer: &mut dyn Optimizer,
         advantage_of: impl FnOnce(usize) -> f32,
     ) -> usize {
-        self.forward_for_update(context);
-        let action = draw(self.probs.as_slice(), rng);
+        let action = self.sample(context, rng);
         let advantage = advantage_of(action);
         self.backward_from_probs(action, advantage, entropy_beta, optimizer);
         action
     }
 
-    /// Training-mode forward: every layer boundary's activation stays in
-    /// the network for the backward pass, `π(· | context)` lands in `probs`.
-    fn forward_for_update(&mut self, context: &[f32]) {
-        assert_eq!(context.len(), self.input_dim, "context dimension mismatch");
-        self.context_row.as_mut_slice().copy_from_slice(context);
-        self.probs.copy_from(self.net.forward_training(&self.context_row));
-        vecops::softmax_inplace(self.probs.as_mut_slice());
-    }
-
-    /// The update half: turns the `π` [`Self::forward_for_update`] left in
-    /// `probs` into `∂L/∂logits`, backpropagates it through that forward's
-    /// activations and applies the optimizer. Returns `log π(action)`.
+    /// The update half: turns the `π` a one-row forward left in `probs`
+    /// into `∂L/∂logits`, writes `∂L/∂θ` from that forward's activations
+    /// and applies the optimizer. Returns `log π(action)`.
     fn backward_from_probs(
         &mut self,
         action: usize,
@@ -263,17 +299,18 @@ impl PolicyNetwork {
             entropy_beta >= 0.0 && entropy_beta.is_finite(),
             "entropy_beta must be finite and non-negative"
         );
-        let probs = self.probs.as_mut_slice();
-        let log_prob = math::ln(probs[action].max(1e-12));
+        let (i, h, a) = (self.input_dim, self.hidden, self.num_actions);
+        let delta = &mut self.probs[..a];
+        let log_prob = math::ln(delta[action].max(1e-12));
 
         // H = −Σ π log π; descent on −βH adds β·π_k(log π_k + H).
         let entropy: f32 = if entropy_beta > 0.0 {
-            -probs.iter().map(|&p| p * math::ln(p.max(1e-12))).sum::<f32>()
+            -delta.iter().map(|&p| p * math::ln(p.max(1e-12))).sum::<f32>()
         } else {
             0.0
         };
-        // π becomes ∂L/∂logits = advantage · (π − e_action) [+ entropy term].
-        for (k, d) in probs.iter_mut().enumerate() {
+        // π becomes δ = ∂L/∂logits = advantage · (π − e_action) [+ entropy term].
+        for (k, d) in delta.iter_mut().enumerate() {
             let p = *d;
             *d = advantage * p;
             if k == action {
@@ -286,10 +323,76 @@ impl PolicyNetwork {
         // A saturated softmax leaves subnormal entries here, and every
         // product the backward pass forms with one is a microcode assist
         // and a subnormal on its way into the optimizer's moments.
-        math::flush_subnormal_slice(probs);
-        self.net.backward(&self.probs, false);
-        self.net.apply_gradients(optimizer);
+        math::flush_subnormal_slice(delta);
+        let delta = &*delta;
+
+        let (x, hidden) = (&self.contexts[..i], &self.hidden_act[..h]);
+        let (_, _, w2, _) = split_layers(self.params.as_slice(), (i, h, a));
+        let (g_w1, rest) = self.grad.as_mut_slice().split_at_mut(i * h);
+        let (g_b1, rest) = rest.split_at_mut(h);
+        let (g_w2, g_b2) = rest.split_at_mut(h * a);
+        // The paper's three actions get a copy with the width a constant:
+        // with it a runtime value, a 4-input update read ≈ 0.8 µs slower.
+        if a == 3 {
+            head_gradients(3, delta, hidden, w2, g_w2, g_b1);
+        } else {
+            head_gradients(a, delta, hidden, w2, g_w2, g_b1);
+        }
+        for (g, &d) in g_b2.iter_mut().zip(delta) {
+            *g = 0.0 + d;
+        }
+        // ∂W1 = x ⊗ dh, read through ∂b1: `0 + dh` differs from `dh` at
+        // most in the sign of a zero, which `0 + x·_` erases.
+        for (g_row, &xv) in g_w1.chunks_exact_mut(h).zip(x) {
+            for (g, &dh) in g_row.iter_mut().zip(&*g_b1) {
+                *g = 0.0 + xv * dh;
+            }
+        }
+        optimizer.step(0, &mut self.params, &self.grad);
         log_prob
+    }
+}
+
+/// The head's half of a REINFORCE gradient for `a` actions: `∂W2 = h ⊗ δ`
+/// into `g_w2` and, per hidden unit, `dh = (δ·W2ᵀ) ⊙ ReLU'(h)` filed as
+/// `∂b1 = 0 + dh` into `g_b1`.
+#[inline(always)]
+fn head_gradients(
+    a: usize,
+    delta: &[f32],
+    hidden: &[f32],
+    w2: &[f32],
+    g_w2: &mut [f32],
+    g_b1: &mut [f32],
+) {
+    let delta = &delta[..a];
+    for (((g_row, &hv), w_row), g_b) in
+        g_w2.chunks_exact_mut(a).zip(hidden).zip(w2.chunks_exact(a)).zip(g_b1)
+    {
+        for (g, &d) in g_row.iter_mut().zip(delta) {
+            *g = 0.0 + hv * d;
+        }
+        let dh = delta.iter().zip(w_row).fold(0.0, |acc, (&d, &w)| acc + d * w);
+        *g_b = 0.0 + dh * if hv > 0.0 { 1.0 } else { 0.0 };
+    }
+}
+
+/// `W1 | b1 | W2 | b2` of a flat parameter buffer with `i` inputs, `h`
+/// hidden units and `a` actions.
+fn split_layers(
+    params: &[f32],
+    (i, h, a): (usize, usize, usize),
+) -> (&[f32], &[f32], &[f32], &[f32]) {
+    let (w1, rest) = params.split_at(i * h);
+    let (b1, rest) = rest.split_at(h);
+    let (w2, b2) = rest.split_at(h * a);
+    (w1, b1, w2, b2)
+}
+
+/// Grows `buf` to at least `len` elements (never shrinks it).
+fn grow(buf: &mut Vec<f32>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
     }
 }
 

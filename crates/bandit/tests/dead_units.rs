@@ -10,9 +10,11 @@
 //! * no trained weight is subnormal at the end (the optimizer's own state
 //!   is held to that in `hec-nn`'s `optim_reference.rs`);
 //! * the trained weights themselves are pinned by an FNV-1a digest of
-//!   `weights_le_bytes`, here and at the in-fleet shape (10 load-aware
-//!   inputs, 1 403 parameters, `lr = 2e-3`, `β = 0.08`): an optimizer or
-//!   kernel change that is meant to move no bit must leave both as they are.
+//!   `weights_le_bytes`, here, at the in-fleet shape (10 load-aware
+//!   inputs, 1 403 parameters, `lr = 2e-3`, `β = 0.08`) and at the
+//!   multivariate static shape (68 inputs, 7 203 parameters, `lr = 2e-3`,
+//!   `β = 0`): an optimizer or kernel change that is meant to move no bit
+//!   must leave all three as they are.
 
 use hec_bandit::{PolicyNetwork, PolicyTrainer, TrainConfig};
 
@@ -81,6 +83,10 @@ fn fleet_context(i: usize) -> [f32; 10] {
 const WEIGHTS_4_100_3: u64 = 0xb7216d19ba0daed9;
 /// The same at the in-fleet shape.
 const WEIGHTS_10_100_3: u64 = 0x33b7fdd4a856169e;
+/// The same at the multivariate static shape, after the 4 000 updates of
+/// its test; recorded on the policy's `Sequential` stack, before the flat
+/// parameter buffer.
+const WEIGHTS_68_100_3: u64 = 0xfcb58f41813fc103;
 
 #[test]
 fn in_fleet_shape_trains_to_the_pinned_weights() {
@@ -93,4 +99,28 @@ fn in_fleet_shape_trains_to_the_pinned_weights() {
     let weights = trainer.policy_mut().weights_le_bytes();
     assert_eq!(weights.len(), 4 * 1_403);
     assert_eq!(fnv1a(&weights), WEIGHTS_10_100_3, "trained weights moved");
+}
+
+/// The multivariate static policy's shape: 68 features, the four contexts
+/// above repeated at 17 scales with a slow per-feature drift.
+fn multivariate_context(i: usize) -> [f32; 68] {
+    let base = context(i);
+    std::array::from_fn(|f| {
+        let scale = 0.25 + (f / 4) as f32 * 0.125;
+        base[f % 4] * scale + ((i / 250 + f) % 9) as f32 * 0.05
+    })
+}
+
+#[test]
+fn multivariate_static_shape_trains_to_the_pinned_weights() {
+    let config =
+        TrainConfig { learning_rate: 2e-3, entropy_beta: 0.0, seed: 3, ..Default::default() };
+    let mut trainer = PolicyTrainer::new(PolicyNetwork::new(68, 100, 3, 5), config);
+    for i in 0..4_000 {
+        trainer.step(&multivariate_context(i), &mut reward);
+    }
+    let weights = trainer.policy_mut().weights_le_bytes();
+    assert_eq!(weights.len(), 4 * 7_203);
+    let digest = fnv1a(&weights);
+    assert_eq!(digest, WEIGHTS_68_100_3, "trained weights moved: {digest:#018x}");
 }

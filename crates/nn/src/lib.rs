@@ -8,8 +8,9 @@
 //! * [`Lstm`] encoder–decoder sequence-to-sequence models, including the
 //!   bidirectional encoder of BiLSTM-seq2seq-Cloud (§II-A2) — see
 //!   [`seq2seq::Seq2Seq`],
-//! * the single-hidden-layer softmax policy network (§II-B) — built from
-//!   [`Dense`] layers by the `hec-bandit` crate,
+//! * the optimizers of the single-hidden-layer softmax policy network
+//!   (§II-B), which the `hec-bandit` crate keeps in one flat parameter
+//!   buffer of its own,
 //! * the paper's training recipe: MSE reconstruction loss, RMSProp,
 //!   `l2`-norm kernel regularisation, dropout 0.3 on decoder outputs.
 //!

@@ -64,7 +64,12 @@
 //! At batch > 1 the per-step form added whole per-step sums, the stacked
 //! form adds row by row: the same gradient up to rounding, checked by the
 //! finite-difference tests below. Nothing in this repository trains at
-//! batch > 1.
+//! batch > 1, so each training step's two recurrent products are one-row
+//! products — `h·Wh` (`1×H · H×4H`) forward and `dz_t·Whᵀ`
+//! (`1×4H · 4H×H`) backward — and they are most of a full-profile
+//! multivariate fit. The kernel walks such a row 64 columns a register
+//! pass, eight independent accumulator chains (`hec_tensor::kernel`), at
+//! the same summation order as every other path.
 //!
 //! `dx = dz·Wxᵀ` is only computed for a caller that passes a buffer for it
 //! (one product over the stacked rows): the seq2seq models stop the

@@ -78,8 +78,9 @@ pub trait Layer: Send + Sync {
 
 /// A stack of layers applied in order.
 ///
-/// This is the shape of every feed-forward model in the paper: the three
-/// autoencoders and the policy network.
+/// This is the shape of the paper's three autoencoders. (The policy
+/// network is two dense layers too, but keeps its parameters in one flat
+/// buffer of its own: `hec_bandit::PolicyNetwork`.)
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
     /// Training activations, one per layer boundary: `acts[0]` is the batch

@@ -66,7 +66,11 @@ pub fn trace_capture_enabled() -> bool {
 
 fn push_event(track: &str, ev: VEvent) {
     with_trace(|tracks| {
-        let t = tracks.entry(track.to_string()).or_default();
+        // The key is allocated once per track, not once per event.
+        let t = match tracks.get_mut(track) {
+            Some(t) => t,
+            None => tracks.entry(track.to_string()).or_default(),
+        };
         if t.events.len() < TRACK_EVENT_CAP {
             t.events.push(ev);
         } else {
@@ -110,50 +114,39 @@ pub fn clear_trace() {
 /// for identical captures regardless of recording interleaving.
 pub fn export_chrome_trace() -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    let mut first = true;
     with_trace(|tracks| {
         for (tid, (track, t)) in tracks.iter_mut().enumerate() {
-            if !first {
+            if tid > 0 {
                 out.push_str(",\n");
             }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(track)
-            );
+            out.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":");
+            let tid = tid.to_string();
+            out.push_str(&tid);
+            out.push_str(",\"args\":{\"name\":\"");
+            push_escaped(&mut out, track);
+            out.push_str("\"}}");
             t.events
                 .sort_by(|a, b| a.ts_us.partial_cmp(&b.ts_us).unwrap_or(std::cmp::Ordering::Equal));
+            // The fixed pieces are pushed, not formatted: a `write!` of the
+            // whole event cost more than its two floats, and a trace runs
+            // to millions of events.
             for ev in &t.events {
-                out.push_str(",\n");
-                match ev.dur_us {
+                out.push_str(",\n{\"name\":\"");
+                push_escaped(&mut out, &ev.name);
+                let _ = match ev.dur_us {
                     Some(dur) => {
-                        let _ = write!(
-                            out,
-                            "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
-                             \"pid\":0,\"tid\":{tid},\"cat\":\"virtual\"}}",
-                            escape(&ev.name),
-                            ev.ts_us,
-                            dur
-                        );
+                        write!(out, "\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{dur:.3},", ev.ts_us)
                     }
-                    None => {
-                        let _ = write!(
-                            out,
-                            "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{:.3},\"s\":\"t\",\
-                             \"pid\":0,\"tid\":{tid},\"cat\":\"virtual\"}}",
-                            escape(&ev.name),
-                            ev.ts_us
-                        );
-                    }
-                }
+                    None => write!(out, "\",\"ph\":\"i\",\"ts\":{:.3},\"s\":\"t\",", ev.ts_us),
+                };
+                out.push_str("\"pid\":0,\"tid\":");
+                out.push_str(&tid);
+                out.push_str(",\"cat\":\"virtual\"}");
             }
             if t.dropped > 0 {
-                out.push_str(",\n");
                 let _ = write!(
                     out,
-                    "{{\"name\":\"[{} events dropped at track cap]\",\"ph\":\"i\",\
+                    ",\n{{\"name\":\"[{} events dropped at track cap]\",\"ph\":\"i\",\
                      \"ts\":0.000,\"s\":\"t\",\"pid\":0,\"tid\":{tid},\"cat\":\"virtual\"}}",
                     t.dropped
                 );
@@ -164,8 +157,11 @@ pub fn export_chrome_trace() -> String {
     out
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` to `out` escaped as JSON string content.
+fn push_escaped(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        return out.push_str(s);
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -176,7 +172,6 @@ fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Aggregated sidecar statistic (wall-clock span or alloc-phase counts).

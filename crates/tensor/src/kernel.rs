@@ -15,15 +15,20 @@
 //!   columns of `B` copied once per call into a zero-padded `k × NR` panel
 //!   (the packed-panel micro-kernel of Goto & van de Geijn, "Anatomy of
 //!   High-Performance Matrix Multiplication", ACM TOMS 2008): the padded
-//!   lanes are computed and dropped. Rows past the last tile of rows run
-//!   one at a time, `NR` chains in registers. Below `MR` rows (one-row
-//!   forwards and updates) the strip is not packed, since the pack would
-//!   cost more moves than the multiply-adds it saves, and neither is a
-//!   strip deeper than the fixed per-thread panel (`k > 128`, e.g. a
-//!   weight gradient summed over a long batch): such a strip runs the same
-//!   one-row function four columns per register pass (the policy's
-//!   100 → 3 head is one pass of three). The panel is packed with
-//!   fixed-width moves, not a `memcpy` and a `memset` call per row of `B`.
+//!   lanes are computed and dropped. Rows past the last tile of rows —
+//!   every row below `MR` rows, as in the batch-1 LSTM steps
+//!   (`1×H·H×4H` forward, `1×4H·4H×H` BPTT) and the policy's forward —
+//!   run one at a time, their full tiles four at a time (64 columns,
+//!   eight vector accumulator chains), then two, then one: with one tile
+//!   a pass, each of its two chains waits on its own previous add, so the
+//!   pass ran at add latency rather than throughput. Below `MR` rows the
+//!   strip is not packed, since the pack would cost more moves than the
+//!   multiply-adds it saves, and neither is a strip deeper than the fixed
+//!   per-thread panel (`k > 128`, e.g. a weight gradient summed over a
+//!   long batch): such a strip runs the same one-row function four columns
+//!   per register pass (the policy's 100 → 3 head is one pass of three).
+//!   The panel is packed with fixed-width moves, not a `memcpy` and a
+//!   `memset` call per row of `B`.
 //! * [`gemm_tn`] — `out = Aᵀ·B` without materialising the transpose; the
 //!   summed dimension walks *rows* of both operands, so all loads are
 //!   contiguous.
@@ -129,13 +134,13 @@ pub fn gemm_tn(r: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
 /// `op(A)` read through `a_at(row, kk)` and a `k×n` `B`. Rows go `MR` at a
 /// time through `micro(i, b, ldb, j)` — the `MR × NR` tile of rows
 /// `i..i + MR` over columns `j..j + NR` of a `b` with row stride `ldb` —
-/// and the last `m % MR` one at a time through [`one_row`] at `NR`
-/// columns. The ragged strip, the `n % NR` columns past the last full
-/// tile, runs through the same two over a copy of its columns of `B`,
-/// zero-padded to `NR` and packed once per call: the padded lanes are
-/// computed and dropped, only the strip's real columns are stored. With
-/// fewer than `MR` rows (the one-row forwards and updates) the strip is
-/// left unpacked instead, since the pack would cost `k × NR` moves to save
+/// and the last `m % MR` one at a time through [`row_tiles`]. The ragged
+/// strip, the `n % NR` columns past the last full tile, runs through
+/// `micro` and [`one_row`] over a copy of its columns of `B`, zero-padded
+/// to `NR` and packed once per call: the padded lanes are computed and
+/// dropped, only the strip's real columns are stored. With fewer than
+/// `MR` rows (the one-row forwards and updates) the strip is left
+/// unpacked instead, since the pack would cost `k × NR` moves to save
 /// `k × (n % NR)` multiply-adds, and so is a strip deeper than the panel
 /// (`k > STRIP_K`): each row's strip then runs in [`one_row`] passes of at
 /// most four columns ([`strip_unpacked`]).
@@ -165,9 +170,7 @@ fn tiles(
             let a_row = |kk| a_at(row, kk);
             let (tiled, strip) = out_row.split_at_mut(full);
             if row >= body {
-                for (j, o) in tiled.chunks_exact_mut(NR).enumerate() {
-                    o.copy_from_slice(&one_row::<NR>(b, n, j * NR, a_row));
-                }
+                row_tiles(b, n, a_row, tiled);
             }
             match panel {
                 Some(p) if row >= body => {
@@ -296,12 +299,11 @@ fn micro_tn(i: usize, j: usize, m: usize, ldb: usize, a: &[f32], b: &[f32]) -> [
 }
 
 /// One output row over `W` columns `j..j + W` of a `b` with row stride
-/// `ldb`, the chains held in a fixed-width local: `W = NR` for the rows
-/// past the last `MR` block (all of them when `m < MR`, as in batch-1
-/// model steps) — every full tile and, when the ragged strip was packed,
-/// the strip's zero-padded panel, whose padded lanes are dropped — and
-/// `W ≤ 4` for the passes of a strip left unpacked ([`strip_unpacked`]).
-/// Summation order matches the tile path.
+/// `ldb`, the chains held in a fixed-width local: `W` = 64, 32 or 16 for
+/// the full tiles of a row past the last `MR` block ([`row_tiles`]),
+/// `W = NR` for the strip's zero-padded panel when it was packed (the
+/// padded lanes are dropped), and `W ≤ 4` for the passes of a strip left
+/// unpacked ([`strip_unpacked`]). Summation order matches the tile path.
 #[inline(always)]
 fn one_row<const W: usize>(
     b: &[f32],
@@ -319,6 +321,29 @@ fn one_row<const W: usize>(
         }
     }
     acc
+}
+
+/// The full tiles of one row past the last `MR` block: columns
+/// `0..o.len()` (a multiple of `NR`) of `b` (row stride `ldb`) into `o`,
+/// in [`one_row`] passes four tiles wide (64 columns, eight vector
+/// chains), then two, then one. One tile per pass leaves two chains, each
+/// of whose adds waits on the one before it; four give the adds of
+/// independent chains to overlap (Goto & van de Geijn, ACM TOMS 2008).
+/// Every element is still summed in ascending `k` from `0.0`.
+#[inline(always)]
+fn row_tiles(b: &[f32], ldb: usize, a_row: impl Fn(usize) -> f32, o: &mut [f32]) {
+    let (quads, rest) = o.split_at_mut(o.len() / (4 * NR) * (4 * NR));
+    for (q, out) in quads.chunks_exact_mut(4 * NR).enumerate() {
+        out.copy_from_slice(&one_row::<{ 4 * NR }>(b, ldb, q * 4 * NR, &a_row));
+    }
+    let (pair, single) = rest.split_at_mut(rest.len() / (2 * NR) * (2 * NR));
+    let j = quads.len();
+    if !pair.is_empty() {
+        pair.copy_from_slice(&one_row::<{ 2 * NR }>(b, ldb, j, &a_row));
+    }
+    if !single.is_empty() {
+        single.copy_from_slice(&one_row::<NR>(b, ldb, j + pair.len(), &a_row));
+    }
 }
 
 /// The ragged strip of one row left unpacked: columns `j..j + o.len()` of

@@ -6,7 +6,8 @@
 //! full-width row past the last tile of rows, the zero-padded ragged strip,
 //! or the unpacked strip of a product with fewer than `MR` rows or a depth
 //! past the packed panel's 128 (one-row register passes of up to four
-//! columns). So
+//! columns). A row past the last tile of rows walks its full tiles in
+//! passes of four, two and one (64, 32 and 16 columns). So
 //! `gemm_nn`, `gemm_tn` and `gemm_nt` must equal the naive loops by
 //! `to_bits` (NaN only as NaN: its payload is not part of the contract),
 //! on every row count across the tile height, every strip width
@@ -139,6 +140,34 @@ fn the_policy_step_shapes() {
     let head = (1, 100, 3);
     for (m, k, n) in
         [head, (1, 4, 100), (1, 10, 100), (1, 3, 100), (100, 1, 3), (4, 1, 100), (10, 1, 100)]
+    {
+        check_shape(m, k, n);
+    }
+}
+
+/// The rows past the last tile of rows over many full tiles: widths that
+/// end the walk on a pass of four tiles, two or one (and a ragged strip
+/// after them), at one to three rows and past one and two tiles of rows,
+/// at the LSTM's depths (18 and 32 inputs, 32 to 256 units, 129 past the
+/// packed panel).
+#[test]
+fn rows_past_the_tiles_over_many_full_tiles() {
+    for m in [1, 2, 3, 5, 6, 7] {
+        for k in [18, 32, 64, 128, 129, 256] {
+            for n in [32, 48, 64, 80, 96, 112, 128, 144, 150, 256] {
+                check_shape(m, k, n);
+            }
+        }
+    }
+}
+
+/// The LSTM's batch-1 step products by name: `h·Wh` and the hoisted
+/// `x·Wx` forward (`1×32×128`, `1×64×256`, `1×18×128`, `1×18×256`) and the
+/// recurrent gradient `dz·Whᵀ` (`1×128×32`, `1×256×64`).
+#[test]
+fn the_lstm_step_shapes() {
+    for (m, k, n) in
+        [(1, 32, 128), (1, 64, 256), (1, 128, 32), (1, 256, 64), (1, 18, 128), (1, 18, 256)]
     {
         check_shape(m, k, n);
     }
