@@ -11,8 +11,13 @@
 //!
 //! 1. **Stream in chunks.** The raw (unstandardised) window stream is
 //!    processed chunk by chunk: standardise with the *current*
-//!    standardizer, precompute the oracle, and take the chunk's greedy
-//!    routing table from the policy as it stands.
+//!    standardizer, score every window at IoT (its layer-0 outcome and
+//!    its context, scaled once), and take the chunk's greedy routing
+//!    table from the policy as it stands. An adaptive run also draws the
+//!    chunk's shadow actions here (step 4). Then each window is scored at
+//!    the layer above IoT it is routed or shadow-sampled to, if any —
+//!    about 2 % of the windows — under the calibration the chunk was
+//!    scored under; no other entry is scored, and none is read.
 //! 2. **Detect drift.** Each window's layer-0 anomalous-point fraction (a
 //!    bounded statistic the IoT-tier detector already computes) feeds a
 //!    Page–Hinkley mean-shift detector — O(1) per window, deterministic.
@@ -22,16 +27,18 @@
 //!    (`hec_data::OnlineStandardizer`, Welford moments, no second pass
 //!    over history), re-standardise them, keep the windows the
 //!    cloud-tier model still deems normal (self-labelling — ground truth
-//!    is not available in deployment) and recalibrate every detector's
-//!    logPD scorer and threshold on them
-//!    ([`crate::Experiment::recalibrate_detectors`]) — no weight
-//!    retraining anywhere.
+//!    is not available in deployment; only the cloud layer scores the
+//!    reservoir) and recalibrate every detector's logPD scorer and
+//!    threshold on them ([`crate::Experiment::recalibrate_detectors`]) —
+//!    no weight retraining anywhere.
 //! 4. **Track the policy.** Independently of alarms, the bandit shadows
-//!    each chunk with sampled actions scored against the static delay
-//!    ladder, buffers the `(context, action, reward)` triples, and
-//!    applies them between chunks (`PolicyTrainer::buffer`/`refresh`) —
-//!    so the greedy routing table stays fixed *within* a chunk and moves
-//!    only at chunk boundaries.
+//!    each chunk with sampled actions (drawn in step 1: the refresh
+//!    touches neither the policy nor its RNG, so they are the actions a
+//!    draw after it would give) scored against the static delay ladder,
+//!    buffers the `(context, action, reward)` triples, and applies them
+//!    between chunks (`PolicyTrainer::buffer`/`refresh`) — so the greedy
+//!    routing table stays fixed *within* a chunk and moves only at chunk
+//!    boundaries.
 //! 5. **Replay the pass.** Nothing above reads the fleet, so the chunks'
 //!    tables replay once, end to end, through one sharded fleet
 //!    ([`crate::replay`]); each window is priced at its observed delay and
@@ -39,7 +46,8 @@
 //!
 //! Everything is deterministic: same inputs ⇒ a byte-identical
 //! [`AdaptReport`] across reruns and `HEC_THREADS` settings (asserted in
-//! `tests/adapt_determinism.rs`).
+//! `tests/adapt_determinism.rs`), and the report of the loop that scored
+//! every window at every layer, floats by bits (`tests/adapt_reference.rs`).
 //!
 //! **Clock domains.** Drift detection and refresh run in *window-index*
 //! time (the ingestion clock); the pass's replay runs in *simulated*
@@ -54,7 +62,7 @@ use hec_sim::fleet::FleetScenario;
 
 use crate::closed_loop::Tally;
 use crate::experiment::Experiment;
-use crate::oracle::{Oracle, WindowOutcome};
+use crate::oracle::{Oracle, Rows, WindowOutcome};
 use crate::replay::{replay_scenario, replay_table};
 use crate::scheme::{scaled_contexts, SchemeKind};
 
@@ -263,8 +271,12 @@ pub fn run_adaptive_stream(
 
     for (index, raw) in stream.chunks(config.chunk).enumerate() {
         let standardized = exp.standardize_windows(raw);
-        let oracle = exp.oracle_over(&standardized);
-        actions.extend(trainer.policy_mut().greedy_batch(&scaled_contexts(&oracle, scaler)));
+        // Every window at IoT: the drift statistic and the contexts, each
+        // scaled once for the greedy table and the shadow samples.
+        let mut oracle = Oracle::unscored(&standardized);
+        exp.score_into(&mut oracle, &standardized, [Rows::All, Rows::NONE, Rows::NONE]);
+        let contexts = scaled_contexts(&oracle, scaler);
+        let greedy = trainer.policy_mut().greedy_batch(&contexts);
 
         // Drift detection on the layer-0 anomalous-fraction stream.
         let mut drift_alarm = false;
@@ -276,6 +288,31 @@ pub fn run_adaptive_stream(
         if drift_alarm {
             detections.push(index);
         }
+
+        // Continual policy tracking, half one: shadow the chunk with
+        // sampled actions. The refresh below touches neither the policy
+        // nor its RNG, so drawing them first draws the same actions.
+        let shadow: Vec<usize> = if config.adaptive {
+            contexts.iter().map(|context| trainer.sample_action(context)).collect()
+        } else {
+            Vec::new()
+        };
+        // The entries above IoT the chunk reads: each window's greedy
+        // layer and shadow-sampled layer, scored before a refresh moves
+        // the calibration.
+        let reads = |layer| {
+            (0..greedy.len())
+                .filter(|&i| greedy[i] == layer || shadow.get(i) == Some(&layer))
+                .collect::<Vec<_>>()
+        };
+        let (edge, cloud) = (reads(1), reads(2));
+        #[cfg(test)]
+        tests::DECISIONS.with_borrow_mut(|d| d.push((greedy.clone(), shadow.clone())));
+        exp.score_into(
+            &mut oracle,
+            &standardized,
+            [Rows::NONE, Rows::Only(&edge), Rows::Only(&cloud)],
+        );
 
         // Two-stage refresh on alarm, rate-limited, from the last chunk's
         // worth of raw windows.
@@ -296,7 +333,12 @@ pub fn run_adaptive_stream(
             // detectors stay as they were and the standardizer refit
             // alone is the refresh.
             let std_reservoir = exp.standardize_windows(reservoir);
-            let reservoir_oracle = exp.oracle_over(&std_reservoir);
+            let mut reservoir_oracle = Oracle::unscored(&std_reservoir);
+            exp.score_into(
+                &mut reservoir_oracle,
+                &std_reservoir,
+                [Rows::NONE, Rows::NONE, Rows::All],
+            );
             let normals: Vec<LabeledWindow> = std_reservoir
                 .iter()
                 .enumerate()
@@ -311,18 +353,17 @@ pub fn run_adaptive_stream(
             refreshes.push(index);
         }
 
-        // Continual policy tracking: shadow the chunk with sampled
-        // actions against the static delay ladder, apply between chunks.
+        // Half two: price the shadow actions against the static delay
+        // ladder, buffer them with their contexts, apply between chunks.
         let mut policy_updates = 0;
         if config.adaptive {
-            for (i, outcome) in oracle.outcomes.iter().enumerate() {
-                let context = scaler.transform(&outcome.context);
-                let action = trainer.sample_action(&context);
+            for (i, (context, action)) in contexts.into_iter().zip(shadow).enumerate() {
                 let r = reward.reward(oracle.correct(i, action), delays.delay_ms(action)) as f32;
                 trainer.buffer(context, action, r);
             }
             policy_updates = trainer.refresh();
         }
+        actions.extend(greedy);
 
         // F1, accuracy and reward: scored by the pass's replay below.
         chunks.push(ChunkStats {
@@ -398,8 +439,13 @@ fn score_pass(
 mod tests {
     use super::*;
     use crate::experiment::{DatasetConfig, Experiment, ExperimentConfig};
+    use hec_anomaly::{
+        AeArchitecture, AnomalyDetector, AutoencoderDetector, Detection, FitError, FitReport,
+    };
     use hec_data::power::{PowerConfig, PowerGenerator};
     use hec_data::{DatasetSource, DriftKind, DriftSchedule};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn tiny_config(seed: u64) -> ExperimentConfig {
         ExperimentConfig {
@@ -561,6 +607,88 @@ mod tests {
                 tallies.iter().map(|t| t.confusion.total() as u64 + t.missed).collect();
             assert_eq!(routed, [25, 25, 25, 25, 15], "shards={shards}");
         }
+    }
+
+    thread_local! {
+        /// Each chunk's greedy and shadow-sampled actions, in stream order.
+        pub(super) static DECISIONS: std::cell::RefCell<Vec<(Vec<usize>, Vec<usize>)>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    /// A detector that counts the windows it is asked to score.
+    struct Counting {
+        inner: Box<dyn AnomalyDetector>,
+        scored: Arc<AtomicUsize>,
+    }
+
+    impl AnomalyDetector for Counting {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn param_count(&self) -> usize {
+            self.inner.param_count()
+        }
+        fn fit(&mut self, train: &[LabeledWindow], epochs: usize) -> Result<FitReport, FitError> {
+            self.inner.fit(train, epochs)
+        }
+        fn detect(&mut self, window: &LabeledWindow) -> Detection {
+            self.scored.fetch_add(1, Ordering::Relaxed);
+            self.inner.detect(window)
+        }
+        fn detect_batch(&mut self, windows: &[LabeledWindow]) -> Vec<Detection> {
+            self.scored.fetch_add(windows.len(), Ordering::Relaxed);
+            self.inner.detect_batch(windows)
+        }
+        fn scoring_work(&self, windows: &[LabeledWindow]) -> u64 {
+            self.inner.scoring_work(windows)
+        }
+        fn context_features_batch(&mut self, windows: &[LabeledWindow]) -> Option<Vec<Vec<f32>>> {
+            self.inner.context_features_batch(windows)
+        }
+        fn threshold(&self) -> Option<f32> {
+            self.inner.threshold()
+        }
+        fn recalibrate(&mut self, calibration: &[LabeledWindow]) -> Result<f32, FitError> {
+            self.inner.recalibrate(calibration)
+        }
+    }
+
+    /// What a frozen and an adaptive pass ask the detectors for: every
+    /// window at IoT, above it exactly the windows routed or
+    /// shadow-sampled there, plus each refresh's reservoir at the cloud.
+    #[test]
+    fn the_loop_scores_only_the_entries_it_reads() {
+        let (mut exp, mut trainer, scaler, stream) = fixture();
+        let counts: [Arc<AtomicUsize>; 3] = Default::default();
+        for (det, scored) in exp.catalog_mut().detectors_mut().iter_mut().zip(&counts) {
+            let placeholder = Box::new(AutoencoderDetector::new("-", AeArchitecture::iot(24), 0));
+            let inner = std::mem::replace(det, placeholder);
+            *det = Box::new(Counting { inner, scored: scored.clone() });
+        }
+        DECISIONS.take();
+        let chunk = 20;
+        let mut reservoirs = 0;
+        for config in [AdaptConfig::frozen(chunk, 2), AdaptConfig::adaptive(chunk, 2)] {
+            let report = run_adaptive_stream(&mut exp, &mut trainer, &scaler, &stream, &config);
+            let end = |c: usize| ((c + 1) * chunk).min(stream.len());
+            reservoirs += report.refreshes.iter().map(|&c| end(c).min(chunk)).sum::<usize>();
+        }
+        assert!(reservoirs > 0, "the fixture must refresh");
+        let decisions = DECISIONS.take();
+        assert_eq!(decisions.len(), 2 * stream.len().div_ceil(chunk));
+        let reads = |layer| -> usize {
+            decisions
+                .iter()
+                .map(|(greedy, shadow)| {
+                    (0..greedy.len())
+                        .filter(|&i| greedy[i] == layer || shadow.get(i) == Some(&layer))
+                        .count()
+                })
+                .sum()
+        };
+        let scored = counts.map(|c| c.load(Ordering::Relaxed));
+        assert_eq!(scored, [2 * stream.len(), reads(1), reads(2) + reservoirs]);
+        assert!(reads(1) + reads(2) > 0, "the fixture must read some layer above IoT");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use hec_sim::{DatasetKind, HecTopology};
 use hec_tensor::parallel::parallel_map_mut;
 use hec_tensor::Matrix;
 
-use crate::oracle::Oracle;
+use crate::oracle::{Oracle, Rows};
 use crate::report::{Table1Row, Table2Row};
 use crate::scheme::{SchemeEvaluator, SchemeKind};
 
@@ -367,6 +367,25 @@ impl Experiment {
     /// Stage 5: precompute the frozen oracle over a corpus.
     pub fn oracle_over(&mut self, windows: &[LabeledWindow]) -> Oracle {
         Oracle::precompute_with_thresholds(&mut self.catalog, windows, self.thresholds)
+    }
+
+    /// The detectors, for tests that wrap them.
+    #[cfg(test)]
+    pub(crate) fn catalog_mut(&mut self) -> &mut ModelCatalog {
+        &mut self.catalog
+    }
+
+    /// [`Experiment::oracle_over`] for the adaptation loop: scores
+    /// `windows` into `oracle` (made over them) only at the rows each
+    /// layer asks for ([`Oracle::score`]), under the thresholds in force.
+    pub(crate) fn score_into(
+        &mut self,
+        oracle: &mut Oracle,
+        windows: &[LabeledWindow],
+        asks: [Rows<'_>; 3],
+    ) {
+        oracle.score(&mut self.catalog, windows, asks);
+        oracle.thresholds = self.thresholds;
     }
 
     /// The static per-action delay table of this experiment's topology

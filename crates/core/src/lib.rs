@@ -5,8 +5,9 @@
 //! (ICDCS 2020): this crate glues the substrates together into the paper's
 //! actual experiments.
 //!
-//! * [`oracle`] — precomputed per-window detection outcomes for all three
-//!   layers (the AD models are frozen while the policy trains, §II-B);
+//! * [`oracle`] — per-window detection outcomes: precomputed for all
+//!   three layers (the AD models are frozen while the policy trains,
+//!   §II-B), or, in the adaptation loop, only at the layers it reads;
 //! * [`scheme`] — the five model-selection schemes of §III-C: always-IoT,
 //!   always-Edge, always-Cloud, **Successive** escalation, and the proposed
 //!   **Adaptive** contextual-bandit scheme;

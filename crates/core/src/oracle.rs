@@ -1,13 +1,21 @@
-//! Precomputed per-window detection outcomes.
+//! Per-window detection outcomes.
 //!
 //! The paper trains and freezes the K = 3 AD models first, then trains the
 //! policy network against them (§II-B). Detection outcomes per (window,
-//! layer) are therefore immutable during bandit training, and we precompute
-//! them once: this keeps REINFORCE epochs cheap and makes the confidence
-//! rule and the detection threshold re-derivable for ablations (we store
-//! the raw scores, not just verdicts).
+//! layer) are therefore immutable during bandit training. For evaluation
+//! and training ([`Oracle::precompute`], `Experiment::oracle_over`) we
+//! score every window at every layer once: this keeps REINFORCE epochs
+//! cheap and makes the confidence rule and the detection threshold
+//! re-derivable for ablations (we store the raw scores, not just
+//! verdicts). The adaptation loop ([`crate::adapt`]) scores only the
+//! layers it reads: every window at IoT, and a window above IoT only
+//! where it is routed or shadow-sampled there. An entry left unscored
+//! holds `NaN` and is never read as a verdict (a debug build panics on
+//! the attempt).
 
-use hec_anomaly::{AnomalyDetector, ConfidenceRule, ModelCatalog, ROW_SPLIT_WINDOWS};
+use std::borrow::Cow;
+
+use hec_anomaly::{AnomalyDetector, ConfidenceRule, Detection, ModelCatalog, ROW_SPLIT_WINDOWS};
 use hec_data::LabeledWindow;
 use hec_tensor::parallel::{parallel_map_mut, thread_count};
 use hec_tensor::vecops;
@@ -24,8 +32,9 @@ use hec_tensor::vecops;
 ///   but at or above [`ROW_SPLIT_WINDOWS`] every detector already splits
 ///   its rows over all workers, which balances better than 40/60: left to
 ///   the row split;
-/// * a 50-window adaptation chunk — 10⁶, a hundred microseconds of
-///   scoring: inline (spawning here read `drift_adapt` −14 %).
+/// * a 50-window adaptation chunk — 10⁶ at all three layers, a hundred
+///   microseconds of scoring: inline (spawning here read `drift_adapt`
+///   −14 %; the loop now asks for less than that).
 ///
 /// Anything from 10⁷ to 10⁸ separates them; the univariate offline splits
 /// (a few hundred windows, 7 × 10⁶) sit just below and gain nothing
@@ -38,17 +47,121 @@ fn scores_side_by_side(work_macs: u64, windows: usize, threads: usize) -> bool {
     threads > 1 && windows < ROW_SPLIT_WINDOWS && work_macs >= SIDE_BY_SIDE_MACS
 }
 
+/// The windows of a corpus one layer scores in [`Oracle::score`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rows<'a> {
+    /// Every window.
+    All,
+    /// The listed window indices (possibly none).
+    Only(&'a [usize]),
+}
+
+impl Rows<'_> {
+    /// No window.
+    pub(crate) const NONE: Rows<'static> = Rows::Only(&[]);
+
+    /// The corpus index of the `k`-th window these rows pick.
+    fn index(self, k: usize) -> usize {
+        match self {
+            Rows::All => k,
+            Rows::Only(picked) => picked[k],
+        }
+    }
+
+    /// The picked windows, borrowed when that is all of them.
+    fn pick(self, windows: &[LabeledWindow]) -> Cow<'_, [LabeledWindow]> {
+        match self {
+            Rows::All => Cow::Borrowed(windows),
+            Rows::Only(picked) => Cow::Owned(picked.iter().map(|&i| windows[i].clone()).collect()),
+        }
+    }
+}
+
+/// What one layer's detector returned for the windows its rows picked.
+struct LayerScores {
+    threshold: f32,
+    detections: Vec<Detection>,
+    /// A context per picked window at layer 0; `None` above it.
+    contexts: Option<Vec<Vec<f32>>>,
+}
+
+/// Runs each layer's detector over the windows its rows pick, side by
+/// side when the asked work pays for a thread ([`Oracle::precompute`]).
+fn detect(
+    catalog: &mut ModelCatalog,
+    windows: &[LabeledWindow],
+    asks: [Rows<'_>; 3],
+) -> Vec<LayerScores> {
+    let picked = asks.map(|rows| rows.pick(windows));
+    let detectors = catalog.detectors_mut();
+    let work = detectors.iter().zip(&picked).map(|(det, w)| det.scoring_work(w)).sum();
+    let most = picked.iter().map(|w| w.len()).max().unwrap_or(0);
+    detect_picked(catalog, &picked, scores_side_by_side(work, most, thread_count()))
+}
+
+/// [`detect`] with the windows picked and the fan-out decision made by
+/// the caller.
+fn detect_picked(
+    catalog: &mut ModelCatalog,
+    picked: &[Cow<'_, [LabeledWindow]>; 3],
+    side_by_side: bool,
+) -> Vec<LayerScores> {
+    // One detector's whole task: batched scoring (one forward pass over
+    // its windows where the detector supports it, identical results to
+    // per-window) and, at the IoT layer, the policy's model-derived
+    // context while that model's scratch is warm. A layer asked for no
+    // window calls nothing.
+    let score_one = |layer: usize, det: &mut Box<dyn AnomalyDetector>| {
+        let threshold =
+            det.threshold().expect("detector must be fitted before precomputing outcomes");
+        let windows = &*picked[layer];
+        if windows.is_empty() {
+            return LayerScores { threshold, detections: Vec::new(), contexts: None };
+        }
+        let detections = det.detect_batch(windows);
+        let contexts = if layer == 0 { det.context_features_batch(windows) } else { None };
+        LayerScores { threshold, detections, contexts }
+    };
+    let detectors = catalog.detectors_mut();
+    let mut scores: Vec<LayerScores> = if side_by_side {
+        parallel_map_mut(detectors, score_one)
+    } else {
+        detectors.iter_mut().enumerate().map(|(layer, det)| score_one(layer, det)).collect()
+    };
+    // Where the IoT model gives no context: each window's univariate
+    // `{min, max, mean, std}` summary.
+    if scores[0].contexts.is_none() {
+        scores[0].contexts = Some(
+            picked[0]
+                .iter()
+                .map(|w| vecops::summary_features(w.data.as_slice()).to_vec())
+                .collect(),
+        );
+    }
+    scores
+}
+
 /// Raw per-layer scores of one window, plus its ground truth and context.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowOutcome {
     /// Ground truth: `true` = anomalous.
     pub truth: bool,
-    /// Minimum per-point logPD under each layer's model (bottom-up).
+    /// Minimum per-point logPD under each layer's model (bottom-up);
+    /// `NaN` at a layer the window was not scored at.
     pub min_log_pd: [f32; 3],
-    /// Anomalous-point fraction under each layer's model.
+    /// Anomalous-point fraction under each layer's model; `NaN` at a
+    /// layer the window was not scored at.
     pub anomalous_fraction: [f32; 3],
-    /// Contextual feature vector `z_x` for the policy network.
+    /// Contextual feature vector `z_x` for the policy network (empty
+    /// when the window was not scored at layer 0).
     pub context: Vec<f32>,
+}
+
+impl WindowOutcome {
+    /// Whether the window was scored at `layer`.
+    pub fn scored(&self, layer: usize) -> bool {
+        !self.anomalous_fraction[layer].is_nan()
+    }
 }
 
 /// A frozen set of outcomes plus the calibration needed to re-derive
@@ -80,52 +193,64 @@ impl Oracle {
     ///
     /// Panics if any detector was not fitted.
     pub fn precompute(catalog: &mut ModelCatalog, windows: &[LabeledWindow]) -> Self {
-        let work = catalog.detectors_mut().iter().map(|det| det.scoring_work(windows)).sum();
-        let side_by_side = scores_side_by_side(work, windows.len(), thread_count());
-        Self::score(catalog, windows, side_by_side)
+        // Detect before allocating the outcomes: the other order raised an
+        // 18 000-window replay's peak memory by ≈ 1 MB.
+        let scores = detect(catalog, windows, [Rows::All; 3]);
+        let mut oracle = Self::unscored(windows);
+        oracle.write([Rows::All; 3], scores);
+        oracle
     }
 
-    /// [`Oracle::precompute`] with the fan-out decision made by the caller.
-    fn score(catalog: &mut ModelCatalog, windows: &[LabeledWindow], side_by_side: bool) -> Self {
-        // One detector's whole task: batched scoring (one forward pass over
-        // the corpus where the detector supports it, identical results to
-        // per-window) and, at the IoT layer, the policy's model-derived
-        // context while that model's scratch is warm.
-        let score_one = |layer: usize, det: &mut Box<dyn AnomalyDetector>| {
-            let threshold =
-                det.threshold().expect("detector must be fitted before precomputing outcomes");
-            let scores: Vec<(f32, f32)> = det
-                .detect_batch(windows)
-                .into_iter()
-                .map(|d| (d.min_log_pd, d.anomalous_fraction))
-                .collect();
-            let contexts = if layer == 0 { det.context_features_batch(windows) } else { None };
-            (threshold, scores, contexts)
-        };
-        let detectors = catalog.detectors_mut();
-        let mut per_layer = if side_by_side {
-            parallel_map_mut(detectors, score_one)
-        } else {
-            detectors.iter_mut().enumerate().map(|(layer, det)| score_one(layer, det)).collect()
-        };
-
-        let contexts = per_layer[0].2.take().unwrap_or_else(|| {
-            windows.iter().map(|w| vecops::summary_features(w.data.as_slice()).to_vec()).collect()
-        });
+    /// An oracle over `windows` that has scored nothing yet: each window's
+    /// ground truth, every entry `NaN`, no contexts.
+    pub(crate) fn unscored(windows: &[LabeledWindow]) -> Self {
         let outcomes = windows
             .iter()
-            .zip(contexts)
-            .enumerate()
-            .map(|(i, (w, context))| WindowOutcome {
+            .map(|w| WindowOutcome {
                 truth: w.anomalous,
-                min_log_pd: [0, 1, 2].map(|layer| per_layer[layer].1[i].0),
-                anomalous_fraction: [0, 1, 2].map(|layer| per_layer[layer].1[i].1),
-                context,
+                min_log_pd: [f32::NAN; 3],
+                anomalous_fraction: [f32::NAN; 3],
+                context: Vec::new(),
             })
             .collect();
-        let thresholds = [0, 1, 2].map(|layer| per_layer[layer].0);
+        Self { outcomes, thresholds: [f32::NAN; 3], confidence: ConfidenceRule::default() }
+    }
 
-        Self { outcomes, thresholds, confidence: ConfidenceRule::default() }
+    /// Scores `windows` — the corpus this oracle was made over — at the
+    /// rows each layer asks for, one batched `detect_batch` per layer over
+    /// the windows it picks, and writes their entries; a window scored at
+    /// layer 0 also gets its context. Every threshold is (re)read from its
+    /// detector. The detectors score side by side when the asked work pays
+    /// for it ([`Oracle::precompute`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any detector was not fitted, or if `windows` is not the
+    /// oracle's corpus length.
+    pub(crate) fn score(
+        &mut self,
+        catalog: &mut ModelCatalog,
+        windows: &[LabeledWindow],
+        asks: [Rows<'_>; 3],
+    ) {
+        assert_eq!(windows.len(), self.len(), "scoring a corpus the oracle was not made over");
+        let scores = detect(catalog, windows, asks);
+        self.write(asks, scores);
+    }
+
+    /// Writes each layer's scores into the entries its rows picked.
+    fn write(&mut self, asks: [Rows<'_>; 3], scores: Vec<LayerScores>) {
+        for (layer, scores) in scores.into_iter().enumerate() {
+            self.thresholds[layer] = scores.threshold;
+            for (k, context) in scores.contexts.into_iter().flatten().enumerate() {
+                self.outcomes[asks[layer].index(k)].context = context;
+            }
+            for (k, d) in scores.detections.into_iter().enumerate() {
+                let outcome = &mut self.outcomes[asks[layer].index(k)];
+                outcome.min_log_pd[layer] = d.min_log_pd;
+                outcome.anomalous_fraction[layer] = d.anomalous_fraction;
+            }
+        }
     }
 
     /// Like [`Oracle::precompute`] but with exact thresholds supplied by the
@@ -152,8 +277,12 @@ impl Oracle {
 
     /// Layer `layer`'s verdict on window `i` (`true` = anomalous): the
     /// detectors' rule, any point below the threshold flags the window.
+    ///
+    /// A debug build panics if the window was not scored at `layer`.
     pub fn verdict(&self, i: usize, layer: usize) -> bool {
-        self.outcomes[i].anomalous_fraction[layer] > 0.0
+        let outcome = &self.outcomes[i];
+        debug_assert!(outcome.scored(layer), "window {i} was not scored at layer {layer}");
+        outcome.anomalous_fraction[layer] > 0.0
     }
 
     /// Whether layer `layer`'s detection of window `i` is confident.
@@ -241,22 +370,94 @@ mod tests {
         assert_eq!(work(&mut seq2seq, &long), 2 * work(&mut seq2seq, &multivariate_split));
     }
 
+    /// An oracle over `windows` scored at `asks`, side by side or not.
+    fn scored(
+        catalog: &mut ModelCatalog,
+        windows: &[LabeledWindow],
+        asks: [Rows<'_>; 3],
+        side_by_side: bool,
+    ) -> Oracle {
+        let picked = asks.map(|rows| rows.pick(windows));
+        let scores = detect_picked(catalog, &picked, side_by_side);
+        let mut oracle = Oracle::unscored(windows);
+        oracle.write(asks, scores);
+        oracle
+    }
+
+    fn mixed(n: usize) -> Vec<LabeledWindow> {
+        (0..n).map(|i| if i % 7 == 3 { flat(16) } else { ramp(16, 0.001 * i as f32) }).collect()
+    }
+
     /// Side by side or one after another, at any worker count: the same
     /// oracle, context features included.
     #[test]
     fn side_by_side_scoring_is_the_serial_oracle() {
         let mut catalog = fitted_catalog(16);
-        let windows: Vec<LabeledWindow> = (0..40)
-            .map(|i| if i % 7 == 3 { flat(16) } else { ramp(16, 0.001 * i as f32) })
-            .collect();
-        let serial = Oracle::score(&mut catalog, &windows, false);
+        let windows = mixed(40);
+        let serial = scored(&mut catalog, &windows, [Rows::All; 3], false);
         assert_eq!(serial, Oracle::precompute(&mut catalog, &windows));
         for threads in [1, 2, 3, 4] {
             let fanned = crate::parallel::with_thread_count(threads, || {
-                Oracle::score(&mut catalog, &windows, true)
+                scored(&mut catalog, &windows, [Rows::All; 3], true)
             });
             assert_eq!(fanned, serial, "{threads} workers");
         }
+    }
+
+    /// Asked entries, in one call or two, are the full oracle's bit for
+    /// bit; the rest stay `NaN`, and only layer-0 rows get a context.
+    #[test]
+    fn asked_entries_are_the_full_oracles() {
+        let mut catalog = fitted_catalog(16);
+        let windows = mixed(40);
+        let full = Oracle::precompute(&mut catalog, &windows);
+        let edge: Vec<usize> = (0..40).filter(|i| i % 3 == 1).collect();
+        let cloud = [0, 3, 17, 18, 39];
+        for side_by_side in [false, true] {
+            let asks = [Rows::Only(&[2, 3, 5]), Rows::Only(&edge), Rows::Only(&cloud)];
+            let mut two_steps =
+                scored(&mut catalog, &windows, [Rows::All, Rows::NONE, Rows::NONE], side_by_side);
+            two_steps.score(&mut catalog, &windows, [Rows::NONE, asks[1], asks[2]]);
+            let one_call = scored(&mut catalog, &windows, asks, side_by_side);
+            for (oracle, layer0) in
+                [(&two_steps, (0..40).collect::<Vec<_>>()), (&one_call, vec![2, 3, 5])]
+            {
+                assert_eq!(oracle.thresholds, full.thresholds);
+                for (i, (got, want)) in oracle.outcomes.iter().zip(&full.outcomes).enumerate() {
+                    assert_eq!(got.truth, want.truth);
+                    let asked = [layer0.contains(&i), edge.contains(&i), cloud.contains(&i)];
+                    for (layer, &ask) in asked.iter().enumerate() {
+                        assert_eq!(got.scored(layer), ask, "window {i} layer {layer}");
+                        if ask {
+                            assert_eq!(
+                                got.min_log_pd[layer].to_bits(),
+                                want.min_log_pd[layer].to_bits()
+                            );
+                            assert_eq!(
+                                got.anomalous_fraction[layer].to_bits(),
+                                want.anomalous_fraction[layer].to_bits()
+                            );
+                            assert_eq!(oracle.verdict(i, layer), full.verdict(i, layer));
+                        }
+                    }
+                    let context: &[f32] = if asked[0] { &want.context } else { &[] };
+                    assert_eq!(got.context, context, "window {i}");
+                }
+            }
+        }
+    }
+
+    /// A debug build refuses to read a verdict nobody asked for.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "window 1 was not scored at layer 2")]
+    fn reading_an_unasked_entry_panics() {
+        let mut catalog = fitted_catalog(16);
+        let windows = mixed(4);
+        let oracle =
+            scored(&mut catalog, &windows, [Rows::All, Rows::All, Rows::Only(&[0])], false);
+        assert!(!oracle.outcomes[1].scored(2));
+        oracle.correct(1, 2);
     }
 
     #[test]

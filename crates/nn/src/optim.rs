@@ -65,6 +65,8 @@
 //! * **exact-one bias corrections.** Once `1 − β₁ᵗ` (from `t ≈ 165`) or
 //!   `1 − β₂ᵗ` (from `t ≈ 17 300`) rounds to `1.0`, its division is
 //!   skipped, a choice made once per tensor: `x / 1.0 == x` bit for bit.
+//!   Once both have (from step 17 321 on), `Adam::step` stops recomputing
+//!   them: `1 − βᵗ` only moves toward 1, so they stay 1.0.
 //!
 //! NaN fails every `<`/`≥` above, so NaN operands are never replaced; `±∞`
 //! moments and parameters propagate as before. `tests/optim_reference.rs`
@@ -224,7 +226,11 @@ impl Optimizer for Adam {
         // affects early bias correction.)
         if slot == 0 {
             self.t = self.t.saturating_add(1);
-            self.bias = Self::bias_corrections(self.beta1, self.beta2, self.t);
+            // `1 − βᵗ` only moves toward 1: once both corrections are
+            // exactly 1.0 (from step 17 321 on) they stay there.
+            if self.bias != (1.0, 1.0) {
+                self.bias = Self::bias_corrections(self.beta1, self.beta2, self.t);
+            }
         }
         let (m, v) = slot_state(&mut self.moments, slot, || {
             (Matrix::zeros(param.rows(), param.cols()), Matrix::zeros(param.rows(), param.cols()))
@@ -335,6 +341,36 @@ mod tests {
             assert_eq!(Adam::bias_corrections(0.9, 0.999, t), expected, "t = {t}");
         }
         for t in [i32::MAX as u64, i32::MAX as u64 + 1, u64::MAX] {
+            assert_eq!(Adam::bias_corrections(0.9, 0.999, t), (1.0, 1.0), "t = {t}");
+        }
+    }
+
+    /// Across the step where both corrections reach 1.0, `Adam::step`'s
+    /// kept pair is the recomputed one at every `t`, and it is kept (not
+    /// recomputed) from the step after.
+    #[test]
+    fn adam_keeps_its_corrections_once_both_are_one() {
+        assert_eq!(Adam::bias_corrections(0.9, 0.999, 17_320).0, 1.0);
+        assert_ne!(Adam::bias_corrections(0.9, 0.999, 17_320).1, 1.0);
+        let mut opt = Adam::new(1e-3);
+        let (mut param, grad) = (Matrix::zeros(1, 1), Matrix::zeros(1, 1));
+        let mut first_kept = None;
+        for t in 1..=40_000 {
+            if opt.bias == (1.0, 1.0) {
+                first_kept.get_or_insert(t);
+            }
+            opt.step(0, &mut param, &grad);
+            assert_eq!(opt.bias, Adam::bias_corrections(0.9, 0.999, t), "t = {t}");
+        }
+        assert_eq!(first_kept, Some(17_322));
+    }
+
+    /// What keeping them relies on, for every step count the exponent
+    /// takes: from step 17 321 on both corrections are exactly 1.0.
+    #[test]
+    #[ignore = "every step count up to i32::MAX: ≈ 11 minutes in a release build"]
+    fn adam_corrections_stay_one_to_the_saturated_exponent() {
+        for t in 17_321..=i32::MAX as u64 {
             assert_eq!(Adam::bias_corrections(0.9, 0.999, t), (1.0, 1.0), "t = {t}");
         }
     }

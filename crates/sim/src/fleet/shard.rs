@@ -50,12 +50,14 @@
 //! [`FleetScale`]: super::scenario::FleetScale
 //! [`EventQueue`]: crate::event::EventQueue
 
+use std::borrow::Cow;
+
 use hec_telemetry::GeomHist;
 
 use crate::topology::HecTopology;
 
 use super::des::{FleetEngine, JobEvent, RouteCtx};
-use super::metrics::{FleetReport, FleetTotals, TraceSample};
+use super::metrics::{DropReason, FleetReport, FleetTotals, TraceSample};
 use super::scenario::FleetScenario;
 
 /// The contiguous run of one cohort's devices owned by one shard.
@@ -387,21 +389,39 @@ impl ShardEngine<'_> {
     }
 }
 
+/// Trace names of the outcomes at the paper's three layers, by layer (and
+/// drop cause, in `DropReason` order) — what `trace_outcome` would
+/// otherwise format per outcome.
+const SERVE_NAMES: [&str; 3] = ["serve L0", "serve L1", "serve L2"];
+const DROP_NAMES: [[&str; 2]; 3] = [
+    ["drop L0 QueueFull", "drop L0 LinkSaturated"],
+    ["drop L1 QueueFull", "drop L1 LinkSaturated"],
+    ["drop L2 QueueFull", "drop L2 LinkSaturated"],
+];
+
 /// Records an outcome at virtual time `t` on `jobs_track`: a served
 /// window as a residency span (emission-to-completion is exactly the
-/// latency), a drop as an instant tagged with layer and cause.
+/// latency), a drop as an instant tagged with layer and cause. A layer
+/// past the name tables formats its own name.
 fn trace_outcome(jobs_track: &str, t: f64, ev: JobEvent) {
     match ev {
         JobEvent::Served { layer, latency_ms, .. } => {
-            hec_telemetry::vspan(
-                jobs_track,
-                &format!("serve L{layer}"),
-                t - latency_ms,
-                latency_ms,
-            );
+            let name: Cow<str> = match SERVE_NAMES.get(layer) {
+                Some(&name) => name.into(),
+                None => format!("serve L{layer}").into(),
+            };
+            hec_telemetry::vspan(jobs_track, &name, t - latency_ms, latency_ms);
         }
         JobEvent::Dropped { layer, reason, .. } => {
-            hec_telemetry::vinstant(jobs_track, &format!("drop L{layer} {reason:?}"), t);
+            let cause = match reason {
+                DropReason::QueueFull => 0,
+                DropReason::LinkSaturated => 1,
+            };
+            let name: Cow<str> = match DROP_NAMES.get(layer) {
+                Some(names) => names[cause].into(),
+                None => format!("drop L{layer} {reason:?}").into(),
+            };
+            hec_telemetry::vinstant(jobs_track, &name, t);
         }
     }
 }
