@@ -16,27 +16,28 @@
 //!    the only place a [`FleetStreamResult`] is assembled and the only
 //!    copy of the window-conservation checks, which hold in release
 //!    builds too;
-//! 3. **how the engine is driven** — one job per driver. A stateless
-//!    `Fn + Sync` router goes to [`crate::sharded::run_plan`]'s window
-//!    loop at any shard count. [`run_closed_loop`] is the one per-outcome
-//!    stepper: it steps a scenario's one-shard plan for a [`ClosedLoop`]
-//!    (a router and the hearer of its outcomes), handing over outcome *n*
-//!    before it routes window *n + 1* — what a load-aware policy, a probe
-//!    cohort or a trainer mid-update needs.
+//! 3. **how the engine is driven** — one event loop, two jobs. A
+//!    stateless `Fn + Sync` router goes to [`crate::sharded::run_plan`]'s
+//!    window loop at any shard count. [`run_closed_loop`] runs a
+//!    scenario's one-shard plan to completion for a [`ClosedLoop`] (a
+//!    router and the hearer of its outcomes), each handled event's
+//!    outcomes heard before the next event — what a load-aware policy, a
+//!    probe cohort or a trainer mid-update needs.
 //!
 //! The compositions: [`crate::stream::stream_through_fleet`] (one shard,
-//! any router, optional probe cohort) steps a scheme's router and a
+//! any router, optional probe cohort) runs a scheme's router and a
 //! [`Scorecard`] through [`run_closed_loop`];
 //! [`crate::replay::replay_trace_sharded`] (any shard count, a table)
 //! hands its table to `run_plan` and scores with a [`Scorecard`] and
 //! [`price`], as [`crate::adapt`] replays a pass, with a [`Tally`] per
-//! chunk; [`crate::fleet_train::train_policy_in_fleet`] steps a
+//! chunk; [`crate::fleet_train::train_policy_in_fleet`] runs a
 //! sampling trainer through [`run_closed_loop`], once per epoch.
 
 use hec_bandit::{LoadNormalizer, RewardModel};
 use hec_data::BinaryConfusion;
 use hec_sim::fleet::{
-    DropReason, FleetReport, FleetScenario, JobEvent, RouteCtx, ShardPlan, ShardedFleetEngine,
+    DropReason, FeedbackRouter, FleetReport, FleetScenario, JobEvent, RouteCtx, ShardPlan,
+    ShardedFleetEngine,
 };
 use hec_telemetry::GeomHist;
 
@@ -98,13 +99,13 @@ pub(crate) trait ClosedLoop {
     fn hear(&mut self, ev: &JobEvent, scored: Option<(usize, f64)>);
 }
 
-/// Steps `scenario`'s one-shard plan to completion for one closed loop:
-/// each window is routed as it is emitted and each outcome heard as it
-/// completes, so `lp` hears outcome *n* before it routes window *n + 1*.
-/// Every window of the probe cohort (`None`: of every cohort) maps to a
-/// window of `oracle` — round-robin over the corpus in emission order,
-/// which without a probe cohort is `seq % corpus len` — and is routed by
-/// `lp`; the other cohorts keep their scenario routing plans and act as
+/// Runs `scenario`'s one-shard plan to completion for one closed loop,
+/// each handled event's outcomes heard before the next event (an emission
+/// bucket's windows are all routed before any of theirs is heard). Every
+/// window of the probe cohort (`None`: of every cohort) maps to a window
+/// of `oracle` — round-robin over the corpus in emission order, which
+/// without a probe cohort is `seq % corpus len` — and is routed by `lp`;
+/// the other cohorts keep their scenario routing plans and act as
 /// background load, contributing queueing but no scores or updates. The
 /// scheme-routed outcomes come with what they earn ([`price`]).
 ///
@@ -125,34 +126,56 @@ pub(crate) fn run_closed_loop<R>(
     render: impl FnOnce(&ShardedFleetEngine<'_>) -> R,
 ) -> R {
     let expected = routed_windows(scenario, probe);
-    let n = oracle.len() as u64;
     let plan = ShardPlan::new(scenario, 1);
     let mut engine = ShardedFleetEngine::new(&plan);
-    let shard = &mut engine.shards_mut()[0];
-    // The oracle window of each scheme-routed window, noted at its
-    // emission by sequence number (`u32::MAX`: a background window).
-    let mut oracle_of = vec![u32::MAX; scenario.total_windows() as usize];
-    let (mut emitted, mut heard) = (0u64, 0u64);
+    let oracle_of = vec![u32::MAX; scenario.total_windows() as usize];
     let planned = scenario.planned_router();
-    while let Some(ev) = shard.step(&mut |ctx| {
-        if probe.is_some_and(|pc| pc != ctx.cohort) {
-            return planned(ctx);
-        }
-        let i = (emitted % n) as usize;
-        emitted += 1;
-        oracle_of[ctx.seq as usize] = i as u32;
-        lp.route(ctx, i)
-    }) {
-        let (JobEvent::Served { seq, .. } | JobEvent::Dropped { seq, .. }) = ev;
-        let i = oracle_of[seq as usize];
-        lp.hear(&ev, (i != u32::MAX).then(|| (i as usize, price(reward, oracle, &ev, i as usize))));
-        heard += u64::from(i != u32::MAX);
-    }
-    assert_eq!(heard, expected, "fleet leaked scheme-routed windows");
+    let mut run =
+        Transactions { lp, probe, planned, oracle, reward, oracle_of, emitted: 0, heard: 0 };
+    engine.shards_mut()[0].run_closed(&mut run);
+    assert_eq!(run.heard, expected, "fleet leaked scheme-routed windows");
     // Freed before the report is built, which it would otherwise add to
     // the run's peak memory.
-    drop(oracle_of);
+    drop(run);
     render(&engine)
+}
+
+/// One closed loop's run as the engine's [`FeedbackRouter`]: the windows
+/// it routes (the rest by the scenario's `planned` router), the oracle
+/// window of each — noted at its emission by sequence number, `u32::MAX`
+/// for a background window — and what each outcome earned.
+struct Transactions<'r, L, P> {
+    lp: &'r mut L,
+    probe: Option<u32>,
+    planned: P,
+    oracle: &'r Oracle,
+    reward: &'r RewardModel,
+    oracle_of: Vec<u32>,
+    emitted: u64,
+    heard: u64,
+}
+
+impl<L: ClosedLoop, P: Fn(&RouteCtx) -> usize> FeedbackRouter for Transactions<'_, L, P> {
+    fn route(&mut self, ctx: &RouteCtx) -> usize {
+        if self.probe.is_some_and(|pc| pc != ctx.cohort) {
+            return (self.planned)(ctx);
+        }
+        let i = (self.emitted % self.oracle.len() as u64) as usize;
+        self.emitted += 1;
+        self.oracle_of[ctx.seq as usize] = i as u32;
+        self.lp.route(ctx, i)
+    }
+
+    fn heard(&mut self, outcomes: &[JobEvent]) {
+        for ev in outcomes {
+            let (JobEvent::Served { seq, .. } | JobEvent::Dropped { seq, .. }) = *ev;
+            let i = self.oracle_of[seq as usize];
+            let scored = (i != u32::MAX)
+                .then(|| (i as usize, price(self.reward, self.oracle, ev, i as usize)));
+            self.lp.hear(ev, scored);
+            self.heard += u64::from(i != u32::MAX);
+        }
+    }
 }
 
 /// What a set of scheme-routed windows scored: confusion over the served
@@ -289,5 +312,54 @@ mod tests {
     #[should_panic(expected = "window conservation violated")]
     fn finish_rejects_a_report_that_lost_a_window() {
         finish_against(|fleet| fleet.emitted += 1);
+    }
+
+    /// The loop's contract within an emission bucket: two devices share
+    /// one bucket and are served at layer 0, each outcome produced as its
+    /// window is routed. Both windows are routed before either outcome is
+    /// heard — not "outcome *n* before window *n + 1*" — and the next
+    /// bucket's routes come after both hears.
+    #[test]
+    fn a_bucket_is_routed_whole_before_its_outcomes_are_heard() {
+        use hec_sim::fleet::{CohortSpec, RoutePlan};
+
+        #[derive(Debug, Clone, PartialEq)]
+        enum Step {
+            Route(u64),
+            Hear(u64),
+        }
+        struct Log(Vec<Step>);
+        impl ClosedLoop for Log {
+            fn route(&mut self, ctx: &RouteCtx<'_>, _: usize) -> usize {
+                self.0.push(Step::Route(ctx.seq));
+                0
+            }
+            fn hear(&mut self, ev: &JobEvent, scored: Option<(usize, f64)>) {
+                let (JobEvent::Served { seq, .. } | JobEvent::Dropped { seq, .. }) = *ev;
+                assert!(matches!(ev, JobEvent::Served { layer: 0, .. }) && scored.is_some());
+                self.0.push(Step::Hear(seq));
+            }
+        }
+
+        let mut sc = FleetScenario::light_load(FleetScale::Quick);
+        sc.emit_buckets = 1;
+        sc.cohorts = vec![CohortSpec::uniform(2, 2, 100.0, 0.0, RoutePlan::Fixed(0))];
+        let outcome = crate::oracle::WindowOutcome {
+            truth: false,
+            min_log_pd: [0.0; 3],
+            anomalous_fraction: [0.0; 3],
+            context: vec![],
+        };
+        let oracle = Oracle {
+            outcomes: vec![outcome],
+            thresholds: [0.0; 3],
+            confidence: Default::default(),
+        };
+        let mut log = Log(vec![]);
+        let reward = RewardModel::new(0.0005);
+        run_closed_loop(&sc, None, &oracle, &reward, &mut log, |_| ());
+        use Step::{Hear, Route};
+        let bucket = |a, b| [Route(a), Route(b), Hear(a), Hear(b)];
+        assert_eq!(log.0, [bucket(0, 1), bucket(2, 3)].concat());
     }
 }

@@ -19,12 +19,12 @@
 //!    ([`PolicyTrainer::observe`]) with the reinforcement-comparison
 //!    baseline.
 //!
-//! A trainer mid-update is stateful, so it goes through the loop's
-//! stepper, the crate's one per-outcome driver: it steps the scenario's
-//! one-shard plan, and the update for outcome *n* lands before window
-//! *n + 1* is routed — the sample → observe → update interleaving the
-//! byte-identical weights depend on. The epoch leaves the fleet report
-//! unrendered.
+//! A trainer mid-update is stateful, so it goes through the closed loop:
+//! the scenario's one-shard plan runs to completion, and the updates for
+//! the outcomes of each handled event land before the next event (an
+//! emission bucket's windows are all sampled before any is heard) — the
+//! sample → observe → update interleaving the byte-identical weights
+//! depend on. The epoch leaves the fleet report unrendered.
 //!
 //! Because actions shape queueing, the policy's own exploration changes
 //! the delays it learns from — exactly the closed loop a deployed

@@ -27,9 +27,9 @@
 //!   trace corpus streamed through the sharded fleet engine (streaming,
 //!   replay and training are three compositions of one private loop:
 //!   a scheme's action and a window's score are each written once, and
-//!   each driver has one job — the loop's stepper routes and hears a
-//!   one-shard plan outcome by outcome for streaming and training,
-//!   [`run_plan`]'s window loop drives the replay's action table);
+//!   each driver has one job — the closed loop runs a one-shard plan,
+//!   each event's outcomes heard before the next, for streaming and
+//!   training, [`run_plan`]'s window loop drives the replay's table);
 //! * [`ablation`] — α sweeps, baseline ablation, bandit-solver comparison
 //!   and confidence-rule sweeps — the design choices the paper fixes
 //!   without measuring;

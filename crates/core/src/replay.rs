@@ -240,8 +240,8 @@ mod tests {
     }
 
     /// A one-shard replay must reproduce `stream_through_fleet` on the
-    /// same scenario exactly: the window loop and the closed loop's
-    /// stepper are different drivers over the same action table, oracle
+    /// same scenario exactly: the window loop and the closed loop are
+    /// different drivers over the same action table, oracle
     /// mapping, pricing and scorecard, so any divergence is a bug. Two
     /// fleets: the replay fleet, which sheds nothing, and one with every
     /// bound tight — one job per dequeue, a two-deep queue, a one-megabit

@@ -39,11 +39,11 @@
 //! `flash_crowd` just above it.
 //!
 //! The router must be `Fn + Sync` (shared across workers); routing tables
-//! and scenario route plans qualify. A router whose state changes between
-//! outcomes — a load-aware policy, a probe cohort's bookkeeping, a policy
-//! mid-training — goes through the crate's closed loop instead
-//! (`closed_loop.rs`), the one driver that steps a one-shard plan outcome
-//! by outcome.
+//! and scenario route plans qualify. A router whose state changes with the
+//! outcomes it hears — a load-aware policy, a probe cohort's bookkeeping,
+//! a policy mid-training — goes through the crate's closed loop instead
+//! (`closed_loop.rs`), which runs the same event loop on a one-shard plan
+//! to completion and hears each handled event's outcomes before the next.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -417,7 +417,8 @@ mod tests {
         for name in FleetScenario::NAMES {
             let sc = FleetScenario::by_name(name, FleetScale::Quick).unwrap();
             let mut engine = FleetEngine::new(&sc);
-            while engine.step(&mut |ctx| sc.planned_layer(ctx.cohort, ctx.seq)).is_some() {}
+            let mut route = |ctx: &RouteCtx| sc.planned_layer(ctx.cohort, ctx.seq);
+            engine.advance_until(f64::INFINITY, &mut route, &mut |_, _| {});
             let serial = engine.report();
             let run = run_scenario_sharded(&sc, 1);
             assert_eq!(serial, run.report, "{name}");

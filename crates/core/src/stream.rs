@@ -19,11 +19,11 @@
 //! [`scheme_action_table`], or for a **load-aware** Adaptive policy (input
 //! `context + load features`, [`scenario_load_normalizer`]) a per-window
 //! greedy forward pass on the live queue state — and records the
-//! `stream.*` counters. The loop's stepper runs either router over the
-//! scenario's own one-shard plan, optionally confined to a probe cohort,
-//! outcome by outcome. Scoring at the *observed* delay, the drop penalty
-//! and the conservation checks are the loop's, shared with
-//! [`crate::replay`]; the stepper is shared with [`crate::fleet_train`].
+//! `stream.*` counters. The loop runs either router over the scenario's
+//! own one-shard plan, optionally confined to a probe cohort, each event's
+//! outcomes heard before the next. Scoring at the *observed* delay, the
+//! drop penalty and the conservation checks are the loop's, shared with
+//! [`crate::replay`]; the run is shared with [`crate::fleet_train`].
 
 use std::fmt::Write as _;
 

@@ -62,11 +62,11 @@
 //!   denominator `√v̂ + ε` is at least `ε > 2⁻²⁷`, so the step is at most
 //!   `2⁻¹⁰⁰`, under the half-ulp `2⁻⁹⁹` of any `|p| ≥ 2⁻⁷⁵`. `m̂ = +0`
 //!   steps by `+0` (or by the same NaN, if the denominator is one);
-//! * **exact-one bias corrections.** Once `1 − β₁ᵗ` (from `t ≈ 165`) or
-//!   `1 − β₂ᵗ` (from `t ≈ 17 300`) rounds to `1.0`, its division is
-//!   skipped, a choice made once per tensor: `x / 1.0 == x` bit for bit.
-//!   Once both have (from step 17 321 on), `Adam::step` stops recomputing
-//!   them: `1 − βᵗ` only moves toward 1, so they stay 1.0.
+//! * **exact-one bias corrections.** Once `1 − β₁ᵗ` (from step 165) or
+//!   `1 − β₂ᵗ` (from step 17 321) rounds to `1.0`, its division is
+//!   skipped, a choice made once per tensor: `x / 1.0 == x` bit for bit,
+//!   and `Adam::step` stops recomputing it: `1 − βᵗ` only moves toward 1,
+//!   so it stays 1.0.
 //!
 //! NaN fails every `<`/`≥` above, so NaN operands are never replaced; `±∞`
 //! moments and parameters propagate as before. `tests/optim_reference.rs`
@@ -200,16 +200,15 @@ impl Adam {
         assert!(lr > 0.0, "learning rate must be positive");
         let (beta1, beta2) = (0.9, 0.999);
         // A slot stepped before slot 0 ever was is corrected as in step 1.
-        let bias = Self::bias_corrections(beta1, beta2, 1);
+        let bias = (Self::bias_correction(beta1, 1), Self::bias_correction(beta2, 1));
         Self { lr, beta1, beta2, epsilon: 1e-8, t: 0, bias, moments: Vec::new() }
     }
 
-    /// `(1 − β₁ᵗ, 1 − β₂ᵗ)`. The exponent saturates at `i32::MAX`, where
-    /// both powers have long underflowed to 0 and both corrections are
-    /// exactly 1 — as they are for every larger `t`.
-    fn bias_corrections(beta1: f32, beta2: f32, t: u64) -> (f32, f32) {
-        let t = i32::try_from(t).unwrap_or(i32::MAX);
-        (1.0 - beta1.powi(t), 1.0 - beta2.powi(t))
+    /// `1 − βᵗ`. The exponent saturates at `i32::MAX`, where the power has
+    /// long underflowed to 0 and the correction is exactly 1 — as it is
+    /// for every larger `t`.
+    fn bias_correction(beta: f32, t: u64) -> f32 {
+        1.0 - beta.powi(i32::try_from(t).unwrap_or(i32::MAX))
     }
 
     /// Slot `slot`'s first and second moment, once it has been stepped.
@@ -226,10 +225,12 @@ impl Optimizer for Adam {
         // affects early bias correction.)
         if slot == 0 {
             self.t = self.t.saturating_add(1);
-            // `1 − βᵗ` only moves toward 1: once both corrections are
-            // exactly 1.0 (from step 17 321 on) they stay there.
-            if self.bias != (1.0, 1.0) {
-                self.bias = Self::bias_corrections(self.beta1, self.beta2, self.t);
+            // `1 − βᵗ` only moves toward 1: once a correction is exactly
+            // 1.0 it stays there (β₁'s from step 165 on, β₂'s from 17 321).
+            for (bias, beta) in [(&mut self.bias.0, self.beta1), (&mut self.bias.1, self.beta2)] {
+                if *bias != 1.0 {
+                    *bias = Self::bias_correction(beta, self.t);
+                }
             }
         }
         let (m, v) = slot_state(&mut self.moments, slot, || {
@@ -331,6 +332,11 @@ mod tests {
         assert!(a[(0, 0)] < 1.0 && b[(0, 0)] < 1.0);
     }
 
+    /// `Adam::new()`'s `(1 − β₁ᵗ, 1 − β₂ᵗ)`.
+    fn corrections(t: u64) -> (f32, f32) {
+        (Adam::bias_correction(0.9, t), Adam::bias_correction(0.999, t))
+    }
+
     /// The corrections a step shares are the two powers every slot used to
     /// recompute, and past `i32::MAX` — where an `as i32` exponent wrapped
     /// negative — they stay at the 1 they reached long before.
@@ -338,31 +344,37 @@ mod tests {
     fn adam_bias_corrections_match_powi_and_saturate_at_one() {
         for t in [1u64, 2, 10, 1_000, 100_000] {
             let expected = (1.0 - 0.9f32.powi(t as i32), 1.0 - 0.999f32.powi(t as i32));
-            assert_eq!(Adam::bias_corrections(0.9, 0.999, t), expected, "t = {t}");
+            assert_eq!(corrections(t), expected, "t = {t}");
         }
         for t in [i32::MAX as u64, i32::MAX as u64 + 1, u64::MAX] {
-            assert_eq!(Adam::bias_corrections(0.9, 0.999, t), (1.0, 1.0), "t = {t}");
+            assert_eq!(corrections(t), (1.0, 1.0), "t = {t}");
         }
     }
 
-    /// Across the step where both corrections reach 1.0, `Adam::step`'s
-    /// kept pair is the recomputed one at every `t`, and it is kept (not
-    /// recomputed) from the step after.
+    /// Across the steps where the corrections reach 1.0 — β₁'s at step
+    /// 165, β₂'s at 17 321 — `Adam::step`'s kept pair is the recomputed one
+    /// at every `t` from 1 to 40 000, and each correction is kept (not
+    /// recomputed) from the step after it reached 1.0.
     #[test]
     fn adam_keeps_its_corrections_once_both_are_one() {
-        assert_eq!(Adam::bias_corrections(0.9, 0.999, 17_320).0, 1.0);
-        assert_ne!(Adam::bias_corrections(0.9, 0.999, 17_320).1, 1.0);
+        assert_ne!(corrections(164).0, 1.0);
+        assert_eq!(corrections(165).0, 1.0);
+        assert_eq!(corrections(17_320).0, 1.0);
+        assert_ne!(corrections(17_320).1, 1.0);
         let mut opt = Adam::new(1e-3);
         let (mut param, grad) = (Matrix::zeros(1, 1), Matrix::zeros(1, 1));
-        let mut first_kept = None;
+        let (mut first_kept1, mut first_kept) = (None, None);
         for t in 1..=40_000 {
+            if opt.bias.0 == 1.0 {
+                first_kept1.get_or_insert(t);
+            }
             if opt.bias == (1.0, 1.0) {
                 first_kept.get_or_insert(t);
             }
             opt.step(0, &mut param, &grad);
-            assert_eq!(opt.bias, Adam::bias_corrections(0.9, 0.999, t), "t = {t}");
+            assert_eq!(opt.bias, corrections(t), "t = {t}");
         }
-        assert_eq!(first_kept, Some(17_322));
+        assert_eq!((first_kept1, first_kept), (Some(166), Some(17_322)));
     }
 
     /// What keeping them relies on, for every step count the exponent
@@ -371,7 +383,7 @@ mod tests {
     #[ignore = "every step count up to i32::MAX: ≈ 11 minutes in a release build"]
     fn adam_corrections_stay_one_to_the_saturated_exponent() {
         for t in 17_321..=i32::MAX as u64 {
-            assert_eq!(Adam::bias_corrections(0.9, 0.999, t), (1.0, 1.0), "t = {t}");
+            assert_eq!(corrections(t), (1.0, 1.0), "t = {t}");
         }
     }
 

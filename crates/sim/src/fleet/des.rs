@@ -18,22 +18,20 @@
 //! delay is therefore *load-dependent*: the same action costs more under
 //! queueing.
 //!
-//! The engine has two drivers sharing one implementation:
+//! The engine has one loop, [`FleetEngine::advance_until`]: every event up
+//! to a barrier, a router asked for the layer of each window emitted, each
+//! per-window outcome ([`JobEvent::Served`] / [`JobEvent::Dropped`]) handed
+//! on with the virtual time of the event that produced it. A shard runs it
+//! barrier by barrier in a multi-shard plan's window loop
+//! ([`super::shard::ShardEngine::advance_to`]), or to `+∞` as a closed
+//! loop ([`super::shard::ShardEngine::run_closed`]) that hears each handled
+//! event's outcomes before the next event — an emission event's windows
+//! all routed first. That closes the training loop: the router can change
+//! with what it has heard without re-running whole scenarios.
 //!
-//! * [`FleetEngine::step`] — advance the virtual clock until the *next*
-//!   per-window outcome ([`JobEvent::Served`] / [`JobEvent::Dropped`])
-//!   and return it. This is what closes the training loop: a caller can
-//!   route a window, observe its simulated load-dependent completion,
-//!   update the policy, and keep going — without re-running whole
-//!   scenarios;
-//! * [`FleetEngine::advance_until`] — process every event up to a barrier
-//!   and hand the outcomes to a sink: a shard's half of a multi-shard
-//!   plan's window loop ([`super::shard`]).
-//!
-//! An engine is driven by one of them for its whole run. It is
-//! single-threaded and fully deterministic — same scenario, same seed ⇒
-//! byte-identical [`FleetReport`] regardless of host thread count or
-//! `HEC_THREADS`, and both drivers yield the same outcome sequence.
+//! An engine is single-threaded and fully deterministic — same scenario,
+//! same seed ⇒ byte-identical [`FleetReport`] regardless of host thread
+//! count or `HEC_THREADS`, and however it is driven.
 //!
 //! The hot path is batched, and what is left of it is kept out of the
 //! heap. One emission event injects a whole phase bucket of windows and a
@@ -74,11 +72,9 @@
 //! after every member, so one look at the queue's head
 //! ([`EventQueue::peek_head`]) when a group's second member is due says
 //! where to stop: the rest of the group is re-filed under the next
-//! member's `seq`. Under
-//! [`FleetEngine::step`] a group also stops after a member with an
-//! outcome, where that member's own event would have returned. Pop order,
-//! event counts and every outcome are therefore those of one event per
-//! arriving window.
+//! member's `seq`. Pop order, event counts and every outcome are therefore
+//! those of one event per arriving window (a closed loop hears a group's
+//! drops after its last member; nothing is routed in between either way).
 //!
 //! A device-local completion changes nothing but the layer-0 in-flight
 //! gauge, so it never enters the queue. Serving a window at layer 0 takes
@@ -87,16 +83,15 @@
 //! unless the device is backlogged; those few go to one small heap). The
 //! engine retires every completion that would have popped before the
 //! `(time, seq)` of the event it handles wherever the gauge is read (an
-//! `Emit`, a `Trace`) and wherever the caller can look (`step` returning,
-//! `advance_until` reaching its barrier). A retired completion still
+//! `Emit`, a `Trace`) and where a caller can look between calls
+//! (`advance_until` reaching its barrier). A retired completion still
 //! counts as a processed event at its finish time, and
 //! [`FleetEngine::next_event_time_ms`] sees pending ones, so event counts,
 //! horizons, barriers and traces are those of a queue that held them.
 //!
 //! Each outcome is written once, by `dispatch`, straight to where the
-//! driver wants it: the caller's sink under
-//! [`FleetEngine::advance_until`], the `pending` line under
-//! [`FleetEngine::step`].
+//! driver wants it: a shard's outbox, or the closed loop's buffer of the
+//! event being handled.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -154,6 +149,36 @@ pub enum JobEvent {
         /// Where it was shed.
         reason: DropReason,
     },
+}
+
+/// What runs an engine's loop: the layer of each emitted window, where
+/// each outcome goes, and what happens once an event is handled.
+pub(crate) trait Driver {
+    /// The layer of the window emitted under `ctx`.
+    fn route(&mut self, ctx: &RouteCtx) -> usize;
+
+    /// An outcome of the event being handled, at its virtual time `t`.
+    fn outcome(&mut self, t: f64, ev: JobEvent);
+
+    /// An event has been handled, its outcomes handed to
+    /// [`Driver::outcome`], the next not popped; `engine` is as the event
+    /// left it. Nothing, unless the driver closes a loop.
+    fn handled(&mut self, _engine: &FleetEngine<'_>) {}
+}
+
+/// A router and a sink: the driver of a loop nobody closes.
+impl<R, S> Driver for (&mut R, &mut S)
+where
+    R: FnMut(&RouteCtx) -> usize + ?Sized,
+    S: FnMut(f64, JobEvent) + ?Sized,
+{
+    fn route(&mut self, ctx: &RouteCtx) -> usize {
+        (self.0)(ctx)
+    }
+
+    fn outcome(&mut self, t: f64, ev: JobEvent) {
+        (self.1)(t, ev)
+    }
 }
 
 /// Discrete events of the fleet simulation.
@@ -291,14 +316,21 @@ struct LayerState {
     done_lane_misses: u64,
 }
 
-/// A resumable fleet simulation.
-///
-/// [`FleetEngine::step`] advances the virtual clock until the next
-/// per-window outcome and returns it; the caller supplies the router on
-/// every call, so routing state (e.g. a policy network being trained on
-/// the observed completions) can be mutated *between* steps. Once `step`
-/// returns `None` the run is complete and [`FleetEngine::report`] renders
-/// its [`FleetReport`].
+impl LayerState {
+    /// `job`, done at this layer (`l`) at `now` and one propagation away
+    /// from its device, counted as served: its outcome.
+    #[inline]
+    fn serve(&mut self, l: usize, now: f64, job: JobRec) -> JobEvent {
+        let latency_ms = now + self.prop_ms - job.emit_ms;
+        self.served += 1;
+        self.latency.record(latency_ms);
+        JobEvent::Served { seq: job.seq, device: job.device, layer: l, latency_ms }
+    }
+}
+
+/// A resumable fleet simulation, advanced barrier by barrier (module
+/// docs); once [`FleetEngine::next_event_time_ms`] is `None` the run is
+/// complete and [`FleetEngine::report`] renders its [`FleetReport`].
 pub struct FleetEngine<'a> {
     sc: &'a FleetScenario,
     topo: HecTopology,
@@ -327,8 +359,6 @@ pub struct FleetEngine<'a> {
     done_buf: Vec<JobRec>,
     trace: Vec<TraceSample>,
     last_activity_ms: f64,
-    /// Outcomes produced by processed events, not yet handed to the caller.
-    pending: VecDeque<JobEvent>,
     /// `LinkDone` / `PsComputeDone` pops that completed no job: the
     /// estimated completion time fell short of the job's credit by more
     /// than `PsResource::pop_due_into`'s tolerance.
@@ -363,22 +393,6 @@ impl<'a> FleetEngine<'a> {
     pub fn with_topology(scenario: &'a FleetScenario, topology: HecTopology) -> Self {
         let lanes = scenario.cohorts.len() + 2 * (topology.num_layers() - 1);
         Self::build(scenario, topology, lanes)
-    }
-
-    /// The engine with every queue event but the PS completions in the
-    /// queue's heap: the referee the lane mapping is held to.
-    #[cfg(test)]
-    fn heap_only(scenario: &'a FleetScenario, topology: HecTopology) -> Self {
-        Self::build(scenario, topology, 0)
-    }
-
-    /// The engine that keeps every device-local completion as a queue
-    /// event and retires it when it pops, and files every arrival as a
-    /// group of one where it reserves the arrival's `seq`: the referee the
-    /// retirement rule and the arrival groups are held to.
-    #[cfg(test)]
-    fn eager(scenario: &'a FleetScenario, topology: HecTopology) -> Self {
-        Self { eager: true, ..Self::with_topology(scenario, topology) }
     }
 
     /// The engine over a queue of `lanes` lanes (see `emit_lane`,
@@ -494,7 +508,6 @@ impl<'a> FleetEngine<'a> {
             done_buf: Vec::with_capacity(sc.batch_max.max(16)),
             trace: Vec::new(),
             last_activity_ms: 0.0,
-            pending: VecDeque::new(),
             #[cfg(test)]
             idle_completions: 0,
             #[cfg(test)]
@@ -521,11 +534,6 @@ impl<'a> FleetEngine<'a> {
         engine
     }
 
-    /// Windows emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
     /// Virtual time of the earliest pending event, device-local
     /// completions included, or `None` when the run is complete. This is
     /// what the sharded coordinator derives its conservative barrier times
@@ -545,21 +553,26 @@ impl<'a> FleetEngine<'a> {
     /// This is the shard-local primitive behind the sharded fleet engine:
     /// a shard advances to the coordinator's barrier, and the coordinator
     /// merges the timestamped outcomes across shards in stable shard order.
-    /// An engine driven by [`FleetEngine::step`] is never advanced this way.
     ///
     /// # Panics
     ///
-    /// Panics if the router returns a layer outside the topology, or if
-    /// outcomes of an earlier [`FleetEngine::step`] are still queued.
+    /// Panics if the router returns a layer outside the topology.
     pub fn advance_until<R: FnMut(&RouteCtx) -> usize + ?Sized>(
         &mut self,
         barrier_ms: f64,
         router: &mut R,
         sink: &mut impl FnMut(f64, JobEvent),
     ) {
-        assert!(self.pending.is_empty(), "a stepped engine advanced to a barrier");
+        self.advance(barrier_ms, &mut (router, sink));
+    }
+
+    /// The loop behind [`FleetEngine::advance_until`] and a shard's closed
+    /// loop: every event at or before `barrier_ms`, `driver` told after
+    /// each, then the local completions due by the barrier retired.
+    pub(crate) fn advance<D: Driver + ?Sized>(&mut self, barrier_ms: f64, driver: &mut D) {
         while let Some((now, seq, ev)) = self.q.pop_seq_at_or_before(barrier_ms) {
-            self.dispatch((now, seq), ev, router, false, &mut |out| sink(now, out));
+            self.dispatch((now, seq), ev, driver);
+            driver.handled(self);
         }
         self.retire_local((barrier_ms, u64::MAX));
     }
@@ -658,36 +671,6 @@ impl<'a> FleetEngine<'a> {
         spec.start_ms + tick as f64 * spec.period_ms + phase
     }
 
-    /// Advances the simulation until the next per-window outcome and
-    /// returns it, or `None` when every event has been processed. The
-    /// router is consulted (in deterministic emission order) for each
-    /// window emitted along the way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the router returns a layer outside the topology.
-    pub fn step(&mut self, router: &mut dyn FnMut(&RouteCtx) -> usize) -> Option<JobEvent> {
-        loop {
-            if let Some(ev) = self.pending.pop_front() {
-                return Some(ev);
-            }
-            let Some((now, seq, ev)) = self.q.pop_seq_at_or_before(f64::INFINITY) else {
-                self.retire_local(NO_HEAD);
-                return None;
-            };
-            // Empty here; lent to `dispatch`'s sink for the one entry.
-            let mut pending = std::mem::take(&mut self.pending);
-            let last =
-                self.dispatch((now, seq), ev, router, true, &mut |out| pending.push_back(out));
-            self.pending = pending;
-            if !self.pending.is_empty() {
-                // About to return: the caller may look at the engine, which
-                // must show what a queue holding the completions would.
-                self.retire_local(last);
-            }
-        }
-    }
-
     /// Lane of cohort `c`'s `Emit` events: its buckets fire round-robin in
     /// phase order, tick after tick.
     fn emit_lane(&self, c: usize) -> usize {
@@ -737,19 +720,9 @@ impl<'a> FleetEngine<'a> {
         self.q.schedule_reserved_on(lay.arrive_lane, t, lay.open_seq, group);
     }
 
-    /// Handles one queue entry popped at `at` = `(now, seq)`, handing any
-    /// per-window outcomes to `out`, and returns the `(time, seq)` of the
-    /// last event it handled: `at`, unless the entry is an arrival group.
-    /// With `yield_outcome` a group stops after a member with an outcome,
-    /// as its members' own events would have returned `step` there.
-    fn dispatch<R: FnMut(&RouteCtx) -> usize + ?Sized>(
-        &mut self,
-        at: Head,
-        ev: Ev,
-        router: &mut R,
-        yield_outcome: bool,
-        out: &mut impl FnMut(JobEvent),
-    ) -> Head {
+    /// Handles one queue entry popped at `at` = `(now, seq)`, routing its
+    /// windows and handing its per-window outcomes to `driver`.
+    fn dispatch<D: Driver + ?Sized>(&mut self, at: Head, ev: Ev, driver: &mut D) {
         let now = at.0;
         self.events += 1;
         if !matches!(ev, Ev::Trace) {
@@ -783,7 +756,7 @@ impl<'a> FleetEngine<'a> {
                         queue_depth: &self.depth_scratch,
                         link_inflight: &self.link_scratch,
                     };
-                    let target = router(&ctx);
+                    let target = driver.route(&ctx);
                     assert!(target < self.k, "router chose layer {target} of {}", self.k);
                     let layer = &mut self.layers[target];
                     layer.offered += 1;
@@ -794,12 +767,15 @@ impl<'a> FleetEngine<'a> {
                         let start = self.busy_until[d].max(now);
                         if start - now > self.sc.local_backlog_ms {
                             layer.dropped_queue += 1;
-                            out(JobEvent::Dropped {
-                                seq,
-                                device,
-                                layer: 0,
-                                reason: DropReason::QueueFull,
-                            });
+                            driver.outcome(
+                                now,
+                                JobEvent::Dropped {
+                                    seq,
+                                    device,
+                                    layer: 0,
+                                    reason: DropReason::QueueFull,
+                                },
+                            );
                         } else {
                             let finish = start + exec0;
                             self.busy_until[d] = finish;
@@ -809,7 +785,10 @@ impl<'a> FleetEngine<'a> {
                             layer.latency.record(latency);
                             self.local_inflight += 1;
                             self.complete_locally(c, finish);
-                            out(JobEvent::Served { seq, device, layer: 0, latency_ms: latency });
+                            driver.outcome(
+                                now,
+                                JobEvent::Served { seq, device, layer: 0, latency_ms: latency },
+                            );
                         }
                     } else {
                         let job = JobRec { emit_ms: now, seq, device };
@@ -827,12 +806,15 @@ impl<'a> FleetEngine<'a> {
                                     );
                                 } else {
                                     layer.dropped_link += 1;
-                                    out(JobEvent::Dropped {
-                                        seq,
-                                        device,
-                                        layer: target,
-                                        reason: DropReason::LinkSaturated,
-                                    });
+                                    driver.outcome(
+                                        now,
+                                        JobEvent::Dropped {
+                                            seq,
+                                            device,
+                                            layer: target,
+                                            reason: DropReason::LinkSaturated,
+                                        },
+                                    );
                                 }
                             }
                             _ => self.gather(target, job),
@@ -875,14 +857,11 @@ impl<'a> FleetEngine<'a> {
                 self.file_open(l);
             }
 
-            Ev::Arrive { layer, count } => {
-                return self.arrive_group(at, layer as usize, count, yield_outcome, out);
-            }
+            Ev::Arrive { layer, count } => self.arrive_group(at, layer as usize, count, driver),
 
             Ev::ComputeDone { layer, slot } => {
                 let l = layer as usize;
                 let lay = &mut self.layers[l];
-                let prop = lay.prop_ms;
                 self.done_buf.clear();
                 // Invariant: only a FIFO stage's `dispatch` schedules a
                 // `ComputeDone`, and a layer's stage is fixed at build.
@@ -891,15 +870,7 @@ impl<'a> FleetEngine<'a> {
                 };
                 queue.complete_into(slot as usize, &mut self.done_buf);
                 for job in self.done_buf.drain(..) {
-                    let latency = now + prop - job.emit_ms;
-                    lay.served += 1;
-                    lay.latency.record(latency);
-                    out(JobEvent::Served {
-                        seq: job.seq,
-                        device: job.device,
-                        layer: l,
-                        latency_ms: latency,
-                    });
+                    driver.outcome(now, lay.serve(l, now, job));
                 }
                 self.start_services(l, now);
             }
@@ -907,7 +878,6 @@ impl<'a> FleetEngine<'a> {
             Ev::PsComputeDone { layer } => {
                 let l = layer as usize;
                 let lay = &mut self.layers[l];
-                let prop = lay.prop_ms;
                 let exec = lay.exec_ms;
                 // Invariant: only a PS stage's `offer` and completions
                 // schedule a `PsComputeDone`, and a stage is fixed at build.
@@ -928,16 +898,8 @@ impl<'a> FleetEngine<'a> {
                     );
                 }
                 for job in self.done_buf.drain(..) {
-                    let latency = now + prop - job.emit_ms;
-                    lay.served += 1;
                     lay.busy_ms += exec;
-                    lay.latency.record(latency);
-                    out(JobEvent::Served {
-                        seq: job.seq,
-                        device: job.device,
-                        layer: l,
-                        latency_ms: latency,
-                    });
+                    driver.outcome(now, lay.serve(l, now, job));
                 }
             }
 
@@ -974,30 +936,18 @@ impl<'a> FleetEngine<'a> {
                 }
             }
         }
-        at
     }
 
     /// Handles the `count` members of layer `l`'s arrival group, popped at
-    /// `at` = `(t, seq of its first member)`, one event each, and returns
-    /// the `(time, seq)` of the last one handled. The group stops early —
-    /// the rest re-filed under the next member's `seq` — before a member
-    /// that another queued event pops ahead of, and (with `yield_outcome`)
-    /// after a member with an outcome.
-    fn arrive_group(
-        &mut self,
-        at: Head,
-        l: usize,
-        count: u32,
-        yield_outcome: bool,
-        out: &mut impl FnMut(JobEvent),
-    ) -> Head {
+    /// `at` = `(t, seq of its first member)`, one event each. The group
+    /// stops early — the rest re-filed under the next member's `seq` —
+    /// before a member that another queued event pops ahead of.
+    fn arrive_group<D: Driver + ?Sized>(&mut self, at: Head, l: usize, count: u32, driver: &mut D) {
         let t = at.0;
         // Handling a member schedules events after every member, so the
         // queue's earliest entry when the second member is due is the only
         // one that can interleave (a group of one never looks).
         let mut bound = None;
-        let mut last = at;
-        let mut yielded = false;
         for i in 0..count {
             // Invariant: a layer's groups pop in filing order, so this
             // group's members are the front `count` of `arrivals`.
@@ -1005,26 +955,22 @@ impl<'a> FleetEngine<'a> {
             debug_assert!(i > 0 || seq == at.1, "group popped off its first member's seq");
             if i > 0 {
                 let bound = *bound.get_or_insert_with(|| self.q.peek_head().unwrap_or(NO_HEAD));
-                let interleaved = !before((t, seq), bound);
-                if interleaved || yielded {
+                if !before((t, seq), bound) {
                     #[cfg(test)]
                     {
-                        self.group_splits += u64::from(interleaved);
+                        self.group_splits += 1;
                     }
                     let rest = Ev::Arrive { layer: l as u8, count: count - i };
                     self.q.schedule_reserved_on(self.layers[l].arrive_lane, t, seq, rest);
-                    return last;
+                    return;
                 }
                 self.events += 1;
             }
             self.layers[l].arrivals.pop_front();
-            last = (t, seq);
             if let Some(dropped) = self.arrive(l, t, job) {
-                out(dropped);
-                yielded = yield_outcome;
+                driver.outcome(t, dropped);
             }
         }
-        last
     }
 
     /// One window reaching layer `l`'s compute stage at `now`: its drop,
@@ -1083,9 +1029,10 @@ impl<'a> FleetEngine<'a> {
         }
     }
 
-    /// Renders the run's report. Normally called after [`FleetEngine::
-    /// step`] returns `None`; calling earlier reports the progress so far
-    /// (utilization denominators use the last processed activity time).
+    /// Renders the run's report. Normally called once the run is complete
+    /// ([`FleetEngine::next_event_time_ms`] is `None`); calling earlier
+    /// reports the progress so far (utilization denominators use the last
+    /// processed activity time).
     pub fn report(&self) -> FleetReport {
         let mut totals = FleetTotals::new(self.k);
         self.add_to(&mut totals);
@@ -1094,10 +1041,26 @@ impl<'a> FleetEngine<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fleet::scenario::{CohortSpec, FleetScale, RoutePlan};
     use crate::network::Link;
+
+    impl<'a> FleetEngine<'a> {
+        /// The engine with every queue event but the PS completions in the
+        /// queue's heap: the referee the lane mapping is held to.
+        fn heap_only(scenario: &'a FleetScenario, topology: HecTopology) -> Self {
+            Self::build(scenario, topology, 0)
+        }
+
+        /// The engine that keeps every device-local completion as a queue
+        /// event and retires it when it pops, and files every arrival as a
+        /// group of one where it reserves the arrival's `seq`: the referee
+        /// the retirement rule and the arrival groups are held to.
+        fn eager(scenario: &'a FleetScenario, topology: HecTopology) -> Self {
+            Self { eager: true, ..Self::with_topology(scenario, topology) }
+        }
+    }
 
     /// A tiny scenario: `devices` devices, `windows` windows each, one
     /// window per `period_ms`, all routed by `route`.
@@ -1108,21 +1071,21 @@ mod tests {
         sc
     }
 
-    /// Steps `sc` to completion under `router`, handing every outcome to
-    /// `observer`.
+    /// Runs `sc` to completion as a closed loop under `router`, handing
+    /// every outcome to `observer` once the event that produced it is
+    /// handled.
     fn run_with(
         sc: &FleetScenario,
         router: &mut dyn FnMut(&RouteCtx) -> usize,
         observer: &mut dyn FnMut(&JobEvent),
     ) -> FleetReport {
         let mut engine = FleetEngine::new(sc);
-        while let Some(ev) = engine.step(router) {
-            observer(&ev);
-        }
+        let hear = |heard: &[JobEvent]| heard.iter().for_each(&mut *observer);
+        engine.advance(f64::INFINITY, &mut Hearing::new(router, hear));
         engine.report()
     }
 
-    /// Steps `sc` to completion under its own routing plans.
+    /// Runs `sc` to completion under its own routing plans.
     fn run(sc: &FleetScenario) -> FleetReport {
         run_with(sc, &mut |ctx| sc.planned_layer(ctx.cohort, ctx.seq), &mut |_| {})
     }
@@ -1265,9 +1228,9 @@ mod tests {
         let _ = run_with(&sc, &mut router, &mut |_| {});
     }
 
-    /// Stepping an engine to completion and advancing it to an infinite
-    /// barrier must yield the same outcome stream and the byte-identical
-    /// report.
+    /// Stepping an engine to completion (the referee), running it as a
+    /// closed loop and advancing it to an infinite barrier must yield the
+    /// same outcome stream and the byte-identical report.
     #[test]
     fn step_matches_advance_until_infinity() {
         let mut sc = tiny(40, 8, 5.0, RoutePlan::Fixed(0));
@@ -1278,55 +1241,46 @@ mod tests {
         let mut pushed: Vec<JobEvent> = Vec::new();
         advanced.advance_until(f64::INFINITY, &mut { route }, &mut |_, ev| pushed.push(ev));
 
-        let mut engine = FleetEngine::new(&sc);
-        let mut pulled: Vec<JobEvent> = Vec::new();
-        while let Some(ev) = engine.step(&mut { route }) {
-            pulled.push(ev);
-        }
+        let (tokens, _, _, _, report) = by_step(&mut FleetEngine::new(&sc), route);
+        let pulled: Vec<JobEvent> = heard(&tokens).collect();
         assert_eq!(pushed, pulled);
-        assert_eq!(advanced.report(), engine.report());
-        assert_eq!(advanced.report().to_text(), engine.report().to_text());
-        assert_eq!(engine.emitted(), advanced.emitted());
+        assert_eq!(advanced.report(), report);
+        assert_eq!(advanced.report().to_text(), report.to_text());
+
+        let (looped, _, _, _, closed_report) = by_loop(&mut FleetEngine::new(&sc), route);
+        assert_eq!(looped, tokens);
+        assert_eq!(closed_report, report);
+        assert_eq!(closed_report.to_text(), report.to_text());
     }
 
-    /// Outcomes a `step` left queued would never reach a barrier's sink:
-    /// mixing the drivers is refused, in release builds too.
-    #[test]
-    #[should_panic(expected = "a stepped engine advanced to a barrier")]
-    fn advancing_a_stepped_engine_panics() {
-        let mut sc = tiny(40, 8, 5.0, RoutePlan::Fixed(0));
-        sc.batch_max = 2;
-        let route = |ctx: &RouteCtx| (ctx.seq % 3) as usize;
-        let mut engine = FleetEngine::new(&sc);
-        while engine.pending.is_empty() {
-            engine.step(&mut { route }).expect("no event left two outcomes queued");
-        }
-        engine.advance_until(f64::INFINITY, &mut { route }, &mut |_, _| {});
-    }
-
-    /// The step-wise API exists so routing state can change between
-    /// steps: a router that reacts to the previous outcome must be legal
+    /// A closed loop exists so routing state can change with what it
+    /// hears: a router that reacts to the previous outcome must be legal
     /// and deterministic.
     #[test]
     fn router_state_can_mutate_between_steps() {
-        let sc = tiny(30, 6, 4.0, RoutePlan::Fixed(0));
+        let mut sc = tiny(30, 6, 4.0, RoutePlan::Fixed(0));
+        // Devices back up locally (12.4 ms of work every 4 ms), so layer 0
+        // drops and the router moves.
+        sc.local_backlog_ms = 20.0;
         let run = || {
             let mut engine = FleetEngine::new(&sc);
-            let mut target = 0usize;
+            let target = std::cell::Cell::new(0usize);
             let mut outcomes = Vec::new();
-            loop {
-                let ev = engine.step(&mut |_ctx| target);
-                let Some(ev) = ev else { break };
-                // Feedback: a drop pushes subsequent windows up a layer.
-                if matches!(ev, JobEvent::Dropped { .. }) {
-                    target = (target + 1) % 3;
+            let hear = |heard: &[JobEvent]| {
+                for &ev in heard {
+                    // Feedback: a drop pushes subsequent windows up a layer.
+                    if matches!(ev, JobEvent::Dropped { .. }) {
+                        target.set((target.get() + 1) % 3);
+                    }
+                    outcomes.push(ev);
                 }
-                outcomes.push(ev);
-            }
+            };
+            engine.advance(f64::INFINITY, &mut Hearing::new(|_: &RouteCtx| target.get(), hear));
             (outcomes, engine.report())
         };
         let (ev_a, rep_a) = run();
         let (ev_b, rep_b) = run();
+        assert!(ev_a.iter().any(|ev| matches!(ev, JobEvent::Dropped { .. })), "no feedback");
         assert_eq!(ev_a, ev_b);
         assert_eq!(rep_a, rep_b);
     }
@@ -1376,27 +1330,215 @@ mod tests {
 
     /// What a caller can see of an engine between two calls: events
     /// processed, last activity, next event time.
-    type Seen = (u64, f64, Option<f64>);
+    pub(crate) type Seen = (u64, f64, Option<f64>);
 
-    /// A run as the referee tests compare it: what came out of each call
-    /// with what the engine showed after it, what it showed at the end,
-    /// the PS completions that completed no job, and the report.
+    /// A run by barriers as the referee tests compare it: what came out of
+    /// each call with what the engine showed after it, what it showed at
+    /// the end, the PS completions that completed no job, and the report.
     type Run<T> = (Vec<(T, Seen)>, Seen, u64, FleetReport);
+
+    /// One thing a closed run did: route window `seq` to a layer, or hear
+    /// an outcome.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(crate) enum Token {
+        Route(u64, usize),
+        Hear(JobEvent),
+    }
+
+    /// A closed run as the referee tests compare it: every route and heard
+    /// outcome in the order they happened, what the engine showed when each
+    /// outcome was heard, what it showed at the end, the PS completions
+    /// that completed no job, and the report.
+    pub(crate) type Closed = (Vec<Token>, Vec<Seen>, Seen, u64, FleetReport);
 
     fn seen(engine: &FleetEngine) -> Seen {
         (engine.events_processed(), engine.last_activity_ms(), engine.next_event_time_ms())
     }
 
-    /// Steps `engine` to completion, one outcome a call.
-    fn by_step(
+    /// The outcomes among `tokens`, in order.
+    fn heard(tokens: &[Token]) -> impl Iterator<Item = JobEvent> + '_ {
+        tokens.iter().filter_map(|&token| match token {
+            Token::Hear(ev) => Some(ev),
+            Token::Route(..) => None,
+        })
+    }
+
+    /// A closed loop on the engine's own loop, as a shard runs one: each
+    /// handled event's outcomes heard by `hear` once it is handled, and
+    /// every route and heard outcome logged, with what the engine showed
+    /// at each hear.
+    struct Hearing<R, H> {
+        route: R,
+        hear: H,
+        outcomes: Vec<JobEvent>,
+        tokens: Vec<Token>,
+        views: Vec<Seen>,
+    }
+
+    impl<R, H> Hearing<R, H> {
+        fn new(route: R, hear: H) -> Self {
+            Self { route, hear, outcomes: vec![], tokens: vec![], views: vec![] }
+        }
+    }
+
+    impl<R, H> Driver for Hearing<R, H>
+    where
+        R: FnMut(&RouteCtx) -> usize,
+        H: FnMut(&[JobEvent]),
+    {
+        fn route(&mut self, ctx: &RouteCtx) -> usize {
+            let layer = (self.route)(ctx);
+            self.tokens.push(Token::Route(ctx.seq, layer));
+            layer
+        }
+
+        fn outcome(&mut self, _: f64, ev: JobEvent) {
+            self.outcomes.push(ev);
+        }
+
+        fn handled(&mut self, engine: &FleetEngine<'_>) {
+            if self.outcomes.is_empty() {
+                return;
+            }
+            (self.hear)(&self.outcomes);
+            for &ev in &self.outcomes {
+                self.tokens.push(Token::Hear(ev));
+                self.views.push(seen(engine));
+            }
+            self.outcomes.clear();
+        }
+    }
+
+    /// The per-outcome driver the closed loop replaced, kept as its
+    /// referee: each call handles events until one has an outcome, returns
+    /// that outcome and queues the event's others for the next calls; an
+    /// arrival group also stops after a member that drops, where that
+    /// member's own event would have returned; and before returning from
+    /// an event it retires the device-local completions due before the
+    /// last window it handled, so the caller sees what a queue holding
+    /// them would show.
+    struct Stepper<'e, 'a> {
+        engine: &'e mut FleetEngine<'a>,
+        pending: VecDeque<JobEvent>,
+    }
+
+    impl Stepper<'_, '_> {
+        fn step(&mut self, router: &mut dyn FnMut(&RouteCtx) -> usize) -> Option<JobEvent> {
+            let Self { engine, pending } = self;
+            loop {
+                if let Some(ev) = pending.pop_front() {
+                    return Some(ev);
+                }
+                let Some((now, seq, ev)) = engine.q.pop_seq_at_or_before(f64::INFINITY) else {
+                    engine.retire_local(NO_HEAD);
+                    return None;
+                };
+                let mut out = (&mut *router, &mut |_, ev| pending.push_back(ev));
+                let last = match ev {
+                    Ev::Arrive { layer, count } => {
+                        engine.events += 1;
+                        engine.last_activity_ms = now;
+                        engine.yielding_group((now, seq), layer as usize, count, &mut out)
+                    }
+                    ev => {
+                        engine.dispatch((now, seq), ev, &mut out);
+                        (now, seq)
+                    }
+                };
+                if !pending.is_empty() {
+                    engine.retire_local(last);
+                }
+            }
+        }
+    }
+
+    impl FleetEngine<'_> {
+        /// `arrive_group` as the stepper ran it: it also stops after a
+        /// member that drops, and returns the `(time, seq)` of the last
+        /// member it handled.
+        fn yielding_group(
+            &mut self,
+            at: Head,
+            l: usize,
+            count: u32,
+            out: &mut impl Driver,
+        ) -> Head {
+            let t = at.0;
+            let mut bound = None;
+            let mut last = at;
+            let mut yielded = false;
+            for i in 0..count {
+                let &(seq, job) = self.layers[l].arrivals.front().expect("group members queued");
+                if i > 0 {
+                    let bound = *bound.get_or_insert_with(|| self.q.peek_head().unwrap_or(NO_HEAD));
+                    let interleaved = !before((t, seq), bound);
+                    if interleaved || yielded {
+                        self.group_splits += u64::from(interleaved);
+                        let rest = Ev::Arrive { layer: l as u8, count: count - i };
+                        self.q.schedule_reserved_on(self.layers[l].arrive_lane, t, seq, rest);
+                        return last;
+                    }
+                    self.events += 1;
+                }
+                self.layers[l].arrivals.pop_front();
+                last = (t, seq);
+                if let Some(dropped) = self.arrive(l, t, job) {
+                    out.outcome(t, dropped);
+                    yielded = true;
+                }
+            }
+            last
+        }
+    }
+
+    /// Steps `engine` to completion with the referee, one outcome a call.
+    pub(crate) fn by_step(
         engine: &mut FleetEngine,
         mut route: impl FnMut(&RouteCtx) -> usize,
-    ) -> Run<JobEvent> {
-        let mut steps = Vec::new();
-        while let Some(ev) = engine.step(&mut route) {
-            steps.push((ev, seen(engine)));
+    ) -> Closed {
+        let mut stepper = Stepper { engine, pending: VecDeque::new() };
+        let (mut tokens, mut views) = (Vec::new(), Vec::new());
+        loop {
+            let ev = stepper.step(&mut |ctx| {
+                let layer = route(ctx);
+                tokens.push(Token::Route(ctx.seq, layer));
+                layer
+            });
+            let Some(ev) = ev else { break };
+            tokens.push(Token::Hear(ev));
+            views.push(seen(stepper.engine));
         }
-        (steps, seen(engine), engine.idle_completions, engine.report())
+        let engine = stepper.engine;
+        (tokens, views, seen(engine), engine.idle_completions, engine.report())
+    }
+
+    /// Runs `engine` to completion as a closed loop.
+    fn by_loop(engine: &mut FleetEngine, route: impl FnMut(&RouteCtx) -> usize) -> Closed {
+        let mut driver = Hearing::new(route, |_: &[JobEvent]| {});
+        engine.advance(f64::INFINITY, &mut driver);
+        (driver.tokens, driver.views, seen(engine), engine.idle_completions, engine.report())
+    }
+
+    /// The closed loop held to the stepper it replaced on `sc` over
+    /// `topo()`: the same routes and heard outcomes in the same order, and
+    /// the same end and report; on the engine that keeps every event one
+    /// window's own (`eager`, where no arrival group holds two windows)
+    /// the same view at every hear too; and the very same run, views
+    /// included, on the engine with every lane event in the heap. Returns
+    /// the closed run and the stepped one on the engine itself.
+    fn closed_loop_holds_to_the_stepper(
+        sc: &FleetScenario,
+        topo: impl Fn() -> HecTopology,
+        route: impl FnMut(&RouteCtx) -> usize + Copy,
+    ) -> (Closed, Closed) {
+        let looped = by_loop(&mut FleetEngine::with_topology(sc, topo()), route);
+        let stepped = by_step(&mut FleetEngine::with_topology(sc, topo()), route);
+        let (tokens, _, end, idle, report) = &stepped;
+        assert_eq!((&looped.0, &looped.2, looped.3, &looped.4), (tokens, end, *idle, report));
+        assert_eq!(looped, by_loop(&mut FleetEngine::heap_only(sc, topo()), route));
+        let eager = || FleetEngine::eager(sc, topo());
+        assert_eq!(by_loop(&mut eager(), route), by_step(&mut eager(), route));
+        (looped, stepped)
     }
 
     /// Advances `engine` to completion 5 ms past each next event time, one
@@ -1422,7 +1564,8 @@ mod tests {
     /// payload sizes sharing capped links (finish credits out of order) and
     /// PS compute. Where an event waited must not show: same outcome
     /// stream, same event count, horizon and next event time after every
-    /// step and barrier, same report — by `step` and by `advance_until`.
+    /// step and barrier, same report — by the stepper and by
+    /// `advance_until`; and the closed loop holds to the stepper.
     #[test]
     fn lane_misses_leave_no_trace() {
         let mut sc = tiny(6, 30, 5.0, RoutePlan::Fixed(0));
@@ -1452,6 +1595,7 @@ mod tests {
         let laned = by_step(&mut FleetEngine::new(&sc), route);
         assert_eq!(laned, by_step(&mut FleetEngine::heap_only(&sc, topo()), route));
         assert_eq!(laned, by_step(&mut FleetEngine::eager(&sc, topo()), route));
+        closed_loop_holds_to_the_stepper(&sc, topo, route);
         let barriered = by_barriers(&mut FleetEngine::new(&sc), route);
         assert_eq!(barriered, by_barriers(&mut FleetEngine::heap_only(&sc, topo()), route));
         assert_eq!(barriered, by_barriers(&mut FleetEngine::eager(&sc, topo()), route));
@@ -1462,9 +1606,9 @@ mod tests {
         // every layer.
         // Every PS completion that pops completes a job here: the estimate
         // lands within `pop_due_into`'s tolerance of the credit each time.
-        assert_eq!(laned.2, 0, "PS completions popped that completed no job");
+        assert_eq!(laned.3, 0, "PS completions popped that completed no job");
 
-        let report = &laned.3;
+        let report = &laned.4;
         assert!(
             report.layers[0].max_ms > 24.8 + 1.0,
             "no local backlog: {}",
@@ -1485,7 +1629,8 @@ mod tests {
     /// pops after the other cohort's `Emit` and after the `Trace`). The
     /// router reads the local gauge, so a completion retired on the wrong
     /// side of an event moves windows. Held to the engine that keeps
-    /// completions as queue events, after every step and barrier.
+    /// completions as queue events, after every step and barrier; the
+    /// closed loop held to the stepper.
     #[test]
     fn completions_at_an_emission_instant_retire_in_seq_order() {
         let mut sc = tiny(8, 20, 8.0, RoutePlan::Fixed(0));
@@ -1508,10 +1653,11 @@ mod tests {
 
         let stepped = by_step(&mut FleetEngine::new(&sc), route);
         assert_eq!(stepped, by_step(&mut FleetEngine::eager(&sc, sc.topology()), route));
+        closed_loop_holds_to_the_stepper(&sc, || sc.topology(), route);
         let barriered = by_barriers(&mut FleetEngine::new(&sc), route);
         assert_eq!(barriered, by_barriers(&mut FleetEngine::eager(&sc, sc.topology()), route));
 
-        let report = &stepped.3;
+        let report = &stepped.4;
         assert_eq!(report.served + report.dropped, report.emitted);
         assert!(report.layers.iter().all(|l| l.served > 0), "{report:?}");
         assert!(depths.borrow().len() > 2, "the router saw one gauge value: {depths:?}");
@@ -1525,14 +1671,16 @@ mod tests {
     /// interleave by `seq` (each group splits at the other); layer-0 work
     /// takes that propagation too, so device-local completions retire at
     /// those instants; trace samples land on them. A short edge queue
-    /// drops arrivals mid-group (where `step` returns), two edge servers
-    /// with batches of up to four finish out of order (`ComputeDone` lane
-    /// misses), and — on the second topology — a capped cloud uplink
-    /// releases its transfers as `LinkDone` groups. After every step and
-    /// barrier: same events, horizon, next event time, outcomes, report.
+    /// drops arrivals mid-group (where the stepper returns, and a closed
+    /// loop hears the drop only after the group's last member), two edge
+    /// servers with batches of up to four finish out of order
+    /// (`ComputeDone` lane misses), and — on the second topology — a capped
+    /// cloud uplink releases its transfers as `LinkDone` groups. After
+    /// every step and barrier: same events, horizon, next event time,
+    /// outcomes, report; and the closed loop held to the stepper.
     ///
     /// Mutants it kills: a fresh `seq` per group instead of the first
-    /// member's, no split at an interleaving event, `step` retiring
+    /// member's, no split at an interleaving event, the stepper retiring
     /// device-local completions up to a group's first member instead of
     /// its last handled one, and a `ComputeDone` appended to its lane
     /// without the order check.
@@ -1567,11 +1715,15 @@ mod tests {
             misses += engine.layers.iter().map(|l| l.done_lane_misses).sum::<u64>();
             assert_eq!(stepped, by_step(&mut FleetEngine::heap_only(&sc, topo()), route));
             assert_eq!(stepped, by_step(&mut FleetEngine::eager(&sc, topo()), route));
+            let (looped, _) = closed_loop_holds_to_the_stepper(&sc, topo, route);
+            // A group went on past a drop: the loop had handled more of it
+            // than the stepper when that drop was heard.
+            assert_ne!(looped.1, stepped.1, "no group went on after a drop");
             let barriered = by_barriers(&mut FleetEngine::with_topology(&sc, topo()), route);
             assert_eq!(barriered, by_barriers(&mut FleetEngine::heap_only(&sc, topo()), route));
             assert_eq!(barriered, by_barriers(&mut FleetEngine::eager(&sc, topo()), route));
 
-            let report = &stepped.3;
+            let report = &stepped.4;
             assert_eq!(report.served + report.dropped, report.emitted);
             assert!(report.layers.iter().all(|l| l.served > 0), "{report:?}");
             assert!(report.layers[1..].iter().all(|l| l.dropped_queue > 0), "{report:?}");

@@ -17,19 +17,17 @@
 //! * [`scenario`] — named workloads at two scales (`light_load`,
 //!   `edge_saturated`, `cloud_link_constrained`, `flash_crowd`), with
 //!   per-cohort heterogeneous payloads and local compute speeds;
-//! * [`des`] — the virtual-clock engine on [`crate::EventQueue`]
-//!   ([`FleetEngine`]), resumable outcome by outcome so a caller can
-//!   interleave "route window → observe simulated completion → update
-//!   policy" for in-fleet training;
+//! * [`des`] — the virtual-clock engine ([`FleetEngine`]), whose one loop
+//!   can interleave "route window → observe completion → update policy";
 //! * [`metrics`] — latency histograms, per-layer utilization/drop
 //!   summaries, queue traces, CSV renderings;
 //! * [`shard`] — the sharded engine: a deterministic device/resource
 //!   partitioner ([`ShardPlan`]), per-shard sub-engines
 //!   ([`ShardedFleetEngine`]) that `hec-core` advances to conservative
-//!   lookahead barriers (a stateless router, any shard count) or steps
-//!   outcome by outcome (a router that changes between outcomes, one
-//!   shard), and the merge of their outcomes in stable shard order,
-//!   scaling scenarios to millions of devices.
+//!   lookahead barriers (a stateless router, any shard count) or runs
+//!   closed (a [`FeedbackRouter`], one shard), and the merge of their
+//!   outcomes in stable shard order, scaling scenarios to millions of
+//!   devices.
 //!
 //! Determinism is a hard invariant: each engine runs over a
 //! totally-ordered event queue, all randomness is seeded hashing, shard
@@ -49,4 +47,6 @@ pub use des::{FleetEngine, JobEvent, RouteCtx};
 pub use metrics::{DropReason, FleetReport, LayerSummary, TraceSample};
 pub use queueing::{FifoQueue, JobRec, PsResource};
 pub use scenario::{CohortSpec, Discipline, FleetScale, FleetScenario, RoutePlan};
-pub use shard::{earliest_event_ms, merge_window, ShardEngine, ShardPlan, ShardedFleetEngine};
+pub use shard::{
+    earliest_event_ms, merge_window, FeedbackRouter, ShardEngine, ShardPlan, ShardedFleetEngine,
+};

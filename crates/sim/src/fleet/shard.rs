@@ -35,12 +35,12 @@
 //! window loop at every shard count, one included, over however many
 //! worker threads — each holding a contiguous chunk of
 //! [`ShardedFleetEngine::shards_mut`] — the plan is large enough to pay
-//! for. A router that changes between outcomes, such as a policy in
-//! training, steps the shard of a one-shard plan per outcome through
-//! [`ShardEngine::step`]: the single shard's scenario, topology and
-//! resource bounds are exactly the original's, so this *is*
-//! [`FleetEngine::step`] — the resumable pull contract (and its
-//! byte-identical reports) such a router needs.
+//! for. A router that changes with what it hears (a [`FeedbackRouter`],
+//! such as a policy in training) runs the shard of a one-shard plan
+//! through [`ShardEngine::run_closed`]: the same loop to `+∞`, each handled
+//! event's outcomes heard before the next. That shard's scenario, topology
+//! and bounds are the original's, so its report is the serial
+//! [`FleetEngine`]'s, byte for byte.
 //!
 //! Note that `shards > 1` is a *different* (equally valid) simulation
 //! than the serial one — partitioning re-buckets emission phases and
@@ -56,7 +56,7 @@ use hec_telemetry::GeomHist;
 
 use crate::topology::HecTopology;
 
-use super::des::{FleetEngine, JobEvent, RouteCtx};
+use super::des::{Driver, FleetEngine, JobEvent, RouteCtx};
 use super::metrics::{DropReason, FleetReport, FleetTotals, TraceSample};
 use super::scenario::FleetScenario;
 
@@ -270,13 +270,23 @@ fn globalize_event(slices: &[DeviceSlice], seq_base: u64, ev: JobEvent) -> JobEv
     }
 }
 
+/// A router that hears what its windows came to: what it has heard may
+/// change where it routes next (a policy being trained).
+pub trait FeedbackRouter {
+    /// The layer of the window emitted under `ctx`.
+    fn route(&mut self, ctx: &RouteCtx) -> usize;
+
+    /// The outcomes of one handled event, in the order it produced them.
+    fn heard(&mut self, outcomes: &[JobEvent]);
+}
+
 /// One shard's engine plus its global-coordinate translation: routers
 /// always see fleet-global device ids and window sequence numbers,
 /// whichever shard asks.
 ///
 /// A shard is driven one way for its whole run: by
-/// [`ShardEngine::step`] or by [`ShardEngine::advance_to`], never both
-/// (`advance_to` panics on outcomes a `step` left queued).
+/// [`ShardEngine::advance_to`], barrier by barrier, or to completion by
+/// [`ShardEngine::run_closed`].
 pub struct ShardEngine<'a> {
     engine: FleetEngine<'a>,
     slices: &'a [DeviceSlice],
@@ -320,8 +330,7 @@ impl ShardEngine<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if the router returns a layer outside the topology, or if
-    /// the shard has been stepped and outcomes are still queued.
+    /// Panics if the router returns a layer outside the topology.
     pub fn advance_to<R: FnMut(&RouteCtx) -> usize + ?Sized>(
         &mut self,
         barrier_ms: f64,
@@ -360,32 +369,50 @@ impl ShardEngine<'_> {
         }
     }
 
-    /// How a one-shard plan is driven for a router that changes between
-    /// outcomes (`hec-core`'s closed loop): advances the shard until its
-    /// next per-window outcome and returns it, or `None` when it has
-    /// drained — exactly [`FleetEngine::step`] with global-coordinate
-    /// translation (the identity for the shard of a one-shard plan), so
-    /// the router may change between outcomes. The window loop of a
-    /// stateless router goes through [`ShardEngine::advance_to`] instead,
-    /// at every shard count: the merged `(time, shard-id)` order of more
-    /// than one shard exists only at barriers.
+    /// Runs the shard of a one-shard plan — the whole fleet, in the fleet's
+    /// own coordinates — to completion for a router that changes with what
+    /// it hears (`hec-core`'s closed loop): after each handled event `lp`
+    /// hears the outcomes it produced, before the next event, so an
+    /// emission event's windows are all routed first. Outcomes are traced
+    /// as under [`ShardEngine::advance_to`]; there is no barrier to count.
     ///
     /// # Panics
     ///
-    /// Panics if the router returns a layer outside the topology.
-    pub fn step(&mut self, router: &mut dyn FnMut(&RouteCtx) -> usize) -> Option<JobEvent> {
-        let ev = {
-            let Self { engine, slices, seq_base, .. } = self;
-            let (slices, sb): (&[DeviceSlice], u64) = (slices, *seq_base);
-            let mut wrapped = |ctx: &RouteCtx| router(&globalize_ctx(slices, sb, ctx));
-            engine.step(&mut wrapped).map(|ev| globalize_event(slices, sb, ev))
-        };
-        if let Some(out) = ev {
-            if hec_telemetry::trace_capture_enabled() {
-                trace_outcome(&self.jobs_track, self.engine.last_activity_ms(), out);
-            }
+    /// Panics if the shard is not a one-shard plan's, or if the router
+    /// returns a layer outside the topology.
+    pub fn run_closed(&mut self, lp: &mut impl FeedbackRouter) {
+        let whole = self.slices.iter().all(|sl| sl.local_base == sl.global_base);
+        assert!(whole && self.seq_base == 0, "a closed loop runs a one-shard plan");
+        let jobs_track = hec_telemetry::trace_capture_enabled().then_some(&*self.jobs_track);
+        self.engine.advance(f64::INFINITY, &mut Closed { lp, jobs_track, heard: vec![] });
+    }
+}
+
+/// A closed loop as its shard's driver: the outcomes of the event being
+/// handled, traced (while capture is on) and heard once it is.
+struct Closed<'s, L: ?Sized> {
+    lp: &'s mut L,
+    jobs_track: Option<&'s str>,
+    heard: Vec<JobEvent>,
+}
+
+impl<L: FeedbackRouter + ?Sized> Driver for Closed<'_, L> {
+    fn route(&mut self, ctx: &RouteCtx) -> usize {
+        self.lp.route(ctx)
+    }
+
+    fn outcome(&mut self, t: f64, ev: JobEvent) {
+        if let Some(track) = self.jobs_track {
+            trace_outcome(track, t, ev);
         }
-        ev
+        self.heard.push(ev);
+    }
+
+    fn handled(&mut self, _engine: &FleetEngine<'_>) {
+        if !self.heard.is_empty() {
+            self.lp.heard(&self.heard);
+            self.heard.clear();
+        }
     }
 }
 
@@ -487,8 +514,8 @@ pub fn merge_window(
 /// window by window — [`earliest_event_ms`], [`ShardPlan::barrier_after`],
 /// [`ShardEngine::advance_to`], [`merge_window`] — on any number of
 /// threads, which is what `hec_core::sharded` does at every shard count;
-/// or, for a router that changes between outcomes, the one shard of a
-/// one-shard plan by [`ShardEngine::step`].
+/// or, for a [`FeedbackRouter`], the one shard of a one-shard plan by
+/// [`ShardEngine::run_closed`].
 pub struct ShardedFleetEngine<'a> {
     plan: &'a ShardPlan,
     shards: Vec<ShardEngine<'a>>,
@@ -522,8 +549,8 @@ impl<'a> ShardedFleetEngine<'a> {
         Self { plan, shards }
     }
 
-    /// Mutable access to the shard engines, in shard order: the one to
-    /// step, or the ones to advance to each barrier (any thread
+    /// Mutable access to the shard engines, in shard order: the one to run
+    /// closed, or the ones to advance to each barrier (any thread
     /// assignment).
     pub fn shards_mut(&mut self) -> &mut [ShardEngine<'a>] {
         &mut self.shards
@@ -624,18 +651,39 @@ impl<'a> ShardedFleetEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::des::tests::{by_step, Token};
     use crate::fleet::scenario::FleetScale;
 
-    /// One scenario's outcome stream and report, from the serial engine
-    /// or a one-shard plan, each stepped under the scenario's own plans.
-    fn serial_and_one_shard(sc: &FleetScenario) -> [(Vec<JobEvent>, FleetReport); 2] {
-        let mut router = |ctx: &RouteCtx| sc.planned_layer(ctx.cohort, ctx.seq);
-        let mut engine = FleetEngine::new(sc);
-        let serial = std::iter::from_fn(|| engine.step(&mut router)).collect();
+    /// A closed loop's router that logs every route and heard outcome.
+    struct Logged<R> {
+        route: R,
+        tokens: Vec<Token>,
+    }
+
+    impl<R: FnMut(&RouteCtx) -> usize> FeedbackRouter for Logged<R> {
+        fn route(&mut self, ctx: &RouteCtx) -> usize {
+            let layer = (self.route)(ctx);
+            self.tokens.push(Token::Route(ctx.seq, layer));
+            layer
+        }
+
+        fn heard(&mut self, outcomes: &[JobEvent]) {
+            self.tokens.extend(outcomes.iter().map(|&ev| Token::Hear(ev)));
+        }
+    }
+
+    /// One scenario's routes and heard outcomes, in order, and its report
+    /// under the scenario's own plans: the serial engine stepped by the
+    /// referee the closed loop replaced, and the shard of a one-shard plan
+    /// run closed.
+    fn serial_and_one_shard(sc: &FleetScenario) -> [(Vec<Token>, FleetReport); 2] {
+        let route = |ctx: &RouteCtx| sc.planned_layer(ctx.cohort, ctx.seq);
+        let (tokens, _, _, _, serial) = by_step(&mut FleetEngine::new(sc), route);
         let plan = ShardPlan::new(sc, 1);
         let mut sharded = ShardedFleetEngine::new(&plan);
-        let one = std::iter::from_fn(|| sharded.shards_mut()[0].step(&mut router)).collect();
-        [(serial, engine.report()), (one, sharded.report())]
+        let mut lp = Logged { route, tokens: vec![] };
+        sharded.shards_mut()[0].run_closed(&mut lp);
+        [(tokens, serial), (lp.tokens, sharded.report())]
     }
 
     #[test]
@@ -650,11 +698,19 @@ mod tests {
         }
     }
 
+    /// The closed loop routes and hears in the stepper's order: every
+    /// window of an emission bucket routed before any outcome of the
+    /// bucket is heard, and each outcome heard before anything the next
+    /// event does — on every named scenario (`edge_saturated` drops
+    /// mid-group, `cloud_link_constrained` releases `LinkDone` groups).
     #[test]
     fn one_shard_outcome_stream_matches_serial_engine() {
-        let sc = FleetScenario::flash_crowd(FleetScale::Quick);
-        let [(serial, _), (sharded, _)] = serial_and_one_shard(&sc);
-        assert_eq!(serial, sharded);
+        for name in FleetScenario::NAMES {
+            let sc = FleetScenario::by_name(name, FleetScale::Quick).unwrap();
+            let [(serial, _), (sharded, _)] = serial_and_one_shard(&sc);
+            assert_eq!(serial.len() as u64, 2 * sc.total_windows(), "{name}");
+            assert!(serial == sharded, "{name}: the closed loop routed or heard out of order");
+        }
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! Scenario builders the fleet test files share.
+//! Scenario builders and a closed-loop router the fleet test files share.
 
 #![allow(dead_code)]
 
-use hec_sim::fleet::{CohortSpec, FleetScale, FleetScenario, RoutePlan};
+use hec_sim::fleet::{
+    CohortSpec, FeedbackRouter, FleetReport, FleetScale, FleetScenario, JobEvent, RoutePlan,
+    ShardPlan, ShardedFleetEngine,
+};
 
 /// Builds a small scenario from sampled parameters: one cohort routed by
 /// a mixture over the three layers.
@@ -22,4 +25,31 @@ pub fn scenario_from(
     sc.cohorts =
         vec![CohortSpec::uniform(devices, windows, period_ms, 0.0, RoutePlan::Mixture(weights))];
     sc
+}
+
+/// A closed loop's router that routes as its scenario plans and keeps
+/// every outcome it hears.
+struct Planned<R> {
+    route: R,
+    outcomes: Vec<JobEvent>,
+}
+
+impl<R: Fn(&hec_sim::fleet::RouteCtx) -> usize> FeedbackRouter for Planned<R> {
+    fn route(&mut self, ctx: &hec_sim::fleet::RouteCtx) -> usize {
+        (self.route)(ctx)
+    }
+
+    fn heard(&mut self, outcomes: &[JobEvent]) {
+        self.outcomes.extend_from_slice(outcomes);
+    }
+}
+
+/// The outcome stream and report of `sc` under its own routing plans, run
+/// closed through the shard of a one-shard plan.
+pub fn run_closed(sc: &FleetScenario) -> (Vec<JobEvent>, FleetReport) {
+    let plan = ShardPlan::new(sc, 1);
+    let mut engine = ShardedFleetEngine::new(&plan);
+    let mut lp = Planned { route: sc.planned_router(), outcomes: vec![] };
+    engine.shards_mut()[0].run_closed(&mut lp);
+    (lp.outcomes, engine.report())
 }

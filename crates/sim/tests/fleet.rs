@@ -1,28 +1,29 @@
 //! Integration and property tests for the discrete-event fleet simulator:
 //! determinism (rerun identity, event insertion-order invariance) and
-//! conservation across randomly generated scenarios, one-shard plans
-//! stepped outcome by outcome and larger ones through the barrier loop in
-//! `reference/stepped.rs`.
+//! conservation across randomly generated scenarios, one-shard plans run
+//! closed (each handled event's outcomes heard before the next) and larger
+//! ones through the barrier loop in `reference/stepped.rs`.
 
 mod common;
 mod reference;
 
 use proptest::prelude::*;
 
-use common::scenario_from;
+use common::{run_closed, scenario_from};
 use hec_sim::fleet::{
     CohortSpec, FleetEngine, FleetReport, FleetScale, FleetScenario, JobEvent, RouteCtx, RoutePlan,
-    ShardPlan, ShardedFleetEngine,
+    ShardPlan,
 };
 use hec_sim::EventQueue;
 use hec_telemetry::GeomHist;
 use reference::stepped::run_stepped;
 
-/// Steps `sc` to completion on the serial engine under its own routing
+/// Runs `sc` to completion on the serial engine under its own routing
 /// plans.
 fn run(sc: &FleetScenario) -> FleetReport {
     let mut engine = FleetEngine::new(sc);
-    while engine.step(&mut |ctx| sc.planned_layer(ctx.cohort, ctx.seq)).is_some() {}
+    let mut route = |ctx: &RouteCtx| sc.planned_layer(ctx.cohort, ctx.seq);
+    engine.advance_until(f64::INFINITY, &mut route, &mut |_, _| {});
     engine.report()
 }
 
@@ -354,8 +355,8 @@ proptest! {
     }
 
     /// Any small random scenario, partitioned into any shard count,
-    /// conserves windows, reruns byte-identically, and at one shard —
-    /// stepped through its one shard engine — is byte-identical to the
+    /// conserves windows, reruns byte-identically, and at one shard — run
+    /// closed through its one shard engine — is byte-identical to the
     /// serial engine: the invariants `repro_fleet --shards` and the CI
     /// shard-smoke job depend on.
     #[test]
@@ -377,9 +378,7 @@ proptest! {
             if shards > 1 {
                 return run_stepped(&plan, &mut router).1;
             }
-            let mut engine = ShardedFleetEngine::new(&plan);
-            while engine.shards_mut()[0].step(&mut router).is_some() {}
-            engine.report()
+            run_closed(&sc).1
         };
 
         let a = sharded(shards);

@@ -3,8 +3,9 @@
 //!
 //! **The null cohort.** A cohort with no devices emits nothing, so adding
 //! one — before the others or after them — must leave the outcome stream
-//! and the [`FleetReport`] byte-identical, at one shard (stepped outcome
-//! by outcome) and at four (the barrier loop in `reference/stepped.rs`).
+//! and the [`FleetReport`] byte-identical, at one shard (run closed, each
+//! handled event's outcomes heard before the next) and at four (the
+//! barrier loop in `reference/stepped.rs`).
 //! The engine numbers its queue lanes by cohort count (a lane per cohort's
 //! emissions, then per shared layer), so the relation also holds the lane
 //! mapping to being invisible.
@@ -22,28 +23,20 @@ mod reference;
 
 use proptest::prelude::*;
 
-use common::scenario_from;
+use common::{run_closed, scenario_from};
 use hec_sim::fleet::{
     CohortSpec, FleetReport, FleetScale, FleetScenario, JobEvent, RoutePlan, ShardPlan,
-    ShardedFleetEngine,
 };
 use reference::stepped::run_stepped;
 
 /// The merged outcome stream and report of `sc` at `shards` shards, under
-/// its own routing plans: stepped through the one shard of a one-shard
+/// its own routing plans: run closed through the one shard of a one-shard
 /// plan, through the barrier loop otherwise.
 fn run(sc: &FleetScenario, shards: usize) -> (Vec<JobEvent>, FleetReport) {
-    let plan = ShardPlan::new(sc, shards);
-    let mut router = sc.planned_router();
     if shards > 1 {
-        return run_stepped(&plan, &mut router);
+        return run_stepped(&ShardPlan::new(sc, shards), &mut sc.planned_router());
     }
-    let mut engine = ShardedFleetEngine::new(&plan);
-    let mut outcomes = Vec::new();
-    while let Some(ev) = engine.shards_mut()[0].step(&mut router) {
-        outcomes.push(ev);
-    }
-    (outcomes, engine.report())
+    run_closed(sc)
 }
 
 /// `sc` with `null` before its cohorts and after them.
