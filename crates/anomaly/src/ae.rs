@@ -9,15 +9,14 @@
 //! # Inference
 //!
 //! Every scoring entry point — [`AnomalyDetector::detect`],
-//! [`AnomalyDetector::detect_batch`], calibration inside `fit`,
-//! [`AutoencoderDetector::requantize`] and `recalibrate` — runs one
-//! routine: gather a block of windows into reused scratch, push the block
-//! through the layers in two ping/pong activation buffers (`affine_into` +
-//! in-place activation; the f32 net and its int8 twin are two bodies of
-//! that step), subtract in place, score each row. The weights are only
-//! read, the scratch is per thread, so a warmed call allocates nothing and
-//! blocks are independent: dense rows are, per-row activation quantisation
-//! is, and the gemm kernels fix each element's accumulation order.
+//! [`AnomalyDetector::detect_batch`], calibration inside `fit` and
+//! `recalibrate` — runs one routine: gather a block of windows into
+//! reused scratch, push the block through the layers in two ping/pong
+//! activation buffers (`affine_into` + in-place activation), subtract in
+//! place, score each row. The weights are only read, the scratch is per
+//! thread, so a warmed call allocates nothing and blocks are independent:
+//! dense rows are, and the gemm kernels fix each element's accumulation
+//! order.
 //! `detect_batch` therefore walks its corpus in `BLOCK_ROWS`-window blocks
 //! and, once every worker would get `PAR_GRAIN_ROWS` windows, gives each
 //! [`hec_tensor::parallel`] worker a contiguous span of the corpus to walk
@@ -41,11 +40,6 @@
 //! and each window's minimum logPD and below-threshold count fold over 8
 //! independent lanes ([`LogPdScorer::score_window_scalar`]); neither
 //! changes a bit.
-//!
-//! The int8 twin runs on the same f32 kernels: each layer quantises its
-//! input per window and multiplies the integer codes as `f32`, which is
-//! exact at every layer width here ([`hec_tensor::quantize`]), so the
-//! tile, strip or row path a block takes cannot move a bit either.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -55,11 +49,9 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 use hec_data::LabeledWindow;
-use hec_nn::{
-    Activation, Dense, Layer, Mse, PingPong, QuantMode, QuantizedDense, RmsProp, Sequential,
-};
+use hec_nn::{Activation, Dense, Layer, Mse, PingPong, RmsProp, Sequential};
 use hec_tensor::parallel::parallel_map_spans;
-use hec_tensor::{Matrix, QuantizedMatrix};
+use hec_tensor::Matrix;
 
 use crate::detector::{validate_training_set, AnomalyDetector, Detection, FitError, FitReport};
 use crate::scorer::LogPdScorer;
@@ -94,15 +86,12 @@ struct Scratch {
     /// reconstruction errors.
     rows: Matrix,
     acts: PingPong,
-    /// Activation codes of the full-int8 layers.
-    codes: QuantizedMatrix,
 }
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
         rows: Matrix::zeros(1, 1),
         acts: PingPong::new(),
-        codes: QuantizedMatrix::empty(),
     });
 }
 
@@ -210,34 +199,7 @@ pub struct AutoencoderDetector {
     scorer: Option<LogPdScorer>,
     batch_size: usize,
     learning_rate: f32,
-    /// When set, inference runs through `qnet` instead of the f32 net.
-    quant_mode: Option<QuantMode>,
-    /// The int8 inference twin of the trained f32 net: one
-    /// [`QuantizedDense`] per layer, weights quantised once post-training.
-    qnet: Option<Vec<QuantizedDense>>,
     rng: StdRng,
-}
-
-/// Snapshots the trained parameters of `net` (visited in layer order:
-/// weight, bias per [`Dense`]) and quantises them under `mode`. Activations
-/// follow the autoencoder convention: Tanh on hidden layers, Linear on the
-/// last.
-fn quantize_layers(net: &mut Sequential, n_layers: usize, mode: QuantMode) -> Vec<QuantizedDense> {
-    let mut pairs: Vec<(Matrix, Matrix)> = Vec::new();
-    let mut pending: Option<Matrix> = None;
-    net.visit_params(&mut |param, _| match pending.take() {
-        Some(w) => pairs.push((w, param.clone())),
-        None => pending = Some(param.clone()),
-    });
-    assert_eq!(pairs.len(), n_layers, "autoencoder must be Dense-only");
-    pairs
-        .iter()
-        .enumerate()
-        .map(|(i, (w, b))| {
-            let act = if i == n_layers - 1 { Activation::Linear } else { Activation::Tanh };
-            QuantizedDense::from_weights(w, b, act, mode)
-        })
-        .collect()
 }
 
 impl AutoencoderDetector {
@@ -262,47 +224,8 @@ impl AutoencoderDetector {
             scorer: None,
             batch_size: 32,
             learning_rate: 1e-3,
-            quant_mode: None,
-            qnet: None,
             rng,
         }
-    }
-
-    /// Selects the int8 inference path: when `Some`, `fit` snapshots the
-    /// trained weights into a quantised network (weights quantised once,
-    /// activations per batch when the mode asks for it) and all detection
-    /// runs through it. Takes effect at the next [`fit`] or
-    /// [`Self::requantize`].
-    ///
-    /// [`fit`]: AnomalyDetector::fit
-    pub fn set_quant_mode(&mut self, mode: Option<QuantMode>) {
-        self.quant_mode = mode;
-    }
-
-    /// Re-quantises a *trained* detector under a different mode (or back to
-    /// the f32 path with `None`) and recalibrates the scorer on
-    /// `calibration` — quantised reconstruction shifts the error
-    /// distribution, so the detection threshold must be re-fit. The f32
-    /// weights are untouched; one training run can sweep every scheme.
-    /// `calibration` must be all-normal windows (typically the training
-    /// set). Returns the recalibrated threshold.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `calibration` is empty or scorer fitting fails.
-    pub fn requantize(
-        &mut self,
-        mode: Option<QuantMode>,
-        calibration: &[LabeledWindow],
-    ) -> Result<f32, FitError> {
-        self.quant_mode = mode;
-        self.rebuild_quantized_net();
-        self.calibrate(calibration)
-    }
-
-    fn rebuild_quantized_net(&mut self) {
-        let n_layers = self.architecture.layer_sizes.len() - 1;
-        self.qnet = self.quant_mode.map(|mode| quantize_layers(&mut self.net, n_layers, mode));
     }
 
     /// The architecture this detector was built with.
@@ -343,7 +266,7 @@ impl AutoencoderDetector {
     ) -> R {
         let dim = self.input_dim();
         SCRATCH.with(|scratch| {
-            let Scratch { rows, acts, codes } = &mut *scratch.borrow_mut();
+            let Scratch { rows, acts } = &mut *scratch.borrow_mut();
             rows.resize(block.len(), dim);
             for (r, w) in block.iter().enumerate() {
                 let flat = w.data.as_slice();
@@ -356,12 +279,7 @@ impl AutoencoderDetector {
                 );
                 rows.row_mut(r).copy_from_slice(flat);
             }
-            let reconstruction = match &self.qnet {
-                Some(layers) => {
-                    acts.run(layers, rows, |layer, src, dst| layer.forward_into(src, codes, dst))
-                }
-                None => self.net.infer(rows, acts),
-            };
+            let reconstruction = self.net.infer(rows, acts);
             for (x, y) in rows.as_mut_slice().iter_mut().zip(reconstruction.as_slice()) {
                 *x -= y;
             }
@@ -383,8 +301,8 @@ impl AutoencoderDetector {
         }
     }
 
-    /// Calibrates the scorer on the current forward path's per-point errors
-    /// over `calibration` (all-normal windows): every error of every window,
+    /// Calibrates the scorer on the net's per-point errors over
+    /// `calibration` (all-normal windows): every error of every window,
     /// window after window, as one flat `N × 1` matrix — the order the
     /// Gaussian's sums run in.
     fn calibrate(&mut self, calibration: &[LabeledWindow]) -> Result<f32, FitError> {
@@ -447,17 +365,13 @@ impl AnomalyDetector for AutoencoderDetector {
             final_loss = epoch_loss / batches.max(1) as f32;
         }
 
-        // Snapshot the trained weights into the int8 twin (if selected),
-        // then calibrate the scorer on whichever forward path detection
-        // will actually use.
-        self.rebuild_quantized_net();
         let threshold = self.calibrate(train)?;
         Ok(FitReport { epochs, final_loss, threshold })
     }
 
     // NOTE: single-window `detect` is deliberately uninstrumented — a
     // wall span's sidecar fold allocates its key, and the warmed per-
-    // window path is proven allocation-free in tests/quant_alloc.rs.
+    // window path is proven allocation-free in tests/detect_alloc.rs.
     // `detect_batch` (below) carries the span and alloc phase instead.
     fn detect(&mut self, window: &LabeledWindow) -> Detection {
         self.with_block_errors(std::slice::from_ref(window), 0, |errors| {
@@ -496,9 +410,8 @@ impl AnomalyDetector for AutoencoderDetector {
     }
 
     /// Re-fits the scorer (and threshold) on `calibration` through the
-    /// current forward path — weights untouched, so this costs one
-    /// forward pass per window. The same code path `fit` and
-    /// [`AutoencoderDetector::requantize`] calibrate through.
+    /// net — weights untouched, so this costs one forward pass per window.
+    /// The same code path `fit` calibrates through.
     fn recalibrate(&mut self, calibration: &[LabeledWindow]) -> Result<f32, FitError> {
         validate_training_set(calibration)?;
         if self.scorer.is_none() {
@@ -686,65 +599,6 @@ mod tests {
         let d = det.detect(&ramp_window(0.0, 16));
         assert!(d.min_log_pd.is_finite());
         assert!((0.0..=1.0).contains(&d.anomalous_fraction));
-    }
-
-    #[test]
-    fn quantised_detector_fits_and_separates() {
-        use hec_nn::{QuantMode, QuantScheme};
-        for mode in
-            [QuantMode::weight_only(QuantScheme::PerTensor), QuantMode::int8(QuantScheme::PerRow)]
-        {
-            let mut det = AutoencoderDetector::new("ae-q", AeArchitecture::cloud(16), 1);
-            det.set_quant_mode(Some(mode));
-            det.fit(&train_set(16), 150).unwrap();
-            assert!(!det.detect(&ramp_window(0.001, 16)).anomalous, "{}", mode.label());
-            let flat = LabeledWindow::new(Matrix::from_vec(16, 1, vec![0.5; 16]), true);
-            assert!(det.detect(&flat).anomalous, "{}", mode.label());
-        }
-    }
-
-    #[test]
-    fn quantised_detect_batch_matches_per_window() {
-        use hec_nn::{QuantMode, QuantScheme};
-        let mut det = AutoencoderDetector::new("ae-q", AeArchitecture::cloud(16), 1);
-        det.set_quant_mode(Some(QuantMode::int8(QuantScheme::PerTensor)));
-        det.fit(&train_set(16), 80).unwrap();
-        let windows = vec![
-            ramp_window(0.001, 16),
-            LabeledWindow::new(Matrix::from_vec(16, 1, vec![0.5; 16]), true),
-            ramp_window(0.004, 16),
-        ];
-        let batched = det.detect_batch(&windows);
-        let single: Vec<Detection> = windows.iter().map(|w| det.detect(w)).collect();
-        assert_eq!(batched, single);
-    }
-
-    #[test]
-    fn requantize_sweeps_schemes_and_restores_f32_exactly() {
-        use hec_nn::{QuantMode, QuantScheme};
-        let train = train_set(16);
-        let mut det = AutoencoderDetector::new("ae", AeArchitecture::cloud(16), 1);
-        let report = det.fit(&train, 80).unwrap();
-        let f32_threshold = report.threshold;
-        let normal = ramp_window(0.001, 16);
-        let f32_detection = det.detect(&normal);
-
-        // Sweep every scheme off one training run: the f32 weights stay
-        // intact, only the quantised twin and the threshold change.
-        for mode in [
-            QuantMode::weight_only(QuantScheme::PerTensor),
-            QuantMode::weight_only(QuantScheme::PerRow),
-            QuantMode::int8(QuantScheme::PerTensor),
-            QuantMode::int8(QuantScheme::PerRow),
-        ] {
-            let t = det.requantize(Some(mode), &train).unwrap();
-            assert!(t.is_finite(), "{}", mode.label());
-        }
-
-        // Back to f32: threshold and detections must round-trip exactly.
-        let t = det.requantize(None, &train).unwrap();
-        assert_eq!(t, f32_threshold);
-        assert_eq!(det.detect(&normal), f32_detection);
     }
 
     #[test]

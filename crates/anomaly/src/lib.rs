@@ -37,6 +37,5 @@ pub use ae::{AeArchitecture, AutoencoderDetector, ROW_SPLIT_WINDOWS};
 pub use catalog::{HecLayer, ModelCatalog, ModelSpec};
 pub use detector::{AnomalyDetector, Detection, FitError, FitReport};
 pub use drift::PageHinkley;
-pub use hec_nn::{QuantMode, QuantScheme};
 pub use scorer::{ConfidenceRule, LogPdScorer, ThresholdRule, CALIBRATION_RULE};
 pub use seq2seq_detector::Seq2SeqDetector;

@@ -1,11 +1,9 @@
-//! Allocation accounting for the detector hot path, on the int8 path and
-//! on the f32 path alike:
+//! Allocation accounting for the detector hot path:
 //!
 //! * a warmed `AutoencoderDetector::detect` performs **zero** heap
 //!   allocations per window (counting global allocator) — the input copies
 //!   into the thread's reused block, the layers run in its two activation
-//!   buffers (and the integer kernels in their thread-local scratch), and
-//!   scoring overwrites the block in place;
+//!   buffers, and scoring overwrites the block in place;
 //! * batched detection, below the fan-out grain, allocates the same few
 //!   times whatever the batch size — the results vector, not the windows,
 //!   and no block's matrix product (each routes through the `_into`
@@ -16,7 +14,6 @@
 
 use hec_anomaly::{AeArchitecture, AnomalyDetector, AutoencoderDetector};
 use hec_data::LabeledWindow;
-use hec_nn::{QuantMode, QuantScheme};
 use hec_telemetry::{allocations, CountingAlloc};
 use hec_tensor::Matrix;
 
@@ -30,17 +27,9 @@ fn ramp_window(jitter: f32, n: usize) -> LabeledWindow {
 
 #[test]
 fn detection_is_allocation_free_once_warm() {
-    for mode in [Some(QuantMode::int8(QuantScheme::PerRow)), None] {
-        detection_is_allocation_free(mode);
-    }
-}
-
-fn detection_is_allocation_free(mode: Option<QuantMode>) {
-    let path = mode.map_or("f32".to_owned(), |m| m.label());
     let train: Vec<LabeledWindow> =
         (0..40).map(|i| ramp_window(0.002 * (i % 7) as f32, 16)).collect();
     let mut det = AutoencoderDetector::new("ae", AeArchitecture::iot(16), 1);
-    det.set_quant_mode(mode);
     det.fit(&train, 30).unwrap();
 
     // --- Per-window detection: zero total allocations once warm. ---
@@ -59,7 +48,7 @@ fn detection_is_allocation_free(mode: Option<QuantMode>) {
     }
     assert_eq!(
         last_delta, 0,
-        "{path}: warmed detect performed {last_delta} heap allocations per window batch"
+        "warmed detect performed {last_delta} heap allocations per window batch"
     );
 
     // --- Batched detection below the fan-out grain: heap allocations that
@@ -78,5 +67,5 @@ fn detection_is_allocation_free(mode: Option<QuantMode>) {
             break;
         }
     }
-    assert_eq!(deltas[0], deltas[1], "{path}: detect_batch allocations grew from 8 to 800 windows");
+    assert_eq!(deltas[0], deltas[1], "detect_batch allocations grew from 8 to 800 windows");
 }

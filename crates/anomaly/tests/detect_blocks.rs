@@ -1,12 +1,10 @@
 //! `detect_batch` walks its corpus in blocks and, from two work grains up,
-//! on several workers. Whatever the corpus length, the worker count or the
-//! inference path (f32, int8 weight-only, full int8), every `Detection`
-//! must equal the one per-window `detect` gives — all four fields, bit for
-//! bit.
+//! on several workers. Whatever the corpus length or the worker count,
+//! every `Detection` must equal the one per-window `detect` gives — all
+//! four fields, bit for bit.
 
 use hec_anomaly::{AeArchitecture, AnomalyDetector, AutoencoderDetector, Detection};
 use hec_data::LabeledWindow;
-use hec_nn::{QuantMode, QuantScheme};
 use hec_tensor::parallel::with_thread_count;
 use hec_tensor::Matrix;
 
@@ -49,31 +47,21 @@ fn detect_batch_equals_per_window_detect_at_every_size_and_worker_count() {
         2 * PAR_GRAIN_ROWS + 7,
         4 * PAR_GRAIN_ROWS + 5,
     ];
-    let modes = [
-        None,
-        Some(QuantMode::weight_only(QuantScheme::PerRow)),
-        Some(QuantMode::int8(QuantScheme::PerRow)),
-    ];
     let mut det = AutoencoderDetector::new("ae", AeArchitecture::cloud(DIM), 3);
     det.fit(&train, 8).unwrap();
-    for mode in modes {
-        det.requantize(mode, &train).unwrap();
-        let label = mode.map_or("f32".to_owned(), |m| m.label());
-        let single: Vec<_> = corpus.iter().map(|w| bits(&det.detect(w))).collect();
-        assert!(single.iter().any(|d| d.0) && single.iter().any(|d| !d.0), "{label}: one-sided");
-        for size in sizes {
-            for threads in [1, 2, 3, 4] {
-                let batched = with_thread_count(threads, || det.detect_batch(&corpus[..size]));
-                let batched: Vec<_> = batched.iter().map(bits).collect();
-                // `assert_eq!` on the vectors would print thousands of rows.
-                assert_eq!(batched.len(), size, "{label} size={size} threads={threads}");
-                if let Some(i) = (0..size).find(|&i| batched[i] != single[i]) {
-                    panic!(
-                        "{label} size={size} threads={threads}: window {i} batched {:?} vs \
-                         single {:?}",
-                        batched[i], single[i]
-                    );
-                }
+    let single: Vec<_> = corpus.iter().map(|w| bits(&det.detect(w))).collect();
+    assert!(single.iter().any(|d| d.0) && single.iter().any(|d| !d.0), "one-sided");
+    for size in sizes {
+        for threads in [1, 2, 3, 4] {
+            let batched = with_thread_count(threads, || det.detect_batch(&corpus[..size]));
+            let batched: Vec<_> = batched.iter().map(bits).collect();
+            // `assert_eq!` on the vectors would print thousands of rows.
+            assert_eq!(batched.len(), size, "size={size} threads={threads}");
+            if let Some(i) = (0..size).find(|&i| batched[i] != single[i]) {
+                panic!(
+                    "size={size} threads={threads}: window {i} batched {:?} vs single {:?}",
+                    batched[i], single[i]
+                );
             }
         }
     }

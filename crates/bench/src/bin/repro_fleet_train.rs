@@ -24,20 +24,10 @@
 //! job enforces by diffing two runs (timing goes to stderr).
 //!
 //! ```text
-//! cargo run --release -p hec-bench --bin repro_fleet_train -- [out_dir] \
-//!     [--layer0-exec-ms <ms>]
+//! cargo run --release -p hec-bench --bin repro_fleet_train -- [out_dir] [--telemetry <dir>]
 //! ```
 //!
 //! With `out_dir`, a `fleet_train.csv` comparison table is written there.
-//!
-//! `--layer0-exec-ms` replaces the paper's measured 12.4 ms layer-0
-//! execution time everywhere delays are derived — the static delay table
-//! the baseline policy trains against, the fleet scenarios' device-local
-//! execution, and the shared layers' service times.
-//! Pass the per-window latency `repro_quant` measures for the int8 path to
-//! re-record the comparison with the cheaper layer 0. Output stays
-//! deterministic for a fixed flag value (the default invocation is
-//! byte-identical to the flagless binary).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -54,13 +44,8 @@ use hec_sim::DatasetKind;
 /// ([`hec_bench::push_probe_cohort`]): 20k devices (full scale) emitting
 /// one window per minute through the scenario's background fleet.
 /// Returns the scenario and the probe cohort's index.
-fn with_probe_cohort(
-    name: &str,
-    scale: FleetScale,
-    layer0_exec_ms: Option<f64>,
-) -> (FleetScenario, u32) {
+fn with_probe_cohort(name: &str, scale: FleetScale) -> (FleetScenario, u32) {
     let mut sc = FleetScenario::by_name(name, scale).expect("named scenario");
-    sc.exec_ms_override[0] = layer0_exec_ms;
     let probe = hec_bench::push_probe_cohort(&mut sc, scale);
     (sc, probe)
 }
@@ -74,25 +59,16 @@ static GLOBAL_ALLOC: hec_telemetry::CountingAlloc = hec_telemetry::CountingAlloc
 fn main() {
     let cli = Spec {
         bin: "repro_fleet_train",
-        usage: "usage: repro_fleet_train [out_dir] [--layer0-exec-ms <ms>] [--telemetry <dir>]\n",
-        values: &["--layer0-exec-ms", "--telemetry"],
+        usage: "usage: repro_fleet_train [out_dir] [--telemetry <dir>]\n",
+        values: &["--telemetry"],
         switches: &[],
     }
     .parse();
     let out_dir = cli.positional();
-    let layer0_exec_ms: Option<f64> = cli.value("--layer0-exec-ms");
-    if let Some(ms) = layer0_exec_ms {
-        if !(ms.is_finite() && ms > 0.0) {
-            cli.fail("layer-0 exec override must be finite and > 0");
-        }
-    }
     hec_bench::telemetry::init("repro_fleet_train", cli.telemetry_dir());
     let profile = Profile::from_env();
     let eval_scale = profile.fleet_scale();
     println!("== repro_fleet_train (profile: {profile:?}) ==\n");
-    if let Some(ms) = layer0_exec_ms {
-        println!("layer-0 exec override: {ms} ms (int8 quantised inference path)\n");
-    }
 
     // Shared pipeline: detectors, oracles, and the statically-trained
     // baseline policy (the paper's regime).
@@ -110,11 +86,6 @@ fn main() {
     let fleet_entropy_beta = 0.08f32;
     let t0 = Instant::now();
     let mut exp = Experiment::prepare(config);
-    if let Some(ms) = layer0_exec_ms {
-        // The static regime trains against this topology's delay table, so
-        // the baseline policy sees the quantised layer-0 cost too.
-        exp.override_exec_ms(0, ms);
-    }
     exp.train_detectors();
     let policy_corpus = exp.split.policy_train.clone();
     let policy_oracle = exp.oracle_over(&policy_corpus);
@@ -137,7 +108,7 @@ fn main() {
     for name in FleetScenario::NAMES {
         // Train inside the scenario's quick-scale twin (same rates, same
         // saturation behaviour, 1/50 the cost).
-        let (train_sc, train_probe) = with_probe_cohort(name, FleetScale::Quick, layer0_exec_ms);
+        let (train_sc, train_probe) = with_probe_cohort(name, FleetScale::Quick);
         let t0 = Instant::now();
         let out = train_policy_in_fleet(
             &train_sc,
@@ -165,7 +136,7 @@ fn main() {
         let mut fleet_policy = out.policy;
 
         // Closed-loop evaluation at the profile's scale.
-        let (eval_sc, eval_probe) = with_probe_cohort(name, eval_scale, layer0_exec_ms);
+        let (eval_sc, eval_probe) = with_probe_cohort(name, eval_scale);
         let t0 = Instant::now();
         let results = [
             (

@@ -35,7 +35,6 @@ fn main() {
          ladder (params/accuracy up, exec time down from IoT to Cloud) is the\n\
          reproduced claim. Exec times are the testbed-calibrated delay model;\n\
          this Rust implementation's own inference times are measured by the\n\
-         `perf` benchmark (`anomaly.detect.ns_per_window`) and by `repro_quant`\n\
-         (its stderr `[latency]` lines)."
+         `perf` benchmark (`anomaly.detect.ns_per_window`)."
     );
 }

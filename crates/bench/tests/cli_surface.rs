@@ -1,7 +1,8 @@
 //! Every repro binary with a golden parses its command line through
 //! `hec_bench::cli` before doing any work: `--help` exits 0, and an unknown
 //! flag exits 2 with an error line prefixed by the binary's name, and so
-//! does a positional argument to a binary that takes none.
+//! do a positional argument to a binary that takes none and a flag a
+//! binary no longer takes.
 
 use std::process::Command;
 
@@ -15,19 +16,25 @@ const BINS: &[(&str, &str)] = &[
     ("repro_fleet", env!("CARGO_BIN_EXE_repro_fleet")),
     ("repro_fleet_train", env!("CARGO_BIN_EXE_repro_fleet_train")),
     ("repro_drift", env!("CARGO_BIN_EXE_repro_drift")),
-    ("repro_quant", env!("CARGO_BIN_EXE_repro_quant")),
     #[cfg(feature = "real-data")]
     ("repro_real", env!("CARGO_BIN_EXE_repro_real")),
 ];
 
 #[test]
 fn an_unknown_flag_is_a_usage_error() {
-    for &(name, exe) in BINS {
-        let out = Command::new(exe).arg("--bogus").output().expect("binary starts");
-        assert_eq!(out.status.code(), Some(2), "{name} --bogus");
+    let bogus = BINS.iter().map(|&(name, exe)| (name, exe, &["--bogus"][..]));
+    // A flag the binary no longer takes.
+    let removed = [(
+        "repro_fleet_train",
+        env!("CARGO_BIN_EXE_repro_fleet_train"),
+        &["--layer0-exec-ms", "15.2"][..],
+    )];
+    for (name, exe, args) in bogus.chain(removed) {
+        let out = Command::new(exe).args(args).output().expect("binary starts");
+        assert_eq!(out.status.code(), Some(2), "{name} {args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.starts_with(&format!("{name}: ")), "{name} --bogus wrote {stderr:?}");
-        assert!(out.stdout.is_empty(), "{name} --bogus wrote to stdout");
+        assert!(stderr.starts_with(&format!("{name}: ")), "{name} {args:?} wrote {stderr:?}");
+        assert!(out.stdout.is_empty(), "{name} {args:?} wrote to stdout");
     }
 }
 

@@ -280,18 +280,6 @@ impl Experiment {
         Ok(thresholds)
     }
 
-    /// Replaces `layer`'s execution time in this experiment's topology —
-    /// every downstream consumer (the static delay table, policy training,
-    /// scheme evaluation) sees the override. This is how `repro_quant`'s
-    /// measured quantised layer-0 delay feeds the reward economy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of range or `ms` is not finite and positive.
-    pub fn override_exec_ms(&mut self, layer: usize, ms: f64) {
-        self.topology = self.topology.clone().with_exec_ms(layer, ms);
-    }
-
     /// The experiment configuration.
     pub fn config(&self) -> &ExperimentConfig {
         &self.config
@@ -595,14 +583,10 @@ mod tests {
     /// Stage 3 and stage 5 from nothing under `threads` workers.
     fn fit_and_score(
         config: &ExperimentConfig,
-        catalog: Option<fn() -> ModelCatalog>,
         threads: usize,
     ) -> ([FitReport; 3], [f32; 3], Oracle) {
         crate::parallel::with_thread_count(threads, || {
             let mut exp = Experiment::prepare(config.clone());
-            if let Some(build) = catalog {
-                exp.catalog = build();
-            }
             let reports = exp.try_train_detectors().expect("valid split");
             let corpus = exp.split.full.clone();
             (reports, exp.thresholds(), exp.oracle_over(&corpus))
@@ -611,25 +595,10 @@ mod tests {
 
     #[test]
     fn detectors_fit_and_score_the_same_at_any_worker_count() {
-        let quantized: fn() -> ModelCatalog = || {
-            use hec_anomaly::{AeArchitecture as Arch, AutoencoderDetector as Ae};
-            use hec_anomaly::{QuantMode, QuantScheme};
-            let mut iot = Ae::new("AE-IoT", Arch::iot(24), 7);
-            iot.set_quant_mode(Some(QuantMode::int8(QuantScheme::PerRow)));
-            ModelCatalog::from_detectors(vec![
-                Box::new(iot),
-                Box::new(Ae::new("AE-Edge", Arch::edge(24), 8)),
-                Box::new(Ae::new("AE-Cloud", Arch::cloud(24), 9)),
-            ])
-        };
         let mut uni = tiny_univariate();
         uni.ad_epochs = 10;
-        for (name, config, catalog) in [
-            ("univariate", &uni, None),
-            ("univariate_quantized", &uni, Some(quantized)),
-            ("multivariate", &tiny_multivariate(), None),
-        ] {
-            let serial = fit_and_score(config, catalog, 1);
+        for (name, config) in [("univariate", &uni), ("multivariate", &tiny_multivariate())] {
+            let serial = fit_and_score(config, 1);
             assert_eq!(serial.1, serial.0.map(|r| r.threshold), "{name}");
             // Only the multivariate corpus is heavy enough to score side by
             // side; the autoencoders' fan-out is the fit alone.
@@ -639,7 +608,7 @@ mod tests {
             assert_eq!(work >= crate::oracle::SIDE_BY_SIDE_MACS, name == "multivariate", "{work}");
             assert!(serial.1.iter().all(|t| t.is_finite()), "{name}");
             for threads in [2, 3, 4] {
-                assert_eq!(fit_and_score(config, catalog, threads), serial, "{name} x {threads}");
+                assert_eq!(fit_and_score(config, threads), serial, "{name} x {threads}");
             }
         }
     }

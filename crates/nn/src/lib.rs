@@ -61,7 +61,6 @@ pub mod dropout;
 pub mod loss;
 pub mod lstm;
 pub mod optim;
-pub mod qdense;
 pub mod seq2seq;
 pub mod sequential;
 pub mod workspace;
@@ -72,7 +71,6 @@ pub use dropout::Dropout;
 pub use loss::{Loss, Mse};
 pub use lstm::{Lstm, LstmState};
 pub use optim::{Adam, Optimizer, RmsProp, Sgd};
-pub use qdense::{QuantMode, QuantScheme, QuantizedDense};
 pub use seq2seq::{Seq2Seq, Seq2SeqConfig};
 pub use sequential::{Layer, Sequential};
 pub use workspace::{Buf, PingPong};

@@ -314,7 +314,7 @@ impl Seq2Seq {
     }
 
     /// Visits every `(parameter, gradient)` pair (encoder, decoder, output
-    /// dense) in a stable order — used for post-training weight quantization.
+    /// dense) in a stable order — the order the optimizer's slots follow.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
         match &mut self.encoder {
             Encoder::Uni(l) => l.visit_params(f),

@@ -203,8 +203,7 @@ impl Sequential {
         }
     }
 
-    /// Visits every `(parameter, gradient)` pair of every layer in order
-    /// (e.g. for post-training weight quantization).
+    /// Visits every `(parameter, gradient)` pair of every layer in order.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
         for layer in &mut self.layers {
             layer.visit_params(f);

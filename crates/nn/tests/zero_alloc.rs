@@ -21,11 +21,10 @@
 //! global counters.
 
 use hec_nn::{
-    Activation, Dense, Dropout, Lstm, LstmState, Mse, QuantMode, QuantizedDense, RmsProp, Seq2Seq,
-    Seq2SeqConfig, Sequential,
+    Activation, Dense, Dropout, Lstm, LstmState, Mse, RmsProp, Seq2Seq, Seq2SeqConfig, Sequential,
 };
 use hec_telemetry::{allocations, CountingAlloc};
-use hec_tensor::{Matrix, QuantScheme, QuantizedMatrix};
+use hec_tensor::Matrix;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -66,40 +65,6 @@ fn hot_paths_are_matmul_allocation_free() {
     assert_eq!(
         last_delta, 0,
         "warmed Lstm::step_seq performed {last_delta} heap allocations in every window"
-    );
-
-    // --- Quantised dense forward (int8 weights *and* activations): zero
-    // total allocations once the code buffers and kernel scratch are warm,
-    // at both AE-IoT layer shapes (narrow-output dot route and wide-output
-    // tiled route with the pre-packed weight layout). ---
-    let enc_w = hec_tensor::init::uniform(&mut rng, 96, 3, -1.0, 1.0);
-    let enc_b = Matrix::zeros(1, 3);
-    let dec_w = hec_tensor::init::uniform(&mut rng, 3, 96, -1.0, 1.0);
-    let dec_b = Matrix::zeros(1, 96);
-    let mode = QuantMode::int8(QuantScheme::PerRow);
-    let enc = QuantizedDense::from_weights(&enc_w, &enc_b, Activation::Tanh, mode);
-    let dec = QuantizedDense::from_weights(&dec_w, &dec_b, Activation::Linear, mode);
-    let mut codes = QuantizedMatrix::empty();
-    let x = hec_tensor::init::uniform(&mut rng, 1, 96, -1.0, 1.0);
-    let mut h = Matrix::zeros(1, 3);
-    let mut y = Matrix::zeros(1, 96);
-    enc.forward_into(&x, &mut codes, &mut h); // warmup: activation codes + scratch grow
-    dec.forward_into(&h, &mut codes, &mut y);
-    let mut last_delta = usize::MAX;
-    for _attempt in 0..5 {
-        let before = allocations();
-        for _ in 0..32 {
-            enc.forward_into(&x, &mut codes, &mut h);
-            dec.forward_into(&h, &mut codes, &mut y);
-        }
-        last_delta = allocations() - before;
-        if last_delta == 0 {
-            break;
-        }
-    }
-    assert_eq!(
-        last_delta, 0,
-        "warmed QuantizedDense::forward_into performed {last_delta} heap allocations per window"
     );
 
     // --- Dense training step: zero total allocations once the workspace

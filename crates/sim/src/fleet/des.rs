@@ -1043,6 +1043,7 @@ impl<'a> FleetEngine<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::device::ExecTimeModel;
     use crate::fleet::scenario::{CohortSpec, FleetScale, RoutePlan};
     use crate::network::Link;
 
@@ -1634,7 +1635,6 @@ pub(crate) mod tests {
     #[test]
     fn completions_at_an_emission_instant_retire_in_seq_order() {
         let mut sc = tiny(8, 20, 8.0, RoutePlan::Fixed(0));
-        sc.exec_ms_override[0] = Some(8.0);
         sc.cohorts.push(CohortSpec {
             local_speed: 2.0,
             ..CohortSpec::uniform(6, 20, 8.0, 4.0, RoutePlan::Fixed(0))
@@ -1651,11 +1651,15 @@ pub(crate) mod tests {
             }
         };
 
-        let stepped = by_step(&mut FleetEngine::new(&sc), route);
-        assert_eq!(stepped, by_step(&mut FleetEngine::eager(&sc, sc.topology()), route));
-        closed_loop_holds_to_the_stepper(&sc, || sc.topology(), route);
-        let barriered = by_barriers(&mut FleetEngine::new(&sc), route);
-        assert_eq!(barriered, by_barriers(&mut FleetEngine::eager(&sc, sc.topology()), route));
+        let mut layers = sc.topology().layers().to_vec();
+        layers[0].exec = ExecTimeModel::Calibrated { ms: 8.0 };
+        let topo = || HecTopology::new(layers.clone());
+
+        let stepped = by_step(&mut FleetEngine::with_topology(&sc, topo()), route);
+        assert_eq!(stepped, by_step(&mut FleetEngine::eager(&sc, topo()), route));
+        closed_loop_holds_to_the_stepper(&sc, topo, route);
+        let barriered = by_barriers(&mut FleetEngine::with_topology(&sc, topo()), route);
+        assert_eq!(barriered, by_barriers(&mut FleetEngine::eager(&sc, topo()), route));
 
         let report = &stepped.4;
         assert_eq!(report.served + report.dropped, report.emitted);
@@ -1688,8 +1692,6 @@ pub(crate) mod tests {
     fn arrival_groups_sharing_an_instant_split_in_seq_order() {
         const PROP_MS: f64 = 10.0;
         let mut sc = tiny(12, 30, 10.0, RoutePlan::Fixed(0));
-        sc.exec_ms_override[0] = Some(PROP_MS);
-        sc.exec_ms_override[2] = Some(3.0 * PROP_MS);
         sc.discipline = Discipline::Fifo;
         sc.batch_max = 4;
         sc.batch_factor = 0.5;
@@ -1700,6 +1702,8 @@ pub(crate) mod tests {
         let (mut splits, mut misses) = (0, 0);
         for cloud_mbps in [None, Some(2.0)] {
             let mut layers = sc.topology().layers().to_vec();
+            layers[0].exec = ExecTimeModel::Calibrated { ms: PROP_MS };
+            layers[2].exec = ExecTimeModel::Calibrated { ms: 3.0 * PROP_MS };
             layers[1].device.concurrency = 2;
             layers[2].device.concurrency = 1;
             layers[1].uplink = Link::delay_only(2.0 * PROP_MS);

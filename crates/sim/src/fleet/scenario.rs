@@ -218,11 +218,6 @@ pub struct FleetScenario {
     pub edge_bandwidth_mbps: Option<f64>,
     /// Override the cloud uplink with a bandwidth cap, Mbit/s.
     pub cloud_bandwidth_mbps: Option<f64>,
-    /// Per-layer execution-time overrides, ms (bottom-up). `Some(ms)` at
-    /// index 0 is how the measured quantised layer-0 delay reshapes the
-    /// whole fleet: device-local execution *and* the shared layers derive
-    /// their service times from the scenario topology.
-    pub exec_ms_override: [Option<f64>; 3],
     /// Queue-depth sampling interval, ms.
     pub trace_interval_ms: f64,
     /// Trace sample cap (sampling stops after this many).
@@ -262,7 +257,6 @@ impl FleetScenario {
             discipline: Discipline::Fifo,
             edge_bandwidth_mbps: None,
             cloud_bandwidth_mbps: None,
-            exec_ms_override: [None; 3],
             trace_interval_ms: match scale {
                 FleetScale::Full => 2000.0,
                 FleetScale::Quick => 50.0,
@@ -435,8 +429,7 @@ impl FleetScenario {
     }
 
     /// The topology this scenario runs on: the paper testbed for
-    /// [`FleetScenario::kind`] with any bandwidth and execution-time
-    /// overrides applied.
+    /// [`FleetScenario::kind`] with any bandwidth overrides applied.
     pub fn topology(&self) -> HecTopology {
         let base = HecTopology::paper_testbed(self.kind);
         let mut layers = base.layers().to_vec();
@@ -446,40 +439,13 @@ impl FleetScenario {
         if let Some(mbps) = self.cloud_bandwidth_mbps {
             layers[2].uplink = layers[2].uplink.clone().with_bandwidth(mbps);
         }
-        let mut topo = HecTopology::new(layers);
-        for (layer, ms) in self.exec_ms_override.iter().enumerate() {
-            if let Some(ms) = *ms {
-                topo = topo.with_exec_ms(layer, ms);
-            }
-        }
-        topo
+        HecTopology::new(layers)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exec_override_flows_into_topology() {
-        let mut sc = FleetScenario::light_load(FleetScale::Quick);
-        let base_exec0 = sc.topology().exec_ms(0);
-        sc.exec_ms_override[0] = Some(3.1);
-        let topo = sc.topology();
-        assert_eq!(topo.exec_ms(0), 3.1);
-        assert!(base_exec0 > 3.1, "override should undercut the paper value");
-        // Other layers keep the paper testbed values.
-        assert_eq!(topo.exec_ms(1), HecTopology::paper_testbed(sc.kind).exec_ms(1));
-        assert_eq!(topo.exec_ms(2), HecTopology::paper_testbed(sc.kind).exec_ms(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and > 0")]
-    fn non_positive_exec_override_rejected() {
-        let mut sc = FleetScenario::light_load(FleetScale::Quick);
-        sc.exec_ms_override[0] = Some(0.0);
-        let _ = sc.topology();
-    }
 
     #[test]
     fn all_names_resolve_at_both_scales() {

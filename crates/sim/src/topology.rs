@@ -102,20 +102,6 @@ impl HecTopology {
         self.layers.len()
     }
 
-    /// Replaces `layer`'s execution-time model with a fixed measured value —
-    /// how a measured quantised layer-0 delay (`repro_quant`) feeds back
-    /// into the delay economy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of range or `ms` is not finite and positive.
-    #[must_use]
-    pub fn with_exec_ms(mut self, layer: usize, ms: f64) -> Self {
-        assert!(ms.is_finite() && ms > 0.0, "exec override must be finite and > 0, got {ms}");
-        self.layers[layer].exec = ExecTimeModel::Calibrated { ms };
-        self
-    }
-
     /// Immutable access to the layer specs (bottom-up).
     pub fn layers(&self) -> &[LayerSpec] {
         &self.layers

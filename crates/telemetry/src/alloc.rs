@@ -1,6 +1,6 @@
 //! Shared allocation tracking — the counting global allocator that was
 //! previously duplicated across `crates/nn/tests/zero_alloc.rs`,
-//! `crates/anomaly/tests/quant_alloc.rs` and
+//! `crates/anomaly/tests/detect_alloc.rs` and
 //! `crates/tensor/tests/alloc_free.rs`, promoted to one implementation.
 //!
 //! Install it per binary:

@@ -51,15 +51,6 @@
 //! loops skipped terms whose `A` element was exactly `0.0`; the kernels
 //! accumulate every term, which only differs for non-finite operands, where
 //! `0.0 × ∞`/`0.0 × NaN` now propagate NaN per IEEE-754.)
-//!
-//! # Quantised products
-//!
-//! There is no integer kernel. The int8 inference path
-//! ([`crate::QuantizedMatrix`]) runs its code product through [`gemm_nn`]
-//! over the codes held as `f32`: every product and partial sum is an
-//! integer below `2²⁴` up to depth 1024, so each multiply and add is exact
-//! and the result is the i32 accumulation's, whatever path computes it
-//! (see [`crate::quantize`]).
 
 use std::cell::RefCell;
 

@@ -25,11 +25,6 @@
 //!   matrix product, plus the `_into` buffer-reuse convention: hot paths call
 //!   `matmul_into`/`t_matmul_into`/`matmul_t_into` with caller-owned buffers
 //!   so steady-state training allocates no matmul temporaries.
-//! * [`quantize`] — the int8 inference substrate: [`QuantizedMatrix`] with
-//!   per-tensor/per-row affine parameters ([`QuantScheme`]), whose code
-//!   product runs on the f32 kernels — exact up to depth 1024, so
-//!   bit-identical to integer accumulation across reruns and thread
-//!   counts.
 //!
 //! # Example
 //!
@@ -50,10 +45,8 @@ pub mod kernel;
 pub mod math;
 pub mod matrix;
 pub mod parallel;
-pub mod quantize;
 pub mod stats;
 pub mod vecops;
 
 pub use matrix::Matrix;
-pub use quantize::{QuantParams, QuantScheme, QuantizedMatrix};
 pub use stats::{Gaussian, GaussianError};
