@@ -3,6 +3,7 @@
 use std::fmt;
 
 use hec_data::LabeledWindow;
+use hec_tensor::Matrix;
 
 /// Outcome of detecting one window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -141,14 +142,21 @@ pub trait AnomalyDetector: Send {
         None
     }
 
-    /// [`context_features`] of a whole corpus, in order — `None` unless the
-    /// model provides them for every window. The default is a per-window
+    /// [`context_features`] of a whole corpus as the rows of one matrix,
+    /// row `i` window `i`'s — `None` unless the model provides them for
+    /// every window, and for an empty corpus. The default is a per-window
     /// loop; [`crate::Seq2SeqDetector`] overrides it to encode a block of
-    /// windows per pass, with identical results.
+    /// windows per pass and write each state straight into its row, with
+    /// identical results.
     ///
     /// [`context_features`]: AnomalyDetector::context_features
-    fn context_features_batch(&mut self, windows: &[LabeledWindow]) -> Option<Vec<Vec<f32>>> {
-        windows.iter().map(|w| self.context_features(w)).collect()
+    fn context_features_batch(&mut self, windows: &[LabeledWindow]) -> Option<Matrix> {
+        let mut rows = Vec::new();
+        for w in windows {
+            rows.extend(self.context_features(w)?);
+        }
+        let n = windows.len();
+        (n > 0).then(|| Matrix::from_vec(n, rows.len() / n, rows))
     }
 
     /// The calibrated logPD detection threshold, if fitted.

@@ -330,37 +330,41 @@ impl AnomalyDetector for Seq2SeqDetector {
     }
 
     fn context_features(&mut self, window: &LabeledWindow) -> Option<Vec<f32>> {
-        self.context_features_batch(std::slice::from_ref(window))?.pop()
+        Some(self.context_features_batch(std::slice::from_ref(window))?.row(0).to_vec())
     }
 
-    fn context_features_batch(&mut self, windows: &[LabeledWindow]) -> Option<Vec<Vec<f32>>> {
+    fn context_features_batch(&mut self, windows: &[LabeledWindow]) -> Option<Matrix> {
         // Encoder state (paper §III-B) augmented with per-channel mean/std —
         // both computable on the IoT device in one pass; the summary stats
         // compensate for the reduced fidelity of the on-device encoder input
-        // (`set_input_bits`).
-        let mut contexts = Vec::with_capacity(windows.len());
+        // (`set_input_bits`). Every row is as wide — the encoder state plus
+        // two per input channel — so the first block sizes the matrix.
+        let mut contexts: Option<Matrix> = None;
+        let mut next = 0;
         for block in blocks(windows) {
-            self.with_block(block, |det, rows, _| {
-                let encoded = &det.model.encode(rows, block.len()).h;
+            self.with_block(block, |det, steps, _| {
+                let encoded = &det.model.encode(steps, block.len()).h;
+                let width = encoded.cols() + 2 * block[0].channels();
+                let contexts = contexts.get_or_insert_with(|| Matrix::zeros(windows.len(), width));
                 for (b, window) in block.iter().enumerate() {
-                    let mut ctx = Vec::with_capacity(encoded.cols() + 2 * window.channels());
-                    ctx.extend_from_slice(encoded.row(b));
+                    let (state, summary) = contexts.row_mut(next).split_at_mut(encoded.cols());
+                    next += 1;
+                    state.copy_from_slice(encoded.row(b));
                     let n = window.data.rows() as f32;
-                    for c in 0..window.channels() {
+                    for (c, pair) in summary.chunks_exact_mut(2).enumerate() {
                         // Strided column iteration (no per-channel Vec); same
                         // summation order as `vecops::{mean, std_dev}` over a
                         // copied column.
                         let col = || window.data.col_iter(c);
                         let mean = col().sum::<f32>() / n;
                         let var = col().map(|x| (x - mean) * (x - mean)).sum::<f32>() / n;
-                        ctx.push(mean);
-                        ctx.push(var.sqrt());
+                        pair[0] = mean;
+                        pair[1] = var.sqrt();
                     }
-                    contexts.push(ctx);
                 }
             });
         }
-        Some(contexts)
+        contexts
     }
 
     fn threshold(&self) -> Option<f32> {

@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use hec_tensor::math;
+use hec_tensor::{math, Matrix};
 
 /// Maps raw per-layer load gauges (queue depths, in-flight link transfers)
 /// to `[0, 1]`-scale context features via a log ramp:
@@ -110,17 +110,19 @@ impl LoadNormalizer {
     }
 }
 
-/// Per-dimension standardiser for context vectors.
+/// Per-dimension standardiser for context vectors, fitted and applied over
+/// the rows of a context matrix (one context per row).
 ///
 /// # Example
 ///
 /// ```rust
 /// use hec_bandit::ContextScaler;
+/// use hec_tensor::Matrix;
 ///
-/// let contexts = vec![vec![0.0, 10.0], vec![2.0, 30.0], vec![4.0, 50.0]];
+/// let contexts = Matrix::from_rows(&[&[0.0, 10.0], &[2.0, 30.0], &[4.0, 50.0]]);
 /// let scaler = ContextScaler::fit(&contexts);
-/// let z = scaler.transform(&[2.0, 30.0]);
-/// assert!(z.iter().all(|v| v.abs() < 1e-6)); // the mean maps to 0
+/// let z = scaler.transform(&contexts);
+/// assert!(z.row(1).iter().all(|v| v.abs() < 1e-6)); // the mean maps to 0
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ContextScaler {
@@ -129,22 +131,16 @@ pub struct ContextScaler {
 }
 
 impl ContextScaler {
-    /// Fits per-dimension mean/std on a corpus of context vectors.
+    /// Fits per-column mean/std over the rows of `contexts`, summed in row
+    /// order.
     ///
     /// Zero-variance dimensions get `σ = 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `contexts` is empty or dimensionalities are inconsistent.
-    pub fn fit(contexts: &[Vec<f32>]) -> Self {
-        assert!(!contexts.is_empty(), "no contexts to fit");
-        let d = contexts[0].len();
-        assert!(d > 0, "empty context vectors");
-        let n = contexts.len() as f32;
+    pub fn fit(contexts: &Matrix) -> Self {
+        let d = contexts.cols();
+        let n = contexts.rows() as f32;
         let mut mean = vec![0.0f32; d];
-        for c in contexts {
-            assert_eq!(c.len(), d, "inconsistent context dimensionality");
-            for (m, &x) in mean.iter_mut().zip(c.iter()) {
+        for c in contexts.iter_rows() {
+            for (m, &x) in mean.iter_mut().zip(c) {
                 *m += x;
             }
         }
@@ -152,8 +148,8 @@ impl ContextScaler {
             *m /= n;
         }
         let mut var = vec![0.0f32; d];
-        for c in contexts {
-            for ((v, &m), &x) in var.iter_mut().zip(mean.iter()).zip(c.iter()) {
+        for c in contexts.iter_rows() {
+            for ((v, &m), &x) in var.iter_mut().zip(&mean).zip(c) {
                 *v += (x - m) * (x - m);
             }
         }
@@ -176,24 +172,21 @@ impl ContextScaler {
         self.mean.len()
     }
 
-    /// Standardises one context vector.
+    /// Standardises every row of `contexts` into a new matrix of the same
+    /// shape.
     ///
     /// # Panics
     ///
     /// Panics on dimensionality mismatch.
-    pub fn transform(&self, context: &[f32]) -> Vec<f32> {
-        assert_eq!(context.len(), self.dim(), "context dimension mismatch");
-        context
-            .iter()
-            .zip(self.mean.iter())
-            .zip(self.std.iter())
-            .map(|((&x, &m), &s)| (x - m) / s)
-            .collect()
-    }
-
-    /// Standardises a whole corpus.
-    pub fn transform_all(&self, contexts: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        contexts.iter().map(|c| self.transform(c)).collect()
+    pub fn transform(&self, contexts: &Matrix) -> Matrix {
+        assert_eq!(contexts.cols(), self.dim(), "context dimension mismatch");
+        let mut scaled = contexts.clone();
+        for row in scaled.as_mut_slice().chunks_exact_mut(self.dim()) {
+            for ((x, &m), &s) in row.iter_mut().zip(&self.mean).zip(&self.std) {
+                *x = (*x - m) / s;
+            }
+        }
+        scaled
     }
 }
 
@@ -203,11 +196,12 @@ mod tests {
 
     #[test]
     fn unit_variance_after_transform() {
-        let contexts: Vec<Vec<f32>> = (0..50).map(|i| vec![i as f32, 100.0 - i as f32]).collect();
+        let contexts: Vec<f32> = (0..50).flat_map(|i| [i as f32, 100.0 - i as f32]).collect();
+        let contexts = Matrix::from_vec(50, 2, contexts);
         let scaler = ContextScaler::fit(&contexts);
-        let z = scaler.transform_all(&contexts);
+        let z = scaler.transform(&contexts);
         for d in 0..2 {
-            let vals: Vec<f32> = z.iter().map(|c| c[d]).collect();
+            let vals: Vec<f32> = z.col(d);
             let mean: f32 = vals.iter().sum::<f32>() / vals.len() as f32;
             let var: f32 =
                 vals.iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / vals.len() as f32;
@@ -218,23 +212,16 @@ mod tests {
 
     #[test]
     fn constant_dimension_maps_to_zero() {
-        let contexts = vec![vec![5.0, 1.0], vec![5.0, 2.0], vec![5.0, 3.0]];
+        let contexts = Matrix::from_rows(&[&[5.0, 1.0], &[5.0, 2.0], &[5.0, 3.0]]);
         let scaler = ContextScaler::fit(&contexts);
-        for c in &contexts {
-            assert_eq!(scaler.transform(c)[0], 0.0);
-        }
+        assert!(scaler.transform(&contexts).col_iter(0).all(|x| x == 0.0));
     }
 
     #[test]
-    #[should_panic(expected = "no contexts")]
-    fn empty_corpus_panics() {
-        let _ = ContextScaler::fit(&[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "inconsistent context dimensionality")]
-    fn ragged_corpus_panics() {
-        let _ = ContextScaler::fit(&[vec![1.0], vec![1.0, 2.0]]);
+    #[should_panic(expected = "context dimension mismatch")]
+    fn transform_rejects_a_matrix_of_another_width() {
+        let scaler = ContextScaler::fit(&Matrix::from_rows(&[&[1.0], &[2.0]]));
+        let _ = scaler.transform(&Matrix::zeros(2, 2));
     }
 
     #[test]

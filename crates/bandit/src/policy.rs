@@ -13,10 +13,10 @@ use hec_nn::Optimizer;
 use hec_tensor::kernel::gemm_nn;
 use hec_tensor::{init, math, vecops, Matrix};
 
-/// Contexts per forward pass of [`PolicyNetwork::greedy_batch`]: at the
+/// Contexts per forward pass of [`PolicyNetwork::probabilities_batch`]: at the
 /// paper's 100 hidden units a block's activations are 25 KB and stay in
 /// cache, where the whole corpus's (18 000 windows) would be 7 MB.
-const GREEDY_BLOCK_ROWS: usize = 64;
+const FORWARD_BLOCK_ROWS: usize = 64;
 
 /// The policy network `f_θ(z_x) → s ∈ Δ^{K-1}`.
 ///
@@ -56,12 +56,14 @@ pub struct PolicyNetwork {
     params: Matrix,
     /// `∂L/∂θ` in `params`' layout, written whole by each update.
     grad: Matrix,
-    /// The forward pass's buffers, grown to the largest block seen
-    /// (one row for the one-window paths, up to `GREEDY_BLOCK_ROWS` for
-    /// [`PolicyNetwork::greedy_batch`]): the contexts, the hidden ReLU
-    /// activations, and the logits turned into `π(· | context)` — which a
-    /// REINFORCE update then turns, in place, into `∂L/∂logits`.
+    /// The one-window paths' context row (a batched forward reads its
+    /// rows in place).
     contexts: Vec<f32>,
+    /// The forward pass's buffers, grown to the largest block seen (one
+    /// row for the one-window paths, up to `FORWARD_BLOCK_ROWS` for the
+    /// batched forward): the hidden ReLU activations, and the logits
+    /// turned into `π(· | context)` — which a REINFORCE update then turns,
+    /// in place, into `∂L/∂logits`.
     hidden_act: Vec<f32>,
     probs: Vec<f32>,
 }
@@ -129,31 +131,11 @@ impl PolicyNetwork {
     /// REINFORCE update backpropagates through.
     fn infer_probabilities(&mut self, context: &[f32]) -> &[f32] {
         assert_eq!(context.len(), self.input_dim, "context dimension mismatch");
-        self.contexts[..self.input_dim].copy_from_slice(context);
-        self.forward(1);
-        &self.probs[..self.num_actions]
-    }
-
-    /// The forward pass over the first `rows` contexts in `contexts`:
-    /// hidden activations into `hidden_act`, `π` row by row into `probs`.
-    fn forward(&mut self, rows: usize) {
         let (i, h, a) = (self.input_dim, self.hidden, self.num_actions);
-        let (w1, b1, w2, b2) = split_layers(self.params.as_slice(), (i, h, a));
-        let hidden = &mut self.hidden_act[..rows * h];
-        gemm_nn(rows, i, h, &self.contexts[..rows * i], w1, hidden);
-        for row in hidden.chunks_exact_mut(h) {
-            for (z, &b) in row.iter_mut().zip(b1) {
-                *z = (*z + b).max(0.0);
-            }
-        }
-        let probs = &mut self.probs[..rows * a];
-        gemm_nn(rows, h, a, hidden, w2, probs);
-        for row in probs.chunks_exact_mut(a) {
-            for (z, &b) in row.iter_mut().zip(b2) {
-                *z += b;
-            }
-            vecops::softmax_inplace(row);
-        }
+        self.contexts.copy_from_slice(context);
+        let (hidden, probs) = (&mut self.hidden_act[..h], &mut self.probs[..a]);
+        forward(self.params.as_slice(), (i, h, a), &self.contexts, hidden, probs);
+        probs
     }
 
     /// Samples an action from the policy (training-time exploration).
@@ -166,40 +148,62 @@ impl PolicyNetwork {
         vecops::argmax(self.infer_probabilities(context))
     }
 
-    /// Greedy actions for a whole corpus in **batched forward passes**: the
-    /// contexts are stacked `GREEDY_BLOCK_ROWS` (64) at a time into a
-    /// `block × input_dim` block so the dense kernels see a real batch
-    /// instead of per-window row vectors, through the network's own
-    /// buffers — a warmed call allocates only the returned vector.
+    /// `π_θ(· | context)` for every row of `contexts` (`n × input_dim`), as
+    /// an `n × num_actions` matrix, from **batched forward passes**: the
+    /// rows go through the network `FORWARD_BLOCK_ROWS` (64) at a time, read
+    /// in place, so the dense kernels see a real batch instead of one-row
+    /// vectors.
     ///
-    /// Each row goes through the same softmax + argmax as
-    /// [`PolicyNetwork::greedy`] (not a raw-logit argmax — f32 softmax can
-    /// round two distinct logits to equal probabilities, which would flip
-    /// tie resolution), and dense rows do not depend on the rows beside
-    /// them, so the selected actions are identical to the per-window path
-    /// by construction.
+    /// Row `r` is [`PolicyNetwork::probabilities`] of row `r` alone, bit
+    /// for bit: a dense row does not depend on the rows beside it, the gemm
+    /// kernels fix each element's summation order whatever the row count
+    /// and the row's position in its block, and every row gets the same
+    /// bias, ReLU and softmax (`tests/batched_rows.rs` holds this on random
+    /// weights). So an action drawn from a row here is the action
+    /// [`PolicyNetwork::sample`] would draw on that context with the same
+    /// generator.
     ///
     /// # Panics
     ///
-    /// Panics if any context's length differs from `input_dim`.
-    pub fn greedy_batch(&mut self, contexts: &[Vec<f32>]) -> Vec<usize> {
-        for (i, ctx) in contexts.iter().enumerate() {
-            assert_eq!(ctx.len(), self.input_dim, "context {i} dimension mismatch");
-        }
-        let mut actions = Vec::with_capacity(contexts.len());
-        for block in contexts.chunks(GREEDY_BLOCK_ROWS) {
-            let rows = block.len();
-            grow(&mut self.contexts, rows * self.input_dim);
-            grow(&mut self.hidden_act, rows * self.hidden);
-            grow(&mut self.probs, rows * self.num_actions);
-            for (row, ctx) in self.contexts.chunks_exact_mut(self.input_dim).zip(block) {
-                row.copy_from_slice(ctx);
-            }
-            self.forward(rows);
-            let probs = &self.probs[..rows * self.num_actions];
-            actions.extend(probs.chunks_exact(self.num_actions).map(vecops::argmax));
-        }
+    /// Panics if `contexts.cols() != input_dim`.
+    pub fn probabilities_batch(&mut self, contexts: &Matrix) -> Matrix {
+        let mut probs = Matrix::zeros(contexts.rows(), self.num_actions);
+        let mut rows = probs.as_mut_slice().chunks_exact_mut(self.num_actions);
+        self.forward_batch(contexts, |pi| {
+            rows.next().expect("one row per context").copy_from_slice(pi)
+        });
+        probs
+    }
+
+    /// The greedy action of every row of `contexts`: the argmax of each
+    /// [`PolicyNetwork::probabilities_batch`] row — the same forward, the
+    /// same softmax (not a raw-logit argmax: f32 softmax can round two
+    /// distinct logits to equal probabilities, which would flip tie
+    /// resolution) — so each is [`PolicyNetwork::greedy`] of its row. A
+    /// warmed call allocates only the returned vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `contexts.cols() != input_dim`.
+    pub fn greedy_batch(&mut self, contexts: &Matrix) -> Vec<usize> {
+        let mut actions = Vec::with_capacity(contexts.rows());
+        self.forward_batch(contexts, |pi| actions.push(vecops::argmax(pi)));
         actions
+    }
+
+    /// The batched forward pass: hands each row's `π`, in row order, to
+    /// `each`, through the network's own activation buffers.
+    fn forward_batch(&mut self, contexts: &Matrix, mut each: impl FnMut(&[f32])) {
+        assert_eq!(contexts.cols(), self.input_dim, "context dimension mismatch");
+        let (i, h, a) = (self.input_dim, self.hidden, self.num_actions);
+        for block in contexts.as_slice().chunks(FORWARD_BLOCK_ROWS * i) {
+            let rows = block.len() / i;
+            grow(&mut self.hidden_act, rows * h);
+            grow(&mut self.probs, rows * a);
+            let (hidden, probs) = (&mut self.hidden_act[..rows * h], &mut self.probs[..rows * a]);
+            forward(self.params.as_slice(), (i, h, a), block, hidden, probs);
+            probs.chunks_exact(a).for_each(&mut each);
+        }
     }
 
     /// Serialises every trainable parameter (in layer visitation order,
@@ -377,6 +381,34 @@ fn head_gradients(
     }
 }
 
+/// The forward pass over the contexts `x` (row-major, `i` wide) of a
+/// network with parameters `params`: the hidden ReLU activations into
+/// `hidden`, `π` row by row into `probs` (each holding exactly the rows of
+/// `x`).
+fn forward(
+    params: &[f32],
+    (i, h, a): (usize, usize, usize),
+    x: &[f32],
+    hidden: &mut [f32],
+    probs: &mut [f32],
+) {
+    let rows = x.len() / i;
+    let (w1, b1, w2, b2) = split_layers(params, (i, h, a));
+    gemm_nn(rows, i, h, x, w1, hidden);
+    for row in hidden.chunks_exact_mut(h) {
+        for (z, &b) in row.iter_mut().zip(b1) {
+            *z = (*z + b).max(0.0);
+        }
+    }
+    gemm_nn(rows, h, a, hidden, w2, probs);
+    for row in probs.chunks_exact_mut(a) {
+        for (z, &b) in row.iter_mut().zip(b2) {
+            *z += b;
+        }
+        vecops::softmax_inplace(row);
+    }
+}
+
 /// `W1 | b1 | W2 | b2` of a flat parameter buffer with `i` inputs, `h`
 /// hidden units and `a` actions.
 fn split_layers(
@@ -398,7 +430,7 @@ fn grow(buf: &mut Vec<f32>, len: usize) {
 
 /// The action a uniform draw from `rng` picks under `probs` (the last one
 /// when rounding leaves the cumulative sum short of the draw).
-fn draw(probs: &[f32], rng: &mut impl Rng) -> usize {
+pub(crate) fn draw(probs: &[f32], rng: &mut impl Rng) -> usize {
     let u: f32 = rng.gen();
     let mut acc = 0.0f32;
     for (k, &p) in probs.iter().enumerate() {
@@ -490,24 +522,23 @@ mod tests {
     #[test]
     fn greedy_batch_matches_greedy() {
         let mut p = PolicyNetwork::new(3, 16, 3, 9);
-        let b = GREEDY_BLOCK_ROWS;
-        for len in [0, 1, b - 1, b, b + 1, 3 * b + 5] {
-            let contexts: Vec<Vec<f32>> = (0..len)
-                .map(|i| vec![(i as f32 * 0.37).sin(), (i as f32 * 0.11).cos(), i as f32 / 17.0])
+        let b = FORWARD_BLOCK_ROWS;
+        for len in [1, b - 1, b, b + 1, 3 * b + 5] {
+            let contexts: Vec<f32> = (0..len)
+                .flat_map(|i| [(i as f32 * 0.37).sin(), (i as f32 * 0.11).cos(), i as f32 / 17.0])
                 .collect();
+            let contexts = Matrix::from_vec(len, 3, contexts);
             let batched = p.greedy_batch(&contexts);
-            let single: Vec<usize> = contexts.iter().map(|c| p.greedy(c)).collect();
+            let single: Vec<usize> = contexts.iter_rows().map(|c| p.greedy(c)).collect();
             assert_eq!(batched, single, "{len} contexts");
         }
     }
 
     #[test]
-    #[should_panic(expected = "context 70 dimension mismatch")]
-    fn greedy_batch_names_a_bad_context_by_its_global_index() {
+    #[should_panic(expected = "context dimension mismatch")]
+    fn greedy_batch_rejects_a_matrix_of_another_width() {
         let mut p = PolicyNetwork::new(3, 8, 3, 0);
-        let mut contexts = vec![vec![0.5f32; 3]; 3 * GREEDY_BLOCK_ROWS];
-        contexts[70] = vec![0.5; 2];
-        let _ = p.greedy_batch(&contexts);
+        let _ = p.greedy_batch(&Matrix::zeros(3 * FORWARD_BLOCK_ROWS, 2));
     }
 
     #[test]

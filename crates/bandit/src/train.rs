@@ -10,6 +10,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use hec_nn::Adam;
+use hec_tensor::Matrix;
 
 use crate::delay::StaticDelays;
 use crate::policy::PolicyNetwork;
@@ -118,10 +119,14 @@ pub struct PolicyTrainer {
     optimizer: Adam,
     rng: StdRng,
     config: TrainConfig,
-    /// Deferred `(context, action, reward)` observations for continual
-    /// mode: accumulated via [`PolicyTrainer::buffer`], applied FIFO by
-    /// [`PolicyTrainer::refresh`].
-    pending: Vec<(Vec<f32>, usize, f32)>,
+    /// Deferred observations for continual mode, accumulated via
+    /// [`PolicyTrainer::buffer`] and applied FIFO by
+    /// [`PolicyTrainer::refresh`]: the contexts as rows of one flat
+    /// row-major buffer (the policy's `input_dim` wide), each row's
+    /// `(action, reward)` beside it. Both keep their capacity across
+    /// refreshes.
+    pending_contexts: Vec<f32>,
+    pending: Vec<(usize, f32)>,
 }
 
 impl PolicyTrainer {
@@ -133,6 +138,7 @@ impl PolicyTrainer {
             rng: StdRng::seed_from_u64(config.seed),
             policy,
             config,
+            pending_contexts: Vec::new(),
             pending: Vec::new(),
         }
     }
@@ -182,6 +188,14 @@ impl PolicyTrainer {
         self.policy.sample(context, &mut self.rng)
     }
 
+    /// Draws an action from a `π` row the policy already computed (a row
+    /// of [`PolicyNetwork::probabilities_batch`]) with the trainer's
+    /// generator: the action [`PolicyTrainer::sample_action`] on that
+    /// row's context would draw, without its forward pass.
+    pub fn draw_action(&mut self, probs: &[f32]) -> usize {
+        crate::policy::draw(probs, &mut self.rng)
+    }
+
     /// Applies the deferred REINFORCE update for an action sampled
     /// earlier via [`PolicyTrainer::sample_action`], once its reward is
     /// known: updates the baseline and the policy. `context` must be the
@@ -204,13 +218,14 @@ impl PolicyTrainer {
     /// chunks, so a chunk's greedy routing table is fixed before its
     /// windows are shadowed, while the policy still learns inside the
     /// stream.
-    pub fn buffer(&mut self, context: Vec<f32>, action: usize, reward: f32) {
-        self.pending.push((context, action, reward));
-    }
-
-    /// Observations currently buffered.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
+    ///
+    /// # Panics
+    ///
+    /// Panics if `context.len()` is not the policy's `input_dim`.
+    pub fn buffer(&mut self, context: &[f32], action: usize, reward: f32) {
+        assert_eq!(context.len(), self.policy.input_dim(), "context dimension mismatch");
+        self.pending_contexts.extend_from_slice(context);
+        self.pending.push((action, reward));
     }
 
     /// Continual mode, half two: applies every buffered observation in
@@ -219,51 +234,56 @@ impl PolicyTrainer {
     /// buffer. Returns how many updates were applied. Deterministic:
     /// same buffered sequence, same resulting weights.
     pub fn refresh(&mut self) -> usize {
-        let pending = std::mem::take(&mut self.pending);
-        let n = pending.len();
-        for (context, action, reward) in pending {
-            self.observe(&context, action, reward);
+        let mut contexts = std::mem::take(&mut self.pending_contexts);
+        let mut pending = std::mem::take(&mut self.pending);
+        let dim = self.policy.input_dim();
+        for (context, &(action, reward)) in contexts.chunks_exact(dim).zip(&pending) {
+            self.observe(context, action, reward);
         }
+        let n = pending.len();
+        contexts.clear();
+        pending.clear();
+        (self.pending_contexts, self.pending) = (contexts, pending);
         n
     }
 
-    /// Trains for `config.epochs` passes over `contexts`; the oracle is
-    /// called as `reward_of(context_index, action)`.
+    /// Trains for `config.epochs` passes over the rows of `contexts`; the
+    /// oracle is called as `reward_of(row, action)`.
     ///
     /// # Panics
     ///
-    /// Panics if `contexts` is empty.
+    /// Panics if `contexts.cols()` is not the policy's `input_dim`.
     pub fn train(
         &mut self,
-        contexts: &[Vec<f32>],
+        contexts: &Matrix,
         reward_of: &mut dyn FnMut(usize, usize) -> f32,
     ) -> TrainingCurve {
-        assert!(!contexts.is_empty(), "no training contexts");
         let mut curve = Vec::with_capacity(self.config.epochs);
-        let mut order: Vec<usize> = (0..contexts.len()).collect();
+        let mut order: Vec<usize> = (0..contexts.rows()).collect();
         for _ in 0..self.config.epochs {
             use rand::seq::SliceRandom;
             order.shuffle(&mut self.rng);
             let mut total = 0.0f32;
             for &i in &order {
-                let (_, r) = self.step(&contexts[i], &mut |a| reward_of(i, a));
+                let (_, r) = self.step(contexts.row(i), &mut |a| reward_of(i, a));
                 total += r;
             }
-            curve.push(total / contexts.len() as f32);
+            curve.push(total / contexts.rows() as f32);
         }
         TrainingCurve { mean_reward_per_epoch: curve }
     }
 
     /// Trains against a [`RewardModel`] at the static per-action delays:
     /// the paper's original training. `correct_of(i, a)` is the frozen
-    /// oracle's verdict-correctness for window `i` at action `a`.
+    /// oracle's verdict-correctness for window `i` (row `i` of
+    /// `contexts`) at action `a`.
     ///
     /// # Panics
     ///
-    /// Panics if `contexts` is empty.
+    /// As [`PolicyTrainer::train`].
     pub fn train_with_delays(
         &mut self,
-        contexts: &[Vec<f32>],
+        contexts: &Matrix,
         correct_of: &mut dyn FnMut(usize, usize) -> bool,
         delays: &StaticDelays,
         reward: &RewardModel,
@@ -295,6 +315,14 @@ impl std::fmt::Debug for PolicyTrainer {
 mod tests {
     use super::*;
 
+    /// `n` two-feature contexts alternating `[1, 0]` (even rows) and
+    /// `[0, 1]` (odd rows).
+    fn alternating(n: usize) -> Matrix {
+        let rows: Vec<f32> =
+            (0..n).flat_map(|i| if i % 2 == 0 { [1.0, 0.0] } else { [0.0, 1.0] }).collect();
+        Matrix::from_vec(n, 2, rows)
+    }
+
     #[test]
     fn baseline_tracks_rewards() {
         let mut b = ReinforcementComparison::new(0.5);
@@ -318,8 +346,7 @@ mod tests {
     #[test]
     fn trainer_learns_context_dependent_optimum() {
         // Context [1,0] → action 0 pays; context [0,1] → action 2 pays.
-        let contexts: Vec<Vec<f32>> =
-            (0..40).map(|i| if i % 2 == 0 { vec![1.0, 0.0] } else { vec![0.0, 1.0] }).collect();
+        let contexts = alternating(40);
         let mut reward = |i: usize, a: usize| -> f32 {
             let best = if i.is_multiple_of(2) { 0 } else { 2 };
             if a == best {
@@ -342,7 +369,7 @@ mod tests {
 
     #[test]
     fn curve_improves_on_average() {
-        let contexts: Vec<Vec<f32>> = (0..20).map(|_| vec![0.5, 0.5]).collect();
+        let contexts = Matrix::filled(20, 2, 0.5);
         let mut reward = |_i: usize, a: usize| if a == 1 { 1.0 } else { -0.2 };
         let policy = PolicyNetwork::new(2, 16, 3, 5);
         let mut trainer = PolicyTrainer::new(
@@ -359,8 +386,7 @@ mod tests {
     fn delay_table_training_matches_equivalent_closure() {
         // Identical seeds and rewards ⇒ identical curves and weights,
         // whether the reward comes from the closure or the table path.
-        let contexts: Vec<Vec<f32>> =
-            (0..30).map(|i| if i % 2 == 0 { vec![1.0, 0.0] } else { vec![0.0, 1.0] }).collect();
+        let contexts = alternating(30);
         let delays = StaticDelays::new(vec![12.4, 257.43, 504.5]);
         let reward = RewardModel::new(0.0005);
         let correct = |i: usize, a: usize| if i.is_multiple_of(2) { a == 0 } else { a == 2 };
@@ -390,7 +416,7 @@ mod tests {
         // pins to the winner; with a small β the policy keeps sampling
         // the alternatives at a visible rate while still preferring the
         // winner.
-        let contexts: Vec<Vec<f32>> = (0..20).map(|_| vec![0.5, 0.5]).collect();
+        let contexts = Matrix::filled(20, 2, 0.5);
         let run = |entropy_beta: f32| {
             let mut trainer = PolicyTrainer::new(
                 PolicyNetwork::new(2, 16, 3, 5),
@@ -432,12 +458,10 @@ mod tests {
 
         let mut buffered = PolicyTrainer::new(PolicyNetwork::new(2, 16, 3, 5), config);
         for (ctx, a, r) in &obs {
-            buffered.buffer(ctx.clone(), *a, *r);
+            buffered.buffer(ctx, *a, *r);
         }
-        assert_eq!(buffered.pending_len(), obs.len());
         assert_eq!(buffered.refresh(), obs.len());
-        assert_eq!(buffered.pending_len(), 0, "refresh drains the buffer");
-        assert_eq!(buffered.refresh(), 0, "empty refresh is a no-op");
+        assert_eq!(buffered.refresh(), 0, "refresh drains the buffer; an empty one is a no-op");
 
         assert_eq!(
             immediate.policy_mut().weights_le_bytes(),
@@ -465,20 +489,12 @@ mod tests {
                 for _ in 0..20 {
                     let a = trainer.sample_action(&ctx);
                     let r = if a == best { 1.0 } else { -0.2 };
-                    trainer.buffer(ctx.clone(), a, r);
+                    trainer.buffer(&ctx, a, r);
                 }
                 trainer.refresh();
             }
             assert_eq!(trainer.policy_mut().greedy(&ctx), best, "phase {phase}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "no training contexts")]
-    fn empty_contexts_panics() {
-        let policy = PolicyNetwork::new(2, 8, 3, 0);
-        let mut trainer = PolicyTrainer::new(policy, TrainConfig::default());
-        let _ = trainer.train(&[], &mut |_, _| 0.0);
     }
 
     #[test]

@@ -252,11 +252,12 @@ fn greedy_batch_picks_the_referees_argmax() {
     let mut rng = StdRng::seed_from_u64(22);
     let corpus: Vec<Vec<f32>> =
         (0..197).map(|i| random_context(&mut rng, input_dim, i * 50)).collect();
+    let rows = Matrix::from_vec(corpus.len(), input_dim, corpus.concat());
     let (mut lib_opt, mut ref_opt) = (Adam::new(1e-2), Adam::new(1e-2));
     for round in 0..3 {
         let want: Vec<usize> =
             corpus.iter().map(|c| vecops::argmax(&referee.probabilities(c))).collect();
-        assert_eq!(policy.greedy_batch(&corpus), want, "round {round}");
+        assert_eq!(policy.greedy_batch(&rows), want, "round {round}");
         for (i, context) in corpus.iter().enumerate() {
             let (action, advantage) = (i % num_actions, random_advantage(&mut rng));
             policy.reinforce_update_with_entropy(context, action, advantage, 0.0, &mut lib_opt);

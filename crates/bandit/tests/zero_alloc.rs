@@ -6,14 +6,17 @@
 //! for the trainer around it: a warmed `PolicyTrainer::step` (one forward)
 //! and a warmed `sample_action` + `observe` (the in-fleet pair, two), with
 //! Adam's slot state grown. A warmed `greedy_batch` over several blocks of
-//! contexts allocates its result vector and nothing else, and leaves the
-//! one-window paths allocation-free.
+//! contexts allocates its result vector and nothing else (a warmed
+//! `probabilities_batch` its result matrix), and leaves the one-window
+//! paths allocation-free; a warmed chunk of `draw_action` + `buffer` and
+//! its `refresh` allocate nothing.
 //!
 //! One `#[test]`, so no concurrent test can disturb the global counter.
 
 use hec_bandit::{PolicyNetwork, PolicyTrainer, TrainConfig};
 use hec_nn::RmsProp;
 use hec_telemetry::{allocations, CountingAlloc};
+use hec_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,11 +44,11 @@ fn one_window_policy_paths_are_allocation_free() {
     );
 
     // 197 contexts: three full blocks of the batched forward and a partial one.
-    let corpus: Vec<Vec<f32>> = (0..197)
-        .map(|i| contexts[i % 2].iter().map(|&x| x * (i as f32 / 50.0)).collect())
-        .collect();
+    let corpus: Vec<f32> =
+        (0..197).flat_map(|i| contexts[i % 2].map(|x| x * (i as f32 / 50.0))).collect();
+    let corpus = Matrix::from_vec(197, 4, corpus);
     let batch = |policy: &mut PolicyNetwork, i: usize| {
-        assert_eq!(policy.greedy_batch(&corpus).len(), corpus.len());
+        assert_eq!(policy.greedy_batch(&corpus).len(), corpus.rows());
         policy.greedy(&contexts[i % 2]);
     };
     batch(&mut policy, 0);
@@ -53,6 +56,11 @@ fn one_window_policy_paths_are_allocation_free() {
         allocations_of(|i| batch(&mut policy, i)),
         32,
         "a warmed greedy_batch allocated more than its result vector"
+    );
+    assert_eq!(
+        allocations_of(|_| drop(policy.probabilities_batch(&corpus))),
+        32,
+        "a warmed probabilities_batch allocated more than its result matrix"
     );
 
     let config = TrainConfig { entropy_beta: 0.01, ..Default::default() };
@@ -68,6 +76,23 @@ fn one_window_policy_paths_are_allocation_free() {
         allocations_of(|i| step(&mut trainer, i)),
         0,
         "warmed PolicyTrainer::step / sample_action + observe allocated"
+    );
+
+    // The continual pair: a chunk of contexts buffered with actions drawn
+    // from their π rows, then refreshed. The buffer keeps its capacity.
+    let probs = trainer.policy_mut().probabilities_batch(&corpus);
+    let chunk = |trainer: &mut PolicyTrainer, i: usize| {
+        for (row, pi) in corpus.iter_rows().zip(probs.iter_rows()).skip(i).take(50) {
+            let action = trainer.draw_action(pi);
+            trainer.buffer(row, action, 0.25);
+        }
+        assert_eq!(trainer.refresh(), 50);
+    };
+    chunk(&mut trainer, 0);
+    assert_eq!(
+        allocations_of(|i| chunk(&mut trainer, i)),
+        0,
+        "a warmed buffer + refresh allocated"
     );
 }
 

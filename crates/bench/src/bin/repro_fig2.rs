@@ -7,6 +7,7 @@ use hec_bandit::{PolicyNetwork, PolicyTrainer, RewardModel, TrainConfig};
 use hec_bench::cli::Spec;
 use hec_core::static_delay_table;
 use hec_sim::{DatasetKind, HecTopology};
+use hec_tensor::Matrix;
 
 fn main() {
     Spec { bin: "repro_fig2", usage: "usage: repro_fig2\n", values: &[], switches: &[] }
@@ -25,12 +26,13 @@ fn main() {
     // representative contexts.
     let topo = HecTopology::paper_testbed(DatasetKind::Univariate);
     let reward = RewardModel::new(DatasetKind::Univariate.paper_alpha());
-    let contexts: Vec<Vec<f32>> = (0..60)
-        .map(|i| {
+    let contexts: Vec<f32> = (0..60)
+        .flat_map(|i| {
             let hardness = (i % 3) as f32 / 2.0; // 0, 0.5, 1
-            vec![0.0, 1.0, 0.5, hardness]
+            [0.0, 1.0, 0.5, hardness]
         })
         .collect();
+    let contexts = Matrix::from_vec(60, 4, contexts);
     // Oracle: layer k is correct iff its capacity (k) covers the hardness.
     let delays = static_delay_table(&topo, 384);
     let mut reward_of = |i: usize, a: usize| -> f32 {

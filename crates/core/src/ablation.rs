@@ -52,10 +52,9 @@ pub fn alpha_sweep(
     policy_hidden: usize,
     train: TrainConfig,
 ) -> Vec<AlphaSweepRow> {
-    let contexts = train_oracle.contexts();
-    let scaler = ContextScaler::fit(&contexts);
-    let scaled = scaler.transform_all(&contexts);
-    let input_dim = scaled[0].len();
+    let scaler = ContextScaler::fit(train_oracle.contexts());
+    let scaled = scaler.transform(train_oracle.contexts());
+    let input_dim = scaled.cols();
     let delays = static_delay_table(topology, payload_bytes);
 
     parallel_map(alphas, |_, &alpha| {
@@ -102,10 +101,9 @@ pub fn baseline_ablation(
     policy_hidden: usize,
     train: TrainConfig,
 ) -> BaselineAblation {
-    let contexts = train_oracle.contexts();
-    let scaler = ContextScaler::fit(&contexts);
-    let scaled = scaler.transform_all(&contexts);
-    let input_dim = scaled[0].len();
+    let scaler = ContextScaler::fit(train_oracle.contexts());
+    let scaled = scaler.transform(train_oracle.contexts());
+    let input_dim = scaled.cols();
     let reward = RewardModel::new(alpha);
     let delays = static_delay_table(topology, payload_bytes);
 
@@ -146,10 +144,9 @@ pub fn solver_comparison(
     epochs: usize,
     seed: u64,
 ) -> Vec<SolverRow> {
-    let contexts = oracle.contexts();
-    let scaler = ContextScaler::fit(&contexts);
-    let scaled = scaler.transform_all(&contexts);
-    let input_dim = scaled[0].len();
+    let scaler = ContextScaler::fit(oracle.contexts());
+    let scaled = scaler.transform(oracle.contexts());
+    let input_dim = scaled.cols();
     let reward = RewardModel::new(alpha);
     let delays = static_delay_table(topology, payload_bytes);
     let reward_of = |i: usize, a: usize| -> f32 {
@@ -162,7 +159,7 @@ pub fn solver_comparison(
         let mut total = 0.0f64;
         let mut pulls = 0usize;
         for _ in 0..epochs {
-            for (i, ctx) in scaled.iter().enumerate() {
+            for (i, ctx) in scaled.iter_rows().enumerate() {
                 let arm = solver.select(ctx, &mut rng);
                 let r = reward_of(i, arm);
                 solver.update(ctx, arm, r);
@@ -174,7 +171,7 @@ pub fn solver_comparison(
         let mut confusion = BinaryConfusion::new();
         let mut delay = 0.0f64;
         let mut greedy_rng = StdRng::seed_from_u64(seed ^ 0xFFFF);
-        for (i, ctx) in scaled.iter().enumerate() {
+        for (i, ctx) in scaled.iter_rows().enumerate() {
             let arm = solver.select(ctx, &mut greedy_rng);
             confusion.record(oracle.verdict(i, arm), oracle.outcomes[i].truth);
             delay += delays.delay_ms(arm);
@@ -183,7 +180,7 @@ pub fn solver_comparison(
             solver: solver.name().to_owned(),
             mean_reward: total / pulls.max(1) as f64,
             final_accuracy_pct: confusion.accuracy() * 100.0,
-            final_delay_ms: delay / scaled.len().max(1) as f64,
+            final_delay_ms: delay / scaled.rows() as f64,
         }
     };
 
@@ -197,7 +194,7 @@ pub fn solver_comparison(
         let mut policy = trainer.into_policy();
         let mut confusion = BinaryConfusion::new();
         let mut delay = 0.0f64;
-        for (i, ctx) in scaled.iter().enumerate() {
+        for (i, ctx) in scaled.iter_rows().enumerate() {
             let arm = policy.greedy(ctx);
             confusion.record(oracle.verdict(i, arm), oracle.outcomes[i].truth);
             delay += delays.delay_ms(arm);
@@ -208,7 +205,7 @@ pub fn solver_comparison(
             solver: "policy-gradient".to_owned(),
             mean_reward,
             final_accuracy_pct: confusion.accuracy() * 100.0,
-            final_delay_ms: delay / scaled.len().max(1) as f64,
+            final_delay_ms: delay / scaled.rows() as f64,
         }
     };
 
@@ -276,6 +273,7 @@ mod tests {
     use super::*;
     use crate::oracle::WindowOutcome;
     use hec_sim::DatasetKind;
+    use hec_tensor::Matrix;
 
     /// Synthetic oracle: layer 0 right on even windows, layer 2 always right.
     fn oracle(n: usize) -> Oracle {
@@ -293,11 +291,12 @@ mod tests {
                         if truth { -40.0 } else { -1.0 },
                     ],
                     anomalous_fraction: [frac(verdict0), frac(truth), frac(truth)],
-                    context: vec![easy as u8 as f32, truth as u8 as f32],
                 }
             })
             .collect();
-        Oracle { outcomes, thresholds: [-10.0; 3], confidence: ConfidenceRule::default() }
+        let contexts = (0..n).flat_map(|i| [(i % 2 == 0) as u8 as f32, (i % 4 == 0) as u8 as f32]);
+        let contexts = Some(Matrix::from_vec(n, 2, contexts.collect()));
+        Oracle { outcomes, contexts, thresholds: [-10.0; 3], confidence: ConfidenceRule::default() }
     }
 
     fn quick_train() -> TrainConfig {
@@ -436,6 +435,7 @@ pub fn threshold_rule_ablation(oracle: &Oracle) -> Vec<ThresholdRow> {
 mod threshold_tests {
     use super::*;
     use crate::oracle::WindowOutcome;
+    use hec_tensor::Matrix;
 
     #[test]
     fn threshold_ablation_covers_all_rules() {
@@ -446,12 +446,15 @@ mod threshold_tests {
                     truth,
                     min_log_pd: [if truth { -30.0 } else { -3.0 - (i % 7) as f32 }; 3],
                     anomalous_fraction: [if truth { 0.2 } else { 0.0 }; 3],
-                    context: vec![0.0],
                 }
             })
             .collect();
-        let oracle =
-            Oracle { outcomes, thresholds: [-10.0; 3], confidence: ConfidenceRule::default() };
+        let oracle = Oracle {
+            outcomes,
+            contexts: Some(Matrix::zeros(50, 1)),
+            thresholds: [-10.0; 3],
+            confidence: ConfidenceRule::default(),
+        };
         let rows = threshold_rule_ablation(&oracle);
         assert_eq!(rows.len(), 4);
         for row in &rows {

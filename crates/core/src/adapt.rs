@@ -12,12 +12,16 @@
 //! 1. **Stream in chunks.** The raw (unstandardised) window stream is
 //!    processed chunk by chunk: standardise with the *current*
 //!    standardizer, score every window at IoT (its layer-0 outcome and
-//!    its context, scaled once), and take the chunk's greedy routing
-//!    table from the policy as it stands. An adaptive run also draws the
-//!    chunk's shadow actions here (step 4). Then each window is scored at
-//!    the layer above IoT it is routed or shadow-sampled to, if any —
-//!    about 2 % of the windows — under the calibration the chunk was
-//!    scored under; no other entry is scored, and none is read.
+//!    its context, a row of the chunk's context matrix, scaled once), and
+//!    run the policy as it stands **once** over the scaled rows
+//!    (`PolicyNetwork::probabilities_batch`): the chunk's greedy routing
+//!    table is each row's argmax, and an adaptive run draws the chunk's
+//!    shadow actions (step 4) from the same rows with the trainer's
+//!    generator, in window order — one forward per window per chunk. Then
+//!    each window is scored at the layer above IoT it is routed or
+//!    shadow-sampled to, if any — about 2 % of the windows — under the
+//!    calibration the chunk was scored under; no other entry is scored,
+//!    and none is read.
 //! 2. **Detect drift.** Each window's layer-0 anomalous-point fraction (a
 //!    bounded statistic the IoT-tier detector already computes) feeds a
 //!    Page–Hinkley mean-shift detector — O(1) per window, deterministic.
@@ -34,11 +38,13 @@
 //! 4. **Track the policy.** Independently of alarms, the bandit shadows
 //!    each chunk with sampled actions (drawn in step 1: the refresh
 //!    touches neither the policy nor its RNG, so they are the actions a
-//!    draw after it would give) scored against the static delay ladder,
-//!    buffers the `(context, action, reward)` triples, and applies them
-//!    between chunks (`PolicyTrainer::buffer`/`refresh`) — so the greedy
-//!    routing table stays fixed *within* a chunk and moves only at chunk
-//!    boundaries.
+//!    draw after it would give, and a batched `π` row carries the bits of
+//!    the one-row forward a per-window `sample_action` would run — the
+//!    licence `hec-bandit`'s `tests/batched_rows.rs` holds) scored against
+//!    the static delay ladder, buffers each window's scaled context row
+//!    with its action and reward, and applies them between chunks
+//!    (`PolicyTrainer::buffer`/`refresh`) — so the greedy routing table
+//!    stays fixed *within* a chunk and moves only at chunk boundaries.
 //! 5. **Replay the pass.** Nothing above reads the fleet, so the chunks'
 //!    tables replay once, end to end, through one sharded fleet
 //!    ([`crate::replay`]); each window is priced at its observed delay and
@@ -59,12 +65,13 @@ use hec_anomaly::{ConfidenceRule, PageHinkley};
 use hec_bandit::{ContextScaler, PolicyTrainer, RewardModel};
 use hec_data::{LabeledWindow, OnlineStandardizer};
 use hec_sim::fleet::FleetScenario;
+use hec_tensor::vecops;
 
 use crate::closed_loop::Tally;
 use crate::experiment::Experiment;
 use crate::oracle::{Oracle, Rows, WindowOutcome};
 use crate::replay::{replay_scenario, replay_table};
-use crate::scheme::{scaled_contexts, SchemeKind};
+use crate::scheme::SchemeKind;
 
 /// Minimum chunks between two refreshes (the alarm rate limiter).
 const MIN_REFRESH_GAP: usize = 2;
@@ -271,12 +278,14 @@ pub fn run_adaptive_stream(
 
     for (index, raw) in stream.chunks(config.chunk).enumerate() {
         let standardized = exp.standardize_windows(raw);
-        // Every window at IoT: the drift statistic and the contexts, each
-        // scaled once for the greedy table and the shadow samples.
+        // Every window at IoT: the drift statistic and the context rows,
+        // scaled once. One batched forward gives each window's π: the
+        // greedy table is its argmax, the shadow samples are drawn from it.
         let mut oracle = Oracle::unscored(&standardized);
         exp.score_into(&mut oracle, &standardized, [Rows::All, Rows::NONE, Rows::NONE]);
-        let contexts = scaled_contexts(&oracle, scaler);
-        let greedy = trainer.policy_mut().greedy_batch(&contexts);
+        let contexts = scaler.transform(oracle.contexts());
+        let probs = trainer.policy_mut().probabilities_batch(&contexts);
+        let greedy: Vec<usize> = probs.iter_rows().map(vecops::argmax).collect();
 
         // Drift detection on the layer-0 anomalous-fraction stream.
         let mut drift_alarm = false;
@@ -290,10 +299,11 @@ pub fn run_adaptive_stream(
         }
 
         // Continual policy tracking, half one: shadow the chunk with
-        // sampled actions. The refresh below touches neither the policy
-        // nor its RNG, so drawing them first draws the same actions.
+        // actions drawn from its π rows, in window order. The refresh
+        // below touches neither the policy nor its RNG, so drawing them
+        // first draws the same actions.
         let shadow: Vec<usize> = if config.adaptive {
-            contexts.iter().map(|context| trainer.sample_action(context)).collect()
+            probs.iter_rows().map(|pi| trainer.draw_action(pi)).collect()
         } else {
             Vec::new()
         };
@@ -354,10 +364,11 @@ pub fn run_adaptive_stream(
         }
 
         // Half two: price the shadow actions against the static delay
-        // ladder, buffer them with their contexts, apply between chunks.
+        // ladder, buffer them with their context rows, apply between
+        // chunks.
         let mut policy_updates = 0;
         if config.adaptive {
-            for (i, (context, action)) in contexts.into_iter().zip(shadow).enumerate() {
+            for (i, (context, &action)) in contexts.iter_rows().zip(&shadow).enumerate() {
                 let r = reward.reward(oracle.correct(i, action), delays.delay_ms(action)) as f32;
                 trainer.buffer(context, action, r);
             }
@@ -423,7 +434,12 @@ fn score_pass(
 ) -> Vec<Tally> {
     let _span = hec_telemetry::WallSpan::new("core.replay");
     // Verdicts are read off the outcomes: the pass needs no thresholds.
-    let pass = Oracle { outcomes, thresholds: [0.0; 3], confidence: ConfidenceRule::default() };
+    let pass = Oracle {
+        outcomes,
+        contexts: None,
+        thresholds: [0.0; 3],
+        confidence: ConfidenceRule::default(),
+    };
     let n = pass.len();
     let mut tallies = vec![Tally::default(); n.div_ceil(chunk)];
     replay_table(scenario, &pass, SchemeKind::Adaptive, actions, reward, shards, |seq, ev, r| {
@@ -444,6 +460,7 @@ mod tests {
     };
     use hec_data::power::{PowerConfig, PowerGenerator};
     use hec_data::{DatasetSource, DriftKind, DriftSchedule};
+    use hec_tensor::Matrix;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -594,7 +611,6 @@ mod tests {
                 truth: i % 4 == 0,
                 min_log_pd: [-5.0; 3],
                 anomalous_fraction: [0.0, 0.2, if i % 4 == 0 { 0.4 } else { 0.0 }],
-                context: vec![i as f32],
             })
             .collect();
         let actions: Vec<usize> = (0..n).map(|i| i % 3).collect();
@@ -642,7 +658,7 @@ mod tests {
         fn scoring_work(&self, windows: &[LabeledWindow]) -> u64 {
             self.inner.scoring_work(windows)
         }
-        fn context_features_batch(&mut self, windows: &[LabeledWindow]) -> Option<Vec<Vec<f32>>> {
+        fn context_features_batch(&mut self, windows: &[LabeledWindow]) -> Option<Matrix> {
             self.inner.context_features_batch(windows)
         }
         fn threshold(&self) -> Option<f32> {

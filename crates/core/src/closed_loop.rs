@@ -282,6 +282,7 @@ mod tests {
     fn finish_against(tamper: impl FnOnce(&mut FleetReport)) -> FleetStreamResult {
         let oracle = Oracle {
             outcomes: vec![],
+            contexts: None,
             thresholds: [0.0; 3],
             confidence: ConfidenceRule::default(),
         };
@@ -348,10 +349,10 @@ mod tests {
             truth: false,
             min_log_pd: [0.0; 3],
             anomalous_fraction: [0.0; 3],
-            context: vec![],
         };
         let oracle = Oracle {
             outcomes: vec![outcome],
+            contexts: None,
             thresholds: [0.0; 3],
             confidence: Default::default(),
         };

@@ -391,15 +391,13 @@ impl Experiment {
         &mut self,
         policy_oracle: &Oracle,
     ) -> (PolicyNetwork, ContextScaler, TrainingCurve) {
-        let contexts = policy_oracle.contexts();
-        let scaler = ContextScaler::fit(&contexts);
-        let scaled = scaler.transform_all(&contexts);
+        let scaler = ContextScaler::fit(policy_oracle.contexts());
+        let scaled = scaler.transform(policy_oracle.contexts());
         let reward = RewardModel::new(self.config.dataset.kind().paper_alpha());
         let delays = self.static_delays();
 
-        let input_dim = scaled[0].len();
         let policy = PolicyNetwork::new(
-            input_dim,
+            scaled.cols(),
             self.config.policy_hidden,
             self.topology.num_layers(),
             self.config.seed,

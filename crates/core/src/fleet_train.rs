@@ -43,10 +43,10 @@ use hec_bandit::{
     TrainingCurve,
 };
 use hec_sim::fleet::{FleetScenario, JobEvent, RouteCtx};
+use hec_tensor::Matrix;
 
 use crate::closed_loop::{load_features, routed_windows, run_closed_loop, ClosedLoop};
 use crate::oracle::Oracle;
-use crate::scheme::scaled_contexts;
 use crate::stream::scenario_load_normalizer;
 
 /// Result of training a policy inside the fleet.
@@ -78,13 +78,11 @@ pub enum FleetTrainError {
         /// How many cohorts the scenario has.
         cohorts: usize,
     },
-    /// An oracle context is not as wide as the scaler was fitted for.
+    /// The oracle's contexts are not as wide as the scaler was fitted for.
     ContextDimMismatch {
         /// The scaler's dimensionality.
         scaler: usize,
-        /// The first oracle window that disagrees.
-        window: usize,
-        /// That window's context width.
+        /// The oracle's context width.
         context: usize,
     },
 }
@@ -99,10 +97,10 @@ impl fmt::Display for FleetTrainError {
             Self::ProbeOutOfRange { probe, cohorts } => {
                 write!(f, "probe cohort {probe} out of range (the scenario has {cohorts})")
             }
-            Self::ContextDimMismatch { scaler, window, context } => write!(
+            Self::ContextDimMismatch { scaler, context } => write!(
                 f,
                 "context dimension mismatch: the scaler takes {scaler} features, \
-                 oracle window {window} has {context}"
+                 the oracle's contexts have {context}"
             ),
         }
     }
@@ -177,9 +175,10 @@ pub fn try_train_policy_in_fleet(
         return Err(FleetTrainError::NothingToTrain);
     }
     let dim = scaler.dim();
-    if let Some(window) = oracle.outcomes.iter().position(|o| o.context.len() != dim) {
-        let context = oracle.outcomes[window].context.len();
-        return Err(FleetTrainError::ContextDimMismatch { scaler: dim, window, context });
+    // An oracle never scored at layer 0 has contexts of width 0.
+    let context = oracle.contexts.as_ref().map_or(0, Matrix::cols);
+    if context != dim {
+        return Err(FleetTrainError::ContextDimMismatch { scaler: dim, context });
     }
 
     let norm = scenario_load_normalizer(scenario);
@@ -189,7 +188,7 @@ pub fn try_train_policy_in_fleet(
     let windows = scenario.total_windows() as usize;
     let mut lp = Training {
         trainer: PolicyTrainer::new(policy, config),
-        base: scaled_contexts(oracle, scaler),
+        base: scaler.transform(oracle.contexts()),
         norm,
         contexts: vec![0.0; windows * input_dim],
         actions: vec![UNROUTED; windows],
@@ -230,7 +229,8 @@ const UNROUTED: usize = usize::MAX;
 /// REINFORCE update.
 struct Training {
     trainer: PolicyTrainer,
-    base: Vec<Vec<f32>>,
+    /// The scaled oracle contexts, row `i` window `i`'s.
+    base: Matrix,
     norm: LoadNormalizer,
     /// Routed-but-unresolved trained windows by global sequence number:
     /// row `seq` (the policy's `input_dim` wide) is the augmented context the action in
@@ -257,7 +257,7 @@ impl Training {
 
 impl ClosedLoop for Training {
     fn route(&mut self, ctx: &RouteCtx<'_>, i: usize) -> usize {
-        load_features(&self.base[i], &self.norm, ctx, &mut self.scratch);
+        load_features(self.base.row(i), &self.norm, ctx, &mut self.scratch);
         let action = self.trainer.sample_action(&self.scratch);
         let row = self.row(ctx.seq);
         self.contexts[row].copy_from_slice(&self.scratch);
@@ -306,11 +306,12 @@ mod tests {
                         if truth { -60.0 } else { -1.0 },
                     ],
                     anomalous_fraction: [frac(verdict0), frac(truth), frac(truth)],
-                    context: vec![easy as u8 as f32, (i % 3) as f32 / 2.0],
                 }
             })
             .collect();
-        Oracle { outcomes, thresholds: [-10.0; 3], confidence: ConfidenceRule::default() }
+        let contexts = (0..n).flat_map(|i| [(i % 2 == 0) as u8 as f32, (i % 3) as f32 / 2.0]);
+        let contexts = (n > 0).then(|| Matrix::from_vec(n, 2, contexts.collect()));
+        Oracle { outcomes, contexts, thresholds: [-10.0; 3], confidence: ConfidenceRule::default() }
     }
 
     /// A small fleet whose edge saturates if everything offloads there:
@@ -332,7 +333,7 @@ mod tests {
     #[test]
     fn training_produces_a_load_aware_policy_and_full_curve() {
         let o = oracle(48);
-        let scaler = ContextScaler::fit(&o.contexts());
+        let scaler = ContextScaler::fit(o.contexts());
         let sc = hot_scenario();
         let reward = RewardModel::new(0.0005);
         let out = train_policy_in_fleet(&sc, &o, &scaler, &reward, 16, quick_config(4), None);
@@ -357,7 +358,7 @@ mod tests {
     #[test]
     fn training_improves_observed_reward() {
         let o = oracle(48);
-        let scaler = ContextScaler::fit(&o.contexts());
+        let scaler = ContextScaler::fit(o.contexts());
         let sc = hot_scenario();
         let reward = RewardModel::new(0.0005);
         let out = train_policy_in_fleet(&sc, &o, &scaler, &reward, 16, quick_config(12), None);
@@ -373,7 +374,7 @@ mod tests {
     #[test]
     fn fleet_training_is_thread_count_invariant() {
         let o = oracle(36);
-        let scaler = ContextScaler::fit(&o.contexts());
+        let scaler = ContextScaler::fit(o.contexts());
         let sc = hot_scenario();
         let reward = RewardModel::new(0.0005);
         let run = |threads: usize| {
@@ -411,8 +412,8 @@ mod tests {
         use hec_bandit::{PolicyNetwork, PolicyTrainer};
 
         let o = oracle(48);
-        let scaler = ContextScaler::fit(&o.contexts());
-        let scaled = scaler.transform_all(&o.contexts());
+        let scaler = ContextScaler::fit(o.contexts());
+        let scaled = scaler.transform(o.contexts());
         let reward = RewardModel::new(0.0005);
 
         // Background: 2.5k win/s at 90% edge (capacity ~540/s) — pegged.
@@ -463,7 +464,7 @@ mod tests {
     #[test]
     fn mismatched_arguments_are_typed_errors() {
         let o = oracle(12);
-        let scaler = ContextScaler::fit(&o.contexts());
+        let scaler = ContextScaler::fit(o.contexts());
         let reward = RewardModel::new(0.0005);
         let try_with = |sc: &FleetScenario, o: &Oracle, scaler: &ContextScaler, probe| {
             try_train_policy_in_fleet(sc, o, scaler, &reward, 8, quick_config(1), probe).map(|_| ())
@@ -478,9 +479,9 @@ mod tests {
         let mut silent = hot_scenario();
         silent.cohorts.push(CohortSpec::uniform(0, 8, 25.0, 0.0, RoutePlan::Fixed(0)));
         assert_eq!(try_with(&silent, &o, &scaler, Some(1)), Err(FleetTrainError::NothingToTrain));
-        let narrow = ContextScaler::fit(&[vec![0.0]]);
+        let narrow = ContextScaler::fit(&Matrix::zeros(1, 1));
         let err = try_with(&sc, &o, &narrow, None).unwrap_err();
-        assert_eq!(err, FleetTrainError::ContextDimMismatch { scaler: 1, window: 0, context: 2 });
+        assert_eq!(err, FleetTrainError::ContextDimMismatch { scaler: 1, context: 2 });
         assert!(err.to_string().starts_with("context dimension mismatch"), "{err}");
     }
 
@@ -489,10 +490,11 @@ mod tests {
     fn empty_oracle_rejected() {
         let o = Oracle {
             outcomes: vec![],
+            contexts: None,
             thresholds: [0.0; 3],
             confidence: ConfidenceRule::default(),
         };
-        let scaler = ContextScaler::fit(&[vec![0.0]]);
+        let scaler = ContextScaler::fit(&Matrix::zeros(1, 1));
         let _ = train_policy_in_fleet(
             &hot_scenario(),
             &o,

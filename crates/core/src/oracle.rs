@@ -12,13 +12,18 @@
 //! where it is routed or shadow-sampled there. An entry left unscored
 //! holds `NaN` and is never read as a verdict (a debug build panics on
 //! the attempt).
+//!
+//! The policy's contexts are one row-major matrix beside the outcomes,
+//! row `i` window `i`'s: the IoT model's encoder states or the windows'
+//! summary features are written into it as rows, and the scaler, the
+//! greedy table and the trainers read it by row.
 
 use std::borrow::Cow;
 
 use hec_anomaly::{AnomalyDetector, ConfidenceRule, Detection, ModelCatalog, ROW_SPLIT_WINDOWS};
 use hec_data::LabeledWindow;
 use hec_tensor::parallel::{parallel_map_mut, thread_count};
-use hec_tensor::vecops;
+use hec_tensor::{vecops, Matrix};
 
 /// Fewest multiply-accumulates (summed [`AnomalyDetector::scoring_work`] of
 /// the three detectors) before [`Oracle::precompute`] scores them side by
@@ -81,8 +86,9 @@ impl Rows<'_> {
 struct LayerScores {
     threshold: f32,
     detections: Vec<Detection>,
-    /// A context per picked window at layer 0; `None` above it.
-    contexts: Option<Vec<Vec<f32>>>,
+    /// A context row per picked window at layer 0; `None` above it and
+    /// where no window was picked.
+    contexts: Option<Matrix>,
 }
 
 /// Runs each layer's detector over the windows its rows pick, side by
@@ -129,19 +135,18 @@ fn detect_picked(
         detectors.iter_mut().enumerate().map(|(layer, det)| score_one(layer, det)).collect()
     };
     // Where the IoT model gives no context: each window's univariate
-    // `{min, max, mean, std}` summary.
-    if scores[0].contexts.is_none() {
-        scores[0].contexts = Some(
-            picked[0]
-                .iter()
-                .map(|w| vecops::summary_features(w.data.as_slice()).to_vec())
-                .collect(),
-        );
+    // `{min, max, mean, std}` summary, written into its row.
+    if scores[0].contexts.is_none() && !picked[0].is_empty() {
+        let mut contexts = Matrix::zeros(picked[0].len(), 4);
+        for (row, w) in contexts.as_mut_slice().chunks_exact_mut(4).zip(picked[0].iter()) {
+            row.copy_from_slice(&vecops::summary_features(w.data.as_slice()));
+        }
+        scores[0].contexts = Some(contexts);
     }
     scores
 }
 
-/// Raw per-layer scores of one window, plus its ground truth and context.
+/// Raw per-layer scores of one window, plus its ground truth.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowOutcome {
     /// Ground truth: `true` = anomalous.
@@ -152,9 +157,6 @@ pub struct WindowOutcome {
     /// Anomalous-point fraction under each layer's model; `NaN` at a
     /// layer the window was not scored at.
     pub anomalous_fraction: [f32; 3],
-    /// Contextual feature vector `z_x` for the policy network (empty
-    /// when the window was not scored at layer 0).
-    pub context: Vec<f32>,
 }
 
 impl WindowOutcome {
@@ -170,6 +172,10 @@ impl WindowOutcome {
 pub struct Oracle {
     /// Per-window outcomes, in corpus order.
     pub outcomes: Vec<WindowOutcome>,
+    /// The contextual feature vectors `z_x` for the policy network, one
+    /// row per window in corpus order; `None` until a window is scored at
+    /// layer 0. A window not scored there holds a zero row.
+    pub contexts: Option<Matrix>,
     /// Each layer's calibrated logPD threshold.
     pub thresholds: [f32; 3],
     /// Confidence rule for the Successive scheme.
@@ -202,7 +208,7 @@ impl Oracle {
     }
 
     /// An oracle over `windows` that has scored nothing yet: each window's
-    /// ground truth, every entry `NaN`, no contexts.
+    /// ground truth, every entry `NaN`, no context matrix.
     pub(crate) fn unscored(windows: &[LabeledWindow]) -> Self {
         let outcomes = windows
             .iter()
@@ -210,16 +216,20 @@ impl Oracle {
                 truth: w.anomalous,
                 min_log_pd: [f32::NAN; 3],
                 anomalous_fraction: [f32::NAN; 3],
-                context: Vec::new(),
             })
             .collect();
-        Self { outcomes, thresholds: [f32::NAN; 3], confidence: ConfidenceRule::default() }
+        Self {
+            outcomes,
+            contexts: None,
+            thresholds: [f32::NAN; 3],
+            confidence: ConfidenceRule::default(),
+        }
     }
 
     /// Scores `windows` — the corpus this oracle was made over — at the
     /// rows each layer asks for, one batched `detect_batch` per layer over
     /// the windows it picks, and writes their entries; a window scored at
-    /// layer 0 also gets its context. Every threshold is (re)read from its
+    /// layer 0 also gets its context row. Every threshold is (re)read from its
     /// detector. The detectors score side by side when the asked work pays
     /// for it ([`Oracle::precompute`]).
     ///
@@ -242,14 +252,32 @@ impl Oracle {
     fn write(&mut self, asks: [Rows<'_>; 3], scores: Vec<LayerScores>) {
         for (layer, scores) in scores.into_iter().enumerate() {
             self.thresholds[layer] = scores.threshold;
-            for (k, context) in scores.contexts.into_iter().flatten().enumerate() {
-                self.outcomes[asks[layer].index(k)].context = context;
+            if let Some(rows) = scores.contexts {
+                self.write_contexts(asks[layer], rows);
             }
             for (k, d) in scores.detections.into_iter().enumerate() {
                 let outcome = &mut self.outcomes[asks[layer].index(k)];
                 outcome.min_log_pd[layer] = d.min_log_pd;
                 outcome.anomalous_fraction[layer] = d.anomalous_fraction;
             }
+        }
+    }
+
+    /// Files the context rows of the windows `asked` picked: all of them
+    /// become the context matrix as they are; some are copied into their
+    /// rows of it (made zero-filled first if it is missing or narrower).
+    fn write_contexts(&mut self, asked: Rows<'_>, rows: Matrix) {
+        let Rows::Only(picked) = asked else {
+            self.contexts = Some(rows);
+            return;
+        };
+        let width = rows.cols();
+        if self.contexts.as_ref().is_none_or(|c| c.cols() != width) {
+            self.contexts = Some(Matrix::zeros(self.len(), width));
+        }
+        let contexts = self.contexts.as_mut().expect("made above");
+        for (k, &i) in picked.iter().enumerate() {
+            contexts.row_mut(i).copy_from_slice(rows.row(k));
         }
     }
 
@@ -301,9 +329,13 @@ impl Oracle {
         self.verdict(i, layer) == self.outcomes[i].truth
     }
 
-    /// All context vectors (corpus order).
-    pub fn contexts(&self) -> Vec<Vec<f32>> {
-        self.outcomes.iter().map(|o| o.context.clone()).collect()
+    /// The context matrix: row `i` is window `i`'s context.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no window was scored at layer 0.
+    pub fn contexts(&self) -> &Matrix {
+        self.contexts.as_ref().expect("no window of the oracle was scored at layer 0")
     }
 }
 
@@ -405,7 +437,8 @@ mod tests {
     }
 
     /// Asked entries, in one call or two, are the full oracle's bit for
-    /// bit; the rest stay `NaN`, and only layer-0 rows get a context.
+    /// bit; the rest stay `NaN`, and only layer-0 rows get a context (the
+    /// others a zero row).
     #[test]
     fn asked_entries_are_the_full_oracles() {
         let mut catalog = fitted_catalog(16);
@@ -423,6 +456,8 @@ mod tests {
                 [(&two_steps, (0..40).collect::<Vec<_>>()), (&one_call, vec![2, 3, 5])]
             {
                 assert_eq!(oracle.thresholds, full.thresholds);
+                let (got_contexts, want_contexts) = (oracle.contexts(), full.contexts());
+                assert_eq!(got_contexts.shape(), want_contexts.shape());
                 for (i, (got, want)) in oracle.outcomes.iter().zip(&full.outcomes).enumerate() {
                     assert_eq!(got.truth, want.truth);
                     let asked = [layer0.contains(&i), edge.contains(&i), cloud.contains(&i)];
@@ -440,8 +475,8 @@ mod tests {
                             assert_eq!(oracle.verdict(i, layer), full.verdict(i, layer));
                         }
                     }
-                    let context: &[f32] = if asked[0] { &want.context } else { &[] };
-                    assert_eq!(got.context, context, "window {i}");
+                    let context = if asked[0] { want_contexts.row(i) } else { &[0.0; 4] };
+                    assert_eq!(got_contexts.row(i), context, "window {i}");
                 }
             }
         }
@@ -469,8 +504,8 @@ mod tests {
         assert!(!oracle.is_empty());
         for o in &oracle.outcomes {
             assert!(o.min_log_pd.iter().all(|x| x.is_finite()));
-            assert_eq!(o.context.len(), 4); // univariate summary features
         }
+        assert_eq!(oracle.contexts().shape(), (3, 4)); // univariate summary features
     }
 
     #[test]

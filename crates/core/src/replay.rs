@@ -154,6 +154,7 @@ mod tests {
     use crate::parallel::with_thread_count;
     use crate::stream::stream_through_fleet;
     use hec_anomaly::ConfidenceRule;
+    use hec_tensor::Matrix;
 
     fn oracle(n: usize) -> Oracle {
         let outcomes = (0..n)
@@ -167,11 +168,11 @@ mod tests {
                         if truth && i % 2 == 0 { 0.4 } else { 0.0 },
                         if truth { 0.4 } else { 0.0 },
                     ],
-                    context: vec![i as f32],
                 }
             })
             .collect();
-        Oracle { outcomes, thresholds: [-10.0; 3], confidence: ConfidenceRule::default() }
+        let contexts = (n > 0).then(|| Matrix::from_vec(n, 1, (0..n).map(|i| i as f32).collect()));
+        Oracle { outcomes, contexts, thresholds: [-10.0; 3], confidence: ConfidenceRule::default() }
     }
 
     fn rm() -> RewardModel {
@@ -258,7 +259,7 @@ mod tests {
         saturated.link_max_inflight = 2;
         saturated.cloud_bandwidth_mbps = Some(1.0);
         saturated.cohorts[0].period_ms = 1.0;
-        let scaler = hec_bandit::ContextScaler::fit(&o.contexts());
+        let scaler = hec_bandit::ContextScaler::fit(o.contexts());
         let mut policy = PolicyNetwork::new(scaler.dim(), 8, 3, 0);
         let mut drops = [0; 2];
         for sc in [&sc, &saturated] {
@@ -286,7 +287,7 @@ mod tests {
     #[test]
     fn replay_routes_static_adaptive_policies() {
         let o = oracle(90);
-        let scaler = hec_bandit::ContextScaler::fit(&o.contexts());
+        let scaler = hec_bandit::ContextScaler::fit(o.contexts());
         let mut policy = PolicyNetwork::new(scaler.dim(), 8, 3, 0);
         let sc = replay_scenario(DatasetKind::Univariate, 384, o.len() as u64);
         let a = replay_trace_sharded(

@@ -86,14 +86,6 @@ pub struct SchemeResult {
     pub action_histogram: [usize; 3],
 }
 
-/// Every oracle context through the policy's scaler, in corpus order — the
-/// base input of both the static and the load-aware policy.
-pub(crate) fn scaled_contexts(oracle: &Oracle, scaler: &ContextScaler) -> Vec<Vec<f32>> {
-    // Transform straight from the stored outcomes — no intermediate clone
-    // of every context Vec.
-    oracle.outcomes.iter().map(|o| scaler.transform(&o.context)).collect()
-}
-
 /// Where the Successive escalation stops for window `i`: the first layer
 /// with a confident output, or `top`.
 fn escalation_stop(oracle: &Oracle, i: usize, top: usize) -> usize {
@@ -105,8 +97,8 @@ fn escalation_stop(oracle: &Oracle, i: usize, top: usize) -> usize {
 /// reader ([`SchemeEvaluator::evaluate`], the Fig. 3b series, the fleet
 /// drivers through [`crate::stream::scheme_action_table`]) looks its
 /// windows up here, so they cannot disagree on what a scheme does. The
-/// Adaptive actions are the policy's greedy choices from one batched
-/// forward pass over the scaled contexts.
+/// Adaptive actions are the policy's greedy choices from batched forward
+/// passes over the scaled context matrix.
 ///
 /// # Panics
 ///
@@ -138,7 +130,10 @@ pub(crate) fn action_table(
                 s.dim(),
                 "Adaptive policy input dim matches neither the base context nor base + load features"
             );
-            p.greedy_batch(&scaled_contexts(oracle, s))
+            if n == 0 {
+                return Vec::new(); // no window, no context matrix
+            }
+            p.greedy_batch(&s.transform(oracle.contexts()))
         }
     }
 }
@@ -258,6 +253,7 @@ mod tests {
     use crate::oracle::WindowOutcome;
     use hec_anomaly::ConfidenceRule;
     use hec_sim::DatasetKind;
+    use hec_tensor::Matrix;
 
     /// Builds a synthetic oracle directly (no model training). Windows
     /// alternate easy (even index) / hard (odd index); anomalies are at
@@ -269,6 +265,9 @@ mod tests {
     ///   `threshold/factor = -5` margin), which is wrong for hard anomalies;
     /// * layers 1 and 2 are correct and confident everywhere.
     fn synthetic_oracle(n: usize) -> Oracle {
+        let contexts: Vec<f32> = (0..n)
+            .flat_map(|i| [if i % 2 == 0 { 0.0 } else { 1.0 }, (i % 4) as f32 / 3.0])
+            .collect();
         let outcomes = (0..n)
             .map(|i| {
                 let truth = i % 4 == 0 || i % 4 == 3;
@@ -285,11 +284,15 @@ mod tests {
                     truth,
                     min_log_pd: [lp0, confident_lp, confident_lp],
                     anomalous_fraction: [frac0, confident_frac, confident_frac],
-                    context: vec![if easy { 0.0 } else { 1.0 }, (i % 4) as f32 / 3.0],
                 }
             })
             .collect();
-        Oracle { outcomes, thresholds: [-10.0; 3], confidence: ConfidenceRule::default() }
+        Oracle {
+            outcomes,
+            contexts: Some(Matrix::from_vec(n, 2, contexts)),
+            thresholds: [-10.0; 3],
+            confidence: ConfidenceRule::default(),
+        }
     }
 
     fn evaluator(topo: &HecTopology) -> SchemeEvaluator<'_> {
@@ -330,9 +333,8 @@ mod tests {
         let ev = evaluator(&topo);
 
         // Train a policy on the synthetic oracle's contexts.
-        let contexts = oracle.contexts();
-        let scaler = ContextScaler::fit(&contexts);
-        let scaled = scaler.transform_all(&contexts);
+        let scaler = ContextScaler::fit(oracle.contexts());
+        let scaled = scaler.transform(oracle.contexts());
         let reward = RewardModel::new(0.0005);
         let delays = crate::experiment::static_delay_table(&topo, 384);
         let mut trainer = hec_bandit::PolicyTrainer::new(
@@ -374,9 +376,8 @@ mod tests {
         let oracle = synthetic_oracle(1031);
         let ev = evaluator(&topo);
 
-        let contexts = oracle.contexts();
-        let scaler = ContextScaler::fit(&contexts);
-        let scaled = scaler.transform_all(&contexts);
+        let scaler = ContextScaler::fit(oracle.contexts());
+        let scaled = scaler.transform(oracle.contexts());
         let reward = RewardModel::new(0.0005);
         let delays = crate::experiment::static_delay_table(&topo, 384);
         let mut trainer = hec_bandit::PolicyTrainer::new(
@@ -414,7 +415,7 @@ mod tests {
         let topo = HecTopology::paper_testbed(DatasetKind::Univariate);
         let oracle = synthetic_oracle(60);
         let ev = evaluator(&topo);
-        let scaler = ContextScaler::fit(&oracle.contexts());
+        let scaler = ContextScaler::fit(oracle.contexts());
         let mut policy = PolicyNetwork::new(scaler.dim(), 8, 3, 0);
         for kind in SchemeKind::ALL {
             let records =

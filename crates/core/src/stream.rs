@@ -32,10 +32,11 @@ use serde::{Deserialize, Serialize};
 use hec_bandit::{ContextScaler, LoadNormalizer, PolicyNetwork, RewardModel};
 use hec_data::BinaryConfusion;
 use hec_sim::fleet::{FleetReport, FleetScenario, JobEvent, RouteCtx};
+use hec_tensor::Matrix;
 
 use crate::closed_loop::{load_features, run_closed_loop, ClosedLoop, Scorecard};
 use crate::oracle::Oracle;
-use crate::scheme::{action_table, scaled_contexts, SchemeEvaluator, SchemeKind};
+use crate::scheme::{action_table, SchemeEvaluator, SchemeKind};
 
 /// One row of the Fig. 3b panel: the state after processing window `index`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -226,7 +227,7 @@ enum SchemeRouter<'a> {
     /// built up.
     LoadAware {
         policy: &'a mut PolicyNetwork,
-        base: Vec<Vec<f32>>,
+        base: Matrix,
         norm: LoadNormalizer,
         scratch: Vec<f32>,
     },
@@ -244,7 +245,7 @@ impl ClosedLoop for Evaluation<'_> {
         match &mut self.router {
             SchemeRouter::Table(actions) => actions[i],
             SchemeRouter::LoadAware { policy, base, norm, scratch } => {
-                load_features(&base[i], norm, ctx, scratch);
+                load_features(base.row(i), norm, ctx, scratch);
                 policy.greedy(scratch)
             }
         }
@@ -308,7 +309,7 @@ pub fn stream_through_fleet(
     let table;
     let router = match (kind, policy, scaler) {
         (SchemeKind::Adaptive, Some(p), Some(s)) if p.input_dim() == s.dim() + norm.dims() => {
-            let base = scaled_contexts(oracle, s);
+            let base = s.transform(oracle.contexts());
             SchemeRouter::LoadAware { policy: p, base, norm, scratch: Vec::new() }
         }
         // Everything else has a table (a policy of any other dimension is
@@ -394,11 +395,11 @@ mod tests {
                         if truth && i % 2 == 0 { 0.4 } else { 0.0 },
                         if truth { 0.4 } else { 0.0 },
                     ],
-                    context: vec![i as f32],
                 }
             })
             .collect();
-        Oracle { outcomes, thresholds: [-10.0; 3], confidence: ConfidenceRule::default() }
+        let contexts = (n > 0).then(|| Matrix::from_vec(n, 1, (0..n).map(|i| i as f32).collect()));
+        Oracle { outcomes, contexts, thresholds: [-10.0; 3], confidence: ConfidenceRule::default() }
     }
 
     #[test]
@@ -537,8 +538,7 @@ mod tests {
     #[test]
     fn fleet_stream_adaptive_routes_by_policy_and_is_thread_invariant() {
         let o = oracle(60);
-        let contexts = o.contexts();
-        let scaler = hec_bandit::ContextScaler::fit(&contexts);
+        let scaler = hec_bandit::ContextScaler::fit(o.contexts());
         let mut policy = PolicyNetwork::new(1, 8, 3, 0);
         let sc = fleet_scenario(20, 50.0);
 
@@ -566,7 +566,7 @@ mod tests {
     #[test]
     fn fleet_stream_routes_load_aware_policies() {
         let o = oracle(60);
-        let scaler = hec_bandit::ContextScaler::fit(&o.contexts());
+        let scaler = hec_bandit::ContextScaler::fit(o.contexts());
         let sc = fleet_scenario(20, 50.0);
         let norm = scenario_load_normalizer(&sc);
         let mut policy = PolicyNetwork::new(scaler.dim() + norm.dims(), 8, 3, 0);
@@ -597,7 +597,7 @@ mod tests {
     #[should_panic(expected = "matches neither")]
     fn fleet_stream_rejects_mismatched_policy_dims() {
         let o = oracle(10);
-        let scaler = hec_bandit::ContextScaler::fit(&o.contexts());
+        let scaler = hec_bandit::ContextScaler::fit(o.contexts());
         let sc = fleet_scenario(5, 1_000.0);
         let mut policy = PolicyNetwork::new(scaler.dim() + 1, 8, 3, 0);
         let _ = stream_through_fleet(

@@ -144,8 +144,7 @@ fn referee(
     for (index, raw) in stream.chunks(chunk).enumerate() {
         let standardized = exp.standardize_windows(raw);
         let oracle = exp.oracle_over(&standardized);
-        let contexts: Vec<Vec<f32>> =
-            oracle.outcomes.iter().map(|o| scaler.transform(&o.context)).collect();
+        let contexts = scaler.transform(oracle.contexts());
         actions.extend(trainer.policy_mut().greedy_batch(&contexts));
 
         let mut drift_alarm = false;
@@ -186,9 +185,8 @@ fn referee(
 
         let mut policy_updates = 0;
         if adaptive {
-            for (i, outcome) in oracle.outcomes.iter().enumerate() {
-                let context = scaler.transform(&outcome.context);
-                let action = trainer.sample_action(&context);
+            for (i, context) in contexts.iter_rows().enumerate() {
+                let action = trainer.sample_action(context);
                 let r = reward.reward(oracle.correct(i, action), delays.delay_ms(action)) as f32;
                 trainer.buffer(context, action, r);
             }
@@ -213,7 +211,12 @@ fn referee(
     // The pass's replay: window `seq` routed by `actions[seq % n]`, and a
     // stream window scored once, into chunk `seq / chunk`.
     let scenario = replay_scenario(kind, exp.config().payload_bytes(), stream.len() as u64);
-    let pass = Oracle { outcomes, thresholds: [0.0; 3], confidence: ConfidenceRule::default() };
+    let pass = Oracle {
+        outcomes,
+        contexts: None,
+        thresholds: [0.0; 3],
+        confidence: ConfidenceRule::default(),
+    };
     let n = pass.len() as u64;
     let mut tallies = vec![(BinaryConfusion::new(), 0u64, 0.0f64); chunks.len()];
     let mut hear = |ev: &JobEvent| {

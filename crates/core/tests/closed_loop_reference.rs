@@ -31,6 +31,7 @@ use hec_core::parallel::with_thread_count;
 use hec_core::stream::stream_through_fleet;
 use hec_core::{train_policy_in_fleet, Oracle, SchemeKind, WindowOutcome};
 use hec_sim::fleet::{CohortSpec, FleetScale, FleetScenario, RoutePlan};
+use hec_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -226,11 +227,17 @@ fn oracle(n: usize) -> Oracle {
                 truth,
                 min_log_pd: [-5.0, lp, if i % 5 == 0 { -1.0 } else { lp }],
                 anomalous_fraction: [frac(verdict0), frac(truth), frac(truth)],
-                context: vec![(i % 2) as f32, (i % 3) as f32 / 2.0, (i % 7) as f32],
             }
         })
         .collect();
-    Oracle { outcomes, thresholds: [-10.0; 3], confidence: hec_anomaly::ConfidenceRule::default() }
+    let contexts =
+        (0..n).flat_map(|i| [(i % 2) as f32, (i % 3) as f32 / 2.0, (i % 7) as f32]).collect();
+    Oracle {
+        outcomes,
+        contexts: Some(Matrix::from_vec(n, 3, contexts)),
+        thresholds: [-10.0; 3],
+        confidence: hec_anomaly::ConfidenceRule::default(),
+    }
 }
 
 /// `sc` with a probe cohort appended: 2 % of its devices (at least two),
@@ -247,7 +254,7 @@ fn with_probe(sc: &FleetScenario) -> (FleetScenario, u32) {
 /// cohort), appended to `out` under `name`.
 fn cases(name: &str, sc: &FleetScenario, probe: Option<u32>, out: &mut Vec<(String, u64)>) {
     let o = oracle(60);
-    let scaler = ContextScaler::fit(&o.contexts());
+    let scaler = ContextScaler::fit(o.contexts());
     let reward = RewardModel::new(0.0005);
     let config =
         TrainConfig { epochs: 2, learning_rate: 5e-3, entropy_beta: 0.08, ..Default::default() };

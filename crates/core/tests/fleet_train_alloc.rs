@@ -15,6 +15,7 @@ use hec_bandit::{ContextScaler, RewardModel, TrainConfig};
 use hec_core::{try_train_policy_in_fleet, Oracle, WindowOutcome};
 use hec_sim::fleet::{CohortSpec, FleetScale, FleetScenario, RoutePlan};
 use hec_telemetry::{allocations, CountingAlloc};
+use hec_tensor::Matrix;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -25,10 +26,15 @@ fn oracle(n: usize) -> Oracle {
             truth: i % 3 == 0,
             min_log_pd: [-5.0, -1.0, -1.0],
             anomalous_fraction: [0.0, 0.4, 0.4],
-            context: vec![(i % 2) as f32, (i % 3) as f32 / 2.0],
         })
         .collect();
-    Oracle { outcomes, thresholds: [-10.0; 3], confidence: hec_anomaly::ConfidenceRule::default() }
+    let contexts = (0..n).flat_map(|i| [(i % 2) as f32, (i % 3) as f32 / 2.0]).collect();
+    Oracle {
+        outcomes,
+        contexts: Some(Matrix::from_vec(n, 2, contexts)),
+        thresholds: [-10.0; 3],
+        confidence: hec_anomaly::ConfidenceRule::default(),
+    }
 }
 
 /// Every window is trained on: `devices × windows` updates an epoch.
@@ -43,7 +49,7 @@ fn scenario(devices: u32, windows: u32) -> FleetScenario {
 #[test]
 fn second_epoch_allocates_per_epoch_not_per_window() {
     let o = oracle(48);
-    let scaler = ContextScaler::fit(&o.contexts());
+    let scaler = ContextScaler::fit(o.contexts());
     let reward = RewardModel::new(0.0005);
     let sc = scenario(60, 128);
     let allocations_of = |epochs: usize| {

@@ -23,6 +23,7 @@ use hec_core::stream::{scenario_load_normalizer, stream_through_fleet, FleetStre
 use hec_core::{train_policy_in_fleet, Oracle, SchemeKind, WindowOutcome};
 use hec_sim::fleet::{CohortSpec, FleetScale, FleetScenario, RoutePlan};
 use hec_telemetry::MetricValue;
+use hec_tensor::Matrix;
 
 /// Layer 0 is right only on even windows, layers 1 and 2 always.
 fn oracle(n: usize) -> Oracle {
@@ -36,11 +37,16 @@ fn oracle(n: usize) -> Oracle {
                 truth,
                 min_log_pd: [-5.0, lp, lp],
                 anomalous_fraction: [frac(verdict0), frac(truth), frac(truth)],
-                context: vec![(i % 2) as f32, (i % 3) as f32 / 2.0],
             }
         })
         .collect();
-    Oracle { outcomes, thresholds: [-10.0; 3], confidence: hec_anomaly::ConfidenceRule::default() }
+    let contexts = (0..n).flat_map(|i| [(i % 2) as f32, (i % 3) as f32 / 2.0]).collect();
+    Oracle {
+        outcomes,
+        contexts: Some(Matrix::from_vec(n, 2, contexts)),
+        thresholds: [-10.0; 3],
+        confidence: hec_anomaly::ConfidenceRule::default(),
+    }
 }
 
 /// Background: 2.5 k windows/s, 90 % of them to an edge that serves about
@@ -73,7 +79,7 @@ fn counter(name: &str, scenario: &str) -> u64 {
 #[test]
 fn probe_cohort_windows_are_scored_and_trained_exactly_once() {
     let o = oracle(48);
-    let scaler = ContextScaler::fit(&o.contexts());
+    let scaler = ContextScaler::fit(o.contexts());
     let reward = RewardModel::new(0.0005);
     let (sc, probe) = scenario();
     let probe_windows = sc.cohorts[probe as usize].total_windows();

@@ -22,6 +22,7 @@ use hec_core::stream::stream_through_fleet;
 use hec_core::{run_scenario_sharded, Oracle, SchemeKind, WindowOutcome};
 use hec_sim::fleet::{CohortSpec, FleetScale, FleetScenario, RoutePlan};
 use hec_telemetry::{MetricValue, Snapshot};
+use hec_tensor::Matrix;
 
 /// Synthetic oracle (the shape `fleet_train`'s tests use): truth on
 /// every third window, all layers confident.
@@ -37,11 +38,16 @@ fn oracle(n: usize) -> Oracle {
                     if truth { -60.0 } else { -1.0 },
                 ],
                 anomalous_fraction: [0.4; 3].map(|f| if truth { f } else { 0.0 }),
-                context: vec![(i % 2) as f32, (i % 3) as f32 / 2.0],
             }
         })
         .collect();
-    Oracle { outcomes, thresholds: [-10.0; 3], confidence: hec_anomaly::ConfidenceRule::default() }
+    let contexts = (0..n).flat_map(|i| [(i % 2) as f32, (i % 3) as f32 / 2.0]).collect();
+    Oracle {
+        outcomes,
+        contexts: Some(Matrix::from_vec(n, 2, contexts)),
+        thresholds: [-10.0; 3],
+        confidence: hec_anomaly::ConfidenceRule::default(),
+    }
 }
 
 /// A fleet hot enough that routing everything to the edge drops windows:
@@ -113,7 +119,7 @@ fn telemetry_is_thread_count_invariant_and_conserves_windows() {
     // --- Part 2: drop conservation, engine -> stream -> registry. ---
     hec_telemetry::reset();
     let o = oracle(48);
-    let scaler = ContextScaler::fit(&o.contexts());
+    let scaler = ContextScaler::fit(o.contexts());
     let sc = hot_scenario();
     let reward = RewardModel::new(0.0005);
     // Everything to the edge: the 40-deep queue must shed load.

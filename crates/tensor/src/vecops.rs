@@ -128,7 +128,11 @@ pub fn mean(v: &[f32]) -> f32 {
 ///
 /// Panics if `v` is empty.
 pub fn std_dev(v: &[f32]) -> f32 {
-    let m = mean(v);
+    std_dev_about(v, mean(v))
+}
+
+/// [`std_dev`] about a mean the caller already has.
+fn std_dev_about(v: &[f32], m: f32) -> f32 {
     (v.iter().map(|&x| (x - m) * (x - m)).sum::<f32>() / v.len() as f32).sqrt()
 }
 
@@ -149,7 +153,8 @@ pub fn summary_features(v: &[f32]) -> [f32; 4] {
     assert!(!v.is_empty(), "summary_features of empty slice");
     let min = v.iter().copied().fold(f32::INFINITY, f32::min);
     let max = v.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    [min, max, mean(v), std_dev(v)]
+    let m = mean(v);
+    [min, max, m, std_dev_about(v, m)]
 }
 
 /// Mean squared error between two equal-length slices.
