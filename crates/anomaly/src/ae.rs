@@ -38,7 +38,7 @@
 //! windows (every full block) runs their columns through a zero-padded
 //! full register tile rather than a scalar loop ([`hec_tensor::kernel`]),
 //! and each window's minimum logPD and below-threshold count fold over 8
-//! independent lanes ([`LogPdScorer::score_window_scalar`]); neither
+//! independent lanes (`LogPdScorer::score_window_scalar`); neither
 //! changes a bit.
 
 use rand::rngs::StdRng;
@@ -169,7 +169,7 @@ impl AeArchitecture {
 /// An autoencoder anomaly detector over flattened univariate windows.
 ///
 /// Scoring: per-timestep scalar reconstruction errors, 1-D Gaussian logPD
-/// (§II-A3), threshold calibrated under [`crate::scorer::CALIBRATION_RULE`].
+/// (§II-A3), threshold calibrated under `CALIBRATION_RULE`.
 ///
 /// # Example
 ///
@@ -231,11 +231,6 @@ impl AutoencoderDetector {
     /// The architecture this detector was built with.
     pub fn architecture(&self) -> &AeArchitecture {
         &self.architecture
-    }
-
-    /// The calibrated scorer, if fitted.
-    pub fn scorer(&self) -> Option<&LogPdScorer> {
-        self.scorer.as_ref()
     }
 
     fn input_dim(&self) -> usize {

@@ -44,15 +44,6 @@ impl HecLayer {
     pub fn from_index(index: usize) -> Self {
         Self::ALL[index]
     }
-
-    /// The testbed hardware the paper deploys at this layer.
-    pub fn hardware(self) -> &'static str {
-        match self {
-            HecLayer::IoT => "Raspberry Pi 3",
-            HecLayer::Edge => "NVIDIA Jetson TX2",
-            HecLayer::Cloud => "NVIDIA Devbox (4x GTX Titan X)",
-        }
-    }
 }
 
 impl std::fmt::Display for HecLayer {
@@ -205,12 +196,6 @@ mod tests {
         assert_eq!(specs[2].name, "BiLSTM-seq2seq-Cloud");
         assert!(specs[0].params < specs[1].params);
         assert!(specs[1].params < specs[2].params);
-    }
-
-    #[test]
-    fn hardware_strings() {
-        assert!(HecLayer::IoT.hardware().contains("Raspberry"));
-        assert!(HecLayer::Cloud.hardware().contains("Devbox"));
     }
 
     #[test]

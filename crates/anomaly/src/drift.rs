@@ -59,11 +59,6 @@ impl PageHinkley {
         Self::default()
     }
 
-    /// Observations absorbed since the last reset.
-    pub fn observations(&self) -> u64 {
-        self.n
-    }
-
     /// The running mean of the observed stream.
     pub fn mean(&self) -> f64 {
         self.mean
@@ -138,7 +133,7 @@ mod tests {
         // Level, not edge: stays up until reset.
         assert!(ph.observe(0.95));
         ph.reset();
-        assert_eq!(ph.observations(), 0);
+        assert_eq!(ph.n, 0);
         for _ in 0..100 {
             assert!(!ph.observe(0.95), "after reset the new level is the new normal");
         }

@@ -10,7 +10,7 @@
 //!   assumed Gaussian `N(µ, Σ)` (fitted on normal training data) and scored
 //!   by their **log probability density** (§II-A3); the detection threshold
 //!   is calibrated on the training set under one fixed rule,
-//!   [`CALIBRATION_RULE`];
+//!   `CALIBRATION_RULE`;
 //! * [`ConfidenceRule`] — the paper's two *confident detection* conditions:
 //!   (i) some point's logPD below `factor ×` threshold (logPD is negative),
 //!   or (ii) more than `fraction` of the window's points anomalous;
@@ -37,5 +37,5 @@ pub use ae::{AeArchitecture, AutoencoderDetector, ROW_SPLIT_WINDOWS};
 pub use catalog::{HecLayer, ModelCatalog, ModelSpec};
 pub use detector::{AnomalyDetector, Detection, FitError, FitReport};
 pub use drift::PageHinkley;
-pub use scorer::{ConfidenceRule, LogPdScorer, ThresholdRule, CALIBRATION_RULE};
+pub use scorer::{ConfidenceRule, LogPdScorer, ThresholdRule};
 pub use seq2seq_detector::Seq2SeqDetector;

@@ -37,7 +37,7 @@ impl ConfidenceRule {
     /// [`Detection::confident`] under. The Successive-scheme ablation
     /// re-derives confidence under other rules from an oracle's stored
     /// scores, never from a detector.
-    pub const PAPER: Self = Self { factor: 2.0, fraction: 0.05 };
+    pub(crate) const PAPER: Self = Self { factor: 2.0, fraction: 0.05 };
 
     /// Evaluates the rule given the window's point scores and the threshold.
     ///
@@ -67,7 +67,7 @@ impl ConfidenceRule {
 /// extreme-value statistic: across models it varies by several σ for no
 /// capacity-related reason, which scrambles the sensitivity ordering the
 /// HEC ladder depends on. The detectors therefore calibrate under one fixed
-/// rule, [`CALIBRATION_RULE`]; the other variants exist for the
+/// rule, `CALIBRATION_RULE`; the other variants exist for the
 /// threshold-rule ablation (`hec_core::ablation`), which re-derives verdicts
 /// under each of them from an oracle's stored per-window minima.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -89,7 +89,7 @@ pub enum ThresholdRule {
 
 /// The rule every detector's threshold is calibrated under: 2 % of the
 /// normal calibration windows flagged.
-pub const CALIBRATION_RULE: ThresholdRule = ThresholdRule::WindowFpr(0.02);
+pub(crate) const CALIBRATION_RULE: ThresholdRule = ThresholdRule::WindowFpr(0.02);
 
 /// A window is flagged anomalous when its anomalous-point fraction exceeds
 /// this: any point below the threshold flags the window.
@@ -146,11 +146,13 @@ impl ThresholdRule {
 /// use hec_anomaly::LogPdScorer;
 /// use hec_tensor::Matrix;
 ///
-/// // Calibrate on 50 one-point windows of small errors; a large error
-/// // scores below the threshold.
+/// // Calibrate on 50 one-point windows of small errors; a window whose
+/// // worst point scores below the threshold is flagged.
 /// let calib = Matrix::from_vec(50, 1, (0..50).map(|i| 0.01 * (i % 7) as f32).collect());
 /// let scorer = LogPdScorer::fit(&calib, 1..=50, 1e-4)?;
-/// assert!(scorer.log_pd(&[5.0]) < scorer.threshold());
+/// assert_eq!(scorer.dim(), 1);
+/// assert!(scorer.detection(scorer.threshold() - 1.0, 0.5).anomalous);
+/// assert!(!scorer.detection(scorer.threshold() + 1.0, 0.0).anomalous);
 /// # Ok::<(), hec_tensor::GaussianError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -163,7 +165,7 @@ impl LogPdScorer {
     /// Fits the Gaussian on the rows of `errors` — the per-point error
     /// vectors of **normal** windows, window after window, window `w`'s rows
     /// ending before row `window_ends[w]` — and calibrates the threshold
-    /// under [`CALIBRATION_RULE`] on the per-window minimum logPDs. Each
+    /// under `CALIBRATION_RULE` on the per-window minimum logPDs. Each
     /// row's logPD is evaluated once, folded straight into its window's
     /// minimum.
     ///
@@ -211,28 +213,19 @@ impl LogPdScorer {
         self.gaussian.dim()
     }
 
-    /// logPD of a single error vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector's dimensionality differs from the calibration.
-    pub fn log_pd(&self, error: &[f32]) -> f32 {
-        self.gaussian.log_pdf(error).expect("error-vector dimension mismatch")
-    }
-
     /// logPD of a single error vector, with the working vector supplied by
     /// the caller (`scratch.len() == self.dim()`) — allocation-free and
-    /// bit-identical to [`LogPdScorer::log_pd`].
+    /// bit-identical to [`Gaussian::log_pdf`].
     ///
     /// # Panics
     ///
     /// Panics if either length differs from the calibration's dimension.
-    pub fn log_pd_with(&self, error: &[f32], scratch: &mut [f32]) -> f32 {
+    pub(crate) fn log_pd_with(&self, error: &[f32], scratch: &mut [f32]) -> f32 {
         self.gaussian.log_pdf_with(error, scratch).expect("error-vector dimension mismatch")
     }
 
     /// The detection a window's scores amount to: flagged when any point
-    /// fell below the threshold, confident under [`ConfidenceRule::PAPER`].
+    /// fell below the threshold, confident under `ConfidenceRule::PAPER`.
     pub fn detection(&self, min_log_pd: f32, anomalous_fraction: f32) -> Detection {
         let anomalous = anomalous_fraction > FLAG_FRACTION;
         let confident = ConfidenceRule::PAPER.is_confident(
@@ -255,7 +248,7 @@ impl LogPdScorer {
     ///
     /// Panics if `rows` is empty or the matrix width differs from the
     /// calibration's dimension.
-    pub fn score_window(
+    pub(crate) fn score_window(
         &self,
         errors: &Matrix,
         rows: impl Iterator<Item = usize>,
@@ -295,7 +288,7 @@ impl LogPdScorer {
     /// # Panics
     ///
     /// Panics if `errors` is empty or the scorer is not 1-dimensional.
-    pub fn score_window_scalar(&self, errors: &mut [f32]) -> (f32, f32) {
+    pub(crate) fn score_window_scalar(&self, errors: &mut [f32]) -> (f32, f32) {
         assert!(!errors.is_empty(), "empty window");
         self.gaussian.log_pdf_scalars(errors).expect("scorer is not 1-dimensional");
         lane_fold(errors, self.threshold)
@@ -335,6 +328,12 @@ mod tests {
         Matrix::from_vec(100, 1, (0..100).map(|i| 0.02 * ((i * 7 % 31) as f32 - 15.0)).collect())
     }
 
+    /// The scorer's Gaussian's general path, allocating its own working
+    /// vector: what the scoring functions must reproduce bit for bit.
+    fn log_pd(scorer: &LogPdScorer, error: &[f32]) -> f32 {
+        scorer.gaussian.log_pdf(error).unwrap()
+    }
+
     fn fitted() -> LogPdScorer {
         LogPdScorer::fit(&calib(), (1..=25).map(|w| 4 * w), 1e-4).unwrap()
     }
@@ -346,7 +345,7 @@ mod tests {
         let minima: Vec<f32> = calib()
             .as_slice()
             .chunks_exact(4)
-            .map(|w| w.iter().map(|&e| scorer.log_pd(&[e])).fold(f32::INFINITY, f32::min))
+            .map(|w| w.iter().map(|&e| log_pd(&scorer, &[e])).fold(f32::INFINITY, f32::min))
             .collect();
         assert_eq!(scorer.threshold().to_bits(), CALIBRATION_RULE.threshold(&minima).to_bits());
         // 2 % of 25 windows: the lowest minimum itself, so no calibration
@@ -358,7 +357,7 @@ mod tests {
     #[test]
     fn large_error_scores_below_threshold() {
         let scorer = fitted();
-        assert!(scorer.log_pd(&[3.0]) < scorer.threshold());
+        assert!(log_pd(&scorer, &[3.0]) < scorer.threshold());
         let errors = Matrix::from_vec(2, 1, vec![3.0, 0.0]);
         let (min_lp, frac) = scorer.score_window(&errors, 0..2, &mut Vec::new());
         assert!(min_lp < scorer.threshold());
@@ -379,7 +378,7 @@ mod tests {
         assert_eq!(min_v.to_bits(), min_s.to_bits());
         assert_eq!(frac_v.to_bits(), frac_s.to_bits());
         for (&e, &lp) in scalars.iter().zip(&log_pds) {
-            assert_eq!(scorer.log_pd(&[e]).to_bits(), lp.to_bits());
+            assert_eq!(log_pd(&scorer, &[e]).to_bits(), lp.to_bits());
         }
     }
 
@@ -451,16 +450,19 @@ mod tests {
             (0..60).flat_map(|i| [0.01 * (i % 5) as f32, -0.01 * (i % 3) as f32]).collect();
         let scorer = LogPdScorer::fit(&Matrix::from_vec(60, 2, errors), 1..=60, 1e-4).unwrap();
         assert_eq!(scorer.dim(), 2);
-        assert!(scorer.log_pd(&[1.0, 1.0]) < scorer.threshold());
+        assert!(log_pd(&scorer, &[1.0, 1.0]) < scorer.threshold());
 
         // A window interleaved into a time-major block of two: its points
         // are every second row, scored as if they stood alone.
         let block = Matrix::from_rows(&[&[1.0, 1.0], &[9.0, 9.0], &[0.01, -0.01], &[9.0, 9.0]]);
         let mut scratch = Vec::new();
         let (min_lp, frac) = scorer.score_window(&block, (0..4).step_by(2), &mut scratch);
-        assert_eq!(min_lp.to_bits(), scorer.log_pd(&[1.0, 1.0]).to_bits());
+        assert_eq!(min_lp.to_bits(), log_pd(&scorer, &[1.0, 1.0]).to_bits());
         assert_eq!(frac, 0.5);
-        assert_eq!(scorer.log_pd_with(&[0.01, -0.01], &mut scratch), scorer.log_pd(&[0.01, -0.01]));
+        assert_eq!(
+            scorer.log_pd_with(&[0.01, -0.01], &mut scratch),
+            log_pd(&scorer, &[0.01, -0.01])
+        );
     }
 
     #[test]

@@ -223,11 +223,6 @@ impl Seq2SeqDetector {
         });
     }
 
-    /// The calibrated scorer, if fitted.
-    pub fn scorer(&self) -> Option<&LogPdScorer> {
-        self.scorer.as_ref()
-    }
-
     /// Every window's reconstruction-error vectors through the current
     /// weights, window after window — the order the Gaussian's sums run in —
     /// and the row at which each window's errors end.

@@ -48,6 +48,6 @@ pub mod train;
 pub use context::{ContextScaler, LoadNormalizer};
 pub use delay::StaticDelays;
 pub use policy::PolicyNetwork;
-pub use reward::{CostModel, InvalidDelay, RewardModel};
+pub use reward::{CostModel, RewardModel};
 pub use solvers::{BanditSolver, EpsilonGreedy, LinUcb};
-pub use train::{PolicyTrainer, ReinforcementComparison, TrainConfig, TrainingCurve};
+pub use train::{PolicyTrainer, TrainConfig, TrainingCurve};

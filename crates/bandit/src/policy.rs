@@ -215,29 +215,13 @@ impl PolicyNetwork {
         self.params.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect()
     }
 
-    /// One REINFORCE update minimising `−advantage · log π_θ(action | ctx)`:
-    /// backpropagates `advantage · (π − e_action)` through the network and
-    /// applies the optimizer.
+    /// One REINFORCE update with an **entropy bonus**, minimising
+    /// `−advantage · log π_θ(action | ctx) − β · H(π_θ(· | ctx))`: at
+    /// `entropy_beta == 0` it backpropagates `advantage · (π − e_action)`
+    /// through the network and applies the optimizer.
     ///
     /// Returns `log π_θ(action | ctx)` *before* the update (useful for
     /// monitoring convergence).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `context.len() != input_dim` or `action >= num_actions`.
-    pub fn reinforce_update(
-        &mut self,
-        context: &[f32],
-        action: usize,
-        advantage: f32,
-        optimizer: &mut dyn Optimizer,
-    ) -> f32 {
-        self.reinforce_update_with_entropy(context, action, advantage, 0.0, optimizer)
-    }
-
-    /// [`PolicyNetwork::reinforce_update`] with an **entropy bonus**: the
-    /// minimised objective becomes
-    /// `−advantage · log π_θ(action | ctx) − β · H(π_θ(· | ctx))`.
     ///
     /// Plain REINFORCE saturates its softmax once one action is on
     /// average best — the logit gap grows without bound, gradients for
@@ -248,8 +232,6 @@ impl PolicyNetwork {
     /// term pushes back with gradient `β · π_k (log π_k + H)` on each
     /// logit, keeping a saturating distribution exploratory without
     /// having to shrink the learning rate for everything else.
-    ///
-    /// `entropy_beta == 0` is exactly [`PolicyNetwork::reinforce_update`].
     ///
     /// # Panics
     ///
@@ -484,7 +466,7 @@ mod tests {
         let before = p.probabilities(&ctx)[2];
         let mut opt = Sgd::new(0.1);
         for _ in 0..50 {
-            p.reinforce_update(&ctx, 2, 1.0, &mut opt);
+            p.reinforce_update_with_entropy(&ctx, 2, 1.0, 0.0, &mut opt);
         }
         let after = p.probabilities(&ctx)[2];
         assert!(after > before, "P(a=2) did not increase: {before} -> {after}");
@@ -498,7 +480,7 @@ mod tests {
         let before = p.probabilities(&ctx)[0];
         let mut opt = Sgd::new(0.1);
         for _ in 0..50 {
-            p.reinforce_update(&ctx, 0, -1.0, &mut opt);
+            p.reinforce_update_with_entropy(&ctx, 0, -1.0, 0.0, &mut opt);
         }
         let after = p.probabilities(&ctx)[0];
         assert!(after < before, "P(a=0) did not decrease: {before} -> {after}");
@@ -512,8 +494,8 @@ mod tests {
         let ctx_b = [0.0, 1.0];
         let mut opt = Sgd::new(0.05);
         for _ in 0..200 {
-            p.reinforce_update(&ctx_a, 0, 1.0, &mut opt);
-            p.reinforce_update(&ctx_b, 2, 1.0, &mut opt);
+            p.reinforce_update_with_entropy(&ctx_a, 0, 1.0, 0.0, &mut opt);
+            p.reinforce_update_with_entropy(&ctx_b, 2, 1.0, 0.0, &mut opt);
         }
         assert_eq!(p.greedy(&ctx_a), 0);
         assert_eq!(p.greedy(&ctx_b), 2);
@@ -561,7 +543,7 @@ mod tests {
     fn log_prob_is_returned() {
         let mut p = PolicyNetwork::new(2, 8, 3, 5);
         let mut opt = Sgd::new(0.01);
-        let lp = p.reinforce_update(&[0.1, 0.1], 1, 0.5, &mut opt);
+        let lp = p.reinforce_update_with_entropy(&[0.1, 0.1], 1, 0.5, 0.0, &mut opt);
         assert!(lp < 0.0, "log-prob must be negative, got {lp}");
         assert!(lp > -10.0, "log-prob suspiciously small: {lp}");
     }
@@ -573,25 +555,11 @@ mod tests {
         assert_eq!(a.weights_le_bytes(), b.weights_le_bytes());
         assert_eq!(a.weights_le_bytes().len(), a.param_count() * 4);
         let mut opt = Sgd::new(0.1);
-        a.reinforce_update(&[1.0, 0.0, 0.0], 1, 1.0, &mut opt);
+        a.reinforce_update_with_entropy(&[1.0, 0.0, 0.0], 1, 1.0, 0.0, &mut opt);
         assert_ne!(a.weights_le_bytes(), b.weights_le_bytes());
         // The same update applied to the twin restores byte equality.
         let mut opt_b = Sgd::new(0.1);
-        b.reinforce_update(&[1.0, 0.0, 0.0], 1, 1.0, &mut opt_b);
-        assert_eq!(a.weights_le_bytes(), b.weights_le_bytes());
-    }
-
-    #[test]
-    fn zero_entropy_beta_is_exactly_plain_reinforce() {
-        let mut a = PolicyNetwork::new(2, 16, 3, 6);
-        let mut b = PolicyNetwork::new(2, 16, 3, 6);
-        let mut opt_a = Sgd::new(0.05);
-        let mut opt_b = Sgd::new(0.05);
-        for i in 0..20 {
-            let ctx = [0.1 * i as f32, -0.3];
-            a.reinforce_update(&ctx, i % 3, 0.7, &mut opt_a);
-            b.reinforce_update_with_entropy(&ctx, i % 3, 0.7, 0.0, &mut opt_b);
-        }
+        b.reinforce_update_with_entropy(&[1.0, 0.0, 0.0], 1, 1.0, 0.0, &mut opt_b);
         assert_eq!(a.weights_le_bytes(), b.weights_le_bytes());
     }
 
@@ -630,7 +598,7 @@ mod tests {
         // Skew the policy hard first.
         let mut opt = Sgd::new(0.1);
         for _ in 0..200 {
-            p.reinforce_update(&ctx, 0, 1.0, &mut opt);
+            p.reinforce_update_with_entropy(&ctx, 0, 1.0, 0.0, &mut opt);
         }
         let skewed = p.probabilities(&ctx);
         // Advantage 0 ⇒ only the entropy gradient acts.
@@ -668,6 +636,6 @@ mod tests {
     fn bad_action_panics() {
         let mut p = PolicyNetwork::new(2, 8, 3, 0);
         let mut opt = Sgd::new(0.01);
-        let _ = p.reinforce_update(&[0.0, 0.0], 3, 1.0, &mut opt);
+        let _ = p.reinforce_update_with_entropy(&[0.0, 0.0], 3, 1.0, 0.0, &mut opt);
     }
 }

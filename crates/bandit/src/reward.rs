@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 /// Error for a cost query with an invalid (negative or non-finite) delay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InvalidDelay;
+pub(crate) struct InvalidDelay;
 
 impl std::fmt::Display for InvalidDelay {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -54,13 +54,13 @@ impl CostModel {
     /// closed-loop observer can never legitimately produce them), and a
     /// release run must neither abort on one nor — worse — hand the
     /// broken arm the cheapest possible outcome for a trainer to
-    /// reinforce. Use [`CostModel::try_cost`] to detect them instead.
+    /// reinforce. Use `CostModel::try_cost` to detect them instead.
     pub fn cost(&self, delay_ms: f64) -> f64 {
         self.try_cost(delay_ms).unwrap_or(Self::DROP_COST)
     }
 
     /// Checked cost: `Err(InvalidDelay)` for negative or NaN delays.
-    pub fn try_cost(&self, delay_ms: f64) -> Result<f64, InvalidDelay> {
+    pub(crate) fn try_cost(&self, delay_ms: f64) -> Result<f64, InvalidDelay> {
         if delay_ms.is_nan() || delay_ms < 0.0 {
             return Err(InvalidDelay);
         }

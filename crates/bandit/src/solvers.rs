@@ -208,7 +208,7 @@ mod tests {
         let mut a = Matrix::eye(3);
         for ctx in contexts {
             solver.update(&ctx, 0, 1.0);
-            let x = Matrix::col_vector(&ctx);
+            let x = Matrix::from_vec(3, 1, ctx.to_vec());
             let xxt = x.matmul(&x.transpose());
             a += &xxt;
         }

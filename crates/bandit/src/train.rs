@@ -19,7 +19,7 @@ use crate::reward::RewardModel;
 /// The reinforcement-comparison baseline: an exponentially-weighted running
 /// mean of observed rewards, `r̄ ← r̄ + β (r − r̄)`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ReinforcementComparison {
+pub(crate) struct ReinforcementComparison {
     reference: f32,
     beta: f32,
     initialized: bool,
@@ -42,7 +42,7 @@ impl ReinforcementComparison {
     }
 
     /// Computes the advantage `r − r̄` and then updates `r̄`.
-    pub fn advantage_and_update(&mut self, reward: f32) -> f32 {
+    pub(crate) fn advantage_and_update(&mut self, reward: f32) -> f32 {
         if !self.initialized {
             // Seed the reference with the first observation so the first
             // advantage is 0 rather than a full-magnitude spike.
@@ -230,9 +230,9 @@ impl PolicyTrainer {
 
     /// Continual mode, half two: applies every buffered observation in
     /// FIFO order through [`PolicyTrainer::observe`] (baseline update +
-    /// `reinforce_update`, PR 4's deferred-reward split) and clears the
-    /// buffer. Returns how many updates were applied. Deterministic:
-    /// same buffered sequence, same resulting weights.
+    /// `reinforce_update_with_entropy`, the deferred-reward split) and
+    /// clears the buffer. Returns how many updates were applied.
+    /// Deterministic: same buffered sequence, same resulting weights.
     pub fn refresh(&mut self) -> usize {
         let mut contexts = std::mem::take(&mut self.pending_contexts);
         let mut pending = std::mem::take(&mut self.pending);

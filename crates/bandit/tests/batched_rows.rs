@@ -26,7 +26,13 @@ fn policy(seed: u64, (input, hidden, actions): (usize, usize, usize)) -> PolicyN
     for _ in 0..rng.gen_range(0..6) {
         let context = random_rows(&mut rng, 1, input);
         let action = rng.gen_range(0..actions);
-        policy.reinforce_update(context.row(0), action, rng.gen_range(-2.0..2.0), &mut opt);
+        policy.reinforce_update_with_entropy(
+            context.row(0),
+            action,
+            rng.gen_range(-2.0..2.0),
+            0.0,
+            &mut opt,
+        );
     }
     policy
 }

@@ -90,12 +90,19 @@ impl SequentialPolicy {
         log_prob
     }
 
+    /// Reads the weights through an optimizer that moves nothing:
+    /// `apply_gradients` hands it every parameter in order, then zeroes
+    /// gradients that every update has already zeroed.
     fn weight_bits(&mut self) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.net.visit_params(&mut |param, _| {
-            out.extend(param.as_slice().iter().map(|w| w.to_bits()));
-        });
-        out
+        struct Read(Vec<u32>);
+        impl Optimizer for Read {
+            fn step(&mut self, _slot: usize, param: &mut Matrix, _grad: &Matrix) {
+                self.0.extend(param.as_slice().iter().map(|w| w.to_bits()));
+            }
+        }
+        let mut read = Read(Vec::new());
+        self.net.apply_gradients(&mut read);
+        read.0
     }
 }
 

@@ -32,7 +32,7 @@ fn one_window_policy_paths_are_allocation_free() {
     let mut step = |policy: &mut PolicyNetwork, i: usize| {
         let ctx = &contexts[i % 2];
         let action = policy.sample(ctx, &mut rng);
-        policy.reinforce_update(ctx, action, 0.5, &mut opt);
+        policy.reinforce_update_with_entropy(ctx, action, 0.5, 0.0, &mut opt);
         let greedy = policy.greedy(ctx);
         policy.reinforce_update_with_entropy(ctx, greedy, -0.25, 0.01, &mut opt);
     };
@@ -40,7 +40,7 @@ fn one_window_policy_paths_are_allocation_free() {
     assert_eq!(
         allocations_of(|i| step(&mut policy, i)),
         0,
-        "warmed sample/greedy/reinforce_update allocated"
+        "warmed sample/greedy/reinforce_update_with_entropy allocated"
     );
 
     // 197 contexts: three full blocks of the batched forward and a partial one.

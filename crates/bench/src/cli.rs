@@ -28,7 +28,7 @@ pub struct Spec {
 
 /// Why parsing stopped short of a [`Cli`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Stop {
+pub(crate) enum Stop {
     /// `--help` / `-h` was given.
     Help,
     /// The command line is wrong; the text says how.
@@ -74,7 +74,7 @@ impl Spec {
     ///
     /// [`Stop::Help`] on `--help`; [`Stop::Usage`] on an unknown flag, a
     /// second positional or a value flag at the end of the line.
-    pub fn parse_from(self, args: impl IntoIterator<Item = String>) -> Result<Cli, Stop> {
+    pub(crate) fn parse_from(self, args: impl IntoIterator<Item = String>) -> Result<Cli, Stop> {
         let mut cli =
             Cli { spec: self, values: Vec::new(), switches: Vec::new(), positional: None };
         let mut args = args.into_iter();
@@ -113,12 +113,12 @@ impl Cli {
     /// # Errors
     ///
     /// The usage-error text if the value does not parse as a `T`.
-    pub fn try_value<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+    pub(crate) fn try_value<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
         let Some(raw) = self.raw(flag) else { return Ok(None) };
         raw.trim().parse().map(Some).map_err(|_| format!("cannot parse {flag} value {raw:?}"))
     }
 
-    /// [`Cli::try_value`], exiting 2 with the usage text on a value that
+    /// `Cli::try_value`, exiting 2 with the usage text on a value that
     /// does not parse.
     pub fn value<T: FromStr>(&self, flag: &str) -> Option<T> {
         self.try_value(flag).unwrap_or_else(|detail| self.fail(&detail))

@@ -83,11 +83,16 @@ proptest! {
         a.hadamard_into(&b, &mut out);
         assert_close(&out, &a.hadamard(&b), "hadamard_into");
 
-        a.add_row_broadcast_into(&bias, &mut out);
-        assert_close(&out, &a.add_row_broadcast(&bias), "add_row_broadcast_into");
+        out.copy_from(&a);
+        out.add_row_broadcast_assign(&bias);
+        let broadcast: Vec<f32> =
+            (0..len).map(|i| pool[i] + pool[288 + i % cols]).collect();
+        assert_close(&out, &Matrix::from_vec(rows, cols, broadcast), "add_row_broadcast_assign");
 
         a.sum_rows_into(&mut out);
-        assert_close(&out, &a.sum_rows(), "sum_rows_into");
+        let sums: Vec<f32> =
+            (0..cols).map(|c| (0..rows).map(|r| pool[r * cols + c]).sum()).collect();
+        assert_close(&out, &Matrix::from_vec(1, cols, sums), "sum_rows_into");
     }
 }
 

@@ -676,7 +676,7 @@ mod tests {
     fn the_loop_scores_only_the_entries_it_reads() {
         let (mut exp, mut trainer, scaler, stream) = fixture();
         let counts: [Arc<AtomicUsize>; 3] = Default::default();
-        for (det, scored) in exp.catalog_mut().detectors_mut().iter_mut().zip(&counts) {
+        for (det, scored) in exp.catalog.detectors_mut().iter_mut().zip(&counts) {
             let placeholder = Box::new(AutoencoderDetector::new("-", AeArchitecture::iot(24), 0));
             let inner = std::mem::replace(det, placeholder);
             *det = Box::new(Counting { inner, scored: scored.clone() });

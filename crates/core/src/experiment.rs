@@ -130,7 +130,7 @@ pub struct Experiment {
     /// trace) can be brought into the same space the detectors were
     /// trained in.
     standardizer: Standardizer,
-    catalog: ModelCatalog,
+    pub(crate) catalog: ModelCatalog,
     thresholds: [f32; 3],
 }
 
@@ -285,40 +285,27 @@ impl Experiment {
         &self.config
     }
 
-    /// Stage 3: train all three detectors on the AD training split and
-    /// calibrate their scorers — [`Experiment::try_train_detectors`] for
-    /// callers that treat a failed fit as a bug in their split.
+    /// Stage 3: trains all three detectors on the AD training split and
+    /// calibrates their scorers **side by side**, one per
+    /// [`crate::parallel`] worker (at two workers: IoT and edge on the
+    /// calling thread, cloud — about 60 % of the work — beside them). The
+    /// fits share nothing, so every weight and threshold is the one the
+    /// serial loop (`HEC_THREADS=1`) produces.
     ///
     /// # Panics
     ///
-    /// Panics if a detector fails to fit (invalid split).
+    /// Panics if a detector fails to fit (invalid split), naming the first
+    /// in the ladder that failed. A panic inside a fit reaches the caller
+    /// with its own payload.
     pub fn train_detectors(&mut self) {
         if let Err((name, e)) = self.fit_detectors() {
             panic!("failed to fit {name}: {e}");
         }
     }
 
-    /// Stage 3 with a typed error: fits and calibrates the three detectors
-    /// **side by side**, one per [`crate::parallel`] worker (at two
-    /// workers: IoT and edge on the calling thread, cloud — about 60 % of
-    /// the work — beside them), and returns their reports bottom-up. The
-    /// fits share nothing, so every weight and threshold is the one the
-    /// serial loop (`HEC_THREADS=1`) produces.
-    ///
-    /// # Errors
-    ///
-    /// The [`FitError`] of the first detector in the ladder that failed;
-    /// the threshold table is then left as it was (the detectors
-    /// themselves have been trained on, so re-`prepare` before retrying).
-    ///
-    /// # Panics
-    ///
-    /// A panic inside a fit reaches the caller with its own payload.
-    pub fn try_train_detectors(&mut self) -> Result<[FitReport; 3], FitError> {
-        self.fit_detectors().map_err(|(_, e)| e)
-    }
-
-    /// The fan-out behind both entry points; an error names its detector.
+    /// [`Experiment::train_detectors`]' fan-out: the reports bottom-up, or
+    /// the first failed detector's name and [`FitError`], with the
+    /// threshold table left as it was.
     fn fit_detectors(&mut self) -> Result<[FitReport; 3], (String, FitError)> {
         let (train, epochs) = (&self.split.ad_train, self.config.ad_epochs);
         let fits = parallel_map_mut(self.catalog.detectors_mut(), |_, det| {
@@ -355,12 +342,6 @@ impl Experiment {
     /// Stage 5: precompute the frozen oracle over a corpus.
     pub fn oracle_over(&mut self, windows: &[LabeledWindow]) -> Oracle {
         Oracle::precompute_with_thresholds(&mut self.catalog, windows, self.thresholds)
-    }
-
-    /// The detectors, for tests that wrap them.
-    #[cfg(test)]
-    pub(crate) fn catalog_mut(&mut self) -> &mut ModelCatalog {
-        &mut self.catalog
     }
 
     /// [`Experiment::oracle_over`] for the adaptation loop: scores
@@ -585,7 +566,7 @@ mod tests {
     ) -> ([FitReport; 3], [f32; 3], Oracle) {
         crate::parallel::with_thread_count(threads, || {
             let mut exp = Experiment::prepare(config.clone());
-            let reports = exp.try_train_detectors().expect("valid split");
+            let reports = exp.fit_detectors().expect("valid split");
             let corpus = exp.split.full.clone();
             (reports, exp.thresholds(), exp.oracle_over(&corpus))
         })
@@ -617,7 +598,7 @@ mod tests {
             crate::parallel::with_thread_count(threads, || {
                 let mut exp = Experiment::prepare(tiny_univariate());
                 exp.split.ad_train[5].anomalous = true;
-                let err = exp.try_train_detectors().unwrap_err();
+                let (_, err) = exp.fit_detectors().unwrap_err();
                 assert!(matches!(err, FitError::InvalidTrainingSet { .. }), "{err}");
                 assert_eq!(exp.thresholds(), [0.0; 3], "thresholds must stay untouched");
             });

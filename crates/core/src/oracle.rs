@@ -283,7 +283,7 @@ impl Oracle {
 
     /// Like [`Oracle::precompute`] but with exact thresholds supplied by the
     /// caller (from each detector's `FitReport`).
-    pub fn precompute_with_thresholds(
+    pub(crate) fn precompute_with_thresholds(
         catalog: &mut ModelCatalog,
         windows: &[LabeledWindow],
         thresholds: [f32; 3],

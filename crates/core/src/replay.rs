@@ -46,7 +46,7 @@ use crate::stream::{scheme_action_table, FleetStreamResult};
 /// Windows each replay device emits: the corpus spreads over
 /// `n / 10` devices, so a million-window trace exercises a
 /// hundred-thousand-device fleet.
-pub const WINDOWS_PER_DEVICE: u32 = 10;
+pub(crate) const WINDOWS_PER_DEVICE: u32 = 10;
 
 /// Builds the replay fleet for an `n_windows` trace: one cohort of
 /// `ceil(n / WINDOWS_PER_DEVICE)` devices, each emitting

@@ -66,7 +66,7 @@ pub struct SchemeOutcome {
     /// End-to-end detection delay, ms.
     pub delay_ms: f64,
     /// The layer that produced the final verdict (the bandit's action).
-    pub final_layer: usize,
+    pub(crate) final_layer: usize,
 }
 
 /// Aggregate result of running a scheme over a corpus — one Table II row.
@@ -83,7 +83,7 @@ pub struct SchemeResult {
     /// a single action's delay).
     pub reward_x100: Option<f64>,
     /// How many windows each layer ended up serving.
-    pub action_histogram: [usize; 3],
+    pub(crate) action_histogram: [usize; 3],
 }
 
 /// Where the Successive escalation stops for window `i`: the first layer

@@ -20,7 +20,7 @@
 //! inputs, same amplified stream, on any machine and at any thread
 //! count.
 
-use crate::source::{DatasetSource, IngestError, LabeledCorpus};
+use crate::source::LabeledCorpus;
 use crate::window::LabeledWindow;
 
 /// How repetitions `>= 1` are perturbed. The defaults are gentle (±1%
@@ -73,8 +73,7 @@ impl std::error::Error for PerturbConfigError {}
 
 impl PerturbConfig {
     /// Checks that both band half-widths are finite and non-negative.
-    /// [`amplify_corpus`] and [`AmplifiedSource::new`] call this and
-    /// panic with the error's message; validate explicitly at config
+    /// [`amplify_corpus`] calls this and panics with the error's message; validate explicitly at config
     /// parse time to surface the problem as a value instead.
     pub fn validate(&self) -> Result<(), PerturbConfigError> {
         if !self.scale.is_finite() || self.scale < 0.0 {
@@ -152,44 +151,6 @@ pub fn amplify_corpus(
         }
     }
     LabeledCorpus::new(windows, classes)
-}
-
-/// A [`DatasetSource`] that amplifies whatever its base source loads —
-/// the checked-in fixture becomes an engine-scale stream behind the same
-/// trait the rest of the pipeline consumes.
-#[derive(Debug, Clone)]
-pub struct AmplifiedSource<S> {
-    base: S,
-    factor: usize,
-    perturb: PerturbConfig,
-}
-
-impl<S: DatasetSource> AmplifiedSource<S> {
-    /// Wraps `base`, multiplying its corpus by `factor` on load.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor == 0` or if `perturb` fails
-    /// [`PerturbConfig::validate`].
-    pub fn new(base: S, factor: usize, perturb: PerturbConfig) -> Self {
-        assert!(factor >= 1, "amplification factor must be at least 1");
-        perturb.validate().unwrap_or_else(|e| panic!("{e}"));
-        Self { base, factor, perturb }
-    }
-}
-
-impl<S: DatasetSource> DatasetSource for AmplifiedSource<S> {
-    fn name(&self) -> String {
-        format!("amplified({} x{})", self.base.name(), self.factor)
-    }
-
-    fn channels(&self) -> usize {
-        self.base.channels()
-    }
-
-    fn load(&self) -> Result<LabeledCorpus, IngestError> {
-        Ok(amplify_corpus(&self.base.load()?, self.factor, &self.perturb))
-    }
 }
 
 /// The temporal shape of an injected regime change.
@@ -401,25 +362,6 @@ mod tests {
     fn amplify_corpus_rejects_invalid_configs() {
         let cfg = PerturbConfig { jitter: f32::NAN, ..PerturbConfig::default() };
         let _ = amplify_corpus(&base(), 2, &cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale must be finite")]
-    fn amplified_source_rejects_invalid_configs() {
-        struct Never;
-        impl DatasetSource for Never {
-            fn name(&self) -> String {
-                "never".into()
-            }
-            fn channels(&self) -> usize {
-                1
-            }
-            fn load(&self) -> Result<LabeledCorpus, IngestError> {
-                unreachable!("validation fires before any load")
-            }
-        }
-        let cfg = PerturbConfig { scale: -1.0, ..PerturbConfig::default() };
-        let _ = AmplifiedSource::new(Never, 2, cfg);
     }
 
     fn sched(kind: DriftKind) -> DriftSchedule {

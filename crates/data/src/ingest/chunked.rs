@@ -69,7 +69,7 @@ use crate::source::{IngestError, LabeledCorpus};
 /// ranges is exactly `0..bytes.len()`; the final range may lack a
 /// trailing newline (a file's last line often does too). A
 /// `chunk_bytes` of 0 reads as 1: a range per line.
-pub fn chunk_ranges(bytes: &[u8], chunk_bytes: usize) -> Vec<(usize, usize)> {
+pub(crate) fn chunk_ranges(bytes: &[u8], chunk_bytes: usize) -> Vec<(usize, usize)> {
     let chunk_bytes = chunk_bytes.max(1);
     let len = bytes.len();
     let mut ranges = Vec::new();
@@ -272,7 +272,7 @@ impl PowerCsvSource {
     /// Byte-identical to [`parse`](Self::parse) — same corpus on
     /// success, same first error (variant, message, global 1-based line
     /// number) on failure — for every `chunk_bytes` (0 reads as 1, see
-    /// [`chunk_ranges`]) and thread count.
+    /// `chunk_ranges`) and thread count.
     pub fn parse_chunked(
         &self,
         bytes: &[u8],

@@ -1,16 +1,16 @@
 //! Hand-rolled, allocation-lean CSV record reader.
 //!
-//! [`CsvReader`] is the streaming reader over any [`BufRead`]: one
+//! `CsvReader` is the streaming reader over any [`BufRead`]: one
 //! reusable line buffer and one reusable field-bounds vector serve the
 //! whole stream, so steady-state reading allocates only when a line is
 //! longer than every line before it. Records are borrowed views
-//! ([`CsvRecord`]), valid until the next [`CsvReader::next_record`] call.
+//! (`CsvRecord`), valid until the next `CsvReader::next_record` call.
 //! It is also the reference every other path is tested against, and the
 //! only code that renders a line-numbered error.
 //!
 //! The dialect itself — what ends a line, which lines are skipped, where
 //! fields split, what counts as missing, how a field parses — lives in
-//! the free functions and [`CsvRecord`] methods below, so the in-place
+//! the free functions and `CsvRecord` methods below, so the in-place
 //! scanner of [`super::chunked`] applies exactly the same rules to
 //! sub-slices of one in-memory text, without the per-line copy. That
 //! scanner reads one plain record shape itself, and only where it gets
@@ -73,7 +73,7 @@ pub(crate) fn split_fields(line: &str, bounds: &mut Vec<(usize, usize)>) {
 
 /// A streaming CSV reader over any [`BufRead`].
 #[derive(Debug)]
-pub struct CsvReader<R> {
+pub(crate) struct CsvReader<R> {
     src: R,
     name: String,
     line: String,
@@ -89,16 +89,10 @@ impl<R: BufRead> CsvReader<R> {
         Self { src, name: name.into(), line: String::new(), bounds: Vec::new(), line_no: 0 }
     }
 
-    /// The 1-based number of the most recently read line (0 before the
-    /// first record).
-    pub fn line_number(&self) -> u64 {
-        self.line_no
-    }
-
     /// Reads the next data record, skipping blank and `#`-comment lines.
     /// Returns `Ok(None)` at end of input. The returned record borrows
     /// the reader's buffers and is valid until the next call.
-    pub fn next_record(&mut self) -> Result<Option<CsvRecord<'_>>, IngestError> {
+    pub(crate) fn next_record(&mut self) -> Result<Option<CsvRecord<'_>>, IngestError> {
         loop {
             self.line.clear();
             let read = self.src.read_line(&mut self.line).map_err(|e| IngestError::Io {
@@ -143,7 +137,7 @@ fn trim_bounds(line: &str, mut start: usize, mut end: usize) -> (usize, usize) {
 
 /// One parsed CSV record: a borrowed view into the reader's buffers.
 #[derive(Debug, Clone, Copy)]
-pub struct CsvRecord<'a> {
+pub(crate) struct CsvRecord<'a> {
     line_no: u64,
     line: &'a str,
     bounds: &'a [(usize, usize)],
@@ -156,7 +150,7 @@ impl<'a> CsvRecord<'a> {
     }
 
     /// 1-based line number this record came from.
-    pub fn line_number(&self) -> u64 {
+    pub(crate) fn line_number(&self) -> u64 {
         self.line_no
     }
 
@@ -185,7 +179,7 @@ impl<'a> CsvRecord<'a> {
 
     /// Fails unless the record has between `min` and `max` fields.
     #[inline]
-    pub fn expect_fields(&self, min: usize, max: usize) -> Result<(), IngestError> {
+    pub(crate) fn expect_fields(&self, min: usize, max: usize) -> Result<(), IngestError> {
         if self.len() < min || self.len() > max {
             let expected = if min == max { format!("{min}") } else { format!("{min}..={max}") };
             return Err(IngestError::Parse {
@@ -199,7 +193,7 @@ impl<'a> CsvRecord<'a> {
     /// Parses field `i` as `f32`; `Ok(None)` when the field is a missing
     /// marker (empty, `?`, `nan`, `na`, `null` — see module docs).
     #[inline]
-    pub fn parse_f32(&self, i: usize) -> Result<Option<f32>, IngestError> {
+    pub(crate) fn parse_f32(&self, i: usize) -> Result<Option<f32>, IngestError> {
         let field = self.field(i);
         if is_missing_marker(field) {
             return Ok(None);
@@ -212,7 +206,7 @@ impl<'a> CsvRecord<'a> {
 
     /// Parses field `i` as a non-negative integer.
     #[inline]
-    pub fn parse_usize(&self, i: usize) -> Result<usize, IngestError> {
+    pub(crate) fn parse_usize(&self, i: usize) -> Result<usize, IngestError> {
         let field = self.field(i);
         field.parse::<usize>().map_err(|_| IngestError::Parse {
             line: self.line_no,
@@ -228,7 +222,7 @@ impl<'a> CsvRecord<'a> {
     /// a header, which would shift every later day window by one
     /// reading; such lines raise their line-numbered parse error
     /// instead.
-    pub fn looks_like_header(&self) -> bool {
+    pub(crate) fn looks_like_header(&self) -> bool {
         !self.is_empty()
             && (0..self.len()).all(|i| {
                 let f = self.field(i);

@@ -4,10 +4,10 @@
 //! paper's datasets ship in — no external parser crates (the build
 //! environment is vendored-stubs only):
 //!
-//! * [`csv`] — comma-separated records ([`csv::CsvReader`]): blank
+//! * [`csv`] — comma-separated records (`csv::CsvReader`): blank
 //!   lines and `#` comments skipped, CRLF tolerated, one reusable line
 //!   buffer and field-bounds vector for the whole stream;
-//! * [`ndjson`] — newline-delimited JSON ([`ndjson::NdjsonReader`]): one
+//! * [`ndjson`] — newline-delimited JSON (`ndjson::NdjsonReader`): one
 //!   flat object per line over a documented JSON subset (numbers,
 //!   escape-free strings, booleans, `null`, arrays of numbers), parsed
 //!   into reusable buffers.
@@ -45,9 +45,6 @@ pub mod csv;
 pub mod ndjson;
 pub mod schema;
 
-pub use chunked::chunk_ranges;
-pub use csv::CsvReader;
-pub use ndjson::{JsonValue, NdjsonReader};
 pub use schema::{MhealthNdjsonSource, PowerCsvSource};
 
 use crate::source::IngestError;
@@ -74,7 +71,7 @@ impl std::fmt::Display for MissingValuePolicy {
 /// Applies a [`MissingValuePolicy`] across a fixed set of channels,
 /// remembering each channel's last finite value.
 #[derive(Debug, Clone)]
-pub struct Imputer {
+pub(crate) struct Imputer {
     policy: MissingValuePolicy,
     last: Vec<Option<f32>>,
 }
@@ -88,11 +85,6 @@ impl Imputer {
     pub fn new(policy: MissingValuePolicy, channels: usize) -> Self {
         assert!(channels > 0, "need at least one channel");
         Self { policy, last: vec![None; channels] }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> MissingValuePolicy {
-        self.policy
     }
 
     /// Forgets all remembered values (call at session boundaries so
@@ -109,7 +101,7 @@ impl Imputer {
     /// # Panics
     ///
     /// Panics if `channel` is out of range.
-    pub fn resolve(
+    pub(crate) fn resolve(
         &mut self,
         channel: usize,
         raw: Option<f32>,

@@ -8,8 +8,8 @@
 //! and column — this is a documented subset, not a lenient guesser.
 //!
 //! Like [`super::csv`], the reader owns one line buffer plus reusable
-//! key/value/number vectors; records ([`NdjsonRecord`]) are borrowed
-//! views valid until the next [`NdjsonReader::next_record`] call, so
+//! key/value/number vectors; records (`NdjsonRecord`) are borrowed
+//! views valid until the next `NdjsonReader::next_record` call, so
 //! steady-state reading performs no per-record allocations beyond
 //! first-time buffer growth.
 
@@ -20,7 +20,7 @@ use crate::source::IngestError;
 
 /// A value in a parsed NDJSON record.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum JsonValue<'a> {
+pub(crate) enum JsonValue<'a> {
     /// A JSON number.
     Number(f32),
     /// An (escape-free) JSON string.
@@ -47,7 +47,7 @@ enum RawValue {
 
 /// A streaming NDJSON reader over any [`BufRead`].
 #[derive(Debug)]
-pub struct NdjsonReader<R> {
+pub(crate) struct NdjsonReader<R> {
     src: R,
     name: String,
     line: String,
@@ -72,16 +72,10 @@ impl<R: BufRead> NdjsonReader<R> {
         }
     }
 
-    /// The 1-based number of the most recently read line (0 before the
-    /// first record).
-    pub fn line_number(&self) -> u64 {
-        self.line_no
-    }
-
     /// Reads and parses the next record, skipping blank and `#`-comment
     /// lines. Returns `Ok(None)` at end of input. The returned record
     /// borrows the reader's buffers and is valid until the next call.
-    pub fn next_record(&mut self) -> Result<Option<NdjsonRecord<'_>>, IngestError> {
+    pub(crate) fn next_record(&mut self) -> Result<Option<NdjsonRecord<'_>>, IngestError> {
         loop {
             self.line.clear();
             let read = self.src.read_line(&mut self.line).map_err(|e| IngestError::Io {
@@ -308,7 +302,7 @@ impl Parser<'_> {
 
 /// One parsed NDJSON record: a borrowed view into the reader's buffers.
 #[derive(Debug, Clone, Copy)]
-pub struct NdjsonRecord<'a> {
+pub(crate) struct NdjsonRecord<'a> {
     line_no: u64,
     line: &'a str,
     keys: &'a [(usize, usize)],
@@ -318,18 +312,8 @@ pub struct NdjsonRecord<'a> {
 
 impl<'a> NdjsonRecord<'a> {
     /// 1-based line number this record came from.
-    pub fn line_number(&self) -> u64 {
+    pub(crate) fn line_number(&self) -> u64 {
         self.line_no
-    }
-
-    /// Number of key/value pairs.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the object was empty (`{}`).
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 
     /// Looks a key up (first match wins).
@@ -385,7 +369,7 @@ mod tests {
         );
         let rec = r.next_record().unwrap().unwrap();
         assert_eq!(rec.line_number(), 2);
-        assert_eq!(rec.len(), 5);
+        assert_eq!(rec.keys.len(), 5);
         let ch = rec.numbers("ch").unwrap();
         assert_eq!(ch.len(), 3);
         assert_eq!(ch[0], 1.5);
@@ -456,7 +440,7 @@ mod tests {
     fn empty_object_and_blank_lines() {
         let mut r = reader("\n{}\n\n");
         let rec = r.next_record().unwrap().unwrap();
-        assert!(rec.is_empty());
+        assert!(rec.keys.is_empty());
         assert!(r.next_record().unwrap().is_none());
     }
 

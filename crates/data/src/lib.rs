@@ -56,9 +56,7 @@ pub mod split;
 pub mod standardize;
 pub mod window;
 
-pub use amplify::{
-    amplify_corpus, AmplifiedSource, DriftKind, DriftSchedule, PerturbConfig, PerturbConfigError,
-};
+pub use amplify::{amplify_corpus, DriftKind, DriftSchedule, PerturbConfig, PerturbConfigError};
 pub use metrics::BinaryConfusion;
 pub use mhealth::{Activity, MhealthConfig, MhealthGenerator};
 pub use online::OnlineStandardizer;

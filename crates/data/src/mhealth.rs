@@ -207,7 +207,7 @@ pub struct MhealthGenerator {
 }
 
 /// Sampling rate of the simulated sensors, Hz.
-pub const SAMPLE_RATE_HZ: f32 = 50.0;
+pub(crate) const SAMPLE_RATE_HZ: f32 = 50.0;
 
 impl MhealthGenerator {
     /// Creates a generator; the signature bank is derived from the seed.
@@ -257,7 +257,7 @@ impl MhealthGenerator {
     /// # Panics
     ///
     /// Panics if `steps == 0`, `subject >= subjects`, or `blend ∉ [0, 1]`.
-    pub fn session_with_similarity(
+    pub(crate) fn session_with_similarity(
         &self,
         subject: usize,
         activity: Activity,

@@ -176,23 +176,6 @@ impl Standardizer {
         }
         Ok(out)
     }
-
-    /// Inverse transform: `z ↦ z·σ_c + µ_c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column count differs from the fitted channel count.
-    pub fn inverse_transform(&self, data: &Matrix) -> Matrix {
-        assert_eq!(data.cols(), self.channels(), "channel count mismatch");
-        let mut out = data.clone();
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            for ((x, &m), &s) in row.iter_mut().zip(self.mean.iter()).zip(self.std.iter()) {
-                *x = *x * s + m;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -218,9 +201,12 @@ mod tests {
     fn roundtrip_inverse() {
         let data = Matrix::from_rows(&[&[1.5, -3.0], &[0.5, 9.0], &[2.5, 3.0]]);
         let s = Standardizer::fit(&data);
-        let back = s.inverse_transform(&s.transform(&data));
-        for (a, b) in back.as_slice().iter().zip(data.as_slice().iter()) {
-            assert!((a - b).abs() < 1e-4);
+        let z = s.transform(&data);
+        for r in 0..data.rows() {
+            for c in 0..data.cols() {
+                let back = z[(r, c)] * s.std[c] + s.mean[c];
+                assert!((back - data[(r, c)]).abs() < 1e-4);
+            }
         }
     }
 

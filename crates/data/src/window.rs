@@ -46,12 +46,6 @@ impl LabeledWindow {
     pub fn channels(&self) -> usize {
         self.data.cols()
     }
-
-    /// The window flattened row-major into a single feature vector
-    /// (time-major), as consumed by the autoencoder models.
-    pub fn flattened(&self) -> Vec<f32> {
-        self.data.as_slice().to_vec()
-    }
 }
 
 /// Extracts sliding windows of `size` timesteps every `stride` steps from a
@@ -93,7 +87,7 @@ mod tests {
     #[test]
     fn flattened_length() {
         let w = LabeledWindow::new(Matrix::zeros(128, 18), false);
-        assert_eq!(w.flattened().len(), 128 * 18);
+        assert_eq!(w.data.len(), 128 * 18);
         assert_eq!(w.len(), 128);
         assert_eq!(w.channels(), 18);
     }

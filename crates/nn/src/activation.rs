@@ -24,7 +24,7 @@ pub enum Activation {
 
 impl Activation {
     /// Applies the activation to every element of `m` in place.
-    pub fn apply_inplace(self, m: &mut Matrix) {
+    pub(crate) fn apply_inplace(self, m: &mut Matrix) {
         match self {
             Activation::Linear => {}
             Activation::Sigmoid => math::sigmoid_slice(m.as_mut_slice()),
@@ -43,7 +43,7 @@ impl Activation {
     /// # Panics
     ///
     /// Panics if the shapes differ.
-    pub fn backprop_inplace(self, y: &Matrix, grad: &mut Matrix) {
+    pub(crate) fn backprop_inplace(self, y: &Matrix, grad: &mut Matrix) {
         assert_eq!(y.shape(), grad.shape(), "activation backprop shape mismatch");
         let pairs = grad.as_mut_slice().iter_mut().zip(y.as_slice());
         match self {

@@ -103,13 +103,6 @@ impl Dense {
         &self.bias
     }
 
-    /// Computes the pre-activation `x·W + b` without caching (inference helper).
-    pub fn affine(&self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(input.rows(), self.weight.cols());
-        self.affine_into(input, &mut out);
-        out
-    }
-
     /// Computes the pre-activation `x·W + b` into a caller-owned buffer
     /// (resized in place) — the allocation-free inference path.
     ///
@@ -130,7 +123,7 @@ impl Dense {
     ///
     /// Panics unless `input` holds whole rows of `in_dim` values and `out`
     /// as many rows of `out_dim`.
-    pub fn affine_rows(&self, input: &[f32], out: &mut [f32]) {
+    pub(crate) fn affine_rows(&self, input: &[f32], out: &mut [f32]) {
         let (in_dim, out_dim) = self.weight.shape();
         let rows = input.len() / in_dim;
         assert_eq!(input.len(), rows * in_dim, "dense input is not whole rows");

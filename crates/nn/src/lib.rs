@@ -72,5 +72,5 @@ pub use loss::{Loss, Mse};
 pub use lstm::{Lstm, LstmState};
 pub use optim::{Adam, Optimizer, RmsProp, Sgd};
 pub use seq2seq::{Seq2Seq, Seq2SeqConfig};
-pub use sequential::{Layer, Sequential};
-pub use workspace::{Buf, PingPong};
+pub use sequential::{Layer, PingPong, Sequential};
+pub use workspace::Buf;

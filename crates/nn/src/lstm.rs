@@ -453,7 +453,7 @@ impl Lstm {
     }
 
     /// Copies the state after the latest step into `out` (resized in place).
-    pub fn state_into(&self, out: &mut LstmState) {
+    pub(crate) fn state_into(&self, out: &mut LstmState) {
         let (h, c) = self.state();
         for (m, src) in [(&mut out.h, h), (&mut out.c, c)] {
             m.resize(self.seq.batch, self.hidden);
@@ -593,11 +593,6 @@ impl Lstm {
         f(&mut self.b, &mut self.grad_b);
     }
 
-    /// Squared Frobenius norm of the kernels (`Wx`, `Wh`), excluding bias.
-    pub fn kernel_norm_sq(&self) -> f32 {
-        self.wx.frobenius_norm_sq() + self.wh.frobenius_norm_sq()
-    }
-
     /// Adds `2·λ·W` to the kernel gradients (gradient of `λ‖W‖²`).
     pub fn apply_l2(&mut self, lambda: f32) {
         self.grad_wx.add_scaled(&self.wx, 2.0 * lambda);
@@ -710,11 +705,6 @@ impl BiLstm {
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
         self.forward.visit_params(f);
         self.backward.visit_params(f);
-    }
-
-    /// Squared Frobenius norm of all kernels.
-    pub fn kernel_norm_sq(&self) -> f32 {
-        self.forward.kernel_norm_sq() + self.backward.kernel_norm_sq()
     }
 
     /// L2 gradient contribution for both directions.

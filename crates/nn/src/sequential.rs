@@ -4,7 +4,6 @@ use hec_tensor::Matrix;
 
 use crate::loss::Loss;
 use crate::optim::Optimizer;
-use crate::workspace::PingPong;
 
 /// A differentiable layer.
 ///
@@ -76,6 +75,28 @@ pub trait Layer: Send + Sync {
     fn apply_l2(&mut self, _lambda: f32) {}
 }
 
+/// The two activation buffers [`Sequential::infer`] alternates between:
+/// each layer reads the previous layer's output from one and writes its
+/// own into the other, so a stack of any depth runs in two buffers that
+/// grow once to the widest activation.
+#[derive(Debug)]
+pub struct PingPong {
+    bufs: [Matrix; 2],
+}
+
+impl PingPong {
+    /// Two minimal buffers; they grow on first use.
+    pub fn new() -> Self {
+        Self { bufs: [Matrix::zeros(1, 1), Matrix::zeros(1, 1)] }
+    }
+}
+
+impl Default for PingPong {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// A stack of layers applied in order.
 ///
 /// This is the shape of the paper's three autoencoders. (The policy
@@ -113,17 +134,18 @@ impl Sequential {
         self.layers.iter().map(|l| l.param_count()).sum()
     }
 
-    /// Inference-mode forward pass (dropout disabled) into a fresh matrix;
-    /// [`Sequential::infer`] is the form for a hot path.
-    pub fn predict(&self, input: &Matrix) -> Matrix {
-        self.infer(input, &mut PingPong::new()).clone()
-    }
-
     /// Inference-mode forward pass through `&self`: activations alternate
     /// between the caller's two buffers, so a warmed call allocates nothing
     /// and concurrent callers share the weights. The result borrows `acts`.
     pub fn infer<'a>(&self, input: &Matrix, acts: &'a mut PingPong) -> &'a Matrix {
-        acts.run(&self.layers, input, |layer, src, dst| layer.infer_into(src, dst))
+        let (first, rest) = self.layers.split_first().expect("`new` refuses an empty stack");
+        let [mut src, mut dst] = acts.bufs.each_mut();
+        first.infer_into(input, dst);
+        for layer in rest {
+            std::mem::swap(&mut src, &mut dst);
+            layer.infer_into(src, dst);
+        }
+        dst
     }
 
     /// Training-mode forward pass (dropout enabled): leaves every layer
@@ -203,18 +225,6 @@ impl Sequential {
         }
     }
 
-    /// Visits every `(parameter, gradient)` pair of every layer in order.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
-        for layer in &mut self.layers {
-            layer.visit_params(f);
-        }
-    }
-
-    /// Sum of squared kernel weights across all layers.
-    pub fn kernel_norm_sq(&self) -> f32 {
-        self.layers.iter().map(|l| l.kernel_norm_sq()).sum()
-    }
-
     /// Immutable access to the boxed layers (for introspection in reports).
     pub fn layers(&self) -> &[Box<dyn Layer>] {
         &self.layers
@@ -266,15 +276,6 @@ mod tests {
         assert_eq!(net.depth(), 2);
     }
 
-    #[test]
-    fn predict_is_deterministic() {
-        let net = tiny_net(1);
-        let x = Matrix::from_rows(&[&[0.3, -0.7]]);
-        let a = net.predict(&x);
-        let b = net.predict(&x);
-        assert_eq!(a, b);
-    }
-
     fn deep_net(rng: &mut StdRng) -> Sequential {
         Sequential::new(vec![
             Box::new(Dense::new(rng, 5, 7, Activation::Tanh)),
@@ -292,7 +293,7 @@ mod tests {
         let mut acts = PingPong::new();
         for rows in [1, 9, 4] {
             let x = hec_tensor::init::uniform(&mut rng, rows, 5, -1.0, 1.0);
-            let expect = net.predict(&x);
+            let expect = net.infer(&x, &mut PingPong::new()).clone();
             assert_eq!(net.infer(&x, &mut acts), &expect, "rows={rows}");
         }
     }
@@ -309,7 +310,9 @@ mod tests {
             assert_eq!(net.forward_training(&x).shape(), (3, 5));
             let dx = net.backward(&grad, want).cloned();
             let mut grads = Vec::new();
-            net.visit_params(&mut |_, g| grads.push(g.clone()));
+            for layer in &mut net.layers {
+                layer.visit_params(&mut |_, g| grads.push(g.clone()));
+            }
             (dx, grads)
         };
         let (none, without) = grads_of(false);
@@ -325,13 +328,15 @@ mod tests {
         // arrange exactly, so use tiny lr on loss but large l2), weights decay.
         let mut net = tiny_net(5);
         let x = Matrix::from_rows(&[&[0.5, 0.5]]);
-        let before = net.kernel_norm_sq();
-        let y = net.predict(&x);
+        let kernel_norm_sq =
+            |net: &Sequential| -> f32 { net.layers.iter().map(|l| l.kernel_norm_sq()).sum() };
+        let before = kernel_norm_sq(&net);
+        let y = net.infer(&x, &mut PingPong::new()).clone();
         let mut opt = Sgd::new(0.1);
         for _ in 0..50 {
             net.train_batch(&x, &y, &Mse, &mut opt, 0.01);
         }
-        let after = net.kernel_norm_sq();
+        let after = kernel_norm_sq(&net);
         assert!(after < before, "l2 did not shrink kernels: {before} -> {after}");
     }
 

@@ -59,17 +59,6 @@ impl Buf {
         self.0.as_mut().expect("buffer just initialised")
     }
 
-    /// Like [`Buf::shaped`] but zero-filled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn zeroed(&mut self, rows: usize, cols: usize) -> &mut Matrix {
-        let m = self.shaped(rows, cols);
-        m.fill(0.0);
-        m
-    }
-
     /// Read access to the buffer's current contents.
     ///
     /// # Panics
@@ -77,51 +66,6 @@ impl Buf {
     /// Panics if the buffer was never shaped.
     pub fn get(&self) -> &Matrix {
         self.0.as_ref().expect("Buf::get before first shaped()")
-    }
-}
-
-/// The two activation buffers a layer stack alternates between on an
-/// inference pass: each layer reads the previous layer's output from one
-/// and writes its own into the other, so a stack of any depth runs in two
-/// buffers that grow once to the widest activation.
-#[derive(Debug)]
-pub struct PingPong {
-    bufs: [Matrix; 2],
-}
-
-impl PingPong {
-    /// Two minimal buffers; they grow on first use.
-    pub fn new() -> Self {
-        Self { bufs: [Matrix::zeros(1, 1), Matrix::zeros(1, 1)] }
-    }
-
-    /// Feeds `input` through `layers` in order — `step(layer, src, dst)`
-    /// writes one layer's output — and returns the last layer's output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layers` is empty.
-    pub fn run<L>(
-        &mut self,
-        layers: &[L],
-        input: &Matrix,
-        mut step: impl FnMut(&L, &Matrix, &mut Matrix),
-    ) -> &Matrix {
-        let (first, rest) = layers.split_first().expect("a layer stack has at least one layer");
-        let [src, dst] = &mut self.bufs;
-        let (mut src, mut dst) = (src, dst);
-        step(first, input, dst);
-        for layer in rest {
-            std::mem::swap(&mut src, &mut dst);
-            step(layer, src, dst);
-        }
-        dst
-    }
-}
-
-impl Default for PingPong {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -138,13 +82,6 @@ mod tests {
         buf.shaped(2, 3);
         assert_eq!(buf.get().shape(), (2, 3));
         assert_eq!(buf.get().as_slice().as_ptr(), ptr);
-    }
-
-    #[test]
-    fn zeroed_clears_contents() {
-        let mut buf = Buf::new();
-        buf.shaped(2, 2).fill(5.0);
-        assert!(buf.zeroed(2, 2).as_slice().iter().all(|&x| x == 0.0));
     }
 
     #[test]

@@ -76,6 +76,19 @@ fn params(visit: impl FnOnce(&mut dyn FnMut(&mut Matrix, &mut Matrix))) -> Vec<u
     weights
 }
 
+/// Hands `visit` each of `net`'s `(parameter, gradient)` pairs in
+/// `apply_gradients`' order, through an optimizer that moves nothing;
+/// `apply_gradients` zeroes every gradient after it has been read.
+fn visit_sequential(net: &mut Sequential, visit: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
+    struct Visit<'a>(&'a mut dyn FnMut(&mut Matrix, &mut Matrix));
+    impl Optimizer for Visit<'_> {
+        fn step(&mut self, _slot: usize, param: &mut Matrix, grad: &Matrix) {
+            (self.0)(param, &mut grad.clone());
+        }
+    }
+    net.apply_gradients(&mut Visit(visit));
+}
+
 fn optimizers(adam: bool) -> (Box<dyn Optimizer>, Box<dyn Optimizer>) {
     if adam {
         (Box::new(Adam::new(1e-2)), Box::new(Adam::new(1e-2)))
@@ -103,7 +116,7 @@ fn new_equals_old(stack: Stack, batch: usize, steps: usize, l2_lambda: f32, adam
         assert_eq!(loss.to_bits(), ref_loss.to_bits(), "{case}: loss at step {step}");
     }
     assert_eq!(
-        params(|f| net.visit_params(f)),
+        params(|f| visit_sequential(&mut net, f)),
         params(|f| refr.visit_params(f)),
         "{case}: parameters after {steps} steps"
     );
@@ -124,7 +137,7 @@ fn new_equals_old(stack: Stack, batch: usize, steps: usize, l2_lambda: f32, adam
     assert_eq!(bits(dx), bits(&refr.backward(&grad)), "{case}: input gradient");
     // The accumulated (not yet applied) gradients of that pass.
     assert_eq!(
-        params(|f| net.visit_params(f)),
+        params(|f| visit_sequential(&mut net, f)),
         params(|f| refr.visit_params(f)),
         "{case}: gradients of the manual pass"
     );

@@ -1,13 +1,4 @@
-//! Device profiles and execution-time models.
-//!
-//! The paper measures per-model inference time on real hardware (Table I,
-//! "Exec time", averaged over five runs). We model execution time two ways:
-//!
-//! * [`ExecTimeModel::Calibrated`] — the paper's own measurements (the
-//!   default for reproducing Tables I–II);
-//! * [`ExecTimeModel::Throughput`] — a FLOPs/throughput model
-//!   (`2 × params × steps / effective_flops`) for models we size ourselves
-//!   (ablations, custom catalogs).
+//! The testbed's machines.
 
 use serde::{Deserialize, Serialize};
 
@@ -16,89 +7,27 @@ use serde::{Deserialize, Serialize};
 pub struct DeviceProfile {
     /// Human-readable name ("Raspberry Pi 3", …).
     pub name: String,
-    /// Effective sustained throughput in MFLOP/s for dense inference.
-    ///
-    /// These are *effective* figures (including framework overhead) chosen
-    /// so the throughput model lands near the paper's measurements, not peak
-    /// datasheet numbers.
-    pub effective_mflops: f64,
-    /// Relative slowdown factor for recurrent (step-sequential) workloads,
-    /// which cannot batch across time (≥ 1).
-    pub recurrent_overhead: f64,
     /// How many detection jobs the machine can service simultaneously —
     /// the server count of this layer's queue in the fleet simulator
     /// (`crate::fleet`). The Pi runs one inference at a time; the shared
     /// edge/cloud servers each sustain several concurrent model instances.
-    pub concurrency: usize,
+    pub(crate) concurrency: usize,
 }
 
 impl DeviceProfile {
     /// The paper's IoT device.
-    pub fn raspberry_pi3() -> Self {
-        Self {
-            name: "Raspberry Pi 3".into(),
-            effective_mflops: 44.0,
-            recurrent_overhead: 3.5,
-            concurrency: 1,
-        }
+    pub(crate) fn raspberry_pi3() -> Self {
+        Self { name: "Raspberry Pi 3".into(), concurrency: 1 }
     }
 
     /// The paper's edge server.
-    pub fn jetson_tx2() -> Self {
-        Self {
-            name: "NVIDIA Jetson TX2".into(),
-            effective_mflops: 257.0,
-            recurrent_overhead: 2.9,
-            concurrency: 4,
-        }
+    pub(crate) fn jetson_tx2() -> Self {
+        Self { name: "NVIDIA Jetson TX2".into(), concurrency: 4 }
     }
 
     /// The paper's cloud server.
-    pub fn devbox() -> Self {
-        Self {
-            name: "NVIDIA Devbox".into(),
-            effective_mflops: 482.0,
-            recurrent_overhead: 2.1,
-            concurrency: 16,
-        }
-    }
-}
-
-/// How a layer's per-inference execution time is obtained.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ExecTimeModel {
-    /// A fixed measured time in milliseconds (the paper's Table I values).
-    Calibrated {
-        /// Measured per-inference time, ms.
-        ms: f64,
-    },
-    /// FLOPs-based: `2 × params × steps` divided by device throughput,
-    /// multiplied by the device's recurrent overhead when `recurrent`.
-    Throughput {
-        /// Trainable parameter count of the deployed model.
-        params: usize,
-        /// Timesteps per inference (1 for feed-forward models).
-        steps: usize,
-        /// Whether the model is recurrent (sequential over steps).
-        recurrent: bool,
-    },
-}
-
-impl ExecTimeModel {
-    /// Execution time in milliseconds on `device`.
-    pub fn exec_ms(&self, device: &DeviceProfile) -> f64 {
-        match *self {
-            ExecTimeModel::Calibrated { ms } => ms,
-            ExecTimeModel::Throughput { params, steps, recurrent } => {
-                let flops = 2.0 * params as f64 * steps as f64;
-                let base_ms = flops / (device.effective_mflops * 1e6) * 1e3;
-                if recurrent {
-                    base_ms * device.recurrent_overhead
-                } else {
-                    base_ms
-                }
-            }
-        }
+    pub(crate) fn devbox() -> Self {
+        Self { name: "NVIDIA Devbox".into(), concurrency: 16 }
     }
 }
 
@@ -107,71 +36,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn calibrated_returns_fixed_value() {
-        let m = ExecTimeModel::Calibrated { ms: 12.4 };
-        assert_eq!(m.exec_ms(&DeviceProfile::raspberry_pi3()), 12.4);
-        assert_eq!(m.exec_ms(&DeviceProfile::devbox()), 12.4);
-    }
-
-    #[test]
-    fn throughput_model_close_to_paper_ae_times() {
-        // Paper AE models: 271,017 / 949,468 / 1,085,077 params at
-        // 12.4 / 7.4 / 4.5 ms on Pi / TX2 / Devbox.
-        let cases = [
-            (DeviceProfile::raspberry_pi3(), 271_017usize, 12.4),
-            (DeviceProfile::jetson_tx2(), 949_468, 7.4),
-            (DeviceProfile::devbox(), 1_085_077, 4.5),
-        ];
-        for (device, params, expected) in cases {
-            let m = ExecTimeModel::Throughput { params, steps: 1, recurrent: false };
-            let got = m.exec_ms(&device);
-            assert!(
-                (got - expected).abs() / expected < 0.05,
-                "{}: {got:.2} ms vs paper {expected} ms",
-                device.name
-            );
-        }
-    }
-
-    #[test]
-    fn throughput_model_close_to_paper_lstm_times() {
-        // Paper LSTM-seq2seq models: 28,518 / 97,818 / 1,028,018 params over
-        // 128 steps at 591.0 / 417.3 / 232.3 ms. The throughput model cannot
-        // match all three exactly (the paper's cloud model runs on CuDNN
-        // fused kernels); we require the right order of magnitude and the
-        // strictly-decreasing ladder.
-        let pi = ExecTimeModel::Throughput { params: 28_518, steps: 128, recurrent: true }
-            .exec_ms(&DeviceProfile::raspberry_pi3());
-        let tx2 = ExecTimeModel::Throughput { params: 97_818, steps: 128, recurrent: true }
-            .exec_ms(&DeviceProfile::jetson_tx2());
-        let devbox = ExecTimeModel::Throughput { params: 1_028_018, steps: 128, recurrent: true }
-            .exec_ms(&DeviceProfile::devbox());
-        assert!((pi - 591.0).abs() / 591.0 < 0.05, "pi {pi:.1}");
-        assert!((tx2 - 417.3).abs() / 417.3 < 0.35, "tx2 {tx2:.1}");
-        // The Devbox number is dominated by fused-kernel efficiency; accept a
-        // broad band but verify it is the fastest *relative to its size*.
-        assert!(devbox > 0.0);
-        let per_param_pi = pi / 28_518.0;
-        let per_param_devbox = devbox / 1_028_018.0;
-        assert!(per_param_devbox < per_param_pi);
-    }
-
-    #[test]
-    fn recurrent_overhead_multiplies() {
-        let device = DeviceProfile::raspberry_pi3();
-        let ff = ExecTimeModel::Throughput { params: 1000, steps: 10, recurrent: false };
-        let rec = ExecTimeModel::Throughput { params: 1000, steps: 10, recurrent: true };
-        let ratio = rec.exec_ms(&device) / ff.exec_ms(&device);
-        assert!((ratio - device.recurrent_overhead).abs() < 1e-9);
-    }
-
-    #[test]
     fn devices_get_faster_up_the_hierarchy() {
         let pi = DeviceProfile::raspberry_pi3();
         let tx2 = DeviceProfile::jetson_tx2();
         let devbox = DeviceProfile::devbox();
-        assert!(pi.effective_mflops < tx2.effective_mflops);
-        assert!(tx2.effective_mflops < devbox.effective_mflops);
         assert!(pi.concurrency <= tx2.concurrency);
         assert!(tx2.concurrency <= devbox.concurrency);
         assert!(pi.concurrency >= 1);

@@ -30,7 +30,7 @@
 //! engine's device-local completions, which change nothing but a gauge —
 //! can still order them against the queue's: [`EventQueue::reserve_seq`]
 //! takes the `seq` scheduling would have taken, and
-//! [`EventQueue::pop_seq_at_or_before`] says which `(time, seq)` each
+//! `EventQueue::pop_seq_at_or_before` says which `(time, seq)` each
 //! popped event had. An outside event due before that pair would have
 //! popped before it; every event left in the queue keeps the `seq`, and so
 //! the tie-break, it would have had.
@@ -294,7 +294,7 @@ impl<T> EventQueue<T> {
     /// Creates an empty queue at virtual time 0 with `lanes` monotone
     /// lanes, addressed `0..lanes` by [`EventQueue::schedule_on`], and no
     /// slots.
-    pub fn with_lanes(lanes: usize) -> Self {
+    pub(crate) fn with_lanes(lanes: usize) -> Self {
         Self::with_lanes_and_slots(lanes, 0)
     }
 
@@ -390,7 +390,7 @@ impl<T> EventQueue<T> {
     /// # Panics
     ///
     /// Panics if `delay_ms` is negative or NaN.
-    pub fn schedule_in(&mut self, delay_ms: f64, payload: T) {
+    pub(crate) fn schedule_in(&mut self, delay_ms: f64, payload: T) {
         assert!(delay_ms >= 0.0, "delay must be non-negative");
         self.schedule(self.now_ms + delay_ms, payload);
     }
@@ -412,7 +412,7 @@ impl<T> EventQueue<T> {
     /// event's `seq`: with its time, what a caller compares the events it
     /// keeps outside the queue against ([`EventQueue::reserve_seq`]).
     #[inline]
-    pub fn pop_seq_at_or_before(&mut self, barrier_ms: f64) -> Option<(f64, u64, T)> {
+    pub(crate) fn pop_seq_at_or_before(&mut self, barrier_ms: f64) -> Option<(f64, u64, T)> {
         let ((time_ms, seq), payload) = self.q.pop_at_or_before(barrier_ms)?;
         debug_assert!(time_ms >= self.now_ms, "virtual clock ran backwards");
         self.now_ms = time_ms;
@@ -430,7 +430,7 @@ impl<T> EventQueue<T> {
     }
 
     /// `(time, seq)` of the earliest pending event, without popping it:
-    /// what [`EventQueue::pop_seq_at_or_before`] would return it with.
+    /// what `EventQueue::pop_seq_at_or_before` would return it with.
     pub fn peek_head(&self) -> Option<(f64, u64)> {
         self.q.peek_head()
     }

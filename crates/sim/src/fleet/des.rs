@@ -6,12 +6,12 @@
 //! ```text
 //! device cohorts ──emit──▶ router ──▶ layer 0: per-device dedicated server
 //!                                 └─▶ layer ℓ≥1: uplink (PS when capped)
-//!                                          └──▶ compute queue (FIFO/PS)
+//!                                          └──▶ FIFO compute queue
 //!                                                   └──▶ downlink ─▶ done
 //! ```
 //!
 //! Service times come from the topology's [`HecTopology::exec_ms`] ladder,
-//! concurrency limits from [`crate::DeviceProfile::concurrency`], and link
+//! concurrency limits from `DeviceProfile::concurrency`, and link
 //! contention from the scenario's bandwidth overrides. Cohorts may be
 //! heterogeneous: per-cohort payload sizes change link serialisation and
 //! per-cohort `local_speed` scales the layer-0 execution time. Detection
@@ -47,10 +47,10 @@
 //! layer's `ComputeDone`s (`now +` a batch's service time, in order unless
 //! batches of different sizes overtake one another). Scheduling those is
 //! a FIFO append and popping them a scan of the few lane heads. A
-//! processor-sharing resource — a capped uplink, a PS compute stage — has
-//! one pending completion (`LinkDone` / `PsComputeDone`), re-estimated
-//! after every arrival and departure: it sits in a replaceable slot of the
-//! queue, so an estimate the share changed is overwritten, never popped.
+//! bandwidth-capped uplink, a processor-sharing resource, has one pending
+//! completion (`LinkDone`), re-estimated after every arrival and
+//! departure: it sits in a replaceable slot of the queue, so an estimate
+//! the share changed is overwritten, never popped.
 //! The heap keeps the handful of `Trace` events, plus any lane entry that
 //! arrives out of order — the queue pops in `(time, seq)` order either
 //! way, so where an event waited never shows in a report.
@@ -86,7 +86,7 @@
 //! `Emit`, a `Trace`) and where a caller can look between calls
 //! (`advance_until` reaching its barrier). A retired completion still
 //! counts as a processed event at its finish time, and
-//! [`FleetEngine::next_event_time_ms`] sees pending ones, so event counts,
+//! `FleetEngine::next_event_time_ms` sees pending ones, so event counts,
 //! horizons, barriers and traces are those of a queue that held them.
 //!
 //! Each outcome is written once, by `dispatch`, straight to where the
@@ -103,7 +103,7 @@ use crate::topology::HecTopology;
 
 use super::metrics::{DropReason, FleetReport, FleetTotals, TraceSample};
 use super::queueing::{FifoQueue, JobRec, PsResource};
-use super::scenario::{Discipline, FleetScenario};
+use super::scenario::FleetScenario;
 
 /// Context handed to the router when a window is emitted.
 #[derive(Debug)]
@@ -117,8 +117,8 @@ pub struct RouteCtx<'a> {
     /// Virtual emission time, ms.
     pub now_ms: f64,
     /// Per-layer compute backlog, sampled at the emitting bucket's start
-    /// (waiting line for FIFO layers, in-flight count for PS layers,
-    /// device-local in-flight for layer 0).
+    /// (the waiting line at a shared layer, device-local in-flight for
+    /// layer 0).
     pub queue_depth: &'a [usize],
     /// Per-layer concurrent uplink transfers (0 for uncapped links).
     pub link_inflight: &'a [usize],
@@ -191,10 +191,8 @@ enum Ev {
     /// handler's worth: the `count` members at the front of the layer's
     /// `arrivals`, each one event.
     Arrive { layer: u8, count: u32 },
-    /// A FIFO service batch finishes.
+    /// A service batch finishes.
     ComputeDone { layer: u8, slot: u32 },
-    /// A PS compute layer may have completed jobs.
-    PsComputeDone { layer: u8 },
     /// A device-local execution finishes, as a queue event: only the
     /// referee engine ([`FleetEngine::eager`]) schedules these.
     #[cfg(test)]
@@ -273,12 +271,6 @@ impl LocalCompletions {
     }
 }
 
-/// Compute stage of a shared layer.
-enum Stage {
-    Fifo(FifoQueue),
-    Ps(PsResource),
-}
-
 /// Per-layer mutable simulation state.
 struct LayerState {
     exec_ms: f64,
@@ -302,8 +294,9 @@ struct LayerState {
     /// `Some` when the uplink is bandwidth-capped (the per-window
     /// serialisation work is per-cohort, see `FleetEngine::ser_ms`).
     link: Option<PsResource>,
-    /// Shared compute stage (`None` for layer 0).
-    stage: Option<Stage>,
+    /// The compute queue. Layer 0's is never offered a job: each device
+    /// serves its own windows (`FleetEngine::busy_until`).
+    queue: FifoQueue,
     offered: u64,
     served: u64,
     dropped_queue: u64,
@@ -329,7 +322,7 @@ impl LayerState {
 }
 
 /// A resumable fleet simulation, advanced barrier by barrier (module
-/// docs); once [`FleetEngine::next_event_time_ms`] is `None` the run is
+/// docs); once `FleetEngine::next_event_time_ms` is `None` the run is
 /// complete and [`FleetEngine::report`] renders its [`FleetReport`].
 pub struct FleetEngine<'a> {
     sc: &'a FleetScenario,
@@ -359,9 +352,9 @@ pub struct FleetEngine<'a> {
     done_buf: Vec<JobRec>,
     trace: Vec<TraceSample>,
     last_activity_ms: f64,
-    /// `LinkDone` / `PsComputeDone` pops that completed no job: the
-    /// estimated completion time fell short of the job's credit by more
-    /// than `PsResource::pop_due_into`'s tolerance.
+    /// `LinkDone` pops that completed no job: the estimated completion
+    /// time fell short of the job's credit by more than
+    /// `PsResource::pop_due_into`'s tolerance.
     #[cfg(test)]
     idle_completions: u64,
     /// Arrival groups re-filed because another event fell between two of
@@ -390,14 +383,14 @@ impl<'a> FleetEngine<'a> {
     ///
     /// Panics if the scenario has no cohorts or a cohort's `local_speed`
     /// is invalid.
-    pub fn with_topology(scenario: &'a FleetScenario, topology: HecTopology) -> Self {
+    pub(crate) fn with_topology(scenario: &'a FleetScenario, topology: HecTopology) -> Self {
         let lanes = scenario.cohorts.len() + 2 * (topology.num_layers() - 1);
         Self::build(scenario, topology, lanes)
     }
 
     /// The engine over a queue of `lanes` lanes (see `emit_lane`,
     /// `LayerState::arrive_lane` and `LayerState::done_lane` for who gets
-    /// which) and two slots per layer (`link_slot`, `ps_slot`).
+    /// which) and one slot per layer (`link_slot`).
     fn build(scenario: &'a FleetScenario, topology: HecTopology, lanes: usize) -> Self {
         assert!(!scenario.cohorts.is_empty(), "scenario has no cohorts");
         let sc = scenario;
@@ -413,22 +406,12 @@ impl<'a> FleetEngine<'a> {
                     .bandwidth_mbps
                     .filter(|_| l > 0)
                     .map(|_| PsResource::new(1.0, f64::INFINITY, sc.link_max_inflight));
-                let stage = (l > 0).then(|| {
-                    let servers = spec.device.concurrency.max(1);
-                    match sc.discipline {
-                        Discipline::Fifo => Stage::Fifo(FifoQueue::new(
-                            servers,
-                            sc.queue_capacity,
-                            sc.batch_max,
-                            sc.batch_factor,
-                        )),
-                        Discipline::ProcessorSharing => Stage::Ps(PsResource::new(
-                            servers as f64,
-                            1.0,
-                            sc.queue_capacity + servers,
-                        )),
-                    }
-                });
+                let queue = FifoQueue::new(
+                    spec.device.concurrency.max(1),
+                    sc.queue_capacity,
+                    sc.batch_max,
+                    sc.batch_factor,
+                );
                 LayerState {
                     exec_ms: topo.exec_ms(l),
                     prop_ms: spec.uplink.rtt_ms / 2.0,
@@ -438,7 +421,7 @@ impl<'a> FleetEngine<'a> {
                     open: 0,
                     open_seq: 0,
                     link,
-                    stage,
+                    queue,
                     offered: 0,
                     served: 0,
                     dropped_queue: 0,
@@ -490,7 +473,7 @@ impl<'a> FleetEngine<'a> {
             topo,
             k,
             layers,
-            q: EventQueue::with_lanes_and_slots(lanes, 2 * k),
+            q: EventQueue::with_lanes_and_slots(lanes, k),
             bases,
             bucket_count,
             ticks,
@@ -538,7 +521,7 @@ impl<'a> FleetEngine<'a> {
     /// completions included, or `None` when the run is complete. This is
     /// what the sharded coordinator derives its conservative barrier times
     /// from.
-    pub fn next_event_time_ms(&self) -> Option<f64> {
+    pub(crate) fn next_event_time_ms(&self) -> Option<f64> {
         match (self.q.peek_time_ms(), self.local.next_ms()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -627,11 +610,7 @@ impl<'a> FleetEngine<'a> {
             sum.busy_ms += layer.busy_ms;
             sum.link_work_ms += layer.link_work_ms;
             sum.latency.merge(&layer.latency);
-            sum.peak_queue_depth = sum.peak_queue_depth.max(match &layer.stage {
-                Some(Stage::Fifo(f)) => f.peak_depth,
-                Some(Stage::Ps(ps)) => ps.peak_inflight,
-                None => 0,
-            });
+            sum.peak_queue_depth = sum.peak_queue_depth.max(layer.queue.peak_depth);
             sum.peak_link_inflight =
                 sum.peak_link_inflight.max(layer.link.as_ref().map_or(0, |ps| ps.peak_inflight));
             sum.has_link |= layer.link.is_some();
@@ -679,13 +658,17 @@ impl<'a> FleetEngine<'a> {
 
     /// Slot of layer `l`'s `LinkDone`: the capped uplink's next completion.
     fn link_slot(l: usize) -> usize {
-        2 * l
+        l
     }
 
-    /// Slot of layer `l`'s `PsComputeDone`: the PS compute stage's next
-    /// completion.
-    fn ps_slot(l: usize) -> usize {
-        2 * l + 1
+    /// Layer `l`'s backlog as the router and the trace see it: the
+    /// device-local in-flight count at layer 0, the waiting line above.
+    fn depth(&self, l: usize) -> usize {
+        if l == 0 {
+            self.local_inflight
+        } else {
+            self.layers[l].queue.depth()
+        }
     }
 
     /// Adds `job` to layer `l`'s open arrival group under the `seq` its own
@@ -733,13 +716,10 @@ impl<'a> FleetEngine<'a> {
                 let c = cohort as usize;
                 // The bucket's depths read the local gauge.
                 self.retire_local(at);
-                for (l, layer) in self.layers.iter().enumerate() {
-                    self.depth_scratch[l] = match &layer.stage {
-                        Some(Stage::Fifo(f)) => f.depth(),
-                        Some(Stage::Ps(ps)) => ps.inflight(),
-                        None => self.local_inflight,
-                    };
-                    self.link_scratch[l] = layer.link.as_ref().map_or(0, PsResource::inflight);
+                for l in 0..self.k {
+                    self.depth_scratch[l] = self.depth(l);
+                    self.link_scratch[l] =
+                        self.layers[l].link.as_ref().map_or(0, PsResource::inflight);
                 }
                 let (lo, hi) = self.bucket_range(c, bucket);
                 let exec0 = self.exec0[c];
@@ -863,44 +843,11 @@ impl<'a> FleetEngine<'a> {
                 let l = layer as usize;
                 let lay = &mut self.layers[l];
                 self.done_buf.clear();
-                // Invariant: only a FIFO stage's `dispatch` schedules a
-                // `ComputeDone`, and a layer's stage is fixed at build.
-                let Some(Stage::Fifo(queue)) = lay.stage.as_mut() else {
-                    unreachable!("ComputeDone on a non-FIFO layer");
-                };
-                queue.complete_into(slot as usize, &mut self.done_buf);
+                lay.queue.complete_into(slot as usize, &mut self.done_buf);
                 for job in self.done_buf.drain(..) {
                     driver.outcome(now, lay.serve(l, now, job));
                 }
                 self.start_services(l, now);
-            }
-
-            Ev::PsComputeDone { layer } => {
-                let l = layer as usize;
-                let lay = &mut self.layers[l];
-                let exec = lay.exec_ms;
-                // Invariant: only a PS stage's `offer` and completions
-                // schedule a `PsComputeDone`, and a stage is fixed at build.
-                let Some(Stage::Ps(ps)) = lay.stage.as_mut() else {
-                    unreachable!("PsComputeDone on a non-PS layer");
-                };
-                self.done_buf.clear();
-                ps.pop_due_into(now, &mut self.done_buf);
-                #[cfg(test)]
-                {
-                    self.idle_completions += u64::from(self.done_buf.is_empty());
-                }
-                if let Some(t) = ps.next_completion_ms() {
-                    self.q.schedule_in_slot(
-                        Self::ps_slot(l),
-                        t.max(now),
-                        Ev::PsComputeDone { layer },
-                    );
-                }
-                for job in self.done_buf.drain(..) {
-                    lay.busy_ms += exec;
-                    driver.outcome(now, lay.serve(l, now, job));
-                }
             }
 
             #[cfg(test)]
@@ -913,15 +860,7 @@ impl<'a> FleetEngine<'a> {
                 self.retire_local(at);
                 let sample = TraceSample {
                     t_ms: now,
-                    queue_depth: self
-                        .layers
-                        .iter()
-                        .map(|layer| match &layer.stage {
-                            Some(Stage::Fifo(f)) => f.depth(),
-                            Some(Stage::Ps(ps)) => ps.inflight(),
-                            None => self.local_inflight,
-                        })
-                        .collect(),
+                    queue_depth: (0..self.k).map(|l| self.depth(l)).collect(),
                     link_inflight: self
                         .layers
                         .iter()
@@ -973,29 +912,11 @@ impl<'a> FleetEngine<'a> {
         }
     }
 
-    /// One window reaching layer `l`'s compute stage at `now`: its drop,
-    /// if the stage turns it away.
+    /// One window reaching layer `l`'s compute queue at `now`: its drop,
+    /// if the queue turns it away.
     #[inline]
     fn arrive(&mut self, l: usize, now: f64, job: JobRec) -> Option<JobEvent> {
-        let lay = &mut self.layers[l];
-        let exec = lay.exec_ms;
-        // Invariant: arrival groups are only gathered for layers ≥ 1, and
-        // `build` gives every one of them a stage.
-        let admitted = match lay.stage.as_mut().expect("compute on shared layer") {
-            Stage::Fifo(queue) => queue.offer(job),
-            Stage::Ps(ps) => {
-                let admitted = ps.offer(now, exec, job);
-                if admitted {
-                    // Invariant: `offer` just admitted a job, so one is in
-                    // flight.
-                    let t = ps.next_completion_ms().expect("just offered").max(now);
-                    let layer = l as u8;
-                    self.q.schedule_in_slot(Self::ps_slot(l), t, Ev::PsComputeDone { layer });
-                }
-                admitted
-            }
-        };
-        if admitted {
+        if self.layers[l].queue.offer(job) {
             self.start_services(l, now);
             return None;
         }
@@ -1009,15 +930,12 @@ impl<'a> FleetEngine<'a> {
         })
     }
 
-    /// Starts every service layer `l`'s FIFO stage can start at `now`, each
-    /// one's `ComputeDone` on the layer's lane (nothing for a PS stage).
+    /// Starts every service layer `l`'s queue can start at `now`, each
+    /// one's `ComputeDone` on the layer's lane.
     #[inline]
     fn start_services(&mut self, l: usize, now: f64) {
         let lay = &mut self.layers[l];
-        let Some(Stage::Fifo(queue)) = lay.stage.as_mut() else {
-            return;
-        };
-        while let Some((slot, dur)) = queue.dispatch(lay.exec_ms) {
+        while let Some((slot, dur)) = lay.queue.dispatch(lay.exec_ms) {
             lay.busy_ms += dur;
             #[cfg(test)]
             {
@@ -1030,7 +948,7 @@ impl<'a> FleetEngine<'a> {
     }
 
     /// Renders the run's report. Normally called once the run is complete
-    /// ([`FleetEngine::next_event_time_ms`] is `None`); calling earlier
+    /// (`FleetEngine::next_event_time_ms` is `None`); calling earlier
     /// reports the progress so far (utilization denominators use the last
     /// processed activity time).
     pub fn report(&self) -> FleetReport {
@@ -1043,7 +961,6 @@ impl<'a> FleetEngine<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::device::ExecTimeModel;
     use crate::fleet::scenario::{CohortSpec, FleetScale, RoutePlan};
     use crate::network::Link;
 
@@ -1165,18 +1082,6 @@ pub(crate) mod tests {
         assert!(report.layers[0].dropped_queue > 0);
         assert!(report.layers[0].served > 0);
         assert_eq!(report.served + report.dropped, report.emitted);
-    }
-
-    #[test]
-    fn processor_sharing_discipline_serves_everything() {
-        let mut sc = tiny(100, 5, 10.0, RoutePlan::Fixed(1));
-        sc.discipline = Discipline::ProcessorSharing;
-        sc.queue_capacity = 10_000;
-        let report = run(&sc);
-        let edge = &report.layers[1];
-        assert_eq!(edge.served, 500);
-        // Overloaded PS stretches latencies beyond the unloaded value.
-        assert!(edge.p99_ms > 257.43, "p99 {}", edge.p99_ms);
     }
 
     #[test]
@@ -1562,8 +1467,8 @@ pub(crate) mod tests {
     /// that keeps device-local completions as queue events: devices
     /// emitting faster than they execute (a backlogged device's completion
     /// lands after an idle one's was filed), two `local_speed`s, two
-    /// payload sizes sharing capped links (finish credits out of order) and
-    /// PS compute. Where an event waited must not show: same outcome
+    /// payload sizes sharing capped links (finish credits out of order).
+    /// Where an event waited must not show: same outcome
     /// stream, same event count, horizon and next event time after every
     /// step and barrier, same report — by the stepper and by
     /// `advance_until`; and the closed loop holds to the stepper.
@@ -1575,7 +1480,6 @@ pub(crate) mod tests {
             payload_bytes: Some(4 * 384),
             ..CohortSpec::uniform(5, 24, 7.0, 3.0, RoutePlan::Fixed(0))
         });
-        sc.discipline = Discipline::ProcessorSharing;
         sc.edge_bandwidth_mbps = Some(2.0);
         sc.cloud_bandwidth_mbps = Some(1.0);
         sc.link_max_inflight = 12;
@@ -1652,7 +1556,7 @@ pub(crate) mod tests {
         };
 
         let mut layers = sc.topology().layers().to_vec();
-        layers[0].exec = ExecTimeModel::Calibrated { ms: 8.0 };
+        layers[0].exec_ms = 8.0;
         let topo = || HecTopology::new(layers.clone());
 
         let stepped = by_step(&mut FleetEngine::with_topology(&sc, topo()), route);
@@ -1692,7 +1596,6 @@ pub(crate) mod tests {
     fn arrival_groups_sharing_an_instant_split_in_seq_order() {
         const PROP_MS: f64 = 10.0;
         let mut sc = tiny(12, 30, 10.0, RoutePlan::Fixed(0));
-        sc.discipline = Discipline::Fifo;
         sc.batch_max = 4;
         sc.batch_factor = 0.5;
         sc.queue_capacity = 3;
@@ -1702,8 +1605,8 @@ pub(crate) mod tests {
         let (mut splits, mut misses) = (0, 0);
         for cloud_mbps in [None, Some(2.0)] {
             let mut layers = sc.topology().layers().to_vec();
-            layers[0].exec = ExecTimeModel::Calibrated { ms: PROP_MS };
-            layers[2].exec = ExecTimeModel::Calibrated { ms: 3.0 * PROP_MS };
+            layers[0].exec_ms = PROP_MS;
+            layers[2].exec_ms = 3.0 * PROP_MS;
             layers[1].device.concurrency = 2;
             layers[2].device.concurrency = 1;
             layers[1].uplink = Link::delay_only(2.0 * PROP_MS);

@@ -39,9 +39,9 @@ pub struct LayerSummary {
     /// layer and for delay-only links, which cannot saturate).
     pub link_utilization: Option<f64>,
     /// Largest waiting-line depth observed.
-    pub peak_queue_depth: usize,
+    pub(crate) peak_queue_depth: usize,
     /// Largest concurrent uplink transfer count observed.
-    pub peak_link_inflight: usize,
+    pub(crate) peak_link_inflight: usize,
     /// End-to-end latency of served windows.
     pub mean_ms: f64,
     /// Median end-to-end latency, ms.
@@ -49,7 +49,7 @@ pub struct LayerSummary {
     /// 99th-percentile end-to-end latency, ms.
     pub p99_ms: f64,
     /// Worst served latency, ms.
-    pub max_ms: f64,
+    pub(crate) max_ms: f64,
 }
 
 /// One queue-depth trace sample.
@@ -70,7 +70,7 @@ pub struct FleetReport {
     /// Scenario name.
     pub scenario: String,
     /// Virtual time of the last activity, ms.
-    pub horizon_ms: f64,
+    pub(crate) horizon_ms: f64,
     /// Discrete events processed by the engine.
     pub events: u64,
     /// Windows emitted by the fleet.

@@ -45,8 +45,8 @@ pub mod shard;
 
 pub use des::{FleetEngine, JobEvent, RouteCtx};
 pub use metrics::{DropReason, FleetReport, LayerSummary, TraceSample};
-pub use queueing::{FifoQueue, JobRec, PsResource};
-pub use scenario::{CohortSpec, Discipline, FleetScale, FleetScenario, RoutePlan};
+pub use queueing::{JobRec, PsResource};
+pub use scenario::{CohortSpec, FleetScale, FleetScenario, RoutePlan};
 pub use shard::{
     earliest_event_ms, merge_window, FeedbackRouter, ShardEngine, ShardPlan, ShardedFleetEngine,
 };

@@ -2,12 +2,12 @@
 //!
 //! Three contention models cover the testbed's resources:
 //!
-//! * [`FifoQueue`] — a bounded multi-server FIFO with batch dequeue, for
+//! * `FifoQueue` — a bounded multi-server FIFO with batch dequeue, for
 //!   the shared edge/cloud compute layers (server count =
-//!   [`crate::DeviceProfile::concurrency`]);
+//!   `DeviceProfile::concurrency`);
 //! * [`PsResource`] — an egalitarian processor-sharing resource, used for
 //!   bandwidth-shared uplinks (every in-flight transfer gets an equal
-//!   share of the link) and optionally for compute layers;
+//!   share of the link);
 //! * per-device dedicated service (layer 0) lives in the engine itself as
 //!   a `busy_until` array — each IoT device is its own single server, so
 //!   no shared structure is needed.
@@ -39,8 +39,7 @@ pub struct JobRec {
 /// amortisation and `0` means a free ride for tag-alongs). Arrivals beyond
 /// `capacity` waiting jobs are rejected — the caller counts them as drops.
 #[derive(Debug)]
-pub struct FifoQueue {
-    servers: usize,
+pub(crate) struct FifoQueue {
     free_servers: usize,
     capacity: usize,
     batch_max: usize,
@@ -49,7 +48,7 @@ pub struct FifoQueue {
     slots: Vec<Vec<JobRec>>,
     free_slots: Vec<usize>,
     /// Largest waiting-queue depth observed.
-    pub peak_depth: usize,
+    pub(crate) peak_depth: usize,
 }
 
 impl FifoQueue {
@@ -68,7 +67,6 @@ impl FifoQueue {
             "batch_factor must be in [0, 1], got {batch_factor}"
         );
         Self {
-            servers,
             free_servers: servers,
             capacity,
             batch_max,
@@ -110,7 +108,7 @@ impl FifoQueue {
     /// Completes the service running in `slot`, appending its batch to
     /// `out` (the slot's buffer is retained for reuse) and freeing the
     /// server.
-    pub fn complete_into(&mut self, slot: usize, out: &mut Vec<JobRec>) {
+    pub(crate) fn complete_into(&mut self, slot: usize, out: &mut Vec<JobRec>) {
         let batch = &mut self.slots[slot];
         debug_assert!(!batch.is_empty(), "completing an idle slot");
         out.extend_from_slice(batch);
@@ -123,15 +121,10 @@ impl FifoQueue {
     pub fn depth(&self) -> usize {
         self.waiting.len()
     }
-
-    /// Total server count.
-    pub fn servers(&self) -> usize {
-        self.servers
-    }
 }
 
-/// An egalitarian processor-sharing resource (the fluid model of a shared
-/// link or a PS compute layer).
+/// An egalitarian processor-sharing resource (the fluid model of a
+/// bandwidth-shared link).
 ///
 /// All `n` in-flight jobs progress at rate `min(rate_cap, capacity / n)`.
 /// Instead of rescaling every job's remaining work on each arrival —
@@ -139,8 +132,7 @@ impl FifoQueue {
 /// credit* `S(t) = ∫ rate(n(t)) dt`; a job with `work` remaining at
 /// insertion completes when `S` has advanced by `work`. Jobs wait in a
 /// min-queue on the completion credit, FIFO on ties. `S` never falls, so
-/// jobs of equal work — one payload size on a link, one model on a compute
-/// layer — arrive already sorted and the queue's one monotone lane is a
+/// jobs of equal work — one payload size on a link — arrive already sorted and the queue's one monotone lane is a
 /// plain FIFO: O(1) arrivals and departures. A job that would finish
 /// before the lane's tail (a smaller payload behind a larger one) goes to
 /// the queue's heap, O(log n), and completes in the same order.

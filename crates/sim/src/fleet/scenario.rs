@@ -26,7 +26,7 @@ pub enum RoutePlan {
 
 impl RoutePlan {
     /// The layer for window `seq` under this plan (deterministic).
-    pub fn layer_for(&self, seed: u64, seq: u64) -> usize {
+    pub(crate) fn layer_for(&self, seed: u64, seq: u64) -> usize {
         self.cuts().pick(seed, seq)
     }
 
@@ -134,7 +134,7 @@ impl CohortSpec {
     }
 
     /// This cohort's payload in bytes, given the scenario default.
-    pub fn payload_or(&self, scenario_payload: usize) -> usize {
+    pub(crate) fn payload_or(&self, scenario_payload: usize) -> usize {
         self.payload_bytes.unwrap_or(scenario_payload)
     }
 
@@ -144,7 +144,7 @@ impl CohortSpec {
     /// # Panics
     ///
     /// Panics if `local_speed` is not positive and finite.
-    pub fn local_exec_ms(&self, testbed_exec_ms: f64) -> f64 {
+    pub(crate) fn local_exec_ms(&self, testbed_exec_ms: f64) -> f64 {
         assert!(
             self.local_speed > 0.0 && self.local_speed.is_finite(),
             "local_speed must be positive and finite, got {}",
@@ -177,15 +177,6 @@ impl FleetScale {
     }
 }
 
-/// Compute-layer queueing discipline for the shared layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Discipline {
-    /// Bounded multi-server FIFO with batch dequeue.
-    Fifo,
-    /// Egalitarian processor sharing across admitted jobs.
-    ProcessorSharing,
-}
-
 /// A complete fleet-simulation configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetScenario {
@@ -207,15 +198,13 @@ pub struct FleetScenario {
     /// Jobs a freed server dequeues together.
     pub batch_max: usize,
     /// Marginal batch cost (0 = free tag-alongs, 1 = no amortisation).
-    pub batch_factor: f64,
+    pub(crate) batch_factor: f64,
     /// Admission bound on concurrent transfers per bandwidth-capped link.
     pub link_max_inflight: usize,
     /// A device drops a local window when its backlog exceeds this, ms.
-    pub local_backlog_ms: f64,
-    /// Shared-layer queueing discipline.
-    pub discipline: Discipline,
+    pub(crate) local_backlog_ms: f64,
     /// Override the edge uplink with a bandwidth cap, Mbit/s.
-    pub edge_bandwidth_mbps: Option<f64>,
+    pub(crate) edge_bandwidth_mbps: Option<f64>,
     /// Override the cloud uplink with a bandwidth cap, Mbit/s.
     pub cloud_bandwidth_mbps: Option<f64>,
     /// Queue-depth sampling interval, ms.
@@ -254,7 +243,6 @@ impl FleetScenario {
             batch_factor: 0.25,
             link_max_inflight: 4096,
             local_backlog_ms: 1000.0,
-            discipline: Discipline::Fifo,
             edge_bandwidth_mbps: None,
             cloud_bandwidth_mbps: None,
             trace_interval_ms: match scale {

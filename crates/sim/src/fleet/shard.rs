@@ -308,7 +308,7 @@ pub struct ShardEngine<'a> {
 impl ShardEngine<'_> {
     /// Virtual time of this shard's earliest pending event, or `None`
     /// when the shard has drained.
-    pub fn next_event_time_ms(&self) -> Option<f64> {
+    pub(crate) fn next_event_time_ms(&self) -> Option<f64> {
         self.engine.next_event_time_ms()
     }
 

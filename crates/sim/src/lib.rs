@@ -30,7 +30,7 @@ pub mod fleet;
 pub mod network;
 pub mod topology;
 
-pub use device::{DeviceProfile, ExecTimeModel};
+pub use device::DeviceProfile;
 pub use event::EventQueue;
 pub use fleet::{FleetReport, FleetScale, FleetScenario};
 pub use network::Link;

@@ -16,7 +16,7 @@ pub struct Link {
     pub rtt_ms: f64,
     /// Optional uplink bandwidth cap in Mbit/s (`None` = unconstrained,
     /// matching the paper's delay-only `tc netem` emulation).
-    pub bandwidth_mbps: Option<f64>,
+    pub(crate) bandwidth_mbps: Option<f64>,
 }
 
 impl Link {
@@ -25,7 +25,7 @@ impl Link {
     /// # Panics
     ///
     /// Panics if `rtt_ms` is negative.
-    pub fn delay_only(rtt_ms: f64) -> Self {
+    pub(crate) fn delay_only(rtt_ms: f64) -> Self {
         assert!(rtt_ms >= 0.0, "rtt must be non-negative");
         Self { rtt_ms, bandwidth_mbps: None }
     }
@@ -40,14 +40,14 @@ impl Link {
     /// # Panics
     ///
     /// Panics if `mbps` is not positive.
-    pub fn with_bandwidth(mut self, mbps: f64) -> Self {
+    pub(crate) fn with_bandwidth(mut self, mbps: f64) -> Self {
         assert!(mbps > 0.0, "bandwidth must be positive");
         self.bandwidth_mbps = Some(mbps);
         self
     }
 
     /// Round-trip transfer time for a payload of `payload_bytes`.
-    pub fn transfer_ms(&self, payload_bytes: usize) -> f64 {
+    pub(crate) fn transfer_ms(&self, payload_bytes: usize) -> f64 {
         let serialisation = match self.bandwidth_mbps {
             Some(mbps) => (payload_bytes as f64 * 8.0) / (mbps * 1e6) * 1e3,
             None => 0.0,

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::device::{DeviceProfile, ExecTimeModel};
+use crate::device::DeviceProfile;
 use crate::network::Link;
 
 /// Which of the paper's two dataset families a topology is calibrated for
@@ -17,7 +17,7 @@ pub enum DatasetKind {
 
 impl DatasetKind {
     /// The paper's measured execution times, ms, bottom-up (Table I).
-    pub fn paper_exec_ms(self) -> [f64; 3] {
+    pub(crate) fn paper_exec_ms(self) -> [f64; 3] {
         match self {
             DatasetKind::Univariate => [12.4, 7.4, 4.5],
             DatasetKind::Multivariate => [591.0, 417.3, 232.3],
@@ -33,14 +33,15 @@ impl DatasetKind {
     }
 }
 
-/// One layer of the testbed: its device, the deployed model's execution-time
-/// model and the network path from the IoT device to it.
+/// One layer of the testbed: its device, the deployed model's execution
+/// time and the network path from the IoT device to it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LayerSpec {
     /// The machine at this layer.
     pub device: DeviceProfile,
-    /// Execution-time model of the AD model deployed here.
-    pub exec: ExecTimeModel,
+    /// Per-inference execution time of the AD model deployed here, ms
+    /// (the paper's Table I measurement on the testbed).
+    pub exec_ms: f64,
     /// Round-trip path from the IoT device to this layer.
     pub uplink: Link,
 }
@@ -81,17 +82,17 @@ impl HecTopology {
         Self::new(vec![
             LayerSpec {
                 device: DeviceProfile::raspberry_pi3(),
-                exec: ExecTimeModel::Calibrated { ms: exec[0] },
+                exec_ms: exec[0],
                 uplink: Link::local(),
             },
             LayerSpec {
                 device: DeviceProfile::jetson_tx2(),
-                exec: ExecTimeModel::Calibrated { ms: exec[1] },
+                exec_ms: exec[1],
                 uplink: Link::delay_only(250.03),
             },
             LayerSpec {
                 device: DeviceProfile::devbox(),
-                exec: ExecTimeModel::Calibrated { ms: exec[2] },
+                exec_ms: exec[2],
                 uplink: Link::delay_only(500.0),
             },
         ])
@@ -113,8 +114,7 @@ impl HecTopology {
     ///
     /// Panics if `layer` is out of range.
     pub fn exec_ms(&self, layer: usize) -> f64 {
-        let spec = &self.layers[layer];
-        spec.exec.exec_ms(&spec.device)
+        self.layers[layer].exec_ms
     }
 
     /// End-to-end detection delay when the task is executed at `layer`:

@@ -25,7 +25,7 @@ use crate::ENABLED;
 /// this bound; since per-track recording order is deterministic, the
 /// retained prefix — and therefore the exported trace — stays
 /// deterministic too.
-pub const TRACK_EVENT_CAP: usize = 1 << 18;
+pub(crate) const TRACK_EVENT_CAP: usize = 1 << 18;
 
 #[derive(Debug)]
 struct VEvent {

@@ -107,15 +107,6 @@ impl Matrix {
         Self::from_vec(1, v.len(), v.to_vec())
     }
 
-    /// Creates an n×1 column vector from a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is empty.
-    pub fn col_vector(v: &[f32]) -> Self {
-        Self::from_vec(v.len(), 1, v.to_vec())
-    }
-
     /// Creates the n×n identity matrix.
     ///
     /// # Panics
@@ -409,7 +400,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn zip_map(&self, rhs: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
+    pub(crate) fn zip_map(&self, rhs: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
         self.assert_same_shape(rhs, "zip_map");
         let data = self.data.iter().zip(rhs.data.iter()).map(|(&a, &b)| f(a, b)).collect();
         Matrix { rows: self.rows, cols: self.cols, data }
@@ -432,17 +423,6 @@ impl Matrix {
         }
     }
 
-    /// Adds a 1×cols row vector to every row (broadcast), returning a new matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias` is not `1 × self.cols`.
-    pub fn add_row_broadcast(&self, bias: &Matrix) -> Matrix {
-        let mut out = self.clone();
-        out.add_row_broadcast_assign(bias);
-        out
-    }
-
     /// Adds a 1×cols row vector to every row **in place**.
     ///
     /// # Panics
@@ -457,23 +437,6 @@ impl Matrix {
                 *x += b;
             }
         }
-    }
-
-    /// `self + bias` (row broadcast) written into `out` (resized in place).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias` is not `1 × self.cols`.
-    pub fn add_row_broadcast_into(&self, bias: &Matrix, out: &mut Matrix) {
-        out.copy_from(self);
-        out.add_row_broadcast_assign(bias);
-    }
-
-    /// Sums the rows into a 1×cols row vector.
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        self.sum_rows_into(&mut out);
-        out
     }
 
     /// Sums the rows into `out` (resized to `1 × cols` in place).
@@ -765,9 +728,8 @@ mod tests {
 
     #[test]
     fn broadcast_bias_adds_to_each_row() {
-        let a = Matrix::zeros(3, 2);
-        let bias = Matrix::row_vector(&[1.0, -1.0]);
-        let out = a.add_row_broadcast(&bias);
+        let mut out = Matrix::zeros(3, 2);
+        out.add_row_broadcast_assign(&Matrix::row_vector(&[1.0, -1.0]));
         for r in 0..3 {
             assert_eq!(out.row(r), &[1.0, -1.0]);
         }
@@ -776,7 +738,9 @@ mod tests {
     #[test]
     fn sum_rows_collapses() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let s = a.sum_rows();
+        // A stale, wrong-shaped buffer: `sum_rows_into` resizes and clears it.
+        let mut s = Matrix::ones(2, 3);
+        a.sum_rows_into(&mut s);
         assert_eq!(s.as_slice(), &[9.0, 12.0]);
     }
 
@@ -794,7 +758,7 @@ mod tests {
     #[test]
     fn argmax_on_vectors() {
         assert_eq!(Matrix::row_vector(&[0.1, 0.7, 0.2]).argmax(), 1);
-        assert_eq!(Matrix::col_vector(&[5.0, 1.0]).argmax(), 0);
+        assert_eq!(Matrix::from_vec(2, 1, vec![5.0, 1.0]).argmax(), 0);
     }
 
     #[test]
@@ -852,13 +816,6 @@ mod tests {
         let c = Matrix::from_rows(&[&[1.0, 0.5, -1.0], &[2.0, -0.5, 0.0]]);
         a.hadamard_into(&c, &mut out);
         assert_eq!(out, a.hadamard(&c));
-
-        let bias = Matrix::row_vector(&[1.0, -1.0, 0.5]);
-        a.add_row_broadcast_into(&bias, &mut out);
-        assert_eq!(out, a.add_row_broadcast(&bias));
-
-        a.sum_rows_into(&mut out);
-        assert_eq!(out, a.sum_rows());
     }
 
     #[test]
@@ -880,15 +837,6 @@ mod tests {
         let src = Matrix::from_rows(&[&[1.0], &[2.0]]);
         m.copy_from(&src);
         assert_eq!(m, src);
-    }
-
-    #[test]
-    fn broadcast_assign_matches_allocating() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let bias = Matrix::row_vector(&[10.0, 20.0]);
-        let mut b = a.clone();
-        b.add_row_broadcast_assign(&bias);
-        assert_eq!(b, a.add_row_broadcast(&bias));
     }
 
     #[test]

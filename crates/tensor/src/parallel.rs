@@ -24,6 +24,7 @@
 use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 thread_local! {
     /// Per-thread override installed by [`with_thread_count`]; takes
@@ -41,7 +42,8 @@ thread_local! {
 ///
 /// A [`with_thread_count`] override on the calling thread wins; otherwise
 /// reads `HEC_THREADS` (values `< 1` or unparsable fall back to the
-/// default); defaults to the machine's available parallelism.
+/// default); defaults to the machine's available parallelism, asked once
+/// per process.
 pub fn thread_count() -> usize {
     if let Some(n) = THREAD_OVERRIDE.with(Cell::get) {
         return n;
@@ -55,8 +57,13 @@ pub fn thread_count() -> usize {
     }
 }
 
+/// The machine's available parallelism, asked once per process: on Linux
+/// every `available_parallelism` call re-reads the cgroup quota files
+/// (about 25 µs and four allocations).
 fn default_threads() -> usize {
-    std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
+    static MACHINE: OnceLock<usize> = OnceLock::new();
+    *MACHINE
+        .get_or_init(|| std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1))
 }
 
 /// Runs `f` with this thread's parallelism pinned to `threads`, restoring
@@ -117,7 +124,7 @@ where
 /// has at least `grain` items' worth of work to amortise its spawn cost.
 /// Calls made from inside another `parallel_map` worker always run
 /// serially (the outer fan-out already owns the machine's parallelism).
-pub fn parallel_map_grained<T, R, F>(items: &[T], grain: usize, f: F) -> Vec<R>
+pub(crate) fn parallel_map_grained<T, R, F>(items: &[T], grain: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -127,7 +134,7 @@ where
 }
 
 /// Maps `f` over the index range `0..len` using scoped threads, returning
-/// results **in index order** — [`parallel_map_grained`] without the item
+/// results **in index order** — `parallel_map_grained` without the item
 /// slice, for callers whose work is driven purely by an index (e.g. a
 /// per-window evaluation over an oracle corpus). Allocates nothing beyond
 /// the result vectors.

@@ -139,7 +139,7 @@ impl Gaussian {
     /// * [`GaussianError::DimensionMismatch`] if `mean.len() != cov.rows()`.
     /// * [`GaussianError::NotPositiveDefinite`] if `cov` is not positive
     ///   definite (no ridge is added here; the caller controls regularisation).
-    pub fn from_mean_cov(mean: Vec<f32>, cov: &Matrix) -> Result<Self, GaussianError> {
+    pub(crate) fn from_mean_cov(mean: Vec<f32>, cov: &Matrix) -> Result<Self, GaussianError> {
         let d = mean.len();
         if cov.rows() != d || cov.cols() != d {
             return Err(GaussianError::DimensionMismatch { expected: d, got: cov.rows() });
@@ -249,7 +249,7 @@ impl Gaussian {
 /// Cholesky factorisation `A = L·Lᵀ` of a symmetric positive-definite matrix.
 ///
 /// Returns `None` if a pivot is non-positive (matrix not positive definite).
-pub fn cholesky(a: &Matrix) -> Option<Matrix> {
+pub(crate) fn cholesky(a: &Matrix) -> Option<Matrix> {
     let n = a.rows();
     if a.cols() != n {
         return None;

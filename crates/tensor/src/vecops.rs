@@ -24,18 +24,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
-/// `y += alpha * x` in place.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Numerically-stable softmax: subtracts the max before exponentiating.
 ///
 /// Returns a probability vector that sums to 1 for any finite input.
@@ -89,22 +77,6 @@ pub fn argmax(v: &[f32]) -> usize {
     let mut best = 0;
     for (i, &x) in v.iter().enumerate() {
         if x > v[best] {
-            best = i;
-        }
-    }
-    best
-}
-
-/// Index of the minimum element (first occurrence on ties).
-///
-/// # Panics
-///
-/// Panics if `v` is empty.
-pub fn argmin(v: &[f32]) -> usize {
-    assert!(!v.is_empty(), "argmin of empty slice");
-    let mut best = 0;
-    for (i, &x) in v.iter().enumerate() {
-        if x < v[best] {
             best = i;
         }
     }
@@ -184,13 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, -1.0], &mut y);
-        assert_eq!(y, vec![3.0, -1.0]);
-    }
-
-    #[test]
     fn softmax_sums_to_one_and_is_monotone() {
         let p = softmax(&[1.0, 2.0, 3.0]);
         let s: f32 = p.iter().sum();
@@ -223,9 +188,8 @@ mod tests {
     }
 
     #[test]
-    fn argmax_argmin_ties_take_first() {
+    fn argmax_ties_take_first() {
         assert_eq!(argmax(&[1.0, 1.0, 0.0]), 0);
-        assert_eq!(argmin(&[0.0, 0.0, 1.0]), 0);
     }
 
     #[test]

@@ -36,7 +36,7 @@ fn into_kernels_are_allocation_free_after_warmup() {
             at.t_matmul_into(&b, tn);
             a.matmul_t_into(&bt, nt);
             a.hadamard_into(&peer, el);
-            a.add_row_broadcast_into(&bias, el);
+            el.add_row_broadcast_assign(&bias);
             a.sum_rows_into(su);
         };
 
