@@ -28,7 +28,7 @@ pub struct Spec {
 
 /// Why parsing stopped short of a [`Cli`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Stop {
+pub enum Stop {
     /// `--help` / `-h` was given.
     Help,
     /// The command line is wrong; the text says how.
@@ -68,13 +68,14 @@ impl Spec {
         cli
     }
 
-    /// Parses `args` (without the program name).
+    /// Parses `args` (without the program name): how a test builds the
+    /// [`Cli`] a binary would get from that command line.
     ///
     /// # Errors
     ///
     /// [`Stop::Help`] on `--help`; [`Stop::Usage`] on an unknown flag, a
     /// second positional or a value flag at the end of the line.
-    pub(crate) fn parse_from(self, args: impl IntoIterator<Item = String>) -> Result<Cli, Stop> {
+    pub fn parse_from(self, args: impl IntoIterator<Item = String>) -> Result<Cli, Stop> {
         let mut cli =
             Cli { spec: self, values: Vec::new(), switches: Vec::new(), positional: None };
         let mut args = args.into_iter();

@@ -1,7 +1,8 @@
 //! # hec-bench
 //!
 //! The reproduction harness: shared experiment profiles for the `repro_*`
-//! binaries (one per table/figure of the paper).
+//! binaries (one per table/figure of the paper) and, in [`repro`], each
+//! binary's whole run as a library call.
 //!
 //! Two profiles are provided:
 //!
@@ -17,6 +18,7 @@
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod repro;
 pub mod telemetry;
 
 use hec_bandit::TrainConfig;

@@ -176,10 +176,6 @@ impl Layer for Dense {
         self.weight.len() + self.bias.len()
     }
 
-    fn kernel_norm_sq(&self) -> f32 {
-        self.weight.frobenius_norm_sq()
-    }
-
     fn apply_l2(&mut self, lambda: f32) {
         self.grad_weight.add_scaled(&self.weight, 2.0 * lambda);
     }

@@ -64,14 +64,9 @@ pub trait Layer: Send + Sync {
     /// Total number of trainable scalars (weights + biases).
     fn param_count(&self) -> usize;
 
-    /// Sum of squared kernel weights (for `l2` regularisation). Biases are
-    /// excluded, matching Keras `kernel_regularizer` semantics used by the
-    /// paper (§II-A2).
-    fn kernel_norm_sq(&self) -> f32 {
-        0.0
-    }
-
     /// Adds `2·λ·W` to each kernel gradient (the gradient of `λ‖W‖²`).
+    /// Biases are excluded, matching Keras `kernel_regularizer` semantics
+    /// used by the paper (§II-A2).
     fn apply_l2(&mut self, _lambda: f32) {}
 }
 
@@ -328,15 +323,26 @@ mod tests {
         // arrange exactly, so use tiny lr on loss but large l2), weights decay.
         let mut net = tiny_net(5);
         let x = Matrix::from_rows(&[&[0.5, 0.5]]);
-        let kernel_norm_sq =
-            |net: &Sequential| -> f32 { net.layers.iter().map(|l| l.kernel_norm_sq()).sum() };
-        let before = kernel_norm_sq(&net);
+        // Each `Dense` visits its kernel, then its bias: sum the kernels.
+        let kernel_norm_sq = |net: &mut Sequential| -> f32 {
+            let mut sum = 0.0;
+            for layer in &mut net.layers {
+                let mut kernel = true;
+                layer.visit_params(&mut |w, _| {
+                    if std::mem::take(&mut kernel) {
+                        sum += w.frobenius_norm_sq();
+                    }
+                });
+            }
+            sum
+        };
+        let before = kernel_norm_sq(&mut net);
         let y = net.infer(&x, &mut PingPong::new()).clone();
         let mut opt = Sgd::new(0.1);
         for _ in 0..50 {
             net.train_batch(&x, &y, &Mse, &mut opt, 0.01);
         }
-        let after = kernel_norm_sq(&net);
+        let after = kernel_norm_sq(&mut net);
         assert!(after < before, "l2 did not shrink kernels: {before} -> {after}");
     }
 

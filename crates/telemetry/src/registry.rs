@@ -356,6 +356,13 @@ pub fn snapshot() -> Snapshot {
 }
 
 /// Clears the global registry (test isolation / per-run resets).
+///
+/// It does not touch a [`FastCounter`]: those are `static`s outside the
+/// registry, and each keeps its running total since the process started.
+/// A snapshot taken after [`FastCounter::publish`] in a second run in the
+/// same process (for instance `tensor.gemm.f32_calls`, published by
+/// `hec_tensor::kernel::publish_telemetry`) therefore reads both runs'
+/// counts, not the second run's.
 pub fn reset() {
     with_global(|r| *r = Registry::new());
 }
